@@ -28,9 +28,9 @@ equality of normal forms syntactic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .exactpoly import (
     KIND_X,
@@ -42,7 +42,7 @@ from .exactpoly import (
     xi_sym,
     y_sym,
 )
-from .grassrings import GrassContext, StepRing
+from .grassrings import GrassContext, StepRing, step_catalog
 from .qlaurent import Laurent
 
 
@@ -52,6 +52,11 @@ class FlagPath:
 
     ``rings`` may step outside ``[0, N]``; such a path denotes the zero
     bimodule (``is_zero``) and every element of it normalizes to zero.
+
+    ``is_zero`` and ``_steps`` (one ``(lower ring, xi bound)`` pair per
+    factor) are computed once in ``__post_init__`` and stored outside the
+    dataclass fields, so equality, hashing and repr see only ``N``,
+    ``rings`` and ``shift``.
     """
 
     N: int
@@ -61,17 +66,19 @@ class FlagPath:
     def __post_init__(self):
         if len(self.rings) < 1:
             raise ValueError("a path needs at least one ring")
+        steps = []
         for a, b in zip(self.rings, self.rings[1:]):
             if abs(a - b) != 1:
                 raise ValueError("path steps must change k by exactly 1")
+            j = min(a, b)
+            steps.append((j, j if b > a else self.N - j - 1))
+        object.__setattr__(self, "is_zero",
+                           any(r < 0 or r > self.N for r in self.rings))
+        object.__setattr__(self, "_steps", tuple(steps))
 
     @property
     def num_factors(self) -> int:
         return len(self.rings) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return any(r < 0 or r > self.N for r in self.rings)
 
     @property
     def left_ring(self) -> int:
@@ -86,12 +93,10 @@ class FlagPath:
         return self.rings[i] > self.rings[i - 1]
 
     def step_ring(self, i: int) -> StepRing:
-        j = min(self.rings[i - 1], self.rings[i])
-        return StepRing(self.N, j, xi_pos=i)
+        return StepRing(self.N, self._steps[i - 1][0], xi_pos=i)
 
     def bound(self, i: int) -> int:
-        j = min(self.rings[i - 1], self.rings[i])
-        return j if self.is_up(i) else self.N - j - 1
+        return self._steps[i - 1][1]
 
     def junction(self, g: int) -> GrassContext:
         """The junction ring after factor g (g = 0 .. m)."""
@@ -99,9 +104,6 @@ class FlagPath:
 
     def with_shift(self, shift: int) -> "FlagPath":
         return FlagPath(self.N, self.rings, shift)
-
-    def shifted(self, delta: int) -> "FlagPath":
-        return FlagPath(self.N, self.rings, self.shift + delta)
 
     def insert_excursion(self, g: int, mid: int, delta_shift: int = 0) -> "FlagPath":
         """Insert the two factors (rings[g], mid), (mid, rings[g]) at junction g."""
@@ -145,9 +147,10 @@ class RawTensor:
         if self.path.num_factors == 0:
             raise ValueError("raw tensors need at least one factor; "
                              "identity-path elements are plain ring polynomials")
-        if not self.path.is_zero:
+        path = self.path
+        if not path.is_zero:
             for i, poly in enumerate(self.factors, start=1):
-                allowed = self.path.step_ring(i).catalog()
+                allowed = step_catalog(path.N, path._steps[i - 1][0], i)
                 bad = poly.symbols() - allowed
                 if bad:
                     raise ValueError(
@@ -350,9 +353,8 @@ def _push_right(path: FlagPath, i: int, content: Polynomial):
     Returns (e, poly) pairs with e within the factor bound and poly in the
     generators of the junction ring after factor i.
     """
-    up = path.is_up(i)
-    j = min(path.rings[i - 1], path.rings[i])
-    return _push_right_cached(path.N, j, up, i, path.bound(i), content)
+    j, bound = path._steps[i - 1]
+    return _push_right_cached(path.N, j, path.is_up(i), i, bound, content)
 
 
 @lru_cache(maxsize=None)
@@ -371,9 +373,8 @@ def _push_right_cached(N, j, up, pos, bound, content):
 
 def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
     """Embed a polynomial in the left-junction ring of factor i as content."""
-    up = path.is_up(i)
-    j = min(path.rings[i - 1], path.rings[i])
-    return _into_factor_cached(path.N, j, up, i, ring_poly)
+    return _into_factor_cached(path.N, path._steps[i - 1][0], path.is_up(i), i,
+                               ring_poly)
 
 
 @lru_cache(maxsize=None)
@@ -404,10 +405,6 @@ def _settled_exponent(poly: Polynomial, pos: int, bound: int):
     if sym.kind == KIND_XI and sym.index == pos and exp <= bound:
         return exp
     return None
-
-
-def _is_settled(path: FlagPath, i: int, poly: Polynomial) -> bool:
-    return _settled_exponent(poly, i, path.bound(i)) is not None
 
 
 def _clear_factor(path: FlagPath, terms: list, i: int, bound: int):
@@ -458,7 +455,7 @@ def rewrite_measure(path: FlagPath, terms) -> tuple:
                         entry[0] += exp
                     else:
                         entry[2] += exp
-            if not _is_settled(path, i, poly):
+            if _settled_exponent(poly, i, path.bound(i)) is None:
                 entry[3] = 1
     return tuple(tuple(t) for t in totals)
 

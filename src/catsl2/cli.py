@@ -38,27 +38,33 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _default_rank():
+_RANKED_COMMANDS = ("verify", "bubble", "special", "rank")
+
+
+def _env_rank():
+    """(rank, error) from $CATSL2_N: (None, None) if unset, and an error
+    message naming the variable if it is not a positive integer."""
     value = os.environ.get("CATSL2_N")
     if value is None:
-        return None
+        return None, None
     try:
-        return int(value)
+        rank = int(value)
     except ValueError:
-        return None
+        rank = 0
+    if rank < 1:
+        return None, "CATSL2_N must be a positive integer, got %r" % value
+    return rank, None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(default_n=None, rank_required=True) -> argparse.ArgumentParser:
     parser = _CliParser(prog="catsl2",
                         description="Categorified sl(2) bimodule engine "
                                     "and relation verifier.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_n = _default_rank()
-
     def add_rank(p):
         p.add_argument("--N", type=int, default=default_n,
-                       required=default_n is None,
+                       required=rank_required,
                        help="ambient rank (default: $CATSL2_N)")
 
     p = sub.add_parser("verify", help="run the relation suite")
@@ -216,14 +222,18 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    default_n, env_error = _env_rank()
+    parser = _build_parser(default_n, rank_required=default_n is None
+                           and env_error is None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.command in ("verify", "bubble", "special", "rank") and (
-            args.N is None or args.N < 1):
-        return _fail("N must be a positive integer")
+    if args.command in _RANKED_COMMANDS:
+        if args.N is None and env_error:
+            return _fail(env_error)
+        if args.N is None or args.N < 1:
+            return _fail("N must be a positive integer")
     return _DISPATCH[args.command](args)
 
 

@@ -93,6 +93,9 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return result
 
 
+# Process-wide memo of monomial products, keyed on the operand pair.  It
+# holds at most 2^18 entries: once full it stops inserting (entries are never
+# evicted) and further products are merged without caching.
 _MONO_MUL_CACHE: dict = {}
 
 
@@ -172,14 +175,6 @@ class Polynomial:
             for sym, _ in mono:
                 syms.add(sym)
         return syms
-
-    def constant_value(self) -> Rational | None:
-        """The rational value of a constant polynomial, else None."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
-        return None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -354,6 +349,11 @@ _ONE = Polynomial({(): 1})
 
 
 def _cached_pow(base: Polynomial, exp: int, _cache={}) -> Polynomial:
+    """base ** exp, memoized process-wide in the default-argument dict.
+
+    The memo holds at most 2^14 (base, exp) entries; once full it stops
+    inserting and further powers are computed without caching.
+    """
     if exp == 1:
         return base
     key = (base, exp)

@@ -28,7 +28,6 @@ from .exactpoly import (
     VarSymbol,
     KIND_X,
     KIND_Y,
-    homogeneous_degree,
     series_invert,
     x_sym,
     xi_sym,
@@ -123,11 +122,8 @@ class StepRing:
             return Polynomial.zero()
         return Polynomial.gen(y_sym(index, self.nu + 2))
 
-    def catalog(self) -> set[VarSymbol]:
-        syms = {x_sym(t, self.nu) for t in range(1, self.j + 1)}
-        syms |= {y_sym(t, self.nu + 2) for t in range(1, self.N - self.j)}
-        syms.add(xi_sym(self.xi_pos))
-        return syms
+    def catalog(self) -> frozenset[VarSymbol]:
+        return step_catalog(self.N, self.j, self.xi_pos)
 
     # -- embeddings of the end rings -------------------------------------
 
@@ -190,6 +186,16 @@ class StepRing:
             acc = acc + term
             sign = -sign
         return acc
+
+
+@lru_cache(maxsize=None)
+def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
+    """Generator symbols of the one-step ring {j, j+1} at factor xi_pos."""
+    nu = 2 * j - N
+    syms = {x_sym(t, nu) for t in range(1, j + 1)}
+    syms |= {y_sym(t, nu + 2) for t in range(1, N - j)}
+    syms.add(xi_sym(xi_pos))
+    return frozenset(syms)
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +294,3 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
             return False, "series inversion disagrees with the closed formula"
         return True, None
     raise ValueError("unknown identity %r" % which)
-
-
-def assert_homogeneous(p: Polynomial, degree: int) -> bool:
-    d = homogeneous_degree(p)
-    return p.is_zero() or d == degree

@@ -357,13 +357,15 @@ def _run_reduction_one(N, k, rng):
     curl = compose_chain(cup, gen_crossing(cup.codomain, 2, "up"),
                          gen_cap(cup.codomain, 1, "ef"))
     ctx = GrassContext(N, k)
+    dot = gen_dot(path, 1)
+    terms = [compose_chain(*[dot] * (-n - ell),
+                           left_mult(path, bubble_value(ctx, "cw", ell)))
+             for ell in range(0, -n + 1)]
 
     def rhs_fn(vec):
         acc = BimElement.zero(path)
-        for ell in range(0, -n + 1):
-            term = [gen_dot(path, 1)] * (-n - ell)
-            term.append(left_mult(path, bubble_value(ctx, "cw", ell)))
-            acc = acc + compose_chain(*term).apply_vec(vec)
+        for term in terms:
+            acc = acc + term.apply_vec(vec)
         return -acc
 
     rhs = BimMap(path, path, -2 * n, rhs_fn, name="bubble_sum")
@@ -377,13 +379,15 @@ def _run_reduction_two(N, k, rng):
     curl = compose_chain(cup, gen_crossing(cup.codomain, 1, "up"),
                          gen_cap(cup.codomain, 2, "fe"))
     ctx = GrassContext(N, k + 1)
+    dot = gen_dot(path, 1)
+    terms = [compose_chain(right_mult(path, bubble_value(ctx, "ccw", j)),
+                           *[dot] * (m - j))
+             for j in range(0, m + 1)]
 
     def rhs_fn(vec):
         acc = BimElement.zero(path)
-        for j in range(0, m + 1):
-            term = [right_mult(path, bubble_value(ctx, "ccw", j))]
-            term.extend([gen_dot(path, 1)] * (m - j))
-            acc = acc + compose_chain(*term).apply_vec(vec)
+        for term in terms:
+            acc = acc + term.apply_vec(vec)
         return acc
 
     rhs = BimMap(path, path, 2 * m, rhs_fn, name="bubble_sum")
@@ -418,15 +422,16 @@ def _run_identity_decomposition(orientation):
                                 gen_cap(mid_cup.codomain, 2, "ef"))
             bubble_orientation, bound = "cw", -n
 
+        dot1, dot2 = gen_dot(path, 1), gen_dot(path, 2)
+        terms = [compose_chain(*[dot1] * (ell - j), *[dot2] * (bound - 1 - ell),
+                               junction_mult(path, 1, bubble_value(
+                                   ctx, bubble_orientation, j)))
+                 for ell in range(0, bound) for j in range(0, ell + 1)]
+
         def rhs_fn(vec):
             acc = -mid.apply_vec(vec)
-            for ell in range(0, bound):
-                for j in range(0, ell + 1):
-                    maps = [gen_dot(path, 1)] * (ell - j)
-                    maps += [gen_dot(path, 2)] * (bound - 1 - ell)
-                    maps.append(junction_mult(
-                        path, 1, bubble_value(ctx, bubble_orientation, j)))
-                    acc = acc + compose_chain(*maps).apply_vec(vec)
+            for term in terms:
+                acc = acc + term.apply_vec(vec)
             return acc
 
         rhs = BimMap(path, path, 0, rhs_fn, name="decomposition_sum")

@@ -39,7 +39,14 @@ from .exactpoly import xi_sym
 
 
 class BimMap:
-    """A graded bimodule map between iterated flag bimodules."""
+    """A graded bimodule map between iterated flag bimodules.
+
+    Each xi-exponent vector's image is computed once, on first use, and
+    kept in a per-map memo; composites, whiskers and sums built from this
+    map read the stored images instead of recomputing them.  Stored images
+    are shared, never mutated: every ``BimElement`` operation returns a new
+    element.
+    """
 
     def __init__(self, domain: FlagPath, codomain: FlagPath, degree: int,
                  fn: Callable, name: str = "map"):
@@ -48,16 +55,17 @@ class BimMap:
         self.degree = degree
         self.name = name
         self._fn = fn
-        self._matrix = None
+        self._images = {}
 
     def apply_vec(self, vec, coeff=None) -> BimElement:
         """Image of the xi-power vector (bounded or not) times a coefficient."""
         if self.domain.is_zero or self.codomain.is_zero:
             return BimElement.zero(self.codomain)
-        out = self._fn(tuple(vec))
-        if coeff is not None:
-            out = out.right_mul(coeff)
-        return out
+        vec = tuple(vec)
+        image = self._images.get(vec)
+        if image is None:
+            image = self._images[vec] = self._fn(vec)
+        return image if coeff is None else image.right_mul(coeff)
 
     def __call__(self, element: BimElement) -> BimElement:
         if element.path != self.domain:
@@ -70,13 +78,9 @@ class BimMap:
 
     def matrix(self):
         """Images of the domain basis, as {(out_vec, in_vec): coefficient}."""
-        if self._matrix is None:
-            entries = {}
-            for vec in basis(self.domain):
-                for out_vec, coeff in self.apply_vec(vec).terms.items():
-                    entries[(out_vec, vec)] = coeff
-            self._matrix = entries
-        return self._matrix
+        return {(out_vec, vec): coeff
+                for vec in basis(self.domain)
+                for out_vec, coeff in self.apply_vec(vec).terms.items()}
 
     def __repr__(self):
         return "BimMap(%s: %s -> %s, deg %d)" % (

@@ -1,9 +1,11 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 
-from catsl2.exactpoly import Polynomial, xgen, xigen, ygen
-from catsl2.grassrings import GrassContext
+from catsl2.exactpoly import Polynomial, x_sym, xgen, xi_sym, xigen, y_sym, ygen
+from catsl2.grassrings import GrassContext, StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.bimodules import (
     BimElement,
@@ -37,6 +39,43 @@ def test_factor_bounds():
     assert path.bound(1) == 1                # up-step with lower ring 1
     assert path.bound(2) == 3 - 1 - 1        # down-step through the pair {1, 2}
     assert path.bound(3) == 3 - 0 - 1
+
+
+def test_cached_step_data_matches_rings():
+    for N in (1, 2, 3):
+        for path in all_paths(N, 3):
+            for i in range(1, path.num_factors + 1):
+                j = min(path.rings[i - 1], path.rings[i])
+                assert path.step_ring(i) == StepRing(N, j, xi_pos=i)
+                assert path.bound(i) == (j if path.is_up(i) else N - j - 1)
+
+
+def test_cached_attributes_leave_path_identity_alone():
+    path = FlagPath(3, (0, 1, 2, 1), shift=-2)
+    twin = FlagPath(3, (0, 1, 2, 1), -2)
+    assert path == twin and hash(path) == hash(twin)
+    assert hash(path) == hash((3, (0, 1, 2, 1), -2))
+    assert path != FlagPath(3, (0, 1, 2, 1))
+    assert [f.name for f in dataclasses.fields(path)] == ["N", "rings", "shift"]
+    assert repr(path) == "FlagPath(N=3, rings=(0, 1, 2, 1), shift=-2)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.is_zero = True
+    for original in (path, FlagPath(2, (2, 3, 2))):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+        assert copy.is_zero == original.is_zero
+        assert [copy.bound(i) for i in range(1, copy.num_factors + 1)] == \
+            [original.bound(i) for i in range(1, original.num_factors + 1)]
+
+
+def test_step_catalog_is_immutable():
+    ring = StepRing(3, 1, xi_pos=2)
+    catalog = ring.catalog()
+    assert isinstance(catalog, frozenset)
+    assert catalog == {x_sym(1, -1), y_sym(1, 1), xi_sym(2)}
+    with pytest.raises(AttributeError):
+        catalog.add(xi_sym(1))
+    assert StepRing(3, 1, xi_pos=2).catalog() is catalog
 
 
 def test_normalize_unit_tensor():

@@ -145,3 +145,15 @@ def test_env_default_rank(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "rank", "--N", "3", "--word", "E",
                            "--weight", "-1")
     assert code == 0 and out.strip() == "q + q^-1"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
+def test_env_rank_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("CATSL2_N", value)
+    code, out, err = run_cli(capsys, "rank", "--word", "E", "--weight", "-1")
+    assert code == 2 and out == ""
+    assert "CATSL2_N" in err and "positive integer" in err
+    # explicit flag overrides the environment
+    code, out, _ = run_cli(capsys, "rank", "--N", "3", "--word", "E",
+                           "--weight", "-1")
+    assert code == 0 and out.strip() == "q + q^-1"

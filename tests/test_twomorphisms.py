@@ -325,3 +325,76 @@ def test_bubble_composites_match_closed_formula():
                     want = bubble_value(ctx, orientation, dots - base)
                     assert value == BimElement.from_ring_poly(path, want), \
                         (N, k, orientation, dots)
+
+
+# -- image memo ------------------------------------------------------------------
+
+
+def test_apply_vec_memo_keeps_stored_images_intact():
+    path = FlagPath(2, (1, 2))
+    dot = gen_dot(path, 1)
+    coeff = xgen(1, 2)
+    scaled = dot.apply_vec((1,), coeff)
+    image = dot.apply_vec((1,))
+    assert dot.apply_vec([1]) is image          # list and tuple share one entry
+    snapshot = dict(image.terms)
+    assert snapshot == {(1,): xgen(1, 2), (0,): -xgen(2, 2)}
+    assert scaled == image.right_mul(coeff)
+    _ = -image
+    _ = image + image
+    _ = image.right_mul(coeff)
+    _ = image.scale(3)
+    _ = dot.apply_vec((1,), ygen(1, 2))
+    assert image.terms == snapshot
+    assert dot.apply_vec((1,)) == gen_dot(path, 1).apply_vec((1,))
+
+
+def _crossing_duality_left_maps(N, k):
+    """Generators of the crossing-duality rotation, bottom to top, and its target."""
+    path = FlagPath(N, (k + 2, k + 1, k))
+    c1 = gen_cup(path, 0, "ef")
+    c2 = gen_cup(c1.codomain, 1, "ef")
+    cross = gen_crossing(c2.codomain, 3, "up")
+    k1 = gen_cap(cross.codomain, 4, "fe")
+    return [c1, c2, cross, k1, gen_cap(k1.codomain, 3, "fe")], \
+        gen_crossing(path, 1, "down")
+
+
+def test_memoized_composite_matches_fresh_one():
+    maps, target = _crossing_duality_left_maps(3, 0)
+    memoized = compose_chain(*maps)
+    vecs = basis(memoized.domain)
+    assert vecs
+    for vec in vecs:
+        memoized.apply_vec(vec)
+    for vec in vecs:
+        fresh = compose_chain(*_crossing_duality_left_maps(3, 0)[0])
+        assert memoized.apply_vec(vec) == fresh.apply_vec(vec), vec
+        assert memoized.apply_vec(vec) == target.apply_vec(vec), vec
+
+
+def test_composite_evaluates_each_inner_map_once_per_vector():
+    maps, target = _crossing_duality_left_maps(3, 0)
+    inputs = []
+
+    def counted(f):
+        seen = []
+        inner = f._fn
+
+        def fn(vec):
+            seen.append(vec)
+            return inner(vec)
+
+        f._fn = fn
+        inputs.append((f.name, seen))
+        return f
+
+    composite = counted(maps[0])
+    for nxt in maps[1:]:
+        composite = counted(compose_vertical(counted(nxt), composite))
+    ok, report = map_equals(composite, target, max_extra_checks=2,
+                            rng=random.Random(0))
+    assert ok, report
+    for name, seen in inputs:
+        assert seen, name
+        assert len(seen) == len(set(seen)), name
