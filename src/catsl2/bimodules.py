@@ -33,11 +33,14 @@ from functools import lru_cache
 from typing import Callable
 
 from .exactpoly import (
+    FIELD_MASK,
     KIND_X,
     KIND_XI,
     KIND_Y,
     Polynomial,
+    field_shift,
     mono_degree,
+    mono_pairs,
     x_sym,
     xi_sym,
     y_sym,
@@ -297,31 +300,46 @@ def _transport_table(N: int, j: int, up: bool, pos: int):
     return table
 
 
-def _xi_exponent(mono, pos: int) -> int:
-    for sym, exp in mono:
-        if sym.kind == KIND_XI and sym.index == pos:
-            return exp
-    return 0
-
-
-def _strip_xi(mono, pos: int):
-    return tuple((s, e) for s, e in mono if not (s.kind == KIND_XI and s.index == pos))
+# A factor's xi-exponent is one field of the packed monomial: with
+# ``shift = field_shift(xi_sym(pos))`` it reads ``(mono >> shift) & FIELD_MASK``
+# and ``mono & ~(FIELD_MASK << shift)`` is the monomial without it.
 
 
 @lru_cache(maxsize=None)
 def _xi_reduced_power(N, j, up, pos, bound, e) -> Polynomial:
-    """xi^e rewritten with xi-exponents within the factor bound."""
+    """xi^e rewritten with xi-exponents within the factor bound.
+
+    Call it through ``_xi_power``, which fills this memo bottom-up, so the
+    lower powers below are always cached and nothing recurses deeper.
+    """
     if e <= bound:
         return Polynomial.gen(xi_sym(pos), e)
+    shift = field_shift(xi_sym(pos))
+    strip = ~(FIELD_MASK << shift)
     acc: dict = {}
     for mono, coeff in _xi_overflow(N, j, up, pos).terms.items():
-        f = _xi_exponent(mono, pos)
-        rest = Polynomial({_strip_xi(mono, pos): coeff})
+        f = (mono >> shift) & FIELD_MASK
+        rest = Polynomial({mono & strip: coeff})
         part = rest * _xi_reduced_power(N, j, up, pos, bound, e - bound - 1 + f)
         for m, c in part.terms.items():
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
     return Polynomial(acc)
+
+
+# Per (N, j, up, pos, bound): the exponent up to which the memo is full.
+_XI_FILLED: dict = {}
+
+
+def _xi_power(N, j, up, pos, bound, e) -> Polynomial:
+    """``_xi_reduced_power`` with its memo filled bottom-up first."""
+    key = (N, j, up, pos, bound)
+    filled = _XI_FILLED.get(key, bound)
+    for d in range(filled + 1, e):
+        _xi_reduced_power(N, j, up, pos, bound, d)
+    if e > filled:
+        _XI_FILLED[key] = e
+    return _xi_reduced_power(N, j, up, pos, bound, e)
 
 
 def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
@@ -336,13 +354,15 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
         elif prev is not None:
             del acc[mono]
 
+    shift = field_shift(xi_sym(pos))
+    strip = ~(FIELD_MASK << shift)
     for mono, coeff in poly.terms.items():
-        e = _xi_exponent(mono, pos)
+        e = (mono >> shift) & FIELD_MASK
         if e <= bound:
             take(mono, coeff)
             continue
-        rest = Polynomial({_strip_xi(mono, pos): coeff})
-        for m, c in (rest * _xi_reduced_power(N, j, up, pos, bound, e)).terms.items():
+        rest = Polynomial({mono & strip: coeff})
+        for m, c in (rest * _xi_power(N, j, up, pos, bound, e)).terms.items():
             take(m, c)
     return Polynomial(acc)
 
@@ -362,10 +382,12 @@ def _push_right_cached(N, j, up, pos, bound, content):
     table = _transport_table(N, j, up, pos)
     poly = content.substitute(table) if table else content
     poly = _reduce_xi(poly, N, j, up, pos, bound)
+    shift = field_shift(xi_sym(pos))
+    strip = ~(FIELD_MASK << shift)
     buckets: dict = {}
     for mono, coeff in poly.terms.items():
-        e = _xi_exponent(mono, pos)
-        rest = _strip_xi(mono, pos)
+        e = (mono >> shift) & FIELD_MASK
+        rest = mono & strip
         bucket = buckets.setdefault(e, {})
         bucket[rest] = bucket.get(rest, 0) + coeff
     return tuple((e, Polynomial(b)) for e, b in sorted(buckets.items()))
@@ -389,31 +411,31 @@ def _into_factor_cached(N, j, up, pos, ring_poly):
     return ring_poly.substitute(_embed_table(N, j, "lower" if up else "upper", pos))
 
 
-def _settled_exponent(poly: Polynomial, pos: int, bound: int):
-    """The exponent if the factor is a monic bounded xi-power, else None."""
+def _settled_exponent(poly: Polynomial, shift: int, bound: int):
+    """The exponent if the factor is a monic bounded xi-power, else None.
+
+    ``shift`` is the bit offset of the factor's xi field.
+    """
     terms = poly.terms
     if len(terms) != 1:
         return None
     mono, coeff = next(iter(terms.items()))
     if coeff != 1:
         return None
-    if not mono:
-        return 0
-    if len(mono) != 1:
-        return None
-    sym, exp = mono[0]
-    if sym.kind == KIND_XI and sym.index == pos and exp <= bound:
+    exp = mono >> shift
+    if exp <= bound and exp << shift == mono:
         return exp
     return None
 
 
 def _clear_factor(path: FlagPath, terms: list, i: int, bound: int):
     m = path.num_factors
+    shift = field_shift(xi_sym(i))
     out = []
     changed = False
     for factors, coeff in terms:
         f = factors[i - 1]
-        if _settled_exponent(f, i, bound) is not None:
+        if _settled_exponent(f, shift, bound) is not None:
             out.append((factors, coeff))
             continue
         changed = True
@@ -440,6 +462,7 @@ def rewrite_measure(path: FlagPath, terms) -> tuple:
     grows, so states decrease strictly in the product lexicographic order.
     """
     m = path.num_factors
+    shifts = [field_shift(xi_sym(i)) for i in range(1, m + 1)]
     totals = [[0, 0, 0, 0] for _ in range(m)]
     for factors, _ in terms:
         for i in range(1, m + 1):
@@ -448,14 +471,14 @@ def rewrite_measure(path: FlagPath, terms) -> tuple:
             poly = factors[i - 1]
             left_kind = KIND_X if up else KIND_Y
             for mono, _c in poly.terms.items():
-                for sym, exp in mono:
+                for sym, exp in mono_pairs(mono):
                     if sym.kind == KIND_XI:
                         entry[1] += max(0, exp - path.bound(i)) if sym.index == i else 0
                     elif sym.kind == left_kind:
                         entry[0] += exp
                     else:
                         entry[2] += exp
-            if _settled_exponent(poly, i, path.bound(i)) is None:
+            if _settled_exponent(poly, shifts[i - 1], path.bound(i)) is None:
                 entry[3] = 1
     return tuple(tuple(t) for t in totals)
 
@@ -474,6 +497,7 @@ def normalize(raw: RawTensor, order: str = "ltr",
         return BimElement.zero(path)
     m = path.num_factors
     bounds = [path.bound(i) for i in range(1, m + 1)]
+    shifts = [field_shift(xi_sym(i)) for i in range(1, m + 1)]
     terms = [(tuple(raw.factors), Polynomial.one())]
     if order == "ltr":
         for i in range(1, m + 1):
@@ -502,7 +526,7 @@ def normalize(raw: RawTensor, order: str = "ltr",
     for factors, coeff in terms:
         vec = []
         for i, f in enumerate(factors, start=1):
-            e = _settled_exponent(f, i, bounds[i - 1])
+            e = _settled_exponent(f, shifts[i - 1], bounds[i - 1])
             assert e is not None, "factor %d not in normal form" % i
             vec.append(e)
         vec = tuple(vec)

@@ -31,6 +31,11 @@ from .relationsuite import DEFAULT_MAX_RANK, run_suite
 
 USAGE_ERROR = 2
 
+#: Largest --alpha that ``bubble`` and ``special`` accept.  Their values
+#: have exponents up to alpha, so this stays well inside the exact
+#: polynomial core's exponent limit of 2^15 - 1.
+MAX_ALPHA = 4000
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -166,6 +171,8 @@ def _cmd_eval(args) -> int:
 
 
 def _context(args):
+    if args.alpha > MAX_ALPHA:
+        raise ValueError("alpha must be at most %d, got %d" % (MAX_ALPHA, args.alpha))
     try:
         return GrassContext(args.N, args.k)
     except (ValueError, TypeError) as exc:
@@ -234,7 +241,10 @@ def main(argv=None) -> int:
             return _fail(env_error)
         if args.N is None or args.N < 1:
             return _fail("N must be a positive integer")
-    return _DISPATCH[args.command](args)
+    try:
+        return _DISPATCH[args.command](args)
+    except OverflowError as exc:
+        return _fail("result too large for exact arithmetic: %s" % exc)
 
 
 if __name__ == "__main__":

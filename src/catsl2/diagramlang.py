@@ -286,8 +286,20 @@ _ELEMENT_TOKEN_RE = re.compile(
     r"(?:\s*\^\s*(?P<exp>\d+))?\s*$")
 
 
-def _parse_factor(expr: str, offset: int, symbol_of) -> Polynomial:
-    """One factor expression: a product of powered tokens and rationals."""
+#: Size limit of element expressions: every ``^`` exponent, and the degree
+#: of each tensor term counted in units of 2 (``xi`` counts 1 and ``x[t]``,
+#: ``y[t]`` count ``t`` per power), is at most this.  Rewriting keeps the
+#: degree, so no exponent in a parsed element exceeds it either, far below
+#: the exact polynomial core's limit of 2^15 - 1.
+MAX_ELEMENT_DEGREE = 1000
+
+
+def _parse_factor(expr: str, offset: int, symbol_of, degree: int):
+    """One factor expression: a product of powered tokens and rationals.
+
+    ``degree`` is the term's degree (in units of 2) before this factor;
+    returns the factor's polynomial and the degree after it.
+    """
     poly = Polynomial.one()
     col = offset
     for piece in expr.split("*"):
@@ -301,17 +313,28 @@ def _parse_factor(expr: str, offset: int, symbol_of) -> Polynomial:
         if not m:
             raise DiagramError("cannot parse token %r" % stripped, 1,
                                start + 1, start + len(piece))
+        span = (1, start + 1, start + len(piece))
         exp = int(m.group("exp")) if m.group("exp") else 1
+        if exp > MAX_ELEMENT_DEGREE:
+            raise DiagramError("exponent %d exceeds the limit %d"
+                               % (exp, MAX_ELEMENT_DEGREE), *span)
         if m.group("rat"):
             num, _, den = m.group("rat").partition("/")
+            if den and int(den) == 0:
+                raise DiagramError("zero denominator in %r" % stripped, *span)
             value = Fraction(int(num), int(den) if den else 1)
             poly = poly * Polynomial.const(value ** exp)
         else:
             kind = "xi" if m.group("xi") else m.group("gen")
             index = int(m.group("idx")) if m.group("idx") else 0
-            sym = symbol_of(kind, index, 1, start + 1, start + len(piece))
+            sym = symbol_of(kind, index, *span)
+            degree += exp * sym.degree // 2
+            if degree > MAX_ELEMENT_DEGREE:
+                raise DiagramError("tensor term degree %d exceeds the limit %d "
+                                   "(in units of 2)"
+                                   % (degree, MAX_ELEMENT_DEGREE), *span)
             poly = poly * Polynomial.gen(sym, exp)
-    return poly
+    return poly, degree
 
 
 def _factor_symbol_resolver(path: FlagPath, position: int):
@@ -388,11 +411,13 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
                 % (len(factor_exprs), path.render(), expected),
                 1, offset + 1, offset + len(term))
         col = offset
+        degree = 0
         polys = []
         for position, expr in enumerate(factor_exprs, start=1):
             resolver = (_identity_symbol_resolver(path) if m == 0
                         else _factor_symbol_resolver(path, position))
-            polys.append(_parse_factor(expr, col, resolver))
+            poly, degree = _parse_factor(expr, col, resolver, degree)
+            polys.append(poly)
             col += len(expr) + 1
         if m == 0:
             value = BimElement.from_ring_poly(path, polys[0])

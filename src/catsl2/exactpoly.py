@@ -11,10 +11,24 @@ three kinds:
 Coefficients are exact rationals (``fractions.Fraction``); no floating
 point is used anywhere.  Polynomials are immutable and hashable, so they
 can be shared freely between threads and used as dictionary keys.
+
+Monomials are packed exponent vectors: one non-negative ``int`` with a
+``FIELD_BITS``-bit field per variable.  A process-wide, append-only
+registry gives each ``VarSymbol`` a slot the first time it is seen;
+the exponent of the symbol in slot ``s`` sits in bits ``16s .. 16s+15``.
+The top bit of every field is a guard bit, so exponents stay below
+``MAX_EXPONENT + 1 = 2^15``; the unit monomial is ``0``.  Multiplying two
+monomials is one integer addition, and a product that sets a guard bit
+raises ``OverflowError`` instead of carrying into the next field.
+``Polynomial.terms`` maps these packed ints to coefficients; slot numbers
+depend on the order in which a process first met its symbols, so anything
+that leaves the process (``render``, pickling) goes through the decoded,
+symbol-sorted pairs of ``mono_pairs``.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -56,51 +70,78 @@ def xi_sym(position: int = 1) -> VarSymbol:
     return VarSymbol(KIND_XI, 0, position)
 
 
-# A monomial is a tuple of (symbol, exponent) pairs, sorted by symbol,
-# with strictly positive exponents.  The empty tuple is the unit monomial.
-Mono = tuple
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+#: Largest exponent a field holds; the next bit up is the field's guard bit.
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+
+# A monomial is a packed int (see the module docstring); 0 is the unit.
+Mono = int
+
+# The slot registry: symbol -> slot, slot -> symbol, and the OR of the guard
+# bits of every registered slot.  Slots are only ever appended; the lock
+# keeps two threads from giving one symbol two slots.
+_SLOT_OF: dict = {}
+_SYMBOLS: list = []
+_GUARDS = 0
+_REGISTRY_LOCK = threading.Lock()
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    key = (a, b)
-    cached = _MONO_MUL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        sa, ea = a[i]
-        sb, eb = b[j]
-        if sa == sb:
-            out.append((sa, ea + eb))
-            i += 1
-            j += 1
-        elif sa < sb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    result = tuple(out)
-    if len(_MONO_MUL_CACHE) < 1 << 18:
-        _MONO_MUL_CACHE[key] = result
-    return result
+def field_shift(sym: VarSymbol) -> int:
+    """Bit offset of ``sym``'s exponent field, registering ``sym`` if new."""
+    slot = _SLOT_OF.get(sym)
+    if slot is None:
+        global _GUARDS
+        with _REGISTRY_LOCK:
+            slot = _SLOT_OF.get(sym)
+            if slot is None:
+                slot = len(_SYMBOLS)
+                _SYMBOLS.append(sym)
+                _GUARDS |= 1 << (slot * FIELD_BITS + FIELD_BITS - 1)
+                _SLOT_OF[sym] = slot
+    return slot * FIELD_BITS
 
 
-# Process-wide memo of monomial products, keyed on the operand pair.  It
-# holds at most 2^18 entries: once full it stops inserting (entries are never
-# evicted) and further products are merged without caching.
-_MONO_MUL_CACHE: dict = {}
+def _overflow() -> OverflowError:
+    return OverflowError("monomial exponent exceeds %d" % MAX_EXPONENT)
+
+
+def _fields(m: Mono):
+    """Yield (symbol, exponent) for every nonzero field, in slot order."""
+    slot = 0
+    while m:
+        if not m & FIELD_MASK:
+            skip = ((m & -m).bit_length() - 1) // FIELD_BITS
+            m >>= skip * FIELD_BITS
+            slot += skip
+        yield _SYMBOLS[slot], m & FIELD_MASK
+        m >>= FIELD_BITS
+        slot += 1
+
+
+def mono_pairs(m: Mono) -> tuple:
+    """The (symbol, exponent) pairs of a packed monomial, sorted by symbol."""
+    return tuple(sorted(_fields(m)))
+
+
+def _pack(pairs) -> Mono:
+    """Packed monomial of (symbol, exponent) pairs with distinct symbols."""
+    m = 0
+    for sym, exp in pairs:
+        if exp < 0:
+            raise ValueError("negative exponent %d of %s" % (exp, sym.render()))
+        if exp > MAX_EXPONENT:
+            raise _overflow()
+        m |= exp << field_shift(sym)
+    return m
 
 
 def mono_degree(m: Mono) -> int:
-    return sum(sym.degree * exp for sym, exp in m)
+    return sum(sym.degree * exp for sym, exp in _fields(m))
 
 
 class _Sentinel:
@@ -117,6 +158,19 @@ ANY_DEGREE = _Sentinel("any-degree")
 INHOMOGENEOUS = _Sentinel("inhomogeneous")
 
 
+def _make(terms: dict) -> "Polynomial":
+    """Wrap a dict that is already clean (no zero coefficients), uncopied."""
+    out = Polynomial.__new__(Polynomial)
+    out._terms = terms
+    out._hash = None
+    return out
+
+
+def _from_pairs(items) -> "Polynomial":
+    """Unpickle: rebuild a polynomial from (pairs, coefficient) items."""
+    return Polynomial({_pack(pairs): coeff for pairs, coeff in items})
+
+
 class Polynomial:
     """Sparse polynomial: a finite map from monomials to nonzero rationals."""
 
@@ -125,17 +179,25 @@ class Polynomial:
     def __init__(self, terms: Mapping[Mono, Rational] | None = None):
         # Integer coefficients stay plain ints (int and Fraction hash and
         # compare consistently); exactness is unaffected either way.
+        # (``type(c) is int`` first: an isinstance check against Fraction
+        # goes through the numbers ABCs and is slow.)
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(coeff, (int, Fraction)):
-                    coeff = Fraction(coeff)
-                if isinstance(coeff, Fraction) and coeff.denominator == 1:
-                    coeff = coeff.numerator
+                if type(coeff) is not int:
+                    if not isinstance(coeff, Fraction):
+                        coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
                 if coeff:
                     clean[mono] = coeff
         self._terms = clean
         self._hash = None
+
+    def __reduce__(self):
+        # slot numbers are private to a process: pickle symbol pairs
+        return _from_pairs, (tuple((mono_pairs(m), c)
+                                   for m, c in self._terms.items()),)
 
     # -- constructors ------------------------------------------------
 
@@ -149,13 +211,13 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        return Polynomial({(): c})
+        return Polynomial({0: c})
 
     @staticmethod
     def gen(sym: VarSymbol, exp: int = 1) -> "Polynomial":
         if exp == 0:
             return _ONE
-        return Polynomial({((sym, exp),): 1})
+        return Polynomial({_pack(((sym, exp),)): 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -170,11 +232,10 @@ class Polynomial:
         return bool(self._terms)
 
     def symbols(self) -> set:
-        syms = set()
+        used = 0
         for mono in self._terms:
-            for sym, _ in mono:
-                syms.add(sym)
-        return syms
+            used |= mono
+        return {sym for sym, _ in _fields(used)}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -200,18 +261,12 @@ class Polynomial:
                     terms[mono] = acc
                 else:
                     del terms[mono]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        out._hash = None
-        return out
+        return _make(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -231,22 +286,26 @@ class Polynomial:
             return _ZERO
         if len(b) == 1:
             a, b = b, a
+        # every product key is ORed into `seen`; no field of a factor has
+        # its guard bit set, so a field overflowed iff `seen` shows a guard
+        seen = 0
         if len(a) == 1:
             # monomial times polynomial: keys stay distinct
             (ma, ca), = a.items()
             if not ma and ca == 1:
-                out = Polynomial.__new__(Polynomial)
-                out._terms = dict(b)
-                out._hash = None
-                return out
-            terms = {mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
+                return _make(dict(b))
+            terms = {ma + mb: ca * cb for mb, cb in b.items()}
+            for mono in terms:
+                seen |= mono
         else:
             terms = {}
+            get = terms.get
             for ma, ca in a.items():
                 for mb, cb in b.items():
-                    mono = mono_mul(ma, mb)
+                    mono = ma + mb
+                    seen |= mono
                     c = ca * cb
-                    acc = terms.get(mono)
+                    acc = get(mono)
                     if acc is None:
                         terms[mono] = c
                     else:
@@ -255,10 +314,9 @@ class Polynomial:
                             terms[mono] = acc
                         else:
                             del terms[mono]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        out._hash = None
-        return out
+        if seen & _GUARDS:
+            raise _overflow()
+        return _make(terms)
 
     __rmul__ = __mul__
 
@@ -278,10 +336,10 @@ class Polynomial:
     # -- structure ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.const(other)
         return self._terms == other._terms
 
     def __hash__(self):
@@ -291,18 +349,29 @@ class Polynomial:
 
     def substitute(self, mapping: Mapping[VarSymbol, "Polynomial"]) -> "Polynomial":
         """Replace each symbol in `mapping` by a polynomial; others persist."""
-        if not mapping:
+        fields = []
+        mapped = 0
+        for sym, rep in mapping.items():
+            slot = _SLOT_OF.get(sym)
+            if slot is not None:   # an unregistered symbol occurs nowhere
+                shift = slot * FIELD_BITS
+                fields.append((shift, rep))
+                mapped |= FIELD_MASK << shift
+        if not fields:
             return self
+        keep = ~mapped
         total: dict = {}
         for mono, coeff in self._terms.items():
-            part = Polynomial({(): coeff})
-            for sym, exp in mono:
-                rep = mapping.get(sym)
-                if rep is None:
-                    part = part * Polynomial.gen(sym, exp)
-                else:
-                    part = part * _cached_pow(rep, exp)
-            for m, c in part._terms.items():
+            if mono & mapped:
+                part = _make({mono & keep: coeff})
+                for shift, rep in fields:
+                    exp = (mono >> shift) & FIELD_MASK
+                    if exp:
+                        part = part * _cached_pow(rep, exp)
+                items = part._terms.items()
+            else:
+                items = ((mono, coeff),)
+            for m, c in items:
                 acc = total.get(m)
                 if acc is None:
                     total[m] = c
@@ -312,10 +381,7 @@ class Polynomial:
                         total[m] = acc
                     else:
                         del total[m]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = total
-        out._hash = None
-        return out
+        return _make(total)
 
     # -- rendering --------------------------------------------------------
 
@@ -323,10 +389,9 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces = []
-        for mono in sorted(self._terms):
-            coeff = self._terms[mono]
+        for pairs, coeff in sorted((mono_pairs(m), c) for m, c in self._terms.items()):
             factors = ["%s^%d" % (s.render(), e) if e > 1 else s.render()
-                       for s, e in mono]
+                       for s, e in pairs]
             mag = abs(coeff)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
@@ -345,7 +410,7 @@ class Polynomial:
 
 
 _ZERO = Polynomial()
-_ONE = Polynomial({(): 1})
+_ONE = Polynomial({0: 1})
 
 
 def _cached_pow(base: Polynomial, exp: int, _cache={}) -> Polynomial:

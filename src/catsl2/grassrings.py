@@ -127,9 +127,6 @@ class StepRing:
 
     # -- embeddings of the end rings -------------------------------------
 
-    def embed_lower_x(self, index: int) -> Polynomial:
-        return self.x(index)
-
     def embed_lower_y(self, index: int) -> Polynomial:
         if index == 0:
             return Polynomial.one()
@@ -144,19 +141,17 @@ class StepRing:
             return Polynomial.zero()
         return self.x(index) + self.x(index - 1) * self.xi()
 
-    def embed_upper_y(self, index: int) -> Polynomial:
-        return self.y(index)
-
     def embed_end(self, sym: VarSymbol, end: str) -> Polynomial:
         """Image of an end-ring generator symbol; end is 'lower' or 'upper'."""
         want = self.nu if end == "lower" else self.nu + 2
         if sym.weight != want:
             raise ValueError("symbol %s does not belong to the %s end ring"
                              % (sym.render(), end))
+        # the lower x's and the upper y's are canonical generators already
         if end == "lower":
-            fn = self.embed_lower_x if sym.kind == KIND_X else self.embed_lower_y
+            fn = self.x if sym.kind == KIND_X else self.embed_lower_y
         else:
-            fn = self.embed_upper_x if sym.kind == KIND_X else self.embed_upper_y
+            fn = self.embed_upper_x if sym.kind == KIND_X else self.y
         return fn(sym.index)
 
     def embed_ring_poly(self, p: Polynomial, end: str) -> Polynomial:
@@ -200,16 +195,22 @@ def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
 
 @lru_cache(maxsize=None)
 def _special(N: int, k: int, family: str, alpha: int) -> Polynomial:
-    ctx = GrassContext(N, k)
     if alpha < 0:
         return Polynomial.zero()
     if alpha == 0:
         return Polynomial.one()
+    ctx = GrassContext(N, k)
     mult = ctx.y if family == "X" else ctx.x
+    # mult(j) is 0 past the ring's last generator
+    last = min(alpha, N - k if family == "X" else k)
     acc = Polynomial.zero()
-    for j in range(1, alpha + 1):
+    for j in range(1, last + 1):
         acc = acc + mult(j) * _special(N, k, family, alpha - j)
     return -acc
+
+
+# Per (N, k, family): the alpha up to which the ``_special`` memo is full.
+_FILLED: dict = {}
 
 
 def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
@@ -224,6 +225,14 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     """
     if family not in ("X", "Y"):
         raise ValueError("family must be 'X' or 'Y'")
+    # Fill the memo bottom-up: every miss below finds its predecessors
+    # cached, so _special never recurses more than one level.
+    key = (ctx.N, ctx.k, family)
+    filled = _FILLED.get(key, 0)
+    for a in range(filled + 1, alpha):
+        _special(ctx.N, ctx.k, family, a)
+    if alpha > filled:
+        _FILLED[key] = alpha
     return _special(ctx.N, ctx.k, family, alpha)
 
 

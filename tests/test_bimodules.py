@@ -334,3 +334,27 @@ def test_render_and_equality():
     assert e.render() == "(y[1]@-1) * (1 | 1)"
     assert e == normalize(RawTensor(path, (Polynomial.one(), xigen(2))))
     assert BimElement.zero(path).render() == "0"
+
+
+@pytest.mark.parametrize("N, j, up", [(2, 1, True), (3, 1, True), (3, 1, False),
+                                      (4, 2, False), (4, 3, True)])
+def test_xi_powers_match_stepwise_reduction(N, j, up):
+    # xi^e from the filled memo equals reducing xi * (xi^(e-1)) one step at
+    # a time, which never reduces more than one power above the bound
+    from catsl2.bimodules import _reduce_xi, _xi_power
+
+    pos = 2
+    bound = j if up else N - j - 1
+    xi = xigen(pos)
+    step = Polynomial.one()
+    for e in range(0, bound + 16):
+        assert _xi_power(N, j, up, pos, bound, e) == step
+        step = _reduce_xi(step * xi, N, j, up, pos, bound)
+
+
+def test_xi_power_far_past_the_recursion_limit():
+    from catsl2.bimodules import _reduce_xi, _xi_power
+
+    top = _xi_power(2, 1, True, 7, 1, 1200)
+    assert _reduce_xi(top * xigen(7), 2, 1, True, 7, 1) == \
+        _xi_power(2, 1, True, 7, 1, 1201)

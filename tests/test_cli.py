@@ -157,3 +157,91 @@ def test_env_rank_rejected(capsys, monkeypatch, value):
     code, out, _ = run_cli(capsys, "rank", "--N", "3", "--word", "E",
                            "--weight", "-1")
     assert code == 0 and out.strip() == "q + q^-1"
+
+
+# -- large exponents: exact answers below the caps, exit 2 above them ------
+
+def test_special_large_alpha_is_exact(capsys):
+    # X_a = -y[1] * X_(a-1) at N = 2, k = 1: far past the recursion limit
+    code, out, _ = run_cli(capsys, "special", "--N", "2", "--k", "1",
+                           "--family", "X", "--alpha", "3000")
+    assert code == 0
+    assert out.strip() == "y[1]@0^3000"
+    code, out, _ = run_cli(capsys, "special", "--N", "2", "--k", "1",
+                           "--family", "Y", "--alpha", "3001", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"special": "-x[1]@0^3001"}
+
+
+def test_bubble_large_alpha_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "bubble", "--N", "2", "--k", "1",
+                           "--orient", "cw", "--alpha", "3000")
+    assert code == 0
+    assert out.strip() == "-x[1]@0^2999*y[1]@0 + x[1]@0^3000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("special", "--family", "X"), ("special", "--family", "Y"),
+    ("bubble", "--orient", "cw"), ("bubble", "--orient", "ccw")])
+@pytest.mark.parametrize("alpha", ["4001", "5000"])
+def test_alpha_above_cap_exits_2(capsys, argv, alpha):
+    code, out, err = run_cli(capsys, argv[0], "--N", "2", "--k", "1",
+                             *argv[1:], "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert "alpha must be at most 4000" in err
+
+
+def test_eval_large_xi_power_is_exact(capsys):
+    from catsl2.bimodules import BimElement
+    from catsl2.diagramlang import compile_diagram, parse_diagram
+
+    dot_file = DOCS / "diagrams" / "dot.cat"
+    code, out, _ = run_cli(capsys, "eval", "--diagram", str(dot_file),
+                           "--element", "xi^600", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    # independent route: 601 single dots applied to the unit, so no xi
+    # power above the factor bound + 1 is ever reduced
+    dot = compile_diagram(parse_diagram(dot_file.read_text()))
+    element = BimElement.basis_vector(dot.domain, (0,))
+    for _ in range(601):
+        element = dot(element)
+    assert payload["image"] == element.render()
+    assert payload["measured_degree"] == 2
+
+
+@pytest.mark.parametrize("element, message, cols", [
+    ("xi^1001", "exponent 1001 exceeds the limit 1000", "cols 1-7"),
+    ("2^1001*xi", "exponent 1001 exceeds the limit 1000", "cols 1-6"),
+    ("x[1]^600 * x[1]^600", "tensor term degree 1200 exceeds", "cols 11-19"),
+    ("1/0", "zero denominator", "cols 1-3"),
+])
+def test_eval_element_limits_exit_2(capsys, element, message, cols):
+    code, out, err = run_cli(capsys, "eval", "--diagram",
+                             str(DOCS / "diagrams" / "dot.cat"), "--element", element)
+    assert code == 2 and out == ""
+    assert message in err and cols in err
+
+
+def test_eval_degree_limit_spans_factors(capsys, tmp_path):
+    diagram = tmp_path / "two.cat"
+    diagram.write_text("N = 2\nweight = -2\ndomain = E E\nlayer: id_e id_e\n")
+    code, _, _ = run_cli(capsys, "eval", "--diagram", str(diagram),
+                         "--element", "xi^500 | xi^500")
+    assert code == 0
+    code, _, err = run_cli(capsys, "eval", "--diagram", str(diagram),
+                           "--element", "xi^500 | xi^501")
+    assert code == 2 and "tensor term degree 1001" in err
+
+
+def test_overflow_is_an_exit_2_message(capsys, monkeypatch):
+    from catsl2 import cli
+
+    def too_big(*args):
+        raise OverflowError("monomial exponent exceeds 32767")
+
+    monkeypatch.setattr(cli, "special_class", too_big)
+    code, out, err = run_cli(capsys, "special", "--N", "2", "--k", "1",
+                             "--family", "X", "--alpha", "3")
+    assert code == 2 and out == ""
+    assert "too large" in err and "Traceback" not in err

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +11,21 @@ from hypothesis import given, settings, strategies as st
 from catsl2.exactpoly import (
     ANY_DEGREE,
     INHOMOGENEOUS,
+    MAX_EXPONENT,
     Polynomial,
     homogeneous_degree,
+    mono_degree,
+    mono_pairs,
     series_invert,
     x_sym,
     xgen,
+    xi_sym,
     xigen,
     y_sym,
     ygen,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_rational_invariants():
@@ -171,3 +181,132 @@ def test_polynomials_hashable_and_immutable():
     q = ygen(1, 0) + xgen(1, 0)
     assert hash(p) == hash(q) and p == q
     assert len({p, q}) == 1
+
+
+# -- packed monomials ---------------------------------------------------
+
+# Registers five symbols in the slot order given by argv[1] (a permutation
+# of 0..4), then serves one request read from argv[2]:
+#   render       print the renders of a fixed set of polynomials,
+#   dump         print the hex pickle of the list and the first render,
+#   load <hex>   unpickle it, print whether it equals the same list built
+#                locally (values and hashes), and the first render.
+# Every line also reports this process's bit offset of the first symbol,
+# so a test can show that the two processes really packed differently.
+_ORDER_SCRIPT = """
+import pickle, sys
+from fractions import Fraction
+from catsl2.exactpoly import Polynomial, field_shift, x_sym, xi_sym, y_sym
+syms = [x_sym(1, 0), x_sym(2, 0), y_sym(1, 2), xi_sym(1), xi_sym(2)]
+for i in sys.argv[1].split(","):
+    field_shift(syms[int(i)])
+g = [Polynomial.gen(s) for s in syms]
+polys = [
+    g[0] ** 3 * g[4] - Fraction(2, 3) * g[2] * g[1] + 5,
+    (g[3] + g[2]) ** 4 - g[0] * g[1] * g[2] * g[3] * g[4],
+    -g[4] ** 2 + g[3] ** 2 * g[1],
+    Polynomial.const(Fraction(-7, 2)),
+]
+print("offset", field_shift(syms[0]))
+if sys.argv[2] == "render":
+    for p in polys:
+        print(p.render())
+elif sys.argv[2] == "dump":
+    print(pickle.dumps(polys + [Polynomial.zero()]).hex())
+    print(polys[0].render())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.argv[3]))
+    print(loaded == polys + [Polynomial.zero()],
+          [hash(p) for p in loaded[:-1]] == [hash(p) for p in polys])
+    print(loaded[0].render())
+"""
+
+
+def _fresh(order, *request):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT, order, *request],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_pickle_crosses_interpreters_with_other_slot_order():
+    dumped = _fresh("0,1,2,3,4", "dump")
+    loaded = _fresh("4,3,2,1,0", "load", dumped[1])
+    assert dumped[0] != loaded[0]          # the slots really differ
+    assert loaded[1] == "True True"
+    assert loaded[2] == dumped[2]
+
+
+def test_render_independent_of_symbol_order():
+    first = _fresh("0,1,2,3,4", "render")
+    second = _fresh("3,0,4,2,1", "render")
+    assert first[0] != second[0]
+    # the renders of the tuple-of-pairs representation, byte for byte
+    assert first[1:] == second[1:] == [
+        "5 + x[1]@0^3*xi{2} - 2/3*x[2]@0*y[1]@2",
+        "-x[1]@0*x[2]@0*y[1]@2*xi{1}*xi{2} + 4*y[1]@2*xi{1}^3"
+        " + 6*y[1]@2^2*xi{1}^2 + 4*y[1]@2^3*xi{1} + y[1]@2^4 + xi{1}^4",
+        "x[2]@0*xi{1}^2 - xi{2}^2",
+        "-7/2",
+    ]
+
+
+def test_exponent_limit_raises_overflow():
+    s = x_sym(1, 5)
+    assert Polynomial.gen(s, MAX_EXPONENT).render() == "x[1]@5^%d" % MAX_EXPONENT
+    with pytest.raises(OverflowError):
+        Polynomial.gen(s, 2 ** 15)
+    half = Polynomial.gen(s, 2 ** 14)
+    assert half * Polynomial.gen(s, 2 ** 14 - 1) == Polynomial.gen(s, MAX_EXPONENT)
+    with pytest.raises(OverflowError):
+        half * half                                   # monomial times monomial
+    with pytest.raises(OverflowError):
+        (half + ygen(1, 5)) * (half - ygen(1, 5))     # term by term
+    with pytest.raises(OverflowError):
+        Polynomial.gen(s, 2 ** 13) ** 4
+    with pytest.raises(OverflowError):
+        half.substitute({ygen(1, 5).symbols().pop(): xgen(2, 5)}) \
+            .substitute({s: Polynomial.gen(s, 2)})
+    with pytest.raises(ValueError):
+        Polynomial.gen(s, -1)
+
+
+def test_overflow_never_corrupts_a_neighbouring_field():
+    # an exponent at the limit sits next to other fields; a product that
+    # stays inside the limit leaves every other exponent untouched
+    a = Polynomial.gen(x_sym(1, 0), MAX_EXPONENT) * ygen(1, 0) * xigen(1)
+    b = ygen(1, 0) ** 3 * xigen(2, 5)
+    pairs = mono_pairs(next(iter((a * b).terms)))
+    assert pairs == ((x_sym(1, 0), MAX_EXPONENT), (y_sym(1, 0), 4),
+                     (xi_sym(1), 1), (xi_sym(2), 5))
+
+
+def test_symbols_and_degree_agree_with_decoded_pairs():
+    rng = random.Random(5)
+    for _ in range(100):
+        p = _random_poly(rng) * xigen(rng.randrange(1, 4), rng.randrange(0, 3))
+        decoded = {m: mono_pairs(m) for m in p.terms}
+        assert p.symbols() == {s for pairs in decoded.values() for s, _ in pairs}
+        for m, pairs in decoded.items():
+            assert list(pairs) == sorted(pairs)
+            assert all(e > 0 for _, e in pairs)
+            assert mono_degree(m) == sum(s.degree * e for s, e in pairs)
+
+
+def test_unit_monomial_is_zero():
+    assert dict(Polynomial.one().terms) == {0: 1}
+    assert mono_pairs(0) == ()
+    assert Polynomial.const(3).symbols() == set()
+
+
+def test_substitute_keeps_unmapped_factors():
+    x1, y1, xi = xgen(1, 0), ygen(1, 0), xigen(1)
+    p = x1 ** 2 * y1 * xi + 3 * y1 ** 2 - xi
+    sym_x1 = x1.symbols().pop()
+    got = p.substitute({sym_x1: y1 + 1})
+    assert got == (y1 + 1) ** 2 * y1 * xi + 3 * y1 ** 2 - xi
+    # symbols the polynomial never uses change nothing
+    assert p.substitute({x_sym(9, 9): y1}) is p

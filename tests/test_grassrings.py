@@ -125,3 +125,28 @@ def test_step_ring_expansions_invert_embeddings():
                 table = {s: ring.embed_upper_x(s.index)
                          for s in expansion.symbols() if s.kind == 0}
                 assert expansion.substitute(table) == ring.x(t)
+
+
+def test_special_class_large_alpha_from_a_cold_memo():
+    # far past the interpreter's recursion limit, starting from nothing
+    from catsl2 import grassrings
+
+    grassrings._special.cache_clear()
+    grassrings._FILLED.clear()
+    ctx = GrassContext(3, 1)
+    y1, y2 = ctx.y(1), ctx.y(2)
+    big = [special_class(ctx, "X", a) for a in (1498, 1499, 1500)]
+    assert big[2] + y1 * big[1] + y2 * big[0] == Polynomial.zero()
+    assert homogeneous_degree(big[2]) == 3000
+    # every class below alpha went into the same memo
+    assert grassrings._special.cache_info().currsize >= 1501
+    ctx = GrassContext(2, 1)
+    assert special_class(ctx, "Y", 3000) == ctx.x(1) ** 3000
+
+
+def test_embed_end_of_canonical_generators():
+    ring = StepRing(4, 2)
+    lower_x = ring.lower.x(2).symbols().pop()
+    upper_y = ring.upper.y(1).symbols().pop()
+    assert ring.embed_end(lower_x, "lower") == ring.x(2)
+    assert ring.embed_end(upper_y, "upper") == ring.y(1)
