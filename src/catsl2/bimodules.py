@@ -204,11 +204,18 @@ class BimElement:
         terms = dict(self.terms)
         for vec, coeff in other.terms.items():
             acc = terms.get(vec)
-            terms[vec] = coeff if acc is None else acc + coeff
-        return BimElement(self.path, terms)
+            if acc is None:
+                terms[vec] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    terms[vec] = acc
+                else:
+                    del terms[vec]
+        return _wrap(self.path, terms)
 
     def __neg__(self) -> "BimElement":
-        return BimElement(self.path, {v: -c for v, c in self.terms.items()})
+        return _wrap(self.path, {v: -c for v, c in self.terms.items()})
 
     def __sub__(self, other: "BimElement") -> "BimElement":
         return self + (-other)
@@ -217,8 +224,13 @@ class BimElement:
         return BimElement(self.path, {v: coeff * c for v, coeff in self.terms.items()})
 
     def right_mul(self, poly: Polynomial) -> "BimElement":
-        return BimElement(self.path, {v: coeff * poly
-                                      for v, coeff in self.terms.items()})
+        if poly == Polynomial.one():
+            return self
+        if not poly:
+            return BimElement.zero(self.path)
+        # a product of nonzero polynomials over Q is nonzero
+        return _wrap(self.path, {v: coeff * poly
+                                 for v, coeff in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -263,6 +275,14 @@ class BimElement:
 
     def __repr__(self) -> str:
         return "BimElement(%s, %s)" % (self.path.render(), self.render())
+
+
+def _wrap(path: FlagPath, terms: dict) -> BimElement:
+    """Wrap a dict that is already clean (no zero coefficients), uncopied."""
+    out = BimElement.__new__(BimElement)
+    out.path = path
+    out.terms = terms
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,30 +387,70 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
     return Polynomial(acc)
 
 
-def _push_right(path: FlagPath, i: int, content: Polynomial):
-    """Rewrite factor-i content as a sum xi^e * (right-junction polynomial).
-
-    Returns (e, poly) pairs with e within the factor bound and poly in the
-    generators of the junction ring after factor i.
-    """
-    j, bound = path._steps[i - 1]
-    return _push_right_cached(path.N, j, path.is_up(i), i, bound, content)
+# Transport and the embedding into the next factor are ring homomorphisms
+# and the xi-reduction is linear, so pushing a factor's content across its
+# right junction is linear in the content: the push of a polynomial is the
+# coefficient-weighted sum of the pushes of its monomials.  The memo holds
+# one entry per (factor context, monomial), and a content polynomial seen
+# for the first time costs only the monomials not pushed before.
 
 
 @lru_cache(maxsize=None)
-def _push_right_cached(N, j, up, pos, bound, content):
+def _push_monomial(N, j, up, pos, bound, nxt, mono):
+    """One content monomial of factor ``pos`` pushed across its right junction.
+
+    Returns ``(e, content)`` pairs, ``e`` ascending and within ``bound``,
+    with ``mono = sum xi^e * content``.  ``content`` is in the generators
+    of the junction ring after the factor: embedded as content of factor
+    ``pos + 1`` when ``nxt`` is that factor's ``(lower ring, up)``, and a
+    right-ring polynomial when ``nxt`` is None.
+    """
     table = _transport_table(N, j, up, pos)
-    poly = content.substitute(table) if table else content
+    poly = Polynomial({mono: 1})
+    if table:
+        poly = poly.substitute(table)
     poly = _reduce_xi(poly, N, j, up, pos, bound)
     shift = field_shift(xi_sym(pos))
     strip = ~(FIELD_MASK << shift)
     buckets: dict = {}
-    for mono, coeff in poly.terms.items():
-        e = (mono >> shift) & FIELD_MASK
-        rest = mono & strip
-        bucket = buckets.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, 0) + coeff
-    return tuple((e, Polynomial(b)) for e, b in sorted(buckets.items()))
+    for m, c in poly.terms.items():
+        # monomials of one bucket differ off the xi field: no collisions
+        buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
+    out = []
+    for e in sorted(buckets):
+        content = Polynomial(buckets[e])
+        if nxt is not None:
+            content = _into_factor_cached(N, nxt[0], nxt[1], pos + 1, content)
+        out.append((e, content))
+    return tuple(out)
+
+
+def _push_content(N, j, up, pos, bound, nxt, terms):
+    """``_push_monomial`` summed over ``terms`` weighted by their coefficients.
+
+    Buckets that cancel to zero are dropped.
+    """
+    if len(terms) == 1:
+        (mono, c), = terms.items()
+        pushed = _push_monomial(N, j, up, pos, bound, nxt, mono)
+        if c == 1:
+            return pushed
+        return [(e, content * c) for e, content in pushed]
+    acc: dict = {}
+    for mono, c in terms.items():
+        for e, content in _push_monomial(N, j, up, pos, bound, nxt, mono):
+            bucket = acc.get(e)
+            if bucket is None:
+                bucket = acc[e] = {}
+            for m, cm in content.terms.items():
+                prev = bucket.get(m)
+                bucket[m] = c * cm if prev is None else prev + c * cm
+    out = []
+    for e in sorted(acc):
+        content = Polynomial(acc[e])
+        if content:
+            out.append((e, content))
+    return out
 
 
 def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
@@ -430,7 +490,11 @@ def _settled_exponent(poly: Polynomial, shift: int, bound: int):
 
 def _clear_factor(path: FlagPath, terms: list, i: int, bound: int):
     m = path.num_factors
+    j = path._steps[i - 1][0]
+    nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+    up = path.is_up(i)
     shift = field_shift(xi_sym(i))
+    gens = [Polynomial.gen(xi_sym(i), e) for e in range(bound + 1)]
     out = []
     changed = False
     for factors, coeff in terms:
@@ -439,17 +503,24 @@ def _clear_factor(path: FlagPath, terms: list, i: int, bound: int):
             out.append((factors, coeff))
             continue
         changed = True
-        if not f.terms:
-            continue
-        for e, rpoly in _push_right(path, i, f):
+        for e, content in _push_content(path.N, j, up, i, bound, nxt, f.terms):
             updated = list(factors)
-            updated[i - 1] = Polynomial.gen(xi_sym(i), e)
-            if i == m:
-                out.append((tuple(updated), coeff * rpoly))
+            updated[i - 1] = gens[e]
+            if nxt is None:
+                out.append((tuple(updated), coeff * content))
             else:
-                updated[i] = updated[i] * _into_factor(path, i + 1, rpoly)
+                updated[i] = updated[i] * content
                 out.append((tuple(updated), coeff))
     return out, changed
+
+
+def _merge_like_terms(terms: list) -> list:
+    """Sum the coefficients of terms with equal factor tuples; drop zeros."""
+    acc: dict = {}
+    for factors, coeff in terms:
+        prev = acc.get(factors)
+        acc[factors] = coeff if prev is None else prev + coeff
+    return [(factors, coeff) for factors, coeff in acc.items() if coeff]
 
 
 def rewrite_measure(path: FlagPath, terms) -> tuple:
@@ -459,7 +530,12 @@ def rewrite_measure(path: FlagPath, terms) -> tuple:
     of left-junction generators, xi-excess above the factor bound,
     exponents of right-junction generators, and a settledness flag.  Each
     factor-clearing step zeroes factor i's tuple while only factor i+1
-    grows, so states decrease strictly in the product lexicographic order.
+    grows, so states decrease strictly in the product lexicographic order
+    when factors are cleared left to right.  In any other order a step
+    copies the unsettled factors left of i into every new term, and the
+    decreasing quantity is the multiset of per-term measures
+    ``rewrite_measure(path, [term])``: each step replaces a term by terms
+    of smaller measure, and merging like terms removes some.
     """
     m = path.num_factors
     shifts = [field_shift(xi_sym(i)) for i in range(1, m + 1)]
@@ -489,8 +565,9 @@ def normalize(raw: RawTensor, order: str = "ltr",
 
     ``order`` picks the junction-processing strategy: "ltr" clears factors
     left to right (one pass suffices), "rtl" sweeps right to left until a
-    fixpoint; both reach the same normal form.  ``on_step`` is called with
-    the term list after every factor-clearing step that changed it.
+    fixpoint, merging like terms after every step that changed the terms;
+    both reach the same normal form.  ``on_step`` is called with the term
+    list after every factor-clearing step that changed it.
     """
     path = raw.path
     if path.is_zero:
@@ -515,6 +592,9 @@ def normalize(raw: RawTensor, order: str = "ltr",
                 dirty.discard(i)
                 terms, changed = _clear_factor(path, terms, i, bounds[i - 1])
                 if changed:
+                    # re-clearing a factor maps terms that differ only
+                    # there onto one xi-power: merge them
+                    terms = _merge_like_terms(terms)
                     if i < m:
                         dirty.add(i + 1)
                     if on_step is not None:

@@ -17,7 +17,8 @@ import sys
 import warnings
 
 from .exactpoly import Polynomial
-from .grassrings import GrassContext, bubble_value, special_class
+from .grassrings import (GrassContext, bubble_value, special_class,
+                         special_class_terms)
 from .bimodules import graded_rank
 from .twomorphisms import SignedWord, compile_word, measured_degree
 from .diagramlang import (
@@ -35,6 +36,12 @@ USAGE_ERROR = 2
 #: have exponents up to alpha, so this stays well inside the exact
 #: polynomial core's exponent limit of 2^15 - 1.
 MAX_ALPHA = 4000
+
+#: Largest number of terms a ``special`` class, or the class family a
+#: ``bubble`` expands, may have.  The count is a closed form (partitions of
+#: alpha), taken before any polynomial is built: at N = 8 this admits
+#: X_alpha at k = 4 up to alpha = 107, and every alpha <= 4N at N <= 8.
+MAX_CLASS_TERMS = 10000
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -170,13 +177,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _context(args):
+def _context(args, family: str):
+    """The ring H_k of the query, once its ``family`` class at alpha is
+    known to be within ``MAX_ALPHA`` and ``MAX_CLASS_TERMS``."""
     if args.alpha > MAX_ALPHA:
         raise ValueError("alpha must be at most %d, got %d" % (MAX_ALPHA, args.alpha))
     try:
-        return GrassContext(args.N, args.k)
+        ctx = GrassContext(args.N, args.k)
     except (ValueError, TypeError) as exc:
         raise ValueError("bad context: %s" % exc) from None
+    if special_class_terms(ctx, family, args.alpha, MAX_CLASS_TERMS) > MAX_CLASS_TERMS:
+        raise ValueError("%s_%d at N=%d, k=%d has more than %d terms"
+                         % (family, args.alpha, args.N, args.k, MAX_CLASS_TERMS))
+    return ctx
 
 
 def _print_poly(args, label: str, poly: Polynomial) -> int:
@@ -189,7 +202,8 @@ def _print_poly(args, label: str, poly: Polynomial) -> int:
 
 def _cmd_bubble(args) -> int:
     try:
-        ctx = _context(args)
+        # the cw bubble expands the Y classes, the ccw bubble the X classes
+        ctx = _context(args, "Y" if args.orient == "cw" else "X")
     except ValueError as exc:
         return _fail(str(exc))
     return _print_poly(args, "bubble", bubble_value(ctx, args.orient, args.alpha))
@@ -197,7 +211,7 @@ def _cmd_bubble(args) -> int:
 
 def _cmd_special(args) -> int:
     try:
-        ctx = _context(args)
+        ctx = _context(args, args.family)
     except ValueError as exc:
         return _fail(str(exc))
     return _print_poly(args, "special",

@@ -293,12 +293,21 @@ _ELEMENT_TOKEN_RE = re.compile(
 #: the exact polynomial core's limit of 2^15 - 1.
 MAX_ELEMENT_DEGREE = 1000
 
+#: Size limit of the rationals in element expressions: no digit run is
+#: longer than this, and the rationals of one tensor term have at most this
+#: many digits together, each counted as its numerator and denominator
+#: digits times its ``^`` exponent.  Digit runs are measured before any is
+#: converted, and coefficients stay far below CPython's limit of 4300
+#: digits for converting an integer to or from text.
+MAX_LITERAL_DIGITS = 1000
 
-def _parse_factor(expr: str, offset: int, symbol_of, degree: int):
+
+def _parse_factor(expr: str, offset: int, symbol_of, degree: int, digits: int):
     """One factor expression: a product of powered tokens and rationals.
 
-    ``degree`` is the term's degree (in units of 2) before this factor;
-    returns the factor's polynomial and the degree after it.
+    ``degree`` (in units of 2) and ``digits`` are the term's degree and
+    rational digit count before this factor; returns the factor's
+    polynomial and both counts after it.
     """
     poly = Polynomial.one()
     col = offset
@@ -314,6 +323,11 @@ def _parse_factor(expr: str, offset: int, symbol_of, degree: int):
             raise DiagramError("cannot parse token %r" % stripped, 1,
                                start + 1, start + len(piece))
         span = (1, start + 1, start + len(piece))
+        for run in re.findall(r"\d+", piece):
+            if len(run) > MAX_LITERAL_DIGITS:
+                raise DiagramError("integer literal of %d digits exceeds the "
+                                   "limit %d" % (len(run), MAX_LITERAL_DIGITS),
+                                   *span)
         exp = int(m.group("exp")) if m.group("exp") else 1
         if exp > MAX_ELEMENT_DEGREE:
             raise DiagramError("exponent %d exceeds the limit %d"
@@ -322,6 +336,11 @@ def _parse_factor(expr: str, offset: int, symbol_of, degree: int):
             num, _, den = m.group("rat").partition("/")
             if den and int(den) == 0:
                 raise DiagramError("zero denominator in %r" % stripped, *span)
+            digits += exp * (len(num.strip()) + len(den.strip()))
+            if digits > MAX_LITERAL_DIGITS:
+                raise DiagramError("rationals of the tensor term have %d digits, "
+                                   "above the limit %d"
+                                   % (digits, MAX_LITERAL_DIGITS), *span)
             value = Fraction(int(num), int(den) if den else 1)
             poly = poly * Polynomial.const(value ** exp)
         else:
@@ -334,7 +353,7 @@ def _parse_factor(expr: str, offset: int, symbol_of, degree: int):
                                    "(in units of 2)"
                                    % (degree, MAX_ELEMENT_DEGREE), *span)
             poly = poly * Polynomial.gen(sym, exp)
-    return poly, degree
+    return poly, degree, digits
 
 
 def _factor_symbol_resolver(path: FlagPath, position: int):
@@ -411,12 +430,13 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
                 % (len(factor_exprs), path.render(), expected),
                 1, offset + 1, offset + len(term))
         col = offset
-        degree = 0
+        degree = digits = 0
         polys = []
         for position, expr in enumerate(factor_exprs, start=1):
             resolver = (_identity_symbol_resolver(path) if m == 0
                         else _factor_symbol_resolver(path, position))
-            poly, degree = _parse_factor(expr, col, resolver, degree)
+            poly, degree, digits = _parse_factor(expr, col, resolver,
+                                                 degree, digits)
             polys.append(poly)
             col += len(expr) + 1
         if m == 0:

@@ -236,6 +236,29 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     return _special(ctx.N, ctx.k, family, alpha)
 
 
+def special_class_terms(ctx: GrassContext, family: str, alpha: int,
+                        limit: int) -> int:
+    """The number of terms of ``special_class(ctx, family, alpha)``, computed
+    without the class, or some number above ``limit`` if it exceeds it.
+
+    X_alpha has one term per partition of alpha into parts of size at most
+    N-k (a monomial in the y's; its coefficient, a signed multinomial, is
+    never zero), and Y_alpha one per partition into parts of size at most k.
+    The count takes O(alpha * r) steps for parts up to r, and stops adding
+    part sizes once it has passed ``limit``.
+    """
+    if alpha < 0:
+        return 0
+    parts = ctx.N - ctx.k if family == "X" else ctx.k
+    counts = [1] + [0] * alpha
+    for part in range(1, min(parts, alpha) + 1):
+        for total in range(part, alpha + 1):
+            counts[total] += counts[total - part]
+        if counts[alpha] > limit:
+            break
+    return counts[alpha]
+
+
 def bubble_value(ctx: GrassContext, orientation: str, alpha: int) -> Polynomial:
     """Value of the closed dotted bubble of degree 2*alpha in H_k.
 

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -358,3 +359,152 @@ def test_xi_power_far_past_the_recursion_limit():
     top = _xi_power(2, 1, True, 7, 1, 1200)
     assert _reduce_xi(top * xigen(7), 2, 1, True, 7, 1) == \
         _xi_power(2, 1, True, 7, 1, 1201)
+
+
+# -- the linear rewriting kernel --------------------------------------------
+
+
+def _factor_contexts(N_max=3, max_steps=4):
+    """One (path, i) per distinct factor context, over all paths N <= N_max."""
+    seen = {}
+    for N in range(1, N_max + 1):
+        for path in all_paths(N, max_steps):
+            m = path.num_factors
+            for i in range(1, m + 1):
+                nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+                key = (N, path._steps[i - 1], path.is_up(i), i, nxt)
+                seen.setdefault(key, (path, i))
+    return list(seen.values())
+
+
+def _reference_push(path, i, content):
+    """Transport, reduce, bucket by xi-exponent and embed, on the whole
+    content polynomial and through decoded monomials only."""
+    from catsl2.bimodules import (_into_factor, _reduce_xi,
+                                  _transport_table)
+    from catsl2.exactpoly import mono_pairs
+    N = path.N
+    j, bound = path._steps[i - 1]
+    up = path.is_up(i)
+    poly = content.substitute(_transport_table(N, j, up, i))
+    poly = _reduce_xi(poly, N, j, up, i, bound)
+    buckets = {}
+    for mono, coeff in poly.terms.items():
+        e, rest = 0, Polynomial.const(coeff)
+        for sym, exp in mono_pairs(mono):
+            if sym == xi_sym(i):
+                e = exp
+            else:
+                rest = rest * Polynomial.gen(sym, exp)
+        buckets[e] = buckets.get(e, Polynomial.zero()) + rest
+    out = []
+    for e in sorted(buckets):
+        assert e <= bound
+        if buckets[e]:
+            part = buckets[e]
+            if i < path.num_factors:
+                part = _into_factor(path, i + 1, part)
+            out.append((e, part))
+    return out
+
+
+def test_push_matches_whole_content_reference():
+    from catsl2.bimodules import _push_content
+    from helpers import random_factor_poly
+    contexts = _factor_contexts()
+    assert len(contexts) > 30
+    rng = random.Random("linear-push")
+    for path, i in contexts:
+        m = path.num_factors
+        j, bound = path._steps[i - 1]
+        nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+        for case in range(12):
+            content = Polynomial.zero()
+            for _ in range(rng.randrange(0, 4)):
+                content = content + random_factor_poly(path, i, rng)
+            if case == 0 and content:
+                content = content - content       # cancels to zero
+            elif case == 1:
+                content = content * content       # more monomials
+            pushed = _push_content(path.N, j, path.is_up(i), i, bound, nxt,
+                                   content.terms)
+            assert list(pushed) == _reference_push(path, i, content), \
+                (path.render(), i, content.render())
+
+
+def _multiset_decreases(before, after):
+    """True if ``after < before`` in the multiset extension of ``<``: some
+    element was removed, and each added one is below a removed one."""
+    removed = Counter(before) - Counter(after)
+    added = Counter(after) - Counter(before)
+    return bool(removed) and all(any(a < r for r in removed) for a in added)
+
+
+def test_rtl_steps_merge_like_terms_and_decrease():
+    # Clearing a factor in a right-to-left sweep copies the factors to its
+    # left into every new term, so the summed measure of ``rewrite_measure``
+    # can grow; the multiset of the per-term measures decreases instead.
+    from catsl2.bimodules import rewrite_measure
+    rng = random.Random("rtl-merge")
+    merged_somewhere = False
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            for _ in range(3):
+                raw = random_raw_tensor(path, rng)
+                states = [[(raw.factors, Polynomial.one())]]
+                rtl = normalize(raw, order="rtl", on_step=states.append)
+                for terms in states[1:]:
+                    tuples = [factors for factors, _ in terms]
+                    assert len(set(tuples)) == len(tuples)
+                    assert all(coeff for _, coeff in terms)
+                measures = [[rewrite_measure(path, [term]) for term in terms]
+                            for terms in states]
+                for before, after in zip(measures, measures[1:]):
+                    assert _multiset_decreases(before, after)
+                assert rtl == normalize(raw, order="ltr")
+                merged_somewhere |= len(states) > path.num_factors + 1
+    assert merged_somewhere        # some factor was cleared more than once
+
+
+def test_push_memo_is_keyed_per_monomial():
+    # Every context pushes all subset sums of a pool of four monomials: 15
+    # distinct contents per context, but only four distinct monomials.  A
+    # memo keyed on whole contents would hold at least the 15.
+    from catsl2.bimodules import _push_content, _push_monomial
+    from helpers import random_factor_poly
+    rng = random.Random("memo-size")
+    _push_monomial.cache_clear()
+    inputs, contents = set(), set()
+    for path, i in _factor_contexts():
+        m = path.num_factors
+        j, bound = path._steps[i - 1]
+        nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+        pool = set()
+        while len(pool) < 4:
+            pool.update(random_factor_poly(path, i, rng).terms)
+        pool = sorted(pool)[:4]
+        for mask in range(1, 16):
+            terms = {mono: (-1) ** k * (k + 1) for k, mono in enumerate(pool)
+                     if mask >> k & 1}
+            contents.add((path.N, j, path.is_up(i), i, nxt, frozenset(terms)))
+            inputs.update((path.N, j, path.is_up(i), i, nxt, mono)
+                          for mono in terms)
+            _push_content(path.N, j, path.is_up(i), i, bound, nxt, terms)
+    assert len(contents) == 15 * len(inputs) // 4
+    assert 0 < _push_monomial.cache_info().currsize <= len(inputs)
+
+
+def test_sums_hold_no_zero_coefficients():
+    path = FlagPath(2, (0, 1, 2))
+    rng = random.Random("bim-add")
+    elements = [normalize(random_raw_tensor(path, rng)) for _ in range(6)]
+    for e in elements:
+        assert (e + (-e)).terms == {}
+        assert (e - e).is_zero()
+        assert e.right_mul(Polynomial.one()) is e
+        assert e.right_mul(Polynomial.zero()).terms == {}
+    total = BimElement.zero(path)
+    for e in elements + [-e for e in elements[:3]]:
+        total = total + e
+        assert all(coeff for coeff in total.terms.values())
+    assert total == sum(elements[3:], BimElement.zero(path))

@@ -191,6 +191,28 @@ def test_alpha_above_cap_exits_2(capsys, argv, alpha):
     assert "alpha must be at most 4000" in err
 
 
+@pytest.mark.parametrize("argv, label", [
+    (("special", "--k", "4", "--family", "X", "--alpha", "120"), "X_120"),
+    (("special", "--k", "4", "--family", "Y", "--alpha", "4000"), "Y_4000"),
+    (("bubble", "--k", "4", "--orient", "cw", "--alpha", "108"), "Y_108"),
+    (("bubble", "--k", "2", "--orient", "ccw", "--alpha", "200"), "X_200")])
+def test_class_above_term_cap_exits_2(capsys, argv, label):
+    code, out, err = run_cli(capsys, argv[0], "--N", "8", *argv[1:])
+    assert code == 2 and out == ""
+    assert "%s at N=8" % label in err and "more than 10000 terms" in err
+
+
+def test_term_cap_admits_the_served_range():
+    # every class a special or bubble query with N <= 8, alpha <= 4N expands
+    from catsl2.cli import MAX_CLASS_TERMS
+    from catsl2.grassrings import GrassContext, special_class_terms
+    worst = max(special_class_terms(GrassContext(N, k), family, alpha,
+                                    MAX_CLASS_TERMS)
+                for N in range(1, 9) for k in range(N + 1)
+                for family in ("X", "Y") for alpha in range(4 * N + 1))
+    assert worst == 3319 <= MAX_CLASS_TERMS
+
+
 def test_eval_large_xi_power_is_exact(capsys):
     from catsl2.bimodules import BimElement
     from catsl2.diagramlang import compile_diagram, parse_diagram
@@ -221,6 +243,26 @@ def test_eval_element_limits_exit_2(capsys, element, message, cols):
                              str(DOCS / "diagrams" / "dot.cat"), "--element", element)
     assert code == 2 and out == ""
     assert message in err and cols in err
+
+
+@pytest.mark.parametrize("element", [
+    "xi^" + "9" * 5000, "x[" + "9" * 5000 + "]", "9" * 5000 + " * xi"],
+    ids=["exponent", "index", "rational"])
+def test_eval_over_long_digit_run_exits_2(capsys, element):
+    code, out, err = run_cli(capsys, "eval", "--diagram",
+                             str(DOCS / "diagrams" / "dot.cat"), "--element", element)
+    assert code == 2 and out == ""
+    assert "line 1, cols 1-" in err and "Traceback" not in err
+    assert "integer literal of 5000 digits exceeds the limit 1000" in err
+
+
+def test_eval_rational_digits_limit_exits_2(capsys):
+    # 99999^1000 has 5000 digits: too long to render, so rejected up front
+    code, out, err = run_cli(capsys, "eval", "--diagram",
+                             str(DOCS / "diagrams" / "dot.cat"),
+                             "--element", "99999^1000")
+    assert code == 2 and out == ""
+    assert "have 5000 digits, above the limit 1000" in err and "cols 1-10" in err
 
 
 def test_eval_degree_limit_spans_factors(capsys, tmp_path):

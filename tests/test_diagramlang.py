@@ -309,3 +309,40 @@ def test_parse_element_errors():
         parse_element("1 +", FlagPath(3, (1,)))
     with pytest.raises(DiagramError):
         parse_element("xi", FlagPath(3, (1,)))         # no xi on identity paths
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("text, cols", [
+    ("xi^" + NINES, (5, 5007)),                 # an exponent
+    ("x[" + NINES + "]", (5, 5007)),            # an index
+    ("2 * " + NINES + "/7 * xi", (8, 5011)),    # a rational
+], ids=["exponent", "index", "rational"])
+def test_parse_element_rejects_over_long_digit_runs(text, cols):
+    # CPython refuses to convert integers of more than 4300 digits; the
+    # parser must reject the run itself, with the token's span
+    path = FlagPath(2, (0, 1))
+    text = "1 + " + text
+    with pytest.raises(DiagramError) as err:
+        parse_element(text, path)
+    assert "integer literal of 5000 digits exceeds the limit 1000" in str(err.value)
+    assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)
+
+
+def test_parse_element_bounds_rational_digits_per_term():
+    path = FlagPath(2, (0, 1))
+    longest = "9" * 1000
+    assert parse_element(longest + " * xi", path) == \
+        parse_element("xi", path).scale(int(longest))
+    # 9^1000 has 955 digits; the limit counts 1 digit times the exponent
+    assert not parse_element("9^1000 * xi", path).is_zero()
+    with pytest.raises(DiagramError) as err:
+        parse_element("9^1000 * 3/4 * xi", path)     # 1000 + 2 digits
+    assert "have 1002 digits, above the limit 1000" in str(err.value)
+    assert (err.value.col_start, err.value.col_end) == (9, 13)
+    # the count runs over every factor of the term, and restarts per term
+    two = FlagPath(2, (0, 1, 0))
+    assert not parse_element("9^600 | 1 + 9^600 | 1", two).is_zero()
+    with pytest.raises(DiagramError):
+        parse_element("9^600 | 9^600", two)

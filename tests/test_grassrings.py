@@ -7,6 +7,7 @@ from catsl2.grassrings import (
     bubble_value,
     check_series_identity,
     special_class,
+    special_class_terms,
 )
 
 
@@ -150,3 +151,22 @@ def test_embed_end_of_canonical_generators():
     upper_y = ring.upper.y(1).symbols().pop()
     assert ring.embed_end(lower_x, "lower") == ring.x(2)
     assert ring.embed_end(upper_y, "upper") == ring.y(1)
+
+
+def test_special_class_terms_counts_partitions():
+    for N in range(1, 7):
+        for k in range(N + 1):
+            ctx = GrassContext(N, k)
+            for family in ("X", "Y"):
+                for alpha in range(-2, 3 * N + 1):
+                    assert special_class_terms(ctx, family, alpha, 10 ** 9) == \
+                        len(special_class(ctx, family, alpha).terms)
+
+
+def test_special_class_terms_stops_past_the_limit():
+    ctx = GrassContext(8, 4)
+    assert special_class_terms(ctx, "X", 120, 10 ** 9) == 13561
+    # partitions of 4000 into parts <= 3 already number about 1.3 million;
+    # parts up to 4 are never added once the count has passed the limit
+    assert 10000 < special_class_terms(ctx, "X", 4000, 10000) < 13561 * 1000
+    assert special_class_terms(GrassContext(2, 1), "X", 4000, 10) == 1
