@@ -719,8 +719,29 @@ def basis(path: FlagPath) -> list:
 
 
 def graded_rank(path: FlagPath) -> Laurent:
-    """Sum of q^(2*|vec| + shift) over the free basis."""
-    total = Laurent.zero()
-    for vec in basis(path):
-        total = total + Laurent.q_power(2 * sum(vec) + path.shift)
-    return total
+    """Sum of q^(2*|vec| + shift) over the free basis, in closed form.
+
+    The basis is the product of the per-factor ranges ``0..bound(i)``, so
+    the sum is q^shift times the product of the q-blocks
+    ``1 + q^2 + ... + q^(2*bound(i))``.  The product is kept as a dense
+    list over ``|vec|`` and each block is multiplied in with a sliding
+    window sum, in time linear in the result's term count per factor;
+    the basis is never enumerated.
+    """
+    if path.is_zero:
+        return Laurent.zero()
+    counts = [1]                 # counts[d]: basis vectors with |vec| = d
+    for i in range(1, path.num_factors + 1):
+        width = path.bound(i) + 1
+        if width == 1:
+            continue
+        window = 0
+        product = []
+        for d in range(len(counts) + width - 1):
+            if d < len(counts):
+                window += counts[d]
+            if d >= width:
+                window -= counts[d - width]
+            product.append(window)
+        counts = product
+    return Laurent({2 * d + path.shift: c for d, c in enumerate(counts)})

@@ -11,6 +11,7 @@ commands that take ``--N``; explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,6 +44,11 @@ MAX_ALPHA = 4000
 #: X_alpha at k = 4 up to alpha = 107, and every alpha <= 4N at N <= 8.
 MAX_CLASS_TERMS = 10000
 
+#: Largest number of terms a ``rank`` answer may have.  A word's graded
+#: rank has one term per total xi-degree, the sum of its factors' bounds
+#: plus 1, so the count is read off the flag path before anything is built.
+MAX_RANK_TERMS = 10000
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -68,7 +74,14 @@ def _env_rank():
     return rank, None
 
 
+@functools.lru_cache
 def _build_parser(default_n=None, rank_required=True) -> argparse.ArgumentParser:
+    """The argument parser, built once per ``(default_n, rank_required)``.
+
+    Parsing leaves no state on the parser (each call fills a fresh
+    namespace), so ``main`` reuses it; ``$CATSL2_N`` is read on every
+    call and selects the parser through the key.
+    """
     parser = _CliParser(prog="catsl2",
                         description="Categorified sl(2) bimodule engine "
                                     "and relation verifier.")
@@ -224,6 +237,11 @@ def _cmd_rank(args) -> int:
         path = compile_word(word, args.N)
     except ValueError as exc:
         return _fail(str(exc))
+    if not path.is_zero:
+        terms = sum(path.bound(i) for i in range(1, path.num_factors + 1)) + 1
+        if terms > MAX_RANK_TERMS:
+            return _fail("the graded rank has %d terms, above the limit %d"
+                         % (terms, MAX_RANK_TERMS))
     rank = graded_rank(path)
     if args.format == "json":
         print(json.dumps({"path": path.render(), "zero": path.is_zero,

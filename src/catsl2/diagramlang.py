@@ -195,6 +195,11 @@ def parse_diagram(text: str) -> DiagramAST:
             if key in header:
                 raise DiagramError("duplicate header %r" % key, lineno)
             if key in ("N", "weight"):
+                digits = sum(ch.isdigit() for ch in value)
+                if digits > MAX_LITERAL_DIGITS:
+                    raise DiagramError("%s has %d digits, above the limit %d"
+                                       % (key, digits, MAX_LITERAL_DIGITS),
+                                       lineno)
                 try:
                     header[key] = int(value)
                 except ValueError:
@@ -293,12 +298,13 @@ _ELEMENT_TOKEN_RE = re.compile(
 #: the exact polynomial core's limit of 2^15 - 1.
 MAX_ELEMENT_DEGREE = 1000
 
-#: Size limit of the rationals in element expressions: no digit run is
-#: longer than this, and the rationals of one tensor term have at most this
-#: many digits together, each counted as its numerator and denominator
-#: digits times its ``^`` exponent.  Digit runs are measured before any is
-#: converted, and coefficients stay far below CPython's limit of 4300
-#: digits for converting an integer to or from text.
+#: Size limit of integer literals: the ``N`` and ``weight`` headers of a
+#: diagram file have at most this many digits, no digit run in an element
+#: expression is longer than this, and the rationals of one tensor term
+#: have at most this many digits together, each counted as its numerator
+#: and denominator digits times its ``^`` exponent.  Digits are counted
+#: before anything is converted, and coefficients stay far below CPython's
+#: limit of 4300 digits for converting an integer to or from text.
 MAX_LITERAL_DIGITS = 1000
 
 
@@ -401,34 +407,32 @@ def _identity_symbol_resolver(path: FlagPath):
     return resolve
 
 
+#: A ``+`` or ``-`` joining two tensor terms, with the blanks around it.
+_TERM_SIGN_RE = re.compile(r"(?<![|*^/])\s*([+-])\s*")
+
+
 def parse_element(text: str, path: FlagPath) -> BimElement:
     """Parse an element expression and return its normal form."""
     m = path.num_factors
-    pieces = re.split(r"(?<![|*^/])\s*([+-])\s*", text)
-    if pieces[0].strip() == "":
-        pieces = pieces[1:]
-    signs = ["+"]
-    terms = []
-    for piece in pieces:
-        if piece in ("+", "-"):
-            signs.append(piece)
-        else:
-            terms.append(piece)
-    if len(signs) != len(terms):
+    terms = []                   # (sign, term text, 0-based column of the term)
+    sign, start = "+", 0
+    for match in _TERM_SIGN_RE.finditer(text):
+        terms.append((sign, text[start:match.start()], start))
+        sign, start = match.group(1), match.end()
+    terms.append((sign, text[start:], start))
+    if not terms[0][1].strip():
         raise DiagramError("dangling sign in element expression", 1, 1, len(text))
     if path.is_zero:
         return BimElement.zero(path)
     total = BimElement.zero(path)
-    offset = 0
-    for sign, term in zip(signs, terms):
-        offset = text.find(term, offset)
+    for sign, term, offset in terms:
         factor_exprs = term.split("|")
         expected = max(m, 1)
         if len(factor_exprs) != expected:
             raise DiagramError(
                 "tensor term has %d factor expressions, path %s needs %d"
                 % (len(factor_exprs), path.render(), expected),
-                1, offset + 1, offset + len(term))
+                1, offset + 1, offset + max(1, len(term)))
         col = offset
         degree = digits = 0
         polys = []

@@ -241,6 +241,45 @@ def test_graded_rank():
     assert graded_rank(FlagPath(1, (1, 2))).is_zero()
 
 
+def _every_path(max_rank, max_steps):
+    """Every flag path with N <= max_rank and at most max_steps unit steps,
+    starting anywhere in [-1, N + 1], so zero paths are included."""
+    for N in range(1, max_rank + 1):
+        frontier = [(k,) for k in range(-1, N + 2)]
+        for _ in range(max_steps + 1):
+            yield from ((N, rings) for rings in frontier)
+            frontier = [rings + (rings[-1] + d,) for rings in frontier
+                        for d in (1, -1)]
+
+
+def test_graded_rank_matches_basis_enumeration():
+    checked = zero = 0
+    for N, rings in _every_path(4, 4):
+        for shift in (0, 3, -5):
+            path = FlagPath(N, rings, shift)
+            enumerated = Laurent.zero()
+            for vec in basis(path):
+                enumerated = enumerated + Laurent.q_power(2 * sum(vec) + shift)
+            assert graded_rank(path) == enumerated, path.render()
+            checked += 1
+            zero += path.is_zero
+    # N + 3 starts, 1 + 2 + 4 + 8 + 16 step sequences, 3 shifts
+    assert checked == 3 * 31 * sum(N + 3 for N in range(1, 5)) and zero > 0
+
+
+def test_graded_rank_never_enumerates(monkeypatch):
+    import catsl2.bimodules as bimodules
+
+    def no_basis(path):
+        raise AssertionError("graded_rank enumerated the basis of %s"
+                             % path.render())
+
+    monkeypatch.setattr(bimodules, "basis", no_basis)
+    assert graded_rank(FlagPath(4, (1, 2, 3, 2), 1)) == \
+        Laurent({1: 1, 3: 3, 5: 4, 7: 3, 9: 1})
+    assert graded_rank(FlagPath(4, (4, 5))).is_zero()
+
+
 def test_two_sided_sums():
     # sum_j (-1)^j x_j (x) xi^(a-j) agrees with its mirrored form, and the
     # y-family version holds on the downward excursion

@@ -1,10 +1,14 @@
 import json
+import math
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from catsl2 import cli
 from catsl2.cli import main
+from catsl2.qlaurent import Laurent
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -125,6 +129,35 @@ def test_rank_query(capsys):
     assert payload["path"] == "(2,1,2){-1}"
 
 
+def test_rank_above_term_cap_exits_2(capsys):
+    # one up-step factor with about N/2 basis vectors
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "rank", "--N", "99999999999999999999",
+                             "--word", "E", "--weight", "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "50000000000000000001 terms, above the limit 10000" in err
+
+
+def test_rank_of_long_word_is_exact(capsys):
+    # E^20 from ring 0 at N = 30: up-steps with lower rings 0..19 bound
+    # their xi exponents by 0..19, so the rank is q^shift times the product
+    # of the blocks 1 + q^2 + ... + q^(2j); its coefficients sum to 20!
+    counts = [1]
+    for j in range(20):
+        counts = [sum(counts[d - e] for e in range(j + 1)
+                      if 0 <= d - e < len(counts))
+                  for d in range(len(counts) + j)]
+    assert sum(counts) == math.factorial(20)
+    shift = sum(1 - 30 + k for k in range(20))
+    want = Laurent({2 * d + shift: c for d, c in enumerate(counts)})
+    code, out, _ = run_cli(capsys, "rank", "--N", "30", "--word", " ".join("E" * 20),
+                           "--weight", "-30", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rank"] == want.render()
+    assert len(counts) == 191
+
+
 def test_rank_parity_error(capsys):
     code, _, err = run_cli(capsys, "rank", "--N", "2", "--word", "E",
                            "--weight", "1")
@@ -157,6 +190,44 @@ def test_env_rank_rejected(capsys, monkeypatch, value):
     code, out, _ = run_cli(capsys, "rank", "--N", "3", "--word", "E",
                            "--weight", "-1")
     assert code == 0 and out.strip() == "q + q^-1"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    monkeypatch.delenv("CATSL2_N", raising=False)
+    cli._build_parser.cache_clear()
+    for _ in range(20):
+        code, out, _ = run_cli(capsys, "rank", "--N", "1", "--word", "E",
+                               "--weight", "-1")
+        assert code == 0 and out.strip() == "1"
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+def test_env_rank_applies_on_every_call(capsys, monkeypatch):
+    argv = ("rank", "--word", "E", "--weight", "-1")
+    for value, want in (("1", "1"), ("3", "q + q^-1"), ("1", "1"),
+                        ("5", "q^2 + 1 + q^-2")):
+        monkeypatch.setenv("CATSL2_N", value)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.strip() == want
+    monkeypatch.setenv("CATSL2_N", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "CATSL2_N" in err
+    monkeypatch.delenv("CATSL2_N")
+    assert run_cli(capsys, *argv)[0] == 2          # --N required again
+    monkeypatch.setenv("CATSL2_N", "3")
+    assert run_cli(capsys, *argv)[1].strip() == "q + q^-1"
+
+
+def test_no_state_leaks_between_parses(capsys):
+    argv = ("rank", "--N", "2", "--word", "E F", "--weight", "2")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["rank"] == "q + q^-1"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == "q + q^-1\n"
+    code, out, _ = run_cli(capsys, "special", "--N", "2", "--k", "1",
+                           "--family", "X", "--alpha", "1")
+    assert code == 0 and out == "-y[1]@0\n"
 
 
 # -- large exponents: exact answers below the caps, exit 2 above them ------
@@ -287,3 +358,17 @@ def test_overflow_is_an_exit_2_message(capsys, monkeypatch):
                              "--family", "X", "--alpha", "3")
     assert code == 2 and out == ""
     assert "too large" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", ["N", "weight"])
+def test_eval_header_digit_limit_exits_2(capsys, tmp_path, header):
+    values = {"N": "2", "weight": "0", header: "9" * 5000}
+    diagram = tmp_path / "long.cat"
+    diagram.write_text("N = %(N)s\nweight = %(weight)s\ndomain = E\n"
+                       "layer: dot_e\n" % values)
+    code, out, err = run_cli(capsys, "eval", "--diagram", str(diagram),
+                             "--element", "1")
+    assert code == 2 and out == ""
+    line = 1 if header == "N" else 2
+    assert err == ("catsl2: error: line %d: %s has 5000 digits, above the "
+                   "limit 1000\n" % (line, header))

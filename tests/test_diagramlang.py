@@ -311,6 +311,30 @@ def test_parse_element_errors():
         parse_element("xi", FlagPath(3, (1,)))         # no xi on identity paths
 
 
+@pytest.mark.parametrize("text, cols", [
+    ("xi | xi + xi", (11, 12)),
+    ("xi | 1 - 2*xi | xi + xi", (22, 23)),
+], ids=["repeated-term", "term-inside-earlier-term"])
+def test_parse_element_term_span_is_its_own_column(text, cols):
+    # the bad last term also occurs earlier in the text; its span must be
+    # its own position, not the first place its text appears
+    with pytest.raises(DiagramError) as err:
+        parse_element(text, FlagPath(2, (0, 1, 2)))
+    assert "tensor term has 1 factor expressions" in str(err.value)
+    assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)
+
+
+def test_header_digit_limit():
+    for header in ("N = %s\nweight = 0\n", "N = 2\nweight = -%s\n"):
+        text = header % ("9" * 1001) + "domain = E\n"
+        with pytest.raises(DiagramError) as err:
+            parse_diagram(text)
+        assert str(err.value).endswith("has 1001 digits, above the limit 1000")
+    # 1000 digits parse; parity then decides
+    ast = parse_diagram("N = %s\nweight = 1\ndomain = 1\n" % ("9" * 1000))
+    assert ast.N == int("9" * 1000)
+
+
 NINES = "9" * 5000
 
 
