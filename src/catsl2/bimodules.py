@@ -133,10 +133,6 @@ class FlagPath:
         return "(%s)" % body
 
 
-def identity_path(N: int, k: int, shift: int = 0) -> FlagPath:
-    return FlagPath(N, (k,), shift)
-
-
 @dataclass(frozen=True)
 class RawTensor:
     """A formal tensor of per-factor polynomials in canonical generators."""

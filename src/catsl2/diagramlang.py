@@ -64,6 +64,11 @@ class DiagramError(ValueError):
         super().__init__(message)
 
 
+def _echo(text: str) -> str:
+    """Quote input text for an error message, cut to its first 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 class ZeroDiagramWarning(UserWarning):
     pass
 
@@ -182,7 +187,7 @@ def parse_diagram(text: str) -> DiagramAST:
                 word = match.group(0)
                 span = SourceSpan(lineno, match.start() + 1, match.end())
                 if word not in TOKEN_SHAPES:
-                    raise DiagramError("unknown token %r" % word, lineno,
+                    raise DiagramError("unknown token %s" % _echo(word), lineno,
                                        match.start() + 1, match.end())
                 toks.append(LayerToken(word, span))
             layers.append(tuple(toks))
@@ -203,15 +208,15 @@ def parse_diagram(text: str) -> DiagramAST:
                 try:
                     header[key] = int(value)
                 except ValueError:
-                    raise DiagramError("%s must be an integer, got %r"
-                                       % (key, value), lineno) from None
+                    raise DiagramError("%s must be an integer, got %s"
+                                       % (key, _echo(value)), lineno) from None
             else:
                 if not _WORD_TOKEN_RE.match(value):
-                    raise DiagramError("domain must be E/F letters or 1, got %r"
-                                       % value, lineno)
+                    raise DiagramError("domain must be E/F letters or 1, got %s"
+                                       % _echo(value), lineno)
                 header["domain"] = value
             continue
-        raise DiagramError("cannot parse line %r" % line.strip(), lineno)
+        raise DiagramError("cannot parse line %s" % _echo(line.strip()), lineno)
     for key in ("N", "weight", "domain"):
         if key not in header:
             raise DiagramError("missing header %r" % key)
@@ -326,7 +331,7 @@ def _parse_factor(expr: str, offset: int, symbol_of, degree: int, digits: int):
                                start + 1, start + max(1, len(piece)))
         m = _ELEMENT_TOKEN_RE.match(piece)
         if not m:
-            raise DiagramError("cannot parse token %r" % stripped, 1,
+            raise DiagramError("cannot parse token %s" % _echo(stripped), 1,
                                start + 1, start + len(piece))
         span = (1, start + 1, start + len(piece))
         for run in re.findall(r"\d+", piece):
@@ -341,7 +346,7 @@ def _parse_factor(expr: str, offset: int, symbol_of, degree: int, digits: int):
         if m.group("rat"):
             num, _, den = m.group("rat").partition("/")
             if den and int(den) == 0:
-                raise DiagramError("zero denominator in %r" % stripped, *span)
+                raise DiagramError("zero denominator in %s" % _echo(stripped), *span)
             digits += exp * (len(num.strip()) + len(den.strip()))
             if digits > MAX_LITERAL_DIGITS:
                 raise DiagramError("rationals of the tensor term have %d digits, "
@@ -420,7 +425,9 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
         terms.append((sign, text[start:match.start()], start))
         sign, start = match.group(1), match.end()
     terms.append((sign, text[start:], start))
-    if not terms[0][1].strip():
+    if len(terms) > 1 and not terms[0][1].strip():
+        del terms[0]              # a leading sign is the first term's sign
+    if any(not term.strip() for _, term, _ in terms):
         raise DiagramError("dangling sign in element expression", 1, 1, len(text))
     if path.is_zero:
         return BimElement.zero(path)

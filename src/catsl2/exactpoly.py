@@ -430,18 +430,6 @@ def _cached_pow(base: Polynomial, exp: int, _cache={}) -> Polynomial:
     return value
 
 
-def xgen(index: int, weight: int) -> Polynomial:
-    return Polynomial.gen(x_sym(index, weight))
-
-
-def ygen(index: int, weight: int) -> Polynomial:
-    return Polynomial.gen(y_sym(index, weight))
-
-
-def xigen(position: int = 1, exp: int = 1) -> Polynomial:
-    return Polynomial.gen(xi_sym(position), exp)
-
-
 def homogeneous_degree(p: Polynomial):
     """Graded degree of p if homogeneous, ANY_DEGREE for 0, else INHOMOGENEOUS."""
     if not p.terms:

@@ -67,6 +67,11 @@ class GrassContext:
             return Polynomial.zero()
         return Polynomial.gen(y_sym(index, self.n))
 
+    def gens(self, letter: str) -> list[Polynomial]:
+        """1, x[1], ..., x[k] (letter 'x') or 1, y[1], ..., y[N-k] ('y')."""
+        gen, last = (self.x, self.k) if letter == "x" else (self.y, self.N - self.k)
+        return [gen(index) for index in range(last + 1)]
+
     def catalog(self) -> set[VarSymbol]:
         """All generator symbols of this ring."""
         syms = {x_sym(j, self.n) for j in range(1, self.k + 1)}
@@ -259,6 +264,11 @@ def special_class_terms(ctx: GrassContext, family: str, alpha: int,
     return counts[alpha]
 
 
+#: The closed bubble of each orientation sums the generators of one letter
+#: against the special classes of the matching family.
+_BUBBLE_SERIES = {"cw": ("y", "Y"), "ccw": ("x", "X")}
+
+
 def bubble_value(ctx: GrassContext, orientation: str, alpha: int) -> Polynomial:
     """Value of the closed dotted bubble of degree 2*alpha in H_k.
 
@@ -266,20 +276,22 @@ def bubble_value(ctx: GrassContext, orientation: str, alpha: int) -> Polynomial:
     n-1+alpha resp. -n-1+alpha.  The same closed formula covers the formal
     bubbles with negative labels, and alpha < 0 gives 0.
     """
-    if orientation not in ("cw", "ccw"):
+    if orientation not in _BUBBLE_SERIES:
         raise ValueError("orientation must be 'cw' or 'ccw'")
     if alpha < 0:
         return Polynomial.zero()
+    letter, family = _BUBBLE_SERIES[orientation]
     acc = Polynomial.zero()
-    if orientation == "cw":
-        for ell in range(0, ctx.N - ctx.k + 1):
-            acc = acc + ctx.y(ell) * special_class(ctx, "Y", alpha - ell)
-    else:
-        for ell in range(0, ctx.k + 1):
-            acc = acc + ctx.x(ell) * special_class(ctx, "X", alpha - ell)
+    for ell, gen in enumerate(ctx.gens(letter)):
+        acc = acc + gen * special_class(ctx, family, alpha - ell)
     if alpha % 2:
         acc = -acc
     return acc
+
+
+#: Each delta series pairs the generators of one letter with the special
+#: classes of the other family.
+_DELTA_SERIES = {"xY": ("x", "Y"), "Xy": ("y", "X")}
 
 
 def check_series_identity(ctx: GrassContext, which: str, bound: int):
@@ -292,23 +304,16 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
 
     Returns (ok, report); report describes the first failure, else None.
     """
-    if which == "xY":
+    if which in _DELTA_SERIES:
+        letter, family = _DELTA_SERIES[which]
+        gen = getattr(ctx, letter)
         for d in range(0, bound + 1):
             acc = Polynomial.zero()
             for j in range(0, d + 1):
-                acc = acc + ctx.x(j) * special_class(ctx, "Y", d - j)
+                acc = acc + gen(j) * special_class(ctx, family, d - j)
             want = Polynomial.one() if d == 0 else Polynomial.zero()
             if acc != want:
-                return False, "xY failed at degree %d: %s" % (d, acc.render())
-        return True, None
-    if which == "Xy":
-        for d in range(0, bound + 1):
-            acc = Polynomial.zero()
-            for j in range(0, d + 1):
-                acc = acc + ctx.y(j) * special_class(ctx, "X", d - j)
-            want = Polynomial.one() if d == 0 else Polynomial.zero()
-            if acc != want:
-                return False, "Xy failed at degree %d: %s" % (d, acc.render())
+                return False, "%s failed at degree %d: %s" % (which, d, acc.render())
         return True, None
     if which == "bubble_product":
         cw = [bubble_value(ctx, "cw", a) for a in range(0, bound + 1)]

@@ -18,6 +18,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .exactpoly import Polynomial
 from .grassrings import (
@@ -39,7 +40,6 @@ from .bimodules import (
 )
 from .qlaurent import Laurent
 from .twomorphisms import (
-    BimMap,
     audit_degree,
     compose_chain,
     gen_cap,
@@ -48,9 +48,8 @@ from .twomorphisms import (
     gen_dot,
     identity_map,
     junction_mult,
-    left_mult,
+    linear_combination,
     map_equals,
-    right_mult,
     zero_map,
     SignedWord,
     compile_word,
@@ -139,141 +138,122 @@ class VerifyReport:
 class CheckSpec:
     """A named relation check: admissible contexts plus a runner.
 
-    ``contexts(N)`` lists the k values to run (possibly empty), and
-    ``run(N, k, rng)`` returns None on success or a counterexample string.
-    ``empty_reason(N)`` explains a skip when no context is admissible.
+    The check runs at every ring index k from ``lo`` to ``N + hi``, where
+    ``span = (lo, hi)``, as ``run(N, k, rng)``, which returns None on
+    success or a counterexample string.  With no such k it is skipped.
     """
 
-    def __init__(self, name, suite, contexts, run, empty_reason=None):
+    def __init__(self, name, suite, span, run):
         self.name = name
         self.suite = suite
-        self.contexts = contexts
+        self.span = span
         self.run = run
-        self.empty_reason = empty_reason or (lambda N: "no admissible context")
+
+    def contexts(self, N):
+        lo, hi = self.span
+        return list(range(lo, N + hi + 1))
 
 
-def _compare(pairs, rng=None, samples=0):
-    """map_equals over labelled (lhs, rhs) map pairs; None if all equal."""
-    for label, lhs, rhs in pairs:
-        ok, rep = map_equals(lhs, rhs, max_extra_checks=samples, rng=rng)
-        if not ok:
-            return "%s: %s" % (label, rep)
-    return None
+def _compare(label, lhs, rhs, rng, samples):
+    """map_equals on two maps; None if equal, else the labelled report."""
+    ok, rep = map_equals(lhs, rhs, max_extra_checks=samples, rng=rng)
+    return None if ok else "%s: %s" % (label, rep)
 
 
-# --- (a) biadjointness zigzags ---------------------------------------------
+# Most relations come in pairs, exchanged by the E <-> F symmetry of the
+# 2-category (ring k <-> N - k, x[t]@n <-> y[t]@-n on the flag side) or by
+# a reflection.  One runner checks both members of a pair and reads its side
+# from a side-table record, which holds only what differs between the two.
+# The generator formulas of the two sides stay independently written.
 
 
-def _zigzag_maps(N, k, which):
-    if which == "e1":
-        path = FlagPath(N, (k, k + 1))
-        cup = gen_cup(path, 0, "fe")
-        return compose_chain(cup, gen_cap(cup.codomain, 2, "ef")), identity_map(path)
-    if which == "e2":
-        path = FlagPath(N, (k, k + 1))
-        cup = gen_cup(path, 1, "ef")
-        return compose_chain(cup, gen_cap(cup.codomain, 1, "fe")), identity_map(path)
-    if which == "f1":
-        path = FlagPath(N, (k + 1, k))
-        cup = gen_cup(path, 0, "ef")
-        return compose_chain(cup, gen_cap(cup.codomain, 2, "fe")), identity_map(path)
-    path = FlagPath(N, (k + 1, k))
-    cup = gen_cup(path, 1, "fe")
-    return compose_chain(cup, gen_cap(cup.codomain, 1, "ef")), identity_map(path)
+def _strands(N, k, letter, count):
+    """``count`` parallel E strands (letter 'e': rings k up to k + count)
+    or F strands ('f': the same rings downwards)."""
+    rings = tuple(range(k, k + count + 1))
+    return FlagPath(N, rings if letter == "e" else rings[::-1])
 
 
-def _run_zigzag(which):
-    def run(N, k, rng):
-        lhs, rhs = _zigzag_maps(N, k, which)
-        return _compare([("zigzag_" + which, lhs, rhs)], rng, samples=4)
-    return run
+def _cup_cap(path, cup_at, cup_kind, cap_at, cap_kind, *middle):
+    """A cup, the ``middle`` steps (generator, *arguments) on its codomain
+    from bottom to top, then a cap.  Equal steps share one map and its memo."""
+    cup = gen_cup(path, cup_at, cup_kind)
+    maps = {step: step[0](cup.codomain, *step[1:]) for step in set(middle)}
+    return compose_chain(cup, *(maps[step] for step in middle),
+                         gen_cap(cup.codomain, cap_at, cap_kind))
 
 
-# --- (b) dot cyclicity -------------------------------------------------------
+# --- (a) biadjointness zigzags and (b) dot cyclicity ----------------------------
+
+#: Per zigzag (strand letter, then 1 or 2): cup junction and kind, cap
+#: position and kind.
+_ZIGZAGS = {"e1": (0, "fe", 2, "ef"), "e2": (1, "ef", 1, "fe"),
+            "f1": (0, "ef", 2, "fe"), "f2": (1, "fe", 1, "ef")}
 
 
-def _run_dot_cyclic(which):
-    def run(N, k, rng):
-        if which.startswith("e"):
-            path = FlagPath(N, (k, k + 1))
-        else:
-            path = FlagPath(N, (k + 1, k))
-        dot = gen_dot(path, 1)
-        if which == "e1":
-            cup = gen_cup(path, 0, "fe")
-            zig = compose_chain(cup, gen_dot(cup.codomain, 2),
-                                gen_cap(cup.codomain, 2, "ef"))
-        elif which == "e2":
-            cup = gen_cup(path, 1, "ef")
-            zig = compose_chain(cup, gen_dot(cup.codomain, 2),
-                                gen_cap(cup.codomain, 1, "fe"))
-        elif which == "f1":
-            cup = gen_cup(path, 0, "ef")
-            zig = compose_chain(cup, gen_dot(cup.codomain, 2),
-                                gen_cap(cup.codomain, 2, "fe"))
-        else:
-            cup = gen_cup(path, 1, "fe")
-            zig = compose_chain(cup, gen_dot(cup.codomain, 2),
-                                gen_cap(cup.codomain, 1, "ef"))
-        return _compare([("dot_cyclicity_" + which, zig, dot)], rng, samples=4)
-    return run
+def _zigzag(N, k, which, dots=0):
+    return _cup_cap(_strands(N, k, which[0], 1), *_ZIGZAGS[which],
+                    *[(gen_dot, 2)] * dots)
+
+
+def _run_zigzag(dots, which, N, k, rng):
+    """The zigzag is the identity; with a dot on it, the dot on the strand."""
+    zig = _zigzag(N, k, which, dots)
+    straight = gen_dot(zig.domain, 1) if dots else identity_map(zig.domain)
+    label = ("dot_cyclicity_" if dots else "zigzag_") + which
+    return _compare(label, zig, straight, rng, 4)
 
 
 # --- (c) crossing duality ----------------------------------------------------
 
+#: Per side: the two cup junctions and their kind, then the two cap
+#: positions and their kind, around an upward crossing on factor 3.
+_DUALITIES = {"left": ((0, 1), "ef", (4, 3), "fe"),
+              "right": ((2, 3), "fe", (2, 1), "ef")}
 
-def _run_duality(side):
-    def run(N, k, rng):
-        path = FlagPath(N, (k + 2, k + 1, k))
-        target = gen_crossing(path, 1, "down")
-        if side == "left":
-            c1 = gen_cup(path, 0, "ef")
-            c2 = gen_cup(c1.codomain, 1, "ef")
-            cross = gen_crossing(c2.codomain, 3, "up")
-            k1 = gen_cap(cross.codomain, 4, "fe")
-            rot = compose_chain(c1, c2, cross, k1, gen_cap(k1.codomain, 3, "fe"))
-        else:
-            c1 = gen_cup(path, 2, "fe")
-            c2 = gen_cup(c1.codomain, 3, "fe")
-            cross = gen_crossing(c2.codomain, 3, "up")
-            k1 = gen_cap(cross.codomain, 2, "ef")
-            rot = compose_chain(c1, c2, cross, k1, gen_cap(k1.codomain, 1, "ef"))
-        return _compare([("crossing_duality_" + side, rot, target)], rng, samples=2)
-    return run
+
+def _run_duality(side, N, k, rng):
+    (cup1, cup2), cup_kind, (cap1, cap2), cap_kind = _DUALITIES[side]
+    path = FlagPath(N, (k + 2, k + 1, k))
+    target = gen_crossing(path, 1, "down")
+    c1 = gen_cup(path, cup1, cup_kind)
+    c2 = gen_cup(c1.codomain, cup2, cup_kind)
+    cross = gen_crossing(c2.codomain, 3, "up")
+    k1 = gen_cap(cross.codomain, cap1, cap_kind)
+    rot = compose_chain(c1, c2, cross, k1, gen_cap(k1.codomain, cap2, cap_kind))
+    return _compare("crossing_duality_" + side, rot, target, rng, 2)
 
 
 # --- (d) bubbles --------------------------------------------------------------
 
+#: Per orientation: the cup and cap kind, and the sign s of the weight n in
+#: the bubble relations (the degree-zero bubble carries s*n - 1 dots, and
+#: the bubble sums of (f) and (g) run up to -s*n).
+_BUBBLES = {"cw": ("ef", 1), "ccw": ("fe", -1)}
 
-def _bubble_diagram(N, k, orientation, dots):
+
+def _bubble(N, k, orientation, dots):
     """Closed cup-dots-cap composite on the identity bimodule at ring k."""
-    path = FlagPath(N, (k,))
-    cup_kind = "ef" if orientation == "cw" else "fe"
-    cup = gen_cup(path, 0, cup_kind)
-    maps = [cup] + [gen_dot(cup.codomain, 1)] * dots
-    maps.append(gen_cap(cup.codomain, 1, cup_kind))
-    return compose_chain(*maps)
+    kind = _BUBBLES[orientation][0]
+    return _cup_cap(FlagPath(N, (k,)), 0, kind, 1, kind, *[(gen_dot, 1)] * dots)
 
 
-def _run_bubble_diagram(orientation):
-    def run(N, k, rng):
-        n = 2 * k - N
-        ctx = GrassContext(N, k)
-        base = (n - 1) if orientation == "cw" else (-n - 1)
-        for dots in range(0, 2 * N + max(0, base) + 1):
-            alpha = dots - base
-            value = _bubble_diagram(N, k, orientation, dots).apply_vec(())
-            want = bubble_value(ctx, orientation, alpha)
-            if value != BimElement.from_ring_poly(FlagPath(N, (k,)), want):
-                return ("%s bubble with %d dots: diagram %s, formula %s"
-                        % (orientation, dots, value.render(), want.render()))
-        return None
-    return run
+def _run_bubble_diagram(orientation, N, k, rng):
+    ctx = GrassContext(N, k)
+    base = _BUBBLES[orientation][1] * ctx.n - 1
+    for dots in range(0, 2 * N + max(0, base) + 1):
+        alpha = dots - base
+        value = _bubble(N, k, orientation, dots).apply_vec(())
+        want = bubble_value(ctx, orientation, alpha)
+        if value != BimElement.from_ring_poly(FlagPath(N, (k,)), want):
+            return ("%s bubble with %d dots: diagram %s, formula %s"
+                    % (orientation, dots, value.render(), want.render()))
+    return None
 
 
 def _run_bubble_vanishing(N, k, rng):
     ctx = GrassContext(N, k)
-    for orientation in ("cw", "ccw"):
+    for orientation in _BUBBLES:
         for alpha in (-1, -2, -3):
             value = bubble_value(ctx, orientation, alpha)
             if not value.is_zero():
@@ -284,7 +264,7 @@ def _run_bubble_vanishing(N, k, rng):
 
 def _run_bubble_unit(N, k, rng):
     ctx = GrassContext(N, k)
-    for orientation in ("cw", "ccw"):
+    for orientation in _BUBBLES:
         if bubble_value(ctx, orientation, 0) != Polynomial.one():
             return "%s degree-zero bubble is not 1" % orientation
     return None
@@ -292,274 +272,200 @@ def _run_bubble_unit(N, k, rng):
 
 # --- (e) nilHecke --------------------------------------------------------------
 
-
-def _run_crossing_squared(kind):
-    def run(N, k, rng):
-        if kind == "ee":
-            path = FlagPath(N, (k, k + 1, k + 2))
-            cross = gen_crossing(path, 1, "up")
-        else:
-            path = FlagPath(N, (k + 2, k + 1, k))
-            cross = gen_crossing(path, 1, "down")
-        square = compose_chain(cross, cross)
-        return _compare([("crossing_squared_" + kind, square,
-                          zero_map(path, path, -4))], rng, samples=4)
-    return run
+#: Per strand letter (the first letter of the check suffix): the crossing
+#: kind, and the factors of the dots (first, second) in the exchange
+#: relations first.cross - cross.second = id = cross.first - second.cross.
+_NILHECKE = {"e": ("up", 2, 1), "f": ("down", 1, 2)}
 
 
-def _difference(a: BimMap, b: BimMap) -> BimMap:
-    return BimMap(a.domain, a.codomain, a.degree,
-                  lambda vec: a.apply_vec(vec) - b.apply_vec(vec),
-                  name="%s-%s" % (a.name, b.name))
+def _run_crossing_squared(side, N, k, rng):
+    path = _strands(N, k, side[0], 2)
+    cross = gen_crossing(path, 1, _NILHECKE[side[0]][0])
+    return _compare("crossing_squared_" + side, compose_chain(cross, cross),
+                    zero_map(path, path, -4), rng, 4)
 
 
-def _run_exchange(kind):
-    def run(N, k, rng):
-        if kind == "ee":
-            path = FlagPath(N, (k, k + 1, k + 2))
-            cross = gen_crossing(path, 1, "up")
-            first, second = gen_dot(path, 2), gen_dot(path, 1)
-        else:
-            path = FlagPath(N, (k + 2, k + 1, k))
-            cross = gen_crossing(path, 1, "down")
-            first, second = gen_dot(path, 1), gen_dot(path, 2)
-        ident = identity_map(path)
-        one = _difference(compose_chain(first, cross), compose_chain(cross, second))
-        two = _difference(compose_chain(cross, first), compose_chain(second, cross))
-        return _compare([("exchange_%s_a" % kind, one, ident),
-                         ("exchange_%s_b" % kind, two, ident)], rng, samples=4)
-    return run
+def _run_exchange(side, N, k, rng):
+    kind, first_at, second_at = _NILHECKE[side[0]]
+    path = _strands(N, k, side[0], 2)
+    cross = gen_crossing(path, 1, kind)
+    first, second = gen_dot(path, first_at), gen_dot(path, second_at)
+    ident = identity_map(path)
+    one = linear_combination(path, path, 0, "exchange_a",
+                             [(1, compose_chain(first, cross)),
+                              (-1, compose_chain(cross, second))])
+    two = linear_combination(path, path, 0, "exchange_b",
+                             [(1, compose_chain(cross, first)),
+                              (-1, compose_chain(second, cross))])
+    return (_compare("exchange_%s_a" % side, one, ident, rng, 4)
+            or _compare("exchange_%s_b" % side, two, ident, rng, 4))
 
 
-def _run_braid(kind):
-    def run(N, k, rng):
-        if kind == "eee":
-            path = FlagPath(N, (k, k + 1, k + 2, k + 3))
-            u1 = gen_crossing(path, 1, "up")
-            u2 = gen_crossing(path, 2, "up")
-        else:
-            path = FlagPath(N, (k + 3, k + 2, k + 1, k))
-            u1 = gen_crossing(path, 1, "down")
-            u2 = gen_crossing(path, 2, "down")
-        lhs = compose_chain(u1, u2, u1)
-        rhs = compose_chain(u2, u1, u2)
-        return _compare([("braid_" + kind, lhs, rhs)], rng, samples=2)
-    return run
+def _run_braid(side, N, k, rng):
+    path = _strands(N, k, side[0], 3)
+    kind = _NILHECKE[side[0]][0]
+    u1, u2 = gen_crossing(path, 1, kind), gen_crossing(path, 2, kind)
+    return _compare("braid_" + side, compose_chain(u1, u2, u1),
+                    compose_chain(u2, u1, u2), rng, 2)
 
 
 # --- (f) reduction to bubbles ---------------------------------------------------
 
+#: Per relation, on the strand path (k, k+1): the curl's cup junction and
+#: kind (its cap has the same kind), crossing position and cap position;
+#: the junction and orientation of the bubbles, and the sign of their sum.
+_REDUCTIONS = {"1": (0, "ef", 2, 1, 0, "cw", -1),
+               "2": (1, "fe", 1, 2, 1, "ccw", 1)}
 
-def _run_reduction_one(N, k, rng):
-    n = 2 * k - N
+
+def _run_reduction(which, N, k, rng):
+    cup_at, kind, cross_at, cap_at, g, orientation, sign = _REDUCTIONS[which]
     path = FlagPath(N, (k, k + 1))
-    cup = gen_cup(path, 0, "ef")
-    curl = compose_chain(cup, gen_crossing(cup.codomain, 2, "up"),
-                         gen_cap(cup.codomain, 1, "ef"))
-    ctx = GrassContext(N, k)
+    curl = _cup_cap(path, cup_at, kind, cap_at, kind, (gen_crossing, cross_at, "up"))
+    ctx = path.junction(g)
+    bound = -_BUBBLES[orientation][1] * ctx.n
     dot = gen_dot(path, 1)
-    terms = [compose_chain(*[dot] * (-n - ell),
-                           left_mult(path, bubble_value(ctx, "cw", ell)))
-             for ell in range(0, -n + 1)]
-
-    def rhs_fn(vec):
-        acc = BimElement.zero(path)
-        for term in terms:
-            acc = acc + term.apply_vec(vec)
-        return -acc
-
-    rhs = BimMap(path, path, -2 * n, rhs_fn, name="bubble_sum")
-    return _compare([("reduction_to_bubbles_1", curl, rhs)], rng, samples=4)
-
-
-def _run_reduction_two(N, k, rng):
-    m = 2 * (k + 1) - N
-    path = FlagPath(N, (k, k + 1))
-    cup = gen_cup(path, 1, "fe")
-    curl = compose_chain(cup, gen_crossing(cup.codomain, 1, "up"),
-                         gen_cap(cup.codomain, 2, "fe"))
-    ctx = GrassContext(N, k + 1)
-    dot = gen_dot(path, 1)
-    terms = [compose_chain(right_mult(path, bubble_value(ctx, "ccw", j)),
-                           *[dot] * (m - j))
-             for j in range(0, m + 1)]
-
-    def rhs_fn(vec):
-        acc = BimElement.zero(path)
-        for term in terms:
-            acc = acc + term.apply_vec(vec)
-        return acc
-
-    rhs = BimMap(path, path, 2 * m, rhs_fn, name="bubble_sum")
-    return _compare([("reduction_to_bubbles_2", curl, rhs)], rng, samples=4)
+    terms = []
+    for j in range(0, bound + 1):
+        bubble = junction_mult(path, g, bubble_value(ctx, orientation, j))
+        dots = [dot] * (bound - j)
+        # as displayed: the left bubble above the dots, the right one below
+        chain = (*dots, bubble) if g == 0 else (bubble, *dots)
+        terms.append((sign, compose_chain(*chain)))
+    rhs = linear_combination(path, path, 2 * bound, "bubble_sum", terms)
+    return _compare("reduction_to_bubbles_" + which, curl, rhs, rng, 4)
 
 
 # --- (g) identity decomposition ---------------------------------------------------
 
+#: Per side (the kind of every cup and cap): the outer rings' offset from
+#: k, the kinds of the crossings on factors 1 and 3, the bubble
+#: orientation, and the span of k.
+_DECOMPOSITIONS = {"fe": (-1, ("up", "down"), "ccw", (1, 0)),
+                   "ef": (1, ("down", "up"), "cw", (0, -1))}
 
-def _run_identity_decomposition(orientation):
-    def run(N, k, rng):
-        n = 2 * k - N
-        ctx = GrassContext(N, k)
-        if orientation == "fe":
-            path = FlagPath(N, (k - 1, k, k - 1))
-            cap = gen_cap(path, 1, "fe")
-            lhs = compose_chain(cap, gen_cup(cap.codomain, 0, "fe"))
-            mid_cup = gen_cup(path, 1, "fe")
-            mid = compose_chain(mid_cup,
-                                gen_crossing(mid_cup.codomain, 1, "up"),
-                                gen_crossing(mid_cup.codomain, 3, "down"),
-                                gen_cap(mid_cup.codomain, 2, "fe"))
-            bubble_orientation, bound = "ccw", n
-        else:
-            path = FlagPath(N, (k + 1, k, k + 1))
-            cap = gen_cap(path, 1, "ef")
-            lhs = compose_chain(cap, gen_cup(cap.codomain, 0, "ef"))
-            mid_cup = gen_cup(path, 1, "ef")
-            mid = compose_chain(mid_cup,
-                                gen_crossing(mid_cup.codomain, 1, "down"),
-                                gen_crossing(mid_cup.codomain, 3, "up"),
-                                gen_cap(mid_cup.codomain, 2, "ef"))
-            bubble_orientation, bound = "cw", -n
 
-        dot1, dot2 = gen_dot(path, 1), gen_dot(path, 2)
-        terms = [compose_chain(*[dot1] * (ell - j), *[dot2] * (bound - 1 - ell),
+def _run_identity_decomposition(kind, N, k, rng):
+    offset, (cross1, cross3), orientation, _ = _DECOMPOSITIONS[kind]
+    ctx = GrassContext(N, k)
+    path = FlagPath(N, (k + offset, k, k + offset))
+    cap = gen_cap(path, 1, kind)
+    lhs = compose_chain(cap, gen_cup(cap.codomain, 0, kind))
+    mid = _cup_cap(path, 1, kind, 2, kind,
+                   (gen_crossing, 1, cross1), (gen_crossing, 3, cross3))
+    bound = -_BUBBLES[orientation][1] * ctx.n
+    dot1, dot2 = gen_dot(path, 1), gen_dot(path, 2)
+    terms = [(1, compose_chain(*[dot1] * (ell - j), *[dot2] * (bound - 1 - ell),
                                junction_mult(path, 1, bubble_value(
-                                   ctx, bubble_orientation, j)))
-                 for ell in range(0, bound) for j in range(0, ell + 1)]
-
-        def rhs_fn(vec):
-            acc = -mid.apply_vec(vec)
-            for term in terms:
-                acc = acc + term.apply_vec(vec)
-            return acc
-
-        rhs = BimMap(path, path, 0, rhs_fn, name="decomposition_sum")
-        return _compare([("identity_decomposition_" + orientation, lhs, rhs)],
-                        rng, samples=4)
-    return run
+                                   ctx, orientation, j))))
+             for ell in range(0, bound) for j in range(0, ell + 1)]
+    rhs = linear_combination(path, path, 0, "decomposition_sum",
+                             [(-1, mid)] + terms)
+    return _compare("identity_decomposition_" + kind, lhs, rhs, rng, 4)
 
 
 # --- (h) ring identity batteries ----------------------------------------------------
 
 
-def _run_series_delta(which):
-    def run(N, k, rng):
-        ok, report = check_series_identity(GrassContext(N, k), which, 2 * N)
-        return None if ok else report
-    return run
-
-
-def _run_bubble_series(N, k, rng):
-    ok, report = check_series_identity(GrassContext(N, k), "bubble_product", 2 * N)
+def _run_series(which, N, k, rng):
+    ok, report = check_series_identity(GrassContext(N, k), which, 2 * N)
     return None if ok else report
 
 
-def _step_special(ring: StepRing, family: str, alpha: int, end: str) -> Polynomial:
-    """A special class of an end ring written in one-step canonical form."""
+#: Per special-class family (check suffix x: X, from the y's; y: Y, from
+#: the x's): the end ring of the slid class and of the classes it slides
+#: to, and the class or generator from the lower and from the upper end in
+#: each term of the xi expansion.
+_RING_SIDES = {"x": ("lower", "upper", "X", "y"),
+               "y": ("upper", "lower", "x", "Y")}
+
+
+def _step_class(ring: StepRing, name: str, index: int, end: str) -> Polynomial:
+    """Special class X/Y or generator x/y of an end ring, in one-step form."""
     ctx = ring.lower if end == "lower" else ring.upper
-    return ring.embed_ring_poly(special_class(ctx, family, alpha), end)
+    if name in ("X", "Y"):
+        poly = special_class(ctx, name, index)
+    else:
+        poly = getattr(ctx, name)(index)
+    return ring.embed_ring_poly(poly, end)
 
 
-def _run_class_slide(family):
-    def run(N, k, rng):
-        ring = StepRing(N, k)
-        for alpha in range(0, 2 * N + 3):
-            if family == "X":
-                lhs = _step_special(ring, "X", alpha, "lower")
-                rhs = Polynomial.zero()
-                for ell in range(0, alpha + 1):
-                    term = _step_special(ring, "X", alpha - ell, "upper") * ring.xi(ell)
-                    rhs = rhs + (term if ell % 2 == 0 else -term)
-            else:
-                lhs = _step_special(ring, "Y", alpha, "upper")
-                rhs = Polynomial.zero()
-                for ell in range(0, alpha + 1):
-                    term = _step_special(ring, "Y", alpha - ell, "lower") * ring.xi(ell)
-                    rhs = rhs + (term if ell % 2 == 0 else -term)
-            if lhs != rhs:
-                return ("slide of %s_%d: %s vs %s"
-                        % (family, alpha, lhs.render(), rhs.render()))
-        return None
-    return run
-
-
-def _run_xi_expansion(family):
-    def run(N, k, rng):
-        ring = StepRing(N, k)
-        for alpha in range(0, 2 * N + 3):
-            acc = Polynomial.zero()
-            for j in range(0, alpha + 1):
-                if family == "X":
-                    acc = acc + (_step_special(ring, "X", alpha - j, "lower")
-                                 * ring.embed_ring_poly(ring.upper.y(j), "upper"))
-                else:
-                    acc = acc + (ring.embed_ring_poly(ring.lower.x(alpha - j), "lower")
-                                 * _step_special(ring, "Y", j, "upper"))
-            if alpha % 2:
-                acc = -acc
-            if acc != ring.xi(alpha):
-                return ("xi^%d expansion via %s: got %s"
-                        % (alpha, family, acc.render()))
-        return None
-    return run
-
-
-def _run_two_sided_sum(family):
-    def run(N, k, rng):
-        if family == "x":
-            path = FlagPath(N, (k, k + 1, k))
-            gen = GrassContext(N, k).x
-        else:
-            path = FlagPath(N, (k, k - 1, k))
-            gen = GrassContext(N, k).y
-        for alpha in range(0, 2 * N + 1):
-            lhs = BimElement.zero(path)
-            rhs = BimElement.zero(path)
-            for j in range(0, alpha + 1):
-                coeff = gen(j)
-                if coeff.is_zero():
-                    continue
-                sign = 1 if j % 2 == 0 else -1
-                left = normalize(RawTensor(path, (coeff, ring_xi(path, 2, alpha - j))))
-                right = normalize(RawTensor(path, (ring_xi(path, 1, alpha - j), coeff)))
-                lhs = lhs + left.scale(sign)
-                rhs = rhs + right.scale(sign)
-            if lhs != rhs:
-                return ("two-sided %s sum at alpha=%d: %s vs %s"
-                        % (family, alpha, lhs.render(), rhs.render()))
-        return None
-    return run
-
-
-def ring_xi(path: FlagPath, position: int, exp: int) -> Polynomial:
-    return path.step_ring(position).xi(exp)
-
-
-def _run_dot_slide(family):
-    def run(N, k, rng):
-        if family == "x":
-            path = FlagPath(N, (k, k + 1, k))
-            gen, top = GrassContext(N, k).x, k
-        else:
-            path = FlagPath(N, (k, k - 1, k))
-            gen, top = GrassContext(N, k).y, N - k
-        lhs = BimElement.zero(path)
-        rhs = BimElement.zero(path)
-        for ell in range(0, top + 1):
-            sign = 1 if ell % 2 == 0 else -1
-            left = normalize(RawTensor(
-                path, (ring_xi(path, 1, top - ell + 1), gen(ell))))
-            right = normalize(RawTensor(
-                path, (ring_xi(path, 1, top - ell),
-                       gen(ell) * ring_xi(path, 2, 1))))
-            lhs = lhs + left.scale(sign)
-            rhs = rhs + right.scale(sign)
+def _run_class_slide(side, N, k, rng):
+    family, (slid_end, other_end) = side.upper(), _RING_SIDES[side][:2]
+    ring = StepRing(N, k)
+    for alpha in range(0, 2 * N + 3):
+        lhs = _step_class(ring, family, alpha, slid_end)
+        rhs = Polynomial.zero()
+        for ell in range(0, alpha + 1):
+            term = _step_class(ring, family, alpha - ell, other_end) * ring.xi(ell)
+            rhs = rhs + (term if ell % 2 == 0 else -term)
         if lhs != rhs:
-            return ("dot slide (%s): %s vs %s"
-                    % (family, lhs.render(), rhs.render()))
-        return None
-    return run
+            return ("slide of %s_%d: %s vs %s"
+                    % (family, alpha, lhs.render(), rhs.render()))
+    return None
+
+
+def _run_xi_expansion(side, N, k, rng):
+    lower, upper = _RING_SIDES[side][2:]
+    ring = StepRing(N, k)
+    for alpha in range(0, 2 * N + 3):
+        acc = Polynomial.zero()
+        for j in range(0, alpha + 1):
+            acc = acc + (_step_class(ring, lower, alpha - j, "lower")
+                         * _step_class(ring, upper, j, "upper"))
+        if alpha % 2:
+            acc = -acc
+        if acc != ring.xi(alpha):
+            return ("xi^%d expansion via %s: got %s"
+                    % (alpha, side.upper(), acc.render()))
+    return None
+
+
+#: Per generator letter of ring k: the step to the excursion's middle ring,
+#: and the span of k.
+_EXCURSIONS = {"x": (1, (0, -1)), "y": (-1, (1, 0))}
+
+
+def _excursion(N, k, letter):
+    """The excursion path of a letter, ring k's generators 1, letter[1], ...
+    of that letter, and the xi of each of the two factors."""
+    path = FlagPath(N, (k, k + _EXCURSIONS[letter][0], k))
+    return (path, GrassContext(N, k).gens(letter),
+            path.step_ring(1).xi, path.step_ring(2).xi)
+
+
+def _alternating_sums(path, pairs):
+    """Over the t-th pair of factor tuples (left, right), the sums of
+    (-1)^t times the normal forms of the lefts and of the rights."""
+    lhs = rhs = BimElement.zero(path)
+    for t, (left, right) in enumerate(pairs):
+        sign = 1 if t % 2 == 0 else -1
+        lhs = lhs + normalize(RawTensor(path, left)).scale(sign)
+        rhs = rhs + normalize(RawTensor(path, right)).scale(sign)
+    return lhs, rhs
+
+
+def _run_two_sided_sum(letter, N, k, rng):
+    path, gens, xi1, xi2 = _excursion(N, k, letter)
+    for alpha in range(0, 2 * N + 1):
+        lhs, rhs = _alternating_sums(path, [((c, xi2(alpha - j)), (xi1(alpha - j), c))
+                                            for j, c in enumerate(gens[:alpha + 1])])
+        if lhs != rhs:
+            return ("two-sided %s sum at alpha=%d: %s vs %s"
+                    % (letter, alpha, lhs.render(), rhs.render()))
+    return None
+
+
+def _run_dot_slide(letter, N, k, rng):
+    path, gens, xi1, xi2 = _excursion(N, k, letter)
+    top = len(gens) - 1
+    lhs, rhs = _alternating_sums(path, [((xi1(top - ell + 1), g),
+                                         (xi1(top - ell), g * xi2(1)))
+                                        for ell, g in enumerate(gens)])
+    if lhs != rhs:
+        return ("dot slide (%s): %s vs %s"
+                % (letter, lhs.render(), rhs.render()))
+    return None
 
 
 # --- (i) degree audit -----------------------------------------------------------------
@@ -569,21 +475,17 @@ def _context_generators(N, k):
     """Every generator map constructible at ring index k."""
     gens = []
     if k < N:
-        up = FlagPath(N, (k, k + 1))
-        gens.append(gen_dot(up, 1))
-        gens.append(gen_cup(up.with_shift(0), 0, "fe"))
-        down = FlagPath(N, (k + 1, k))
-        gens.append(gen_dot(down, 1))
-        fe_excursion = FlagPath(N, (k, k + 1, k), shift=1 - N)
-        gens.append(gen_cap(fe_excursion, 1, "fe"))
-    if k > 0:
-        ef_excursion = FlagPath(N, (k, k - 1, k), shift=1 - N)
-        gens.append(gen_cap(ef_excursion, 1, "ef"))
-    gens.append(gen_cup(FlagPath(N, (k,)), 0, "fe"))
-    gens.append(gen_cup(FlagPath(N, (k,)), 0, "ef"))
+        up, down = _strands(N, k, "e", 1), _strands(N, k, "f", 1)
+        gens += [gen_dot(up, 1), gen_cup(up, 0, "fe"), gen_dot(down, 1)]
+    # the cap closing the excursion of each letter: up-down (fe), down-up (ef)
+    for letter, kind in (("x", "fe"), ("y", "ef")):
+        step, (lo, hi) = _EXCURSIONS[letter]
+        if lo <= k <= N + hi:
+            gens.append(gen_cap(FlagPath(N, (k, k + step, k), shift=1 - N), 1, kind))
+    gens += [gen_cup(FlagPath(N, (k,)), 0, kind) for kind in ("fe", "ef")]
     if k + 2 <= N:
-        gens.append(gen_crossing(FlagPath(N, (k, k + 1, k + 2)), 1, "up"))
-        gens.append(gen_crossing(FlagPath(N, (k + 2, k + 1, k)), 1, "down"))
+        gens += [gen_crossing(_strands(N, k, letter, 2), 1, kind)
+                 for letter, kind in (("e", "up"), ("f", "down"))]
     return gens
 
 
@@ -604,9 +506,8 @@ def _run_degree_audit(N, k, rng):
     # composite suite diagrams must also measure at their declared degree
     composites = []
     if k < N:
-        for which in ("e1", "e2", "f1", "f2"):
-            composites.append(_zigzag_maps(N, k, which)[0])
-        composites.append(_bubble_diagram(N, k, "cw", max(0, n - 1) + 1))
+        composites.extend(_zigzag(N, k, which) for which in _ZIGZAGS)
+        composites.append(_bubble(N, k, "cw", max(0, n - 1) + 1))
     if k < N - 1:
         path = FlagPath(N, (k, k + 1, k + 2))
         cross = gen_crossing(path, 1, "up")
@@ -654,12 +555,7 @@ def _run_well_definedness(N, k, rng):
 
 
 def _run_non_nilpotency(N, k, rng):
-    paths = []
-    if k < N:
-        paths.append(FlagPath(N, (k, k + 1)))
-    if k > 0:
-        paths.append(FlagPath(N, (k, k - 1)))
-    for path in paths:
+    for path in [FlagPath(N, (k, k + step)) for step in (1, -1) if 0 <= k + step <= N]:
         for power in range(1, 4 * N + 1):
             if normalize_xi_vector(path, (power,)).is_zero():
                 return ("dot^%d vanishes on the unit of %s"
@@ -696,64 +592,44 @@ def _run_k0_shadow(N, k, rng):
 # ---------------------------------------------------------------------------
 
 
-def _ks(lo_off, hi_off):
-    return lambda N: list(range(lo_off, N + hi_off + 1))
+def _pair(stem, suite, sides, run, span):
+    """The checks of one mirrored relation: one per side, named stem + side,
+    running run(side, N, k, rng)."""
+    return [CheckSpec(stem + side, suite, span, partial(run, side)) for side in sides]
 
 
 _CHECKS = [
-    CheckSpec("biadjointness_zigzag_e1", "biadjointness", _ks(0, -1), _run_zigzag("e1")),
-    CheckSpec("biadjointness_zigzag_e2", "biadjointness", _ks(0, -1), _run_zigzag("e2")),
-    CheckSpec("biadjointness_zigzag_f1", "biadjointness", _ks(0, -1), _run_zigzag("f1")),
-    CheckSpec("biadjointness_zigzag_f2", "biadjointness", _ks(0, -1), _run_zigzag("f2")),
-    CheckSpec("dot_cyclicity_e1", "dot_cyclicity", _ks(0, -1), _run_dot_cyclic("e1")),
-    CheckSpec("dot_cyclicity_e2", "dot_cyclicity", _ks(0, -1), _run_dot_cyclic("e2")),
-    CheckSpec("dot_cyclicity_f1", "dot_cyclicity", _ks(0, -1), _run_dot_cyclic("f1")),
-    CheckSpec("dot_cyclicity_f2", "dot_cyclicity", _ks(0, -1), _run_dot_cyclic("f2")),
-    CheckSpec("crossing_duality_left", "crossing_duality", _ks(0, -2),
-              _run_duality("left"),
-              lambda N: "requires N >= 2"),
-    CheckSpec("crossing_duality_right", "crossing_duality", _ks(0, -2),
-              _run_duality("right"),
-              lambda N: "requires N >= 2"),
-    CheckSpec("bubble_diagram_cw", "bubbles", _ks(0, 0), _run_bubble_diagram("cw")),
-    CheckSpec("bubble_diagram_ccw", "bubbles", _ks(0, 0), _run_bubble_diagram("ccw")),
-    CheckSpec("bubble_vanishing", "bubbles", _ks(0, 0), _run_bubble_vanishing),
-    CheckSpec("bubble_unit", "bubbles", _ks(0, 0), _run_bubble_unit),
-    CheckSpec("nilhecke_crossing_squared_ee", "nilhecke", _ks(0, -2),
-              _run_crossing_squared("ee"), lambda N: "requires N >= 2"),
-    CheckSpec("nilhecke_crossing_squared_ff", "nilhecke", _ks(0, -2),
-              _run_crossing_squared("ff"), lambda N: "requires N >= 2"),
-    CheckSpec("nilhecke_exchange_ee", "nilhecke", _ks(0, -2),
-              _run_exchange("ee"), lambda N: "requires N >= 2"),
-    CheckSpec("nilhecke_exchange_ff", "nilhecke", _ks(0, -2),
-              _run_exchange("ff"), lambda N: "requires N >= 2"),
-    CheckSpec("nilhecke_braid_eee", "nilhecke", _ks(0, -3),
-              _run_braid("eee"), lambda N: "requires N >= 3"),
-    CheckSpec("nilhecke_braid_fff", "nilhecke", _ks(0, -3),
-              _run_braid("fff"), lambda N: "requires N >= 3"),
-    CheckSpec("reduction_to_bubbles_1", "reduction_to_bubbles", _ks(0, -1),
-              _run_reduction_one),
-    CheckSpec("reduction_to_bubbles_2", "reduction_to_bubbles", _ks(0, -1),
-              _run_reduction_two),
-    CheckSpec("identity_decomposition_fe", "identity_decomposition", _ks(1, 0),
-              _run_identity_decomposition("fe")),
-    CheckSpec("identity_decomposition_ef", "identity_decomposition", _ks(0, -1),
-              _run_identity_decomposition("ef")),
-    CheckSpec("series_delta_xY", "ring_identities", _ks(0, 0), _run_series_delta("xY")),
-    CheckSpec("series_delta_Xy", "ring_identities", _ks(0, 0), _run_series_delta("Xy")),
-    CheckSpec("bubble_series_product", "ring_identities", _ks(0, 0), _run_bubble_series),
-    CheckSpec("class_slide_x", "ring_identities", _ks(0, -1), _run_class_slide("X")),
-    CheckSpec("class_slide_y", "ring_identities", _ks(0, -1), _run_class_slide("Y")),
-    CheckSpec("xi_expansion_x", "ring_identities", _ks(0, -1), _run_xi_expansion("X")),
-    CheckSpec("xi_expansion_y", "ring_identities", _ks(0, -1), _run_xi_expansion("Y")),
-    CheckSpec("two_sided_sum_x", "ring_identities", _ks(0, -1), _run_two_sided_sum("x")),
-    CheckSpec("two_sided_sum_y", "ring_identities", _ks(1, 0), _run_two_sided_sum("y")),
-    CheckSpec("dot_slide_x", "ring_identities", _ks(0, -1), _run_dot_slide("x")),
-    CheckSpec("dot_slide_y", "ring_identities", _ks(1, 0), _run_dot_slide("y")),
-    CheckSpec("degree_audit", "degree_audit", _ks(0, 0), _run_degree_audit),
-    CheckSpec("well_definedness", "well_definedness", _ks(0, 0), _run_well_definedness),
-    CheckSpec("non_nilpotency", "non_nilpotency", _ks(0, 0), _run_non_nilpotency),
-    CheckSpec("k0_shadow", "k0_shadow", _ks(0, 0), _run_k0_shadow),
+    *_pair("biadjointness_zigzag_", "biadjointness", _ZIGZAGS, partial(_run_zigzag, 0),
+           (0, -1)),
+    *_pair("dot_cyclicity_", "dot_cyclicity", _ZIGZAGS, partial(_run_zigzag, 1),
+           (0, -1)),
+    *_pair("crossing_duality_", "crossing_duality", _DUALITIES, _run_duality, (0, -2)),
+    *_pair("bubble_diagram_", "bubbles", _BUBBLES, _run_bubble_diagram, (0, 0)),
+    CheckSpec("bubble_vanishing", "bubbles", (0, 0), _run_bubble_vanishing),
+    CheckSpec("bubble_unit", "bubbles", (0, 0), _run_bubble_unit),
+    *_pair("nilhecke_crossing_squared_", "nilhecke", ("ee", "ff"),
+           _run_crossing_squared, (0, -2)),
+    *_pair("nilhecke_exchange_", "nilhecke", ("ee", "ff"), _run_exchange, (0, -2)),
+    *_pair("nilhecke_braid_", "nilhecke", ("eee", "fff"), _run_braid, (0, -3)),
+    *_pair("reduction_to_bubbles_", "reduction_to_bubbles", _REDUCTIONS, _run_reduction,
+           (0, -1)),
+    *(CheckSpec("identity_decomposition_" + kind, "identity_decomposition",
+                _DECOMPOSITIONS[kind][-1], partial(_run_identity_decomposition, kind))
+      for kind in _DECOMPOSITIONS),
+    *_pair("series_delta_", "ring_identities", ("xY", "Xy"), _run_series, (0, 0)),
+    CheckSpec("bubble_series_product", "ring_identities", (0, 0),
+              partial(_run_series, "bubble_product")),
+    *_pair("class_slide_", "ring_identities", _RING_SIDES, _run_class_slide, (0, -1)),
+    *_pair("xi_expansion_", "ring_identities", _RING_SIDES, _run_xi_expansion, (0, -1)),
+    *(CheckSpec(stem + letter, "ring_identities", _EXCURSIONS[letter][1],
+                partial(run, letter))
+      for stem, run in (("two_sided_sum_", _run_two_sided_sum),
+                        ("dot_slide_", _run_dot_slide))
+      for letter in _EXCURSIONS),
+    CheckSpec("degree_audit", "degree_audit", (0, 0), _run_degree_audit),
+    CheckSpec("well_definedness", "well_definedness", (0, 0), _run_well_definedness),
+    CheckSpec("non_nilpotency", "non_nilpotency", (0, 0), _run_non_nilpotency),
+    CheckSpec("k0_shadow", "k0_shadow", (0, 0), _run_k0_shadow),
 ]
 
 SUITE_ORDER = (
@@ -836,8 +712,9 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
             continue
         ks = spec.contexts(N)
         if not ks:
+            lo, hi = spec.span
             report.results.append(CheckResult(
-                spec.name, N, None, "skipped", reason=spec.empty_reason(N)))
+                spec.name, N, None, "skipped", reason="requires N >= %d" % (lo - hi)))
             continue
         for k in ks:
             rng = random.Random("%s:%d:%d" % (spec.name, N, k))

@@ -111,6 +111,25 @@ def compose_vertical(f: BimMap, g: BimMap) -> BimMap:
                   name="%s.%s" % (f.name, g.name))
 
 
+def linear_combination(domain: FlagPath, codomain: FlagPath, degree: int,
+                       name: str, terms) -> BimMap:
+    """The sum of sign * f over the (sign, f) terms, each domain -> codomain.
+
+    The degree is given, not read off the terms: a term that is the zero
+    map, such as multiplication by a vanishing bubble, has degree 0.
+    """
+    terms = list(terms)
+
+    def fn(vec):
+        acc = BimElement.zero(codomain)
+        for sign, f in terms:
+            image = f.apply_vec(vec)
+            acc = acc + (image if sign == 1 else image.scale(sign))
+        return acc
+
+    return BimMap(domain, codomain, degree, fn, name=name)
+
+
 def compose_chain(*maps: BimMap) -> BimMap:
     """Compose bottom to top: compose_chain(g1, g2, g3) = g3 . g2 . g1."""
     if not maps:
@@ -279,10 +298,6 @@ def junction_mult(path: FlagPath, junction: int, poly: Polynomial,
         return inject_at_junction(path, junction, poly, vec)
 
     return BimMap(path, path, deg, fn, name=name or "mult@%d" % junction)
-
-
-def left_mult(path: FlagPath, poly: Polynomial) -> BimMap:
-    return junction_mult(path, 0, poly, name="lmult")
 
 
 def right_mult(path: FlagPath, poly: Polynomial) -> BimMap:

@@ -2,13 +2,45 @@
 
 import random
 
-from catsl2.exactpoly import KIND_XI, Polynomial
+from catsl2.exactpoly import KIND_X, KIND_XI, KIND_Y, Polynomial, x_sym, xi_sym, y_sym
 from catsl2.bimodules import (
     FlagPath,
     RawTensor,
     normalize,
     rewrite_measure,
 )
+
+
+def xgen(index, weight):
+    return Polynomial.gen(x_sym(index, weight))
+
+
+def ygen(index, weight):
+    return Polynomial.gen(y_sym(index, weight))
+
+
+def xigen(position=1, exp=1):
+    return Polynomial.gen(xi_sym(position), exp)
+
+
+def identity_path(N, k, shift=0):
+    return FlagPath(N, (k,), shift)
+
+
+# The symmetry omega of the flag side (Grassmannian duality, the E <-> F
+# symmetry on the diagram side): ring k becomes N - k, so up- and down-steps
+# swap and every factor keeps its xi bound, and x[t]@n <-> y[t]@-n with every
+# xi fixed.  It is an oracle for the rewriting, which never uses it.
+
+
+def omega_path(path):
+    return FlagPath(path.N, tuple(path.N - r for r in path.rings), path.shift)
+
+
+def omega_poly(poly):
+    swap = {KIND_X: y_sym, KIND_Y: x_sym}
+    return poly.substitute({sym: Polynomial.gen(swap[sym.kind](sym.index, -sym.weight))
+                            for sym in poly.symbols() if sym.kind in swap})
 
 
 def all_paths(N, max_steps):

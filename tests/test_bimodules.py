@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from catsl2.exactpoly import Polynomial, x_sym, xgen, xi_sym, xigen, y_sym, ygen
+from catsl2.exactpoly import Polynomial, x_sym, xi_sym, y_sym
 from catsl2.grassrings import GrassContext, StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.bimodules import (
@@ -15,14 +15,22 @@ from catsl2.bimodules import (
     act,
     basis,
     graded_rank,
-    identity_path,
     inject_at_junction,
     normalize,
     normalize_xi_vector,
     tensor,
 )
 
-from helpers import all_paths, random_raw_tensor
+from helpers import (
+    all_paths,
+    identity_path,
+    omega_path,
+    omega_poly,
+    random_raw_tensor,
+    xgen,
+    xigen,
+    ygen,
+)
 
 
 def test_path_validation():
@@ -547,3 +555,22 @@ def test_sums_hold_no_zero_coefficients():
         total = total + e
         assert all(coeff for coeff in total.terms.values())
     assert total == sum(elements[3:], BimElement.zero(path))
+
+
+def test_omega_commutes_with_normalize_and_keeps_graded_rank():
+    # rewriting the omega image of a tensor gives the omega image of its
+    # normal form: a check of the up-step and down-step formulas against
+    # each other, as they are written independently
+    for N in (1, 2, 3):
+        for path in all_paths(N, 3):
+            mirror = omega_path(path)
+            assert graded_rank(mirror) == graded_rank(path)
+            rng = random.Random("omega:%d:%s" % (N, path.rings))
+            for _ in range(10):
+                raw = random_raw_tensor(path, rng)
+                image = normalize(raw)
+                want = BimElement(mirror, {vec: omega_poly(coeff)
+                                           for vec, coeff in image.terms.items()})
+                got = normalize(RawTensor(mirror, tuple(omega_poly(f)
+                                                        for f in raw.factors)))
+                assert got == want, (path.render(), raw.factors)

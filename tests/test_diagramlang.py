@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from catsl2.exactpoly import Polynomial, ygen
+from catsl2.exactpoly import Polynomial
 from catsl2.grassrings import GrassContext, bubble_value
 from catsl2.bimodules import BimElement, FlagPath
 from catsl2.twomorphisms import (
@@ -28,6 +28,7 @@ from catsl2.diagramlang import (
     render_diagram,
     _layer_map,
 )
+from helpers import ygen
 
 DIAGRAM_DIR = Path(__file__).resolve().parent.parent / "docs" / "diagrams"
 
@@ -370,3 +371,39 @@ def test_parse_element_bounds_rational_digits_per_term():
     assert not parse_element("9^600 | 1 + 9^600 | 1", two).is_zero()
     with pytest.raises(DiagramError):
         parse_element("9^600 | 9^600", two)
+
+
+def test_parse_element_leading_sign():
+    path = FlagPath(2, (0, 1))
+    xi = parse_element("xi", path)
+    assert parse_element("-xi", path) == -xi
+    assert parse_element("- xi + 1", path) == parse_element("1", path) - xi
+    assert parse_element("+xi", path) == xi
+    for text in ("-", "xi +", "- - xi"):
+        with pytest.raises(DiagramError) as err:
+            parse_element(text, path)
+        assert "dangling sign in element expression" in str(err.value)
+
+
+LONG = 5000
+
+
+@pytest.mark.parametrize("text", [
+    "N = %s\nweight = 0\ndomain = 1\n" % ("x" * LONG),
+    "N = 2\nweight = 0\ndomain = %s\n" % ("Q" * LONG),
+    "N = 2\nweight = 0\ndomain = 1\n%s\n" % ("z" * LONG),
+    "N = 2\nweight = 0\ndomain = 1\nlayer: %s\n" % ("k" * LONG),
+], ids=["N-header", "domain-header", "line", "layer-token"])
+def test_diagram_errors_echo_a_bounded_excerpt(text):
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(text)
+    assert len(str(err.value)) < 200
+    assert "..." in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["q" * LONG, "1/" + "0" * 999],
+                         ids=["token", "zero-denominator"])
+def test_element_errors_echo_a_bounded_excerpt(text):
+    with pytest.raises(DiagramError) as err:
+        parse_element(text, FlagPath(2, (0, 1)))
+    assert len(str(err.value)) < 200

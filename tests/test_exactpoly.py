@@ -18,12 +18,10 @@ from catsl2.exactpoly import (
     mono_pairs,
     series_invert,
     x_sym,
-    xgen,
     xi_sym,
-    xigen,
     y_sym,
-    ygen,
 )
+from helpers import xgen, xigen, ygen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

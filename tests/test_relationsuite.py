@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from catsl2 import relationsuite
 from catsl2.qlaurent import Laurent
+from catsl2.twomorphisms import BimMap
 from catsl2.relationsuite import (
     MANIFEST,
     SUITE_ORDER,
@@ -103,3 +105,32 @@ def test_k0_shadow_all_ranks():
     for N in (1, 2, 3, 4):
         report = run_suite(N, suites=["k0_shadow"])
         assert report.all_ok(), report.render_text()
+
+
+WIRED_SUITES = ["biadjointness", "dot_cyclicity", "bubbles", "reduction_to_bubbles",
+                "identity_decomposition"]
+
+
+@pytest.mark.parametrize("kind, failing", [
+    ("ef", {"biadjointness_zigzag_e2", "biadjointness_zigzag_f1", "bubble_diagram_cw",
+            "dot_cyclicity_e2", "dot_cyclicity_f1", "identity_decomposition_ef",
+            "reduction_to_bubbles_1"}),
+    ("fe", {"biadjointness_zigzag_e1", "biadjointness_zigzag_f2", "bubble_diagram_ccw",
+            "dot_cyclicity_e1", "dot_cyclicity_f2", "identity_decomposition_fe",
+            "reduction_to_bubbles_2"}),
+])
+def test_side_tables_wire_each_cup_kind_to_its_checks(monkeypatch, kind, failing):
+    # a wrong cup of one kind must fail exactly the checks whose side records
+    # use that kind; a swapped side-table entry moves a check between the sets
+    real_cup = relationsuite.gen_cup
+
+    def negated_cup(path, junction, cup_kind):
+        cup = real_cup(path, junction, cup_kind)
+        if cup_kind != kind:
+            return cup
+        return BimMap(cup.domain, cup.codomain, cup.degree,
+                      lambda vec: -cup.apply_vec(vec), name=cup.name)
+
+    monkeypatch.setattr(relationsuite, "gen_cup", negated_cup)
+    report = run_suite(3, suites=WIRED_SUITES)
+    assert {r.check for r in report.results if r.status == "fail"} == failing

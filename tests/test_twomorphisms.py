@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from catsl2.exactpoly import Polynomial, xgen, ygen
+from catsl2.exactpoly import Polynomial
 from catsl2.grassrings import GrassContext, bubble_value, special_class
 from catsl2.bimodules import BimElement, FlagPath, act, basis, normalize_xi_vector
 from catsl2.twomorphisms import (
@@ -21,6 +21,7 @@ from catsl2.twomorphisms import (
     whisker,
     zero_map,
 )
+from helpers import xgen, ygen
 
 
 # -- words -------------------------------------------------------------------
