@@ -105,9 +105,6 @@ class FlagPath:
         """The junction ring after factor g (g = 0 .. m)."""
         return GrassContext(self.N, self.rings[g])
 
-    def with_shift(self, shift: int) -> "FlagPath":
-        return FlagPath(self.N, self.rings, shift)
-
     def insert_excursion(self, g: int, mid: int, delta_shift: int = 0) -> "FlagPath":
         """Insert the two factors (rings[g], mid), (mid, rings[g]) at junction g."""
         rings = self.rings[:g + 1] + (mid, self.rings[g]) + self.rings[g + 1:]
@@ -190,43 +187,20 @@ class BimElement:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _require_same_path(self, other: "BimElement"):
-        if self.path != other.path:
-            raise ValueError("elements live in different bimodules: %s vs %s"
-                             % (self.path.render(), other.path.render()))
-
     def __add__(self, other: "BimElement") -> "BimElement":
-        self._require_same_path(other)
-        terms = dict(self.terms)
-        for vec, coeff in other.terms.items():
-            acc = terms.get(vec)
-            if acc is None:
-                terms[vec] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    terms[vec] = acc
-                else:
-                    del terms[vec]
-        return _wrap(self.path, terms)
+        return linear_sum(self.path, ((self, 1), (other, 1)))
 
     def __neg__(self) -> "BimElement":
-        return _wrap(self.path, {v: -c for v, c in self.terms.items()})
+        return linear_sum(self.path, ((self, -1),))
 
     def __sub__(self, other: "BimElement") -> "BimElement":
-        return self + (-other)
+        return linear_sum(self.path, ((self, 1), (other, -1)))
 
     def scale(self, c) -> "BimElement":
-        return BimElement(self.path, {v: coeff * c for v, coeff in self.terms.items()})
+        """The element times a rational or a right-ring polynomial."""
+        return self if c == 1 else linear_sum(self.path, ((self, c),))
 
-    def right_mul(self, poly: Polynomial) -> "BimElement":
-        if poly == Polynomial.one():
-            return self
-        if not poly:
-            return BimElement.zero(self.path)
-        # a product of nonzero polynomials over Q is nonzero
-        return _wrap(self.path, {v: coeff * poly
-                                 for v, coeff in self.terms.items()})
+    right_mul = scale
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -279,6 +253,29 @@ def _wrap(path: FlagPath, terms: dict) -> BimElement:
     out.path = path
     out.terms = terms
     return out
+
+
+def linear_sum(path: FlagPath, parts) -> BimElement:
+    """The sum of ``element * c`` over the ``(element, c)`` parts.
+
+    ``c`` is a rational or a right-ring polynomial, and every element must
+    live in ``path``.  This is the one place elements are summed: terms
+    accumulate in one new dict, coefficients that cancel are dropped once
+    at the end, and no part's ``terms`` is mutated (stored map images are
+    shared).
+    """
+    acc: dict = {}
+    for element, c in parts:
+        if element.path != path:
+            raise ValueError("elements live in different bimodules: %s vs %s"
+                             % (path.render(), element.path.render()))
+        terms = element.terms.items()
+        if c != 1:
+            terms = [(vec, coeff * c) for vec, coeff in terms]
+        for vec, coeff in terms:
+            prev = acc.get(vec)
+            acc[vec] = coeff if prev is None else prev + coeff
+    return _wrap(path, {vec: coeff for vec, coeff in acc.items() if coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -622,21 +619,17 @@ def xi_power_tensor(path: FlagPath, vec) -> RawTensor:
     return RawTensor(path, factors)
 
 
-def normalize_xi_vector(path: FlagPath, vec, coeff=None) -> BimElement:
+def normalize_xi_vector(path: FlagPath, vec) -> BimElement:
     """Normal form of a (possibly out-of-bound) xi-exponent vector."""
     if path.is_zero:
         return BimElement.zero(path)
     if path.num_factors == 0:
-        out = BimElement.from_ring_poly(path, Polynomial.one())
-    else:
-        out = normalize(xi_power_tensor(path, vec))
-    if coeff is not None:
-        out = out.right_mul(coeff)
-    return out
+        return BimElement.from_ring_poly(path, Polynomial.one())
+    return normalize(xi_power_tensor(path, vec))
 
 
 def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
-                       vec=None, coeff=None) -> BimElement:
+                       vec=None) -> BimElement:
     """Normal form of xi^vec with a junction-ring polynomial inserted at g.
 
     ``ring_poly`` lives in the generators of the ring at junction g.  For
@@ -648,16 +641,12 @@ def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
     m = path.num_factors
     vec = tuple(vec) if vec is not None else (0,) * m
     if m == 0:
-        out = BimElement.from_ring_poly(path, ring_poly)
-    elif g == m:
-        out = normalize(xi_power_tensor(path, vec)).right_mul(ring_poly)
-    else:
-        factors = list(xi_power_tensor(path, vec).factors)
-        factors[g] = factors[g] * _into_factor(path, g + 1, ring_poly)
-        out = normalize(RawTensor(path, tuple(factors)))
-    if coeff is not None:
-        out = out.right_mul(coeff)
-    return out
+        return BimElement.from_ring_poly(path, ring_poly)
+    if g == m:
+        return normalize(xi_power_tensor(path, vec)).right_mul(ring_poly)
+    factors = list(xi_power_tensor(path, vec).factors)
+    factors[g] = factors[g] * _into_factor(path, g + 1, ring_poly)
+    return normalize(RawTensor(path, tuple(factors)))
 
 
 def _validate_end_ring(path: FlagPath, side: str, poly: Polynomial):
@@ -678,10 +667,8 @@ def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:
     _validate_end_ring(path, side, poly)
     if side == "right" or path.num_factors == 0:
         return element.right_mul(poly)
-    acc = BimElement.zero(path)
-    for vec, coeff in element.terms.items():
-        acc = acc + inject_at_junction(path, 0, poly, vec, coeff)
-    return acc
+    return linear_sum(path, ((inject_at_junction(path, 0, poly, vec), coeff)
+                             for vec, coeff in element.terms.items()))
 
 
 def tensor(a: BimElement, b: BimElement) -> BimElement:
@@ -696,11 +683,9 @@ def tensor(a: BimElement, b: BimElement) -> BimElement:
     if path.is_zero:
         return BimElement.zero(path)
     ma = a.path.num_factors
-    acc = BimElement.zero(path)
-    for va, ca in a.terms.items():
-        for vb, cb in b.terms.items():
-            acc = acc + inject_at_junction(path, ma, ca, va + vb, cb)
-    return acc
+    return linear_sum(path, ((inject_at_junction(path, ma, ca, va + vb), cb)
+                             for va, ca in a.terms.items()
+                             for vb, cb in b.terms.items()))
 
 
 def basis(path: FlagPath) -> list:

@@ -102,7 +102,9 @@ def _build_parser(default_n=None, rank_required=True) -> argparse.ArgumentParser
 
     p = sub.add_parser("eval", help="apply a diagram to an element")
     p.add_argument("--diagram", required=True, help="path to a .cat file")
-    p.add_argument("--element", required=True, help="element expression")
+    p.add_argument("--element", required=True,
+                   help="element expression; one with a leading sign is "
+                        "written --element=-xi")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bubble", help="closed dotted-bubble value")

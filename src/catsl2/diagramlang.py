@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactpoly import Polynomial, x_sym, xi_sym, y_sym
-from .bimodules import BimElement, FlagPath, RawTensor, normalize
+from .bimodules import BimElement, FlagPath, RawTensor, linear_sum, normalize
 from .twomorphisms import (
     BimMap,
     SignedWord,
@@ -412,8 +412,11 @@ def _identity_symbol_resolver(path: FlagPath):
     return resolve
 
 
-#: A ``+`` or ``-`` joining two tensor terms, with the blanks around it.
-_TERM_SIGN_RE = re.compile(r"(?<![|*^/])\s*([+-])\s*")
+#: A ``+`` or ``-`` joining two tensor terms, with the blanks around it
+#: (group 1).  A sign whose previous non-blank character is ``|``, ``*``,
+#: ``^`` or ``/`` is matched with that operator by the first branch, which
+#: sets no group and joins no terms.
+_TERM_SIGN_RE = re.compile(r"[|*^/]\s*[+-]|\s*([+-])\s*")
 
 
 def parse_element(text: str, path: FlagPath) -> BimElement:
@@ -422,6 +425,8 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
     terms = []                   # (sign, term text, 0-based column of the term)
     sign, start = "+", 0
     for match in _TERM_SIGN_RE.finditer(text):
+        if match.group(1) is None:
+            continue
         terms.append((sign, text[start:match.start()], start))
         sign, start = match.group(1), match.end()
     terms.append((sign, text[start:], start))
@@ -431,7 +436,7 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
         raise DiagramError("dangling sign in element expression", 1, 1, len(text))
     if path.is_zero:
         return BimElement.zero(path)
-    total = BimElement.zero(path)
+    parts = []
     for sign, term, offset in terms:
         factor_exprs = term.split("|")
         expected = max(m, 1)
@@ -454,5 +459,5 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
             value = BimElement.from_ring_poly(path, polys[0])
         else:
             value = normalize(RawTensor(path, tuple(polys)))
-        total = total + (value if sign == "+" else -value)
-    return total
+        parts.append((value, 1 if sign == "+" else -1))
+    return linear_sum(path, parts)

@@ -35,6 +35,7 @@ from .bimodules import (
     act,
     basis,
     graded_rank,
+    linear_sum,
     normalize,
     normalize_xi_vector,
 )
@@ -437,12 +438,9 @@ def _excursion(N, k, letter):
 def _alternating_sums(path, pairs):
     """Over the t-th pair of factor tuples (left, right), the sums of
     (-1)^t times the normal forms of the lefts and of the rights."""
-    lhs = rhs = BimElement.zero(path)
-    for t, (left, right) in enumerate(pairs):
-        sign = 1 if t % 2 == 0 else -1
-        lhs = lhs + normalize(RawTensor(path, left)).scale(sign)
-        rhs = rhs + normalize(RawTensor(path, right)).scale(sign)
-    return lhs, rhs
+    return tuple(linear_sum(path, ((normalize(RawTensor(path, pair[side])), (-1) ** t)
+                                   for t, pair in enumerate(pairs)))
+                 for side in (0, 1))
 
 
 def _run_two_sided_sum(letter, N, k, rng):
@@ -476,7 +474,8 @@ def _context_generators(N, k):
     gens = []
     if k < N:
         up, down = _strands(N, k, "e", 1), _strands(N, k, "f", 1)
-        gens += [gen_dot(up, 1), gen_cup(up, 0, "fe"), gen_dot(down, 1)]
+        gens += [gen_dot(up, 1), gen_cup(up, 0, "fe"),
+                 gen_dot(down, 1), gen_cup(down, 1, "ef")]
     # the cap closing the excursion of each letter: up-down (fe), down-up (ef)
     for letter, kind in (("x", "fe"), ("y", "ef")):
         step, (lo, hi) = _EXCURSIONS[letter]

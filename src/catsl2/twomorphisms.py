@@ -31,6 +31,7 @@ from .bimodules import (
     RawTensor,
     basis,
     inject_at_junction,
+    linear_sum,
     normalize,
     normalize_xi_vector,
     xi_power_tensor,
@@ -57,30 +58,22 @@ class BimMap:
         self._fn = fn
         self._images = {}
 
-    def apply_vec(self, vec, coeff=None) -> BimElement:
-        """Image of the xi-power vector (bounded or not) times a coefficient."""
+    def apply_vec(self, vec) -> BimElement:
+        """Image of the xi-power vector (bounded or not)."""
         if self.domain.is_zero or self.codomain.is_zero:
             return BimElement.zero(self.codomain)
         vec = tuple(vec)
         image = self._images.get(vec)
         if image is None:
             image = self._images[vec] = self._fn(vec)
-        return image if coeff is None else image.right_mul(coeff)
+        return image
 
     def __call__(self, element: BimElement) -> BimElement:
         if element.path != self.domain:
             raise ValueError("element lives in %s, map expects %s"
                              % (element.path.render(), self.domain.render()))
-        acc = BimElement.zero(self.codomain)
-        for vec, coeff in element.terms.items():
-            acc = acc + self.apply_vec(vec, coeff)
-        return acc
-
-    def matrix(self):
-        """Images of the domain basis, as {(out_vec, in_vec): coefficient}."""
-        return {(out_vec, vec): coeff
-                for vec in basis(self.domain)
-                for out_vec, coeff in self.apply_vec(vec).terms.items()}
+        return linear_sum(self.codomain, ((self.apply_vec(vec), coeff)
+                                          for vec, coeff in element.terms.items()))
 
     def __repr__(self):
         return "BimMap(%s: %s -> %s, deg %d)" % (
@@ -121,11 +114,7 @@ def linear_combination(domain: FlagPath, codomain: FlagPath, degree: int,
     terms = list(terms)
 
     def fn(vec):
-        acc = BimElement.zero(codomain)
-        for sign, f in terms:
-            image = f.apply_vec(vec)
-            acc = acc + (image if sign == 1 else image.scale(sign))
-        return acc
+        return linear_sum(codomain, ((f.apply_vec(vec), sign) for sign, f in terms))
 
     return BimMap(domain, codomain, degree, fn, name=name)
 
@@ -184,14 +173,9 @@ def gen_crossing(path: FlagPath, position: int, kind: str) -> BimMap:
 
     def fn(vec):
         a, b = vec[i - 1], vec[i]
-        if a == b:
-            return BimElement.zero(path)
         lo, hi, s = (a, b, sign) if a < b else (b, a, -sign)
-        acc = BimElement.zero(path)
-        for t in range(lo, hi):
-            out = vec[:i - 1] + (t, a + b - 1 - t) + vec[i + 1:]
-            acc = acc + normalize_xi_vector(path, out).scale(s)
-        return acc
+        outs = (vec[:i - 1] + (t, a + b - 1 - t) + vec[i + 1:] for t in range(lo, hi))
+        return linear_sum(path, ((normalize_xi_vector(path, out), s) for out in outs))
 
     return BimMap(path, path, -2, fn, name="cross_%s@%d" % (kind, i))
 
@@ -219,23 +203,19 @@ def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
     if codomain.is_zero or path.is_zero:
         return zero_map(path, codomain, degree)
 
-    if kind == "fe":
-        pieces = [(t, j - t, Polynomial.gen(x_sym(t, nu)) if t else Polynomial.one())
-                  for t in range(0, j + 1)]
-    else:
-        pieces = [(t, path.N - j - t,
-                   Polynomial.gen(y_sym(t, nu)) if t else Polynomial.one())
-                  for t in range(0, path.N - j + 1)]
+    top, sym = (j, x_sym) if kind == "fe" else (path.N - j, y_sym)
+    pieces = [(top - t, Polynomial.gen(sym(t, nu)) if t else Polynomial.one(),
+               (-1) ** t) for t in range(0, top + 1)]
+
+    def term(vec, xi_exp, content):
+        factors = list(xi_power_tensor(codomain,
+                                       vec[:g] + (xi_exp, 0) + vec[g:]).factors)
+        factors[g + 1] = factors[g + 1] * content
+        return normalize(RawTensor(codomain, tuple(factors)))
 
     def fn(vec):
-        acc = BimElement.zero(codomain)
-        for t, xi_exp, content in pieces:
-            factors = list(xi_power_tensor(codomain,
-                                           vec[:g] + (xi_exp, 0) + vec[g:]).factors)
-            factors[g + 1] = factors[g + 1] * content
-            term = normalize(RawTensor(codomain, tuple(factors)))
-            acc = acc + (term if t % 2 == 0 else -term)
-        return acc
+        return linear_sum(codomain, ((term(vec, xi_exp, content), sign)
+                                     for xi_exp, content, sign in pieces))
 
     return BimMap(path, codomain, degree, fn, name=name)
 
@@ -322,12 +302,9 @@ def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
 
     def fn(vec):
         pre, mid, post = vec[:lm], vec[lm:lm + dm], vec[lm + dm:]
-        image = f.apply_vec(mid)
-        acc = BimElement.zero(codomain)
-        for mvec, mcoeff in image.terms.items():
-            acc = acc + inject_at_junction(codomain, lm + cm, mcoeff,
-                                           pre + mvec + post)
-        return acc
+        return linear_sum(codomain, (
+            (inject_at_junction(codomain, lm + cm, mcoeff, pre + mvec + post), 1)
+            for mvec, mcoeff in f.apply_vec(mid).terms.items()))
 
     return BimMap(domain, codomain, f.degree, fn, name="whisk(%s)" % f.name)
 

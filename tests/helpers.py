@@ -6,6 +6,7 @@ from catsl2.exactpoly import KIND_X, KIND_XI, KIND_Y, Polynomial, x_sym, xi_sym,
 from catsl2.bimodules import (
     FlagPath,
     RawTensor,
+    basis,
     normalize,
     rewrite_measure,
 )
@@ -25,6 +26,13 @@ def xigen(position=1, exp=1):
 
 def identity_path(N, k, shift=0):
     return FlagPath(N, (k,), shift)
+
+
+def map_matrix(f):
+    """Images of the domain basis under a map, as {(out_vec, in_vec): coefficient}."""
+    return {(out_vec, vec): coeff
+            for vec in basis(f.domain)
+            for out_vec, coeff in f.apply_vec(vec).terms.items()}
 
 
 # The symmetry omega of the flag side (Grassmannian duality, the E <-> F

@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +17,12 @@ from catsl2.bimodules import (
     basis,
     graded_rank,
     inject_at_junction,
+    linear_sum,
     normalize,
     normalize_xi_vector,
     tensor,
 )
+from catsl2.twomorphisms import gen_crossing, gen_dot
 
 from helpers import (
     all_paths,
@@ -555,6 +558,80 @@ def test_sums_hold_no_zero_coefficients():
         total = total + e
         assert all(coeff for coeff in total.terms.values())
     assert total == sum(elements[3:], BimElement.zero(path))
+
+
+def _random_elements(path, seed, count):
+    rng = random.Random(seed)
+    return [normalize(random_raw_tensor(path, rng)) for _ in range(count)]
+
+
+def test_linear_sum_of_an_element_and_its_negative_is_empty():
+    path = FlagPath(2, (0, 1, 2))
+    for e in _random_elements(path, "lin-neg", 6):
+        assert e.terms
+        assert linear_sum(path, [(e, 1), (e, -1)]).terms == {}
+        assert linear_sum(path, [(e, 1), (-e, 1)]).terms == {}
+
+
+def test_linear_sum_keeps_no_zero_coefficient():
+    path = FlagPath(2, (0, 1, 2))
+    poly = xgen(1, 2) - xgen(2, 2)            # in the right end ring k = 2
+    for e in _random_elements(path, "lin-zero", 6):
+        for c in (0, Fraction(0), Polynomial.zero()):
+            assert linear_sum(path, [(e, c)]).terms == {}
+        for c in (Fraction(2, 3), poly):
+            assert linear_sum(path, [(e, c), (e, -c)]).terms == {}
+            partial = linear_sum(path, [(e, c), (e.scale(2), -c), (e, 1)])
+            assert all(partial.terms.values())
+            assert partial == e - e.scale(c)
+
+
+def test_linear_sum_rejects_parts_on_other_paths():
+    path, other = FlagPath(2, (0, 1, 2)), FlagPath(2, (2, 1, 0))
+    e, f = normalize_xi_vector(path, (0, 1)), normalize_xi_vector(other, (0, 1))
+    for parts in ([(f, 1)], [(e, 1), (f, 1)], [(e, 1), (f, 2)]):
+        with pytest.raises(ValueError, match="different bimodules"):
+            linear_sum(path, parts)
+    with pytest.raises(ValueError, match="different bimodules"):
+        e + f
+
+
+def test_linear_sum_leaves_memoized_images_intact():
+    path = FlagPath(2, (1, 2, 1))
+    dot = gen_dot(path, 1)
+    images = [dot.apply_vec(vec) for vec in basis(path)]
+    snapshots = [dict(image.terms) for image in images]
+    assert all(snapshots)
+    for c in (1, 3, xgen(1, 0)):
+        linear_sum(path, [(image, 1) for image in images] + [(images[0], c)])
+        linear_sum(path, [(image, c) for image in images])
+    assert [image.terms for image in images] == snapshots
+    assert [dot.apply_vec(vec) for vec in basis(path)] == images
+
+
+def test_linear_sum_consumes_a_generator_of_parts_once():
+    path = FlagPath(2, (0, 1, 2))
+    elements = _random_elements(path, "lin-gen", 5)
+    listed = [(e, i + 1) for i, e in enumerate(elements)]
+    parts = (pair for pair in listed)
+    total = linear_sum(path, parts)
+    assert next(parts, None) is None
+    assert total == linear_sum(path, listed)
+    assert total == sum((e.scale(c) for e, c in listed[1:]), listed[0][0])
+
+
+def test_map_on_an_element_is_the_coefficient_weighted_sum_of_images():
+    path = FlagPath(3, (0, 1, 2))
+    cross = gen_crossing(path, 1, "up")
+    element = BimElement(path, {(0, 1): xgen(1, 1), (1, 0): Polynomial.const(-2),
+                                (1, 1): xgen(1, 1) + xgen(2, 1)})
+    want = {}
+    for vec, coeff in element.terms.items():
+        for out, image_coeff in cross.apply_vec(vec).terms.items():
+            want[out] = want.get(out, Polynomial.zero()) + image_coeff * coeff
+    want = {out: coeff for out, coeff in want.items() if coeff}
+    assert len(element.terms) == 3 and want
+    assert cross(element).terms == want
 
 
 def test_omega_commutes_with_normalize_and_keeps_graded_rank():

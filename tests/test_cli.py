@@ -58,6 +58,14 @@ def test_eval_dot(capsys, tmp_path):
     assert "image:    xi" in out
 
 
+def test_eval_leading_sign_element_is_written_with_equals(capsys):
+    # argparse reads a bare "-xi" after --element as an option
+    code, out, _ = run_cli(capsys, "eval", "--diagram",
+                           str(DOCS / "diagrams" / "dot.cat"), "--element=-xi")
+    assert code == 0
+    assert "element:  (-1) * (xi)" in out
+
+
 def test_eval_crossing_moves_dot(capsys, tmp_path):
     diagram = tmp_path / "cross.cat"
     diagram.write_text("N = 2\nweight = -2\ndomain = E E\nlayer: cross_ee\n")

@@ -385,6 +385,22 @@ def test_parse_element_leading_sign():
         assert "dangling sign in element expression" in str(err.value)
 
 
+@pytest.mark.parametrize("text, path, token, cols", [
+    ("xi|-1", FlagPath(3, (1, 2, 1)), "-1", (4, 5)),
+    ("xi | -1", FlagPath(3, (1, 2, 1)), "-1", (5, 7)),
+    ("2 * -xi", FlagPath(2, (0, 1)), "-xi", (4, 7)),
+    ("xi ^ -1", FlagPath(2, (0, 1)), "xi ^ -1", (1, 7)),
+    ("1 / -2", FlagPath(2, (0, 1)), "1 / -2", (1, 6)),
+])
+def test_sign_after_an_operator_and_a_blank_joins_no_terms(text, path, token, cols):
+    # a sign whose previous non-blank character is |, *, ^ or / is part of
+    # the factor expression, blanks or not: the token is reported whole
+    with pytest.raises(DiagramError) as err:
+        parse_element(text, path)
+    assert "cannot parse token %r" % token in str(err.value)
+    assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)
+
+
 LONG = 5000
 
 

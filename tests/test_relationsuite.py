@@ -107,6 +107,18 @@ def test_k0_shadow_all_ranks():
         assert report.all_ok(), report.render_text()
 
 
+def test_audits_insert_each_cup_kind_beside_a_strand():
+    # the degree audit and the bimodule-law check see both cup kinds off
+    # the identity path, where the junction ring sets the degree
+    for N in range(1, 6):
+        for k in range(1, N):
+            kinds = {gen.name.split("@")[0]
+                     for gen in relationsuite._context_generators(N, k)
+                     if gen.name.startswith("cup_") and gen.domain.num_factors >= 1
+                     and not gen.codomain.is_zero}
+            assert kinds == {"cup_fe", "cup_ef"}, (N, k)
+
+
 WIRED_SUITES = ["biadjointness", "dot_cyclicity", "bubbles", "reduction_to_bubbles",
                 "identity_decomposition"]
 

@@ -21,7 +21,7 @@ from catsl2.twomorphisms import (
     whisker,
     zero_map,
 )
-from helpers import xgen, ygen
+from helpers import map_matrix, xgen, ygen
 
 
 # -- words -------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_map_equals_bimodule_samples():
 def test_matrix_representation():
     path = FlagPath(2, (1, 2))
     dot = gen_dot(path, 1)
-    matrix = dot.matrix()
+    matrix = map_matrix(dot)
     assert matrix[((1,), (0,))] == Polynomial.one()
     assert matrix[((1,), (1,))] == xgen(1, 2)
     assert matrix[((0,), (1,))] == -xgen(2, 2)
@@ -335,7 +335,7 @@ def test_apply_vec_memo_keeps_stored_images_intact():
     path = FlagPath(2, (1, 2))
     dot = gen_dot(path, 1)
     coeff = xgen(1, 2)
-    scaled = dot.apply_vec((1,), coeff)
+    scaled = dot(BimElement.basis_vector(path, (1,), coeff))
     image = dot.apply_vec((1,))
     assert dot.apply_vec([1]) is image          # list and tuple share one entry
     snapshot = dict(image.terms)
@@ -345,7 +345,7 @@ def test_apply_vec_memo_keeps_stored_images_intact():
     _ = image + image
     _ = image.right_mul(coeff)
     _ = image.scale(3)
-    _ = dot.apply_vec((1,), ygen(1, 2))
+    _ = dot(BimElement.basis_vector(path, (1,), ygen(1, 2)))
     assert image.terms == snapshot
     assert dot.apply_vec((1,)) == gen_dot(path, 1).apply_vec((1,))
 
