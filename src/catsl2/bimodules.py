@@ -40,7 +40,6 @@ from .exactpoly import (
     Polynomial,
     field_shift,
     mono_degree,
-    mono_pairs,
     x_sym,
     xi_sym,
     y_sym,
@@ -143,15 +142,17 @@ class RawTensor:
         if self.path.num_factors == 0:
             raise ValueError("raw tensors need at least one factor; "
                              "identity-path elements are plain ring polynomials")
-        path = self.path
-        if not path.is_zero:
+        if not self.path.is_zero:
             for i, poly in enumerate(self.factors, start=1):
-                allowed = step_catalog(path.N, path._steps[i - 1][0], i)
-                bad = poly.symbols() - allowed
-                if bad:
-                    raise ValueError(
-                        "factor %d uses non-canonical generators: %s"
-                        % (i, ", ".join(sorted(s.render() for s in bad))))
+                _check_content(self.path, i, poly)
+
+
+def _check_content(path: FlagPath, i: int, poly: Polynomial):
+    """Raise unless ``poly`` is in the generators of factor i's step ring."""
+    bad = poly.symbols() - step_catalog(path.N, path._steps[i - 1][0], i)
+    if bad:
+        raise ValueError("factor %d uses non-canonical generators: %s"
+                         % (i, ", ".join(sorted(s.render() for s in bad))))
 
 
 class BimElement:
@@ -481,29 +482,60 @@ def _settled_exponent(poly: Polynomial, shift: int, bound: int):
     return None
 
 
-def _clear_factor(path: FlagPath, terms: list, i: int, bound: int):
+# In-flight entries (see ``normalize``) are made only by ``_entry`` and
+# ``_xi_entries``, so a polynomial entry is never a monic bounded xi-power
+# and equal terms have equal tuples, which merging like terms relies on.
+
+
+def _entry(poly: Polynomial, shift: int, bound: int):
+    """The in-flight entry of a factor polynomial: its exponent if settled."""
+    e = _settled_exponent(poly, shift, bound)
+    return poly if e is None else e
+
+
+def _xi_entries(path: FlagPath, vec) -> tuple:
+    """The entries of the tensor xi_1^{v_1} x ... x xi_m^{v_m}."""
+    if len(vec) != path.num_factors:
+        raise ValueError("need one exponent per path step")
+    return tuple(e if 0 <= e <= path.bound(i) else Polynomial.gen(xi_sym(i), e)
+                 for i, e in enumerate(vec, start=1))
+
+
+def _clear_factor(path: FlagPath, terms: list, i: int):
+    """Push the content of factor i across its right junction in every term.
+
+    Returns the new terms and whether any term had content in factor i.
+    """
     m = path.num_factors
-    j = path._steps[i - 1][0]
-    nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+    j, bound = path._steps[i - 1]
     up = path.is_up(i)
-    shift = field_shift(xi_sym(i))
-    gens = [Polynomial.gen(xi_sym(i), e) for e in range(bound + 1)]
+    nxt = None
+    if i < m:
+        nxt = (path._steps[i][0], path.is_up(i + 1))
+        nxt_shift = field_shift(xi_sym(i + 1))
+        nxt_bound = path._steps[i][1]
     out = []
     changed = False
     for factors, coeff in terms:
         f = factors[i - 1]
-        if _settled_exponent(f, shift, bound) is not None:
+        if type(f) is int:
             out.append((factors, coeff))
             continue
         changed = True
+        head, tail = factors[:i - 1], factors[i:]
         for e, content in _push_content(path.N, j, up, i, bound, nxt, f.terms):
-            updated = list(factors)
-            updated[i - 1] = gens[e]
             if nxt is None:
-                out.append((tuple(updated), coeff * content))
+                out.append((head + (e,), coeff * content))
+                continue
+            g = tail[0]
+            if type(g) is not int:
+                g = g * content
+            elif g:
+                g = content * Polynomial({g << nxt_shift: 1})
             else:
-                updated[i] = updated[i] * content
-                out.append((tuple(updated), coeff))
+                g = content
+            out.append((head + (e, _entry(g, nxt_shift, nxt_bound)) + tail[1:],
+                        coeff))
     return out, changed
 
 
@@ -516,65 +548,69 @@ def _merge_like_terms(terms: list) -> list:
     return [(factors, coeff) for factors, coeff in acc.items() if coeff]
 
 
+@lru_cache(maxsize=None)
+def _measure_fields(N: int, j: int, up: bool, pos: int) -> tuple:
+    """Bit offsets of a factor's xi field and of its left- and right-kind fields."""
+    left_kind = KIND_X if up else KIND_Y
+    left, right = [], []
+    for sym in step_catalog(N, j, pos):
+        if sym.kind != KIND_XI:
+            (left if sym.kind == left_kind else right).append(field_shift(sym))
+    return field_shift(xi_sym(pos)), tuple(left), tuple(right)
+
+
 def rewrite_measure(path: FlagPath, terms) -> tuple:
     """Lexicographic termination measure of an in-flight rewriting state.
 
-    Per factor i the tuple (L, E, R, D) counts, over all terms: exponents
-    of left-junction generators, xi-excess above the factor bound,
-    exponents of right-junction generators, and a settledness flag.  Each
-    factor-clearing step zeroes factor i's tuple while only factor i+1
-    grows, so states decrease strictly in the product lexicographic order
-    when factors are cleared left to right.  In any other order a step
-    copies the unsettled factors left of i into every new term, and the
-    decreasing quantity is the multiset of per-term measures
+    ``terms`` is a list of in-flight terms (see ``normalize``); a factor
+    may also be given as the polynomial of a settled xi-power.  Per factor
+    i the tuple (L, E, R, D) counts, over all terms: exponents of
+    left-junction generators, xi-excess above the factor bound, exponents
+    of right-junction generators, and a settledness flag.  A settled
+    factor adds nothing.  The counts read the packed exponent fields of
+    factor i's step-ring generators, the only ones a factor can hold.
+
+    Each factor-clearing step zeroes factor i's tuple while only factor
+    i+1 grows, so states decrease strictly in the product lexicographic
+    order when factors are cleared left to right.  In any other order a
+    step copies the unsettled factors left of i into every new term, and
+    the decreasing quantity is the multiset of per-term measures
     ``rewrite_measure(path, [term])``: each step replaces a term by terms
     of smaller measure, and merging like terms removes some.
     """
     m = path.num_factors
-    shifts = [field_shift(xi_sym(i)) for i in range(1, m + 1)]
+    fields = [(path.bound(i),) + _measure_fields(path.N, path._steps[i - 1][0],
+                                                 path.is_up(i), i)
+              for i in range(1, m + 1)]
     totals = [[0, 0, 0, 0] for _ in range(m)]
     for factors, _ in terms:
-        for i in range(1, m + 1):
-            up = path.is_up(i)
-            entry = totals[i - 1]
-            poly = factors[i - 1]
-            left_kind = KIND_X if up else KIND_Y
-            for mono, _c in poly.terms.items():
-                for sym, exp in mono_pairs(mono):
-                    if sym.kind == KIND_XI:
-                        entry[1] += max(0, exp - path.bound(i)) if sym.index == i else 0
-                    elif sym.kind == left_kind:
-                        entry[0] += exp
-                    else:
-                        entry[2] += exp
-            if _settled_exponent(poly, shifts[i - 1], path.bound(i)) is None:
+        for poly, (bound, xi_shift, left, right), entry in zip(factors, fields, totals):
+            if type(poly) is int:
+                continue
+            for mono in poly.terms:
+                entry[0] += sum(mono >> s & FIELD_MASK for s in left)
+                entry[1] += max(0, (mono >> xi_shift & FIELD_MASK) - bound)
+                entry[2] += sum(mono >> s & FIELD_MASK for s in right)
+            if _settled_exponent(poly, xi_shift, bound) is None:
                 entry[3] = 1
     return tuple(tuple(t) for t in totals)
 
 
-def normalize(raw: RawTensor, order: str = "ltr",
-              on_step: Callable | None = None) -> BimElement:
-    """Canonical normal form of a raw tensor.
-
-    ``order`` picks the junction-processing strategy: "ltr" clears factors
-    left to right (one pass suffices), "rtl" sweeps right to left until a
-    fixpoint, merging like terms after every step that changed the terms;
-    both reach the same normal form.  ``on_step`` is called with the term
-    list after every factor-clearing step that changed it.
-    """
-    path = raw.path
-    if path.is_zero:
-        return BimElement.zero(path)
+def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
+                 on_step: Callable | None = None) -> BimElement:
+    """Normal form of the in-flight entries ``factors`` on a nonzero path."""
+    if order not in ("ltr", "rtl"):
+        raise ValueError("unknown rewriting order %r" % order)
+    if all(type(f) is int for f in factors):
+        return _wrap(path, {factors: Polynomial.one()})
     m = path.num_factors
-    bounds = [path.bound(i) for i in range(1, m + 1)]
-    shifts = [field_shift(xi_sym(i)) for i in range(1, m + 1)]
-    terms = [(tuple(raw.factors), Polynomial.one())]
+    terms = [(factors, Polynomial.one())]
     if order == "ltr":
         for i in range(1, m + 1):
-            terms, changed = _clear_factor(path, terms, i, bounds[i - 1])
+            terms, changed = _clear_factor(path, terms, i)
             if changed and on_step is not None:
                 on_step(terms)
-    elif order == "rtl":
+    else:
         # sweep right to left repeatedly; a cleared factor only re-dirties
         # when its left neighbour pushes new content into it
         dirty = set(range(1, m + 1))
@@ -583,7 +619,7 @@ def normalize(raw: RawTensor, order: str = "ltr",
                 if i not in dirty:
                     continue
                 dirty.discard(i)
-                terms, changed = _clear_factor(path, terms, i, bounds[i - 1])
+                terms, changed = _clear_factor(path, terms, i)
                 if changed:
                     # re-clearing a factor maps terms that differ only
                     # there onto one xi-power: merge them
@@ -592,31 +628,45 @@ def normalize(raw: RawTensor, order: str = "ltr",
                         dirty.add(i + 1)
                     if on_step is not None:
                         on_step(terms)
-    else:
-        raise ValueError("unknown rewriting order %r" % order)
 
     acc: dict = {}
-    for factors, coeff in terms:
-        vec = []
-        for i, f in enumerate(factors, start=1):
-            e = _settled_exponent(f, shifts[i - 1], bounds[i - 1])
-            assert e is not None, "factor %d not in normal form" % i
-            vec.append(e)
-        vec = tuple(vec)
+    for vec, coeff in terms:
+        assert all(type(e) is int for e in vec), "a factor is not in normal form"
         prev = acc.get(vec)
         acc[vec] = coeff if prev is None else prev + coeff
     return BimElement(path, acc)
 
 
+def normalize(raw: RawTensor, order: str = "ltr",
+              on_step: Callable | None = None) -> BimElement:
+    """Canonical normal form of a raw tensor.
+
+    ``RawTensor`` has checked the factors against their step-ring catalogs
+    (user input is validated there, once).  Here each factor becomes an
+    in-flight entry: the ``int`` exponent of a monic bounded xi-power, or
+    the content polynomial otherwise.  An in-flight term is a tuple of
+    such entries with a right-ring coefficient; rewriting pushes content
+    rightward until every entry is an int, and the tuple is then the basis
+    vector.  ``normalize_xi_vector`` and ``inject_into_factor`` enter the
+    same rewriting without a ``RawTensor``.
+
+    ``order`` picks the junction-processing strategy: "ltr" clears factors
+    left to right (one pass suffices), "rtl" sweeps right to left until a
+    fixpoint, merging like terms after every step that changed the terms;
+    both reach the same normal form.  ``on_step`` is called with the list
+    of in-flight terms after every factor-clearing step that changed it.
+    """
+    path = raw.path
+    if path.is_zero:
+        return BimElement.zero(path)
+    factors = tuple(_entry(f, field_shift(xi_sym(i)), path.bound(i))
+                    for i, f in enumerate(raw.factors, start=1))
+    return _normal_form(path, factors, order, on_step)
+
+
 # ---------------------------------------------------------------------------
 # module structure
 # ---------------------------------------------------------------------------
-
-
-def xi_power_tensor(path: FlagPath, vec) -> RawTensor:
-    """The raw tensor xi_1^{v_1} x ... x xi_m^{v_m} (exponents unrestricted)."""
-    factors = tuple(Polynomial.gen(xi_sym(i + 1), e) for i, e in enumerate(vec))
-    return RawTensor(path, factors)
 
 
 def normalize_xi_vector(path: FlagPath, vec) -> BimElement:
@@ -625,7 +675,24 @@ def normalize_xi_vector(path: FlagPath, vec) -> BimElement:
         return BimElement.zero(path)
     if path.num_factors == 0:
         return BimElement.from_ring_poly(path, Polynomial.one())
-    return normalize(xi_power_tensor(path, vec))
+    return _normal_form(path, _xi_entries(path, vec))
+
+
+def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
+                       vec) -> BimElement:
+    """Normal form of xi^vec with ``content`` multiplied into factor i.
+
+    ``content`` must be in the generators of factor i's step ring; it is
+    checked here, where it enters.
+    """
+    if path.is_zero:
+        return BimElement.zero(path)
+    _check_content(path, i, content)
+    entries = list(_xi_entries(path, vec))
+    if vec[i - 1]:
+        content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
+    entries[i - 1] = _entry(content, field_shift(xi_sym(i)), path.bound(i))
+    return _normal_form(path, tuple(entries))
 
 
 def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
@@ -643,10 +710,8 @@ def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
     if m == 0:
         return BimElement.from_ring_poly(path, ring_poly)
     if g == m:
-        return normalize(xi_power_tensor(path, vec)).right_mul(ring_poly)
-    factors = list(xi_power_tensor(path, vec).factors)
-    factors[g] = factors[g] * _into_factor(path, g + 1, ring_poly)
-    return normalize(RawTensor(path, tuple(factors)))
+        return normalize_xi_vector(path, vec).right_mul(ring_poly)
+    return inject_into_factor(path, g + 1, _into_factor(path, g + 1, ring_poly), vec)
 
 
 def _validate_end_ring(path: FlagPath, side: str, poly: Polynomial):

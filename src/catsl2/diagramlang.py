@@ -422,22 +422,29 @@ _TERM_SIGN_RE = re.compile(r"[|*^/]\s*[+-]|\s*([+-])\s*")
 def parse_element(text: str, path: FlagPath) -> BimElement:
     """Parse an element expression and return its normal form."""
     m = path.num_factors
-    terms = []                   # (sign, term text, 0-based column of the term)
-    sign, start = "+", 0
+    # (sign, 0-based column of the sign or None, term text, 0-based column
+    # of the term)
+    terms = []
+    sign, sign_col, start = "+", None, 0
     for match in _TERM_SIGN_RE.finditer(text):
         if match.group(1) is None:
             continue
-        terms.append((sign, text[start:match.start()], start))
-        sign, start = match.group(1), match.end()
-    terms.append((sign, text[start:], start))
-    if len(terms) > 1 and not terms[0][1].strip():
+        terms.append((sign, sign_col, text[start:match.start()], start))
+        sign, sign_col, start = match.group(1), match.start(1), match.end()
+    terms.append((sign, sign_col, text[start:], start))
+    if len(terms) > 1 and not terms[0][2].strip():
         del terms[0]              # a leading sign is the first term's sign
-    if any(not term.strip() for _, term, _ in terms):
-        raise DiagramError("dangling sign in element expression", 1, 1, len(text))
+    for _, sign_col, term, _ in terms:
+        if not term.strip():
+            # point at the sign with no term after it (the whole text if
+            # the element has no sign at all)
+            col, end = ((1, len(text)) if sign_col is None
+                        else (sign_col + 1, sign_col + 1))
+            raise DiagramError("dangling sign in element expression", 1, col, end)
     if path.is_zero:
         return BimElement.zero(path)
     parts = []
-    for sign, term, offset in terms:
+    for sign, _, term, offset in terms:
         factor_exprs = term.split("|")
         expected = max(m, 1)
         if len(factor_exprs) != expected:

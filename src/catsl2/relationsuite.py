@@ -56,7 +56,7 @@ from .twomorphisms import (
     compile_word,
 )
 
-DEFAULT_MAX_RANK = 4
+DEFAULT_MAX_RANK = 6
 
 
 def quantum_integer(n: int) -> Laurent:

@@ -28,13 +28,11 @@ from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
     FlagPath,
-    RawTensor,
     basis,
     inject_at_junction,
+    inject_into_factor,
     linear_sum,
-    normalize,
     normalize_xi_vector,
-    xi_power_tensor,
 )
 from .exactpoly import xi_sym
 
@@ -207,15 +205,11 @@ def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
     pieces = [(top - t, Polynomial.gen(sym(t, nu)) if t else Polynomial.one(),
                (-1) ** t) for t in range(0, top + 1)]
 
-    def term(vec, xi_exp, content):
-        factors = list(xi_power_tensor(codomain,
-                                       vec[:g] + (xi_exp, 0) + vec[g:]).factors)
-        factors[g + 1] = factors[g + 1] * content
-        return normalize(RawTensor(codomain, tuple(factors)))
-
     def fn(vec):
-        return linear_sum(codomain, ((term(vec, xi_exp, content), sign)
-                                     for xi_exp, content, sign in pieces))
+        return linear_sum(codomain, (
+            (inject_into_factor(codomain, g + 2, content,
+                                vec[:g] + (xi_exp, 0) + vec[g:]), sign)
+            for xi_exp, content, sign in pieces))
 
     return BimMap(path, codomain, degree, fn, name=name)
 

@@ -2,7 +2,16 @@
 
 import random
 
-from catsl2.exactpoly import KIND_X, KIND_XI, KIND_Y, Polynomial, x_sym, xi_sym, y_sym
+from catsl2.exactpoly import (
+    KIND_X,
+    KIND_XI,
+    KIND_Y,
+    Polynomial,
+    mono_pairs,
+    x_sym,
+    xi_sym,
+    y_sym,
+)
 from catsl2.bimodules import (
     FlagPath,
     RawTensor,
@@ -26,6 +35,44 @@ def xigen(position=1, exp=1):
 
 def identity_path(N, k, shift=0):
     return FlagPath(N, (k,), shift)
+
+
+def as_polynomials(terms):
+    """In-flight terms with every settled (int) entry written as its xi-power."""
+    return [(tuple(xigen(i, f) if type(f) is int else f
+                   for i, f in enumerate(factors, start=1)), coeff)
+            for factors, coeff in terms]
+
+
+def rewrite_measure_reference(path, terms):
+    """``rewrite_measure`` by decoding every monomial into symbol pairs.
+
+    Every factor must be a polynomial (see ``as_polynomials``).  Left-kind
+    symbols count toward L, xi_i's excess over the bound toward E, every
+    other non-xi symbol toward R, and a factor that is not a monic bounded
+    xi-power sets D.
+    """
+    m = path.num_factors
+    totals = [[0, 0, 0, 0] for _ in range(m)]
+    for factors, _ in terms:
+        for i in range(1, m + 1):
+            entry = totals[i - 1]
+            poly = factors[i - 1]
+            left_kind = KIND_X if path.is_up(i) else KIND_Y
+            for mono in poly.terms:
+                for sym, exp in mono_pairs(mono):
+                    if sym.kind == KIND_XI:
+                        entry[1] += max(0, exp - path.bound(i)) if sym.index == i else 0
+                    elif sym.kind == left_kind:
+                        entry[0] += exp
+                    else:
+                        entry[2] += exp
+            settled = (len(poly.terms) == 1 and 1 in poly.terms.values()
+                       and all(sym == xi_sym(i) and exp <= path.bound(i)
+                               for mono in poly.terms for sym, exp in mono_pairs(mono)))
+            if not settled:
+                entry[3] = 1
+    return tuple(tuple(t) for t in totals)
 
 
 def map_matrix(f):

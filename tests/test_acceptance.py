@@ -52,6 +52,13 @@ def test_criterion_01_full_relation_suite():
                "exact normal-form equality, zero failures")
 
 
+def test_criterion_01b_full_relation_suite_n5():
+    report = _suite_green(5, None)
+    assert report.results and all(r.status != "fail" for r in report.results)
+    _report(1, "full relation suite passes for N = 5, every valid k, exact "
+               "normal-form equality, zero failures")
+
+
 def test_criterion_02_ring_identity_batteries():
     for N in RANKS:
         _suite_green(N, ["ring_identities"])

@@ -651,3 +651,148 @@ def test_omega_commutes_with_normalize_and_keeps_graded_rank():
                 got = normalize(RawTensor(mirror, tuple(omega_poly(f)
                                                         for f in raw.factors)))
                 assert got == want, (path.render(), raw.factors)
+
+
+# -- in-flight entries: settled factors as ints ------------------------------
+
+
+def _xi_vectors(path, rng, count=6):
+    """The zero vector, the all-(bound+2) vector and random vectors with
+    entries up to two above each factor bound."""
+    bounds = [path.bound(i) for i in range(1, path.num_factors + 1)]
+    vecs = [tuple(0 for _ in bounds), tuple(b + 2 for b in bounds)]
+    vecs += [tuple(rng.randrange(b + 3) for b in bounds) for _ in range(count)]
+    return vecs
+
+
+def _xi_powers(vec):
+    return [xigen(i, e) for i, e in enumerate(vec, start=1)]
+
+
+def _junction_poly(path, g, rng):
+    """A small random polynomial in the ring at junction g."""
+    syms = sorted(path.junction(g).catalog())
+    poly = Polynomial.const(rng.choice((1, 2, -1)))
+    for _ in range(rng.randrange(0, 3)):
+        poly = poly * Polynomial.gen(syms[rng.randrange(len(syms))])
+    return poly + Polynomial.const(rng.choice((0, 1)))
+
+
+def test_internal_entries_match_the_public_normalize():
+    from catsl2.bimodules import _into_factor
+    rng = random.Random("internal-entries")
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            m = path.num_factors
+            for vec in _xi_vectors(path, rng):
+                raw = RawTensor(path, tuple(_xi_powers(vec)))
+                assert normalize_xi_vector(path, vec) == normalize(raw), \
+                    (path.render(), vec)
+                g = rng.randrange(m + 1)
+                poly = _junction_poly(path, g, rng)
+                if g == m:
+                    expected = normalize(raw).right_mul(poly)
+                else:
+                    factors = _xi_powers(vec)
+                    factors[g] = factors[g] * _into_factor(path, g + 1, poly)
+                    expected = normalize(RawTensor(path, tuple(factors)))
+                assert inject_at_junction(path, g, poly, vec) == expected, \
+                    (path.render(), g, vec, poly.render())
+
+
+def test_cup_images_match_the_public_normalize():
+    from catsl2.twomorphisms import gen_cup
+    rng = random.Random("cup-entries")
+    for N in (1, 2, 3):
+        domains = [FlagPath(N, (k,)) for k in range(N + 1)] + all_paths(N, 2)
+        for path in domains:
+            for g in range(path.num_factors + 1):
+                j = path.rings[g]
+                nu = 2 * j - N
+                for kind, top, sym in (("fe", j, x_sym), ("ef", N - j, y_sym)):
+                    cup = gen_cup(path, g, kind)
+                    if cup.codomain.is_zero:
+                        continue
+                    for vec in _xi_vectors(path, rng, count=2):
+                        expected = BimElement.zero(cup.codomain)
+                        for t in range(top + 1):
+                            factors = (_xi_powers(vec[:g]) + [xigen(g + 1, top - t),
+                                       Polynomial.gen(sym(t, nu)) if t else Polynomial.one()]
+                                       + [xigen(i, e) for i, e in enumerate(vec[g:], g + 3)])
+                            term = normalize(RawTensor(cup.codomain, tuple(factors)))
+                            expected = expected + term.scale((-1) ** t)
+                        assert cup.apply_vec(vec) == expected, (path.render(), g, kind, vec)
+
+
+def test_in_bound_vectors_are_normalized_without_a_push(monkeypatch):
+    import catsl2.bimodules as bimodules
+
+    def no_push(*args):
+        raise AssertionError("an in-bound vector was pushed")
+
+    monkeypatch.setattr(bimodules, "_push_content", no_push)
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            for vec in basis(path):
+                assert normalize_xi_vector(path, vec).terms == {vec: Polynomial.one()}
+                # a unit inserted anywhere is a settled factor, not content
+                for g in range(path.num_factors + 1):
+                    assert inject_at_junction(path, g, Polynomial.one(), vec).terms == \
+                        {vec: Polynomial.one()}
+
+
+@pytest.mark.parametrize("via", ["inject_at_junction", "junction_mult"])
+def test_foreign_content_is_rejected_where_it_enters(via):
+    from catsl2.twomorphisms import junction_mult
+    path = FlagPath(2, (0, 1, 2))
+    foreign = xgen(1, 5)                 # a generator of no ring at rank 2
+    with pytest.raises(ValueError, match="non-canonical generators: x\\[1\\]@5"):
+        if via == "inject_at_junction":
+            inject_at_junction(path, 1, foreign, (0, 0))
+        else:
+            junction_mult(path, 0, foreign).apply_vec((0, 0))
+
+
+def test_in_flight_entries_are_ints_exactly_when_settled():
+    from catsl2.bimodules import _settled_exponent
+    from catsl2.exactpoly import field_shift
+    rng = random.Random("int-entries")
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            bounds = [path.bound(i) for i in range(1, path.num_factors + 1)]
+            shifts = [field_shift(xi_sym(i)) for i in range(1, path.num_factors + 1)]
+            for _ in range(3):
+                raw = random_raw_tensor(path, rng)
+                for order in ("ltr", "rtl"):
+                    states = []
+                    normalize(raw, order=order, on_step=states.append)
+                    for terms in states:
+                        for factors, _ in terms:
+                            for f, bound, shift in zip(factors, bounds, shifts):
+                                if type(f) is int:
+                                    assert 0 <= f <= bound
+                                else:
+                                    assert _settled_exponent(f, shift, bound) is None
+                        if order == "rtl":
+                            tuples = [factors for factors, _ in terms]
+                            assert len(set(tuples)) == len(tuples)
+
+
+def test_rewrite_measure_matches_the_decoding_reference():
+    from catsl2.bimodules import rewrite_measure
+    from helpers import as_polynomials, rewrite_measure_reference
+    rng = random.Random("measure-fields")
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            for _ in range(2):
+                raw = random_raw_tensor(path, rng)
+                for order in ("ltr", "rtl"):
+                    states = [[(raw.factors, Polynomial.one())]]
+                    normalize(raw, order=order, on_step=states.append)
+                    for terms in states:
+                        reference = as_polynomials(terms)
+                        assert rewrite_measure(path, terms) == \
+                            rewrite_measure_reference(path, reference)
+                        for term, ref in zip(terms, reference):
+                            assert rewrite_measure(path, [term]) == \
+                                rewrite_measure_reference(path, [ref])

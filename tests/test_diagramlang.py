@@ -385,6 +385,19 @@ def test_parse_element_leading_sign():
         assert "dangling sign in element expression" in str(err.value)
 
 
+@pytest.mark.parametrize("text, path, cols", [
+    ("-", FlagPath(2, (0, 1)), (1, 1)),
+    ("xi +", FlagPath(2, (0, 1)), (4, 4)),
+    ("- - xi", FlagPath(2, (0, 1)), (1, 1)),
+    ("xi|1 + -xi|1", FlagPath(3, (1, 2, 1)), (6, 6)),
+])
+def test_dangling_sign_span_points_at_the_sign(text, path, cols):
+    with pytest.raises(DiagramError) as err:
+        parse_element(text, path)
+    assert "dangling sign in element expression" in str(err.value)
+    assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)
+
+
 @pytest.mark.parametrize("text, path, token, cols", [
     ("xi|-1", FlagPath(3, (1, 2, 1)), "-1", (4, 5)),
     ("xi | -1", FlagPath(3, (1, 2, 1)), "-1", (5, 7)),
