@@ -29,9 +29,11 @@ equality of normal forms syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+from . import exactpoly
 from .exactpoly import (
     FIELD_MASK,
     KIND_X,
@@ -260,23 +262,51 @@ def linear_sum(path: FlagPath, parts) -> BimElement:
     """The sum of ``element * c`` over the ``(element, c)`` parts.
 
     ``c`` is a rational or a right-ring polynomial, and every element must
-    live in ``path``.  This is the one place elements are summed: terms
-    accumulate in one new dict, coefficients that cancel are dropped once
-    at the end, and no part's ``terms`` is mutated (stored map images are
-    shared).
+    live in ``path``.  This is the one place elements are summed.  Each
+    output vector accumulates packed monomial -> rational in one plain
+    dict: scaling by ``c`` is a key addition and one rational product per
+    pair of terms, and one ``Polynomial`` per vector is built at the end,
+    after the coefficients that cancelled are dropped.  A product key that
+    sets a guard bit raises ``OverflowError``, as ``Polynomial.__mul__``
+    does.  No part's ``terms`` or coefficient is mutated (stored map images
+    are shared).
     """
-    acc: dict = {}
+    acc: dict = {}        # vec -> {packed monomial: rational}
+    seen = 0              # OR of every product key, for the guard bits
     for element, c in parts:
         if element.path != path:
             raise ValueError("elements live in different bimodules: %s vs %s"
                              % (path.render(), element.path.render()))
-        terms = element.terms.items()
-        if c != 1:
-            terms = [(vec, coeff * c) for vec, coeff in terms]
-        for vec, coeff in terms:
-            prev = acc.get(vec)
-            acc[vec] = coeff if prev is None else prev + coeff
-    return _wrap(path, {vec: coeff for vec, coeff in acc.items() if coeff})
+        if type(c) is Polynomial:
+            scale = c._terms
+        elif isinstance(c, (int, Fraction)):
+            scale = {0: c} if c else {}
+        else:
+            raise TypeError("cannot scale an element by %r" % (c,))
+        unit = len(scale) == 1 and scale.get(0) == 1
+        for vec, coeff in element.terms.items():
+            out = acc.get(vec)
+            if out is None:
+                if unit:
+                    acc[vec] = dict(coeff._terms)     # a copy: parts stay intact
+                    continue
+                out = acc[vec] = {}
+            get = out.get
+            for ms, cs in scale.items():
+                for m, cm in coeff._terms.items():
+                    key = m + ms
+                    seen |= key
+                    prev = get(key)
+                    out[key] = cm * cs if prev is None else prev + cm * cs
+    if seen & exactpoly._GUARDS:
+        raise exactpoly._overflow()
+    terms = {}
+    for vec, out in acc.items():
+        if not all(out.values()):
+            out = {m: c for m, c in out.items() if c}
+        if out:
+            terms[vec] = exactpoly._make(out)
+    return _wrap(path, terms)
 
 
 # ---------------------------------------------------------------------------

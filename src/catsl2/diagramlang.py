@@ -436,11 +436,13 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
         del terms[0]              # a leading sign is the first term's sign
     for _, sign_col, term, _ in terms:
         if not term.strip():
-            # point at the sign with no term after it (the whole text if
-            # the element has no sign at all)
-            col, end = ((1, len(text)) if sign_col is None
-                        else (sign_col + 1, sign_col + 1))
-            raise DiagramError("dangling sign in element expression", 1, col, end)
+            if sign_col is None:
+                # no sign at all: the whole (blank) text, at least one column
+                raise DiagramError("empty element expression", 1, 1,
+                                   max(1, len(text)))
+            # point at the sign with no term after it
+            raise DiagramError("dangling sign in element expression", 1,
+                               sign_col + 1, sign_col + 1)
     if path.is_zero:
         return BimElement.zero(path)
     parts = []

@@ -336,11 +336,15 @@ class Polynomial:
     # -- structure ------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Polynomial.const(other)
-        return self._terms == other._terms
+        if isinstance(other, Polynomial):
+            return self._terms == other._terms
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        # a scalar c is the polynomial {0: c}, and 0 is the empty one
+        terms = self._terms
+        if not other:
+            return not terms
+        return len(terms) == 1 and terms.get(0) == other
 
     def __hash__(self):
         if self._hash is None:

@@ -72,11 +72,9 @@ class GrassContext:
         gen, last = (self.x, self.k) if letter == "x" else (self.y, self.N - self.k)
         return [gen(index) for index in range(last + 1)]
 
-    def catalog(self) -> set[VarSymbol]:
+    def catalog(self) -> frozenset[VarSymbol]:
         """All generator symbols of this ring."""
-        syms = {x_sym(j, self.n) for j in range(1, self.k + 1)}
-        syms |= {y_sym(j, self.n) for j in range(1, self.N - self.k + 1)}
-        return syms
+        return ring_catalog(self.N, self.k)
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,15 @@ class StepRing:
             acc = acc + term
             sign = -sign
         return acc
+
+
+@lru_cache(maxsize=None)
+def ring_catalog(N: int, k: int) -> frozenset[VarSymbol]:
+    """Generator symbols of the ring H_k inside rank N."""
+    n = 2 * k - N
+    syms = {x_sym(j, n) for j in range(1, k + 1)}
+    syms |= {y_sym(j, n) for j in range(1, N - k + 1)}
+    return frozenset(syms)
 
 
 @lru_cache(maxsize=None)

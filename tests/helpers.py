@@ -13,6 +13,7 @@ from catsl2.exactpoly import (
     y_sym,
 )
 from catsl2.bimodules import (
+    BimElement,
     FlagPath,
     RawTensor,
     basis,
@@ -73,6 +74,23 @@ def rewrite_measure_reference(path, terms):
             if not settled:
                 entry[3] = 1
     return tuple(tuple(t) for t in totals)
+
+
+def linear_sum_reference(path, parts):
+    """``linear_sum`` in ``Polynomial`` arithmetic, one product per scaled
+    coefficient and one ``+`` per repeated vector."""
+    acc = {}
+    for element, c in parts:
+        if element.path != path:
+            raise ValueError("elements live in different bimodules: %s vs %s"
+                             % (path.render(), element.path.render()))
+        terms = element.terms.items()
+        if c != 1:
+            terms = [(vec, coeff * c) for vec, coeff in terms]
+        for vec, coeff in terms:
+            prev = acc.get(vec)
+            acc[vec] = coeff if prev is None else prev + coeff
+    return BimElement(path, acc)
 
 
 def map_matrix(f):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from catsl2.exactpoly import Polynomial, x_sym, xi_sym, y_sym
+from catsl2.exactpoly import MAX_EXPONENT, Polynomial, x_sym, xi_sym, y_sym
 from catsl2.grassrings import GrassContext, StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.bimodules import (
@@ -27,6 +27,7 @@ from catsl2.twomorphisms import gen_crossing, gen_dot
 from helpers import (
     all_paths,
     identity_path,
+    linear_sum_reference,
     omega_path,
     omega_poly,
     random_raw_tensor,
@@ -618,6 +619,96 @@ def test_linear_sum_consumes_a_generator_of_parts_once():
     assert next(parts, None) is None
     assert total == linear_sum(path, listed)
     assert total == sum((e.scale(c) for e, c in listed[1:]), listed[0][0])
+
+
+def _right_ring_poly(path, rng):
+    """A random multi-term polynomial in the right end ring of ``path``."""
+    syms = sorted(path.junction(path.num_factors).catalog())
+    poly = Polynomial.const(rng.choice((1, -2, Fraction(1, 3))))
+    for _ in range(rng.randrange(2, 4)):
+        term = Polynomial.const(rng.choice((1, -1, 3, Fraction(-5, 2))))
+        for _ in range(rng.randrange(1, 3)):
+            term = term * Polynomial.gen(syms[rng.randrange(len(syms))],
+                                         rng.randrange(1, 3))
+        poly = poly + term
+    return poly
+
+
+def _scales(path, rng):
+    """Every kind of scale ``linear_sum`` takes: rationals, 1 in each of its
+    forms, constant and multi-term polynomials, and zero."""
+    poly = _right_ring_poly(path, rng)
+    return [1, Polynomial.one(), Fraction(1, 1), -1, 3, Fraction(2, 3), Fraction(2, 1),
+            Polynomial.const(Fraction(1, 2)), poly, -poly, poly * poly,
+            Polynomial.gen(sorted(path.junction(path.num_factors).catalog())[0]),
+            0, Polynomial.zero()]
+
+
+def test_linear_sum_matches_the_polynomial_reference():
+    # the flat kernel against the Polynomial arithmetic it replaced, on
+    # every path with N <= 3 and at most 3 steps
+    checked = cancelled = 0
+    for N in (1, 2, 3):
+        for path in all_paths(N, 3):
+            rng = random.Random("lin-ref:%d:%s" % (N, path.rings))
+            elements = [normalize(random_raw_tensor(path, rng)) for _ in range(3)]
+            scales = _scales(path, rng)
+            part_lists = [[(e, c)] for e in elements for c in scales]
+            for _ in range(6):
+                part_lists.append([(elements[rng.randrange(3)],
+                                    scales[rng.randrange(len(scales))])
+                                   for _ in range(rng.randrange(2, 5))])
+            for e in elements:
+                c = scales[8]
+                # parts that cancel to zero, in full and in part
+                part_lists.append([(e, c), (e, -c)])
+                part_lists.append([(e, c), (e.scale(c), -1), (e, Fraction(1, 2))])
+                part_lists.append([(e, 1), (e, c), (e, -1), (e.scale(-1), c)])
+            for parts in part_lists:
+                got = linear_sum(path, parts)
+                want = linear_sum_reference(path, parts)
+                assert got == want, (path.render(), parts)
+                assert all(coeff for coeff in got.terms.values())
+                assert all(all(coeff.terms.values()) for coeff in got.terms.values())
+                checked += 1
+                cancelled += not got.terms
+    assert checked > 1000 and cancelled > 100
+
+
+def test_linear_sum_raises_on_exponent_overflow():
+    path = FlagPath(2, (1, 2))                  # right end ring k = 2
+    x, one = xgen(1, 2), Polynomial.one()
+    top = normalize_xi_vector(path, (1,)).right_mul(x ** MAX_EXPONENT)
+    low = normalize_xi_vector(path, (0,)).right_mul(x ** (MAX_EXPONENT - 1))
+    # a product that reaches the limit is fine; one past it raises
+    assert linear_sum(path, [(low, x), (top, one)]) == \
+        linear_sum_reference(path, [(low, x), (top, one)])
+    for parts in ([(top, x)],
+                  [(low, 1), (top, xgen(2, 2) + x - 1)],
+                  [(low, x * x)],
+                  [(top, one), (low, xgen(2, 2) * x ** 2)]):
+        with pytest.raises(OverflowError):
+            linear_sum(path, parts)
+        with pytest.raises(OverflowError):
+            linear_sum_reference(path, parts)
+
+
+def test_linear_sum_mutates_no_part():
+    # a part's terms dict and every coefficient's terms dict stay as they
+    # were, whichever scale its first and later occurrences carry
+    path = FlagPath(3, (1, 2, 1))
+    rng = random.Random("lin-mutate")
+    elements = _random_elements(path, "lin-mutate", 4)
+    scales = _scales(path, rng)
+    snapshot = [(dict(e.terms), {vec: dict(c.terms) for vec, c in e.terms.items()})
+                for e in elements]
+    for c in scales:
+        for d in scales:
+            linear_sum(path, [(elements[0], c), (elements[0], d),
+                              (elements[1], d), (elements[0], 1)])
+            linear_sum(path, [(e, c) for e in elements] + [(e, d) for e in elements])
+    assert [(dict(e.terms), {vec: dict(c.terms) for vec, c in e.terms.items()})
+            for e in elements] == snapshot
 
 
 def test_map_on_an_element_is_the_coefficient_weighted_sum_of_images():

@@ -389,3 +389,11 @@ def test_eval_header_digit_limit_exits_2(capsys, tmp_path, header):
     line = 1 if header == "N" else 2
     assert err == ("catsl2: error: line %d: %s has 5000 digits, above the "
                    "limit 1000\n" % (line, header))
+
+
+def test_eval_empty_element_exits_2(capsys):
+    code, out, err = run_cli(capsys, "eval", "--diagram",
+                             str(DOCS / "diagrams" / "dot.cat"), "--element", "")
+    assert code == 2 and out == ""
+    assert "line 1, cols 1-1: empty element expression" in err
+    assert "dangling sign" not in err and "Traceback" not in err

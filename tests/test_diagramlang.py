@@ -436,3 +436,12 @@ def test_element_errors_echo_a_bounded_excerpt(text):
     with pytest.raises(DiagramError) as err:
         parse_element(text, FlagPath(2, (0, 1)))
     assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("text, cols", [("", (1, 1)), ("   ", (1, 3))])
+def test_empty_element_has_its_own_message(text, cols):
+    with pytest.raises(DiagramError) as err:
+        parse_element(text, FlagPath(2, (0, 1)))
+    assert "empty element expression" in str(err.value)
+    assert "dangling sign" not in str(err.value)
+    assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)

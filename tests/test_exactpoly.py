@@ -308,3 +308,25 @@ def test_substitute_keeps_unmapped_factors():
     assert got == (y1 + 1) ** 2 * y1 * xi + 3 * y1 ** 2 - xi
     # symbols the polynomial never uses change nothing
     assert p.substitute({x_sym(9, 9): y1}) is p
+
+
+def test_equality_with_scalars_reads_the_terms():
+    zero, one = Polynomial.zero(), Polynomial.one()
+    half, two = Polynomial.const(Fraction(1, 2)), Polynomial.const(2)
+    x = xgen(1, 0)
+    for poly, equal_to in ((zero, (0, Fraction(0))),
+                           (one, (1, Fraction(1, 1))),
+                           (half, (Fraction(1, 2),)),
+                           (two, (2, Fraction(2, 1)))):
+        for c in (0, 1, 2, Fraction(0), Fraction(1, 2), Fraction(2, 1), Fraction(1, 1)):
+            want = c in equal_to
+            assert (poly == c) is want and (c == poly) is want, (poly, c)
+            assert (poly != c) is not want
+    # a non-constant polynomial equals no scalar, whatever its coefficients
+    for poly in (x, x + 1, x - x + 2, x * Fraction(1, 2), (x + 1) * (x - 1) + 1, x ** 2):
+        for c in (0, 1, 2, Fraction(1, 2), Fraction(2, 1)):
+            assert (poly == c) is (poly.terms == {0: c}), (poly, c)
+    assert x - x + 2 == 2 and (x + 1) * (x - 1) + 1 == x ** 2
+    assert x != 0 and x + 1 != 1 and not (x == 1)
+    assert Polynomial.__eq__(x, "x") is NotImplemented
+    assert Polynomial.__eq__(one, 1.0) is NotImplemented

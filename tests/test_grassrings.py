@@ -1,6 +1,6 @@
 import pytest
 
-from catsl2.exactpoly import Polynomial, homogeneous_degree
+from catsl2.exactpoly import Polynomial, homogeneous_degree, x_sym, y_sym
 from catsl2.grassrings import (
     GrassContext,
     StepRing,
@@ -170,3 +170,16 @@ def test_special_class_terms_stops_past_the_limit():
     # parts up to 4 are never added once the count has passed the limit
     assert 10000 < special_class_terms(ctx, "X", 4000, 10000) < 13561 * 1000
     assert special_class_terms(GrassContext(2, 1), "X", 4000, 10) == 1
+
+
+def test_ring_catalog_is_one_shared_frozenset():
+    ctx = GrassContext(4, 1)
+    catalog = ctx.catalog()
+    assert isinstance(catalog, frozenset)
+    assert catalog == {x_sym(1, -2), y_sym(1, -2), y_sym(2, -2), y_sym(3, -2)}
+    assert ctx.catalog() is catalog
+    assert GrassContext(4, 1).catalog() is catalog
+    with pytest.raises(AttributeError):
+        catalog.add(x_sym(2, -2))
+    assert GrassContext(4, 1).catalog() == {x_sym(1, -2), y_sym(1, -2), y_sym(2, -2),
+                                            y_sym(3, -2)}

@@ -1,8 +1,11 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from catsl2 import relationsuite
+from catsl2 import bimodules, relationsuite, twomorphisms
+from catsl2.bimodules import FlagPath, normalize_xi_vector
 from catsl2.qlaurent import Laurent
 from catsl2.twomorphisms import BimMap
 from catsl2.relationsuite import (
@@ -146,3 +149,40 @@ def test_side_tables_wire_each_cup_kind_to_its_checks(monkeypatch, kind, failing
     monkeypatch.setattr(relationsuite, "gen_cup", negated_cup)
     report = run_suite(3, suites=WIRED_SUITES)
     assert {r.check for r in report.results if r.status == "fail"} == failing
+
+
+def test_well_definedness_catches_a_map_that_is_not_left_linear(monkeypatch):
+    # xi^a -> (a + 1) xi^a is right-linear (a BimMap extends over right-ring
+    # coefficients) but does not commute with the left action of x[1]: the
+    # check must still see that through its shared left-action maps
+    path = FlagPath(3, (1, 2))
+    bad = BimMap(path, path, 0,
+                 lambda vec: normalize_xi_vector(path, vec).scale(sum(vec) + 1),
+                 name="euler")
+    real = relationsuite._context_generators
+    assert relationsuite._run_well_definedness(3, 1, random.Random(0)) is None
+    monkeypatch.setattr(relationsuite, "_context_generators",
+                        lambda N, k: real(N, k) + [bad])
+    report = relationsuite._run_well_definedness(3, 1, random.Random(0))
+    assert report.startswith("euler violates the bimodule law on ")
+
+
+def test_well_definedness_inserts_each_left_action_once(monkeypatch):
+    # within one context, each (path, r, vec) left action is computed once
+    # and then read from the shared map's memo.  Calls on identity paths
+    # are a cap's own image computation (inputs with equal a + b insert
+    # the same class), not a left action, and are not counted.
+    real = bimodules.inject_at_junction
+    for k in range(0, 4):
+        calls = Counter()
+
+        def counting(path, g, ring_poly, vec=None):
+            if path.num_factors:
+                calls[path, g, ring_poly, tuple(vec)] += 1
+            return real(path, g, ring_poly, vec)
+
+        for module in (bimodules, twomorphisms):
+            monkeypatch.setattr(module, "inject_at_junction", counting)
+        rng = random.Random("well_definedness:3:%d" % k)
+        assert relationsuite._run_well_definedness(3, k, rng) is None
+        assert calls and max(calls.values()) == 1, (k, calls.most_common(1))
