@@ -29,7 +29,6 @@ equality of normal forms syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -42,6 +41,7 @@ from .exactpoly import (
     Polynomial,
     field_shift,
     mono_degree,
+    sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
@@ -277,12 +277,7 @@ def linear_sum(path: FlagPath, parts) -> BimElement:
         if element.path != path:
             raise ValueError("elements live in different bimodules: %s vs %s"
                              % (path.render(), element.path.render()))
-        if type(c) is Polynomial:
-            scale = c._terms
-        elif isinstance(c, (int, Fraction)):
-            scale = {0: c} if c else {}
-        else:
-            raise TypeError("cannot scale an element by %r" % (c,))
+        scale = exactpoly._factor_terms(c)
         unit = len(scale) == 1 and scale.get(0) == 1
         for vec, coeff in element.terms.items():
             out = acc.get(vec)
@@ -318,16 +313,9 @@ def linear_sum(path: FlagPath, parts) -> BimElement:
 def _xi_overflow(N: int, j: int, up: bool, pos: int) -> Polynomial:
     """Value of xi^(bound+1) in right-junction generators plus lower powers."""
     ring = StepRing(N, j, xi_pos=pos)
-    acc = Polynomial.zero()
-    if up:
-        for t in range(1, j + 2):
-            sign = 1 if (t + 1) % 2 == 0 else -1
-            acc = acc + ring.upper.x(t) * ring.xi(j + 1 - t) * sign
-    else:
-        for t in range(1, N - j + 1):
-            sign = 1 if (t + 1) % 2 == 0 else -1
-            acc = acc + ring.lower.y(t) * ring.xi(N - j - t) * sign
-    return acc
+    gen, top = (ring.upper.x, j + 1) if up else (ring.lower.y, N - j)
+    return sum_of_products((gen(t), ring.xi(top - t) if t % 2 else -ring.xi(top - t))
+                           for t in range(1, top + 1))
 
 
 @lru_cache(maxsize=None)

@@ -313,12 +313,14 @@ MAX_ELEMENT_DEGREE = 1000
 MAX_LITERAL_DIGITS = 1000
 
 
-def _parse_factor(expr: str, offset: int, symbol_of, degree: int, digits: int):
+def _parse_factor(expr: str, offset: int, text_len: int, symbol_of, degree: int,
+                  digits: int):
     """One factor expression: a product of powered tokens and rationals.
 
-    ``degree`` (in units of 2) and ``digits`` are the term's degree and
-    rational digit count before this factor; returns the factor's
-    polynomial and both counts after it.
+    ``expr`` starts at 0-based column ``offset`` of a text of ``text_len``
+    characters.  ``degree`` (in units of 2) and ``digits`` are the term's
+    degree and rational digit count before this factor; returns the
+    factor's polynomial and both counts after it.
     """
     poly = Polynomial.one()
     col = offset
@@ -327,13 +329,17 @@ def _parse_factor(expr: str, offset: int, symbol_of, degree: int, digits: int):
         col += len(piece) + 1
         stripped = piece.strip()
         if not stripped:
+            # span the blanks; a token with no characters at all points at
+            # the column after it, or at the last column at the text's end
+            first = min(start + 1, text_len)
             raise DiagramError("empty token in factor expression", 1,
-                               start + 1, start + max(1, len(piece)))
+                               first, max(first, start + len(piece)))
+        # the token's own columns, without the blanks around it
+        span = (1, start + len(piece) - len(piece.lstrip()) + 1,
+                start + len(piece.rstrip()))
         m = _ELEMENT_TOKEN_RE.match(piece)
         if not m:
-            raise DiagramError("cannot parse token %s" % _echo(stripped), 1,
-                               start + 1, start + len(piece))
-        span = (1, start + 1, start + len(piece))
+            raise DiagramError("cannot parse token %s" % _echo(stripped), *span)
         for run in re.findall(r"\d+", piece):
             if len(run) > MAX_LITERAL_DIGITS:
                 raise DiagramError("integer literal of %d digits exceeds the "
@@ -460,7 +466,7 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
         for position, expr in enumerate(factor_exprs, start=1):
             resolver = (_identity_symbol_resolver(path) if m == 0
                         else _factor_symbol_resolver(path, position))
-            poly, degree, digits = _parse_factor(expr, col, resolver,
+            poly, degree, digits = _parse_factor(expr, col, len(text), resolver,
                                                  degree, digits)
             polys.append(poly)
             col += len(expr) + 1

@@ -434,6 +434,43 @@ def _cached_pow(base: Polynomial, exp: int, _cache={}) -> Polynomial:
     return value
 
 
+def _factor_terms(f) -> Mapping[Mono, Rational]:
+    """The terms of a polynomial factor, or of an int or Fraction as one."""
+    if type(f) is Polynomial:
+        return f._terms
+    if isinstance(f, (int, Fraction)):
+        return {0: f} if f else {}
+    raise TypeError("%r is not a Polynomial, int or Fraction" % (f,))
+
+
+def sum_of_products(pairs) -> Polynomial:
+    """The sum of ``a * b`` over the ``(a, b)`` pairs.
+
+    Each factor is a ``Polynomial``, an int or a ``Fraction``.  This is the
+    one place products of polynomials are summed: every product term is
+    added into one plain dict of packed monomial -> rational, the OR of the
+    product keys is checked against the guard bits once (``OverflowError``
+    as in ``Polynomial.__mul__``), and the coefficients that cancelled are
+    dropped once at the end.  No factor is mutated.
+    """
+    acc: dict = {}
+    get = acc.get
+    seen = 0              # OR of every product key, for the guard bits
+    for a, b in pairs:
+        ta, tb = _factor_terms(a), _factor_terms(b)
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
+                key = ma + mb
+                seen |= key
+                prev = get(key)
+                acc[key] = ca * cb if prev is None else prev + ca * cb
+    if seen & _GUARDS:
+        raise _overflow()
+    if not all(acc.values()):
+        acc = {m: c for m, c in acc.items() if c}
+    return _make(acc)
+
+
 def homogeneous_degree(p: Polynomial):
     """Graded degree of p if homogeneous, ANY_DEGREE for 0, else INHOMOGENEOUS."""
     if not p.terms:
@@ -460,8 +497,6 @@ def series_invert(components: Iterable[Polynomial], bound: int) -> list[Polynomi
 
     inverse = [Polynomial.one()]
     for d in range(1, bound + 1):
-        acc = Polynomial.zero()
-        for i in range(1, d + 1):
-            acc = acc + comp(i) * inverse[d - i]
-        inverse.append(-acc)
+        inverse.append(-sum_of_products((comp(i), inverse[d - i])
+                                        for i in range(1, d + 1)))
     return inverse

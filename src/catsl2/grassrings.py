@@ -29,6 +29,7 @@ from .exactpoly import (
     KIND_X,
     KIND_Y,
     series_invert,
+    sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
@@ -165,25 +166,17 @@ class StepRing:
 
     def lower_x_expansion(self, index: int) -> Polynomial:
         """x[index]@nu as an alternating xi-sum of upper-ring x's."""
-        acc = Polynomial.zero()
-        sign = 1
-        for ell in range(0, index + 1):
-            term = (GrassContext(self.N, self.j + 1).x(index - ell)
-                    * self.xi(ell) * sign)
-            acc = acc + term
-            sign = -sign
-        return acc
+        return self._alternating_xi_sum(self.upper.x, index)
 
     def upper_y_expansion(self, index: int) -> Polynomial:
         """y[index]@(nu+2) as an alternating xi-sum of lower-ring y's."""
-        acc = Polynomial.zero()
-        sign = 1
-        for ell in range(0, index + 1):
-            term = (GrassContext(self.N, self.j).y(index - ell)
-                    * self.xi(ell) * sign)
-            acc = acc + term
-            sign = -sign
-        return acc
+        return self._alternating_xi_sum(self.lower.y, index)
+
+    def _alternating_xi_sum(self, gen, index: int) -> Polynomial:
+        """sum_{ell=0..index} (-1)^ell * gen(index - ell) * xi^ell."""
+        return sum_of_products(
+            (gen(index - ell), -self.xi(ell) if ell % 2 else self.xi(ell))
+            for ell in range(0, index + 1))
 
 
 @lru_cache(maxsize=None)
@@ -215,10 +208,8 @@ def _special(N: int, k: int, family: str, alpha: int) -> Polynomial:
     mult = ctx.y if family == "X" else ctx.x
     # mult(j) is 0 past the ring's last generator
     last = min(alpha, N - k if family == "X" else k)
-    acc = Polynomial.zero()
-    for j in range(1, last + 1):
-        acc = acc + mult(j) * _special(N, k, family, alpha - j)
-    return -acc
+    return -sum_of_products((mult(j), _special(N, k, family, alpha - j))
+                            for j in range(1, last + 1))
 
 
 # Per (N, k, family): the alpha up to which the ``_special`` memo is full.
@@ -288,12 +279,9 @@ def bubble_value(ctx: GrassContext, orientation: str, alpha: int) -> Polynomial:
     if alpha < 0:
         return Polynomial.zero()
     letter, family = _BUBBLE_SERIES[orientation]
-    acc = Polynomial.zero()
-    for ell, gen in enumerate(ctx.gens(letter)):
-        acc = acc + gen * special_class(ctx, family, alpha - ell)
-    if alpha % 2:
-        acc = -acc
-    return acc
+    acc = sum_of_products((gen, special_class(ctx, family, alpha - ell))
+                          for ell, gen in enumerate(ctx.gens(letter)))
+    return -acc if alpha % 2 else acc
 
 
 #: Each delta series pairs the generators of one letter with the special
@@ -315,9 +303,8 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
         letter, family = _DELTA_SERIES[which]
         gen = getattr(ctx, letter)
         for d in range(0, bound + 1):
-            acc = Polynomial.zero()
-            for j in range(0, d + 1):
-                acc = acc + gen(j) * special_class(ctx, family, d - j)
+            acc = sum_of_products((gen(j), special_class(ctx, family, d - j))
+                                  for j in range(0, d + 1))
             want = Polynomial.one() if d == 0 else Polynomial.zero()
             if acc != want:
                 return False, "%s failed at degree %d: %s" % (which, d, acc.render())
@@ -326,9 +313,7 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
         cw = [bubble_value(ctx, "cw", a) for a in range(0, bound + 1)]
         ccw = [bubble_value(ctx, "ccw", a) for a in range(0, bound + 1)]
         for d in range(0, bound + 1):
-            acc = Polynomial.zero()
-            for i in range(0, d + 1):
-                acc = acc + cw[i] * ccw[d - i]
+            acc = sum_of_products((cw[i], ccw[d - i]) for i in range(0, d + 1))
             want = Polynomial.one() if d == 0 else Polynomial.zero()
             if acc != want:
                 return False, ("bubble product failed at degree %d: %s"

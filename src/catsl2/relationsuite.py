@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, sum_of_products
 from .grassrings import (
     GrassContext,
     StepRing,
@@ -393,12 +393,16 @@ def _step_class(ring: StepRing, name: str, index: int, end: str) -> Polynomial:
 def _run_class_slide(side, N, k, rng):
     family, (slid_end, other_end) = side.upper(), _RING_SIDES[side][:2]
     ring = StepRing(N, k)
+    # the other end's embedded classes and the signed xi-powers, one list
+    # each, kept for this context only: every class is embedded once, and
+    # the two ends independently
+    other, signed_xi = [], []
     for alpha in range(0, 2 * N + 3):
         lhs = _step_class(ring, family, alpha, slid_end)
-        rhs = Polynomial.zero()
-        for ell in range(0, alpha + 1):
-            term = _step_class(ring, family, alpha - ell, other_end) * ring.xi(ell)
-            rhs = rhs + (term if ell % 2 == 0 else -term)
+        other.append(_step_class(ring, family, alpha, other_end))
+        signed_xi.append(-ring.xi(alpha) if alpha % 2 else ring.xi(alpha))
+        rhs = sum_of_products((other[alpha - ell], signed_xi[ell])
+                              for ell in range(0, alpha + 1))
         if lhs != rhs:
             return ("slide of %s_%d: %s vs %s"
                     % (family, alpha, lhs.render(), rhs.render()))
@@ -408,11 +412,12 @@ def _run_class_slide(side, N, k, rng):
 def _run_xi_expansion(side, N, k, rng):
     lower, upper = _RING_SIDES[side][2:]
     ring = StepRing(N, k)
+    # one list of embedded classes per end, kept for this context only
+    lows, ups = [], []
     for alpha in range(0, 2 * N + 3):
-        acc = Polynomial.zero()
-        for j in range(0, alpha + 1):
-            acc = acc + (_step_class(ring, lower, alpha - j, "lower")
-                         * _step_class(ring, upper, j, "upper"))
+        lows.append(_step_class(ring, lower, alpha, "lower"))
+        ups.append(_step_class(ring, upper, alpha, "upper"))
+        acc = sum_of_products((lows[alpha - j], ups[j]) for j in range(0, alpha + 1))
         if alpha % 2:
             acc = -acc
         if acc != ring.xi(alpha):

@@ -93,6 +93,15 @@ def linear_sum_reference(path, parts):
     return BimElement(path, acc)
 
 
+def sum_of_products_reference(pairs):
+    """``sum_of_products`` as the loop it replaced: one ``Polynomial``
+    product and one ``+`` per pair."""
+    acc = Polynomial.zero()
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
 def map_matrix(f):
     """Images of the domain basis under a map, as {(out_vec, in_vec): coefficient}."""
     return {(out_vec, vec): coeff

@@ -323,7 +323,7 @@ def test_eval_large_xi_power_is_exact(capsys):
 @pytest.mark.parametrize("element, message, cols", [
     ("xi^1001", "exponent 1001 exceeds the limit 1000", "cols 1-7"),
     ("2^1001*xi", "exponent 1001 exceeds the limit 1000", "cols 1-6"),
-    ("x[1]^600 * x[1]^600", "tensor term degree 1200 exceeds", "cols 11-19"),
+    ("x[1]^600 * x[1]^600", "tensor term degree 1200 exceeds", "cols 12-19"),
     ("1/0", "zero denominator", "cols 1-3"),
 ])
 def test_eval_element_limits_exit_2(capsys, element, message, cols):

@@ -3,6 +3,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catsl2.exactpoly import Polynomial
 from catsl2.grassrings import GrassContext, bubble_value
@@ -28,7 +29,7 @@ from catsl2.diagramlang import (
     render_diagram,
     _layer_map,
 )
-from helpers import ygen
+from helpers import all_paths, ygen
 
 DIAGRAM_DIR = Path(__file__).resolve().parent.parent / "docs" / "diagrams"
 
@@ -342,7 +343,7 @@ NINES = "9" * 5000
 @pytest.mark.parametrize("text, cols", [
     ("xi^" + NINES, (5, 5007)),                 # an exponent
     ("x[" + NINES + "]", (5, 5007)),            # an index
-    ("2 * " + NINES + "/7 * xi", (8, 5011)),    # a rational
+    ("2 * " + NINES + "/7 * xi", (9, 5010)),    # a rational
 ], ids=["exponent", "index", "rational"])
 def test_parse_element_rejects_over_long_digit_runs(text, cols):
     # CPython refuses to convert integers of more than 4300 digits; the
@@ -365,7 +366,7 @@ def test_parse_element_bounds_rational_digits_per_term():
     with pytest.raises(DiagramError) as err:
         parse_element("9^1000 * 3/4 * xi", path)     # 1000 + 2 digits
     assert "have 1002 digits, above the limit 1000" in str(err.value)
-    assert (err.value.col_start, err.value.col_end) == (9, 13)
+    assert (err.value.col_start, err.value.col_end) == (10, 12)
     # the count runs over every factor of the term, and restarts per term
     two = FlagPath(2, (0, 1, 0))
     assert not parse_element("9^600 | 1 + 9^600 | 1", two).is_zero()
@@ -400,8 +401,8 @@ def test_dangling_sign_span_points_at_the_sign(text, path, cols):
 
 @pytest.mark.parametrize("text, path, token, cols", [
     ("xi|-1", FlagPath(3, (1, 2, 1)), "-1", (4, 5)),
-    ("xi | -1", FlagPath(3, (1, 2, 1)), "-1", (5, 7)),
-    ("2 * -xi", FlagPath(2, (0, 1)), "-xi", (4, 7)),
+    ("xi | -1", FlagPath(3, (1, 2, 1)), "-1", (6, 7)),
+    ("2 * -xi", FlagPath(2, (0, 1)), "-xi", (5, 7)),
     ("xi ^ -1", FlagPath(2, (0, 1)), "xi ^ -1", (1, 7)),
     ("1 / -2", FlagPath(2, (0, 1)), "1 / -2", (1, 6)),
 ])
@@ -445,3 +446,53 @@ def test_empty_element_has_its_own_message(text, cols):
     assert "empty element expression" in str(err.value)
     assert "dangling sign" not in str(err.value)
     assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)
+
+
+# -- fuzzing the element grammar ---------------------------------------------------
+
+#: Stray pieces: the tokens of the element grammar (docs/grammars.md),
+#: pieces of them, blanks, signs and operators.
+STRAY = ["xi", "x[", "y[", "]", "x[1]", "y[1]", "x[2]", "y[2]", "0", "1", "2", "3",
+         "/", "^", "*", "|", "+", "-", " "]
+BLANKS = st.sampled_from(["", "", " ", "  "])
+
+
+def _joined(parts, sep):
+    """One or more parts joined by sep, with blanks around each sep."""
+    return st.tuples(parts, st.lists(st.tuples(BLANKS, parts, BLANKS), max_size=2)).map(
+        lambda t: t[0] + "".join(a + sep + p + b for a, p, b in t[1]))
+
+
+_ATOMS = st.tuples(st.sampled_from(["xi", "x[1]", "y[1]", "x[2]", "y[2]", "1", "2",
+                                    "3/4", "0", "1/0"]),
+                   st.sampled_from(["", "^0", "^2", "^3"])).map("".join)
+_TERMS = _joined(_joined(_ATOMS, "*"), "|")
+#: Texts the grammar derives, with a leading sign or none.
+_ELEMENTS = st.tuples(st.sampled_from(["", "-", "+ "]), _TERMS,
+                      st.lists(st.tuples(st.sampled_from([" + ", "-", " - "]), _TERMS),
+                               max_size=2)).map(
+    lambda t: t[0] + t[1] + "".join(sign + term for sign, term in t[2]))
+ELEMENT_TEXTS = st.one_of(
+    _ELEMENTS,
+    st.tuples(_ELEMENTS, st.sampled_from(STRAY), st.integers(0, 40)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),          # a stray piece inside
+    st.tuples(_ELEMENTS, st.integers(0, 40)).map(lambda t: t[0][:t[1]]),   # cut short
+    st.lists(st.sampled_from(STRAY), max_size=12).map("".join),           # noise
+)
+#: Every path with N <= 2: the identity paths and those of 1 or 2 steps.
+SMALL_PATHS = ([FlagPath(N, (k,)) for N in (1, 2) for k in range(N + 1)]
+               + [path for N in (1, 2) for path in all_paths(N, 2)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ELEMENT_TEXTS)
+def test_parse_element_fuzz_parses_or_points_inside_the_text(text):
+    # every text either parses or raises DiagramError, never another
+    # exception, and every error span lies inside the text
+    for path in SMALL_PATHS:
+        try:
+            parse_element(text, path)
+        except DiagramError as err:
+            assert err.line == 1
+            assert 1 <= err.col_start <= err.col_end <= max(len(text), 1), \
+                (text, path.render(), str(err))

@@ -17,11 +17,12 @@ from catsl2.exactpoly import (
     mono_degree,
     mono_pairs,
     series_invert,
+    sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
 )
-from helpers import xgen, xigen, ygen
+from helpers import sum_of_products_reference, xgen, xigen, ygen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -330,3 +331,65 @@ def test_equality_with_scalars_reads_the_terms():
     assert x != 0 and x + 1 != 1 and not (x == 1)
     assert Polynomial.__eq__(x, "x") is NotImplemented
     assert Polynomial.__eq__(one, 1.0) is NotImplemented
+
+
+def _sum_of_products_cases():
+    x, y, xi = xgen(1, 0), ygen(1, 0), xigen(1)
+    p = x ** 2 - 3 * x * y + Fraction(1, 2) * xi
+    q = y ** 2 + x - 1
+    return {
+        "empty": [],
+        "scalars": [(3, p), (p, Fraction(2, 3)), (0, q), (q, 0), (Fraction(2, 1), q),
+                    (Fraction(-1, 2), Fraction(4, 3)), (5, 7), (Polynomial.zero(), p)],
+        "monomial x polynomial": [(xi, p), (q, x * y), (Polynomial.one(), q)],
+        "multi x multi": [(p, q), (q, p + xi), (p + q, p - q)],
+        "cancel wholly": [(p, q), (-p, q), (x, y), (y, -x)],
+        "difference of squares": [(x + xi, x - xi), (xi, xi), (x, -x)],
+        "cancel in part": [(x + y, x - y), (y, y), (p, q), (p, -q + xi)],
+        "zero sum of scalars": [(2, 3), (-6, 1)],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_sum_of_products_cases()))
+def test_sum_of_products_matches_the_reference(case):
+    pairs = _sum_of_products_cases()[case]
+    got = sum_of_products(pairs)
+    assert type(got) is Polynomial
+    assert got == sum_of_products_reference(pairs)
+    assert all(got.terms.values())          # no cancelled coefficient kept
+    assert sum_of_products(iter(pairs)) == got
+
+
+def test_sum_of_products_raises_on_exponent_overflow():
+    s = x_sym(1, 5)
+    half = Polynomial.gen(s, 2 ** 14)
+    top = Polynomial.gen(s, 2 ** 14 - 1)
+    assert sum_of_products([(half, top)]) == Polynomial.gen(s, MAX_EXPONENT)
+    for pairs in ([(half, half)],                            # monomial x monomial
+                  [(xgen(2, 5), ygen(1, 5)), (half + 1, half - 1)],
+                  [(half, 2), (3, half), (half, Polynomial.gen(s, 2 ** 14))]):
+        with pytest.raises(OverflowError):
+            sum_of_products(pairs)
+        with pytest.raises(OverflowError):
+            sum_of_products_reference(pairs)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, "x", None])
+def test_sum_of_products_rejects_other_factors(bad):
+    x = xgen(1, 0)
+    for pairs in ([(bad, x)], [(x, bad)], [(x, x), (x + 1, bad)]):
+        with pytest.raises(TypeError):
+            sum_of_products(pairs)
+
+
+def test_sum_of_products_mutates_no_input():
+    x, y, xi = xgen(1, 0), ygen(1, 0), xigen(1)
+    factors = [Polynomial.one(), x + y, x - y, Polynomial.one(), xi * x, x + y,
+               2 * xi - 1, y]
+    before = [dict(f.terms) for f in factors]
+    pairs = list(zip(factors, factors[1:]))         # a unit factor first
+    got = sum_of_products(pairs)
+    assert got == sum_of_products_reference(pairs)
+    assert [dict(f.terms) for f in factors] == before
+    # the result owns its terms: a unit factor does not hand out the other's
+    assert sum_of_products([(Polynomial.one(), y)]).terms is not y.terms

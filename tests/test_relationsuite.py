@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from catsl2 import bimodules, relationsuite, twomorphisms
+from catsl2 import bimodules, grassrings, relationsuite, twomorphisms
 from catsl2.bimodules import FlagPath, normalize_xi_vector
+from catsl2.grassrings import StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.twomorphisms import BimMap
 from catsl2.relationsuite import (
@@ -186,3 +187,55 @@ def test_well_definedness_inserts_each_left_action_once(monkeypatch):
         rng = random.Random("well_definedness:3:%d" % k)
         assert relationsuite._run_well_definedness(3, k, rng) is None
         assert calls and max(calls.values()) == 1, (k, calls.most_common(1))
+
+
+def test_ring_identity_checks_embed_each_class_once(monkeypatch):
+    # within one class_slide_* or xi_expansion_* context each end's classes
+    # are embedded once, into one list per end: at most one call per index
+    # and end, and no nonzero polynomial twice at one end.  (The zero class
+    # recurs at every index past a ring's last generator; it has no symbols,
+    # so its embedding substitutes nothing.)
+    N = 3
+    real = StepRing.embed_ring_poly
+    calls = Counter()
+
+    def counting(ring, poly, end):
+        calls[ring, poly, end] += 1
+        return real(ring, poly, end)
+
+    monkeypatch.setattr(StepRing, "embed_ring_poly", counting)
+    specs = [spec for spec in relationsuite._CHECKS
+             if spec.name.startswith(("class_slide_", "xi_expansion_"))]
+    assert len(specs) == 4
+    for spec in specs:
+        for k in spec.contexts(N):
+            calls.clear()
+            assert spec.run(N, k, random.Random(0)) is None
+            assert 0 < sum(calls.values()) <= 2 * (2 * N + 3), (spec.name, k)
+            repeats = {key: n for key, n in calls.items() if n > 1 and key[1]}
+            assert not repeats, (spec.name, k, repeats)
+
+
+@pytest.mark.parametrize("family, failing", [
+    ("X", {"class_slide_x", "xi_expansion_x", "series_delta_Xy", "bubble_series_product"}),
+    ("Y", {"class_slide_y", "xi_expansion_y", "series_delta_xY", "bubble_series_product"}),
+])
+def test_ring_identity_checks_catch_one_wrong_special_class(monkeypatch, family, failing):
+    # X_2 (or Y_2) plus xi-free junk of the same degree, in every end ring:
+    # every check that reads that family must report it as a mismatch.  A
+    # check that compares a table with itself, or derives one side of an
+    # identity from the other, would still pass.
+    real = grassrings.special_class
+
+    def perturbed(ctx, name, alpha):
+        value = real(ctx, name, alpha)
+        if name == family and alpha == 2:
+            value = value + ctx.x(1) * ctx.y(1)
+        return value
+
+    for module in (grassrings, relationsuite):
+        monkeypatch.setattr(module, "special_class", perturbed)
+    report = run_suite(3, suites=["ring_identities"])
+    failed = [r for r in report.results if r.status == "fail"]
+    assert {r.check for r in failed} == failing
+    assert not any(r.counterexample.startswith("internal error") for r in failed)

@@ -18,6 +18,7 @@ from catsl2.exactpoly import (
     Polynomial,
     mono_pairs,
     series_invert,
+    sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
@@ -138,3 +139,14 @@ def test_series_invert_matches_sympy(components, bound):
             data[(0,) + tuple(exps.get(s, 0) for s in SYMS)] = QQ(
                 coeff.numerator, coeff.denominator)
         assert SERIES_RING(data) == want
+
+
+@SETTINGS
+@given(st.lists(st.tuples(term_lists, term_lists), max_size=4))
+def test_sum_of_products_matches_sympy(pairs):
+    got = sum_of_products([(ours(a), ours(b)) for a, b in pairs])
+    want = sympy.Poly(0, *GENS, domain=QQ)
+    for a, b in pairs:
+        want = want + theirs(a) * theirs(b)
+    assert same(got, want)
+    assert all(got.terms.values())
