@@ -20,10 +20,10 @@ computes it has two rule families:
   monic relation 0 = x[k+1]@nu expands xi^(k+1) into lower xi-powers with
   upper-ring coefficients; dually y[N-k]@(nu+2) bounds a down-step factor.
 
-Both rule families strictly decrease a lexicographic measure (see
-``rewrite_measure``), so rewriting terminates for any strategy order, and
-the bounded monomials form a free basis over the rightmost ring, making
-equality of normal forms syntactic.
+Both rule families strictly decrease a lexicographic measure (the tests
+compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
+terminates for any strategy order, and the bounded monomials form a free
+basis over the rightmost ring, making equality of normal forms syntactic.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from . import exactpoly
 from .exactpoly import (
     FIELD_MASK,
-    KIND_X,
-    KIND_XI,
-    KIND_Y,
     Polynomial,
+    _add_products,
+    _collect,
+    _factor_terms,
     field_shift,
     mono_degree,
-    sum_of_products,
+    recurrence_entry,
     x_sym,
     xi_sym,
     y_sym,
@@ -264,20 +263,18 @@ def linear_sum(path: FlagPath, parts) -> BimElement:
     ``c`` is a rational or a right-ring polynomial, and every element must
     live in ``path``.  This is the one place elements are summed.  Each
     output vector accumulates packed monomial -> rational in one plain
-    dict: scaling by ``c`` is a key addition and one rational product per
-    pair of terms, and one ``Polynomial`` per vector is built at the end,
-    after the coefficients that cancelled are dropped.  A product key that
-    sets a guard bit raises ``OverflowError``, as ``Polynomial.__mul__``
-    does.  No part's ``terms`` or coefficient is mutated (stored map images
-    are shared).
+    dict through ``exactpoly._add_products`` (a key addition and one
+    rational product per pair of terms), and one ``Polynomial`` per vector
+    is built at the end, after the coefficients that cancelled are
+    dropped.  No part's ``terms`` or coefficient is mutated (stored map
+    images are shared).
     """
     acc: dict = {}        # vec -> {packed monomial: rational}
-    seen = 0              # OR of every product key, for the guard bits
     for element, c in parts:
         if element.path != path:
             raise ValueError("elements live in different bimodules: %s vs %s"
                              % (path.render(), element.path.render()))
-        scale = exactpoly._factor_terms(c)
+        scale = _factor_terms(c)
         unit = len(scale) == 1 and scale.get(0) == 1
         for vec, coeff in element.terms.items():
             out = acc.get(vec)
@@ -286,36 +283,18 @@ def linear_sum(path: FlagPath, parts) -> BimElement:
                     acc[vec] = dict(coeff._terms)     # a copy: parts stay intact
                     continue
                 out = acc[vec] = {}
-            get = out.get
-            for ms, cs in scale.items():
-                for m, cm in coeff._terms.items():
-                    key = m + ms
-                    seen |= key
-                    prev = get(key)
-                    out[key] = cm * cs if prev is None else prev + cm * cs
-    if seen & exactpoly._GUARDS:
-        raise exactpoly._overflow()
+            _add_products(out, scale, coeff._terms)
     terms = {}
     for vec, out in acc.items():
-        if not all(out.values()):
-            out = {m: c for m, c in out.items() if c}
-        if out:
-            terms[vec] = exactpoly._make(out)
+        coeff = _collect(out)
+        if coeff:
+            terms[vec] = coeff
     return _wrap(path, terms)
 
 
 # ---------------------------------------------------------------------------
 # rewriting to normal form
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _xi_overflow(N: int, j: int, up: bool, pos: int) -> Polynomial:
-    """Value of xi^(bound+1) in right-junction generators plus lower powers."""
-    ring = StepRing(N, j, xi_pos=pos)
-    gen, top = (ring.upper.x, j + 1) if up else (ring.lower.y, N - j)
-    return sum_of_products((gen(t), ring.xi(top - t) if t % 2 else -ring.xi(top - t))
-                           for t in range(1, top + 1))
 
 
 @lru_cache(maxsize=None)
@@ -337,66 +316,45 @@ def _transport_table(N: int, j: int, up: bool, pos: int):
 # and ``mono & ~(FIELD_MASK << shift)`` is the monomial without it.
 
 
-@lru_cache(maxsize=None)
-def _xi_reduced_power(N, j, up, pos, bound, e) -> Polynomial:
-    """xi^e rewritten with xi-exponents within the factor bound.
+# Per factor context (N, j, up, pos): the signed generators of the monic
+# xi relation and the table of the reduced powers xi^0, xi^1, ... found so
+# far, which ``exactpoly.recurrence_entry`` extends.
+_XI_POWERS: dict = {}
 
-    Call it through ``_xi_power``, which fills this memo bottom-up, so the
-    lower powers below are always cached and nothing recurses deeper.
+
+def _xi_power(N, j, up, pos, e) -> Polynomial:
+    """xi^e of factor ``pos`` rewritten with xi-exponents within its bound.
+
+    Up to the bound it is xi^e itself.  Above it the monic relation of
+    the factor gives xi^e = sum_t (-1)^(t+1) g_t * xi^(e-t) for
+    t = 1 .. bound + 1, where g_t is the right-junction generator
+    x[t]@(nu+2) of an up-step and y[t]@nu of a down-step.
     """
-    if e <= bound:
-        return Polynomial.gen(xi_sym(pos), e)
-    shift = field_shift(xi_sym(pos))
-    strip = ~(FIELD_MASK << shift)
-    acc: dict = {}
-    for mono, coeff in _xi_overflow(N, j, up, pos).terms.items():
-        f = (mono >> shift) & FIELD_MASK
-        rest = Polynomial({mono & strip: coeff})
-        part = rest * _xi_reduced_power(N, j, up, pos, bound, e - bound - 1 + f)
-        for m, c in part.terms.items():
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-    return Polynomial(acc)
-
-
-# Per (N, j, up, pos, bound): the exponent up to which the memo is full.
-_XI_FILLED: dict = {}
-
-
-def _xi_power(N, j, up, pos, bound, e) -> Polynomial:
-    """``_xi_reduced_power`` with its memo filled bottom-up first."""
-    key = (N, j, up, pos, bound)
-    filled = _XI_FILLED.get(key, bound)
-    for d in range(filled + 1, e):
-        _xi_reduced_power(N, j, up, pos, bound, d)
-    if e > filled:
-        _XI_FILLED[key] = e
-    return _xi_reduced_power(N, j, up, pos, bound, e)
+    key = (N, j, up, pos)
+    entry = _XI_POWERS.get(key)
+    if entry is None:
+        ring = StepRing(N, j, xi_pos=pos)
+        gen, top = (ring.upper.x, j + 1) if up else (ring.lower.y, N - j)
+        signed = [gen(t) if t % 2 else -gen(t) for t in range(1, top + 1)]
+        powers = {d: ring.xi(d) for d in range(top)}
+        entry = _XI_POWERS.setdefault(key, (signed, powers))
+    signed, table = entry
+    return recurrence_entry(table, signed, e)
 
 
 def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
                bound: int) -> Polynomial:
-    acc: dict = {}
-
-    def take(mono, coeff):
-        prev = acc.get(mono)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            acc[mono] = total
-        elif prev is not None:
-            del acc[mono]
-
+    """``poly`` with its xi-powers of factor ``pos`` above ``bound`` reduced."""
     shift = field_shift(xi_sym(pos))
     strip = ~(FIELD_MASK << shift)
+    acc: dict = {}
     for mono, coeff in poly.terms.items():
         e = (mono >> shift) & FIELD_MASK
-        if e <= bound:
-            take(mono, coeff)
-            continue
-        rest = Polynomial({mono & strip: coeff})
-        for m, c in (rest * _xi_power(N, j, up, pos, bound, e)).terms.items():
-            take(m, c)
-    return Polynomial(acc)
+        power = Polynomial.one()
+        if e > bound:
+            power, mono = _xi_power(N, j, up, pos, e), mono & strip
+        _add_products(acc, power.terms, {mono: coeff})
+    return _collect(acc)
 
 
 # Transport and the embedding into the next factor are ring homomorphisms
@@ -444,22 +402,19 @@ def _push_content(N, j, up, pos, bound, nxt, terms):
     """
     if len(terms) == 1:
         (mono, c), = terms.items()
-        pushed = _push_monomial(N, j, up, pos, bound, nxt, mono)
         if c == 1:
-            return pushed
-        return [(e, content * c) for e, content in pushed]
-    acc: dict = {}
+            return _push_monomial(N, j, up, pos, bound, nxt, mono)
+    acc: dict = {}        # e -> {packed monomial: rational}
     for mono, c in terms.items():
+        scale = {0: c}
         for e, content in _push_monomial(N, j, up, pos, bound, nxt, mono):
             bucket = acc.get(e)
             if bucket is None:
                 bucket = acc[e] = {}
-            for m, cm in content.terms.items():
-                prev = bucket.get(m)
-                bucket[m] = c * cm if prev is None else prev + c * cm
+            _add_products(bucket, scale, content.terms)
     out = []
     for e in sorted(acc):
-        content = Polynomial(acc[e])
+        content = _collect(acc[e])
         if content:
             out.append((e, content))
     return out
@@ -483,32 +438,25 @@ def _into_factor_cached(N, j, up, pos, ring_poly):
     return ring_poly.substitute(_embed_table(N, j, "lower" if up else "upper", pos))
 
 
-def _settled_exponent(poly: Polynomial, shift: int, bound: int):
-    """The exponent if the factor is a monic bounded xi-power, else None.
-
-    ``shift`` is the bit offset of the factor's xi field.
-    """
-    terms = poly.terms
-    if len(terms) != 1:
-        return None
-    mono, coeff = next(iter(terms.items()))
-    if coeff != 1:
-        return None
-    exp = mono >> shift
-    if exp <= bound and exp << shift == mono:
-        return exp
-    return None
-
-
 # In-flight entries (see ``normalize``) are made only by ``_entry`` and
 # ``_xi_entries``, so a polynomial entry is never a monic bounded xi-power
 # and equal terms have equal tuples, which merging like terms relies on.
 
 
 def _entry(poly: Polynomial, shift: int, bound: int):
-    """The in-flight entry of a factor polynomial: its exponent if settled."""
-    e = _settled_exponent(poly, shift, bound)
-    return poly if e is None else e
+    """The in-flight entry of a factor polynomial.
+
+    The exponent if ``poly`` is a monic xi-power within ``bound`` (the
+    factor is settled), else ``poly`` itself.  ``shift`` is the bit offset
+    of the factor's xi field.
+    """
+    terms = poly.terms
+    if len(terms) == 1:
+        (mono, coeff), = terms.items()
+        exp = mono >> shift
+        if coeff == 1 and exp <= bound and exp << shift == mono:
+            return exp
+    return poly
 
 
 def _xi_entries(path: FlagPath, vec) -> tuple:
@@ -557,61 +505,13 @@ def _clear_factor(path: FlagPath, terms: list, i: int):
     return out, changed
 
 
-def _merge_like_terms(terms: list) -> list:
-    """Sum the coefficients of terms with equal factor tuples; drop zeros."""
+def _merge_like_terms(terms) -> dict:
+    """Factor tuple -> summed coefficient of the terms; zero sums dropped."""
     acc: dict = {}
     for factors, coeff in terms:
         prev = acc.get(factors)
         acc[factors] = coeff if prev is None else prev + coeff
-    return [(factors, coeff) for factors, coeff in acc.items() if coeff]
-
-
-@lru_cache(maxsize=None)
-def _measure_fields(N: int, j: int, up: bool, pos: int) -> tuple:
-    """Bit offsets of a factor's xi field and of its left- and right-kind fields."""
-    left_kind = KIND_X if up else KIND_Y
-    left, right = [], []
-    for sym in step_catalog(N, j, pos):
-        if sym.kind != KIND_XI:
-            (left if sym.kind == left_kind else right).append(field_shift(sym))
-    return field_shift(xi_sym(pos)), tuple(left), tuple(right)
-
-
-def rewrite_measure(path: FlagPath, terms) -> tuple:
-    """Lexicographic termination measure of an in-flight rewriting state.
-
-    ``terms`` is a list of in-flight terms (see ``normalize``); a factor
-    may also be given as the polynomial of a settled xi-power.  Per factor
-    i the tuple (L, E, R, D) counts, over all terms: exponents of
-    left-junction generators, xi-excess above the factor bound, exponents
-    of right-junction generators, and a settledness flag.  A settled
-    factor adds nothing.  The counts read the packed exponent fields of
-    factor i's step-ring generators, the only ones a factor can hold.
-
-    Each factor-clearing step zeroes factor i's tuple while only factor
-    i+1 grows, so states decrease strictly in the product lexicographic
-    order when factors are cleared left to right.  In any other order a
-    step copies the unsettled factors left of i into every new term, and
-    the decreasing quantity is the multiset of per-term measures
-    ``rewrite_measure(path, [term])``: each step replaces a term by terms
-    of smaller measure, and merging like terms removes some.
-    """
-    m = path.num_factors
-    fields = [(path.bound(i),) + _measure_fields(path.N, path._steps[i - 1][0],
-                                                 path.is_up(i), i)
-              for i in range(1, m + 1)]
-    totals = [[0, 0, 0, 0] for _ in range(m)]
-    for factors, _ in terms:
-        for poly, (bound, xi_shift, left, right), entry in zip(factors, fields, totals):
-            if type(poly) is int:
-                continue
-            for mono in poly.terms:
-                entry[0] += sum(mono >> s & FIELD_MASK for s in left)
-                entry[1] += max(0, (mono >> xi_shift & FIELD_MASK) - bound)
-                entry[2] += sum(mono >> s & FIELD_MASK for s in right)
-            if _settled_exponent(poly, xi_shift, bound) is None:
-                entry[3] = 1
-    return tuple(tuple(t) for t in totals)
+    return {factors: coeff for factors, coeff in acc.items() if coeff}
 
 
 def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
@@ -641,18 +541,16 @@ def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
                 if changed:
                     # re-clearing a factor maps terms that differ only
                     # there onto one xi-power: merge them
-                    terms = _merge_like_terms(terms)
+                    terms = list(_merge_like_terms(terms).items())
                     if i < m:
                         dirty.add(i + 1)
                     if on_step is not None:
                         on_step(terms)
 
-    acc: dict = {}
-    for vec, coeff in terms:
-        assert all(type(e) is int for e in vec), "a factor is not in normal form"
-        prev = acc.get(vec)
-        acc[vec] = coeff if prev is None else prev + coeff
-    return BimElement(path, acc)
+    acc = _merge_like_terms(terms)
+    assert all(type(e) is int for vec in acc for e in vec), \
+        "a factor is not in normal form"
+    return _wrap(path, acc)
 
 
 def normalize(raw: RawTensor, order: str = "ltr",

@@ -443,32 +443,69 @@ def _factor_terms(f) -> Mapping[Mono, Rational]:
     raise TypeError("%r is not a Polynomial, int or Fraction" % (f,))
 
 
+def _add_products(acc: dict, ta: Mapping[Mono, Rational],
+                  tb: Mapping[Mono, Rational]) -> None:
+    """Add every product term of ``ta`` and ``tb`` into ``acc``.
+
+    This is the one loop that accumulates products of terms: ``ca * cb``
+    goes to key ``ma + mb`` of the plain dict ``acc`` (packed monomial ->
+    rational), and a product key that sets a guard bit raises
+    ``OverflowError`` as in ``Polynomial.__mul__``.  A unit ``ma`` reuses
+    ``mb``'s key object, so scaling by a scalar shares the keys of the
+    scaled terms (and cannot overflow).  Coefficients that cancel stay in
+    ``acc`` as zeros until ``_collect`` drops them.
+    """
+    seen = 0              # OR of every product key, for the guard bits
+    for ma, ca in ta.items():
+        if ma:
+            for mb, cb in tb.items():
+                key = ma + mb
+                seen |= key
+                prev = acc.get(key)
+                acc[key] = ca * cb if prev is None else prev + ca * cb
+        else:
+            for mb, cb in tb.items():
+                prev = acc.get(mb)
+                acc[mb] = ca * cb if prev is None else prev + ca * cb
+    if seen & _GUARDS:
+        raise _overflow()
+
+
+def _collect(acc: dict) -> Polynomial:
+    """The polynomial of an ``_add_products`` dict, cancelled terms dropped."""
+    if not all(acc.values()):
+        acc = {m: c for m, c in acc.items() if c}
+    return _make(acc)
+
+
 def sum_of_products(pairs) -> Polynomial:
     """The sum of ``a * b`` over the ``(a, b)`` pairs.
 
     Each factor is a ``Polynomial``, an int or a ``Fraction``.  This is the
-    one place products of polynomials are summed: every product term is
-    added into one plain dict of packed monomial -> rational, the OR of the
-    product keys is checked against the guard bits once (``OverflowError``
-    as in ``Polynomial.__mul__``), and the coefficients that cancelled are
-    dropped once at the end.  No factor is mutated.
+    one place products of polynomials are summed: every product term goes
+    through ``_add_products`` into one plain dict, and one ``Polynomial``
+    is built at the end.  No factor is mutated.
     """
     acc: dict = {}
-    get = acc.get
-    seen = 0              # OR of every product key, for the guard bits
     for a, b in pairs:
-        ta, tb = _factor_terms(a), _factor_terms(b)
-        for ma, ca in ta.items():
-            for mb, cb in tb.items():
-                key = ma + mb
-                seen |= key
-                prev = get(key)
-                acc[key] = ca * cb if prev is None else prev + ca * cb
-    if seen & _GUARDS:
-        raise _overflow()
-    if not all(acc.values()):
-        acc = {m: c for m, c in acc.items() if c}
-    return _make(acc)
+        _add_products(acc, _factor_terms(a), _factor_terms(b))
+    return _collect(acc)
+
+
+def recurrence_entry(table: dict, coeffs: list, n: int) -> Polynomial:
+    """Entry ``n`` of a table of a linear recurrence, extending the table.
+
+    ``table`` maps 0 .. len - 1 to polynomials, and a missing entry d is
+    ``sum_t coeffs[t - 1] * table[d - t]`` over t = 1 .. min(d, len(coeffs)).
+    Entries are computed in a loop in increasing d and added with
+    ``setdefault``, so the keys stay 0 .. len - 1, and threads extending
+    one table at once may compute an entry more than once but store the
+    first.
+    """
+    for d in range(len(table), n + 1):
+        table.setdefault(d, sum_of_products(
+            (c, table[d - t]) for t, c in enumerate(coeffs[:d], start=1)))
+    return table[n]
 
 
 def homogeneous_degree(p: Polynomial):

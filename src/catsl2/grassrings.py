@@ -28,6 +28,7 @@ from .exactpoly import (
     VarSymbol,
     KIND_X,
     KIND_Y,
+    recurrence_entry,
     series_invert,
     sum_of_products,
     x_sym,
@@ -198,22 +199,10 @@ def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
     return frozenset(syms)
 
 
-@lru_cache(maxsize=None)
-def _special(N: int, k: int, family: str, alpha: int) -> Polynomial:
-    if alpha < 0:
-        return Polynomial.zero()
-    if alpha == 0:
-        return Polynomial.one()
-    ctx = GrassContext(N, k)
-    mult = ctx.y if family == "X" else ctx.x
-    # mult(j) is 0 past the ring's last generator
-    last = min(alpha, N - k if family == "X" else k)
-    return -sum_of_products((mult(j), _special(N, k, family, alpha - j))
-                            for j in range(1, last + 1))
-
-
-# Per (N, k, family): the alpha up to which the ``_special`` memo is full.
-_FILLED: dict = {}
+# Per (N, k, family): the negated generators of the defining recursion and
+# the table of the classes of index 0, 1, ... found so far, which
+# ``exactpoly.recurrence_entry`` extends.
+_SPECIAL_CLASSES: dict = {}
 
 
 def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
@@ -228,15 +217,16 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     """
     if family not in ("X", "Y"):
         raise ValueError("family must be 'X' or 'Y'")
-    # Fill the memo bottom-up: every miss below finds its predecessors
-    # cached, so _special never recurses more than one level.
+    if alpha < 0:
+        return Polynomial.zero()
     key = (ctx.N, ctx.k, family)
-    filled = _FILLED.get(key, 0)
-    for a in range(filled + 1, alpha):
-        _special(ctx.N, ctx.k, family, a)
-    if alpha > filled:
-        _FILLED[key] = alpha
-    return _special(ctx.N, ctx.k, family, alpha)
+    entry = _SPECIAL_CLASSES.get(key)
+    if entry is None:
+        # y[j] (x[j]) past the ring's last generator is 0 and adds no term
+        negated = [-g for g in ctx.gens("y" if family == "X" else "x")[1:]]
+        entry = _SPECIAL_CLASSES.setdefault(key, (negated, {0: Polynomial.one()}))
+    negated, table = entry
+    return recurrence_entry(table, negated, alpha)
 
 
 def special_class_terms(ctx: GrassContext, family: str, alpha: int,

@@ -1,12 +1,17 @@
 """Shared generators for randomized engine tests (all deterministically seeded)."""
 
 import random
+import sys
+import threading
+from functools import lru_cache
 
 from catsl2.exactpoly import (
+    FIELD_MASK,
     KIND_X,
     KIND_XI,
     KIND_Y,
     Polynomial,
+    field_shift,
     mono_pairs,
     x_sym,
     xi_sym,
@@ -16,10 +21,11 @@ from catsl2.bimodules import (
     BimElement,
     FlagPath,
     RawTensor,
+    _entry,
     basis,
     normalize,
-    rewrite_measure,
 )
+from catsl2.grassrings import step_catalog
 
 
 def xgen(index, weight):
@@ -43,6 +49,54 @@ def as_polynomials(terms):
     return [(tuple(xigen(i, f) if type(f) is int else f
                    for i, f in enumerate(factors, start=1)), coeff)
             for factors, coeff in terms]
+
+
+@lru_cache(maxsize=None)
+def _measure_fields(N: int, j: int, up: bool, pos: int) -> tuple:
+    """Bit offsets of a factor's xi field and of its left- and right-kind fields."""
+    left_kind = KIND_X if up else KIND_Y
+    left, right = [], []
+    for sym in step_catalog(N, j, pos):
+        if sym.kind != KIND_XI:
+            (left if sym.kind == left_kind else right).append(field_shift(sym))
+    return field_shift(xi_sym(pos)), tuple(left), tuple(right)
+
+
+def rewrite_measure(path: FlagPath, terms) -> tuple:
+    """Lexicographic termination measure of an in-flight rewriting state.
+
+    ``terms`` is a list of in-flight terms (see ``bimodules.normalize``);
+    a factor may also be given as the polynomial of a settled xi-power.
+    Per factor i the tuple (L, E, R, D) counts, over all terms: exponents of
+    left-junction generators, xi-excess above the factor bound, exponents
+    of right-junction generators, and a settledness flag.  A settled
+    factor adds nothing.  The counts read the packed exponent fields of
+    factor i's step-ring generators, the only ones a factor can hold.
+
+    Each factor-clearing step zeroes factor i's tuple while only factor
+    i+1 grows, so states decrease strictly in the product lexicographic
+    order when factors are cleared left to right.  In any other order a
+    step copies the unsettled factors left of i into every new term, and
+    the decreasing quantity is the multiset of per-term measures
+    ``rewrite_measure(path, [term])``: each step replaces a term by terms
+    of smaller measure, and merging like terms removes some.
+    """
+    m = path.num_factors
+    fields = [(path.bound(i),) + _measure_fields(path.N, path._steps[i - 1][0],
+                                                 path.is_up(i), i)
+              for i in range(1, m + 1)]
+    totals = [[0, 0, 0, 0] for _ in range(m)]
+    for factors, _ in terms:
+        for poly, (bound, xi_shift, left, right), entry in zip(factors, fields, totals):
+            if type(poly) is int:
+                continue
+            for mono in poly.terms:
+                entry[0] += sum(mono >> s & FIELD_MASK for s in left)
+                entry[1] += max(0, (mono >> xi_shift & FIELD_MASK) - bound)
+                entry[2] += sum(mono >> s & FIELD_MASK for s in right)
+            if type(_entry(poly, xi_shift, bound)) is not int:
+                entry[3] = 1
+    return tuple(tuple(t) for t in totals)
 
 
 def rewrite_measure_reference(path, terms):
@@ -100,6 +154,36 @@ def sum_of_products_reference(pairs):
     for a, b in pairs:
         acc = acc + a * b
     return acc
+
+
+def call_in_threads(fn, indices, threads=4, timeout=60):
+    """Call ``fn(i)`` for every i of ``indices`` in each of ``threads``
+    threads at once, switching threads as often as the interpreter allows.
+
+    Returns the ``(i, fn(i))`` pairs of every thread; raises if a thread
+    did not finish within ``timeout`` seconds or did not return them all.
+    """
+    indices = list(indices)
+    start = threading.Barrier(threads, timeout=timeout)
+    got = [[] for _ in range(threads)]
+
+    def run(out):
+        start.wait()
+        out.extend((i, fn(i)) for i in indices)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(out,)) for out in got]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers), "a thread did not finish"
+    assert all(len(out) == len(indices) for out in got), "a thread failed"
+    return [pair for out in got for pair in out]
 
 
 def map_matrix(f):

@@ -358,7 +358,7 @@ def test_inject_at_interior_junction():
 def test_rewrite_termination_and_confluence_smoke():
     # small deterministic sample; the full 500-per-configuration sweep runs
     # in the acceptance suite
-    from catsl2.bimodules import rewrite_measure
+    from helpers import rewrite_measure
     rng = random.Random(99)
     for N in (1, 2):
         for path in all_paths(N, 3):
@@ -391,7 +391,7 @@ def test_render_and_equality():
 @pytest.mark.parametrize("N, j, up", [(2, 1, True), (3, 1, True), (3, 1, False),
                                       (4, 2, False), (4, 3, True)])
 def test_xi_powers_match_stepwise_reduction(N, j, up):
-    # xi^e from the filled memo equals reducing xi * (xi^(e-1)) one step at
+    # xi^e from the table equals reducing xi * (xi^(e-1)) one step at
     # a time, which never reduces more than one power above the bound
     from catsl2.bimodules import _reduce_xi, _xi_power
 
@@ -400,16 +400,50 @@ def test_xi_powers_match_stepwise_reduction(N, j, up):
     xi = xigen(pos)
     step = Polynomial.one()
     for e in range(0, bound + 16):
-        assert _xi_power(N, j, up, pos, bound, e) == step
+        assert _xi_power(N, j, up, pos, e) == step
         step = _reduce_xi(step * xi, N, j, up, pos, bound)
 
 
 def test_xi_power_far_past_the_recursion_limit():
     from catsl2.bimodules import _reduce_xi, _xi_power
 
-    top = _xi_power(2, 1, True, 7, 1, 1200)
+    top = _xi_power(2, 1, True, 7, 1200)
     assert _reduce_xi(top * xigen(7), 2, 1, True, 7, 1) == \
-        _xi_power(2, 1, True, 7, 1, 1201)
+        _xi_power(2, 1, True, 7, 1201)
+
+
+def test_xi_power_from_a_cold_table():
+    # the table is filled in a loop, so no depth of recursion is reached
+    from catsl2.bimodules import _XI_POWERS, _xi_power
+
+    # on the up-step (0, 1) at rank 1 the bound is 0 and xi = x[1]@1
+    _XI_POWERS.pop((1, 0, True, 8), None)
+    assert _xi_power(1, 0, True, 8, 1201) == xgen(1, 1) ** 1201
+    assert list(_XI_POWERS[(1, 0, True, 8)][1]) == list(range(1202))
+
+
+def test_xi_power_table_filled_by_four_threads():
+    # Four threads race to extend one cold table.  Its keys stay 0 .. len-1,
+    # every entry equals the stepwise reduction, and each entry was added
+    # once: every caller got back the very object the table holds.
+    from catsl2.bimodules import _XI_POWERS, _reduce_xi, _xi_power
+    from helpers import call_in_threads
+
+    N, j, up, pos = 3, 1, False, 9
+    ring, bound = StepRing(N, j, xi_pos=pos), N - j - 1
+    _XI_POWERS.pop((N, j, up, pos), None)
+    got = call_in_threads(lambda e: _xi_power(N, j, up, pos, e), range(0, 240, 3))
+    table = _XI_POWERS[(N, j, up, pos)][1]
+    assert list(table) == list(range(len(table))) and len(table) >= 238
+    assert all(power is table[e] for e, power in got)
+    # xi^(bound+1) from the monic relation y[1]xi - y[2] = xi^2 (y's at nu)
+    assert table[bound + 1] == sum((ring.lower.y(t) * ring.xi(bound + 1 - t)
+                                    * (-1) ** (t + 1) for t in range(1, bound + 2)),
+                                   Polynomial.zero())
+    step = Polynomial.one()
+    for e in range(len(table)):
+        assert table[e] == step, e
+        step = _reduce_xi(step * ring.xi(), N, j, up, pos, bound)
 
 
 # -- the linear rewriting kernel --------------------------------------------
@@ -495,7 +529,7 @@ def test_rtl_steps_merge_like_terms_and_decrease():
     # Clearing a factor in a right-to-left sweep copies the factors to its
     # left into every new term, so the summed measure of ``rewrite_measure``
     # can grow; the multiset of the per-term measures decreases instead.
-    from catsl2.bimodules import rewrite_measure
+    from helpers import rewrite_measure
     rng = random.Random("rtl-merge")
     merged_somewhere = False
     for N in (1, 2, 3):
@@ -711,6 +745,23 @@ def test_linear_sum_mutates_no_part():
             for e in elements] == snapshot
 
 
+def test_linear_sum_scaled_by_a_scalar_shares_the_keys():
+    # a scalar adds nothing to a key, so each coefficient of the sum holds
+    # the scaled coefficient's own key objects (every key here is above
+    # 256, outside the interpreter's shared small ints)
+    path = FlagPath(3, (1, 2, 1))
+    x, y = xgen(1, -1), ygen(2, -1)
+    element = BimElement(path, {(0, 0): (x + y + 1) ** 3 * x ** 300,
+                                (1, 0): (x - y) * x ** 301})
+    assert all(min(c.terms) > 256 for c in element.terms.values())
+    for c in (3, Fraction(1, 2), Polynomial.const(-2), Polynomial.one()):
+        got = linear_sum(path, [(element, c)])
+        assert got == linear_sum_reference(path, [(element, c)])
+        for vec, coeff in got.terms.items():
+            keys = {m: m for m in element.terms[vec].terms}
+            assert all(m is keys[m] for m in coeff.terms), (c, vec)
+
+
 def test_map_on_an_element_is_the_coefficient_weighted_sum_of_images():
     path = FlagPath(3, (0, 1, 2))
     cross = gen_crossing(path, 1, "up")
@@ -845,7 +896,7 @@ def test_foreign_content_is_rejected_where_it_enters(via):
 
 
 def test_in_flight_entries_are_ints_exactly_when_settled():
-    from catsl2.bimodules import _settled_exponent
+    from catsl2.bimodules import _entry
     from catsl2.exactpoly import field_shift
     rng = random.Random("int-entries")
     for N in (1, 2, 3):
@@ -863,15 +914,14 @@ def test_in_flight_entries_are_ints_exactly_when_settled():
                                 if type(f) is int:
                                     assert 0 <= f <= bound
                                 else:
-                                    assert _settled_exponent(f, shift, bound) is None
+                                    assert _entry(f, shift, bound) is f
                         if order == "rtl":
                             tuples = [factors for factors, _ in terms]
                             assert len(set(tuples)) == len(tuples)
 
 
 def test_rewrite_measure_matches_the_decoding_reference():
-    from catsl2.bimodules import rewrite_measure
-    from helpers import as_polynomials, rewrite_measure_reference
+    from helpers import as_polynomials, rewrite_measure, rewrite_measure_reference
     rng = random.Random("measure-fields")
     for N in (1, 2, 3):
         for path in all_paths(N, 4):

@@ -393,3 +393,27 @@ def test_sum_of_products_mutates_no_input():
     assert [dict(f.terms) for f in factors] == before
     # the result owns its terms: a unit factor does not hand out the other's
     assert sum_of_products([(Polynomial.one(), y)]).terms is not y.terms
+
+
+def _key_objects(*polys):
+    """Every monomial key of the polynomials, by value -> the key object."""
+    return {m: m for poly in reversed(polys) for m in poly.terms}
+
+
+def test_sum_of_products_scaled_by_a_scalar_shares_the_keys():
+    # a scalar first factor adds nothing to a key, so the sum holds the
+    # scaled polynomials' own key objects (every key here is above 256,
+    # outside the interpreter's shared small ints)
+    x, y, xi = xgen(1, 0), ygen(1, 0), xigen(1)
+    p = (x + y + xi) ** 3 * x ** 300
+    q = (x - y) ** 2 * x ** 300
+    assert min(p.terms) > 256 and min(q.terms) > 256
+    for c in (3, Fraction(1, 2), Polynomial.const(-2), Polynomial.one()):
+        got = sum_of_products([(c, p)])
+        assert got == p * c
+        keys = _key_objects(p)
+        assert all(m is keys[m] for m in got.terms)
+    got = sum_of_products([(2, p), (Fraction(-1, 3), q)])
+    assert got == 2 * p - q * Fraction(1, 3)
+    keys = _key_objects(p, q)
+    assert all(m is keys[m] for m in got.terms)

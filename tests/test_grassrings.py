@@ -132,17 +132,45 @@ def test_special_class_large_alpha_from_a_cold_memo():
     # far past the interpreter's recursion limit, starting from nothing
     from catsl2 import grassrings
 
-    grassrings._special.cache_clear()
-    grassrings._FILLED.clear()
+    grassrings._SPECIAL_CLASSES.clear()
     ctx = GrassContext(3, 1)
     y1, y2 = ctx.y(1), ctx.y(2)
     big = [special_class(ctx, "X", a) for a in (1498, 1499, 1500)]
     assert big[2] + y1 * big[1] + y2 * big[0] == Polynomial.zero()
     assert homogeneous_degree(big[2]) == 3000
     # every class below alpha went into the same memo
-    assert grassrings._special.cache_info().currsize >= 1501
+    assert len(grassrings._SPECIAL_CLASSES[(3, 1, "X")][1]) >= 1501
     ctx = GrassContext(2, 1)
     assert special_class(ctx, "Y", 3000) == ctx.x(1) ** 3000
+
+
+def test_special_class_from_a_cold_table():
+    # the table is filled in a loop, so no depth of recursion is reached
+    from catsl2 import grassrings
+
+    grassrings._SPECIAL_CLASSES.pop((2, 1, "X"), None)
+    ctx = GrassContext(2, 1)
+    assert special_class(ctx, "X", 1501) == -ctx.y(1) ** 1501
+    assert list(grassrings._SPECIAL_CLASSES[(2, 1, "X")][1]) == list(range(1502))
+
+
+def test_special_class_table_filled_by_four_threads():
+    # Four threads race to extend one cold table.  Its keys stay 0 .. len-1,
+    # every entry satisfies the defining recursion, and each entry was added
+    # once: every caller got back the very object the table holds.
+    from catsl2 import grassrings
+    from helpers import call_in_threads
+
+    ctx = GrassContext(5, 2)
+    grassrings._SPECIAL_CLASSES.pop((5, 2, "Y"), None)
+    got = call_in_threads(lambda a: special_class(ctx, "Y", a), range(200))
+    table = grassrings._SPECIAL_CLASSES[(5, 2, "Y")][1]
+    assert list(table) == list(range(len(table))) and len(table) >= 200
+    assert all(cls is table[a] for a, cls in got)
+    assert table[0] == Polynomial.one()
+    for a in range(1, len(table)):
+        assert table[a] == -sum((ctx.x(j) * table[a - j] for j in range(1, min(a, 2) + 1)),
+                                Polynomial.zero()), a
 
 
 def test_embed_end_of_canonical_generators():
