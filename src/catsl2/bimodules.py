@@ -19,6 +19,11 @@ computes it has two rule families:
 * R2 (xi-power reduction): in an up-step factor with lower ring k the
   monic relation 0 = x[k+1]@nu expands xi^(k+1) into lower xi-powers with
   upper-ring coefficients; dually y[N-k]@(nu+2) bounds a down-step factor.
+  The step ring is free over its right end ring with basis 1, xi, ...,
+  xi^bound, so reduction is synthetic division by that one monic
+  relation, degree by degree from the top.  Neither rule touches the
+  right-junction generators, so a monomial is transported and reduced
+  once per core, the monomial without them.
 
 Both rule families strictly decrease a lexicographic measure (the tests
 compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
@@ -38,6 +43,7 @@ from .exactpoly import (
     _add_products,
     _collect,
     _factor_terms,
+    _make,
     field_shift,
     mono_degree,
     recurrence_entry,
@@ -322,14 +328,8 @@ def _transport_table(N: int, j: int, up: bool, pos: int):
 _XI_POWERS: dict = {}
 
 
-def _xi_power(N, j, up, pos, e) -> Polynomial:
-    """xi^e of factor ``pos`` rewritten with xi-exponents within its bound.
-
-    Up to the bound it is xi^e itself.  Above it the monic relation of
-    the factor gives xi^e = sum_t (-1)^(t+1) g_t * xi^(e-t) for
-    t = 1 .. bound + 1, where g_t is the right-junction generator
-    x[t]@(nu+2) of an up-step and y[t]@nu of a down-step.
-    """
+def _xi_relation(N, j, up, pos) -> tuple:
+    """The ``_XI_POWERS`` entry of a factor context: ``(signed, powers)``."""
     key = (N, j, up, pos)
     entry = _XI_POWERS.get(key)
     if entry is None:
@@ -338,22 +338,63 @@ def _xi_power(N, j, up, pos, e) -> Polynomial:
         signed = [gen(t) if t % 2 else -gen(t) for t in range(1, top + 1)]
         powers = {d: ring.xi(d) for d in range(top)}
         entry = _XI_POWERS.setdefault(key, (signed, powers))
-    signed, table = entry
+    return entry
+
+
+def _xi_power(N, j, up, pos, e) -> Polynomial:
+    """xi^e of factor ``pos`` rewritten with xi-exponents within its bound.
+
+    Up to the bound it is xi^e itself.  Above it the monic relation of
+    the factor gives xi^e = sum_t (-1)^(t+1) g_t * xi^(e-t) for
+    t = 1 .. bound + 1, where g_t is the right-junction generator
+    x[t]@(nu+2) of an up-step and y[t]@nu of a down-step.
+    """
+    signed, table = _xi_relation(N, j, up, pos)
     return recurrence_entry(table, signed, e)
 
 
 def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
                bound: int) -> Polynomial:
-    """``poly`` with its xi-powers of factor ``pos`` above ``bound`` reduced."""
+    """``poly`` with its xi-powers of factor ``pos`` above ``bound`` reduced.
+
+    Synthetic division by the monic xi relation: the terms above the bound
+    are bucketed by xi-degree, and from the top down each bucket ``B_e``
+    is replaced by ``sum_t (-1)^(t+1) g_t * B_e`` at degree ``e - t`` (the
+    ``signed`` generators of ``_xi_power``), after its cancelled terms are
+    dropped.  The last bucket above the bound is finished at once with the
+    reduced power ``_xi_power(e)``, so a lone high power costs one product
+    per term of its table entry.
+    """
     shift = field_shift(xi_sym(pos))
     strip = ~(FIELD_MASK << shift)
     acc: dict = {}
+    high: dict = {}       # xi-degree above the bound -> {monomial without xi: rational}
     for mono, coeff in poly.terms.items():
         e = (mono >> shift) & FIELD_MASK
-        power = Polynomial.one()
         if e > bound:
-            power, mono = _xi_power(N, j, up, pos, e), mono & strip
-        _add_products(acc, power.terms, {mono: coeff})
+            high.setdefault(e, {})[mono & strip] = coeff
+        else:
+            acc[mono] = coeff
+    if not high:
+        return poly
+    signed = _xi_relation(N, j, up, pos)[0]
+    while high:
+        e = max(high)
+        bucket = high.pop(e)
+        if not all(bucket.values()):
+            bucket = {m: c for m, c in bucket.items() if c}
+        if not bucket:
+            continue
+        if not high:
+            _add_products(acc, _xi_power(N, j, up, pos, e).terms, bucket)
+            break
+        for t, g in enumerate(signed, start=1):
+            d = e - t
+            if d > bound:
+                _add_products(high.setdefault(d, {}), g.terms, bucket)
+            else:
+                (gm, gc), = g.terms.items()      # g_t is one signed generator
+                _add_products(acc, {gm + (d << shift): gc}, bucket)
     return _collect(acc)
 
 
@@ -363,6 +404,56 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
 # coefficient-weighted sum of the pushes of its monomials.  The memo holds
 # one entry per (factor context, monomial), and a content polynomial seen
 # for the first time costs only the monomials not pushed before.
+#
+# Transport rewrites only the left-junction generators and the reduction
+# multiplies only by xi and the generators g_t, so the right-junction
+# generators of a monomial (the y's of an up-step, the x's of a
+# down-step) pass through as a common factor.  A monomial splits into its
+# core (every other field) and that rest, and ``_PUSH_CORES`` holds per
+# context ``(N, j, up, pos, bound)`` the mask of the rest's fields and a
+# dict from core to its transported, reduced and bucketed form, each
+# entry added with ``setdefault``.  The buckets hold only the g_t, which
+# share no field with the rest, so multiplying a bucket by the rest is a
+# key addition that cannot carry.
+_PUSH_CORES: dict = {}
+
+
+def _core_table(N, j, up, pos, bound) -> tuple:
+    """The ``_PUSH_CORES`` entry of a factor context: ``(mask, cores)``."""
+    key = (N, j, up, pos, bound)
+    entry = _PUSH_CORES.get(key)
+    if entry is None:
+        nu = 2 * j - N
+        rest = ([y_sym(t, nu + 2) for t in range(1, N - j)] if up
+                else [x_sym(t, nu) for t in range(1, j + 1)])
+        mask = 0
+        for sym in rest:
+            mask |= FIELD_MASK << field_shift(sym)
+        entry = _PUSH_CORES.setdefault(key, (mask, {}))
+    return entry
+
+
+def _core_buckets(N, j, up, pos, bound, core) -> tuple:
+    """The entry of ``core`` in ``_PUSH_CORES``: ``(e, bucket)`` pairs, ``e``
+    ascending and within ``bound``, with ``core = sum xi^e * bucket`` after
+    transport and reduction."""
+    cores = _core_table(N, j, up, pos, bound)[1]
+    out = cores.get(core)
+    if out is None:
+        table = _transport_table(N, j, up, pos)
+        poly = Polynomial({core: 1})
+        if table:
+            poly = poly.substitute(table)
+        poly = _reduce_xi(poly, N, j, up, pos, bound)
+        shift = field_shift(xi_sym(pos))
+        strip = ~(FIELD_MASK << shift)
+        buckets: dict = {}
+        for m, c in poly.terms.items():
+            # monomials of one bucket differ off the xi field: no collisions
+            buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
+        out = cores.setdefault(core, tuple((e, _make(buckets[e]))
+                                           for e in sorted(buckets)))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -375,20 +466,11 @@ def _push_monomial(N, j, up, pos, bound, nxt, mono):
     ``pos + 1`` when ``nxt`` is that factor's ``(lower ring, up)``, and a
     right-ring polynomial when ``nxt`` is None.
     """
-    table = _transport_table(N, j, up, pos)
-    poly = Polynomial({mono: 1})
-    if table:
-        poly = poly.substitute(table)
-    poly = _reduce_xi(poly, N, j, up, pos, bound)
-    shift = field_shift(xi_sym(pos))
-    strip = ~(FIELD_MASK << shift)
-    buckets: dict = {}
-    for m, c in poly.terms.items():
-        # monomials of one bucket differ off the xi field: no collisions
-        buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
+    rest = mono & _core_table(N, j, up, pos, bound)[0]
     out = []
-    for e in sorted(buckets):
-        content = Polynomial(buckets[e])
+    for e, content in _core_buckets(N, j, up, pos, bound, mono - rest):
+        if rest:
+            content = _make({m + rest: c for m, c in content.terms.items()})
         if nxt is not None:
             content = _into_factor_cached(N, nxt[0], nxt[1], pos + 1, content)
         out.append((e, content))

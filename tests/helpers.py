@@ -11,6 +11,8 @@ from catsl2.exactpoly import (
     KIND_XI,
     KIND_Y,
     Polynomial,
+    _add_products,
+    _collect,
     field_shift,
     mono_pairs,
     x_sym,
@@ -22,6 +24,7 @@ from catsl2.bimodules import (
     FlagPath,
     RawTensor,
     _entry,
+    _xi_power,
     basis,
     normalize,
 )
@@ -128,6 +131,25 @@ def rewrite_measure_reference(path, terms):
             if not settled:
                 entry[3] = 1
     return tuple(tuple(t) for t in totals)
+
+
+def reduce_xi_reference(poly: Polynomial, N: int, j: int, up: bool, pos: int,
+                        bound: int) -> Polynomial:
+    """``poly`` with its xi-powers of factor ``pos`` above ``bound`` reduced.
+
+    ``bimodules._reduce_xi`` as it was before synthetic division: every
+    term above the bound times its reduced power from the xi-power table.
+    """
+    shift = field_shift(xi_sym(pos))
+    strip = ~(FIELD_MASK << shift)
+    acc: dict = {}
+    for mono, coeff in poly.terms.items():
+        e = (mono >> shift) & FIELD_MASK
+        power = Polynomial.one()
+        if e > bound:
+            power, mono = _xi_power(N, j, up, pos, e), mono & strip
+        _add_products(acc, power.terms, {mono: coeff})
+    return _collect(acc)
 
 
 def linear_sum_reference(path, parts):
@@ -248,6 +270,22 @@ def random_factor_poly(path, i, rng):
 def random_raw_tensor(path, rng):
     return RawTensor(path, tuple(random_factor_poly(path, i, rng)
                                  for i in range(1, path.num_factors + 1)))
+
+
+def random_high_factor_poly(path, i, rng):
+    """A random content polynomial for factor i with 2-4 distinct
+    xi-degrees up to bound + 6, each times a coefficient and 0-2
+    non-xi generators, so the xi reduction meets several high degrees."""
+    bound = path.bound(i)
+    gens = sorted(s for s in path.step_ring(i).catalog() if s.kind != KIND_XI)
+    poly = Polynomial.zero()
+    for e in rng.sample(range(bound + 7), rng.randrange(2, 5)):
+        term = Polynomial.const(rng.choice((1, 1, 2, -1, -3))) * xigen(i, e)
+        for _ in range(rng.randrange(0, 3) if gens else 0):
+            term = term * Polynomial.gen(gens[rng.randrange(len(gens))],
+                                         rng.randrange(1, 3))
+        poly = poly + term
+    return poly
 
 
 def rewrite_torture(args):

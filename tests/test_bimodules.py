@@ -6,7 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from catsl2.exactpoly import MAX_EXPONENT, Polynomial, x_sym, xi_sym, y_sym
+from catsl2.exactpoly import (
+    FIELD_MASK,
+    KIND_X,
+    KIND_XI,
+    KIND_Y,
+    MAX_EXPONENT,
+    Polynomial,
+    field_shift,
+    mono_pairs,
+    x_sym,
+    xi_sym,
+    y_sym,
+)
 from catsl2.grassrings import GrassContext, StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.bimodules import (
@@ -446,6 +458,83 @@ def test_xi_power_table_filled_by_four_threads():
         step = _reduce_xi(step * ring.xi(), N, j, up, pos, bound)
 
 
+def _relation_gens(ring, up):
+    """The generators g_1, g_2, ... of a factor's monic xi relation."""
+    if up:
+        return [ring.upper.x(t) for t in range(1, ring.j + 2)]
+    return [ring.lower.y(t) for t in range(1, ring.N - ring.j + 1)]
+
+
+def _random_xi_poly(ring, up, bound, high, rng):
+    """Terms at ``high`` distinct xi-degrees above ``bound`` and at two
+    degrees within it, each times 0-2 step-ring or relation generators."""
+    gens = [Polynomial.gen(sym) for sym in sorted(ring.catalog())
+            if sym.kind != KIND_XI] + _relation_gens(ring, up)
+    degrees = rng.sample(range(bound + 1, bound + 13), high)
+    degrees += [rng.randrange(bound + 1) for _ in range(2)]
+    poly = Polynomial.zero()
+    for e in degrees:
+        for _ in range(rng.randrange(1, 3)):
+            term = Polynomial.const(rng.choice((1, -1, 2, Fraction(1, 3)))) * ring.xi(e)
+            for _ in range(rng.randrange(0, 3)):
+                term = term * rng.choice(gens)
+            poly = poly + term
+    return poly
+
+
+def _xi_contexts(N_max=4):
+    """``(N, j, up, pos, bound)`` of every factor of the paths with
+    N <= N_max and at most three steps."""
+    return sorted({(path.N, path._steps[i - 1][0], path.is_up(i), i, path.bound(i))
+                   for path, i in _factor_contexts(N_max, 3)})
+
+
+def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
+    # Synthetic division against the reduction it replaced, on every
+    # factor context with N <= 4: polynomials with 0 to 6 distinct
+    # xi-degrees above the bound, multiples of the monic relation (every
+    # bucket above the bound cancels wholly), the same plus one term above
+    # the bound (its bucket cancels in part), and a lone xi^1201.  No
+    # product is taken with a cancelled (zero) coefficient, and the lone
+    # power costs one product call.
+    from catsl2 import bimodules
+    from helpers import reduce_xi_reference
+
+    calls = []
+    add = bimodules._add_products
+
+    def recorded(acc, ta, tb):
+        calls.append(all(ta.values()) and all(tb.values()))
+        add(acc, ta, tb)
+
+    monkeypatch.setattr(bimodules, "_add_products", recorded)
+    rng = random.Random("synthetic-division")
+    contexts = _xi_contexts()
+    assert len(contexts) > 40
+    for N, j, up, pos, bound in contexts:
+        ring = StepRing(N, j, xi_pos=pos)
+        gens = _relation_gens(ring, up)
+        relation = ring.xi(bound + 1) - sum(
+            (g * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
+             for t, g in enumerate(gens, start=1)), Polynomial.zero())
+        cases = [_random_xi_poly(ring, up, bound, high, rng) for high in range(7)]
+        for s in (1, 3):
+            whole = _random_xi_poly(ring, up, bound, 0, rng) * ring.xi(s) * relation
+            assert bimodules._reduce_xi(whole, N, j, up, pos, bound) == 0
+            part = whole + rng.choice(gens) * ring.xi(bound + s)
+            cases += [whole, part]
+        for poly in cases:
+            got = bimodules._reduce_xi(poly, N, j, up, pos, bound)
+            assert got == reduce_xi_reference(poly, N, j, up, pos, bound), \
+                ((N, j, up, pos), poly.render())
+    assert all(calls)
+    del calls[:]
+    lone = 3 * xgen(1, 0) * xigen(7, 1201)
+    got = bimodules._reduce_xi(lone, 2, 1, True, 7, 1)
+    assert got == reduce_xi_reference(lone, 2, 1, True, 7, 1)
+    assert calls == [True]
+
+
 # -- the linear rewriting kernel --------------------------------------------
 
 
@@ -577,6 +666,98 @@ def test_push_memo_is_keyed_per_monomial():
             _push_content(path.N, j, path.is_up(i), i, bound, nxt, terms)
     assert len(contents) == 15 * len(inputs) // 4
     assert 0 < _push_monomial.cache_info().currsize <= len(inputs)
+
+
+def _core_and_rest(N, j, up, pos):
+    """A factor's core symbols (xi and the left-junction generators) and its
+    rest symbols (the right-junction generators), read off the kinds."""
+    left_kind = KIND_X if up else KIND_Y
+    core, rest = [xi_sym(pos)], []
+    for sym in sorted(StepRing(N, j, xi_pos=pos).catalog()):
+        if sym.kind != KIND_XI:
+            (core if sym.kind == left_kind else rest).append(sym)
+    return core, rest
+
+
+def _packed(pairs):
+    """The packed monomial of (symbol, exponent) pairs."""
+    mono = Polynomial.one()
+    for sym, exp in pairs:
+        mono = mono * Polynomial.gen(sym, exp)
+    (packed,) = mono.terms
+    return packed
+
+
+def test_pushes_share_one_core_entry_per_core():
+    # Monomials that differ only in right-junction generators share one
+    # entry of the core table: per context it holds exactly the distinct
+    # cores pushed, and every push equals the whole-content reference.
+    from catsl2.bimodules import _PUSH_CORES, _push_monomial
+    rng = random.Random("core-table")
+    _push_monomial.cache_clear()
+    _PUSH_CORES.clear()
+    expected = {}
+    for path, i in _factor_contexts(4, 3):
+        m = path.num_factors
+        j, bound = path._steps[i - 1]
+        nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+        core_syms, rest_syms = _core_and_rest(path.N, j, path.is_up(i), i)
+        cores = {_packed((sym, rng.randrange(bound + 4 if sym == core_syms[0] else 3))
+                         for sym in core_syms) for _ in range(3)}
+        rests = {0} | {_packed((sym, rng.randrange(3)) for sym in rest_syms)
+                       for _ in range(3)}
+        for core in cores:
+            for rest in rests:
+                pushed = _push_monomial(path.N, j, path.is_up(i), i, bound, nxt,
+                                        core + rest)
+                assert list(pushed) == _reference_push(
+                    path, i, Polynomial({core + rest: 1})), (path.render(), i)
+        expected.setdefault((path.N, j, path.is_up(i), i, bound), set()).update(cores)
+    assert len(expected) > 40
+    assert {key: set(entry[1]) for key, entry in _PUSH_CORES.items()} == expected
+
+
+def test_core_buckets_share_no_field_with_the_rest():
+    # The buckets of a core hold only the generators of the monic xi
+    # relation (x[t]@(nu+2) on an up-step, y[t]@nu on a down-step), and
+    # the rest mask is exactly the fields of the right-junction generators,
+    # so adding the rest to a bucket monomial cannot carry.
+    from catsl2.bimodules import _core_buckets, _core_table
+    for N, j, up, pos, bound in _xi_contexts():
+        core_syms, rest_syms = _core_and_rest(N, j, up, pos)
+        ring = StepRing(N, j, xi_pos=pos)
+        allowed = {xi_sym(pos)} | {sym for g in _relation_gens(ring, up)
+                                   for sym in g.symbols()}
+        mask = _core_table(N, j, up, pos, bound)[0]
+        assert mask == sum(FIELD_MASK << field_shift(sym) for sym in rest_syms)
+        for a in range(bound + 4):
+            for left in [None] + core_syms[1:]:
+                pairs = [(xi_sym(pos), a)] + ([(left, 2)] if left else [])
+                for e, bucket in _core_buckets(N, j, up, pos, bound, _packed(pairs)):
+                    assert e <= bound
+                    for mono in bucket.terms:
+                        assert not mono & mask
+                        assert {sym for sym, _ in mono_pairs(mono)} <= allowed
+
+
+def test_core_table_filled_by_four_threads():
+    # Four threads race to fill one cold core table, eight times over: it
+    # ends with one entry per core, and every caller got back the very
+    # object stored.
+    from catsl2.bimodules import _PUSH_CORES, _core_buckets
+    from helpers import call_in_threads
+
+    N, j, up, pos, bound = 4, 2, False, 9, 1
+    nu = 2 * j - N
+    cores = [_packed([(xi_sym(pos), a), (y_sym(1, nu + 2), b)])
+             for a in range(12) for b in range(5)]
+    for _ in range(8):
+        _PUSH_CORES.pop((N, j, up, pos, bound), None)
+        got = call_in_threads(lambda k: _core_buckets(N, j, up, pos, bound, cores[k]),
+                              range(len(cores)))
+        table = _PUSH_CORES[(N, j, up, pos, bound)][1]
+        assert len(table) == len(cores)
+        assert all(buckets is table[cores[k]] for k, buckets in got)
 
 
 def test_sums_hold_no_zero_coefficients():
