@@ -21,9 +21,10 @@ computes it has two rule families:
   upper-ring coefficients; dually y[N-k]@(nu+2) bounds a down-step factor.
   The step ring is free over its right end ring with basis 1, xi, ...,
   xi^bound, so reduction is synthetic division by that one monic
-  relation, degree by degree from the top.  Neither rule touches the
-  right-junction generators, so a monomial is transported and reduced
-  once per core, the monomial without them.
+  relation, degree by degree from the top.  Both rules and the embedding
+  into the next factor are linear, so content is pushed once per monomial
+  and context; neither rule touches the right-junction generators, so a
+  monomial is transported and reduced once per core (without them).
 
 Both rule families strictly decrease a lexicographic measure (the tests
 compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
@@ -401,9 +402,9 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
 # Transport and the embedding into the next factor are ring homomorphisms
 # and the xi-reduction is linear, so pushing a factor's content across its
 # right junction is linear in the content: the push of a polynomial is the
-# coefficient-weighted sum of the pushes of its monomials.  The memo holds
-# one entry per (factor context, monomial), and a content polynomial seen
-# for the first time costs only the monomials not pushed before.
+# coefficient-weighted sum of the pushes of its monomials.  ``_PUSHES``
+# holds one entry per (push context, monomial), and a content polynomial
+# seen for the first time costs only the monomials not pushed before.
 #
 # Transport rewrites only the left-junction generators and the reduction
 # multiplies only by xi and the generators g_t, so the right-junction
@@ -456,16 +457,18 @@ def _core_buckets(N, j, up, pos, bound, core) -> tuple:
     return out
 
 
-@lru_cache(maxsize=None)
-def _push_monomial(N, j, up, pos, bound, nxt, mono):
-    """One content monomial of factor ``pos`` pushed across its right junction.
+# Per push context ``(N, j, up, pos, bound, nxt)``, a dict from content
+# monomial to ``(e, terms)`` pairs, ``e`` ascending and within ``bound``,
+# with ``mono = sum xi^e * terms``: ``terms`` is a packed monomial dict,
+# embedded as content of factor ``pos + 1`` when ``nxt`` is that factor's
+# ``(lower ring, up)``.  Entries are added with ``setdefault``; the dicts
+# are shared (by wrapping polynomials too) and never mutated.
+_PUSHES: dict = {}
 
-    Returns ``(e, content)`` pairs, ``e`` ascending and within ``bound``,
-    with ``mono = sum xi^e * content``.  ``content`` is in the generators
-    of the junction ring after the factor: embedded as content of factor
-    ``pos + 1`` when ``nxt`` is that factor's ``(lower ring, up)``, and a
-    right-ring polynomial when ``nxt`` is None.
-    """
+
+def _store_push(table, key, mono) -> tuple:
+    """Compute and store the entry of ``mono`` in ``table``, ``_PUSHES[key]``."""
+    N, j, up, pos, bound, nxt = key
     rest = mono & _core_table(N, j, up, pos, bound)[0]
     out = []
     for e, content in _core_buckets(N, j, up, pos, bound, mono - rest):
@@ -473,32 +476,39 @@ def _push_monomial(N, j, up, pos, bound, nxt, mono):
             content = _make({m + rest: c for m, c in content.terms.items()})
         if nxt is not None:
             content = _into_factor_cached(N, nxt[0], nxt[1], pos + 1, content)
-        out.append((e, content))
-    return tuple(out)
+        out.append((e, content.terms))
+    return table.setdefault(mono, tuple(out))
 
 
 def _push_content(N, j, up, pos, bound, nxt, terms):
-    """``_push_monomial`` summed over ``terms`` weighted by their coefficients.
+    """The pushes of the monomials of ``terms`` weighted by their
+    coefficients, as ``(e, dict)`` pairs; buckets that cancel are dropped.
 
-    Buckets that cancel to zero are dropped.
+    A single monomial with coefficient 1 returns its stored entry.
     """
+    key = (N, j, up, pos, bound, nxt)
+    table = _PUSHES.get(key) or _PUSHES.setdefault(key, {})
     if len(terms) == 1:
         (mono, c), = terms.items()
         if c == 1:
-            return _push_monomial(N, j, up, pos, bound, nxt, mono)
+            return table.get(mono) or _store_push(table, key, mono)
     acc: dict = {}        # e -> {packed monomial: rational}
     for mono, c in terms.items():
-        scale = {0: c}
-        for e, content in _push_monomial(N, j, up, pos, bound, nxt, mono):
+        for e, content in table.get(mono) or _store_push(table, key, mono):
             bucket = acc.get(e)
             if bucket is None:
-                bucket = acc[e] = {}
-            _add_products(bucket, scale, content.terms)
+                acc[e] = {m: c * cb for m, cb in content.items()}
+                continue
+            for m, cb in content.items():
+                prev = bucket.get(m)
+                bucket[m] = c * cb if prev is None else prev + c * cb
     out = []
     for e in sorted(acc):
-        content = _collect(acc[e])
-        if content:
-            out.append((e, content))
+        bucket = acc[e]
+        if not all(bucket.values()):
+            bucket = {m: c for m, c in bucket.items() if c}
+        if bucket:
+            out.append((e, bucket))
     return out
 
 
@@ -549,10 +559,11 @@ def _xi_entries(path: FlagPath, vec) -> tuple:
                  for i, e in enumerate(vec, start=1))
 
 
-def _clear_factor(path: FlagPath, terms: list, i: int):
+def _clear_factor(path: FlagPath, terms, i: int, merge: bool):
     """Push the content of factor i across its right junction in every term.
 
-    Returns the new terms and whether any term had content in factor i.
+    Returns the new terms (if ``merge``, a dict of summed coefficients
+    without zeros) and whether any term had content in factor i.
     """
     m = path.num_factors
     j, bound = path._steps[i - 1]
@@ -562,77 +573,86 @@ def _clear_factor(path: FlagPath, terms: list, i: int):
         nxt = (path._steps[i][0], path.is_up(i + 1))
         nxt_shift = field_shift(xi_sym(i + 1))
         nxt_bound = path._steps[i][1]
-    out = []
+    one = Polynomial.one()
+    if merge:
+        out: dict = {}
+
+        def emit(term):
+            key, c = term
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    else:
+        out = []
+        emit = out.append
     changed = False
     for factors, coeff in terms:
         f = factors[i - 1]
         if type(f) is int:
-            out.append((factors, coeff))
+            emit((factors, coeff))
             continue
         changed = True
         head, tail = factors[:i - 1], factors[i:]
-        for e, content in _push_content(path.N, j, up, i, bound, nxt, f.terms):
+        for e, content in _push_content(path.N, j, up, i, bound, nxt, f._terms):
             if nxt is None:
-                out.append((head + (e,), coeff * content))
+                if coeff is one:
+                    emit((head + (e,), _make(content)))
+                else:
+                    acc: dict = {}
+                    _add_products(acc, coeff._terms, content)
+                    emit((head + (e,), _collect(acc)))
                 continue
             g = tail[0]
             if type(g) is not int:
-                g = g * content
+                acc = {}
+                _add_products(acc, g._terms, content)
+                g = _collect(acc)
             elif g:
-                g = content * Polynomial({g << nxt_shift: 1})
+                acc = {}
+                _add_products(acc, {g << nxt_shift: 1}, content)
+                g = _make(acc)
             else:
-                g = content
-            out.append((head + (e, _entry(g, nxt_shift, nxt_bound)) + tail[1:],
-                        coeff))
+                g = _make(content)
+            emit((head + (e, _entry(g, nxt_shift, nxt_bound)) + tail[1:], coeff))
+    if merge and not all(out.values()):
+        out = {key: c for key, c in out.items() if c}
     return out, changed
-
-
-def _merge_like_terms(terms) -> dict:
-    """Factor tuple -> summed coefficient of the terms; zero sums dropped."""
-    acc: dict = {}
-    for factors, coeff in terms:
-        prev = acc.get(factors)
-        acc[factors] = coeff if prev is None else prev + coeff
-    return {factors: coeff for factors, coeff in acc.items() if coeff}
 
 
 def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
                  on_step: Callable | None = None) -> BimElement:
-    """Normal form of the in-flight entries ``factors`` on a nonzero path."""
-    if order not in ("ltr", "rtl"):
-        raise ValueError("unknown rewriting order %r" % order)
+    """Normal form of the in-flight entries ``factors`` on a nonzero path
+    (``normalize`` checks ``order``)."""
     if all(type(f) is int for f in factors):
         return _wrap(path, {factors: Polynomial.one()})
     m = path.num_factors
     terms = [(factors, Polynomial.one())]
     if order == "ltr":
+        # one initial term yields distinct heads; the last step merges
         for i in range(1, m + 1):
-            terms, changed = _clear_factor(path, terms, i)
+            terms, changed = _clear_factor(path, terms, i, i == m)
             if changed and on_step is not None:
-                on_step(terms)
+                on_step(list(terms.items()) if i == m else terms)
     else:
         # sweep right to left repeatedly; a cleared factor only re-dirties
-        # when its left neighbour pushes new content into it
+        # when its left neighbour pushes new content into it.  Re-clearing
+        # a factor maps terms that differ only there onto one xi-power, so
+        # every step merges like terms.
+        terms = {factors: Polynomial.one()}
         dirty = set(range(1, m + 1))
         while dirty:
             for i in range(m, 0, -1):
                 if i not in dirty:
                     continue
                 dirty.discard(i)
-                terms, changed = _clear_factor(path, terms, i)
+                terms, changed = _clear_factor(path, terms.items(), i, True)
                 if changed:
-                    # re-clearing a factor maps terms that differ only
-                    # there onto one xi-power: merge them
-                    terms = list(_merge_like_terms(terms).items())
                     if i < m:
                         dirty.add(i + 1)
                     if on_step is not None:
-                        on_step(terms)
-
-    acc = _merge_like_terms(terms)
-    assert all(type(e) is int for vec in acc for e in vec), \
+                        on_step(list(terms.items()))
+    assert all(type(e) is int for vec in terms for e in vec), \
         "a factor is not in normal form"
-    return _wrap(path, acc)
+    return _wrap(path, terms)
 
 
 def normalize(raw: RawTensor, order: str = "ltr",
@@ -654,6 +674,8 @@ def normalize(raw: RawTensor, order: str = "ltr",
     both reach the same normal form.  ``on_step`` is called with the list
     of in-flight terms after every factor-clearing step that changed it.
     """
+    if order not in ("ltr", "rtl"):
+        raise ValueError("unknown rewriting order %r" % order)
     path = raw.path
     if path.is_zero:
         return BimElement.zero(path)

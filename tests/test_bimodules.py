@@ -130,6 +130,14 @@ def test_normalize_zero_path():
     assert element.is_zero()
 
 
+def test_normalize_rejects_an_unknown_order_on_every_path():
+    # the order is checked before a zero path returns early
+    for rings in ((1, 2, 1), (0, 1, 0)):
+        raw = RawTensor(FlagPath(1, rings), (xigen(1), Polynomial.one()))
+        with pytest.raises(ValueError, match="unknown rewriting order"):
+            normalize(raw, order="bogus")
+
+
 def test_raw_tensor_rejects_foreign_generators():
     path = FlagPath(2, (0, 1))
     with pytest.raises(ValueError):
@@ -582,6 +590,13 @@ def _reference_push(path, i, content):
     return out
 
 
+def _wrapped(pushed):
+    """``(e, dict)`` push buckets as ``(e, Polynomial)`` pairs, each dict
+    wrapped as it is (a zero coefficient would show in a comparison)."""
+    from catsl2.exactpoly import _make
+    return [(e, _make(terms)) for e, terms in pushed]
+
+
 def test_push_matches_whole_content_reference():
     from catsl2.bimodules import _push_content
     from helpers import random_factor_poly
@@ -602,7 +617,7 @@ def test_push_matches_whole_content_reference():
                 content = content * content       # more monomials
             pushed = _push_content(path.N, j, path.is_up(i), i, bound, nxt,
                                    content.terms)
-            assert list(pushed) == _reference_push(path, i, content), \
+            assert _wrapped(pushed) == _reference_push(path, i, content), \
                 (path.render(), i, content.render())
 
 
@@ -644,10 +659,10 @@ def test_push_memo_is_keyed_per_monomial():
     # Every context pushes all subset sums of a pool of four monomials: 15
     # distinct contents per context, but only four distinct monomials.  A
     # memo keyed on whole contents would hold at least the 15.
-    from catsl2.bimodules import _push_content, _push_monomial
+    from catsl2.bimodules import _PUSHES, _push_content
     from helpers import random_factor_poly
     rng = random.Random("memo-size")
-    _push_monomial.cache_clear()
+    _PUSHES.clear()
     inputs, contents = set(), set()
     for path, i in _factor_contexts():
         m = path.num_factors
@@ -665,7 +680,7 @@ def test_push_memo_is_keyed_per_monomial():
                           for mono in terms)
             _push_content(path.N, j, path.is_up(i), i, bound, nxt, terms)
     assert len(contents) == 15 * len(inputs) // 4
-    assert 0 < _push_monomial.cache_info().currsize <= len(inputs)
+    assert 0 < sum(len(table) for table in _PUSHES.values()) <= len(inputs)
 
 
 def _core_and_rest(N, j, up, pos):
@@ -692,9 +707,9 @@ def test_pushes_share_one_core_entry_per_core():
     # Monomials that differ only in right-junction generators share one
     # entry of the core table: per context it holds exactly the distinct
     # cores pushed, and every push equals the whole-content reference.
-    from catsl2.bimodules import _PUSH_CORES, _push_monomial
+    from catsl2.bimodules import _PUSH_CORES, _PUSHES, _push_content
     rng = random.Random("core-table")
-    _push_monomial.cache_clear()
+    _PUSHES.clear()
     _PUSH_CORES.clear()
     expected = {}
     for path, i in _factor_contexts(4, 3):
@@ -708,9 +723,9 @@ def test_pushes_share_one_core_entry_per_core():
                        for _ in range(3)}
         for core in cores:
             for rest in rests:
-                pushed = _push_monomial(path.N, j, path.is_up(i), i, bound, nxt,
-                                        core + rest)
-                assert list(pushed) == _reference_push(
+                pushed = _push_content(path.N, j, path.is_up(i), i, bound, nxt,
+                                       {core + rest: 1})
+                assert _wrapped(pushed) == _reference_push(
                     path, i, Polynomial({core + rest: 1})), (path.render(), i)
         expected.setdefault((path.N, j, path.is_up(i), i, bound), set()).update(cores)
     assert len(expected) > 40
@@ -758,6 +773,55 @@ def test_core_table_filled_by_four_threads():
         table = _PUSH_CORES[(N, j, up, pos, bound)][1]
         assert len(table) == len(cores)
         assert all(buckets is table[cores[k]] for k, buckets in got)
+
+
+def test_push_table_filled_by_four_threads():
+    # Four threads race to fill one cold push table, context table and
+    # all, eight times over: it ends with one entry per monomial, and every
+    # caller got back the very object stored.
+    from catsl2.bimodules import _PUSHES, _push_content
+    from helpers import call_in_threads
+
+    N, j, up, pos, bound, nxt = 4, 2, False, 9, 1, (1, False)
+    nu = 2 * j - N
+    monos = [_packed([(xi_sym(pos), a), (y_sym(1, nu + 2), b), (x_sym(1, nu), c)])
+             for a in range(6) for b in range(4) for c in range(3)]
+    for _ in range(8):
+        _PUSHES.pop((N, j, up, pos, bound, nxt), None)
+        got = call_in_threads(lambda k: _push_content(N, j, up, pos, bound, nxt,
+                                                      {monos[k]: 1}),
+                              range(len(monos)))
+        table = _PUSHES[(N, j, up, pos, bound, nxt)]
+        assert len(table) == len(monos)
+        assert all(pushed is table[monos[k]] for k, pushed in got)
+
+
+def test_stored_pushes_are_never_mutated():
+    # In-flight terms, normal forms and the sums built from them wrap the
+    # stored push dicts without copying.  Fill the table, take a deep copy,
+    # run the same work again on the warm table (so every stored dict is
+    # shared), and no stored entry may have changed.
+    import copy
+    from catsl2.bimodules import _PUSHES
+    from catsl2.relationsuite import run_suite
+    rng = random.Random("push-aliasing")
+    raws = [random_raw_tensor(path, rng)
+            for N in (1, 2, 3) for path in all_paths(N, 3) for _ in range(2)]
+
+    def work():
+        for raw in raws:
+            ltr, rtl = normalize(raw, order="ltr"), normalize(raw, order="rtl")
+            assert ltr == rtl
+            assert (ltr + rtl - ltr.scale(2)).is_zero()
+        assert run_suite(3).all_ok()
+
+    work()
+    stored = copy.deepcopy(_PUSHES)
+    assert sum(len(table) for table in stored.values()) > 1000
+    work()
+    for key, table in stored.items():
+        for mono, pushed in table.items():
+            assert _PUSHES[key][mono] == pushed, (key, mono)
 
 
 def test_sums_hold_no_zero_coefficients():

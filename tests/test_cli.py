@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from catsl2.cli import main
 from catsl2.qlaurent import Laurent
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+SRC = DOCS.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -397,3 +401,19 @@ def test_eval_empty_element_exits_2(capsys):
     assert code == 2 and out == ""
     assert "line 1, cols 1-1: empty element expression" in err
     assert "dangling sign" not in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    # ``python -m catsl2`` exits with the code of ``cli.main``
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "catsl2", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("rank", "--N", "2", "--word", "E F", "--weight", "2")
+    assert (done.returncode, done.stdout.strip()) == (0, "q + q^-1"), done.stderr
+    done = run("rank", "--N", "2", "--no-such-option")
+    assert done.returncode == 2 and "usage: catsl2" in done.stderr
