@@ -25,6 +25,8 @@ computes it has two rule families:
   into the next factor are linear, so content is pushed once per monomial
   and context; neither rule touches the right-junction generators, so a
   monomial is transported and reduced once per core (without them).
+  All that the pushes derive or memoize depends only on the factor
+  context ``(N, j, up, pos)``, and is kept in its one ``_Factor`` record.
 
 Both rule families strictly decrease a lexicographic measure (the tests
 compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
@@ -35,7 +37,6 @@ basis over the rightmost ring, making equality of normal forms syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .exactpoly import (
@@ -304,70 +305,84 @@ def linear_sum(path: FlagPath, parts) -> BimElement:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _transport_table(N: int, j: int, up: bool, pos: int):
-    """Substitutions expressing left-junction generators via the right ones."""
-    ring = StepRing(N, j, xi_pos=pos)
-    table = {}
-    if up:
-        for t in range(1, j + 1):
-            table[x_sym(t, ring.nu)] = ring.lower_x_expansion(t)
-    else:
-        for t in range(1, N - j):
-            table[y_sym(t, ring.nu + 2)] = ring.upper_y_expansion(t)
-    return table
+class _Factor:
+    """What the kernel derives and memoizes for one factor context.
 
+    A context is ``(N, j, up, pos)``: factor ``pos`` of a path, with lower
+    ring j, an up-step or not.  Derived once: the xi ``bound``, the bit
+    offset ``shift`` of the xi field and the mask ``strip`` that clears it,
+    the ``signed`` generators g_t of the monic xi relation, the
+    ``transport`` table (left-junction generators via the right ones), the
+    ``embed`` table of the left end ring, and the mask ``rest`` of the
+    right-junction fields.  Memoized, each entry added with ``setdefault``
+    and never mutated: the reduced xi-powers ``powers`` (index -> value,
+    keys always ``0 .. len - 1``), ``cores`` (core -> buckets), ``pushes``
+    (next factor's record, ``None`` after the last factor -> monomial ->
+    buckets) and ``embedded`` (left-end-ring polynomial -> content).
+    """
 
-# A factor's xi-exponent is one field of the packed monomial: with
-# ``shift = field_shift(xi_sym(pos))`` it reads ``(mono >> shift) & FIELD_MASK``
-# and ``mono & ~(FIELD_MASK << shift)`` is the monomial without it.
+    __slots__ = ("bound", "shift", "strip", "signed", "transport", "embed",
+                 "rest", "powers", "cores", "pushes", "embedded")
 
-
-# Per factor context (N, j, up, pos): the signed generators of the monic
-# xi relation and the table of the reduced powers xi^0, xi^1, ... found so
-# far, which ``exactpoly.recurrence_entry`` extends.
-_XI_POWERS: dict = {}
-
-
-def _xi_relation(N, j, up, pos) -> tuple:
-    """The ``_XI_POWERS`` entry of a factor context: ``(signed, powers)``."""
-    key = (N, j, up, pos)
-    entry = _XI_POWERS.get(key)
-    if entry is None:
+    def __init__(self, N: int, j: int, up: bool, pos: int):
         ring = StepRing(N, j, xi_pos=pos)
-        gen, top = (ring.upper.x, j + 1) if up else (ring.lower.y, N - j)
-        signed = [gen(t) if t % 2 else -gen(t) for t in range(1, top + 1)]
-        powers = {d: ring.xi(d) for d in range(top)}
-        entry = _XI_POWERS.setdefault(key, (signed, powers))
-    return entry
+        self.bound = j if up else N - j - 1
+        self.shift = field_shift(xi_sym(pos))
+        self.strip = ~(FIELD_MASK << self.shift)
+        gen = ring.upper.x if up else ring.lower.y
+        self.signed = [gen(t) if t % 2 else -gen(t) for t in range(1, self.bound + 2)]
+        self.powers = {d: ring.xi(d) for d in range(self.bound + 1)}
+        if up:
+            self.transport = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
+                              for t in range(1, j + 1)}
+            rest = [y_sym(t, ring.nu + 2) for t in range(1, N - j)]
+        else:
+            self.transport = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
+                              for t in range(1, N - j)}
+            rest = [x_sym(t, ring.nu) for t in range(1, j + 1)]
+        end = "lower" if up else "upper"
+        self.embed = {sym: ring.embed_end(sym, end)
+                      for sym in (ring.lower if up else ring.upper).catalog()}
+        self.rest = sum(FIELD_MASK << field_shift(sym) for sym in rest)
+        self.cores, self.pushes, self.embedded = {}, {}, {}
 
 
-def _xi_power(N, j, up, pos, e) -> Polynomial:
-    """xi^e of factor ``pos`` rewritten with xi-exponents within its bound.
+# The one process-wide kernel table: factor context -> its ``_Factor``.
+_FACTORS: dict = {}
+
+
+def _factor(path: FlagPath, i: int) -> _Factor:
+    """The record of factor i of ``path``, built and added once."""
+    key = (path.N, path._steps[i - 1][0], path.is_up(i), i)
+    f = _FACTORS.get(key)
+    if f is None:
+        f = _FACTORS.setdefault(key, _Factor(*key))
+    return f
+
+
+def _xi_power(f: _Factor, e: int) -> Polynomial:
+    """xi^e of factor ``f`` rewritten with xi-exponents within its bound.
 
     Up to the bound it is xi^e itself.  Above it the monic relation of
     the factor gives xi^e = sum_t (-1)^(t+1) g_t * xi^(e-t) for
     t = 1 .. bound + 1, where g_t is the right-junction generator
     x[t]@(nu+2) of an up-step and y[t]@nu of a down-step.
     """
-    signed, table = _xi_relation(N, j, up, pos)
-    return recurrence_entry(table, signed, e)
+    return recurrence_entry(f.powers, f.signed, e)
 
 
-def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
-               bound: int) -> Polynomial:
-    """``poly`` with its xi-powers of factor ``pos`` above ``bound`` reduced.
+def _reduce_xi(poly: Polynomial, f: _Factor) -> Polynomial:
+    """``poly`` with the xi-powers of factor ``f`` above its bound reduced.
 
     Synthetic division by the monic xi relation: the terms above the bound
     are bucketed by xi-degree, and from the top down each bucket ``B_e``
     is replaced by ``sum_t (-1)^(t+1) g_t * B_e`` at degree ``e - t`` (the
-    ``signed`` generators of ``_xi_power``), after its cancelled terms are
-    dropped.  The last bucket above the bound is finished at once with the
-    reduced power ``_xi_power(e)``, so a lone high power costs one product
-    per term of its table entry.
+    ``signed`` generators), after its cancelled terms are dropped.  The
+    last bucket above the bound is finished at once with the reduced power
+    ``_xi_power(f, e)``, so a lone high power costs one product per term of
+    its table entry.
     """
-    shift = field_shift(xi_sym(pos))
-    strip = ~(FIELD_MASK << shift)
+    shift, strip, bound = f.shift, f.strip, f.bound
     acc: dict = {}
     high: dict = {}       # xi-degree above the bound -> {monomial without xi: rational}
     for mono, coeff in poly.terms.items():
@@ -378,7 +393,6 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
             acc[mono] = coeff
     if not high:
         return poly
-    signed = _xi_relation(N, j, up, pos)[0]
     while high:
         e = max(high)
         bucket = high.pop(e)
@@ -387,9 +401,9 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
         if not bucket:
             continue
         if not high:
-            _add_products(acc, _xi_power(N, j, up, pos, e).terms, bucket)
+            _add_products(acc, _xi_power(f, e).terms, bucket)
             break
-        for t, g in enumerate(signed, start=1):
+        for t, g in enumerate(f.signed, start=1):
             d = e - t
             if d > bound:
                 _add_products(high.setdefault(d, {}), g.terms, bucket)
@@ -399,102 +413,84 @@ def _reduce_xi(poly: Polynomial, N: int, j: int, up: bool, pos: int,
     return _collect(acc)
 
 
-# Transport and the embedding into the next factor are ring homomorphisms
-# and the xi-reduction is linear, so pushing a factor's content across its
-# right junction is linear in the content: the push of a polynomial is the
-# coefficient-weighted sum of the pushes of its monomials.  ``_PUSHES``
-# holds one entry per (push context, monomial), and a content polynomial
-# seen for the first time costs only the monomials not pushed before.
-#
-# Transport rewrites only the left-junction generators and the reduction
-# multiplies only by xi and the generators g_t, so the right-junction
-# generators of a monomial (the y's of an up-step, the x's of a
-# down-step) pass through as a common factor.  A monomial splits into its
-# core (every other field) and that rest, and ``_PUSH_CORES`` holds per
-# context ``(N, j, up, pos, bound)`` the mask of the rest's fields and a
-# dict from core to its transported, reduced and bucketed form, each
-# entry added with ``setdefault``.  The buckets hold only the g_t, which
-# share no field with the rest, so multiplying a bucket by the rest is a
-# key addition that cannot carry.
-_PUSH_CORES: dict = {}
+def _core_buckets(f: _Factor, core) -> tuple:
+    """The entry of ``core`` in ``f.cores``: ``(e, bucket)`` pairs, ``e``
+    ascending and within the bound, with ``core = sum xi^e * bucket`` after
+    transport and reduction.
 
-
-def _core_table(N, j, up, pos, bound) -> tuple:
-    """The ``_PUSH_CORES`` entry of a factor context: ``(mask, cores)``."""
-    key = (N, j, up, pos, bound)
-    entry = _PUSH_CORES.get(key)
-    if entry is None:
-        nu = 2 * j - N
-        rest = ([y_sym(t, nu + 2) for t in range(1, N - j)] if up
-                else [x_sym(t, nu) for t in range(1, j + 1)])
-        mask = 0
-        for sym in rest:
-            mask |= FIELD_MASK << field_shift(sym)
-        entry = _PUSH_CORES.setdefault(key, (mask, {}))
-    return entry
-
-
-def _core_buckets(N, j, up, pos, bound, core) -> tuple:
-    """The entry of ``core`` in ``_PUSH_CORES``: ``(e, bucket)`` pairs, ``e``
-    ascending and within ``bound``, with ``core = sum xi^e * bucket`` after
-    transport and reduction."""
-    cores = _core_table(N, j, up, pos, bound)[1]
-    out = cores.get(core)
+    Transport rewrites only the left-junction generators and the reduction
+    multiplies only by xi and the g_t, so the right-junction generators of
+    a monomial (the y's of an up-step, the x's of a down-step, the fields
+    of ``f.rest``) pass through: a monomial is pushed as its core (every
+    other field) times that rest.  A bucket holds only the g_t, which
+    share no field with the rest, so multiplying it by the rest is a key
+    addition that cannot carry.
+    """
+    out = f.cores.get(core)
     if out is None:
-        table = _transport_table(N, j, up, pos)
         poly = Polynomial({core: 1})
-        if table:
-            poly = poly.substitute(table)
-        poly = _reduce_xi(poly, N, j, up, pos, bound)
-        shift = field_shift(xi_sym(pos))
-        strip = ~(FIELD_MASK << shift)
+        if f.transport:
+            poly = poly.substitute(f.transport)
+        poly = _reduce_xi(poly, f)
+        shift, strip = f.shift, f.strip
         buckets: dict = {}
         for m, c in poly.terms.items():
             # monomials of one bucket differ off the xi field: no collisions
             buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
-        out = cores.setdefault(core, tuple((e, _make(buckets[e]))
-                                           for e in sorted(buckets)))
+        out = f.cores.setdefault(core, tuple((e, _make(buckets[e]))
+                                             for e in sorted(buckets)))
     return out
 
 
-# Per push context ``(N, j, up, pos, bound, nxt)``, a dict from content
-# monomial to ``(e, terms)`` pairs, ``e`` ascending and within ``bound``,
-# with ``mono = sum xi^e * terms``: ``terms`` is a packed monomial dict,
-# embedded as content of factor ``pos + 1`` when ``nxt`` is that factor's
-# ``(lower ring, up)``.  Entries are added with ``setdefault``; the dicts
-# are shared (by wrapping polynomials too) and never mutated.
-_PUSHES: dict = {}
+def _embedded(f: _Factor, ring_poly: Polynomial) -> Polynomial:
+    """A left-end-ring polynomial of factor ``f`` embedded as its content."""
+    out = f.embedded.get(ring_poly)
+    if out is None:
+        out = f.embedded.setdefault(ring_poly, ring_poly.substitute(f.embed))
+    return out
 
 
-def _store_push(table, key, mono) -> tuple:
-    """Compute and store the entry of ``mono`` in ``table``, ``_PUSHES[key]``."""
-    N, j, up, pos, bound, nxt = key
-    rest = mono & _core_table(N, j, up, pos, bound)[0]
+def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
+    """Embed a polynomial in the left-junction ring of factor i as content."""
+    return _embedded(_factor(path, i), ring_poly)
+
+
+def _store_push(f: _Factor, nxt, table: dict, mono) -> tuple:
+    """Compute and store the entry of ``mono`` in ``table``, ``f.pushes[nxt]``:
+    ``(e, terms)`` pairs, ``e`` ascending and within the bound, with
+    ``mono = sum xi^e * terms`` and ``terms`` a packed monomial dict,
+    embedded as content of the next factor unless ``nxt`` is ``None``."""
+    rest = mono & f.rest
     out = []
-    for e, content in _core_buckets(N, j, up, pos, bound, mono - rest):
+    for e, content in _core_buckets(f, mono - rest):
         if rest:
             content = _make({m + rest: c for m, c in content.terms.items()})
         if nxt is not None:
-            content = _into_factor_cached(N, nxt[0], nxt[1], pos + 1, content)
+            content = _embedded(nxt, content)
         out.append((e, content.terms))
     return table.setdefault(mono, tuple(out))
 
 
-def _push_content(N, j, up, pos, bound, nxt, terms):
-    """The pushes of the monomials of ``terms`` weighted by their
-    coefficients, as ``(e, dict)`` pairs; buckets that cancel are dropped.
+def _push_content(f: _Factor, nxt, terms):
+    """The pushes of the monomials of ``terms`` across the right junction
+    of factor ``f`` into ``nxt``, weighted by their coefficients, as
+    ``(e, dict)`` pairs; buckets that cancel are dropped.
 
-    A single monomial with coefficient 1 returns its stored entry.
+    Transport, reduction and embedding are linear, so a content polynomial
+    costs only the monomials not pushed before.  A single monomial with
+    coefficient 1 returns its stored entry; the stored dicts are shared
+    (by wrapping polynomials too) and never mutated.
     """
-    key = (N, j, up, pos, bound, nxt)
-    table = _PUSHES.get(key) or _PUSHES.setdefault(key, {})
+    table = f.pushes.get(nxt)
+    if table is None:
+        table = f.pushes.setdefault(nxt, {})
     if len(terms) == 1:
         (mono, c), = terms.items()
         if c == 1:
-            return table.get(mono) or _store_push(table, key, mono)
+            return table.get(mono) or _store_push(f, nxt, table, mono)
     acc: dict = {}        # e -> {packed monomial: rational}
     for mono, c in terms.items():
-        for e, content in table.get(mono) or _store_push(table, key, mono):
+        for e, content in table.get(mono) or _store_push(f, nxt, table, mono):
             bucket = acc.get(e)
             if bucket is None:
                 acc[e] = {m: c * cb for m, cb in content.items()}
@@ -512,41 +508,23 @@ def _push_content(N, j, up, pos, bound, nxt, terms):
     return out
 
 
-def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
-    """Embed a polynomial in the left-junction ring of factor i as content."""
-    return _into_factor_cached(path.N, path._steps[i - 1][0], path.is_up(i), i,
-                               ring_poly)
-
-
-@lru_cache(maxsize=None)
-def _embed_table(N, j, end, pos):
-    ring = StepRing(N, j, xi_pos=pos)
-    ctx = ring.lower if end == "lower" else ring.upper
-    return {sym: ring.embed_end(sym, end) for sym in ctx.catalog()}
-
-
-@lru_cache(maxsize=None)
-def _into_factor_cached(N, j, up, pos, ring_poly):
-    return ring_poly.substitute(_embed_table(N, j, "lower" if up else "upper", pos))
-
-
 # In-flight entries (see ``normalize``) are made only by ``_entry`` and
 # ``_xi_entries``, so a polynomial entry is never a monic bounded xi-power
 # and equal terms have equal tuples, which merging like terms relies on.
 
 
-def _entry(poly: Polynomial, shift: int, bound: int):
-    """The in-flight entry of a factor polynomial.
+def _entry(poly: Polynomial, f: _Factor):
+    """The in-flight entry of a polynomial of factor ``f``.
 
-    The exponent if ``poly`` is a monic xi-power within ``bound`` (the
-    factor is settled), else ``poly`` itself.  ``shift`` is the bit offset
-    of the factor's xi field.
+    The exponent if ``poly`` is a monic xi-power within the bound (the
+    factor is settled), else ``poly`` itself.
     """
     terms = poly.terms
     if len(terms) == 1:
         (mono, coeff), = terms.items()
+        shift = f.shift
         exp = mono >> shift
-        if coeff == 1 and exp <= bound and exp << shift == mono:
+        if coeff == 1 and exp <= f.bound and exp << shift == mono:
             return exp
     return poly
 
@@ -565,14 +543,8 @@ def _clear_factor(path: FlagPath, terms, i: int, merge: bool):
     Returns the new terms (if ``merge``, a dict of summed coefficients
     without zeros) and whether any term had content in factor i.
     """
-    m = path.num_factors
-    j, bound = path._steps[i - 1]
-    up = path.is_up(i)
-    nxt = None
-    if i < m:
-        nxt = (path._steps[i][0], path.is_up(i + 1))
-        nxt_shift = field_shift(xi_sym(i + 1))
-        nxt_bound = path._steps[i][1]
+    f = _factor(path, i)
+    nxt = _factor(path, i + 1) if i < path.num_factors else None
     one = Polynomial.one()
     if merge:
         out: dict = {}
@@ -586,13 +558,13 @@ def _clear_factor(path: FlagPath, terms, i: int, merge: bool):
         emit = out.append
     changed = False
     for factors, coeff in terms:
-        f = factors[i - 1]
-        if type(f) is int:
+        entry = factors[i - 1]
+        if type(entry) is int:
             emit((factors, coeff))
             continue
         changed = True
         head, tail = factors[:i - 1], factors[i:]
-        for e, content in _push_content(path.N, j, up, i, bound, nxt, f._terms):
+        for e, content in _push_content(f, nxt, entry._terms):
             if nxt is None:
                 if coeff is one:
                     emit((head + (e,), _make(content)))
@@ -608,11 +580,11 @@ def _clear_factor(path: FlagPath, terms, i: int, merge: bool):
                 g = _collect(acc)
             elif g:
                 acc = {}
-                _add_products(acc, {g << nxt_shift: 1}, content)
+                _add_products(acc, {g << nxt.shift: 1}, content)
                 g = _make(acc)
             else:
                 g = _make(content)
-            emit((head + (e, _entry(g, nxt_shift, nxt_bound)) + tail[1:], coeff))
+            emit((head + (e, _entry(g, nxt)) + tail[1:], coeff))
     if merge and not all(out.values()):
         out = {key: c for key, c in out.items() if c}
     return out, changed
@@ -679,8 +651,8 @@ def normalize(raw: RawTensor, order: str = "ltr",
     path = raw.path
     if path.is_zero:
         return BimElement.zero(path)
-    factors = tuple(_entry(f, field_shift(xi_sym(i)), path.bound(i))
-                    for i, f in enumerate(raw.factors, start=1))
+    factors = tuple(_entry(poly, _factor(path, i))
+                    for i, poly in enumerate(raw.factors, start=1))
     return _normal_form(path, factors, order, on_step)
 
 
@@ -711,7 +683,7 @@ def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
     entries = list(_xi_entries(path, vec))
     if vec[i - 1]:
         content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
-    entries[i - 1] = _entry(content, field_shift(xi_sym(i)), path.bound(i))
+    entries[i - 1] = _entry(content, _factor(path, i))
     return _normal_form(path, tuple(entries))
 
 

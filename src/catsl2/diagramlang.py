@@ -105,7 +105,7 @@ class LayerToken:
 class DiagramAST:
     """A type-checked diagram: header data plus layers of tokens.
 
-    Equality ignores source spans, so rendering and reparsinground-trips.
+    Equality ignores source spans, so rendering and reparsing round-trips.
     """
 
     def __init__(self, N: int, weight: int, domain: SignedWord, layers):

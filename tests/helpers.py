@@ -6,6 +6,7 @@ import threading
 from functools import lru_cache
 
 from catsl2.exactpoly import (
+    FIELD_BITS,
     FIELD_MASK,
     KIND_X,
     KIND_XI,
@@ -24,11 +25,11 @@ from catsl2.bimodules import (
     FlagPath,
     RawTensor,
     _entry,
+    _factor,
     _xi_power,
     basis,
     normalize,
 )
-from catsl2.grassrings import step_catalog
 
 
 def xgen(index, weight):
@@ -55,14 +56,13 @@ def as_polynomials(terms):
 
 
 @lru_cache(maxsize=None)
-def _measure_fields(N: int, j: int, up: bool, pos: int) -> tuple:
-    """Bit offsets of a factor's xi field and of its left- and right-kind fields."""
-    left_kind = KIND_X if up else KIND_Y
-    left, right = [], []
-    for sym in step_catalog(N, j, pos):
-        if sym.kind != KIND_XI:
-            (left if sym.kind == left_kind else right).append(field_shift(sym))
-    return field_shift(xi_sym(pos)), tuple(left), tuple(right)
+def _measure_fields(f) -> tuple:
+    """Bit offsets of the left- and right-junction fields of a factor
+    record: its transport table's keys and the fields of its rest mask."""
+    left = tuple(field_shift(sym) for sym in f.transport)
+    right = tuple(s for s in range(0, f.rest.bit_length(), FIELD_BITS)
+                  if f.rest >> s & FIELD_MASK)
+    return left, right
 
 
 def rewrite_measure(path: FlagPath, terms) -> tuple:
@@ -85,19 +85,18 @@ def rewrite_measure(path: FlagPath, terms) -> tuple:
     of smaller measure, and merging like terms removes some.
     """
     m = path.num_factors
-    fields = [(path.bound(i),) + _measure_fields(path.N, path._steps[i - 1][0],
-                                                 path.is_up(i), i)
-              for i in range(1, m + 1)]
+    records = [_factor(path, i) for i in range(1, m + 1)]
+    fields = [_measure_fields(f) for f in records]
     totals = [[0, 0, 0, 0] for _ in range(m)]
     for factors, _ in terms:
-        for poly, (bound, xi_shift, left, right), entry in zip(factors, fields, totals):
+        for poly, f, (left, right), entry in zip(factors, records, fields, totals):
             if type(poly) is int:
                 continue
             for mono in poly.terms:
                 entry[0] += sum(mono >> s & FIELD_MASK for s in left)
-                entry[1] += max(0, (mono >> xi_shift & FIELD_MASK) - bound)
+                entry[1] += max(0, (mono >> f.shift & FIELD_MASK) - f.bound)
                 entry[2] += sum(mono >> s & FIELD_MASK for s in right)
-            if type(_entry(poly, xi_shift, bound)) is not int:
+            if type(_entry(poly, f)) is not int:
                 entry[3] = 1
     return tuple(tuple(t) for t in totals)
 
@@ -133,21 +132,19 @@ def rewrite_measure_reference(path, terms):
     return tuple(tuple(t) for t in totals)
 
 
-def reduce_xi_reference(poly: Polynomial, N: int, j: int, up: bool, pos: int,
-                        bound: int) -> Polynomial:
-    """``poly`` with its xi-powers of factor ``pos`` above ``bound`` reduced.
+def reduce_xi_reference(poly: Polynomial, f) -> Polynomial:
+    """``poly`` with the xi-powers of factor record ``f`` above its bound
+    reduced.
 
     ``bimodules._reduce_xi`` as it was before synthetic division: every
     term above the bound times its reduced power from the xi-power table.
     """
-    shift = field_shift(xi_sym(pos))
-    strip = ~(FIELD_MASK << shift)
     acc: dict = {}
     for mono, coeff in poly.terms.items():
-        e = (mono >> shift) & FIELD_MASK
+        e = (mono >> f.shift) & FIELD_MASK
         power = Polynomial.one()
-        if e > bound:
-            power, mono = _xi_power(N, j, up, pos, e), mono & strip
+        if e > f.bound:
+            power, mono = _xi_power(f, e), mono & f.strip
         _add_products(acc, power.terms, {mono: coeff})
     return _collect(acc)
 

@@ -408,52 +408,111 @@ def test_render_and_equality():
     assert BimElement.zero(path).render() == "0"
 
 
+def _factor_records(N_max=3, max_steps=4, by_next=True):
+    """One ``(path, i, f, nxt)`` per distinct factor record ``f`` (with
+    ``by_next``, per distinct pair of ``f`` and the next factor's record
+    ``nxt``, ``None`` on the last factor) over every path with
+    N <= N_max and at most ``max_steps`` steps."""
+    from catsl2.bimodules import _factor
+    seen = {}
+    for N in range(1, N_max + 1):
+        for path in all_paths(N, max_steps):
+            m = path.num_factors
+            for i in range(1, m + 1):
+                f = _factor(path, i)
+                nxt = _factor(path, i + 1) if i < m else None
+                seen.setdefault((f, nxt) if by_next else f, (path, i, f, nxt))
+    return list(seen.values())
+
+
+def _cold_factor(path, i):
+    """The record of factor i of ``path`` from an emptied registry, so
+    none of its memos is warm."""
+    from catsl2.bimodules import _FACTORS, _factor
+    _FACTORS.clear()
+    return _factor(path, i)
+
+
+def test_registry_holds_one_record_per_factor_context():
+    # Normalizing on every path with N <= 3 and at most four steps fills
+    # the registry with exactly the contexts (N, j, up, i) of those paths'
+    # factors, and each record's bound is its factor's.
+    from catsl2.bimodules import _FACTORS
+    rng = random.Random("factor-registry")
+    _FACTORS.clear()
+    expected = {}
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            for _ in range(2):
+                normalize(random_raw_tensor(path, rng), order=rng.choice(("ltr", "rtl")))
+            for i in range(1, path.num_factors + 1):
+                key = (N, path._steps[i - 1][0], path.is_up(i), i)
+                expected.setdefault(key, set()).add(path.bound(i))
+    assert set(_FACTORS) == set(expected)
+    assert all(expected[key] == {f.bound} for key, f in _FACTORS.items())
+
+
+def test_factor_record_built_by_four_threads():
+    # Four threads race to build one cold record, eight times over: every
+    # caller got back the very object the registry holds.
+    from catsl2.bimodules import _FACTORS, _factor
+    from helpers import call_in_threads
+
+    path = FlagPath(4, (3, 2) * 5 + (1,))
+    for _ in range(8):
+        _FACTORS.clear()
+        got = call_in_threads(lambda i: _factor(path, i), range(1, 11))
+        assert len(_FACTORS) == 10
+        assert all(f is _factor(path, i) for i, f in got)
+
+
 @pytest.mark.parametrize("N, j, up", [(2, 1, True), (3, 1, True), (3, 1, False),
                                       (4, 2, False), (4, 3, True)])
 def test_xi_powers_match_stepwise_reduction(N, j, up):
     # xi^e from the table equals reducing xi * (xi^(e-1)) one step at
     # a time, which never reduces more than one power above the bound
-    from catsl2.bimodules import _reduce_xi, _xi_power
+    from catsl2.bimodules import _factor, _reduce_xi, _xi_power
 
-    pos = 2
-    bound = j if up else N - j - 1
-    xi = xigen(pos)
+    path = FlagPath(N, (j + 1, j, j + 1) if up else (j, j + 1, j))
+    f = _factor(path, 2)
+    assert f.bound == (j if up else N - j - 1)
+    xi = xigen(2)
     step = Polynomial.one()
-    for e in range(0, bound + 16):
-        assert _xi_power(N, j, up, pos, e) == step
-        step = _reduce_xi(step * xi, N, j, up, pos, bound)
+    for e in range(0, f.bound + 16):
+        assert _xi_power(f, e) == step
+        step = _reduce_xi(step * xi, f)
 
 
 def test_xi_power_far_past_the_recursion_limit():
-    from catsl2.bimodules import _reduce_xi, _xi_power
+    from catsl2.bimodules import _factor, _reduce_xi, _xi_power
 
-    top = _xi_power(2, 1, True, 7, 1200)
-    assert _reduce_xi(top * xigen(7), 2, 1, True, 7, 1) == \
-        _xi_power(2, 1, True, 7, 1201)
+    f = _factor(FlagPath(2, (1, 2) * 4), 7)       # up-step (1, 2), bound 1
+    top = _xi_power(f, 1200)
+    assert _reduce_xi(top * xigen(7), f) == _xi_power(f, 1201)
 
 
 def test_xi_power_from_a_cold_table():
     # the table is filled in a loop, so no depth of recursion is reached
-    from catsl2.bimodules import _XI_POWERS, _xi_power
+    from catsl2.bimodules import _xi_power
 
     # on the up-step (0, 1) at rank 1 the bound is 0 and xi = x[1]@1
-    _XI_POWERS.pop((1, 0, True, 8), None)
-    assert _xi_power(1, 0, True, 8, 1201) == xgen(1, 1) ** 1201
-    assert list(_XI_POWERS[(1, 0, True, 8)][1]) == list(range(1202))
+    f = _cold_factor(FlagPath(1, (1, 0) * 4 + (1,)), 8)
+    assert _xi_power(f, 1201) == xgen(1, 1) ** 1201
+    assert list(f.powers) == list(range(1202))
 
 
 def test_xi_power_table_filled_by_four_threads():
     # Four threads race to extend one cold table.  Its keys stay 0 .. len-1,
     # every entry equals the stepwise reduction, and each entry was added
     # once: every caller got back the very object the table holds.
-    from catsl2.bimodules import _XI_POWERS, _reduce_xi, _xi_power
+    from catsl2.bimodules import _reduce_xi, _xi_power
     from helpers import call_in_threads
 
-    N, j, up, pos = 3, 1, False, 9
-    ring, bound = StepRing(N, j, xi_pos=pos), N - j - 1
-    _XI_POWERS.pop((N, j, up, pos), None)
-    got = call_in_threads(lambda e: _xi_power(N, j, up, pos, e), range(0, 240, 3))
-    table = _XI_POWERS[(N, j, up, pos)][1]
+    path = FlagPath(3, (2, 1) * 5)                # factor 9: down-step (2, 1)
+    ring, f = path.step_ring(9), _cold_factor(path, 9)
+    bound = f.bound
+    got = call_in_threads(lambda e: _xi_power(f, e), range(0, 240, 3))
+    table = f.powers
     assert list(table) == list(range(len(table))) and len(table) >= 238
     assert all(power is table[e] for e, power in got)
     # xi^(bound+1) from the monic relation y[1]xi - y[2] = xi^2 (y's at nu)
@@ -463,7 +522,7 @@ def test_xi_power_table_filled_by_four_threads():
     step = Polynomial.one()
     for e in range(len(table)):
         assert table[e] == step, e
-        step = _reduce_xi(step * ring.xi(), N, j, up, pos, bound)
+        step = _reduce_xi(step * ring.xi(), f)
 
 
 def _relation_gens(ring, up):
@@ -490,13 +549,6 @@ def _random_xi_poly(ring, up, bound, high, rng):
     return poly
 
 
-def _xi_contexts(N_max=4):
-    """``(N, j, up, pos, bound)`` of every factor of the paths with
-    N <= N_max and at most three steps."""
-    return sorted({(path.N, path._steps[i - 1][0], path.is_up(i), i, path.bound(i))
-                   for path, i in _factor_contexts(N_max, 3)})
-
-
 def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
     # Synthetic division against the reduction it replaced, on every
     # factor context with N <= 4: polynomials with 0 to 6 distinct
@@ -517,10 +569,10 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
 
     monkeypatch.setattr(bimodules, "_add_products", recorded)
     rng = random.Random("synthetic-division")
-    contexts = _xi_contexts()
-    assert len(contexts) > 40
-    for N, j, up, pos, bound in contexts:
-        ring = StepRing(N, j, xi_pos=pos)
+    records = _factor_records(4, 3, by_next=False)
+    assert len(records) > 40
+    for path, i, f, _ in records:
+        ring, up, bound = path.step_ring(i), path.is_up(i), path.bound(i)
         gens = _relation_gens(ring, up)
         relation = ring.xi(bound + 1) - sum(
             (g * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
@@ -528,48 +580,40 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
         cases = [_random_xi_poly(ring, up, bound, high, rng) for high in range(7)]
         for s in (1, 3):
             whole = _random_xi_poly(ring, up, bound, 0, rng) * ring.xi(s) * relation
-            assert bimodules._reduce_xi(whole, N, j, up, pos, bound) == 0
+            assert bimodules._reduce_xi(whole, f) == 0
             part = whole + rng.choice(gens) * ring.xi(bound + s)
             cases += [whole, part]
         for poly in cases:
-            got = bimodules._reduce_xi(poly, N, j, up, pos, bound)
-            assert got == reduce_xi_reference(poly, N, j, up, pos, bound), \
-                ((N, j, up, pos), poly.render())
+            got = bimodules._reduce_xi(poly, f)
+            assert got == reduce_xi_reference(poly, f), \
+                (path.render(), i, poly.render())
     assert all(calls)
     del calls[:]
     lone = 3 * xgen(1, 0) * xigen(7, 1201)
-    got = bimodules._reduce_xi(lone, 2, 1, True, 7, 1)
-    assert got == reduce_xi_reference(lone, 2, 1, True, 7, 1)
+    f = bimodules._factor(FlagPath(2, (1, 2) * 4), 7)
+    got = bimodules._reduce_xi(lone, f)
+    assert got == reduce_xi_reference(lone, f)
     assert calls == [True]
 
 
 # -- the linear rewriting kernel --------------------------------------------
 
 
-def _factor_contexts(N_max=3, max_steps=4):
-    """One (path, i) per distinct factor context, over all paths N <= N_max."""
-    seen = {}
-    for N in range(1, N_max + 1):
-        for path in all_paths(N, max_steps):
-            m = path.num_factors
-            for i in range(1, m + 1):
-                nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
-                key = (N, path._steps[i - 1], path.is_up(i), i, nxt)
-                seen.setdefault(key, (path, i))
-    return list(seen.values())
-
-
 def _reference_push(path, i, content):
     """Transport, reduce, bucket by xi-exponent and embed, on the whole
-    content polynomial and through decoded monomials only."""
-    from catsl2.bimodules import (_into_factor, _reduce_xi,
-                                  _transport_table)
+    content polynomial, through the step rings' own expansions and
+    embeddings and decoded monomials only."""
     from catsl2.exactpoly import mono_pairs
-    N = path.N
-    j, bound = path._steps[i - 1]
-    up = path.is_up(i)
-    poly = content.substitute(_transport_table(N, j, up, i))
-    poly = _reduce_xi(poly, N, j, up, i, bound)
+    from helpers import reduce_xi_reference
+    from catsl2.bimodules import _factor
+    ring, up = path.step_ring(i), path.is_up(i)
+    if up:
+        transport = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
+                     for t in range(1, ring.j + 1)}
+    else:
+        transport = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
+                     for t in range(1, ring.N - ring.j)}
+    poly = reduce_xi_reference(content.substitute(transport), _factor(path, i))
     buckets = {}
     for mono, coeff in poly.terms.items():
         e, rest = 0, Polynomial.const(coeff)
@@ -581,11 +625,12 @@ def _reference_push(path, i, content):
         buckets[e] = buckets.get(e, Polynomial.zero()) + rest
     out = []
     for e in sorted(buckets):
-        assert e <= bound
+        assert e <= path.bound(i)
         if buckets[e]:
             part = buckets[e]
             if i < path.num_factors:
-                part = _into_factor(path, i + 1, part)
+                end = "lower" if path.is_up(i + 1) else "upper"
+                part = path.step_ring(i + 1).embed_ring_poly(part, end)
             out.append((e, part))
     return out
 
@@ -600,13 +645,10 @@ def _wrapped(pushed):
 def test_push_matches_whole_content_reference():
     from catsl2.bimodules import _push_content
     from helpers import random_factor_poly
-    contexts = _factor_contexts()
-    assert len(contexts) > 30
+    records = _factor_records()
+    assert len(records) > 30
     rng = random.Random("linear-push")
-    for path, i in contexts:
-        m = path.num_factors
-        j, bound = path._steps[i - 1]
-        nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+    for path, i, f, nxt in records:
         for case in range(12):
             content = Polynomial.zero()
             for _ in range(rng.randrange(0, 4)):
@@ -615,8 +657,7 @@ def test_push_matches_whole_content_reference():
                 content = content - content       # cancels to zero
             elif case == 1:
                 content = content * content       # more monomials
-            pushed = _push_content(path.N, j, path.is_up(i), i, bound, nxt,
-                                   content.terms)
+            pushed = _push_content(f, nxt, content.terms)
             assert _wrapped(pushed) == _reference_push(path, i, content), \
                 (path.render(), i, content.render())
 
@@ -659,15 +700,12 @@ def test_push_memo_is_keyed_per_monomial():
     # Every context pushes all subset sums of a pool of four monomials: 15
     # distinct contents per context, but only four distinct monomials.  A
     # memo keyed on whole contents would hold at least the 15.
-    from catsl2.bimodules import _PUSHES, _push_content
+    from catsl2.bimodules import _FACTORS, _push_content
     from helpers import random_factor_poly
     rng = random.Random("memo-size")
-    _PUSHES.clear()
+    _FACTORS.clear()
     inputs, contents = set(), set()
-    for path, i in _factor_contexts():
-        m = path.num_factors
-        j, bound = path._steps[i - 1]
-        nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
+    for path, i, f, nxt in _factor_records():
         pool = set()
         while len(pool) < 4:
             pool.update(random_factor_poly(path, i, rng).terms)
@@ -675,20 +713,20 @@ def test_push_memo_is_keyed_per_monomial():
         for mask in range(1, 16):
             terms = {mono: (-1) ** k * (k + 1) for k, mono in enumerate(pool)
                      if mask >> k & 1}
-            contents.add((path.N, j, path.is_up(i), i, nxt, frozenset(terms)))
-            inputs.update((path.N, j, path.is_up(i), i, nxt, mono)
-                          for mono in terms)
-            _push_content(path.N, j, path.is_up(i), i, bound, nxt, terms)
+            contents.add((f, nxt, frozenset(terms)))
+            inputs.update((f, nxt, mono) for mono in terms)
+            _push_content(f, nxt, terms)
     assert len(contents) == 15 * len(inputs) // 4
-    assert 0 < sum(len(table) for table in _PUSHES.values()) <= len(inputs)
+    assert 0 < sum(len(table) for f in _FACTORS.values()
+                   for table in f.pushes.values()) <= len(inputs)
 
 
-def _core_and_rest(N, j, up, pos):
+def _core_and_rest(path, i):
     """A factor's core symbols (xi and the left-junction generators) and its
     rest symbols (the right-junction generators), read off the kinds."""
-    left_kind = KIND_X if up else KIND_Y
-    core, rest = [xi_sym(pos)], []
-    for sym in sorted(StepRing(N, j, xi_pos=pos).catalog()):
+    left_kind = KIND_X if path.is_up(i) else KIND_Y
+    core, rest = [xi_sym(i)], []
+    for sym in sorted(path.step_ring(i).catalog()):
         if sym.kind != KIND_XI:
             (core if sym.kind == left_kind else rest).append(sym)
     return core, rest
@@ -705,31 +743,26 @@ def _packed(pairs):
 
 def test_pushes_share_one_core_entry_per_core():
     # Monomials that differ only in right-junction generators share one
-    # entry of the core table: per context it holds exactly the distinct
+    # entry of the core table: per record it holds exactly the distinct
     # cores pushed, and every push equals the whole-content reference.
-    from catsl2.bimodules import _PUSH_CORES, _PUSHES, _push_content
+    from catsl2.bimodules import _FACTORS, _push_content
     rng = random.Random("core-table")
-    _PUSHES.clear()
-    _PUSH_CORES.clear()
+    _FACTORS.clear()
     expected = {}
-    for path, i in _factor_contexts(4, 3):
-        m = path.num_factors
-        j, bound = path._steps[i - 1]
-        nxt = (path._steps[i][0], path.is_up(i + 1)) if i < m else None
-        core_syms, rest_syms = _core_and_rest(path.N, j, path.is_up(i), i)
-        cores = {_packed((sym, rng.randrange(bound + 4 if sym == core_syms[0] else 3))
+    for path, i, f, nxt in _factor_records(4, 3):
+        core_syms, rest_syms = _core_and_rest(path, i)
+        cores = {_packed((sym, rng.randrange(f.bound + 4 if sym == core_syms[0] else 3))
                          for sym in core_syms) for _ in range(3)}
         rests = {0} | {_packed((sym, rng.randrange(3)) for sym in rest_syms)
                        for _ in range(3)}
         for core in cores:
             for rest in rests:
-                pushed = _push_content(path.N, j, path.is_up(i), i, bound, nxt,
-                                       {core + rest: 1})
+                pushed = _push_content(f, nxt, {core + rest: 1})
                 assert _wrapped(pushed) == _reference_push(
                     path, i, Polynomial({core + rest: 1})), (path.render(), i)
-        expected.setdefault((path.N, j, path.is_up(i), i, bound), set()).update(cores)
+        expected.setdefault(f, set()).update(cores)
     assert len(expected) > 40
-    assert {key: set(entry[1]) for key, entry in _PUSH_CORES.items()} == expected
+    assert {f: set(f.cores) for f in _FACTORS.values()} == expected
 
 
 def test_core_buckets_share_no_field_with_the_rest():
@@ -737,72 +770,74 @@ def test_core_buckets_share_no_field_with_the_rest():
     # relation (x[t]@(nu+2) on an up-step, y[t]@nu on a down-step), and
     # the rest mask is exactly the fields of the right-junction generators,
     # so adding the rest to a bucket monomial cannot carry.
-    from catsl2.bimodules import _core_buckets, _core_table
-    for N, j, up, pos, bound in _xi_contexts():
-        core_syms, rest_syms = _core_and_rest(N, j, up, pos)
-        ring = StepRing(N, j, xi_pos=pos)
-        allowed = {xi_sym(pos)} | {sym for g in _relation_gens(ring, up)
-                                   for sym in g.symbols()}
-        mask = _core_table(N, j, up, pos, bound)[0]
-        assert mask == sum(FIELD_MASK << field_shift(sym) for sym in rest_syms)
-        for a in range(bound + 4):
+    from catsl2.bimodules import _core_buckets
+    for path, i, f, _ in _factor_records(4, 3, by_next=False):
+        core_syms, rest_syms = _core_and_rest(path, i)
+        allowed = {xi_sym(i)} | {sym for g in _relation_gens(path.step_ring(i), path.is_up(i))
+                                 for sym in g.symbols()}
+        assert f.rest == sum(FIELD_MASK << field_shift(sym) for sym in rest_syms)
+        for a in range(f.bound + 4):
             for left in [None] + core_syms[1:]:
-                pairs = [(xi_sym(pos), a)] + ([(left, 2)] if left else [])
-                for e, bucket in _core_buckets(N, j, up, pos, bound, _packed(pairs)):
-                    assert e <= bound
+                pairs = [(xi_sym(i), a)] + ([(left, 2)] if left else [])
+                for e, bucket in _core_buckets(f, _packed(pairs)):
+                    assert e <= f.bound
                     for mono in bucket.terms:
-                        assert not mono & mask
+                        assert not mono & f.rest
                         assert {sym for sym, _ in mono_pairs(mono)} <= allowed
 
 
 def test_core_table_filled_by_four_threads():
-    # Four threads race to fill one cold core table, eight times over: it
-    # ends with one entry per core, and every caller got back the very
-    # object stored.
-    from catsl2.bimodules import _PUSH_CORES, _core_buckets
+    # Four threads race to fill the core table of one cold record, eight
+    # times over: it ends with one entry per core, and every caller got
+    # back the very object stored.
+    from catsl2.bimodules import _core_buckets
     from helpers import call_in_threads
 
-    N, j, up, pos, bound = 4, 2, False, 9, 1
-    nu = 2 * j - N
-    cores = [_packed([(xi_sym(pos), a), (y_sym(1, nu + 2), b)])
+    path = FlagPath(4, (3, 2) * 5)                # factor 9: down-step (3, 2)
+    nu = 2 * 2 - 4
+    cores = [_packed([(xi_sym(9), a), (y_sym(1, nu + 2), b)])
              for a in range(12) for b in range(5)]
     for _ in range(8):
-        _PUSH_CORES.pop((N, j, up, pos, bound), None)
-        got = call_in_threads(lambda k: _core_buckets(N, j, up, pos, bound, cores[k]),
-                              range(len(cores)))
-        table = _PUSH_CORES[(N, j, up, pos, bound)][1]
-        assert len(table) == len(cores)
-        assert all(buckets is table[cores[k]] for k, buckets in got)
+        f = _cold_factor(path, 9)
+        got = call_in_threads(lambda k: _core_buckets(f, cores[k]), range(len(cores)))
+        assert len(f.cores) == len(cores)
+        assert all(buckets is f.cores[cores[k]] for k, buckets in got)
 
 
 def test_push_table_filled_by_four_threads():
-    # Four threads race to fill one cold push table, context table and
-    # all, eight times over: it ends with one entry per monomial, and every
-    # caller got back the very object stored.
-    from catsl2.bimodules import _PUSHES, _push_content
+    # Four threads race to fill the push table of one cold record, its
+    # per-next-factor dict, core table and embedding memo too, eight times
+    # over: it ends with one entry per monomial, and every caller got back
+    # the very object stored.
+    from catsl2.bimodules import _factor, _push_content
     from helpers import call_in_threads
 
-    N, j, up, pos, bound, nxt = 4, 2, False, 9, 1, (1, False)
-    nu = 2 * j - N
-    monos = [_packed([(xi_sym(pos), a), (y_sym(1, nu + 2), b), (x_sym(1, nu), c)])
+    path = FlagPath(4, (3, 2) * 5 + (1,))         # factors 9, 10: (3, 2), (2, 1)
+    nu = 2 * 2 - 4
+    monos = [_packed([(xi_sym(9), a), (y_sym(1, nu + 2), b), (x_sym(1, nu), c)])
              for a in range(6) for b in range(4) for c in range(3)]
     for _ in range(8):
-        _PUSHES.pop((N, j, up, pos, bound, nxt), None)
-        got = call_in_threads(lambda k: _push_content(N, j, up, pos, bound, nxt,
-                                                      {monos[k]: 1}),
+        f = _cold_factor(path, 9)
+        nxt = _factor(path, 10)
+        got = call_in_threads(lambda k: _push_content(f, nxt, {monos[k]: 1}),
                               range(len(monos)))
-        table = _PUSHES[(N, j, up, pos, bound, nxt)]
-        assert len(table) == len(monos)
+        table = f.pushes[nxt]
+        assert list(f.pushes) == [nxt] and len(table) == len(monos)
         assert all(pushed is table[monos[k]] for k, pushed in got)
+        # every stored bucket is the very dict of a stored embedding
+        embedded = {id(content.terms) for content in nxt.embedded.values()}
+        assert all(id(terms) in embedded for pushed in table.values()
+                   for _, terms in pushed)
 
 
 def test_stored_pushes_are_never_mutated():
     # In-flight terms, normal forms and the sums built from them wrap the
-    # stored push dicts without copying.  Fill the table, take a deep copy,
-    # run the same work again on the warm table (so every stored dict is
-    # shared), and no stored entry may have changed.
+    # stored push dicts (and the core and embedding polynomials inside
+    # them) without copying.  Fill the records, take a deep copy of their
+    # memos, run the same work again on the warm records (so every stored
+    # dict is shared), and no stored entry may have changed.
     import copy
-    from catsl2.bimodules import _PUSHES
+    from catsl2.bimodules import _FACTORS
     from catsl2.relationsuite import run_suite
     rng = random.Random("push-aliasing")
     raws = [random_raw_tensor(path, rng)
@@ -815,13 +850,23 @@ def test_stored_pushes_are_never_mutated():
             assert (ltr + rtl - ltr.scale(2)).is_zero()
         assert run_suite(3).all_ok()
 
+    def memos():
+        for f in list(_FACTORS.values()):
+            for nxt, table in f.pushes.items():
+                for mono, pushed in table.items():
+                    yield (f, "pushes", nxt, mono), pushed
+            for core, buckets in f.cores.items():
+                yield (f, "cores", core), [(e, b.terms) for e, b in buckets]
+            for poly, content in f.embedded.items():
+                yield (f, "embedded", poly), content.terms
+
     work()
-    stored = copy.deepcopy(_PUSHES)
-    assert sum(len(table) for table in stored.values()) > 1000
+    stored = [(key, copy.deepcopy(value)) for key, value in memos()]
+    assert sum(key[1] == "pushes" for key, _ in stored) > 1000
     work()
-    for key, table in stored.items():
-        for mono, pushed in table.items():
-            assert _PUSHES[key][mono] == pushed, (key, mono)
+    now = dict(memos())
+    for key, value in stored:
+        assert now[key] == value, key
 
 
 def test_sums_hold_no_zero_coefficients():
@@ -1141,13 +1186,12 @@ def test_foreign_content_is_rejected_where_it_enters(via):
 
 
 def test_in_flight_entries_are_ints_exactly_when_settled():
-    from catsl2.bimodules import _entry
-    from catsl2.exactpoly import field_shift
+    from catsl2.bimodules import _entry, _factor
     rng = random.Random("int-entries")
     for N in (1, 2, 3):
         for path in all_paths(N, 4):
             bounds = [path.bound(i) for i in range(1, path.num_factors + 1)]
-            shifts = [field_shift(xi_sym(i)) for i in range(1, path.num_factors + 1)]
+            records = [_factor(path, i) for i in range(1, path.num_factors + 1)]
             for _ in range(3):
                 raw = random_raw_tensor(path, rng)
                 for order in ("ltr", "rtl"):
@@ -1155,11 +1199,11 @@ def test_in_flight_entries_are_ints_exactly_when_settled():
                     normalize(raw, order=order, on_step=states.append)
                     for terms in states:
                         for factors, _ in terms:
-                            for f, bound, shift in zip(factors, bounds, shifts):
-                                if type(f) is int:
-                                    assert 0 <= f <= bound
+                            for entry, bound, f in zip(factors, bounds, records):
+                                if type(entry) is int:
+                                    assert 0 <= entry <= bound
                                 else:
-                                    assert _entry(f, shift, bound) is f
+                                    assert _entry(entry, f) is entry
                         if order == "rtl":
                             tuples = [factors for factors, _ in terms]
                             assert len(set(tuples)) == len(tuples)
