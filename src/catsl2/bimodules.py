@@ -21,12 +21,14 @@ computes it has two rule families:
   upper-ring coefficients; dually y[N-k]@(nu+2) bounds a down-step factor.
   The step ring is free over its right end ring with basis 1, xi, ...,
   xi^bound, so reduction is synthetic division by that one monic
-  relation, degree by degree from the top.  Both rules and the embedding
-  into the next factor are linear, so content is pushed once per monomial
-  and context; neither rule touches the right-junction generators, so a
-  monomial is transported and reduced once per core (without them).
-  All that the pushes derive or memoize depends only on the factor
-  context ``(N, j, up, pos)``, and is kept in its one ``_Factor`` record.
+  relation.  Both rules and the embedding into the next factor are
+  linear, so content is pushed once per monomial and context; neither
+  rule touches the right-junction generators (the rest), so a monomial is
+  pushed as its core times its rest.  A core is its prefix (one unit of
+  one field fewer) times the field's image, reduced from xi-degree at
+  most 2*bound, and the embedding, a ring homomorphism, takes buckets and
+  rests apart.  All that the pushes derive or memoize depends only on the
+  factor context ``(N, j, up, pos)``, and is kept in its ``_Factor`` record.
 
 Both rule families strictly decrease a lexicographic measure (the tests
 compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exactpoly import (
+    FIELD_BITS,
     FIELD_MASK,
     Polynomial,
     _add_products,
@@ -311,17 +314,18 @@ class _Factor:
     A context is ``(N, j, up, pos)``: factor ``pos`` of a path, with lower
     ring j, an up-step or not.  Derived once: the xi ``bound``, the bit
     offset ``shift`` of the xi field and the mask ``strip`` that clears it,
-    the ``signed`` generators g_t of the monic xi relation, the
-    ``transport`` table (left-junction generators via the right ones), the
-    ``embed`` table of the left end ring, and the mask ``rest`` of the
-    right-junction fields.  Memoized, each entry added with ``setdefault``
-    and never mutated: the reduced xi-powers ``powers`` (index -> value,
-    keys always ``0 .. len - 1``), ``cores`` (core -> buckets), ``pushes``
-    (next factor's record, ``None`` after the last factor -> monomial ->
+    the ``signed`` generators g_t of the monic xi relation, the ``images``
+    of the core fields (bit offset -> terms: xi, or a left-junction
+    generator via the right ones), the ``embed`` table of the left end
+    ring, and the mask ``rest`` of the right-junction fields.  Memoized,
+    each entry added with ``setdefault`` and never mutated: the reduced
+    xi-powers ``powers`` (index -> value, keys always ``0 .. len - 1``),
+    ``cores`` (core -> buckets, seeded with core 0), ``pushes`` (next
+    factor's record, ``None`` after the last factor -> monomial ->
     buckets) and ``embedded`` (left-end-ring polynomial -> content).
     """
 
-    __slots__ = ("bound", "shift", "strip", "signed", "transport", "embed",
+    __slots__ = ("bound", "shift", "strip", "signed", "images", "embed",
                  "rest", "powers", "cores", "pushes", "embedded")
 
     def __init__(self, N: int, j: int, up: bool, pos: int):
@@ -333,18 +337,20 @@ class _Factor:
         self.signed = [gen(t) if t % 2 else -gen(t) for t in range(1, self.bound + 2)]
         self.powers = {d: ring.xi(d) for d in range(self.bound + 1)}
         if up:
-            self.transport = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
-                              for t in range(1, j + 1)}
+            left = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
+                    for t in range(1, j + 1)}
             rest = [y_sym(t, ring.nu + 2) for t in range(1, N - j)]
         else:
-            self.transport = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
-                              for t in range(1, N - j)}
+            left = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
+                    for t in range(1, N - j)}
             rest = [x_sym(t, ring.nu) for t in range(1, j + 1)]
+        self.images = {field_shift(sym): image.terms for sym, image in left.items()}
+        self.images[self.shift] = {1 << self.shift: 1}
         end = "lower" if up else "upper"
         self.embed = {sym: ring.embed_end(sym, end)
                       for sym in (ring.lower if up else ring.upper).catalog()}
         self.rest = sum(FIELD_MASK << field_shift(sym) for sym in rest)
-        self.cores, self.pushes, self.embedded = {}, {}, {}
+        self.cores, self.pushes, self.embedded = {0: ((0, Polynomial.one()),)}, {}, {}
 
 
 # The one process-wide kernel table: factor context -> its ``_Factor``.
@@ -416,29 +422,34 @@ def _reduce_xi(poly: Polynomial, f: _Factor) -> Polynomial:
 def _core_buckets(f: _Factor, core) -> tuple:
     """The entry of ``core`` in ``f.cores``: ``(e, bucket)`` pairs, ``e``
     ascending and within the bound, with ``core = sum xi^e * bucket`` after
-    transport and reduction.
+    transport and reduction; a bucket holds only the g_t.
 
-    Transport rewrites only the left-junction generators and the reduction
-    multiplies only by xi and the g_t, so the right-junction generators of
-    a monomial (the y's of an up-step, the x's of a down-step, the fields
-    of ``f.rest``) pass through: a monomial is pushed as its core (every
-    other field) times that rest.  A bucket holds only the g_t, which
-    share no field with the rest, so multiplying it by the rest is a key
-    addition that cannot carry.
+    A core is its prefix (one unit of its lowest field fewer) times that
+    field's image: each of the prefix's buckets times the image shifted to
+    the bucket's xi-degree, then reduced.  Both are within the bound, so
+    the product has xi-degree at most twice it.  The prefix chain down to
+    a stored core is walked in a loop, and each core on it is stored.
     """
     out = f.cores.get(core)
     if out is None:
-        poly = Polynomial({core: 1})
-        if f.transport:
-            poly = poly.substitute(f.transport)
-        poly = _reduce_xi(poly, f)
+        chain = []        # (core, offset of the field its prefix lacks one unit of)
+        while out is None:
+            low = ((core & -core).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            chain.append((core, low))
+            core -= 1 << low
+            out = f.cores.get(core)
         shift, strip = f.shift, f.strip
-        buckets: dict = {}
-        for m, c in poly.terms.items():
-            # monomials of one bucket differ off the xi field: no collisions
-            buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
-        out = f.cores.setdefault(core, tuple((e, _make(buckets[e]))
-                                             for e in sorted(buckets)))
+        for core, low in reversed(chain):
+            image, acc = f.images[low], {}
+            for e, bucket in out:
+                _add_products(acc, {m + (e << shift): c for m, c in image.items()},
+                              bucket.terms)
+            buckets: dict = {}
+            for m, c in _reduce_xi(_collect(acc), f).terms.items():
+                # monomials of one bucket differ off the xi field: no collisions
+                buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
+            out = f.cores.setdefault(core, tuple((e, _make(buckets[e]))
+                                                 for e in sorted(buckets)))
     return out
 
 
@@ -459,15 +470,28 @@ def _store_push(f: _Factor, nxt, table: dict, mono) -> tuple:
     """Compute and store the entry of ``mono`` in ``table``, ``f.pushes[nxt]``:
     ``(e, terms)`` pairs, ``e`` ascending and within the bound, with
     ``mono = sum xi^e * terms`` and ``terms`` a packed monomial dict,
-    embedded as content of the next factor unless ``nxt`` is ``None``."""
+    embedded as content of the next factor unless ``nxt`` is ``None``.
+
+    Transport rewrites only the left-junction generators and the reduction
+    multiplies only by xi and the g_t, so the right-junction generators of
+    a monomial (the y's of an up-step, the x's of a down-step, the fields
+    of ``f.rest``) pass through: the entry is the buckets of the core
+    (every other field) times that rest.  A bucket holds only the g_t, so
+    after the last factor the product is a key addition that cannot carry.
+    Embedding is a ring homomorphism, so for a next factor each bucket and
+    the rest are embedded apart, through ``nxt.embedded``, and multiplied."""
     rest = mono & f.rest
+    tail = _embedded(nxt, _make({rest: 1})).terms if rest and nxt is not None else None
     out = []
-    for e, content in _core_buckets(f, mono - rest):
-        if rest:
-            content = _make({m + rest: c for m, c in content.terms.items()})
-        if nxt is not None:
-            content = _embedded(nxt, content)
-        out.append((e, content.terms))
+    for e, bucket in _core_buckets(f, mono - rest):
+        content = bucket.terms if nxt is None else _embedded(nxt, bucket).terms
+        if tail:
+            acc: dict = {}
+            _add_products(acc, tail, content)
+            content = _collect(acc).terms
+        elif rest:
+            content = {m + rest: c for m, c in content.items()}
+        out.append((e, content))
     return table.setdefault(mono, tuple(out))
 
 

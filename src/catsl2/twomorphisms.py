@@ -430,7 +430,8 @@ def measured_degree(f: BimMap, vec):
 
 
 def audit_degree(f: BimMap):
-    """Check the measured degree on every basis vector against f.degree."""
+    """Check the measured degree against f.degree on every basis vector and
+    on the xi-excess bumps of ``_decorated_vectors``."""
     if f.domain.is_zero or f.codomain.is_zero:
         return True, None
     seen_nonzero = False

@@ -14,7 +14,6 @@ from catsl2.exactpoly import (
     Polynomial,
     _add_products,
     _collect,
-    field_shift,
     mono_pairs,
     x_sym,
     xi_sym,
@@ -58,8 +57,9 @@ def as_polynomials(terms):
 @lru_cache(maxsize=None)
 def _measure_fields(f) -> tuple:
     """Bit offsets of the left- and right-junction fields of a factor
-    record: its transport table's keys and the fields of its rest mask."""
-    left = tuple(field_shift(sym) for sym in f.transport)
+    record: its image table's keys other than the xi field, and the fields
+    of its rest mask."""
+    left = tuple(s for s in f.images if s != f.shift)
     right = tuple(s for s in range(0, f.rest.bit_length(), FIELD_BITS)
                   if f.rest >> s & FIELD_MASK)
     return left, right

@@ -525,6 +525,21 @@ def test_xi_power_table_filled_by_four_threads():
         step = _reduce_xi(step * ring.xi(), f)
 
 
+def test_a_suite_run_keeps_the_xi_power_tables_short():
+    # A core is reduced from its prefix times one image, a product of
+    # xi-degree at most twice the bound, so no run asks for a reduced
+    # xi-power above it: after run_suite(4) from an emptied registry
+    # every record holds at most 2 * bound + 2 reduced powers.
+    from catsl2.bimodules import _FACTORS
+    from catsl2.relationsuite import run_suite
+
+    _FACTORS.clear()
+    assert run_suite(4).all_ok()
+    assert len(_FACTORS) > 20
+    for key, f in _FACTORS.items():
+        assert len(f.powers) <= 2 * f.bound + 2, key
+
+
 def _relation_gens(ring, up):
     """The generators g_1, g_2, ... of a factor's monic xi relation."""
     if up:
@@ -599,10 +614,10 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
 # -- the linear rewriting kernel --------------------------------------------
 
 
-def _reference_push(path, i, content):
-    """Transport, reduce, bucket by xi-exponent and embed, on the whole
-    content polynomial, through the step rings' own expansions and
-    embeddings and decoded monomials only."""
+def _reference_buckets(path, i, content):
+    """Transport and reduce the whole content polynomial of factor i, then
+    bucket it by xi-exponent, through the step ring's own expansions and
+    decoded monomials only: ``{e: polynomial}``, ``e`` within the bound."""
     from catsl2.exactpoly import mono_pairs
     from helpers import reduce_xi_reference
     from catsl2.bimodules import _factor
@@ -623,9 +638,23 @@ def _reference_push(path, i, content):
             else:
                 rest = rest * Polynomial.gen(sym, exp)
         buckets[e] = buckets.get(e, Polynomial.zero()) + rest
+    assert all(e <= path.bound(i) for e in buckets)
+    return buckets
+
+
+def _reference_core(path, i, core):
+    """The expected entry of the packed ``core`` in factor i's core table."""
+    buckets = _reference_buckets(path, i, Polynomial({core: 1}))
+    return tuple((e, buckets[e]) for e in sorted(buckets) if buckets[e])
+
+
+def _reference_push(path, i, content):
+    """Transport, reduce, bucket by xi-exponent and embed, on the whole
+    content polynomial (see ``_reference_buckets``), embedding through the
+    next step ring's own ``embed_ring_poly``."""
+    buckets = _reference_buckets(path, i, content)
     out = []
     for e in sorted(buckets):
-        assert e <= path.bound(i)
         if buckets[e]:
             part = buckets[e]
             if i < path.num_factors:
@@ -741,10 +770,18 @@ def _packed(pairs):
     return packed
 
 
+def _divides(a, b):
+    """True if the packed monomial ``a`` divides the packed monomial ``b``."""
+    exps = dict(mono_pairs(b))
+    return all(exp <= exps.get(sym, 0) for sym, exp in mono_pairs(a))
+
+
 def test_pushes_share_one_core_entry_per_core():
     # Monomials that differ only in right-junction generators share one
-    # entry of the core table: per record it holds exactly the distinct
-    # cores pushed, and every push equals the whole-content reference.
+    # entry of the core table: per record it holds every distinct core
+    # pushed, and besides them only the prefixes they were built from
+    # (each divides a pushed core).  Every push and every core entry
+    # equals the whole-content reference.
     from catsl2.bimodules import _FACTORS, _push_content
     rng = random.Random("core-table")
     _FACTORS.clear()
@@ -760,9 +797,61 @@ def test_pushes_share_one_core_entry_per_core():
                 pushed = _push_content(f, nxt, {core + rest: 1})
                 assert _wrapped(pushed) == _reference_push(
                     path, i, Polynomial({core + rest: 1})), (path.render(), i)
-        expected.setdefault(f, set()).update(cores)
+        expected.setdefault(f, (path, i, set()))[2].update(cores)
     assert len(expected) > 40
-    assert {f: set(f.cores) for f in _FACTORS.values()} == expected
+    assert set(_FACTORS.values()) == set(expected)
+    for f, (path, i, pushed) in expected.items():
+        assert pushed <= set(f.cores)
+        for core, buckets in f.cores.items():
+            assert any(_divides(core, top) for top in pushed), (path.render(), i)
+            assert buckets == _reference_core(path, i, core), (path.render(), i)
+
+
+def test_core_buckets_match_the_transport_reference():
+    # Every entry of every core table, the cores asked for and the
+    # prefixes they were built from, equals transport by the step ring's
+    # expansions and reduction by the xi-power table, on every record of
+    # the paths with N <= 4 and at most three steps: xi-degrees up to the
+    # bound + 4, left-junction generator exponents up to 3.
+    from catsl2.bimodules import _FACTORS, _core_buckets
+    rng = random.Random("core-oracle")
+    _FACTORS.clear()
+    records = _factor_records(4, 3, by_next=False)
+    for path, i, f, _ in records:
+        core_syms, _ = _core_and_rest(path, i)
+        for _ in range(6):
+            pairs = [(core_syms[0], rng.randrange(f.bound + 5))]
+            pairs += [(sym, rng.randrange(4)) for sym in core_syms[1:]]
+            _core_buckets(f, _packed(pairs))
+    assert sum(len(f.cores) for _, _, f, _ in records) > 3 * len(records)
+    for path, i, f, _ in records:
+        for core, buckets in f.cores.items():
+            assert buckets == _reference_core(path, i, core), (path.render(), i)
+
+
+def test_cores_far_past_the_recursion_limit():
+    # A core is built from a chain of prefixes as long as its degree; the
+    # chain is walked in a loop, so neither an xi exponent nor a generator
+    # exponent above the recursion limit raises on a cold record.  The
+    # limit is lowered for the test (the chain's cost grows with the square
+    # of its length), to 150 frames above the caller's depth.
+    import inspect
+    import sys
+    from catsl2.bimodules import _core_buckets
+
+    path = FlagPath(2, (1, 2) * 2)                # factor 3: up-step (1, 2), bound 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        top = sys.getrecursionlimit() + 1
+        for sym in (xi_sym(3), x_sym(1, 0)):      # xi and the left-junction x[1]@0
+            f = _cold_factor(path, 3)
+            core = _packed([(sym, top)])
+            got = _core_buckets(f, core)
+            assert len(f.cores) == top + 1
+            assert got == _reference_core(path, 3, core)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_core_buckets_share_no_field_with_the_rest():
@@ -807,16 +896,18 @@ def test_core_table_filled_by_four_threads():
 def test_push_table_filled_by_four_threads():
     # Four threads race to fill the push table of one cold record, its
     # per-next-factor dict, core table and embedding memo too, eight times
-    # over: it ends with one entry per monomial, and every caller got back
-    # the very object stored.
+    # over for each of two next factors: it ends with one entry per
+    # monomial, and every caller got back the very object stored.  The
+    # next factor embeds the rest (x's) nontrivially on the path ending
+    # (2, 1), and the buckets (y's) on the one ending (2, 3).
     from catsl2.bimodules import _factor, _push_content
+    from catsl2.exactpoly import _add_products, _collect
     from helpers import call_in_threads
 
-    path = FlagPath(4, (3, 2) * 5 + (1,))         # factors 9, 10: (3, 2), (2, 1)
-    nu = 2 * 2 - 4
+    nu = 2 * 2 - 4                                # factor 9: down-step (3, 2)
     monos = [_packed([(xi_sym(9), a), (y_sym(1, nu + 2), b), (x_sym(1, nu), c)])
-             for a in range(6) for b in range(4) for c in range(3)]
-    for _ in range(8):
+             for a in range(8) for b in range(6) for c in range(3)]
+    for path in [FlagPath(4, (3, 2) * 5 + (end,)) for end in (1, 3)] * 8:
         f = _cold_factor(path, 9)
         nxt = _factor(path, 10)
         got = call_in_threads(lambda k: _push_content(f, nxt, {monos[k]: 1}),
@@ -824,10 +915,22 @@ def test_push_table_filled_by_four_threads():
         table = f.pushes[nxt]
         assert list(f.pushes) == [nxt] and len(table) == len(monos)
         assert all(pushed is table[monos[k]] for k, pushed in got)
-        # every stored bucket is the very dict of a stored embedding
-        embedded = {id(content.terms) for content in nxt.embedded.values()}
-        assert all(id(terms) in embedded for pushed in table.values()
-                   for _, terms in pushed)
+        # a bucket with no rest is the very dict of its core bucket's
+        # stored embedding; one with a rest is the product of the stored
+        # embeddings of its core bucket and of its rest
+        for mono, pushed in table.items():
+            rest = mono & f.rest
+            buckets = f.cores[mono - rest]
+            assert [e for e, _ in pushed] == [e for e, _ in buckets]
+            for (_, terms), (_, bucket) in zip(pushed, buckets):
+                if not rest:
+                    assert terms is nxt.embedded[bucket].terms
+                    continue
+                acc = {}
+                _add_products(acc, nxt.embedded[Polynomial({rest: 1})].terms,
+                              nxt.embedded[bucket].terms)
+                assert terms == _collect(acc).terms
+        assert any(mono & f.rest for mono in table)
 
 
 def test_stored_pushes_are_never_mutated():
