@@ -51,7 +51,6 @@ from .exactpoly import (
     _make,
     field_shift,
     mono_degree,
-    recurrence_entry,
     x_sym,
     xi_sym,
     y_sym,
@@ -318,15 +317,15 @@ class _Factor:
     of the core fields (bit offset -> terms: xi, or a left-junction
     generator via the right ones), the ``embed`` table of the left end
     ring, and the mask ``rest`` of the right-junction fields.  Memoized,
-    each entry added with ``setdefault`` and never mutated: the reduced
-    xi-powers ``powers`` (index -> value, keys always ``0 .. len - 1``),
-    ``cores`` (core -> buckets, seeded with core 0), ``pushes`` (next
-    factor's record, ``None`` after the last factor -> monomial ->
-    buckets) and ``embedded`` (left-end-ring polynomial -> content).
+    each entry added with ``setdefault`` and never mutated: ``cores``
+    (core -> buckets, seeded with core 0; the core of xi^e is its reduced
+    xi-power), ``pushes`` (next factor's record, ``None`` after the last
+    factor -> monomial -> buckets) and ``embedded`` (left-end-ring
+    polynomial -> content).
     """
 
     __slots__ = ("bound", "shift", "strip", "signed", "images", "embed",
-                 "rest", "powers", "cores", "pushes", "embedded")
+                 "rest", "cores", "pushes", "embedded")
 
     def __init__(self, N: int, j: int, up: bool, pos: int):
         ring = StepRing(N, j, xi_pos=pos)
@@ -335,7 +334,6 @@ class _Factor:
         self.strip = ~(FIELD_MASK << self.shift)
         gen = ring.upper.x if up else ring.lower.y
         self.signed = [gen(t) if t % 2 else -gen(t) for t in range(1, self.bound + 2)]
-        self.powers = {d: ring.xi(d) for d in range(self.bound + 1)}
         if up:
             left = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
                     for t in range(1, j + 1)}
@@ -366,27 +364,16 @@ def _factor(path: FlagPath, i: int) -> _Factor:
     return f
 
 
-def _xi_power(f: _Factor, e: int) -> Polynomial:
-    """xi^e of factor ``f`` rewritten with xi-exponents within its bound.
-
-    Up to the bound it is xi^e itself.  Above it the monic relation of
-    the factor gives xi^e = sum_t (-1)^(t+1) g_t * xi^(e-t) for
-    t = 1 .. bound + 1, where g_t is the right-junction generator
-    x[t]@(nu+2) of an up-step and y[t]@nu of a down-step.
-    """
-    return recurrence_entry(f.powers, f.signed, e)
-
-
 def _reduce_xi(poly: Polynomial, f: _Factor) -> Polynomial:
     """``poly`` with the xi-powers of factor ``f`` above its bound reduced.
 
     Synthetic division by the monic xi relation: the terms above the bound
     are bucketed by xi-degree, and from the top down each bucket ``B_e``
     is replaced by ``sum_t (-1)^(t+1) g_t * B_e`` at degree ``e - t`` (the
-    ``signed`` generators), after its cancelled terms are dropped.  The
-    last bucket above the bound is finished at once with the reduced power
-    ``_xi_power(f, e)``, so a lone high power costs one product per term of
-    its table entry.
+    ``signed`` generators g_t: x[t]@(nu+2) on an up-step, y[t]@nu on a
+    down-step), after its cancelled terms are dropped.  ``_core_buckets``,
+    its one caller, passes xi-degrees of at most twice the bound (1 at
+    bound 0).
     """
     shift, strip, bound = f.shift, f.strip, f.bound
     acc: dict = {}
@@ -406,9 +393,6 @@ def _reduce_xi(poly: Polynomial, f: _Factor) -> Polynomial:
             bucket = {m: c for m, c in bucket.items() if c}
         if not bucket:
             continue
-        if not high:
-            _add_products(acc, _xi_power(f, e).terms, bucket)
-            break
         for t, g in enumerate(f.signed, start=1):
             d = e - t
             if d > bound:
@@ -426,9 +410,11 @@ def _core_buckets(f: _Factor, core) -> tuple:
 
     A core is its prefix (one unit of its lowest field fewer) times that
     field's image: each of the prefix's buckets times the image shifted to
-    the bucket's xi-degree, then reduced.  Both are within the bound, so
-    the product has xi-degree at most twice it.  The prefix chain down to
-    a stored core is walked in a loop, and each core on it is stored.
+    the bucket's xi-degree, then reduced.  The prefix is within the bound
+    and the image within it or 1 (xi itself), so the product has xi-degree
+    at most twice the bound, or 1.  The core of xi^e is the reduced power
+    xi^e.  The prefix chain down to a stored core is walked in a loop, and
+    each core on it is stored.
     """
     out = f.cores.get(core)
     if out is None:

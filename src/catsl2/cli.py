@@ -21,7 +21,7 @@ from .exactpoly import Polynomial
 from .grassrings import (GrassContext, bubble_value, special_class,
                          special_class_terms)
 from .bimodules import graded_rank
-from .twomorphisms import SignedWord, compile_word, measured_degree
+from .twomorphisms import SignedWord, compile_word
 from .diagramlang import (
     DiagramError,
     ZeroDiagramWarning,

@@ -19,7 +19,10 @@ the exponent of the symbol in slot ``s`` sits in bits ``16s .. 16s+15``.
 The top bit of every field is a guard bit, so exponents stay below
 ``MAX_EXPONENT + 1 = 2^15``; the unit monomial is ``0``.  Multiplying two
 monomials is one integer addition, and a product that sets a guard bit
-raises ``OverflowError`` instead of carrying into the next field.
+raises ``OverflowError`` instead of carrying into the next field.  Every
+product of two monomials (in ``*``, ``sum_of_products`` and the rewriting
+kernel) is formed in ``_add_products``, the one place that checks the
+guard bits.
 ``Polynomial.terms`` maps these packed ints to coefficients; slot numbers
 depend on the order in which a process first met its symbols, so anything
 that leaves the process (``render``, pickling) goes through the decoded,
@@ -250,18 +253,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        return _make(terms)
+        acc = dict(self._terms)
+        _add_products(acc, _ONE._terms, other._terms)
+        return _collect(acc)
 
     __radd__ = __add__
 
@@ -282,41 +276,11 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
         if len(b) == 1:
-            a, b = b, a
-        # every product key is ORed into `seen`; no field of a factor has
-        # its guard bit set, so a field overflowed iff `seen` shows a guard
-        seen = 0
-        if len(a) == 1:
-            # monomial times polynomial: keys stay distinct
-            (ma, ca), = a.items()
-            if not ma and ca == 1:
-                return _make(dict(b))
-            terms = {ma + mb: ca * cb for mb, cb in b.items()}
-            for mono in terms:
-                seen |= mono
-        else:
-            terms = {}
-            get = terms.get
-            for ma, ca in a.items():
-                for mb, cb in b.items():
-                    mono = ma + mb
-                    seen |= mono
-                    c = ca * cb
-                    acc = get(mono)
-                    if acc is None:
-                        terms[mono] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            terms[mono] = acc
-                        else:
-                            del terms[mono]
-        if seen & _GUARDS:
-            raise _overflow()
-        return _make(terms)
+            a, b = b, a       # a lone term outside: a unit one keeps b's keys
+        acc: dict = {}
+        _add_products(acc, a, b)
+        return _collect(acc)
 
     __rmul__ = __mul__
 
@@ -450,10 +414,11 @@ def _add_products(acc: dict, ta: Mapping[Mono, Rational],
     This is the one loop that accumulates products of terms: ``ca * cb``
     goes to key ``ma + mb`` of the plain dict ``acc`` (packed monomial ->
     rational), and a product key that sets a guard bit raises
-    ``OverflowError`` as in ``Polynomial.__mul__``.  A unit ``ma`` reuses
-    ``mb``'s key object, so scaling by a scalar shares the keys of the
-    scaled terms (and cannot overflow).  Coefficients that cancel stay in
-    ``acc`` as zeros until ``_collect`` drops them.
+    ``OverflowError``; ``Polynomial`` ``*`` and ``+`` (a sum is the
+    product by the unit) run on it too.  A unit ``ma`` reuses ``mb``'s key
+    object, so scaling by a scalar shares the keys of the scaled terms
+    (and cannot overflow).  Coefficients that cancel stay in ``acc`` as
+    zeros until ``_collect`` drops them.
     """
     seen = 0              # OR of every product key, for the guard bits
     for ma, ca in ta.items():
@@ -490,22 +455,6 @@ def sum_of_products(pairs) -> Polynomial:
     for a, b in pairs:
         _add_products(acc, _factor_terms(a), _factor_terms(b))
     return _collect(acc)
-
-
-def recurrence_entry(table: dict, coeffs: list, n: int) -> Polynomial:
-    """Entry ``n`` of a table of a linear recurrence, extending the table.
-
-    ``table`` maps 0 .. len - 1 to polynomials, and a missing entry d is
-    ``sum_t coeffs[t - 1] * table[d - t]`` over t = 1 .. min(d, len(coeffs)).
-    Entries are computed in a loop in increasing d and added with
-    ``setdefault``, so the keys stay 0 .. len - 1, and threads extending
-    one table at once may compute an entry more than once but store the
-    first.
-    """
-    for d in range(len(table), n + 1):
-        table.setdefault(d, sum_of_products(
-            (c, table[d - t]) for t, c in enumerate(coeffs[:d], start=1)))
-    return table[n]
 
 
 def homogeneous_degree(p: Polynomial):

@@ -27,8 +27,6 @@ from .exactpoly import (
     Polynomial,
     VarSymbol,
     KIND_X,
-    KIND_Y,
-    recurrence_entry,
     series_invert,
     sum_of_products,
     x_sym,
@@ -201,7 +199,7 @@ def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
 
 # Per (N, k, family): the negated generators of the defining recursion and
 # the table of the classes of index 0, 1, ... found so far, which
-# ``exactpoly.recurrence_entry`` extends.
+# ``special_class`` extends.
 _SPECIAL_CLASSES: dict = {}
 
 
@@ -226,7 +224,12 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
         negated = [-g for g in ctx.gens("y" if family == "X" else "x")[1:]]
         entry = _SPECIAL_CLASSES.setdefault(key, (negated, {0: Polynomial.one()}))
     negated, table = entry
-    return recurrence_entry(table, negated, alpha)
+    # extend in increasing index, in a loop (no recursion depth); threads
+    # racing on one table may compute an entry twice but store the first
+    for d in range(len(table), alpha + 1):
+        table.setdefault(d, sum_of_products(
+            (c, table[d - t]) for t, c in enumerate(negated[:d], start=1)))
+    return table[alpha]
 
 
 def special_class_terms(ctx: GrassContext, family: str, alpha: int,

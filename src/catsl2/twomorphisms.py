@@ -34,7 +34,6 @@ from .bimodules import (
     linear_sum,
     normalize_xi_vector,
 )
-from .exactpoly import xi_sym
 
 
 class BimMap:
@@ -362,13 +361,11 @@ def compile_word(word: SignedWord, N: int) -> FlagPath:
 
 def _decorated_vectors(path: FlagPath, max_excess: int = 2):
     """Basis vectors plus single-factor xi-excess bumps up to max_excess."""
-    vecs = list(basis(path))
-    for vec in basis(path):
-        for i in range(path.num_factors):
-            for excess in range(1, max_excess + 1):
-                if vec[i] == path.bound(i + 1):
-                    vecs.append(vec[:i] + (vec[i] + excess,) + vec[i + 1:])
-    return vecs
+    vecs = basis(path)
+    return vecs + [vec[:i] + (vec[i] + excess,) + vec[i + 1:]
+                   for vec in vecs
+                   for i in range(path.num_factors) if vec[i] == path.bound(i + 1)
+                   for excess in range(1, max_excess + 1)]
 
 
 def map_equals(f: BimMap, g: BimMap, max_extra_checks: int = 0, rng=None):
@@ -397,9 +394,10 @@ def map_equals(f: BimMap, g: BimMap, max_extra_checks: int = 0, rng=None):
                 vec = vecs[rng.randrange(len(vecs))]
                 side, poly = gens[rng.randrange(len(gens))]
                 e = _decorated_element(f.domain, vec, side, poly)
-                if f(e) != g(e):
+                left, right = f(e), g(e)
+                if left != right:
                     return False, ("on decorated element %s: %s vs %s"
-                                   % (e.render(), f(e).render(), g(e).render()))
+                                   % (e.render(), left.render(), right.render()))
     return True, None
 
 

@@ -12,9 +12,8 @@ from catsl2.exactpoly import (
     KIND_XI,
     KIND_Y,
     Polynomial,
-    _add_products,
-    _collect,
     mono_pairs,
+    sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
@@ -25,7 +24,6 @@ from catsl2.bimodules import (
     RawTensor,
     _entry,
     _factor,
-    _xi_power,
     basis,
     normalize,
 )
@@ -132,21 +130,38 @@ def rewrite_measure_reference(path, terms):
     return tuple(tuple(t) for t in totals)
 
 
-def reduce_xi_reference(poly: Polynomial, f) -> Polynomial:
-    """``poly`` with the xi-powers of factor record ``f`` above its bound
-    reduced.
+def relation_gens(ring, up):
+    """The generators g_1, g_2, ... of a factor's monic xi relation."""
+    if up:
+        return [ring.upper.x(t) for t in range(1, ring.j + 2)]
+    return [ring.lower.y(t) for t in range(1, ring.N - ring.j + 1)]
 
-    ``bimodules._reduce_xi`` as it was before synthetic division: every
-    term above the bound times its reduced power from the xi-power table.
+
+# (N, j, up, i) -> [xi^0, xi^1, ...] reduced, as ``reduce_xi_reference``
+# extends it
+_REFERENCE_POWERS: dict = {}
+
+
+def reduce_xi_reference(poly: Polynomial, path, i) -> Polynomial:
+    """``poly`` with the xi-powers of factor i of ``path`` above its bound
+    reduced, term by term, with no factor record.
+
+    Each term above the bound is multiplied by its reduced xi-power, from
+    a table of its own filled by the recurrence of the monic relation,
+    xi^d = sum_t (-1)^(t+1) g_t * xi^(d-t).
     """
-    acc: dict = {}
-    for mono, coeff in poly.terms.items():
-        e = (mono >> f.shift) & FIELD_MASK
-        power = Polynomial.one()
-        if e > f.bound:
-            power, mono = _xi_power(f, e), mono & f.strip
-        _add_products(acc, power.terms, {mono: coeff})
-    return _collect(acc)
+    ring, up, bound = path.step_ring(i), path.is_up(i), path.bound(i)
+    xi = xi_sym(i)
+    powers = _REFERENCE_POWERS.setdefault(
+        (path.N, ring.j, up, i), [Polynomial.gen(xi, d) for d in range(bound + 1)])
+    signed = [g if t % 2 else -g for t, g in enumerate(relation_gens(ring, up), start=1)]
+    exps = [dict(mono_pairs(mono)).get(xi, 0) for mono in poly.terms]
+    for d in range(len(powers), max(exps, default=0) + 1):
+        powers.append(sum_of_products((g, powers[d - t])
+                                      for t, g in enumerate(signed, start=1)))
+    return sum_of_products(
+        (Polynomial({mono: coeff}).substitute({xi: Polynomial.one()}), powers[e])
+        for (mono, coeff), e in zip(poly.terms.items(), exps))
 
 
 def linear_sum_reference(path, parts):

@@ -43,6 +43,7 @@ from helpers import (
     omega_path,
     omega_poly,
     random_raw_tensor,
+    relation_gens,
     xgen,
     xigen,
     ygen,
@@ -466,12 +467,20 @@ def test_factor_record_built_by_four_threads():
         assert all(f is _factor(path, i) for i, f in got)
 
 
+def _reduced_power(f, e):
+    """xi^e of factor record ``f`` rewritten within its bound, read back
+    from the entry of its core in ``f.cores``."""
+    from catsl2.bimodules import _core_buckets
+    return sum((b * Polynomial({d << f.shift: 1})
+                for d, b in _core_buckets(f, e << f.shift)), Polynomial.zero())
+
+
 @pytest.mark.parametrize("N, j, up", [(2, 1, True), (3, 1, True), (3, 1, False),
                                       (4, 2, False), (4, 3, True)])
 def test_xi_powers_match_stepwise_reduction(N, j, up):
-    # xi^e from the table equals reducing xi * (xi^(e-1)) one step at
-    # a time, which never reduces more than one power above the bound
-    from catsl2.bimodules import _factor, _reduce_xi, _xi_power
+    # the core of xi^e equals reducing xi * (xi^(e-1)) one step at a
+    # time, which never reduces more than one power above the bound
+    from catsl2.bimodules import _factor, _reduce_xi
 
     path = FlagPath(N, (j + 1, j, j + 1) if up else (j, j + 1, j))
     f = _factor(path, 2)
@@ -479,79 +488,85 @@ def test_xi_powers_match_stepwise_reduction(N, j, up):
     xi = xigen(2)
     step = Polynomial.one()
     for e in range(0, f.bound + 16):
-        assert _xi_power(f, e) == step
+        assert _reduced_power(f, e) == step
         step = _reduce_xi(step * xi, f)
 
 
 def test_xi_power_far_past_the_recursion_limit():
-    from catsl2.bimodules import _factor, _reduce_xi, _xi_power
+    from catsl2.bimodules import _factor, _reduce_xi
 
     f = _factor(FlagPath(2, (1, 2) * 4), 7)       # up-step (1, 2), bound 1
-    top = _xi_power(f, 1200)
-    assert _reduce_xi(top * xigen(7), f) == _xi_power(f, 1201)
+    top = _reduced_power(f, 1200)
+    assert _reduce_xi(top * xigen(7), f) == _reduced_power(f, 1201)
 
 
 def test_xi_power_from_a_cold_table():
-    # the table is filled in a loop, so no depth of recursion is reached
-    from catsl2.bimodules import _xi_power
+    # the prefix chain of a core is walked in a loop, so no depth of
+    # recursion is reached, and every core on it is stored
+    from catsl2.bimodules import _core_buckets
 
     # on the up-step (0, 1) at rank 1 the bound is 0 and xi = x[1]@1
     f = _cold_factor(FlagPath(1, (1, 0) * 4 + (1,)), 8)
-    assert _xi_power(f, 1201) == xgen(1, 1) ** 1201
-    assert list(f.powers) == list(range(1202))
+    assert _core_buckets(f, 1201 << f.shift) == ((0, xgen(1, 1) ** 1201),)
+    assert sorted(f.cores) == [e << f.shift for e in range(1202)]
 
 
 def test_xi_power_table_filled_by_four_threads():
-    # Four threads race to extend one cold table.  Its keys stay 0 .. len-1,
-    # every entry equals the stepwise reduction, and each entry was added
-    # once: every caller got back the very object the table holds.
-    from catsl2.bimodules import _reduce_xi, _xi_power
+    # Four threads race to extend the cold core table of one record with
+    # the cores of xi-powers.  Its keys are the powers 0 .. len-1, every
+    # entry equals the stepwise reduction, and each entry was added once:
+    # every caller got back the very object the table holds.
+    from catsl2.bimodules import _core_buckets, _reduce_xi
     from helpers import call_in_threads
 
     path = FlagPath(3, (2, 1) * 5)                # factor 9: down-step (2, 1)
     ring, f = path.step_ring(9), _cold_factor(path, 9)
     bound = f.bound
-    got = call_in_threads(lambda e: _xi_power(f, e), range(0, 240, 3))
-    table = f.powers
-    assert list(table) == list(range(len(table))) and len(table) >= 238
-    assert all(power is table[e] for e, power in got)
+    got = call_in_threads(lambda e: _core_buckets(f, e << f.shift), range(0, 240, 3))
+    table = f.cores
+    assert sorted(table) == [e << f.shift for e in range(len(table))] and len(table) >= 238
+    assert all(buckets is table[e << f.shift] for e, buckets in got)
     # xi^(bound+1) from the monic relation y[1]xi - y[2] = xi^2 (y's at nu)
-    assert table[bound + 1] == sum((ring.lower.y(t) * ring.xi(bound + 1 - t)
-                                    * (-1) ** (t + 1) for t in range(1, bound + 2)),
-                                   Polynomial.zero())
+    assert _reduced_power(f, bound + 1) == sum(
+        (ring.lower.y(t) * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
+         for t in range(1, bound + 2)), Polynomial.zero())
     step = Polynomial.one()
     for e in range(len(table)):
-        assert table[e] == step, e
+        assert _reduced_power(f, e) == step, e
         step = _reduce_xi(step * ring.xi(), f)
 
 
-def test_a_suite_run_keeps_the_xi_power_tables_short():
-    # A core is reduced from its prefix times one image, a product of
-    # xi-degree at most twice the bound, so no run asks for a reduced
-    # xi-power above it: after run_suite(4) from an emptied registry
-    # every record holds at most 2 * bound + 2 reduced powers.
-    from catsl2.bimodules import _FACTORS
+def test_a_suite_run_reduces_at_most_twice_the_bound(monkeypatch):
+    # A core is reduced from its prefix (xi-degree at most the bound) times
+    # one image (xi, or a transported generator of xi-degree at most the
+    # bound), so no reduced xi-power above twice the bound, or 1 at bound
+    # 0, is ever needed: during run_suite(4) from an emptied registry, no
+    # input of _reduce_xi has a higher xi-degree.
+    from catsl2 import bimodules
     from catsl2.relationsuite import run_suite
 
-    _FACTORS.clear()
+    seen = []
+    reduce_xi = bimodules._reduce_xi
+
+    def recorded(poly, f):
+        top = max((m >> f.shift) & FIELD_MASK for m in poly.terms) if poly else 0
+        seen.append((top, f.bound))
+        return reduce_xi(poly, f)
+
+    monkeypatch.setattr(bimodules, "_reduce_xi", recorded)
+    bimodules._FACTORS.clear()
     assert run_suite(4).all_ok()
-    assert len(_FACTORS) > 20
-    for key, f in _FACTORS.items():
-        assert len(f.powers) <= 2 * f.bound + 2, key
-
-
-def _relation_gens(ring, up):
-    """The generators g_1, g_2, ... of a factor's monic xi relation."""
-    if up:
-        return [ring.upper.x(t) for t in range(1, ring.j + 2)]
-    return [ring.lower.y(t) for t in range(1, ring.N - ring.j + 1)]
+    assert len(bimodules._FACTORS) > 20
+    assert len(seen) > 500
+    assert any(top == 2 * bound > 0 for top, bound in seen)
+    assert all(top <= bound + max(bound, 1) for top, bound in seen)
 
 
 def _random_xi_poly(ring, up, bound, high, rng):
     """Terms at ``high`` distinct xi-degrees above ``bound`` and at two
     degrees within it, each times 0-2 step-ring or relation generators."""
     gens = [Polynomial.gen(sym) for sym in sorted(ring.catalog())
-            if sym.kind != KIND_XI] + _relation_gens(ring, up)
+            if sym.kind != KIND_XI] + relation_gens(ring, up)
     degrees = rng.sample(range(bound + 1, bound + 13), high)
     degrees += [rng.randrange(bound + 1) for _ in range(2)]
     poly = Polynomial.zero()
@@ -570,8 +585,7 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
     # xi-degrees above the bound, multiples of the monic relation (every
     # bucket above the bound cancels wholly), the same plus one term above
     # the bound (its bucket cancels in part), and a lone xi^1201.  No
-    # product is taken with a cancelled (zero) coefficient, and the lone
-    # power costs one product call.
+    # product is taken with a cancelled (zero) coefficient.
     from catsl2 import bimodules
     from helpers import reduce_xi_reference
 
@@ -588,7 +602,7 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
     assert len(records) > 40
     for path, i, f, _ in records:
         ring, up, bound = path.step_ring(i), path.is_up(i), path.bound(i)
-        gens = _relation_gens(ring, up)
+        gens = relation_gens(ring, up)
         relation = ring.xi(bound + 1) - sum(
             (g * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
              for t, g in enumerate(gens, start=1)), Polynomial.zero())
@@ -600,15 +614,13 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
             cases += [whole, part]
         for poly in cases:
             got = bimodules._reduce_xi(poly, f)
-            assert got == reduce_xi_reference(poly, f), \
+            assert got == reduce_xi_reference(poly, path, i), \
                 (path.render(), i, poly.render())
-    assert all(calls)
-    del calls[:]
     lone = 3 * xgen(1, 0) * xigen(7, 1201)
-    f = bimodules._factor(FlagPath(2, (1, 2) * 4), 7)
-    got = bimodules._reduce_xi(lone, f)
-    assert got == reduce_xi_reference(lone, f)
-    assert calls == [True]
+    path = FlagPath(2, (1, 2) * 4)
+    got = bimodules._reduce_xi(lone, bimodules._factor(path, 7))
+    assert got == reduce_xi_reference(lone, path, 7)
+    assert all(calls)
 
 
 # -- the linear rewriting kernel --------------------------------------------
@@ -628,7 +640,7 @@ def _reference_buckets(path, i, content):
     else:
         transport = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
                      for t in range(1, ring.N - ring.j)}
-    poly = reduce_xi_reference(content.substitute(transport), _factor(path, i))
+    poly = reduce_xi_reference(content.substitute(transport), path, i)
     buckets = {}
     for mono, coeff in poly.terms.items():
         e, rest = 0, Polynomial.const(coeff)
@@ -862,7 +874,7 @@ def test_core_buckets_share_no_field_with_the_rest():
     from catsl2.bimodules import _core_buckets
     for path, i, f, _ in _factor_records(4, 3, by_next=False):
         core_syms, rest_syms = _core_and_rest(path, i)
-        allowed = {xi_sym(i)} | {sym for g in _relation_gens(path.step_ring(i), path.is_up(i))
+        allowed = {xi_sym(i)} | {sym for g in relation_gens(path.step_ring(i), path.is_up(i))
                                  for sym in g.symbols()}
         assert f.rest == sum(FIELD_MASK << field_shift(sym) for sym in rest_syms)
         for a in range(f.bound + 4):

@@ -30,6 +30,15 @@ GENS = sympy.symbols("x1 x2 y1 xi")
 coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 exponents = st.lists(st.integers(0, 3), min_size=len(SYMS), max_size=len(SYMS))
 term_lists = st.lists(st.tuples(coefficients, exponents), max_size=5)
+# Operands of `*` and `+`: a general term list, one term, or a scalar
+# (the unit among them); `*` puts a lone term outside, and a unit
+# monomial there keeps the other side's keys.
+scalars = st.one_of(coefficients, st.just(Fraction(1)))
+operands = st.one_of(
+    term_lists,
+    st.lists(st.tuples(coefficients, exponents), min_size=1, max_size=1),
+    st.builds(lambda c: [(c, [0] * len(SYMS))], scalars),
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -75,16 +84,42 @@ def test_construction_matches_sympy(a):
 
 
 @SETTINGS
-@given(term_lists, term_lists)
+@given(operands, operands)
 def test_add_sub_match_sympy(a, b):
     assert same(ours(a) + ours(b), theirs(a) + theirs(b))
     assert same(ours(a) - ours(b), theirs(a) - theirs(b))
 
 
 @SETTINGS
-@given(term_lists, term_lists)
+@given(operands, operands)
 def test_mul_matches_sympy(a, b):
     assert same(ours(a) * ours(b), theirs(a) * theirs(b))
+
+
+@SETTINGS
+@given(operands, scalars)
+def test_scalar_operands_match_sympy(a, c):
+    # a plain int or Fraction on either side of `*`, `+` and `-`
+    q = sympy.Rational(c.numerator, c.denominator)
+    p, want = ours(a), theirs(a)
+    for got, expected in ((p * c, want * q), (c * p, want * q), (p + c, want + q),
+                          (c + p, want + q), (p - c, want - q), (c - p, q - want)):
+        assert same(got, expected)
+        assert all(got.terms.values())
+
+
+@SETTINGS
+@given(operands, operands)
+def test_cancelling_sums_and_products_match_sympy(a, b):
+    # sums that cancel wholly, and a product whose cross terms cancel:
+    # (p + q)(p - q) = p^2 - q^2, with no zero coefficient left behind
+    p, q = ours(a), ours(b)
+    assert (p - p).is_zero() and (p + (-p)).is_zero() and (-p + p).is_zero()
+    product = (p + q) * (p - q)
+    assert same(product, (theirs(a) + theirs(b)) * (theirs(a) - theirs(b)))
+    assert all(product.terms.values())
+    assert (product - p * p + q * q).is_zero()
+    assert sum_of_products([(p, q), (-p, q), (q, p), (p, -q)]).is_zero()
 
 
 @SETTINGS
@@ -142,7 +177,7 @@ def test_series_invert_matches_sympy(components, bound):
 
 
 @SETTINGS
-@given(st.lists(st.tuples(term_lists, term_lists), max_size=4))
+@given(st.lists(st.tuples(operands, operands), max_size=4))
 def test_sum_of_products_matches_sympy(pairs):
     got = sum_of_products([(ours(a), ours(b)) for a, b in pairs])
     want = sympy.Poly(0, *GENS, domain=QQ)
