@@ -3,7 +3,8 @@
 Subcommands: ``verify`` runs the relation suite, ``eval`` applies a
 compiled diagram to an element expression, ``bubble`` / ``special`` query
 closed polynomial values, and ``rank`` computes graded ranks of word
-images.  Exit codes: 0 success, 1 verification failure, 2 bad input.
+images.  Exit codes: 0 success, 1 verification failure, 2 bad input,
+141 the reader closed the output pipe early (a shell's code for SIGPIPE).
 The environment variable ``CATSL2_N`` supplies a default rank for
 commands that take ``--N``; explicit flags always win.
 """
@@ -32,6 +33,7 @@ from .diagramlang import (
 from .relationsuite import DEFAULT_MAX_RANK, run_suite
 
 USAGE_ERROR = 2
+PIPE_CLOSED = 141
 
 #: Largest --alpha that ``bubble`` and ``special`` accept.  Their values
 #: have exponents up to alpha, so this stays well inside the exact
@@ -276,9 +278,14 @@ def main(argv=None) -> int:
         if args.N is None or args.N < 1:
             return _fail("N must be a positive integer")
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
     except OverflowError as exc:
         return _fail("result too large for exact arithmetic: %s" % exc)
+    except BrokenPipeError:     # the flush at exit goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ applies that convention.
 
 The special classes X_a, Y_b are the components of the inverses of the
 generating series of the y's resp. x's; closed dotted-bubble values are
-polynomials built from them.
+polynomials built from them.  ``embedded_special_classes`` embeds them
+into a step ring through their recursion, substituting only generators.
 """
 
 from __future__ import annotations
@@ -230,6 +231,28 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
         table.setdefault(d, sum_of_products(
             (c, table[d - t]) for t, c in enumerate(negated[:d], start=1)))
     return table[alpha]
+
+
+def embedded_special_classes(ring: StepRing, family: str, end: str,
+                             classes) -> list[Polynomial]:
+    """``[ring.embed_ring_poly(c, end) for c in classes]`` for the classes
+    C_0, C_1, ... of ``family`` in the ``end`` ring, through the recursion
+    emb(C_a) = emb(R_a) - sum_{t>=1} emb(g_t) * emb(C_{a-t}) + delta(a, 0),
+    with generators g_t (y[t] for X, x[t] for Y, g_0 = 1) and the residual
+    R_a = sum_t g_t * C_{a-t} - delta(a, 0).  emb is a ring homomorphism, so
+    this holds for any table; only the g_t and a nonzero R_a (0 for a
+    correct table) are substituted.
+    """
+    gens = getattr(ring, end).gens("y" if family == "X" else "x")
+    negated = [-ring.embed_ring_poly(g, end) for g in gens[1:]]
+    out = []
+    for a in range(len(classes)):
+        residual = sum_of_products(zip(gens, reversed(classes[:a + 1])))
+        value = sum_of_products(zip(negated, reversed(out)))
+        if a == 0:
+            residual, value = residual - 1, value + 1
+        out.append(value + ring.embed_ring_poly(residual, end) if residual else value)
+    return out
 
 
 def special_class_terms(ctx: GrassContext, family: str, alpha: int,

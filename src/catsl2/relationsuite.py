@@ -26,6 +26,7 @@ from .grassrings import (
     StepRing,
     bubble_value,
     check_series_identity,
+    embedded_special_classes,
     special_class,
 )
 from .bimodules import (
@@ -374,50 +375,44 @@ def _run_series(which, N, k, rng):
 
 #: Per special-class family (check suffix x: X, from the y's; y: Y, from
 #: the x's): the end ring of the slid class and of the classes it slides
-#: to, and the class or generator from the lower and from the upper end in
-#: each term of the xi expansion.
-_RING_SIDES = {"x": ("lower", "upper", "X", "y"),
-               "y": ("upper", "lower", "x", "Y")}
+#: to, and the letter of the generators of that other end which the xi
+#: expansion pairs with the slid end's classes.
+_RING_SIDES = {"x": ("lower", "upper", "y"), "y": ("upper", "lower", "x")}
 
 
-def _step_class(ring: StepRing, name: str, index: int, end: str) -> Polynomial:
-    """Special class X/Y or generator x/y of an end ring, in one-step form."""
-    ctx = ring.lower if end == "lower" else ring.upper
-    if name in ("X", "Y"):
-        poly = special_class(ctx, name, index)
-    else:
-        poly = getattr(ctx, name)(index)
-    return ring.embed_ring_poly(poly, end)
+def _embedded_classes(ring: StepRing, family: str, end: str, N: int) -> list:
+    """The classes of index 0 .. 2N+2 of an end ring, in one-step form."""
+    return embedded_special_classes(ring, family, end, [
+        special_class(getattr(ring, end), family, alpha)
+        for alpha in range(0, 2 * N + 3)])
 
 
 def _run_class_slide(side, N, k, rng):
-    family, (slid_end, other_end) = side.upper(), _RING_SIDES[side][:2]
-    ring = StepRing(N, k)
-    # the other end's embedded classes and the signed xi-powers, one list
-    # each, kept for this context only: every class is embedded once, and
-    # the two ends independently
-    other, signed_xi = [], []
+    family, ring = side.upper(), StepRing(N, k)
+    # one list of embedded classes per end, kept for this context only: the
+    # two ends are embedded independently
+    slid, other = (_embedded_classes(ring, family, end, N)
+                   for end in _RING_SIDES[side][:2])
+    signed_xi = []
     for alpha in range(0, 2 * N + 3):
-        lhs = _step_class(ring, family, alpha, slid_end)
-        other.append(_step_class(ring, family, alpha, other_end))
         signed_xi.append(-ring.xi(alpha) if alpha % 2 else ring.xi(alpha))
         rhs = sum_of_products((other[alpha - ell], signed_xi[ell])
                               for ell in range(0, alpha + 1))
-        if lhs != rhs:
+        if slid[alpha] != rhs:
             return ("slide of %s_%d: %s vs %s"
-                    % (family, alpha, lhs.render(), rhs.render()))
+                    % (family, alpha, slid[alpha].render(), rhs.render()))
     return None
 
 
 def _run_xi_expansion(side, N, k, rng):
-    lower, upper = _RING_SIDES[side][2:]
+    class_end, gen_end, letter = _RING_SIDES[side]
     ring = StepRing(N, k)
-    # one list of embedded classes per end, kept for this context only
-    lows, ups = [], []
+    classes = _embedded_classes(ring, side.upper(), class_end, N)
+    # 1 and the other end's generators, each embedded on its own
+    gens = [Polynomial.one()] + [ring.embed_ring_poly(g, gen_end)
+                                 for g in getattr(ring, gen_end).gens(letter)[1:]]
     for alpha in range(0, 2 * N + 3):
-        lows.append(_step_class(ring, lower, alpha, "lower"))
-        ups.append(_step_class(ring, upper, alpha, "upper"))
-        acc = sum_of_products((lows[alpha - j], ups[j]) for j in range(0, alpha + 1))
+        acc = sum_of_products(zip(reversed(classes[:alpha + 1]), gens))
         if alpha % 2:
             acc = -acc
         if acc != ring.xi(alpha):

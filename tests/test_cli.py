@@ -403,17 +403,37 @@ def test_eval_empty_element_exits_2(capsys):
     assert "dangling sign" not in err and "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_command_line():
-    # ``python -m catsl2`` exits with the code of ``cli.main``
+def _run_module(*argv, **options):
+    """``python -m catsl2 <argv>`` with this checkout's ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    options.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "catsl2", *argv],
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                          **options)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "catsl2", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
 
-    done = run("rank", "--N", "2", "--word", "E F", "--weight", "2")
+def test_python_dash_m_runs_the_command_line():
+    # ``python -m catsl2`` exits with the code of ``cli.main``
+    done = _run_module("rank", "--N", "2", "--word", "E F", "--weight", "2")
     assert (done.returncode, done.stdout.strip()) == (0, "q + q^-1"), done.stderr
-    done = run("rank", "--N", "2", "--no-such-option")
+    done = _run_module("rank", "--N", "2", "--no-such-option")
     assert done.returncode == 2 and "usage: catsl2" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--N", "3"),
+    ("special", "--N", "3", "--k", "1", "--family", "X", "--alpha", "2"),
+])
+def test_a_closed_output_pipe_exits_quietly(argv):
+    # the reader has closed the pipe before the first write: no traceback,
+    # and an exit code that says neither success nor a failed check
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_module(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.PIPE_CLOSED, "")
+    assert cli.PIPE_CLOSED not in (0, 1, cli.USAGE_ERROR)

@@ -1,11 +1,13 @@
 import pytest
 
+from catsl2 import grassrings
 from catsl2.exactpoly import Polynomial, homogeneous_degree, x_sym, y_sym
 from catsl2.grassrings import (
     GrassContext,
     StepRing,
     bubble_value,
     check_series_identity,
+    embedded_special_classes,
     special_class,
     special_class_terms,
 )
@@ -179,6 +181,59 @@ def test_embed_end_of_canonical_generators():
     upper_y = ring.upper.y(1).symbols().pop()
     assert ring.embed_end(lower_x, "lower") == ring.x(2)
     assert ring.embed_end(upper_y, "upper") == ring.y(1)
+
+
+def _embedded_both_ways(monkeypatch, max_n=5):
+    """Per end ring of every step ring up to rank ``max_n`` and per family:
+    the classes of index 0 .. 2N+2 read from ``grassrings.special_class``,
+    each embedded by substitution, then ``embedded_special_classes`` of
+    them and the polynomials it sent through ``embed_ring_poly``."""
+    real = StepRing.embed_ring_poly
+    sent = []
+
+    def recording(ring, poly, end):
+        sent.append(poly)
+        return real(ring, poly, end)
+
+    monkeypatch.setattr(StepRing, "embed_ring_poly", recording)
+    for N in range(1, max_n + 1):
+        for j in range(0, N):
+            ring = StepRing(N, j)
+            for end in ("lower", "upper"):
+                for family in ("X", "Y"):
+                    classes = [grassrings.special_class(getattr(ring, end), family, a)
+                               for a in range(0, 2 * N + 3)]
+                    want = [real(ring, c, end) for c in classes]
+                    sent.clear()
+                    got = embedded_special_classes(ring, family, end, classes)
+                    yield (N, j, end, family), want, got, list(sent)
+
+
+def test_embedded_special_classes_match_their_substitution(monkeypatch):
+    # the recursion route equals the substitution route for every class,
+    # and with correct tables it substitutes only the generators, each once
+    for where, want, got, sent in _embedded_both_ways(monkeypatch):
+        assert got == want, where
+        assert all(len(p.symbols()) == 1 and p == Polynomial.gen(*p.symbols())
+                   for p in sent), where
+        assert len(set(sent)) == len(sent), where
+
+
+def test_embedded_special_classes_of_a_wrong_table(monkeypatch):
+    # junk at a = 0, 2 and 2N+2: those residuals are nonzero and embedded,
+    # and the list still equals the substitution of each class
+    real = grassrings.special_class
+
+    def junked(ctx, family, alpha):
+        value = real(ctx, family, alpha)
+        if alpha in (0, 2, 2 * ctx.N + 2):
+            value = value + ctx.x(1) * ctx.y(1) + ctx.x(1) ** 2 - ctx.y(1) + 2
+        return value
+
+    monkeypatch.setattr(grassrings, "special_class", junked)
+    for where, want, got, sent in _embedded_both_ways(monkeypatch):
+        assert got == want, where
+        assert any(len(p.terms) > 1 for p in sent), where
 
 
 def test_special_class_terms_counts_partitions():

@@ -6,6 +6,7 @@ import pytest
 
 from catsl2 import bimodules, grassrings, relationsuite, twomorphisms
 from catsl2.bimodules import FlagPath, normalize_xi_vector
+from catsl2.exactpoly import Polynomial
 from catsl2.grassrings import StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.twomorphisms import BimMap
@@ -190,11 +191,10 @@ def test_well_definedness_inserts_each_left_action_once(monkeypatch):
 
 
 def test_ring_identity_checks_embed_each_class_once(monkeypatch):
-    # within one class_slide_* or xi_expansion_* context each end's classes
-    # are embedded once, into one list per end: at most one call per index
-    # and end, and no nonzero polynomial twice at one end.  (The zero class
-    # recurs at every index past a ring's last generator; it has no symbols,
-    # so its embedding substitutes nothing.)
+    # within one class_slide_* or xi_expansion_* context, with correct
+    # tables, the classes are embedded through their recursion: every
+    # residual is 0, so only one-term generator polynomials go through
+    # embed_ring_poly, and each at most once per end
     N = 3
     real = StepRing.embed_ring_poly
     calls = Counter()
@@ -211,9 +211,12 @@ def test_ring_identity_checks_embed_each_class_once(monkeypatch):
         for k in spec.contexts(N):
             calls.clear()
             assert spec.run(N, k, random.Random(0)) is None
-            assert 0 < sum(calls.values()) <= 2 * (2 * N + 3), (spec.name, k)
-            repeats = {key: n for key, n in calls.items() if n > 1 and key[1]}
-            assert not repeats, (spec.name, k, repeats)
+            assert calls, (spec.name, k)
+            for (_, poly, end), n in calls.items():
+                syms = poly.symbols()
+                assert len(syms) == 1 and poly == Polynomial.gen(*syms), \
+                    (spec.name, k, poly)
+                assert n == 1, (spec.name, k, poly, end, n)
 
 
 @pytest.mark.parametrize("family, failing", [
