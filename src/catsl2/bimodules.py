@@ -24,11 +24,13 @@ computes it has two rule families:
   relation.  Both rules and the embedding into the next factor are
   linear, so content is pushed once per monomial and context; neither
   rule touches the right-junction generators (the rest), so a monomial is
-  pushed as its core times its rest.  A core is its prefix (one unit of
-  one field fewer) times the field's image, reduced from xi-degree at
-  most 2*bound, and the embedding, a ring homomorphism, takes buckets and
-  rests apart.  All that the pushes derive or memoize depends only on the
-  factor context ``(N, j, up, pos)``, and is kept in its ``_Factor`` record.
+  pushed as its core times its rest.  The embedding is a ring
+  homomorphism, so a core is built in the ring it is stored in, one core
+  table per next factor: its prefix (one unit of one field fewer) times
+  the field's embedded image, reduced from xi-degree at most 2*bound by
+  the embedded relation; the rest is embedded apart.  All that the pushes
+  derive or memoize depends only on the factor context ``(N, j, up, pos)``
+  and the next factor's, and is kept in its ``_Factor`` record.
 
 Both rule families strictly decrease a lexicographic measure (the tests
 compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
@@ -314,18 +316,20 @@ class _Factor:
     ring j, an up-step or not.  Derived once: the xi ``bound``, the bit
     offset ``shift`` of the xi field and the mask ``strip`` that clears it,
     the ``signed`` generators g_t of the monic xi relation, the ``images``
-    of the core fields (bit offset -> terms: xi, or a left-junction
-    generator via the right ones), the ``embed`` table of the left end
-    ring, and the mask ``rest`` of the right-junction fields.  Memoized,
-    each entry added with ``setdefault`` and never mutated: ``cores``
-    (core -> buckets, seeded with core 0; the core of xi^e is its reduced
-    xi-power), ``pushes`` (next factor's record, ``None`` after the last
-    factor -> monomial -> buckets) and ``embedded`` (left-end-ring
-    polynomial -> content).
+    of the core fields (bit offset -> the image, xi or a left-junction
+    generator via the right ones, as ``(a, terms)`` pieces: each term, of
+    xi-degree a, with xi stripped), the ``embed`` table of the left end ring,
+    and the mask ``rest`` of the right-junction fields.  Memoized, each
+    entry added with ``setdefault`` and never mutated, per next factor's
+    record (``None`` after the last factor): ``lifts`` (the image pieces
+    and the g_t in the next factor's ring), ``cores`` (core -> buckets in
+    that ring, seeded with core 0; the core of xi^e is its reduced
+    xi-power) and ``pushes`` (monomial -> buckets); and ``embedded``
+    (left-end-ring polynomial -> content).
     """
 
     __slots__ = ("bound", "shift", "strip", "signed", "images", "embed",
-                 "rest", "cores", "pushes", "embedded")
+                 "rest", "lifts", "cores", "pushes", "embedded")
 
     def __init__(self, N: int, j: int, up: bool, pos: int):
         ring = StepRing(N, j, xi_pos=pos)
@@ -342,13 +346,16 @@ class _Factor:
             left = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
                     for t in range(1, N - j)}
             rest = [x_sym(t, ring.nu) for t in range(1, j + 1)]
-        self.images = {field_shift(sym): image.terms for sym, image in left.items()}
-        self.images[self.shift] = {1 << self.shift: 1}
+        left[xi_sym(pos)] = ring.xi()
+        self.images = {field_shift(sym): tuple(((m >> self.shift) & FIELD_MASK,
+                                                {m & self.strip: c})
+                                               for m, c in image.terms.items())
+                       for sym, image in left.items()}
         end = "lower" if up else "upper"
         self.embed = {sym: ring.embed_end(sym, end)
                       for sym in (ring.lower if up else ring.upper).catalog()}
         self.rest = sum(FIELD_MASK << field_shift(sym) for sym in rest)
-        self.cores, self.pushes, self.embedded = {0: ((0, Polynomial.one()),)}, {}, {}
+        self.lifts, self.cores, self.pushes, self.embedded = {}, {}, {}, {}
 
 
 # The one process-wide kernel table: factor context -> its ``_Factor``.
@@ -364,78 +371,93 @@ def _factor(path: FlagPath, i: int) -> _Factor:
     return f
 
 
-def _reduce_xi(poly: Polynomial, f: _Factor) -> Polynomial:
-    """``poly`` with the xi-powers of factor ``f`` above its bound reduced.
+def _core_table(f: _Factor, nxt) -> dict:
+    """``f.cores[nxt]``, made on first use with ``f.lifts[nxt]``: the image
+    pieces and the g_t, their non-xi parts embedded through ``nxt.embedded``
+    (kept as they are if ``nxt`` is ``None``, and so are scalars)."""
+    table = f.cores.get(nxt)
+    if table is None:
+        def lift(terms):
+            if nxt is None or terms.keys() == {0}:
+                return terms
+            return _embedded(nxt, _make(terms)).terms
+        f.lifts.setdefault(nxt, (
+            {low: tuple((a, lift(piece)) for a, piece in pieces)
+             for low, pieces in f.images.items()},
+            [lift(g.terms) for g in f.signed]))
+        table = f.cores.setdefault(nxt, {0: ((0, {0: 1}),)})
+    return table
 
-    Synthetic division by the monic xi relation: the terms above the bound
-    are bucketed by xi-degree, and from the top down each bucket ``B_e``
-    is replaced by ``sum_t (-1)^(t+1) g_t * B_e`` at degree ``e - t`` (the
-    ``signed`` generators g_t: x[t]@(nu+2) on an up-step, y[t]@nu on a
-    down-step), after its cancelled terms are dropped.  ``_core_buckets``,
-    its one caller, passes xi-degrees of at most twice the bound (1 at
-    bound 0).
+
+def _reduce_buckets(acc: dict, bound: int, signed) -> tuple:
+    """The buckets of ``acc`` (xi-degree -> packed monomial dict) reduced
+    to xi-degree at most ``bound``, as ``(e, terms)`` pairs, ``e``
+    ascending, with the buckets that cancel dropped.
+
+    Synthetic division by the monic xi relation: from the top down each
+    bucket ``B_e`` above the bound is replaced by ``sum_t g_t * B_e`` at
+    degree ``e - t``, after its cancelled terms are dropped, with the
+    ``signed`` generators g_t (x[t]@(nu+2) on an up-step, y[t]@nu on a
+    down-step, sign (-1)^(t+1)) given by their terms in the ring of the
+    buckets.  ``_core_buckets``, its one caller, passes xi-degrees of at
+    most twice the bound (1 at bound 0).
     """
-    shift, strip, bound = f.shift, f.strip, f.bound
-    acc: dict = {}
-    high: dict = {}       # xi-degree above the bound -> {monomial without xi: rational}
-    for mono, coeff in poly.terms.items():
-        e = (mono >> shift) & FIELD_MASK
-        if e > bound:
-            high.setdefault(e, {})[mono & strip] = coeff
-        else:
-            acc[mono] = coeff
-    if not high:
-        return poly
-    while high:
-        e = max(high)
-        bucket = high.pop(e)
+    for e in range(max(acc, default=0), bound, -1):
+        bucket = acc.pop(e, None)
+        if bucket and not all(bucket.values()):
+            bucket = {m: c for m, c in bucket.items() if c}
+        if bucket:
+            for t, g in enumerate(signed, start=1):
+                _add_products(acc.setdefault(e - t, {}), g, bucket)
+    return _kept(acc)
+
+
+def _kept(acc: dict) -> tuple:
+    """The ``(e, bucket)`` pairs of ``acc``, ``e`` ascending, with the
+    cancelled terms and the buckets that cancel wholly dropped."""
+    out = []
+    for e in sorted(acc):
+        bucket = acc[e]
         if not all(bucket.values()):
             bucket = {m: c for m, c in bucket.items() if c}
-        if not bucket:
-            continue
-        for t, g in enumerate(f.signed, start=1):
-            d = e - t
-            if d > bound:
-                _add_products(high.setdefault(d, {}), g.terms, bucket)
-            else:
-                (gm, gc), = g.terms.items()      # g_t is one signed generator
-                _add_products(acc, {gm + (d << shift): gc}, bucket)
-    return _collect(acc)
+        if bucket:
+            out.append((e, bucket))
+    return tuple(out)
 
 
-def _core_buckets(f: _Factor, core) -> tuple:
-    """The entry of ``core`` in ``f.cores``: ``(e, bucket)`` pairs, ``e``
-    ascending and within the bound, with ``core = sum xi^e * bucket`` after
-    transport and reduction; a bucket holds only the g_t.
+def _core_buckets(f: _Factor, nxt, core) -> tuple:
+    """The entry of ``core`` in ``f.cores[nxt]``: ``(e, terms)`` pairs,
+    ``e`` ascending and within the bound, with ``core = sum xi^e * terms``
+    after transport and reduction, and ``terms`` a packed monomial dict in
+    the g_t, embedded in the next factor's step ring unless ``nxt`` is
+    ``None``.
 
     A core is its prefix (one unit of its lowest field fewer) times that
-    field's image: each of the prefix's buckets times the image shifted to
-    the bucket's xi-degree, then reduced.  The prefix is within the bound
-    and the image within it or 1 (xi itself), so the product has xi-degree
-    at most twice the bound, or 1.  The core of xi^e is the reduced power
-    xi^e.  The prefix chain down to a stored core is walked in a loop, and
-    each core on it is stored.
+    field's image: each of the prefix's buckets times each image piece,
+    at the sum of their xi-degrees, then reduced.  The prefix is within
+    the bound and the image within it or 1 (xi itself), so the product has
+    xi-degree at most twice the bound, or 1.  The embedding is a ring
+    homomorphism and transport and reduction are linear, so it is all done
+    in the next factor's ring, with the embedded images and g_t.  The core
+    of xi^e is the reduced power xi^e.  The prefix chain down to a stored
+    core is walked in a loop, and each core on it is stored.
     """
-    out = f.cores.get(core)
+    table = _core_table(f, nxt)
+    out = table.get(core)
     if out is None:
         chain = []        # (core, offset of the field its prefix lacks one unit of)
         while out is None:
             low = ((core & -core).bit_length() - 1) // FIELD_BITS * FIELD_BITS
             chain.append((core, low))
             core -= 1 << low
-            out = f.cores.get(core)
-        shift, strip = f.shift, f.strip
+            out = table.get(core)
+        images, signed = f.lifts[nxt]
         for core, low in reversed(chain):
-            image, acc = f.images[low], {}
-            for e, bucket in out:
-                _add_products(acc, {m + (e << shift): c for m, c in image.items()},
-                              bucket.terms)
-            buckets: dict = {}
-            for m, c in _reduce_xi(_collect(acc), f).terms.items():
-                # monomials of one bucket differ off the xi field: no collisions
-                buckets.setdefault((m >> shift) & FIELD_MASK, {})[m & strip] = c
-            out = f.cores.setdefault(core, tuple((e, _make(buckets[e]))
-                                                 for e in sorted(buckets)))
+            acc: dict = {}    # xi-degree -> {packed monomial: rational}
+            for a, piece in images[low]:
+                for e, bucket in out:
+                    _add_products(acc.setdefault(e + a, {}), piece, bucket)
+            out = table.setdefault(core, _reduce_buckets(acc, f.bound, signed))
     return out
 
 
@@ -454,29 +476,29 @@ def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
 
 def _store_push(f: _Factor, nxt, table: dict, mono) -> tuple:
     """Compute and store the entry of ``mono`` in ``table``, ``f.pushes[nxt]``:
-    ``(e, terms)`` pairs, ``e`` ascending and within the bound, with
-    ``mono = sum xi^e * terms`` and ``terms`` a packed monomial dict,
-    embedded as content of the next factor unless ``nxt`` is ``None``.
+    ``(e, terms)`` pairs as in ``f.cores[nxt]``, with ``mono = sum xi^e * terms``.
 
     Transport rewrites only the left-junction generators and the reduction
     multiplies only by xi and the g_t, so the right-junction generators of
     a monomial (the y's of an up-step, the x's of a down-step, the fields
-    of ``f.rest``) pass through: the entry is the buckets of the core
-    (every other field) times that rest.  A bucket holds only the g_t, so
-    after the last factor the product is a key addition that cannot carry.
-    Embedding is a ring homomorphism, so for a next factor each bucket and
-    the rest are embedded apart, through ``nxt.embedded``, and multiplied."""
+    of ``f.rest``) pass through: the entry is the core's entry (every other
+    field) times that rest, and with no rest it is the core's entry itself.
+    After the last factor the product is a key addition, which cannot carry
+    (a bucket holds only the g_t); for a next factor the rest is embedded
+    through ``nxt.embedded`` and multiplied."""
     rest = mono & f.rest
-    tail = _embedded(nxt, _make({rest: 1})).terms if rest and nxt is not None else None
+    buckets = _core_buckets(f, nxt, mono - rest)
+    if not rest:
+        return table.setdefault(mono, buckets)
+    tail = _embedded(nxt, _make({rest: 1})).terms if nxt is not None else None
     out = []
-    for e, bucket in _core_buckets(f, mono - rest):
-        content = bucket.terms if nxt is None else _embedded(nxt, bucket).terms
-        if tail:
+    for e, content in buckets:
+        if tail is None:
+            content = {m + rest: c for m, c in content.items()}
+        else:
             acc: dict = {}
             _add_products(acc, tail, content)
             content = _collect(acc).terms
-        elif rest:
-            content = {m + rest: c for m, c in content.items()}
         out.append((e, content))
     return table.setdefault(mono, tuple(out))
 
@@ -508,14 +530,7 @@ def _push_content(f: _Factor, nxt, terms):
             for m, cb in content.items():
                 prev = bucket.get(m)
                 bucket[m] = c * cb if prev is None else prev + c * cb
-    out = []
-    for e in sorted(acc):
-        bucket = acc[e]
-        if not all(bucket.values()):
-            bucket = {m: c for m, c in bucket.items() if c}
-        if bucket:
-            out.append((e, bucket))
-    return out
+    return _kept(acc)
 
 
 # In-flight entries (see ``normalize``) are made only by ``_entry`` and

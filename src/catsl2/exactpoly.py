@@ -335,21 +335,13 @@ class Polynomial:
                 for shift, rep in fields:
                     exp = (mono >> shift) & FIELD_MASK
                     if exp:
-                        part = part * _cached_pow(rep, exp)
+                        part = part * rep ** exp
                 items = part._terms.items()
             else:
                 items = ((mono, coeff),)
             for m, c in items:
-                acc = total.get(m)
-                if acc is None:
-                    total[m] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        total[m] = acc
-                    else:
-                        del total[m]
-        return _make(total)
+                total[m] = total.get(m, 0) + c
+        return _collect(total)
 
     # -- rendering --------------------------------------------------------
 
@@ -379,23 +371,6 @@ class Polynomial:
 
 _ZERO = Polynomial()
 _ONE = Polynomial({0: 1})
-
-
-def _cached_pow(base: Polynomial, exp: int, _cache={}) -> Polynomial:
-    """base ** exp, memoized process-wide in the default-argument dict.
-
-    The memo holds at most 2^14 (base, exp) entries; once full it stops
-    inserting and further powers are computed without caching.
-    """
-    if exp == 1:
-        return base
-    key = (base, exp)
-    value = _cache.get(key)
-    if value is None:
-        value = base ** exp
-        if len(_cache) < 1 << 14:
-            _cache[key] = value
-    return value
 
 
 def _factor_terms(f) -> Mapping[Mono, Rational]:

@@ -198,9 +198,9 @@ def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
     return frozenset(syms)
 
 
-# Per (N, k, family): the negated generators of the defining recursion and
-# the table of the classes of index 0, 1, ... found so far, which
-# ``special_class`` extends.
+# Per (N, k, family): the negated generators of the defining recursion by
+# index, and the classes of index 0, 1, ... found so far, which
+# ``special_class`` extends together.
 _SPECIAL_CLASSES: dict = {}
 
 
@@ -212,24 +212,28 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
         X_a = -sum_{j=1..a} y[j] * X_{a-j},
         Y_b = -sum_{j=1..b} x[j] * Y_{b-j}.
 
-    Results are memoized per (N, k, family, alpha).
+    Results are memoized per (N, k, family, alpha).  Only the generators
+    of index at most alpha are built, so the work does not grow with N.
     """
     if family not in ("X", "Y"):
         raise ValueError("family must be 'X' or 'Y'")
     if alpha < 0:
         return Polynomial.zero()
+    gen, last = (ctx.y, ctx.N - ctx.k) if family == "X" else (ctx.x, ctx.k)
     key = (ctx.N, ctx.k, family)
     entry = _SPECIAL_CLASSES.get(key)
     if entry is None:
-        # y[j] (x[j]) past the ring's last generator is 0 and adds no term
-        negated = [-g for g in ctx.gens("y" if family == "X" else "x")[1:]]
-        entry = _SPECIAL_CLASSES.setdefault(key, (negated, {0: Polynomial.one()}))
+        entry = _SPECIAL_CLASSES.setdefault(key, ({}, {0: Polynomial.one()}))
     negated, table = entry
-    # extend in increasing index, in a loop (no recursion depth); threads
-    # racing on one table may compute an entry twice but store the first
+    # extend in increasing index, in a loop (no recursion depth), storing
+    # generator d before class d; threads racing on one table may compute
+    # an entry twice but store the first.  y[j] (x[j]) past the ring's
+    # last generator is 0 and adds no term.
     for d in range(len(table), alpha + 1):
+        if d <= last:
+            negated.setdefault(d, -gen(d))
         table.setdefault(d, sum_of_products(
-            (c, table[d - t]) for t, c in enumerate(negated[:d], start=1)))
+            (negated[t], table[d - t]) for t in range(1, min(d, last) + 1)))
     return table[alpha]
 
 
@@ -295,8 +299,10 @@ def bubble_value(ctx: GrassContext, orientation: str, alpha: int) -> Polynomial:
     if alpha < 0:
         return Polynomial.zero()
     letter, family = _BUBBLE_SERIES[orientation]
-    acc = sum_of_products((gen, special_class(ctx, family, alpha - ell))
-                          for ell, gen in enumerate(ctx.gens(letter)))
+    # the classes of negative index vanish: only generators up to alpha
+    gen = getattr(ctx, letter)
+    acc = sum_of_products((gen(ell), special_class(ctx, family, alpha - ell))
+                          for ell in range(alpha + 1))
     return -acc if alpha % 2 else acc
 
 

@@ -190,6 +190,16 @@ def sum_of_products_reference(pairs):
     return acc
 
 
+class SetdefaultOnly(dict):
+    """A dict whose plain item assignment raises: a memo swapped for one
+    shows that every entry is added with ``setdefault``, which keeps the
+    first of two racing threads' entries (``dict.setdefault`` does not
+    call ``__setitem__``)."""
+
+    def __setitem__(self, key, value):
+        raise AssertionError("plain assignment to a setdefault-only memo: %r" % (key,))
+
+
 def call_in_threads(fn, indices, threads=4, timeout=60):
     """Call ``fn(i)`` for every i of ``indices`` in each of ``threads``
     threads at once, switching threads as often as the interpreter allows.

@@ -469,10 +469,10 @@ def test_factor_record_built_by_four_threads():
 
 def _reduced_power(f, e):
     """xi^e of factor record ``f`` rewritten within its bound, read back
-    from the entry of its core in ``f.cores``."""
+    from the entry of its core in ``f.cores[None]``."""
     from catsl2.bimodules import _core_buckets
-    return sum((b * Polynomial({d << f.shift: 1})
-                for d, b in _core_buckets(f, e << f.shift)), Polynomial.zero())
+    return sum((Polynomial(b) * Polynomial({d << f.shift: 1})
+                for d, b in _core_buckets(f, None, e << f.shift)), Polynomial.zero())
 
 
 @pytest.mark.parametrize("N, j, up", [(2, 1, True), (3, 1, True), (3, 1, False),
@@ -480,7 +480,8 @@ def _reduced_power(f, e):
 def test_xi_powers_match_stepwise_reduction(N, j, up):
     # the core of xi^e equals reducing xi * (xi^(e-1)) one step at a
     # time, which never reduces more than one power above the bound
-    from catsl2.bimodules import _factor, _reduce_xi
+    from catsl2.bimodules import _factor
+    from helpers import reduce_xi_reference
 
     path = FlagPath(N, (j + 1, j, j + 1) if up else (j, j + 1, j))
     f = _factor(path, 2)
@@ -489,15 +490,17 @@ def test_xi_powers_match_stepwise_reduction(N, j, up):
     step = Polynomial.one()
     for e in range(0, f.bound + 16):
         assert _reduced_power(f, e) == step
-        step = _reduce_xi(step * xi, f)
+        step = reduce_xi_reference(step * xi, path, 2)
 
 
 def test_xi_power_far_past_the_recursion_limit():
-    from catsl2.bimodules import _factor, _reduce_xi
+    from catsl2.bimodules import _factor
+    from helpers import reduce_xi_reference
 
-    f = _factor(FlagPath(2, (1, 2) * 4), 7)       # up-step (1, 2), bound 1
+    path = FlagPath(2, (1, 2) * 4)
+    f = _factor(path, 7)                          # up-step (1, 2), bound 1
     top = _reduced_power(f, 1200)
-    assert _reduce_xi(top * xigen(7), f) == _reduced_power(f, 1201)
+    assert reduce_xi_reference(top * xigen(7), path, 7) == _reduced_power(f, 1201)
 
 
 def test_xi_power_from_a_cold_table():
@@ -507,8 +510,8 @@ def test_xi_power_from_a_cold_table():
 
     # on the up-step (0, 1) at rank 1 the bound is 0 and xi = x[1]@1
     f = _cold_factor(FlagPath(1, (1, 0) * 4 + (1,)), 8)
-    assert _core_buckets(f, 1201 << f.shift) == ((0, xgen(1, 1) ** 1201),)
-    assert sorted(f.cores) == [e << f.shift for e in range(1202)]
+    assert _core_buckets(f, None, 1201 << f.shift) == ((0, (xgen(1, 1) ** 1201).terms),)
+    assert sorted(f.cores[None]) == [e << f.shift for e in range(1202)]
 
 
 def test_xi_power_table_filled_by_four_threads():
@@ -516,14 +519,14 @@ def test_xi_power_table_filled_by_four_threads():
     # the cores of xi-powers.  Its keys are the powers 0 .. len-1, every
     # entry equals the stepwise reduction, and each entry was added once:
     # every caller got back the very object the table holds.
-    from catsl2.bimodules import _core_buckets, _reduce_xi
-    from helpers import call_in_threads
+    from catsl2.bimodules import _core_buckets
+    from helpers import call_in_threads, reduce_xi_reference
 
     path = FlagPath(3, (2, 1) * 5)                # factor 9: down-step (2, 1)
     ring, f = path.step_ring(9), _cold_factor(path, 9)
     bound = f.bound
-    got = call_in_threads(lambda e: _core_buckets(f, e << f.shift), range(0, 240, 3))
-    table = f.cores
+    got = call_in_threads(lambda e: _core_buckets(f, None, e << f.shift), range(0, 240, 3))
+    table = f.cores[None]
     assert sorted(table) == [e << f.shift for e in range(len(table))] and len(table) >= 238
     assert all(buckets is table[e << f.shift] for e, buckets in got)
     # xi^(bound+1) from the monic relation y[1]xi - y[2] = xi^2 (y's at nu)
@@ -533,7 +536,7 @@ def test_xi_power_table_filled_by_four_threads():
     step = Polynomial.one()
     for e in range(len(table)):
         assert _reduced_power(f, e) == step, e
-        step = _reduce_xi(step * ring.xi(), f)
+        step = reduce_xi_reference(step * ring.xi(), path, 9)
 
 
 def test_a_suite_run_reduces_at_most_twice_the_bound(monkeypatch):
@@ -541,25 +544,26 @@ def test_a_suite_run_reduces_at_most_twice_the_bound(monkeypatch):
     # one image (xi, or a transported generator of xi-degree at most the
     # bound), so no reduced xi-power above twice the bound, or 1 at bound
     # 0, is ever needed: during run_suite(4) from an emptied registry, no
-    # input of _reduce_xi has a higher xi-degree.
+    # bucket index before division is higher, in the last factor's ring
+    # and in a next factor's (where an embedded g_t has several terms).
     from catsl2 import bimodules
     from catsl2.relationsuite import run_suite
 
     seen = []
-    reduce_xi = bimodules._reduce_xi
+    reduce_buckets = bimodules._reduce_buckets
 
-    def recorded(poly, f):
-        top = max((m >> f.shift) & FIELD_MASK for m in poly.terms) if poly else 0
-        seen.append((top, f.bound))
-        return reduce_xi(poly, f)
+    def recorded(acc, bound, signed):
+        seen.append((max(acc), bound, any(len(g) > 1 for g in signed)))
+        return reduce_buckets(acc, bound, signed)
 
-    monkeypatch.setattr(bimodules, "_reduce_xi", recorded)
+    monkeypatch.setattr(bimodules, "_reduce_buckets", recorded)
     bimodules._FACTORS.clear()
     assert run_suite(4).all_ok()
     assert len(bimodules._FACTORS) > 20
     assert len(seen) > 500
-    assert any(top == 2 * bound > 0 for top, bound in seen)
-    assert all(top <= bound + max(bound, 1) for top, bound in seen)
+    for embedded in (False, True):
+        assert any(top == 2 * bound > 0 for top, bound, emb in seen if emb == embedded)
+    assert all(top <= bound + max(bound, 1) for top, bound, _ in seen)
 
 
 def _random_xi_poly(ring, up, bound, high, rng):
@@ -579,15 +583,32 @@ def _random_xi_poly(ring, up, bound, high, rng):
     return poly
 
 
+def _bucketed(poly, f):
+    """The terms of ``poly`` by the xi-degree of factor record ``f``:
+    ``{e: {packed monomial without xi: coefficient}}``."""
+    buckets = {}
+    for m, c in poly.terms.items():
+        buckets.setdefault((m >> f.shift) & FIELD_MASK, {})[m & f.strip] = c
+    return buckets
+
+
 def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
-    # Synthetic division against the reduction it replaced, on every
-    # factor context with N <= 4: polynomials with 0 to 6 distinct
-    # xi-degrees above the bound, multiples of the monic relation (every
-    # bucket above the bound cancels wholly), the same plus one term above
-    # the bound (its bucket cancels in part), and a lone xi^1201.  No
-    # product is taken with a cancelled (zero) coefficient.
+    # Synthetic division of the bucketed terms against the reduction it
+    # replaced, on every factor context with N <= 4: polynomials with 0 to
+    # 6 distinct xi-degrees above the bound, multiples of the monic
+    # relation (every bucket above the bound cancels wholly), the same plus
+    # one term above the bound (its bucket cancels in part), and a lone
+    # xi^1201.  No product is taken with a cancelled (zero) coefficient,
+    # and no zero coefficient or empty bucket is returned.
     from catsl2 import bimodules
     from helpers import reduce_xi_reference
+
+    def reduced(poly, f):
+        return bimodules._reduce_buckets(_bucketed(poly, f), f.bound,
+                                         [g.terms for g in f.signed])
+
+    def expected(poly, path, i, f):
+        return tuple(sorted(_bucketed(reduce_xi_reference(poly, path, i), f).items()))
 
     calls = []
     add = bimodules._add_products
@@ -609,17 +630,17 @@ def test_reduce_xi_matches_the_per_term_table_reduction(monkeypatch):
         cases = [_random_xi_poly(ring, up, bound, high, rng) for high in range(7)]
         for s in (1, 3):
             whole = _random_xi_poly(ring, up, bound, 0, rng) * ring.xi(s) * relation
-            assert bimodules._reduce_xi(whole, f) == 0
+            assert reduced(whole, f) == ()
             part = whole + rng.choice(gens) * ring.xi(bound + s)
             cases += [whole, part]
         for poly in cases:
-            got = bimodules._reduce_xi(poly, f)
-            assert got == reduce_xi_reference(poly, path, i), \
+            got = reduced(poly, f)
+            assert got == expected(poly, path, i, f), \
                 (path.render(), i, poly.render())
     lone = 3 * xgen(1, 0) * xigen(7, 1201)
     path = FlagPath(2, (1, 2) * 4)
-    got = bimodules._reduce_xi(lone, bimodules._factor(path, 7))
-    assert got == reduce_xi_reference(lone, path, 7)
+    f = bimodules._factor(path, 7)
+    assert reduced(lone, f) == expected(lone, path, 7, f)
     assert all(calls)
 
 
@@ -654,12 +675,6 @@ def _reference_buckets(path, i, content):
     return buckets
 
 
-def _reference_core(path, i, core):
-    """The expected entry of the packed ``core`` in factor i's core table."""
-    buckets = _reference_buckets(path, i, Polynomial({core: 1}))
-    return tuple((e, buckets[e]) for e in sorted(buckets) if buckets[e])
-
-
 def _reference_push(path, i, content):
     """Transport, reduce, bucket by xi-exponent and embed, on the whole
     content polynomial (see ``_reference_buckets``), embedding through the
@@ -674,6 +689,13 @@ def _reference_push(path, i, content):
                 part = path.step_ring(i + 1).embed_ring_poly(part, end)
             out.append((e, part))
     return out
+
+
+def _reference_core(path, i, core):
+    """The expected entry of the packed ``core`` in factor i's core table
+    for the next factor of ``path`` (``None`` after the last): the
+    reference buckets, each embedded by substitution."""
+    return _reference_push(path, i, Polynomial({core: 1}))
 
 
 def _wrapped(pushed):
@@ -790,10 +812,11 @@ def _divides(a, b):
 
 def test_pushes_share_one_core_entry_per_core():
     # Monomials that differ only in right-junction generators share one
-    # entry of the core table: per record it holds every distinct core
-    # pushed, and besides them only the prefixes they were built from
-    # (each divides a pushed core).  Every push and every core entry
-    # equals the whole-content reference.
+    # entry of the core table of their record and next record: it holds
+    # every distinct core pushed, and besides them only the prefixes they
+    # were built from (each divides a pushed core).  Every push and every
+    # core entry equals the whole-content reference, and the push of a
+    # monomial with no rest holds the very dicts of its stored core entry.
     from catsl2.bimodules import _FACTORS, _push_content
     rng = random.Random("core-table")
     _FACTORS.clear()
@@ -809,36 +832,47 @@ def test_pushes_share_one_core_entry_per_core():
                 pushed = _push_content(f, nxt, {core + rest: 1})
                 assert _wrapped(pushed) == _reference_push(
                     path, i, Polynomial({core + rest: 1})), (path.render(), i)
-        expected.setdefault(f, (path, i, set()))[2].update(cores)
-    assert len(expected) > 40
-    assert set(_FACTORS.values()) == set(expected)
-    for f, (path, i, pushed) in expected.items():
-        assert pushed <= set(f.cores)
-        for core, buckets in f.cores.items():
+                if not rest:
+                    stored = f.cores[nxt][core]
+                    assert len(pushed) == len(stored)
+                    assert all(terms is bucket for (_, terms), (_, bucket)
+                               in zip(pushed, stored))
+        expected.setdefault((f, nxt), (path, i, set()))[2].update(cores)
+    assert len(expected) > 60
+    assert set(_FACTORS.values()) == {f for f, _ in expected}
+    for (f, nxt), (path, i, pushed) in expected.items():
+        assert set(f.cores) == {n for g, n in expected if g is f}
+        table = f.cores[nxt]
+        assert pushed <= set(table)
+        for core, buckets in table.items():
             assert any(_divides(core, top) for top in pushed), (path.render(), i)
-            assert buckets == _reference_core(path, i, core), (path.render(), i)
+            assert _wrapped(buckets) == _reference_core(path, i, core), (path.render(), i)
 
 
 def test_core_buckets_match_the_transport_reference():
     # Every entry of every core table, the cores asked for and the
     # prefixes they were built from, equals transport by the step ring's
-    # expansions and reduction by the xi-power table, on every record of
-    # the paths with N <= 4 and at most three steps: xi-degrees up to the
-    # bound + 4, left-junction generator exponents up to 3.
+    # expansions and reduction by the xi-power table, each bucket then
+    # embedded by substitution into the next factor's step ring, on every
+    # pair of a record and its next record (or none, after the last
+    # factor) of the paths with N <= 4 and at most three steps: xi-degrees
+    # up to the bound + 4, left-junction generator exponents up to 3.
     from catsl2.bimodules import _FACTORS, _core_buckets
     rng = random.Random("core-oracle")
     _FACTORS.clear()
-    records = _factor_records(4, 3, by_next=False)
-    for path, i, f, _ in records:
+    records = _factor_records(4, 3)
+    assert sum(nxt is None for _, _, _, nxt in records) > 20
+    assert sum(nxt is not None for _, _, _, nxt in records) > 40
+    for path, i, f, nxt in records:
         core_syms, _ = _core_and_rest(path, i)
         for _ in range(6):
             pairs = [(core_syms[0], rng.randrange(f.bound + 5))]
             pairs += [(sym, rng.randrange(4)) for sym in core_syms[1:]]
-            _core_buckets(f, _packed(pairs))
-    assert sum(len(f.cores) for _, _, f, _ in records) > 3 * len(records)
-    for path, i, f, _ in records:
-        for core, buckets in f.cores.items():
-            assert buckets == _reference_core(path, i, core), (path.render(), i)
+            _core_buckets(f, nxt, _packed(pairs))
+    assert sum(len(f.cores[nxt]) for _, _, f, nxt in records) > 3 * len(records)
+    for path, i, f, nxt in records:
+        for core, buckets in f.cores[nxt].items():
+            assert _wrapped(buckets) == _reference_core(path, i, core), (path.render(), i)
 
 
 def test_cores_far_past_the_recursion_limit():
@@ -846,22 +880,25 @@ def test_cores_far_past_the_recursion_limit():
     # chain is walked in a loop, so neither an xi exponent nor a generator
     # exponent above the recursion limit raises on a cold record.  The
     # limit is lowered for the test (the chain's cost grows with the square
-    # of its length), to 150 frames above the caller's depth.
+    # of its length), to 150 frames above the caller's depth.  Both the
+    # last factor's table and a next factor's are built.
     import inspect
     import sys
-    from catsl2.bimodules import _core_buckets
+    from catsl2.bimodules import _core_buckets, _factor
 
-    path = FlagPath(2, (1, 2) * 2)                # factor 3: up-step (1, 2), bound 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
         top = sys.getrecursionlimit() + 1
-        for sym in (xi_sym(3), x_sym(1, 0)):      # xi and the left-junction x[1]@0
-            f = _cold_factor(path, 3)
-            core = _packed([(sym, top)])
-            got = _core_buckets(f, core)
-            assert len(f.cores) == top + 1
-            assert got == _reference_core(path, 3, core)
+        # factor 3: up-step (1, 2), bound 1; last, or followed by (2, 1)
+        for path in (FlagPath(2, (1, 2) * 2), FlagPath(2, (1, 2) * 2 + (1,))):
+            for sym in (xi_sym(3), x_sym(1, 0)):  # xi and the left-junction x[1]@0
+                f = _cold_factor(path, 3)
+                nxt = _factor(path, 4) if path.num_factors > 3 else None
+                core = _packed([(sym, top)])
+                got = _core_buckets(f, nxt, core)
+                assert len(f.cores[nxt]) == top + 1
+                assert _wrapped(got) == _reference_core(path, 3, core)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -880,29 +917,29 @@ def test_core_buckets_share_no_field_with_the_rest():
         for a in range(f.bound + 4):
             for left in [None] + core_syms[1:]:
                 pairs = [(xi_sym(i), a)] + ([(left, 2)] if left else [])
-                for e, bucket in _core_buckets(f, _packed(pairs)):
+                for e, bucket in _core_buckets(f, None, _packed(pairs)):
                     assert e <= f.bound
-                    for mono in bucket.terms:
+                    for mono in bucket:
                         assert not mono & f.rest
                         assert {sym for sym, _ in mono_pairs(mono)} <= allowed
 
 
 def test_core_table_filled_by_four_threads():
     # Four threads race to fill the core table of one cold record, eight
-    # times over: it ends with one entry per core, and every caller got
-    # back the very object stored.
-    from catsl2.bimodules import _core_buckets
+    # times over, for the last factor and for a next factor: it ends with
+    # one entry per core, and every caller got back the very object stored.
+    from catsl2.bimodules import _core_buckets, _factor
     from helpers import call_in_threads
 
-    path = FlagPath(4, (3, 2) * 5)                # factor 9: down-step (3, 2)
-    nu = 2 * 2 - 4
+    nu = 2 * 2 - 4                                # factor 9: down-step (3, 2)
     cores = [_packed([(xi_sym(9), a), (y_sym(1, nu + 2), b)])
              for a in range(12) for b in range(5)]
-    for _ in range(8):
+    for path in [FlagPath(4, (3, 2) * 5), FlagPath(4, (3, 2) * 5 + (1,))] * 4:
         f = _cold_factor(path, 9)
-        got = call_in_threads(lambda k: _core_buckets(f, cores[k]), range(len(cores)))
-        assert len(f.cores) == len(cores)
-        assert all(buckets is f.cores[cores[k]] for k, buckets in got)
+        nxt = _factor(path, 10) if path.num_factors > 9 else None
+        got = call_in_threads(lambda k: _core_buckets(f, nxt, cores[k]), range(len(cores)))
+        assert list(f.cores) == [nxt] and len(f.cores[nxt]) == len(cores)
+        assert all(buckets is f.cores[nxt][cores[k]] for k, buckets in got)
 
 
 def test_push_table_filled_by_four_threads():
@@ -911,7 +948,9 @@ def test_push_table_filled_by_four_threads():
     # over for each of two next factors: it ends with one entry per
     # monomial, and every caller got back the very object stored.  The
     # next factor embeds the rest (x's) nontrivially on the path ending
-    # (2, 1), and the buckets (y's) on the one ending (2, 3).
+    # (2, 1), and the buckets (y's) on the one ending (2, 3).  A push with
+    # no rest holds the very dicts of its core's stored entry; one with a
+    # rest, their products with the stored embedding of the rest.
     from catsl2.bimodules import _factor, _push_content
     from catsl2.exactpoly import _add_products, _collect
     from helpers import call_in_threads
@@ -927,22 +966,46 @@ def test_push_table_filled_by_four_threads():
         table = f.pushes[nxt]
         assert list(f.pushes) == [nxt] and len(table) == len(monos)
         assert all(pushed is table[monos[k]] for k, pushed in got)
-        # a bucket with no rest is the very dict of its core bucket's
-        # stored embedding; one with a rest is the product of the stored
-        # embeddings of its core bucket and of its rest
         for mono, pushed in table.items():
             rest = mono & f.rest
-            buckets = f.cores[mono - rest]
+            buckets = f.cores[nxt][mono - rest]
             assert [e for e, _ in pushed] == [e for e, _ in buckets]
             for (_, terms), (_, bucket) in zip(pushed, buckets):
                 if not rest:
-                    assert terms is nxt.embedded[bucket].terms
+                    assert terms is bucket
                     continue
                 acc = {}
-                _add_products(acc, nxt.embedded[Polynomial({rest: 1})].terms,
-                              nxt.embedded[bucket].terms)
+                _add_products(acc, nxt.embedded[Polynomial({rest: 1})].terms, bucket)
                 assert terms == _collect(acc).terms
         assert any(mono & f.rest for mono in table)
+
+
+def test_kernel_memos_are_filled_only_by_setdefault():
+    # Racing threads keep the first entry only if no memo is ever filled
+    # by plain assignment, which a race shows only by chance.  With every
+    # memo of a cold record and of its next record swapped for one whose
+    # item assignment raises, pushes with and without a rest, after the
+    # last factor and into a next one, fill them and equal the reference.
+    from catsl2.bimodules import _core_table, _factor, _push_content
+    from helpers import SetdefaultOnly
+
+    nu = 2 * 2 - 4                                # factor 9: down-step (3, 2)
+    monos = [_packed([(xi_sym(9), a), (y_sym(1, nu + 2), b), (x_sym(1, nu), c)])
+             for a in range(6) for b in range(3) for c in range(2)]
+    for path in (FlagPath(4, (3, 2) * 5), FlagPath(4, (3, 2) * 5 + (1,))):
+        f = _cold_factor(path, 9)
+        nxt = _factor(path, 10) if path.num_factors > 9 else None
+        for rec in (f, nxt) if nxt else (f,):
+            rec.lifts, rec.cores, rec.pushes, rec.embedded = (
+                SetdefaultOnly() for _ in range(4))
+        _core_table(f, nxt)
+        # the per-next tables are made inside the kernel: swap them in place
+        dict.__setitem__(f.cores, nxt, SetdefaultOnly(f.cores[nxt]))
+        f.pushes.setdefault(nxt, SetdefaultOnly())
+        for mono in monos:
+            assert _wrapped(_push_content(f, nxt, {mono: 1})) == _reference_push(
+                path, 9, Polynomial({mono: 1})), (path.render(), mono)
+        assert len(f.pushes[nxt]) == len(monos) and len(f.cores[nxt]) > len(monos) // 6
 
 
 def test_stored_pushes_are_never_mutated():
@@ -970,8 +1033,11 @@ def test_stored_pushes_are_never_mutated():
             for nxt, table in f.pushes.items():
                 for mono, pushed in table.items():
                     yield (f, "pushes", nxt, mono), pushed
-            for core, buckets in f.cores.items():
-                yield (f, "cores", core), [(e, b.terms) for e, b in buckets]
+            for nxt, table in f.cores.items():
+                for core, buckets in table.items():
+                    yield (f, "cores", nxt, core), buckets
+            for nxt, lift in f.lifts.items():
+                yield (f, "lifts", nxt), lift
             for poly, content in f.embedded.items():
                 yield (f, "embedded", poly), content.terms
 

@@ -272,6 +272,20 @@ def test_bubble_large_alpha_is_exact(capsys):
     assert out.strip() == "-x[1]@0^2999*y[1]@0 + x[1]@0^3000"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("special", "--k", "1", "--family", "X"), "y[1]@-99997^2 - y[2]@-99997"),
+    (("special", "--k", "99998", "--family", "Y"), "x[1]@99997^2 - x[2]@99997"),
+    (("bubble", "--k", "1", "--orient", "cw"),
+     "-x[1]@-99997*y[1]@-99997 + x[1]@-99997^2 + y[2]@-99997")])
+def test_class_queries_at_a_huge_rank_build_only_the_needed_generators(capsys, argv, want):
+    # a class or bubble of degree index 2 needs the generators of index
+    # at most 2, not all N of one letter (each a packed-monomial slot)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv[0], "--N", "99999", *argv[1:], "--alpha", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.strip() == want
+
+
 @pytest.mark.parametrize("argv", [
     ("special", "--family", "X"), ("special", "--family", "Y"),
     ("bubble", "--orient", "cw"), ("bubble", "--orient", "ccw")])

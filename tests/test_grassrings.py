@@ -42,6 +42,39 @@ def test_special_class_small_values():
     assert special_class(ctx, "Y", 3) == 2 * x1 * x2 - x1 ** 3 - x3
 
 
+def test_special_class_table_grows_across_calls(monkeypatch):
+    # One context's table, extended to alpha 2 and then to 5, equals a
+    # fresh table built to 5 and the inverse series of the generators; it
+    # holds only the generators of index at most 5 (and at most the last).
+    from catsl2.exactpoly import series_invert
+    for N, k in [(3, 1), (6, 2), (6, 4), (9, 8)]:
+        ctx = GrassContext(N, k)
+        for family, letter, last in (("X", ctx.y, N - k), ("Y", ctx.x, k)):
+            monkeypatch.setattr(grassrings, "_SPECIAL_CLASSES", {})
+            grown = [special_class(ctx, family, 2), special_class(ctx, family, 5)]
+            negated, table = grassrings._SPECIAL_CLASSES[(N, k, family)]
+            assert sorted(negated) == list(range(1, min(5, last) + 1))
+            monkeypatch.setattr(grassrings, "_SPECIAL_CLASSES", {})
+            fresh = [special_class(ctx, family, a) for a in range(6)]
+            assert [table[a] for a in range(6)] == fresh
+            assert grown == [fresh[2], fresh[5]]
+            assert fresh == series_invert([letter(j) for j in range(6)], 5)
+
+
+def test_special_class_tables_are_filled_only_by_setdefault(monkeypatch):
+    # The table and its generators are shared across calls and threads,
+    # so each entry is added with setdefault: with both swapped for dicts
+    # whose item assignment raises, growing them still gives the classes.
+    from helpers import SetdefaultOnly
+    ctx = GrassContext(6, 2)
+    for family in ("X", "Y"):
+        monkeypatch.setattr(grassrings, "_SPECIAL_CLASSES", {})
+        fresh = [special_class(ctx, family, a) for a in range(7)]
+        monkeypatch.setattr(grassrings, "_SPECIAL_CLASSES", SetdefaultOnly({
+            (6, 2, family): (SetdefaultOnly(), SetdefaultOnly({0: Polynomial.one()}))}))
+        assert [special_class(ctx, family, a) for a in (2, 6)] == [fresh[2], fresh[6]]
+
+
 def test_special_class_collapses_at_k0():
     ctx = GrassContext(2, 0)
     for beta in range(1, 6):
