@@ -36,6 +36,11 @@ Both rule families strictly decrease a lexicographic measure (the tests
 compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
 terminates for any strategy order, and the bounded monomials form a free
 basis over the rightmost ring, making equality of normal forms syntactic.
+
+Input is checked once, where a polynomial enters, against the catalog of
+the ring it lives in: ``RawTensor`` checks each factor against its step
+ring, ``inject_at_junction`` a junction polynomial against the ring at
+that junction, and ``act`` an action polynomial against its end ring.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .exactpoly import (
     xi_sym,
     y_sym,
 )
-from .grassrings import GrassContext, StepRing, step_catalog
+from .grassrings import GrassContext, StepRing, ring_catalog, step_catalog
 from .qlaurent import Laurent
 
 
@@ -155,17 +160,19 @@ class RawTensor:
         if self.path.num_factors == 0:
             raise ValueError("raw tensors need at least one factor; "
                              "identity-path elements are plain ring polynomials")
-        if not self.path.is_zero:
+        path = self.path
+        if not path.is_zero:
             for i, poly in enumerate(self.factors, start=1):
-                _check_content(self.path, i, poly)
+                _check_catalog(poly, step_catalog(path.N, path._steps[i - 1][0], i),
+                               "factor %d" % i)
 
 
-def _check_content(path: FlagPath, i: int, poly: Polynomial):
-    """Raise unless ``poly`` is in the generators of factor i's step ring."""
-    bad = poly.symbols() - step_catalog(path.N, path._steps[i - 1][0], i)
+def _check_catalog(poly: Polynomial, catalog: frozenset, where: str):
+    """Raise unless ``poly`` is in ``catalog``, the generators of ``where``."""
+    bad = poly.symbols() - catalog
     if bad:
-        raise ValueError("factor %d uses non-canonical generators: %s"
-                         % (i, ", ".join(sorted(s.render() for s in bad))))
+        raise ValueError("%s uses non-canonical generators: %s"
+                         % (where, ", ".join(sorted(s.render() for s in bad))))
 
 
 class BimElement:
@@ -699,12 +706,12 @@ def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
                        vec) -> BimElement:
     """Normal form of xi^vec with ``content`` multiplied into factor i.
 
-    ``content`` must be in the generators of factor i's step ring; it is
-    checked here, where it enters.
+    ``content`` must be in the generators of factor i's step ring.  It is
+    not checked: both callers, ``inject_at_junction`` (a checked junction
+    polynomial, embedded) and the cup generator, pass canonical content.
     """
     if path.is_zero:
         return BimElement.zero(path)
-    _check_content(path, i, content)
     entries = list(_xi_entries(path, vec))
     if vec[i - 1]:
         content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
@@ -716,12 +723,13 @@ def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
                        vec=None) -> BimElement:
     """Normal form of xi^vec with a junction-ring polynomial inserted at g.
 
-    ``ring_poly`` lives in the generators of the ring at junction g.  For
-    g = m this is right multiplication; otherwise the polynomial enters
-    factor g+1 through its left-end embedding and is pushed rightward.
+    ``ring_poly`` must be in the generators of the ring at junction g, as
+    checked here.  For g = m this is right multiplication; otherwise the
+    polynomial enters factor g+1 through its left-end embedding.
     """
     if path.is_zero:
         return BimElement.zero(path)
+    _check_catalog(ring_poly, ring_catalog(path.N, path.rings[g]), "junction %d" % g)
     m = path.num_factors
     vec = tuple(vec) if vec is not None else (0,) * m
     if m == 0:
@@ -731,14 +739,6 @@ def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
     return inject_into_factor(path, g + 1, _into_factor(path, g + 1, ring_poly), vec)
 
 
-def _validate_end_ring(path: FlagPath, side: str, poly: Polynomial):
-    ring = path.junction(0) if side == "left" else path.junction(path.num_factors)
-    bad = poly.symbols() - ring.catalog()
-    if bad:
-        raise ValueError("%s action polynomial uses foreign generators: %s"
-                         % (side, ", ".join(sorted(s.render() for s in bad))))
-
-
 def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:
     """Left or right action of an end ring on a normal-form element."""
     if side not in ("left", "right"):
@@ -746,7 +746,8 @@ def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:
     path = element.path
     if path.is_zero:
         return element
-    _validate_end_ring(path, side, poly)
+    _check_catalog(poly, ring_catalog(path.N, path.rings[0 if side == "left" else -1]),
+                   "%s action polynomial" % side)
     if side == "right" or path.num_factors == 0:
         return element.right_mul(poly)
     return linear_sum(path, ((inject_at_junction(path, 0, poly, vec), coeff)

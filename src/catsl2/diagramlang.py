@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import Polynomial, x_sym, xi_sym, y_sym
+from .exactpoly import Polynomial, xi_sym
 from .bimodules import BimElement, FlagPath, RawTensor, linear_sum, normalize
 from .twomorphisms import (
     BimMap,
@@ -373,46 +373,25 @@ def _parse_factor(expr: str, offset: int, text_len: int, symbol_of, degree: int,
     return poly, degree, digits
 
 
-def _factor_symbol_resolver(path: FlagPath, position: int):
-    """Map x/y/xi tokens of the factor at `position` to canonical symbols."""
-    ring = path.step_ring(position)
+def _symbol_resolver(path: FlagPath, position: int):
+    """Map x/y/xi tokens of the factor at ``position`` to canonical symbols,
+    asking the ring that owns each letter: the step ring's end ring of that
+    letter, or the ring itself on an identity path (which has no xi)."""
+    m = path.num_factors
+    where = ("factor %d" % position if m
+             else "the identity factor (k=%d)" % path.rings[0])
 
     def resolve(kind, index, line, col_start, col_end):
         if kind == "xi":
-            return xi_sym(position)
-        if kind == "x":
-            if 1 <= index <= ring.j:
-                return x_sym(index, ring.nu)
-            raise DiagramError(
-                "unknown generator x[%d] for factor %d (x-range 1..%d)"
-                % (index, position, ring.j), line, col_start, col_end)
-        if 1 <= index <= ring.N - ring.j - 1:
-            return y_sym(index, ring.nu + 2)
-        raise DiagramError(
-            "unknown generator y[%d] for factor %d (y-range 1..%d)"
-            % (index, position, ring.N - ring.j - 1), line, col_start, col_end)
-
-    return resolve
-
-
-def _identity_symbol_resolver(path: FlagPath):
-    ctx_k = path.rings[0]
-    n = 2 * ctx_k - path.N
-
-    def resolve(kind, index, line, col_start, col_end):
-        if kind == "xi":
+            if m:
+                return xi_sym(position)
             raise DiagramError("xi is not a generator of the identity bimodule",
                                line, col_start, col_end)
-        if kind == "x":
-            if 1 <= index <= ctx_k:
-                return x_sym(index, n)
-            raise DiagramError("unknown generator x[%d] for the identity "
-                               "factor (k=%d)" % (index, ctx_k),
-                               line, col_start, col_end)
-        if 1 <= index <= path.N - ctx_k:
-            return y_sym(index, n)
-        raise DiagramError("unknown generator y[%d] for the identity "
-                           "factor (k=%d)" % (index, ctx_k),
+        ring = path.step_ring(position).end_of(kind) if m else path.junction(0)
+        if 1 <= index <= ring.top(kind):
+            return ring.gen(kind, index).symbols().pop()
+        raise DiagramError("unknown generator %s[%d] for %s (%s-range 1..%d)"
+                           % (kind, index, where, kind, ring.top(kind)),
                            line, col_start, col_end)
 
     return resolve
@@ -464,9 +443,8 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
         degree = digits = 0
         polys = []
         for position, expr in enumerate(factor_exprs, start=1):
-            resolver = (_identity_symbol_resolver(path) if m == 0
-                        else _factor_symbol_resolver(path, position))
-            poly, degree, digits = _parse_factor(expr, col, len(text), resolver,
+            poly, degree, digits = _parse_factor(expr, col, len(text),
+                                                 _symbol_resolver(path, position),
                                                  degree, digits)
             polys.append(poly)
             col += len(expr) + 1

@@ -1,10 +1,11 @@
 """Equivariant cohomology rings of Grassmannians and one-step flags.
 
 For a fixed rank ``N`` and ``0 <= k <= N`` (weight ``n = 2k - N``) the ring
-``H_k`` is the free polynomial ring on ``x[1..k]@n`` and ``y[1..N-k]@n``.
-The one-step ring for the pair ``{j, j+1}`` is free on ``x[1..j]@nu``,
-``xi`` and ``y[1..N-j-1]@(nu+2)`` with ``nu = 2j - N``; its two end rings
-embed via the exchange relations
+``H_k`` is the free polynomial ring on ``x[1..k]@n`` and ``y[1..N-k]@n``
+(these ranges are stated once, by ``GrassContext.top`` and ``.gen``).  The
+one-step ring for the pair ``{j, j+1}`` is free on its lower ring's
+``x[1..j]@nu``, ``xi`` and its upper ring's ``y[1..N-j-1]@(nu+2)`` with
+``nu = 2j - N``, and its two end rings embed via the exchange relations
 
     x[a]@(nu+2) = x[a]@nu + x[a-1]@nu * xi
     y[a]@nu     = y[a]@(nu+2) + y[a-1]@(nu+2) * xi
@@ -28,12 +29,16 @@ from .exactpoly import (
     Polynomial,
     VarSymbol,
     KIND_X,
+    KIND_Y,
     series_invert,
     sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
 )
+
+#: The symbol of each generator letter, from its index and weight.
+_SYMBOL = {"x": x_sym, "y": y_sym}
 
 
 @dataclass(frozen=True)
@@ -53,25 +58,27 @@ class GrassContext:
     def n(self) -> int:
         return 2 * self.k - self.N
 
-    def x(self, index: int) -> Polynomial:
-        """x[index]@n, with the out-of-range and index-0 conventions."""
+    def top(self, letter: str) -> int:
+        """The last index of the generators of ``letter``: k for x, N-k for y."""
+        return self.k if letter == "x" else self.N - self.k
+
+    def gen(self, letter: str, index: int) -> Polynomial:
+        """letter[index]@n, with the out-of-range and index-0 conventions."""
         if index == 0:
             return Polynomial.one()
-        if index < 0 or index > self.k:
+        if index < 0 or index > self.top(letter):
             return Polynomial.zero()
-        return Polynomial.gen(x_sym(index, self.n))
+        return Polynomial.gen(_SYMBOL[letter](index, self.n))
+
+    def x(self, index: int) -> Polynomial:
+        return self.gen("x", index)
 
     def y(self, index: int) -> Polynomial:
-        if index == 0:
-            return Polynomial.one()
-        if index < 0 or index > self.N - self.k:
-            return Polynomial.zero()
-        return Polynomial.gen(y_sym(index, self.n))
+        return self.gen("y", index)
 
     def gens(self, letter: str) -> list[Polynomial]:
         """1, x[1], ..., x[k] (letter 'x') or 1, y[1], ..., y[N-k] ('y')."""
-        gen, last = (self.x, self.k) if letter == "x" else (self.y, self.N - self.k)
-        return [gen(index) for index in range(last + 1)]
+        return [self.gen(letter, index) for index in range(self.top(letter) + 1)]
 
     def catalog(self) -> frozenset[VarSymbol]:
         """All generator symbols of this ring."""
@@ -110,53 +117,41 @@ class StepRing:
     def xi(self, exp: int = 1) -> Polynomial:
         return Polynomial.gen(xi_sym(self.xi_pos), exp)
 
+    def end_of(self, letter: str) -> GrassContext:
+        """The end ring whose generators of ``letter`` are the step ring's
+        own: the lower ring for x, the upper ring for y."""
+        return self.lower if letter == "x" else self.upper
+
     def x(self, index: int) -> Polynomial:
         """Canonical generator x[index]@nu (0 <= index <= j)."""
-        if index == 0:
-            return Polynomial.one()
-        if index < 0 or index > self.j:
-            return Polynomial.zero()
-        return Polynomial.gen(x_sym(index, self.nu))
+        return self.lower.x(index)
 
     def y(self, index: int) -> Polynomial:
         """Canonical generator y[index]@(nu+2) (0 <= index <= N-j-1)."""
-        if index == 0:
-            return Polynomial.one()
-        if index < 0 or index > self.N - self.j - 1:
-            return Polynomial.zero()
-        return Polynomial.gen(y_sym(index, self.nu + 2))
+        return self.upper.y(index)
 
     def catalog(self) -> frozenset[VarSymbol]:
         return step_catalog(self.N, self.j, self.xi_pos)
 
     # -- embeddings of the end rings -------------------------------------
 
-    def embed_lower_y(self, index: int) -> Polynomial:
-        if index == 0:
-            return Polynomial.one()
-        if index < 0 or index > self.N - self.j:
-            return Polynomial.zero()
-        return self.y(index) + self.y(index - 1) * self.xi()
-
-    def embed_upper_x(self, index: int) -> Polynomial:
-        if index == 0:
-            return Polynomial.one()
-        if index < 0 or index > self.j + 1:
-            return Polynomial.zero()
-        return self.x(index) + self.x(index - 1) * self.xi()
-
     def embed_end(self, sym: VarSymbol, end: str) -> Polynomial:
-        """Image of an end-ring generator symbol; end is 'lower' or 'upper'."""
-        want = self.nu if end == "lower" else self.nu + 2
-        if sym.weight != want:
+        """Image of an end-ring generator symbol; end is 'lower' or 'upper'.
+
+        A generator of the step ring's own letter for that end (the lower
+        x's, the upper y's) is itself; one of the other letter, g[a], is
+        g[a] + g[a-1] * xi in the step ring's generators g of that letter.
+        """
+        ctx = self.lower if end == "lower" else self.upper
+        if sym not in ctx.catalog():
             raise ValueError("symbol %s does not belong to the %s end ring"
                              % (sym.render(), end))
-        # the lower x's and the upper y's are canonical generators already
-        if end == "lower":
-            fn = self.x if sym.kind == KIND_X else self.embed_lower_y
-        else:
-            fn = self.embed_upper_x if sym.kind == KIND_X else self.y
-        return fn(sym.index)
+        letter = "x" if sym.kind == KIND_X else "y"
+        own = self.end_of(letter)
+        image = own.gen(letter, sym.index)
+        if own != ctx:
+            image = image + own.gen(letter, sym.index - 1) * self.xi()
+        return image
 
     def embed_ring_poly(self, p: Polynomial, end: str) -> Polynomial:
         """Image of a polynomial in end-ring generators."""
@@ -182,21 +177,22 @@ class StepRing:
 @lru_cache(maxsize=None)
 def ring_catalog(N: int, k: int) -> frozenset[VarSymbol]:
     """Generator symbols of the ring H_k inside rank N."""
-    n = 2 * k - N
-    syms = {x_sym(j, n) for j in range(1, k + 1)}
-    syms |= {y_sym(j, n) for j in range(1, N - k + 1)}
-    return frozenset(syms)
+    ctx = GrassContext(N, k)
+    return frozenset(_SYMBOL[letter](index, ctx.n) for letter in "xy"
+                     for index in range(1, ctx.top(letter) + 1))
 
 
 @lru_cache(maxsize=None)
 def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
-    """Generator symbols of the one-step ring {j, j+1} at factor xi_pos."""
-    nu = 2 * j - N
-    syms = {x_sym(t, nu) for t in range(1, j + 1)}
-    syms |= {y_sym(t, nu + 2) for t in range(1, N - j)}
-    syms.add(xi_sym(xi_pos))
-    return frozenset(syms)
+    """Generator symbols of the one-step ring {j, j+1} at factor xi_pos:
+    the lower ring's x's, the xi and the upper ring's y's."""
+    return frozenset({s for s in ring_catalog(N, j) if s.kind == KIND_X}
+                     | {s for s in ring_catalog(N, j + 1) if s.kind == KIND_Y}
+                     | {xi_sym(xi_pos)})
 
+
+#: The letter whose generating series each family inverts: X the y's, Y the x's.
+_FAMILY_LETTER = {"X": "y", "Y": "x"}
 
 # Per (N, k, family): the negated generators of the defining recursion by
 # index, and the classes of index 0, 1, ... found so far, which
@@ -215,11 +211,12 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     Results are memoized per (N, k, family, alpha).  Only the generators
     of index at most alpha are built, so the work does not grow with N.
     """
-    if family not in ("X", "Y"):
+    if family not in _FAMILY_LETTER:
         raise ValueError("family must be 'X' or 'Y'")
     if alpha < 0:
         return Polynomial.zero()
-    gen, last = (ctx.y, ctx.N - ctx.k) if family == "X" else (ctx.x, ctx.k)
+    letter = _FAMILY_LETTER[family]
+    last = ctx.top(letter)
     key = (ctx.N, ctx.k, family)
     entry = _SPECIAL_CLASSES.get(key)
     if entry is None:
@@ -231,7 +228,7 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     # last generator is 0 and adds no term.
     for d in range(len(table), alpha + 1):
         if d <= last:
-            negated.setdefault(d, -gen(d))
+            negated.setdefault(d, -ctx.gen(letter, d))
         table.setdefault(d, sum_of_products(
             (negated[t], table[d - t]) for t in range(1, min(d, last) + 1)))
     return table[alpha]
@@ -247,7 +244,7 @@ def embedded_special_classes(ring: StepRing, family: str, end: str,
     this holds for any table; only the g_t and a nonzero R_a (0 for a
     correct table) are substituted.
     """
-    gens = getattr(ring, end).gens("y" if family == "X" else "x")
+    gens = getattr(ring, end).gens(_FAMILY_LETTER[family])
     negated = [-ring.embed_ring_poly(g, end) for g in gens[1:]]
     out = []
     for a in range(len(classes)):
@@ -272,7 +269,7 @@ def special_class_terms(ctx: GrassContext, family: str, alpha: int,
     """
     if alpha < 0:
         return 0
-    parts = ctx.N - ctx.k if family == "X" else ctx.k
+    parts = ctx.top(_FAMILY_LETTER[family])
     counts = [1] + [0] * alpha
     for part in range(1, min(parts, alpha) + 1):
         for total in range(part, alpha + 1):
@@ -300,8 +297,7 @@ def bubble_value(ctx: GrassContext, orientation: str, alpha: int) -> Polynomial:
         return Polynomial.zero()
     letter, family = _BUBBLE_SERIES[orientation]
     # the classes of negative index vanish: only generators up to alpha
-    gen = getattr(ctx, letter)
-    acc = sum_of_products((gen(ell), special_class(ctx, family, alpha - ell))
+    acc = sum_of_products((ctx.gen(letter, ell), special_class(ctx, family, alpha - ell))
                           for ell in range(alpha + 1))
     return -acc if alpha % 2 else acc
 
@@ -323,9 +319,8 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
     """
     if which in _DELTA_SERIES:
         letter, family = _DELTA_SERIES[which]
-        gen = getattr(ctx, letter)
         for d in range(0, bound + 1):
-            acc = sum_of_products((gen(j), special_class(ctx, family, d - j))
+            acc = sum_of_products((ctx.gen(letter, j), special_class(ctx, family, d - j))
                                   for j in range(0, d + 1))
             want = Polynomial.one() if d == 0 else Polynomial.zero()
             if acc != want:

@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import Polynomial, homogeneous_degree, x_sym, y_sym
+from .exactpoly import Polynomial, homogeneous_degree
 from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
     FlagPath,
+    act,
     basis,
     inject_at_junction,
     inject_into_factor,
@@ -200,9 +201,8 @@ def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
     if codomain.is_zero or path.is_zero:
         return zero_map(path, codomain, degree)
 
-    top, sym = (j, x_sym) if kind == "fe" else (path.N - j, y_sym)
-    pieces = [(top - t, Polynomial.gen(sym(t, nu)) if t else Polynomial.one(),
-               (-1) ** t) for t in range(0, top + 1)]
+    gens = path.junction(g).gens("x" if kind == "fe" else "y")
+    pieces = [(len(gens) - 1 - t, content, (-1) ** t) for t, content in enumerate(gens)]
 
     def fn(vec):
         return linear_sum(codomain, (
@@ -271,10 +271,6 @@ def junction_mult(path: FlagPath, junction: int, poly: Polynomial,
         return inject_at_junction(path, junction, poly, vec)
 
     return BimMap(path, path, deg, fn, name=name or "mult@%d" % junction)
-
-
-def right_mult(path: FlagPath, poly: Polynomial) -> BimMap:
-    return junction_mult(path, path.num_factors, poly, name="rmult")
 
 
 def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
@@ -359,13 +355,17 @@ def compile_word(word: SignedWord, N: int) -> FlagPath:
 # ---------------------------------------------------------------------------
 
 
-def _decorated_vectors(path: FlagPath, max_excess: int = 2):
-    """Basis vectors plus single-factor xi-excess bumps up to max_excess."""
+#: How far past its bound ``_decorated_vectors`` bumps a factor's xi-power.
+MAX_EXCESS = 2
+
+
+def _decorated_vectors(path: FlagPath):
+    """Basis vectors plus single-factor xi-excess bumps up to MAX_EXCESS."""
     vecs = basis(path)
     return vecs + [vec[:i] + (vec[i] + excess,) + vec[i + 1:]
                    for vec in vecs
                    for i in range(path.num_factors) if vec[i] == path.bound(i + 1)
-                   for excess in range(1, max_excess + 1)]
+                   for excess in range(1, MAX_EXCESS + 1)]
 
 
 def map_equals(f: BimMap, g: BimMap, max_extra_checks: int = 0, rng=None):
@@ -393,7 +393,7 @@ def map_equals(f: BimMap, g: BimMap, max_extra_checks: int = 0, rng=None):
             for _ in range(max_extra_checks):
                 vec = vecs[rng.randrange(len(vecs))]
                 side, poly = gens[rng.randrange(len(gens))]
-                e = _decorated_element(f.domain, vec, side, poly)
+                e = act(side, poly, normalize_xi_vector(f.domain, vec))
                 left, right = f(e), g(e)
                 if left != right:
                     return False, ("on decorated element %s: %s vs %s"
@@ -408,12 +408,6 @@ def _end_ring_generators(path: FlagPath):
         for sym in sorted(ctx.catalog()):
             out.append((side, Polynomial.gen(sym)))
     return out
-
-
-def _decorated_element(path: FlagPath, vec, side: str, poly: Polynomial) -> BimElement:
-    from .bimodules import act
-    base = normalize_xi_vector(path, vec)
-    return act(side, poly, base)
 
 
 def measured_degree(f: BimMap, vec):

@@ -16,8 +16,8 @@ from catsl2.twomorphisms import (
     SignedWord,
     compile_word,
     identity_map,
+    junction_mult,
     map_equals,
-    right_mult,
     zero_map,
 )
 from catsl2.diagramlang import compile_diagram, parse_diagram, render_diagram
@@ -144,7 +144,8 @@ def test_criterion_09_dsl():
     assert ok, report
     bubble = compile_diagram(parse((DIAGRAM_DIR / "bubble.cat").read_text()))
     want = bubble_value(GrassContext(1, 0), "ccw", 0)
-    ok, report = map_equals(bubble, right_mult(bubble.domain, want))
+    path = bubble.domain
+    ok, report = map_equals(bubble, junction_mult(path, path.num_factors, want))
     assert ok, report
     square = compile_diagram(parse((DIAGRAM_DIR / "crossing_square.cat").read_text()))
     ok, report = map_equals(square, zero_map(square.domain, square.codomain, -4))

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -141,7 +142,7 @@ def test_normalize_rejects_an_unknown_order_on_every_path():
 
 def test_raw_tensor_rejects_foreign_generators():
     path = FlagPath(2, (0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor 1 uses non-canonical generators: x\\[1\\]@0"):
         RawTensor(path, (xgen(1, 0),))       # x[1]@0 is not canonical here
 
 
@@ -1354,16 +1355,33 @@ def test_in_bound_vectors_are_normalized_without_a_push(monkeypatch):
                         {vec: Polynomial.one()}
 
 
-@pytest.mark.parametrize("via", ["inject_at_junction", "junction_mult"])
+#: (path, junction g, a polynomial not in the ring at g, vec).
+FOREIGN_AT_JUNCTION = [
+    (FlagPath(2, (0, 1, 2)), 1, xgen(1, 5), (0, 0)),   # in no ring at rank 2
+    (FlagPath(2, (0, 1, 2)), 0, xgen(1, 5), (0, 0)),
+    # ring 2's y, which factor 1's step ring holds but ring 1 does not
+    (FlagPath(3, (1, 2)), 0, ygen(1, 1), (0,)),
+    (FlagPath(3, (1, 2)), 1, ygen(1, -1), (0,)),       # g = m: ring 1's y at ring 2
+    (FlagPath(3, (1,)), 0, xgen(1, 5), ()),            # an identity path
+]
+
+
+@pytest.mark.parametrize("via", ["inject_at_junction", "junction_mult", "act"])
 def test_foreign_content_is_rejected_where_it_enters(via):
     from catsl2.twomorphisms import junction_mult
-    path = FlagPath(2, (0, 1, 2))
-    foreign = xgen(1, 5)                 # a generator of no ring at rank 2
-    with pytest.raises(ValueError, match="non-canonical generators: x\\[1\\]@5"):
-        if via == "inject_at_junction":
-            inject_at_junction(path, 1, foreign, (0, 0))
-        else:
-            junction_mult(path, 0, foreign).apply_vec((0, 0))
+    for path, g, foreign, vec in FOREIGN_AT_JUNCTION:
+        if via == "act" and 0 < g < path.num_factors:
+            continue                     # the actions are at the two ends only
+        message = "junction %d uses" % g if via != "act" else "action polynomial uses"
+        with pytest.raises(ValueError, match="%s non-canonical generators: %s"
+                           % (message, re.escape(foreign.render()))):
+            if via == "inject_at_junction":
+                inject_at_junction(path, g, foreign, vec)
+            elif via == "junction_mult":
+                junction_mult(path, g, foreign).apply_vec(vec)
+            else:
+                act("left" if g == 0 else "right", foreign,
+                    normalize_xi_vector(path, vec))
 
 
 def test_in_flight_entries_are_ints_exactly_when_settled():

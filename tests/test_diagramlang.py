@@ -14,8 +14,8 @@ from catsl2.twomorphisms import (
     compile_word,
     compose_vertical,
     identity_map,
+    junction_mult,
     map_equals,
-    right_mult,
     zero_map,
 )
 from catsl2.diagramlang import (
@@ -169,7 +169,8 @@ def test_compile_worked_bubble():
     ast = parse_diagram((DIAGRAM_DIR / "bubble.cat").read_text())
     diagram = compile_diagram(ast)
     want = bubble_value(GrassContext(1, 0), "ccw", 0)
-    ok, report = map_equals(diagram, right_mult(diagram.domain, want))
+    path = diagram.domain
+    ok, report = map_equals(diagram, junction_mult(path, path.num_factors, want))
     assert ok, report
 
 
@@ -191,7 +192,8 @@ def test_compile_dotted_bubble_matches_formula():
         diagram = compile_diagram(parse_diagram("\n".join(lines) + "\n"))
         alpha = dots - (-1 - 1)
         want = bubble_value(GrassContext(1, 0), "cw", alpha)
-        ok, report = map_equals(diagram, right_mult(diagram.domain, want))
+        path = diagram.domain
+        ok, report = map_equals(diagram, junction_mult(path, path.num_factors, want))
         assert ok, (dots, report)
 
 
@@ -311,6 +313,22 @@ def test_parse_element_errors():
         parse_element("1 +", FlagPath(3, (1,)))
     with pytest.raises(DiagramError):
         parse_element("xi", FlagPath(3, (1,)))         # no xi on identity paths
+    # the one resolver, on factors and on identity paths: each error spans
+    # exactly its token
+    for text, path, message, cols in [
+            ("xi * y[2]", FlagPath(3, (1, 2)),
+             "unknown generator y[2] for factor 1 (y-range 1..1)", (6, 9)),
+            ("x[1] * y[3]^2", FlagPath(3, (1,)),
+             "unknown generator y[3] for the identity factor (k=1) (y-range 1..2)",
+             (8, 13)),
+            ("1 | 2 * x[3]", FlagPath(3, (1, 2, 3)),
+             "unknown generator x[3] for factor 2 (x-range 1..2)", (9, 12)),
+            ("y[1] *  xi ", FlagPath(3, (1,)),
+             "xi is not a generator of the identity bimodule", (9, 10))]:
+        with pytest.raises(DiagramError) as err:
+            parse_element(text, path)
+        assert str(err.value).endswith(message)
+        assert (err.value.line, err.value.col_start, err.value.col_end) == (1, *cols)
 
 
 @pytest.mark.parametrize("text, cols", [

@@ -142,12 +142,23 @@ def test_series_identities():
 def test_step_ring_embeddings():
     ring = StepRing(3, 1)          # pair {1, 2}, nu = -1
     # exchange relations for the two end rings
-    assert ring.embed_upper_x(1) == ring.x(1) + ring.xi()
-    assert ring.embed_upper_x(2) == ring.x(1) * ring.xi()   # x[2]@-1 vanishes
-    assert ring.embed_lower_y(2) == ring.y(2) + ring.y(1) * ring.xi()
-    assert ring.embed_lower_y(3) == ring.y(2) * ring.xi()   # top y of the lower ring
+    assert ring.embed_end(x_sym(1, 1), "upper") == ring.x(1) + ring.xi()
+    assert ring.embed_end(x_sym(2, 1), "upper") == ring.x(1) * ring.xi()   # x[2]@-1 vanishes
+    assert ring.embed_end(y_sym(1, -1), "lower") == ring.y(1) + ring.xi()
+    assert ring.embed_end(y_sym(2, -1), "lower") == ring.y(1) * ring.xi()  # top y of the lower ring
+    # the step ring's own generators: the lower x's and the upper y's
+    assert ring.embed_end(x_sym(1, -1), "lower") == ring.x(1)
+    assert ring.embed_end(y_sym(1, 1), "upper") == ring.y(1)
     with pytest.raises(ValueError):
         ring.embed_end(ring.x(1).symbols().pop(), "upper")
+    # the right weight but outside the end ring's catalog, so neither may
+    # embed as 0: x[5]@0 is no generator of ring 2 at rank 4, y[3]@-1 none
+    # of ring 1 at rank 3, and y[2]@2 none of ring 3 at rank 4
+    for ring, sym in ((StepRing(4, 2), x_sym(5, 0)), (StepRing(3, 1), y_sym(3, -1))):
+        with pytest.raises(ValueError, match="does not belong to the lower end ring"):
+            ring.embed_end(sym, "lower")
+    with pytest.raises(ValueError, match="does not belong to the upper end ring"):
+        StepRing(4, 2).embed_ring_poly(Polynomial.gen(y_sym(2, 2)) + 1, "upper")
 
 
 def test_step_ring_expansions_invert_embeddings():
@@ -158,7 +169,7 @@ def test_step_ring_expansions_invert_embeddings():
             ring = StepRing(N, j)
             for t in range(0, j + 1):
                 expansion = ring.lower_x_expansion(t)
-                table = {s: ring.embed_upper_x(s.index)
+                table = {s: ring.embed_end(s, "upper")
                          for s in expansion.symbols() if s.kind == 0}
                 assert expansion.substitute(table) == ring.x(t)
 
