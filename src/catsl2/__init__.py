@@ -24,7 +24,7 @@ from .twomorphisms import (
     BimMap,
     SignedWord,
     compile_word,
-    compose_vertical,
+    compose_chain,
     gen_cap,
     gen_crossing,
     gen_cup,
@@ -43,7 +43,7 @@ __all__ = [
     "GrassContext", "StepRing", "bubble_value", "special_class",
     "BimElement", "FlagPath", "RawTensor", "act", "basis", "graded_rank",
     "normalize", "tensor",
-    "BimMap", "SignedWord", "compile_word", "compose_vertical",
+    "BimMap", "SignedWord", "compile_word", "compose_chain",
     "gen_cap", "gen_crossing", "gen_cup", "gen_dot", "identity_map",
     "map_equals", "whisker",
     "DiagramAST", "compile_diagram", "parse_diagram", "parse_element",

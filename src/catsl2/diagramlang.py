@@ -39,7 +39,7 @@ from .twomorphisms import (
     BimMap,
     SignedWord,
     compile_word,
-    compose_vertical,
+    compose_chain,
     gen_cap,
     gen_crossing,
     gen_cup,
@@ -238,18 +238,18 @@ def render_diagram(ast: DiagramAST) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _layer_map(path: FlagPath, layer) -> BimMap:
-    """Compile one layer on the current path, token by token.
+def _layer_map(path: FlagPath, layer) -> list:
+    """Compile one layer on the current path to its generators, bottom to top.
 
     Tokens address displayed strands left to right; with m factors on the
     current path, the strand after ``produced`` fixed output strands is
     factor ``m - produced`` and the insertion gap there is junction
     ``m - produced``.
     """
-    acc = identity_map(path)
+    gens = []
     produced = 0
     for tok in layer:
-        cur = acc.codomain
+        cur = gens[-1].codomain if gens else path
         r = cur.num_factors - produced
         kind = tok.kind
         if kind in ("id_e", "id_f"):
@@ -268,20 +268,20 @@ def _layer_map(path: FlagPath, layer) -> BimMap:
             gen = gen_cap(cur, r - 1, kind[4:])
         else:
             raise DiagramError("unknown token %r" % kind)
-        acc = compose_vertical(gen, acc)
-    return acc
+        gens.append(gen)
+    return gens
 
 
 def compile_diagram(ast: DiagramAST) -> BimMap:
-    """Compile to a bimodule map, composing whiskered generators bottom-up."""
+    """Compile to a bimodule map: one chain of every layer's generators."""
     path = compile_word(ast.domain, ast.N)
     if path.is_zero:
         warnings.warn("diagram domain is the zero bimodule; the compiled "
                       "map is zero", ZeroDiagramWarning, stacklevel=2)
-    acc = identity_map(path)
+    gens = []
     for layer in ast.layers:
-        acc = compose_vertical(_layer_map(acc.codomain, layer), acc)
-    return acc
+        gens += _layer_map(gens[-1].codomain if gens else path, layer)
+    return compose_chain(*gens) if gens else identity_map(path)
 
 
 # ---------------------------------------------------------------------------

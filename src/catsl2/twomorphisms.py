@@ -41,10 +41,10 @@ class BimMap:
     """A graded bimodule map between iterated flag bimodules.
 
     Each xi-exponent vector's image is computed once, on first use, and
-    kept in a per-map memo; composites, whiskers and sums built from this
-    map read the stored images instead of recomputing them.  Stored images
-    are shared, never mutated: every ``BimElement`` operation returns a new
-    element.
+    kept in a per-map memo.  A chain keeps one memo and its maps keep
+    theirs; the partial composites of a chain are never built, so their
+    images are not kept.  Stored images are shared, never mutated: every
+    ``BimElement`` operation returns a new element.
     """
 
     def __init__(self, domain: FlagPath, codomain: FlagPath, degree: int,
@@ -89,19 +89,6 @@ def zero_map(domain: FlagPath, codomain: FlagPath, degree: int = 0) -> BimMap:
                   lambda vec: BimElement.zero(codomain), name="zero")
 
 
-def compose_vertical(f: BimMap, g: BimMap) -> BimMap:
-    """The composite f after g; degrees add."""
-    if g.codomain != f.domain:
-        raise ValueError("cannot compose: %s does not match %s"
-                         % (g.codomain.render(), f.domain.render()))
-
-    def fn(vec):
-        return f(g.apply_vec(vec))
-
-    return BimMap(g.domain, f.codomain, f.degree + g.degree, fn,
-                  name="%s.%s" % (f.name, g.name))
-
-
 def linear_combination(domain: FlagPath, codomain: FlagPath, degree: int,
                        name: str, terms) -> BimMap:
     """The sum of sign * f over the (sign, f) terms, each domain -> codomain.
@@ -118,13 +105,24 @@ def linear_combination(domain: FlagPath, codomain: FlagPath, degree: int,
 
 
 def compose_chain(*maps: BimMap) -> BimMap:
-    """Compose bottom to top: compose_chain(g1, g2, g3) = g3 . g2 . g1."""
+    """compose_chain(g1, g2, g3) = g3 . g2 . g1: one map that applies g1 first."""
     if not maps:
         raise ValueError("empty composite")
-    acc = maps[0]
-    for nxt in maps[1:]:
-        acc = compose_vertical(nxt, acc)
-    return acc
+    for g, f in zip(maps, maps[1:]):
+        if g.codomain != f.domain:
+            raise ValueError("cannot compose: %s does not match %s"
+                             % (g.codomain.render(), f.domain.render()))
+    if len(maps) == 1:
+        return maps[0]
+
+    def fn(vec):
+        element = maps[0].apply_vec(vec)
+        for f in maps[1:]:
+            element = f(element)
+        return element
+
+    return BimMap(maps[0].domain, maps[-1].codomain, sum(f.degree for f in maps),
+                  fn, name=".".join(f.name for f in reversed(maps)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,20 @@ from catsl2.bimodules import (
     basis,
     normalize,
 )
+from catsl2.twomorphisms import BimMap
+
+
+def record_new_maps(monkeypatch):
+    """The list every BimMap built from here on is appended to, in order."""
+    built = []
+    init = BimMap.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BimMap, "__init__", recording_init)
+    return built
 
 
 def xgen(index, weight):

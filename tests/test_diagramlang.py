@@ -12,7 +12,7 @@ from catsl2.twomorphisms import (
     SignedWord,
     audit_degree,
     compile_word,
-    compose_vertical,
+    compose_chain,
     identity_map,
     junction_mult,
     map_equals,
@@ -29,7 +29,7 @@ from catsl2.diagramlang import (
     render_diagram,
     _layer_map,
 )
-from helpers import all_paths, ygen
+from helpers import all_paths, record_new_maps, ygen
 
 DIAGRAM_DIR = Path(__file__).resolve().parent.parent / "docs" / "diagrams"
 
@@ -197,6 +197,19 @@ def test_compile_dotted_bubble_matches_formula():
         assert ok, (dots, report)
 
 
+def test_compile_builds_one_chain(monkeypatch):
+    dotted = parse_diagram((DIAGRAM_DIR / "zigzag.cat").read_text()
+                           + "layer: dot_e\nlayer: dot_e\n")
+    plain = parse_diagram("N = 2\nweight = 0\ndomain = E\nlayer: id_e\n")
+    built = record_new_maps(monkeypatch)
+    diagram = compile_diagram(dotted)
+    assert len(built) == 4 + 1 and built[-1] is diagram
+    assert diagram.name == "dot@1.dot@1.cap_ef@2.cup_fe@0"
+    del built[:]
+    identity = compile_diagram(plain)
+    assert built == [identity] and identity.name == "id"
+
+
 @pytest.mark.filterwarnings("ignore::catsl2.diagramlang.ZeroDiagramWarning")
 def test_compile_layer_associativity():
     rng = random.Random(46)
@@ -209,8 +222,7 @@ def test_compile_layer_associativity():
         full = compile_diagram(ast)
         head = compile_diagram(DiagramAST(ast.N, ast.weight, ast.domain,
                                           ast.layers[:-1]))
-        stepwise = compose_vertical(_layer_map(head.codomain, ast.layers[-1]),
-                                    head)
+        stepwise = compose_chain(head, *_layer_map(head.codomain, ast.layers[-1]))
         ok, report = map_equals(full, stepwise)
         assert ok, report
 

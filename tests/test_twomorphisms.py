@@ -10,7 +10,6 @@ from catsl2.twomorphisms import (
     audit_degree,
     compile_word,
     compose_chain,
-    compose_vertical,
     gen_cap,
     gen_crossing,
     gen_cup,
@@ -21,7 +20,7 @@ from catsl2.twomorphisms import (
     whisker,
     zero_map,
 )
-from helpers import map_matrix, xgen, ygen
+from helpers import map_matrix, record_new_maps, xgen, ygen
 
 
 # -- words -------------------------------------------------------------------
@@ -54,7 +53,7 @@ def test_dot_raises_power():
     path = FlagPath(3, (1, 2))
     dot = gen_dot(path, 1)
     assert dot.apply_vec((0,)).terms == {(1,): Polynomial.one()}
-    twice = compose_vertical(dot, dot)
+    twice = compose_chain(dot, dot)
     assert twice.degree == 4
     # xi^2 exceeds the bound and reduces to normal form
     image = twice.apply_vec((0,))
@@ -104,7 +103,7 @@ def test_crossing_squared_is_zero():
         for k in range(0, N - 1):
             path = FlagPath(N, (k, k + 1, k + 2))
             cross = gen_crossing(path, 1, "up")
-            ok, report = map_equals(compose_vertical(cross, cross),
+            ok, report = map_equals(compose_chain(cross, cross),
                                     zero_map(path, path, -4))
             assert ok, report
 
@@ -186,14 +185,25 @@ def test_compose_requires_matching_paths():
     path = FlagPath(2, (0, 1))
     dot = gen_dot(path, 1)
     cup = gen_cup(path, 0, "fe")
-    with pytest.raises(ValueError):
-        compose_vertical(dot, cup)
+    with pytest.raises(ValueError, match="cannot compose"):
+        compose_chain(cup, dot)
+    # a three-map chain that breaks between maps 2 and 3 names that pair
+    cup_dot = gen_dot(cup.codomain, 1)
+    with pytest.raises(ValueError) as excinfo:
+        compose_chain(cup, cup_dot, dot)
+    assert str(excinfo.value) == ("cannot compose: %s does not match %s"
+                                  % (cup_dot.codomain.render(), path.render()))
+    with pytest.raises(ValueError, match="empty composite"):
+        compose_chain()
+    chain = compose_chain(dot, dot, cup)
+    assert chain.degree == 2 * dot.degree + cup.degree
+    assert chain.name == "%s.%s.%s" % (cup.name, dot.name, dot.name)
 
 
 def test_compose_with_identity():
     path = FlagPath(2, (0, 1))
     dot = gen_dot(path, 1)
-    composite = compose_vertical(dot, identity_map(path))
+    composite = compose_chain(identity_map(path), dot)
     ok, report = map_equals(composite, dot)
     assert ok, report
 
@@ -201,7 +211,7 @@ def test_compose_with_identity():
 def test_zigzag_equals_identity():
     path = FlagPath(1, (0, 1))
     cup = gen_cup(path, 0, "fe")
-    zig = compose_vertical(gen_cap(cup.codomain, 2, "ef"), cup)
+    zig = compose_chain(cup, gen_cap(cup.codomain, 2, "ef"))
     ok, report = map_equals(zig, identity_map(path))
     assert ok, report
 
@@ -220,8 +230,8 @@ def test_whiskered_dots_commute():
                    else FlagPath(3, (1,)), FlagPath(3, (2, 3)))
     right = whisker(gen_dot(FlagPath(3, (2, 3)), 1), FlagPath(3, (1, 2)),
                     FlagPath(3, (3,)))
-    ok, report = map_equals(compose_vertical(left, right),
-                            compose_vertical(right, left))
+    ok, report = map_equals(compose_chain(right, left),
+                            compose_chain(left, right))
     assert ok, report
 
 
@@ -374,28 +384,46 @@ def test_memoized_composite_matches_fresh_one():
         assert memoized.apply_vec(vec) == target.apply_vec(vec), vec
 
 
-def test_composite_evaluates_each_inner_map_once_per_vector():
+def _counted(inputs, f):
+    """Record every vector f's own procedure sees, under f's name."""
+    seen = []
+    inner = f._fn
+
+    def fn(vec):
+        seen.append(vec)
+        return inner(vec)
+
+    f._fn = fn
+    inputs.append((f.name, seen))
+    return f
+
+
+def _nested_chain(inputs, maps):
+    composite = _counted(inputs, maps[0])
+    for nxt in maps[1:]:
+        composite = _counted(inputs, compose_chain(composite, _counted(inputs, nxt)))
+    return composite
+
+
+def _flat_chain(inputs, maps):
+    return _counted(inputs, compose_chain(*(_counted(inputs, f) for f in maps)))
+
+
+@pytest.mark.parametrize("build", [_nested_chain, _flat_chain], ids=["nested", "flat"])
+def test_composite_evaluates_each_inner_map_once_per_vector(build):
     maps, target = _crossing_duality_left_maps(3, 0)
     inputs = []
-
-    def counted(f):
-        seen = []
-        inner = f._fn
-
-        def fn(vec):
-            seen.append(vec)
-            return inner(vec)
-
-        f._fn = fn
-        inputs.append((f.name, seen))
-        return f
-
-    composite = counted(maps[0])
-    for nxt in maps[1:]:
-        composite = counted(compose_vertical(counted(nxt), composite))
+    composite = build(inputs, maps)
     ok, report = map_equals(composite, target, max_extra_checks=2,
                             rng=random.Random(0))
     assert ok, report
     for name, seen in inputs:
         assert seen, name
         assert len(seen) == len(set(seen)), name
+
+
+def test_compose_chain_builds_one_map(monkeypatch):
+    maps, _ = _crossing_duality_left_maps(3, 0)
+    built = record_new_maps(monkeypatch)
+    chain = compose_chain(*maps)
+    assert built == [chain]
