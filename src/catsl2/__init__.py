@@ -17,6 +17,7 @@ from .bimodules import (
     act,
     basis,
     graded_rank,
+    inject_at_junction,
     normalize,
     tensor,
 )
@@ -42,7 +43,7 @@ __all__ = [
     "Polynomial", "Rational", "VarSymbol", "homogeneous_degree", "series_invert",
     "GrassContext", "StepRing", "bubble_value", "special_class",
     "BimElement", "FlagPath", "RawTensor", "act", "basis", "graded_rank",
-    "normalize", "tensor",
+    "inject_at_junction", "normalize", "tensor",
     "BimMap", "SignedWord", "compile_word", "compose_chain",
     "gen_cap", "gen_crossing", "gen_cup", "gen_dot", "identity_map",
     "map_equals", "whisker",

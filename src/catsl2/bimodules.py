@@ -37,25 +37,34 @@ compute it with ``rewrite_measure`` in ``tests/helpers.py``), so rewriting
 terminates for any strategy order, and the bounded monomials form a free
 basis over the rightmost ring, making equality of normal forms syntactic.
 
-Input is checked once, where a polynomial enters, against the catalog of
-the ring it lives in: ``RawTensor`` checks each factor against its step
-ring, ``inject_at_junction`` a junction polynomial against the ring at
-that junction, and ``act`` an action polynomial against its end ring.
+A normal form is stored as one packed polynomial (``BimElement``): the
+exponent of xi_i sits in the field of ``xi_sym(i)``, the right-ring
+monomial in its own fields, and a sum of elements is one
+``exactpoly._add_products`` per part into one dict (``_sum_terms``).
+
+Input is checked once, where it enters, against the catalog of the ring
+it lives in: ``RawTensor`` each factor, ``inject_at_junction`` a junction
+polynomial, ``act`` an action polynomial and the ``BimElement``
+constructor its vectors and coefficients.  What the engine builds itself
+goes through ``_inject_at_junction`` and ``_wrap`` unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .exactpoly import (
     FIELD_BITS,
     FIELD_MASK,
+    MAX_EXPONENT,
     Polynomial,
     _add_products,
     _collect,
     _factor_terms,
     _make,
+    _overflow,
     field_shift,
     mono_degree,
     x_sym,
@@ -73,10 +82,10 @@ class FlagPath:
     ``rings`` may step outside ``[0, N]``; such a path denotes the zero
     bimodule (``is_zero``) and every element of it normalizes to zero.
 
-    ``is_zero`` and ``_steps`` (one ``(lower ring, xi bound)`` pair per
-    factor) are computed once in ``__post_init__`` and stored outside the
-    dataclass fields, so equality, hashing and repr see only ``N``,
-    ``rings`` and ``shift``.
+    ``is_zero``, ``num_factors`` and ``_steps`` (one ``(lower ring, xi
+    bound)`` pair per factor) are computed once in ``__post_init__`` and
+    stored outside the dataclass fields, so equality, hashing and repr see
+    only ``N``, ``rings`` and ``shift``.
     """
 
     N: int
@@ -95,10 +104,7 @@ class FlagPath:
         object.__setattr__(self, "is_zero",
                            any(r < 0 or r > self.N for r in self.rings))
         object.__setattr__(self, "_steps", tuple(steps))
-
-    @property
-    def num_factors(self) -> int:
-        return len(self.rings) - 1
+        object.__setattr__(self, "num_factors", len(steps))
 
     @property
     def left_ring(self) -> int:
@@ -175,30 +181,72 @@ def _check_catalog(poly: Polynomial, catalog: frozenset, where: str):
                          % (where, ", ".join(sorted(s.render() for s in bad))))
 
 
+@lru_cache(maxsize=None)
+def _xi_fields(m: int) -> tuple:
+    """The bit offsets of the fields of xi_1 .. xi_m, and their mask."""
+    shifts = tuple(field_shift(xi_sym(i)) for i in range(1, m + 1))
+    return shifts, sum(FIELD_MASK << s for s in shifts)
+
+
+def _xi_key(path: FlagPath, vec) -> int:
+    """The packed xi-part of an exponent vector of ``path``, bounded or
+    not; an exponent past its field raises instead of carrying."""
+    shifts = _xi_fields(path.num_factors)[0]
+    if len(vec) != len(shifts):
+        raise ValueError("need one exponent per path step")
+    key = 0
+    for e, shift in zip(vec, shifts):
+        if not 0 <= e <= MAX_EXPONENT:
+            if e < 0:
+                raise ValueError("negative exponent %d" % e)
+            raise _overflow()
+        key += e << shift
+    return key
+
+
+def _xi_vector(path: FlagPath, xi: int) -> tuple:
+    """The exponent vector of a packed xi-part of ``path``."""
+    return tuple(xi >> shift & FIELD_MASK for shift in _xi_fields(path.num_factors)[0])
+
+
 class BimElement:
-    """Normal-form element: bounded xi-monomials with right-ring coefficients."""
+    """Normal-form element as one packed polynomial.
+
+    ``terms`` maps a packed key, a basis vector (a_i in the field of
+    ``xi_sym(i)``) plus a right-end-ring monomial, to a nonzero rational.
+    Elements are never mutated; stored map images are shared.
+    """
 
     __slots__ = ("path", "terms")
 
     def __init__(self, path: FlagPath, terms=None):
+        """``sum xi^vec * coeff`` over the ``{vec: coeff}`` items; a vector
+        past its bounds or a coefficient outside the right end ring raises."""
         self.path = path
-        clean = {}
+        packed = {}
         if terms and not path.is_zero:
+            catalog = ring_catalog(path.N, path.right_ring)
             for vec, coeff in terms.items():
-                if coeff:
-                    clean[vec] = coeff
-        self.terms = clean
+                xi = _xi_key(path, vec)
+                if any(e > b for e, (_, b) in zip(vec, path._steps)):
+                    raise ValueError("xi^%s is past the bounds of %s"
+                                     % (list(vec), path.render()))
+                if type(coeff) is not Polynomial:
+                    coeff = _make(_factor_terms(coeff))
+                _check_catalog(coeff, catalog, "coefficient of xi^%s" % (list(vec),))
+                for mono, c in coeff.terms.items():
+                    packed[xi + mono] = c
+        self.terms = packed
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(path: FlagPath) -> "BimElement":
-        return BimElement(path, {})
+        return _wrap(path, {})
 
     @staticmethod
     def basis_vector(path: FlagPath, vec, coeff=None) -> "BimElement":
-        coeff = Polynomial.one() if coeff is None else coeff
-        return BimElement(path, {tuple(vec): coeff})
+        return BimElement(path, {tuple(vec): 1 if coeff is None else coeff})
 
     @staticmethod
     def from_ring_poly(path: FlagPath, poly: Polynomial) -> "BimElement":
@@ -234,27 +282,22 @@ class BimElement:
     def __hash__(self):
         return hash((self.path, frozenset(self.terms.items())))
 
+    def __reduce__(self):
+        # slot numbers are private to a process: pickle vectors and polynomials
+        return BimElement, (self.path, dict(_vector_terms(self)))
+
     def degree(self):
         """Graded degree (without the path shift); None if inhomogeneous."""
-        degs = set()
-        for vec, coeff in self.terms.items():
-            base = 2 * sum(vec)
-            for mono in coeff.terms:
-                degs.add(base + mono_degree(mono))
-        if not degs:
-            return None
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        degs = {mono_degree(key) for key in self.terms}
+        return degs.pop() if len(degs) == 1 else None
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         if self.path.num_factors == 0:
-            return " + ".join(c.render() for _, c in sorted(self.terms.items()))
+            return _make(self.terms).render()
         pieces = []
-        for vec in sorted(self.terms):
-            coeff = self.terms[vec]
+        for vec, coeff in _vector_terms(self):
             body = " | ".join("xi^%d" % e if e > 1 else ("xi" if e else "1")
                               for e in vec)
             c = coeff.render()
@@ -269,46 +312,56 @@ class BimElement:
 
 
 def _wrap(path: FlagPath, terms: dict) -> BimElement:
-    """Wrap a dict that is already clean (no zero coefficients), uncopied."""
+    """Wrap a packed dict, uncopied, less the coefficients that cancelled."""
+    if not all(terms.values()):
+        terms = {key: c for key, c in terms.items() if c}
     out = BimElement.__new__(BimElement)
     out.path = path
     out.terms = terms
     return out
 
 
+def _by_xi(element: BimElement) -> dict:
+    """The terms of ``element`` by xi-part: xi-part -> coefficient terms."""
+    mask = _xi_fields(element.path.num_factors)[1]
+    groups: dict = {}
+    for key, c in element.terms.items():
+        xi = key & mask
+        group = groups.get(xi)
+        if group is None:
+            groups[xi] = {key - xi: c}
+        else:
+            group[key - xi] = c
+    return groups
+
+
+def _vector_terms(element: BimElement) -> list:
+    """The ``(vec, coefficient polynomial)`` pairs of ``element``, sorted."""
+    return sorted((_xi_vector(element.path, xi), _make(group))
+                  for xi, group in _by_xi(element).items())
+
+
+def _sum_terms(path: FlagPath, pairs) -> BimElement:
+    """The sum of ``scale * element`` over ``(scale, element)`` pairs, each
+    scale a packed dict: one ``_add_products`` per pair into one dict."""
+    acc: dict = {}
+    for scale, element in pairs:
+        if element.path is not path and element.path != path:
+            raise ValueError("elements live in different bimodules: %s vs %s"
+                             % (path.render(), element.path.render()))
+        _add_products(acc, scale, element.terms)
+    return _wrap(path, acc)
+
+
 def linear_sum(path: FlagPath, parts) -> BimElement:
     """The sum of ``element * c`` over the ``(element, c)`` parts.
 
     ``c`` is a rational or a right-ring polynomial, and every element must
-    live in ``path``.  This is the one place elements are summed.  Each
-    output vector accumulates packed monomial -> rational in one plain
-    dict through ``exactpoly._add_products`` (a key addition and one
-    rational product per pair of terms), and one ``Polynomial`` per vector
-    is built at the end, after the coefficients that cancelled are
-    dropped.  No part's ``terms`` or coefficient is mutated (stored map
-    images are shared).
+    live in ``path``.  Each part is one ``_add_products`` into one dict (a
+    scalar keeps the element's key objects), and no ``Polynomial`` is
+    built.  No part is mutated (stored map images are shared).
     """
-    acc: dict = {}        # vec -> {packed monomial: rational}
-    for element, c in parts:
-        if element.path != path:
-            raise ValueError("elements live in different bimodules: %s vs %s"
-                             % (path.render(), element.path.render()))
-        scale = _factor_terms(c)
-        unit = len(scale) == 1 and scale.get(0) == 1
-        for vec, coeff in element.terms.items():
-            out = acc.get(vec)
-            if out is None:
-                if unit:
-                    acc[vec] = dict(coeff._terms)     # a copy: parts stay intact
-                    continue
-                out = acc[vec] = {}
-            _add_products(out, scale, coeff._terms)
-    terms = {}
-    for vec, out in acc.items():
-        coeff = _collect(out)
-        if coeff:
-            terms[vec] = coeff
-    return _wrap(path, terms)
+    return _sum_terms(path, ((_factor_terms(c), element) for element, c in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -622,41 +675,74 @@ def _clear_factor(path: FlagPath, terms, i: int, merge: bool):
     return out, changed
 
 
+def _settle(path: FlagPath, terms) -> dict:
+    """The packed terms of in-flight terms settled before the last factor,
+    each ``coeff * xi^vec`` over its last factor's pushes.
+
+    A term whose last factor holds content has coefficient 1.  The terms
+    have distinct xi-parts (left to right, each step splits a term into
+    distinct xi-powers; right to left, they are merged), and a bucket's
+    monomials sit in other fields, so no two keys collide and nothing is
+    added up."""
+    m = path.num_factors
+    f = _factor(path, m)
+    heads = _xi_fields(m)[0][:-1]
+    out: dict = {}
+    for factors, coeff in terms:
+        xi = 0
+        for e, shift in zip(factors, heads):
+            xi += e << shift
+        entry = factors[-1]
+        if type(entry) is int:
+            pieces = ((entry, coeff._terms),)
+        else:
+            pieces = _push_content(f, None, entry._terms)
+        for e, content in pieces:
+            key = xi + (e << f.shift)
+            for mono, c in content.items():
+                out[key + mono] = c
+    return out
+
+
 def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
                  on_step: Callable | None = None) -> BimElement:
     """Normal form of the in-flight entries ``factors`` on a nonzero path
     (``normalize`` checks ``order``)."""
-    if all(type(f) is int for f in factors):
-        return _wrap(path, {factors: Polynomial.one()})
     m = path.num_factors
+    if all(type(f) is int for f in factors):
+        return _wrap(path, {_xi_key(path, factors): 1})
     terms = [(factors, Polynomial.one())]
     if order == "ltr":
-        # one initial term yields distinct heads; the last step merges
-        for i in range(1, m + 1):
-            terms, changed = _clear_factor(path, terms, i, i == m)
+        # one initial term yields distinct heads; the factors before its
+        # first content stay settled, and the last step writes the packed
+        # terms
+        first = next(i for i, f in enumerate(factors, start=1) if type(f) is not int)
+        for i in range(first, m):
+            terms, changed = _clear_factor(path, terms, i, False)
             if changed and on_step is not None:
-                on_step(list(terms.items()) if i == m else terms)
-    else:
-        # sweep right to left repeatedly; a cleared factor only re-dirties
-        # when its left neighbour pushes new content into it.  Re-clearing
-        # a factor maps terms that differ only there onto one xi-power, so
-        # every step merges like terms.
-        terms = {factors: Polynomial.one()}
-        dirty = set(range(1, m + 1))
-        while dirty:
-            for i in range(m, 0, -1):
-                if i not in dirty:
-                    continue
-                dirty.discard(i)
-                terms, changed = _clear_factor(path, terms.items(), i, True)
-                if changed:
-                    if i < m:
-                        dirty.add(i + 1)
-                    if on_step is not None:
-                        on_step(list(terms.items()))
-    assert all(type(e) is int for vec in terms for e in vec), \
-        "a factor is not in normal form"
-    return _wrap(path, terms)
+                on_step(terms)
+        element = _wrap(path, _settle(path, terms))
+        if on_step is not None and any(type(t[0][-1]) is not int for t in terms):
+            on_step(_vector_terms(element))
+        return element
+    # sweep right to left repeatedly; a cleared factor only re-dirties
+    # when its left neighbour pushes new content into it.  Re-clearing a
+    # factor maps terms that differ only there onto one xi-power, so every
+    # step merges like terms; a final pass packs the settled terms.
+    terms = {factors: Polynomial.one()}
+    dirty = set(range(1, m + 1))
+    while dirty:
+        for i in range(m, 0, -1):
+            if i not in dirty:
+                continue
+            dirty.discard(i)
+            terms, changed = _clear_factor(path, terms.items(), i, True)
+            if changed:
+                if i < m:
+                    dirty.add(i + 1)
+                if on_step is not None:
+                    on_step(list(terms.items()))
+    return _wrap(path, _settle(path, terms.items()))
 
 
 def normalize(raw: RawTensor, order: str = "ltr",
@@ -669,14 +755,17 @@ def normalize(raw: RawTensor, order: str = "ltr",
     the content polynomial otherwise.  An in-flight term is a tuple of
     such entries with a right-ring coefficient; rewriting pushes content
     rightward until every entry is an int, and the tuple is then the basis
-    vector.  ``normalize_xi_vector`` and ``inject_into_factor`` enter the
-    same rewriting without a ``RawTensor``.
+    vector, packed with its coefficient into the element's keys.
+    ``normalize_xi_vector`` and ``inject_into_factor`` enter the same
+    rewriting without a ``RawTensor``.
 
     ``order`` picks the junction-processing strategy: "ltr" clears factors
     left to right (one pass suffices), "rtl" sweeps right to left until a
     fixpoint, merging like terms after every step that changed the terms;
     both reach the same normal form.  ``on_step`` is called with the list
-    of in-flight terms after every factor-clearing step that changed it.
+    of in-flight terms after every factor-clearing step that changed it
+    (after the last step left to right, with the settled ``(vec,
+    coefficient)`` pairs).
     """
     if order not in ("ltr", "rtl"):
         raise ValueError("unknown rewriting order %r" % order)
@@ -697,8 +786,6 @@ def normalize_xi_vector(path: FlagPath, vec) -> BimElement:
     """Normal form of a (possibly out-of-bound) xi-exponent vector."""
     if path.is_zero:
         return BimElement.zero(path)
-    if path.num_factors == 0:
-        return BimElement.from_ring_poly(path, Polynomial.one())
     return _normal_form(path, _xi_entries(path, vec))
 
 
@@ -707,16 +794,21 @@ def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
     """Normal form of xi^vec with ``content`` multiplied into factor i.
 
     ``content`` must be in the generators of factor i's step ring.  It is
-    not checked: both callers, ``inject_at_junction`` (a checked junction
-    polynomial, embedded) and the cup generator, pass canonical content.
+    not checked: both callers, ``_inject_at_junction`` (a junction
+    polynomial, embedded) and the cup generator, pass canonical content on
+    a nonzero path.
     """
-    if path.is_zero:
-        return BimElement.zero(path)
     entries = list(_xi_entries(path, vec))
     if vec[i - 1]:
         content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
     entries[i - 1] = _entry(content, _factor(path, i))
     return _normal_form(path, tuple(entries))
+
+
+def _check_junction(path: FlagPath, g: int, ring_poly: Polynomial):
+    """Raise unless ``ring_poly`` is in the ring at junction g of ``path``."""
+    if not path.is_zero:
+        _check_catalog(ring_poly, ring_catalog(path.N, path.rings[g]), "junction %d" % g)
 
 
 def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
@@ -727,13 +819,19 @@ def inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
     checked here.  For g = m this is right multiplication; otherwise the
     polynomial enters factor g+1 through its left-end embedding.
     """
+    _check_junction(path, g, ring_poly)
+    return _inject_at_junction(path, g, ring_poly, vec)
+
+
+def _inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
+                        vec=None) -> BimElement:
+    """``inject_at_junction`` unchecked, for content built or checked before."""
     if path.is_zero:
         return BimElement.zero(path)
-    _check_catalog(ring_poly, ring_catalog(path.N, path.rings[g]), "junction %d" % g)
     m = path.num_factors
     vec = tuple(vec) if vec is not None else (0,) * m
     if m == 0:
-        return BimElement.from_ring_poly(path, ring_poly)
+        return _wrap(path, ring_poly.terms)
     if g == m:
         return normalize_xi_vector(path, vec).right_mul(ring_poly)
     return inject_into_factor(path, g + 1, _into_factor(path, g + 1, ring_poly), vec)
@@ -750,8 +848,9 @@ def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:
                    "%s action polynomial" % side)
     if side == "right" or path.num_factors == 0:
         return element.right_mul(poly)
-    return linear_sum(path, ((inject_at_junction(path, 0, poly, vec), coeff)
-                             for vec, coeff in element.terms.items()))
+    return _sum_terms(path, ((coeff, _inject_at_junction(path, 0, poly,
+                                                         _xi_vector(path, xi)))
+                             for xi, coeff in _by_xi(element).items()))
 
 
 def tensor(a: BimElement, b: BimElement) -> BimElement:
@@ -765,10 +864,10 @@ def tensor(a: BimElement, b: BimElement) -> BimElement:
     path = a.path.concat(b.path)
     if path.is_zero:
         return BimElement.zero(path)
-    ma = a.path.num_factors
-    return linear_sum(path, ((inject_at_junction(path, ma, ca, va + vb), cb)
-                             for va, ca in a.terms.items()
-                             for vb, cb in b.terms.items()))
+    left = [(_xi_vector(a.path, xa), _make(ca)) for xa, ca in _by_xi(a).items()]
+    return _sum_terms(path, ((cb, _inject_at_junction(path, a.path.num_factors, ca,
+                                                      va + _xi_vector(b.path, xb)))
+                             for xb, cb in _by_xi(b).items() for va, ca in left))
 
 
 def basis(path: FlagPath) -> list:

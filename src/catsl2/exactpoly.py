@@ -392,8 +392,9 @@ def _add_products(acc: dict, ta: Mapping[Mono, Rational],
     ``OverflowError``; ``Polynomial`` ``*`` and ``+`` (a sum is the
     product by the unit) run on it too.  A unit ``ma`` reuses ``mb``'s key
     object, so scaling by a scalar shares the keys of the scaled terms
-    (and cannot overflow).  Coefficients that cancel stay in ``acc`` as
-    zeros until ``_collect`` drops them.
+    (and cannot overflow); into an empty ``acc`` it is one dict update.
+    Coefficients that cancel stay in ``acc`` as zeros until ``_collect``
+    drops them.
     """
     seen = 0              # OR of every product key, for the guard bits
     for ma, ca in ta.items():
@@ -403,6 +404,8 @@ def _add_products(acc: dict, ta: Mapping[Mono, Rational],
                 seen |= key
                 prev = acc.get(key)
                 acc[key] = ca * cb if prev is None else prev + ca * cb
+        elif not acc:
+            acc.update(tb if ca == 1 else {mb: ca * cb for mb, cb in tb.items()})
         else:
             for mb, cb in tb.items():
                 prev = acc.get(mb)

@@ -23,14 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import Polynomial, homogeneous_degree
+from .exactpoly import Polynomial, _make, homogeneous_degree
 from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
     FlagPath,
+    _by_xi,
+    _check_junction,
+    _inject_at_junction,
+    _sum_terms,
+    _xi_key,
+    _xi_vector,
     act,
     basis,
-    inject_at_junction,
     inject_into_factor,
     linear_sum,
     normalize_xi_vector,
@@ -40,11 +45,14 @@ from .bimodules import (
 class BimMap:
     """A graded bimodule map between iterated flag bimodules.
 
-    Each xi-exponent vector's image is computed once, on first use, and
-    kept in a per-map memo.  A chain keeps one memo and its maps keep
-    theirs; the partial composites of a chain are never built, so their
-    images are not kept.  Stored images are shared, never mutated: every
-    ``BimElement`` operation returns a new element.
+    ``fn`` sends a xi-exponent vector of the domain to its image.  Each
+    image is computed once and kept in a memo keyed by the vector's packed
+    xi-part: ``apply_vec`` packs a vector, and ``fn`` gets it decoded only
+    on a miss.  On an element (one packed polynomial) the map splits each
+    key with the domain's xi mask and adds each xi-part's image times its
+    coefficient terms, one product loop per xi-part.  A chain keeps one
+    memo and its maps keep theirs; its partial composites are never built.
+    Stored images are shared, never mutated.
     """
 
     def __init__(self, domain: FlagPath, codomain: FlagPath, degree: int,
@@ -56,22 +64,28 @@ class BimMap:
         self._fn = fn
         self._images = {}
 
+    def _image(self, xi: int) -> BimElement:
+        """Image of the vector with packed xi-part ``xi``, memoized."""
+        image = self._images.get(xi)
+        if image is None:
+            image = self._images[xi] = self._fn(_xi_vector(self.domain, xi))
+        return image
+
     def apply_vec(self, vec) -> BimElement:
         """Image of the xi-power vector (bounded or not)."""
         if self.domain.is_zero or self.codomain.is_zero:
             return BimElement.zero(self.codomain)
-        vec = tuple(vec)
-        image = self._images.get(vec)
-        if image is None:
-            image = self._images[vec] = self._fn(vec)
-        return image
+        return self._image(_xi_key(self.domain, vec))
 
     def __call__(self, element: BimElement) -> BimElement:
-        if element.path != self.domain:
+        if element.path is not self.domain and element.path != self.domain:
             raise ValueError("element lives in %s, map expects %s"
                              % (element.path.render(), self.domain.render()))
-        return linear_sum(self.codomain, ((self.apply_vec(vec), coeff)
-                                          for vec, coeff in element.terms.items()))
+        if self.codomain.is_zero:
+            return BimElement.zero(self.codomain)
+        image = self._image
+        return _sum_terms(self.codomain, ((coeff, image(xi))
+                                          for xi, coeff in _by_xi(element).items()))
 
     def __repr__(self):
         return "BimMap(%s: %s -> %s, deg %d)" % (
@@ -251,7 +265,7 @@ def gen_cap(path: FlagPath, position: int, kind: str) -> BimMap:
         if flip:
             value = -value
         reduced = vec[:i - 1] + vec[i + 1:]
-        return inject_at_junction(codomain, i - 1, value, reduced)
+        return _inject_at_junction(codomain, i - 1, value, reduced)
 
     return BimMap(path, codomain, degree, fn, name=name)
 
@@ -264,9 +278,10 @@ def junction_mult(path: FlagPath, junction: int, poly: Polynomial,
         deg = 0 if poly.is_zero() else None
     if deg is None:
         raise ValueError("junction multiplication needs a homogeneous polynomial")
+    _check_junction(path, junction, poly)
 
     def fn(vec):
-        return inject_at_junction(path, junction, poly, vec)
+        return _inject_at_junction(path, junction, poly, vec)
 
     return BimMap(path, path, deg, fn, name=name or "mult@%d" % junction)
 
@@ -285,13 +300,14 @@ def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
     codomain = left.concat(f.codomain).concat(right)
     lm = left.num_factors
     dm = f.domain.num_factors
-    cm = f.codomain.num_factors
+    g = lm + f.codomain.num_factors
 
     def fn(vec):
         pre, mid, post = vec[:lm], vec[lm:lm + dm], vec[lm + dm:]
         return linear_sum(codomain, (
-            (inject_at_junction(codomain, lm + cm, mcoeff, pre + mvec + post), 1)
-            for mvec, mcoeff in f.apply_vec(mid).terms.items()))
+            (_inject_at_junction(codomain, g, _make(mcoeff),
+                                 pre + _xi_vector(f.codomain, xi) + post), 1)
+            for xi, mcoeff in _by_xi(f.apply_vec(mid)).items()))
 
     return BimMap(domain, codomain, f.degree, fn, name="whisk(%s)" % f.name)
 

@@ -3,7 +3,10 @@
 import random
 import sys
 import threading
+import types
 from functools import lru_cache
+
+from catsl2 import bimodules, exactpoly, twomorphisms
 
 from catsl2.exactpoly import (
     FIELD_BITS,
@@ -24,6 +27,7 @@ from catsl2.bimodules import (
     RawTensor,
     _entry,
     _factor,
+    _vector_terms,
     basis,
     normalize,
 )
@@ -41,6 +45,54 @@ def record_new_maps(monkeypatch):
 
     monkeypatch.setattr(BimMap, "__init__", recording_init)
     return built
+
+
+def record_polynomials_built(monkeypatch, functions):
+    """The lists every ``Polynomial`` built from here on is noted in.
+
+    A polynomial is built by ``Polynomial(...)`` or by ``exactpoly._make``
+    (both are wrapped, ``_make`` in every module that imports it).  Its
+    builder is the nearest frame outside ``exactpoly``.  Returns
+    ``(every, inside)``: the code names of the builders of every
+    polynomial, and of those whose builder is one of ``functions`` or code
+    nested in one of them (a generator or a local function).
+    """
+    codes, stack = set(), [f.__code__ for f in functions]
+    while stack:
+        code = stack.pop()
+        codes.add(code)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    every, inside = [], []
+
+    def note():
+        frame = sys._getframe(2)
+        while frame.f_code.co_filename == exactpoly.__file__:
+            frame = frame.f_back
+        every.append(frame.f_code.co_name)
+        if frame.f_code in codes:
+            inside.append(frame.f_code.co_name)
+
+    init, make = Polynomial.__init__, exactpoly._make
+
+    def noting_init(self, *args, **kwargs):
+        note()
+        init(self, *args, **kwargs)
+
+    def noting_make(terms):
+        note()
+        return make(terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", noting_init)
+    for module in (exactpoly, bimodules, twomorphisms):
+        if getattr(module, "_make", None) is make:
+            monkeypatch.setattr(module, "_make", noting_make)
+    return every, inside
+
+
+def by_vector(element):
+    """An element's packed terms read as {xi-exponent vector: coefficient
+    polynomial}, built on demand."""
+    return dict(_vector_terms(element))
 
 
 def xgen(index, weight):
@@ -186,7 +238,7 @@ def linear_sum_reference(path, parts):
         if element.path != path:
             raise ValueError("elements live in different bimodules: %s vs %s"
                              % (path.render(), element.path.render()))
-        terms = element.terms.items()
+        terms = by_vector(element).items()
         if c != 1:
             terms = [(vec, coeff * c) for vec, coeff in terms]
         for vec, coeff in terms:
@@ -248,7 +300,7 @@ def map_matrix(f):
     """Images of the domain basis under a map, as {(out_vec, in_vec): coefficient}."""
     return {(out_vec, vec): coeff
             for vec in basis(f.domain)
-            for out_vec, coeff in f.apply_vec(vec).terms.items()}
+            for out_vec, coeff in by_vector(f.apply_vec(vec)).items()}
 
 
 # The symmetry omega of the flag side (Grassmannian duality, the E <-> F

@@ -1,9 +1,13 @@
 import dataclasses
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,11 +43,13 @@ from catsl2.twomorphisms import gen_crossing, gen_dot
 
 from helpers import (
     all_paths,
+    by_vector,
     identity_path,
     linear_sum_reference,
     omega_path,
     omega_poly,
     random_raw_tensor,
+    record_polynomials_built,
     relation_gens,
     xgen,
     xigen,
@@ -95,6 +101,50 @@ def test_cached_attributes_leave_path_identity_alone():
             [original.bound(i) for i in range(1, original.num_factors + 1)]
 
 
+# Registers the symbols of the elements below in the order argv[1] names,
+# then either prints the hex pickle of the elements ("dump") or unpickles
+# argv[3] and prints whether it equals the same elements built here
+# ("load"); each also prints the first symbol's bit offset and a render.
+_ELEMENT_SCRIPT = """
+import pickle, sys
+from catsl2.bimodules import FlagPath, RawTensor, normalize
+from catsl2.exactpoly import Polynomial, field_shift, x_sym, xi_sym, y_sym
+syms = [xi_sym(1), xi_sym(2), x_sym(1, 0), y_sym(1, 0)]
+for s in (syms if sys.argv[1] == "forward" else syms[::-1]):
+    field_shift(s)
+xi1, xi2, x, y = (Polynomial.gen(s) for s in syms)
+path = FlagPath(2, (1, 2, 1))
+elements = [normalize(RawTensor(path, (xi1 ** 2 + x, x * xi2 + 3))),
+            normalize(RawTensor(path, (xi1, xi2 ** 2))).scale(y - 2)]
+print("offset", field_shift(syms[0]))
+if sys.argv[2] == "dump":
+    print(pickle.dumps(elements).hex())
+else:
+    print(pickle.loads(bytes.fromhex(sys.argv[3])) == elements)
+print(elements[0].render())
+"""
+
+
+def _run_elements(*args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _ELEMENT_SCRIPT, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_element_pickle_crosses_interpreters_with_other_slot_order():
+    # packed keys hold process-private slot numbers, so an element is
+    # pickled as vectors and polynomials and rebuilt on loading
+    dumped = _run_elements("forward", "dump")
+    loaded = _run_elements("reversed", "load", dumped[1])
+    assert dumped[0] != loaded[0]          # the slots really differ
+    assert loaded[1] == "True"
+    assert loaded[2] == dumped[2]
+
+
 def test_step_catalog_is_immutable():
     ring = StepRing(3, 1, xi_pos=2)
     catalog = ring.catalog()
@@ -109,21 +159,21 @@ def test_normalize_unit_tensor():
     for path in all_paths(3, 3):
         raw = RawTensor(path, (Polynomial.one(),) * path.num_factors)
         element = normalize(raw)
-        assert element.terms == {(0,) * path.num_factors: Polynomial.one()}
+        assert by_vector(element) == {(0,) * path.num_factors: Polynomial.one()}
 
 
 def test_normalize_one_step_excursion():
     # xi (x) 1 on (0,1,0) at N=1 becomes the basis vector with coefficient y[1]@-1
     path = FlagPath(1, (0, 1, 0))
     element = normalize(RawTensor(path, (xigen(1), Polynomial.one())))
-    assert element.terms == {(0, 0): ygen(1, -1)}
+    assert by_vector(element) == {(0, 0): ygen(1, -1)}
 
 
 def test_normalize_xi_square_reduction():
     # xi^2 on the up-step (1,2) at N=2 rewrites through the monic relation
     path = FlagPath(2, (1, 2))
     element = normalize(RawTensor(path, (xigen(1, 2),)))
-    assert element.terms == {(1,): xgen(1, 2), (0,): -xgen(2, 2)}
+    assert by_vector(element) == {(1,): xgen(1, 2), (0,): -xgen(2, 2)}
 
 
 def test_normalize_zero_path():
@@ -180,7 +230,7 @@ def test_act_right_is_free():
     path = FlagPath(2, (0, 1, 0))
     e = normalize_xi_vector(path, (0, 0))
     r = ygen(1, -2)
-    assert act("right", r, e).terms == {(0, 0): r}
+    assert by_vector(act("right", r, e)) == {(0, 0): r}
 
 
 def test_act_left_unit():
@@ -204,8 +254,8 @@ def test_left_right_actions_differ_in_general():
     e = normalize_xi_vector(path, (0, 0))
     left = act("left", ygen(1, 0), e)
     right = act("right", ygen(1, 0), e)
-    assert left.terms == {(1, 0): Polynomial.one()}
-    assert right.terms == {(0, 0): ygen(1, 0)}
+    assert by_vector(left) == {(1, 0): Polynomial.one()}
+    assert by_vector(right) == {(0, 0): ygen(1, 0)}
     difference = left - right
     assert not difference.is_zero()
 
@@ -240,7 +290,7 @@ def test_tensor_concatenates():
     b = normalize_xi_vector(FlagPath(1, (1, 0)), (0,))
     product = tensor(a, b)
     assert product.path.rings == (0, 1, 0)
-    assert product.terms == {(0, 0): ygen(1, -1)}
+    assert by_vector(product) == {(0, 0): ygen(1, -1)}
 
 
 def test_tensor_identity_units():
@@ -374,7 +424,7 @@ def test_inject_at_interior_junction():
     via_left = normalize(RawTensor(path, (xigen(1), Polynomial.one())))
     via_right = normalize(RawTensor(path, (Polynomial.one(), xigen(2))))
     assert value == via_left == via_right
-    assert value.terms == {(0, 1): Polynomial.one()}
+    assert by_vector(value) == {(0, 1): Polynomial.one()}
 
 
 def test_rewrite_termination_and_confluence_smoke():
@@ -1175,7 +1225,7 @@ def test_linear_sum_matches_the_polynomial_reference():
                 want = linear_sum_reference(path, parts)
                 assert got == want, (path.render(), parts)
                 assert all(coeff for coeff in got.terms.values())
-                assert all(all(coeff.terms.values()) for coeff in got.terms.values())
+                assert all(all(coeff.terms.values()) for coeff in by_vector(got).values())
                 checked += 1
                 cancelled += not got.terms
     assert checked > 1000 and cancelled > 100
@@ -1200,52 +1250,106 @@ def test_linear_sum_raises_on_exponent_overflow():
 
 
 def test_linear_sum_mutates_no_part():
-    # a part's terms dict and every coefficient's terms dict stay as they
-    # were, whichever scale its first and later occurrences carry
+    # a part's packed terms dict stays the same dict with the same items,
+    # whichever scale its first and later occurrences carry
     path = FlagPath(3, (1, 2, 1))
     rng = random.Random("lin-mutate")
     elements = _random_elements(path, "lin-mutate", 4)
     scales = _scales(path, rng)
-    snapshot = [(dict(e.terms), {vec: dict(c.terms) for vec, c in e.terms.items()})
-                for e in elements]
+    snapshot = [(e.terms, dict(e.terms)) for e in elements]
     for c in scales:
         for d in scales:
             linear_sum(path, [(elements[0], c), (elements[0], d),
                               (elements[1], d), (elements[0], 1)])
             linear_sum(path, [(e, c) for e in elements] + [(e, d) for e in elements])
-    assert [(dict(e.terms), {vec: dict(c.terms) for vec, c in e.terms.items()})
-            for e in elements] == snapshot
+    for e, (terms, items) in zip(elements, snapshot):
+        assert e.terms is terms and e.terms == items
 
 
 def test_linear_sum_scaled_by_a_scalar_shares_the_keys():
-    # a scalar adds nothing to a key, so each coefficient of the sum holds
-    # the scaled coefficient's own key objects (every key here is above
-    # 256, outside the interpreter's shared small ints)
+    # a scalar adds nothing to a key, so the packed terms of the sum hold
+    # the scaled element's own key objects (every key here is above 256,
+    # outside the interpreter's shared small ints)
     path = FlagPath(3, (1, 2, 1))
     x, y = xgen(1, -1), ygen(2, -1)
     element = BimElement(path, {(0, 0): (x + y + 1) ** 3 * x ** 300,
                                 (1, 0): (x - y) * x ** 301})
-    assert all(min(c.terms) > 256 for c in element.terms.values())
+    assert min(element.terms) > 256
+    keys = {key: key for key in element.terms}
     for c in (3, Fraction(1, 2), Polynomial.const(-2), Polynomial.one()):
         got = linear_sum(path, [(element, c)])
         assert got == linear_sum_reference(path, [(element, c)])
-        for vec, coeff in got.terms.items():
-            keys = {m: m for m in element.terms[vec].terms}
-            assert all(m is keys[m] for m in coeff.terms), (c, vec)
+        assert got.terms.keys() == keys.keys()
+        assert all(key is keys[key] for key in got.terms), c
+
+
+def test_linear_sum_builds_no_polynomial(monkeypatch):
+    # an element is one packed dict, so a sum is one product loop per part
+    # into one dict: neither linear_sum nor what it runs outside exactpoly
+    # builds a Polynomial, whatever the scales
+    from catsl2.bimodules import _sum_terms, _wrap
+    path = FlagPath(3, (1, 2, 1))
+    rng = random.Random("lin-nopoly")
+    elements = _random_elements(path, "lin-nopoly", 4)
+    scales = _scales(path, rng)
+    part_lists = [[(e, c) for e in elements] for c in scales]
+    part_lists += [[(elements[0], c), (elements[1], d), (elements[0], -c)]
+                   for c in scales for d in scales[:4]]
+    every, inside = record_polynomials_built(monkeypatch, [linear_sum, _sum_terms, _wrap])
+    totals = [linear_sum(path, parts) for parts in part_lists]
+    assert not inside, Counter(inside)
+    assert not every
+    assert sum(not total.is_zero() for total in totals) > 50
+    # the recorder sees what the Polynomial reference builds
+    assert [linear_sum_reference(path, parts) for parts in part_lists] == totals
+    assert len(every) > 100 and not inside
+
+
+def test_the_element_constructor_takes_only_normal_form_input():
+    # the public constructor is where outside terms enter: a vector of the
+    # wrong length, an exponent past its bound and a coefficient outside
+    # the right end ring are refused, by basis_vector too
+    p = FlagPath(2, (0, 1))                     # one up-step factor, bound 0
+    assert p.bound(1) == 0
+    for terms, match in (({(3,): 1}, r"xi\^\[3\] is past the bounds of \(0,1\)"),
+                         ({(0, 0): 1}, "one exponent per path step"),
+                         ({(): 1}, "one exponent per path step"),
+                         ({(-1,): 1}, "negative exponent"),
+                         ({(0,): ygen(5, 7)}, r"non-canonical generators: y\[5\]@7")):
+        with pytest.raises(ValueError, match=match):
+            BimElement(p, terms)
+        (vec, coeff), = terms.items()
+        with pytest.raises(ValueError, match=match):
+            BimElement.basis_vector(p, vec, coeff)
+    ring = FlagPath(2, (1,))
+    with pytest.raises(ValueError, match=r"non-canonical generators: x\[1\]@2"):
+        BimElement.from_ring_poly(ring, xgen(1, 2))
+    # normal-form input is taken as it is, with rational or polynomial
+    # coefficients; a zero coefficient adds nothing
+    x = xgen(1, 0)                              # ring 1 at rank 2
+    e = BimElement(p, {(0,): x + Fraction(1, 2)})
+    assert e == normalize_xi_vector(p, (0,)).scale(x + Fraction(1, 2))
+    assert BimElement(p, {(0,): 3}) == normalize_xi_vector(p, (0,)).scale(3)
+    assert BimElement(p, {(0,): 0}).is_zero()
+    assert BimElement.from_ring_poly(ring, x) == act("right", x, normalize_xi_vector(ring, ()))
+    # on the zero bimodule every element is zero
+    assert BimElement(FlagPath(2, (2, 3)), {(5,): 1}).is_zero()
 
 
 def test_map_on_an_element_is_the_coefficient_weighted_sum_of_images():
-    path = FlagPath(3, (0, 1, 2))
+    # bounds (1, 2), so every vector below is a basis vector; the right
+    # end ring is ring 3 (weight 3)
+    path = FlagPath(3, (1, 2, 3))
     cross = gen_crossing(path, 1, "up")
-    element = BimElement(path, {(0, 1): xgen(1, 1), (1, 0): Polynomial.const(-2),
-                                (1, 1): xgen(1, 1) + xgen(2, 1)})
+    element = BimElement(path, {(0, 1): xgen(1, 3), (1, 0): Polynomial.const(-2),
+                                (1, 1): xgen(1, 3) + xgen(2, 3)})
     want = {}
-    for vec, coeff in element.terms.items():
-        for out, image_coeff in cross.apply_vec(vec).terms.items():
+    for vec, coeff in by_vector(element).items():
+        for out, image_coeff in by_vector(cross.apply_vec(vec)).items():
             want[out] = want.get(out, Polynomial.zero()) + image_coeff * coeff
     want = {out: coeff for out, coeff in want.items() if coeff}
-    assert len(element.terms) == 3 and want
-    assert cross(element).terms == want
+    assert len(by_vector(element)) == 3 and want
+    assert by_vector(cross(element)) == want
 
 
 def test_omega_commutes_with_normalize_and_keeps_graded_rank():
@@ -1261,7 +1365,7 @@ def test_omega_commutes_with_normalize_and_keeps_graded_rank():
                 raw = random_raw_tensor(path, rng)
                 image = normalize(raw)
                 want = BimElement(mirror, {vec: omega_poly(coeff)
-                                           for vec, coeff in image.terms.items()})
+                                           for vec, coeff in by_vector(image).items()})
                 got = normalize(RawTensor(mirror, tuple(omega_poly(f)
                                                         for f in raw.factors)))
                 assert got == want, (path.render(), raw.factors)
@@ -1348,10 +1452,10 @@ def test_in_bound_vectors_are_normalized_without_a_push(monkeypatch):
     for N in (1, 2, 3):
         for path in all_paths(N, 4):
             for vec in basis(path):
-                assert normalize_xi_vector(path, vec).terms == {vec: Polynomial.one()}
+                assert by_vector(normalize_xi_vector(path, vec)) == {vec: Polynomial.one()}
                 # a unit inserted anywhere is a settled factor, not content
                 for g in range(path.num_factors + 1):
-                    assert inject_at_junction(path, g, Polynomial.one(), vec).terms == \
+                    assert by_vector(inject_at_junction(path, g, Polynomial.one(), vec)) == \
                         {vec: Polynomial.one()}
 
 

@@ -29,7 +29,7 @@ from catsl2.diagramlang import (
     render_diagram,
     _layer_map,
 )
-from helpers import all_paths, record_new_maps, ygen
+from helpers import all_paths, by_vector, record_new_maps, ygen
 
 DIAGRAM_DIR = Path(__file__).resolve().parent.parent / "docs" / "diagrams"
 
@@ -155,7 +155,7 @@ def test_compile_dot_only():
     ast = parse_diagram("N = 2\nweight = 0\ndomain = E\nlayer: dot_e\n")
     diagram = compile_diagram(ast)
     assert diagram.degree == 2
-    assert diagram.apply_vec((0,)).terms == {(1,): Polynomial.one()}
+    assert by_vector(diagram.apply_vec((0,))) == {(1,): Polynomial.one()}
 
 
 def test_compile_worked_zigzag():
@@ -285,13 +285,13 @@ def test_zero_domain_warns():
 def test_parse_element_basis():
     path = FlagPath(3, (1, 2, 1))
     element = parse_element("1 | 1", path)
-    assert element.terms == {(0, 0): Polynomial.one()}
+    assert by_vector(element) == {(0, 0): Polynomial.one()}
 
 
 def test_parse_element_normalizes():
     path = FlagPath(1, (0, 1, 0))
     element = parse_element("xi | 1", path)
-    assert element.terms == {(0, 0): ygen(1, -1)}
+    assert by_vector(element) == {(0, 0): ygen(1, -1)}
 
 
 def test_parse_element_sums_and_rationals():

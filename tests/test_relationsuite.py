@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -18,6 +19,8 @@ from catsl2.relationsuite import (
     resolve_suites,
     run_suite,
 )
+
+from helpers import record_polynomials_built
 
 
 def test_quantum_integer_values():
@@ -174,7 +177,7 @@ def test_well_definedness_inserts_each_left_action_once(monkeypatch):
     # and then read from the shared map's memo.  Calls on identity paths
     # are a cap's own image computation (inputs with equal a + b insert
     # the same class), not a left action, and are not counted.
-    real = bimodules.inject_at_junction
+    real = bimodules._inject_at_junction
     for k in range(0, 4):
         calls = Counter()
 
@@ -184,10 +187,51 @@ def test_well_definedness_inserts_each_left_action_once(monkeypatch):
             return real(path, g, ring_poly, vec)
 
         for module in (bimodules, twomorphisms):
-            monkeypatch.setattr(module, "inject_at_junction", counting)
+            monkeypatch.setattr(module, "_inject_at_junction", counting)
         rng = random.Random("well_definedness:3:%d" % k)
         assert relationsuite._run_well_definedness(3, k, rng) is None
         assert calls and max(calls.values()) == 1, (k, calls.most_common(1))
+
+
+def test_a_suite_run_checks_polynomials_only_where_they_enter(monkeypatch):
+    # a polynomial is checked against its ring's catalog where it enters:
+    # a RawTensor, a BimElement built from outside terms, an action
+    # polynomial, or a junction_mult map when it is built.  During a suite
+    # run no check runs inside a map's image, where gen_cap, whisker and
+    # act insert content they built, and none in inject_at_junction
+    real = bimodules._check_catalog
+    image = BimMap._image.__code__
+    callers, inside = Counter(), []
+
+    def counting(poly, catalog, where):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "_check_junction":
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        while frame is not None:
+            if frame.f_code is image:
+                inside.append(where)
+            frame = frame.f_back
+        return real(poly, catalog, where)
+
+    monkeypatch.setattr(bimodules, "_check_catalog", counting)
+    assert relationsuite.run_suite(3, max_rank=3).all_ok()
+    assert not inside, Counter(inside)
+    assert set(callers) <= {"__post_init__", "__init__", "act", "junction_mult"}, callers
+    assert callers["__post_init__"] and callers["act"] and callers["junction_mult"], callers
+
+
+def test_a_suite_run_sums_elements_without_building_polynomials(monkeypatch):
+    # an element is one packed dict, so neither linear_sum nor
+    # BimMap.__call__ (nor the helpers they sum and split with) builds a
+    # Polynomial; a map layer that went back to one polynomial per output
+    # vector fails here
+    every, inside = record_polynomials_built(monkeypatch, [
+        bimodules.linear_sum, bimodules._sum_terms, bimodules._wrap,
+        bimodules._by_xi, BimMap.__call__])
+    assert relationsuite.run_suite(3, max_rank=3).all_ok()
+    assert len(every) > 1000
+    assert not inside, Counter(inside)
 
 
 def test_ring_identity_checks_embed_each_class_once(monkeypatch):

@@ -2,9 +2,18 @@ import random
 
 import pytest
 
-from catsl2.exactpoly import Polynomial
+from catsl2 import bimodules
+from catsl2.exactpoly import FIELD_BITS, MAX_EXPONENT, Polynomial
 from catsl2.grassrings import GrassContext, bubble_value, special_class
-from catsl2.bimodules import BimElement, FlagPath, act, basis, normalize_xi_vector
+from catsl2.bimodules import (
+    BimElement,
+    FlagPath,
+    _xi_key,
+    _xi_vector,
+    act,
+    basis,
+    normalize_xi_vector,
+)
 from catsl2.twomorphisms import (
     SignedWord,
     audit_degree,
@@ -15,12 +24,13 @@ from catsl2.twomorphisms import (
     gen_cup,
     gen_dot,
     identity_map,
+    junction_mult,
     map_equals,
     measured_degree,
     whisker,
     zero_map,
 )
-from helpers import map_matrix, record_new_maps, xgen, ygen
+from helpers import by_vector, map_matrix, record_new_maps, xgen, ygen
 
 
 # -- words -------------------------------------------------------------------
@@ -52,12 +62,12 @@ def test_compile_word_composites():
 def test_dot_raises_power():
     path = FlagPath(3, (1, 2))
     dot = gen_dot(path, 1)
-    assert dot.apply_vec((0,)).terms == {(1,): Polynomial.one()}
+    assert by_vector(dot.apply_vec((0,))) == {(1,): Polynomial.one()}
     twice = compose_chain(dot, dot)
     assert twice.degree == 4
     # xi^2 exceeds the bound and reduces to normal form
     image = twice.apply_vec((0,))
-    assert image.terms == {(1,): xgen(1, 1), (0,): -xgen(2, 1)}
+    assert by_vector(image) == {(1,): xgen(1, 1), (0,): -xgen(2, 1)}
 
 
 def test_dot_rejects_identity_path():
@@ -80,14 +90,14 @@ def test_crossing_formula_small_cases():
     path = FlagPath(4, (1, 2, 3))
     cross = gen_crossing(path, 1, "up")
     # one dot on the later-acting strand maps to the unit tensor
-    assert cross.apply_vec((0, 1)).terms == {(0, 0): Polynomial.one()}
+    assert by_vector(cross.apply_vec((0, 1))) == {(0, 0): Polynomial.one()}
     # one dot on the first-acting strand gives the negative
-    assert cross.apply_vec((1, 0)).terms == {(0, 0): -Polynomial.one()}
+    assert by_vector(cross.apply_vec((1, 0))) == {(0, 0): -Polynomial.one()}
     # equal dot counts annihilate
     for m in range(0, 3):
         assert cross.apply_vec((m, m)).is_zero()
     # two dots split symmetrically
-    assert cross.apply_vec((0, 2)).terms == {(0, 1): Polynomial.one(),
+    assert by_vector(cross.apply_vec((0, 2))) == {(0, 1): Polynomial.one(),
                                              (1, 0): Polynomial.one()}
 
 
@@ -117,11 +127,11 @@ def test_cup_images():
     cup = gen_cup(path, 0, "fe")
     assert cup.codomain.rings == (0, 1, 0)
     assert cup.codomain.shift == 1 - 2
-    assert cup.apply_vec(()).terms == {(0, 0): Polynomial.one()}
+    assert by_vector(cup.apply_vec(())) == {(0, 0): Polynomial.one()}
     # k = 1: two terms with the alternating sign
     path = FlagPath(2, (1,))
     value = gen_cup(path, 0, "fe").apply_vec(())
-    assert value.terms == {(1, 0): Polynomial.one(), (0, 0): -xgen(1, 0)}
+    assert by_vector(value) == {(1, 0): Polynomial.one(), (0, 0): -xgen(1, 0)}
 
 
 def test_cup_two_sided_forms_agree():
@@ -154,13 +164,13 @@ def test_cap_values():
     # fe cap at the top ring: X_0 = 1 survives
     path = FlagPath(N, (N - 1, N, N - 1), shift=1 - N)
     cap = gen_cap(path, 1, "fe")
-    assert cap.apply_vec((0, 0)).terms == {(): Polynomial.one()}
+    assert by_vector(cap.apply_vec((0, 0))) == {(): Polynomial.one()}
     # two rings down the X-index is negative and the image is zero
     path = FlagPath(N, (0, 1, 0), shift=1 - N)
     assert gen_cap(path, 1, "fe").apply_vec((0, 0)).is_zero()
     # ef cap at k=1 sees Y_0 = 1
     path = FlagPath(N, (1, 0, 1), shift=1 - N)
-    assert gen_cap(path, 1, "ef").apply_vec((0, 0)).terms == {(): Polynomial.one()}
+    assert by_vector(gen_cap(path, 1, "ef").apply_vec((0, 0))) == {(): Polynomial.one()}
 
 
 def test_cap_depends_only_on_dot_total():
@@ -349,15 +359,64 @@ def test_apply_vec_memo_keeps_stored_images_intact():
     image = dot.apply_vec((1,))
     assert dot.apply_vec([1]) is image          # list and tuple share one entry
     snapshot = dict(image.terms)
-    assert snapshot == {(1,): xgen(1, 2), (0,): -xgen(2, 2)}
+    assert by_vector(image) == {(1,): xgen(1, 2), (0,): -xgen(2, 2)}
     assert scaled == image.right_mul(coeff)
     _ = -image
     _ = image + image
     _ = image.right_mul(coeff)
     _ = image.scale(3)
-    _ = dot(BimElement.basis_vector(path, (1,), ygen(1, 2)))
+    _ = dot(BimElement.basis_vector(path, (1,), xgen(2, 2)))
     assert image.terms == snapshot
     assert dot.apply_vec((1,)) == gen_dot(path, 1).apply_vec((1,))
+
+
+def test_apply_vec_packs_the_vector_behind_the_overflow_guard():
+    # the memo key is the packed xi-part: a vector is checked as it is
+    # packed, and a vector refused stores no memo entry
+    path = FlagPath(2, (1, 2))
+    dot = gen_dot(path, 1)
+    with pytest.raises(OverflowError):
+        dot.apply_vec((MAX_EXPONENT + 1,))
+    with pytest.raises(OverflowError):
+        dot.apply_vec((MAX_EXPONENT,))          # packs; its bumped image overflows
+    for vec in ((), (0, 0)):
+        with pytest.raises(ValueError, match="one exponent per path step"):
+            dot.apply_vec(vec)
+    with pytest.raises(ValueError, match="negative exponent"):
+        dot.apply_vec((-1,))
+    assert dot._images == {}
+    assert by_vector(dot.apply_vec((0,))) == {(1,): Polynomial.one()}
+    assert len(dot._images) == 1
+
+
+def test_no_xi_exponent_carries_into_the_next_field():
+    path = FlagPath(3, (0, 1, 2, 3))
+    ident = identity_map(path)
+    for i in range(3):
+        for e in (MAX_EXPONENT + 1, 1 << FIELD_BITS, (1 << FIELD_BITS) + 1):
+            vec = tuple(e if j == i else 0 for j in range(3))
+            with pytest.raises(OverflowError):
+                ident.apply_vec(vec)
+    assert ident._images == {}
+    # every exponent a field holds packs and decodes back to itself
+    for vec in ((MAX_EXPONENT, 0, MAX_EXPONENT), (0, MAX_EXPONENT, 1), (1, 2, 3)):
+        assert _xi_vector(path, _xi_key(path, vec)) == vec
+    assert len({_xi_key(path, vec) for vec in basis(path)}) == len(basis(path))
+
+
+def test_junction_mult_checks_its_polynomial_once_when_built(monkeypatch):
+    path = FlagPath(3, (1, 2, 1))
+    with pytest.raises(ValueError, match="junction 1 uses non-canonical generators"):
+        junction_mult(path, 1, ygen(1, 5))
+    calls = []
+    real = bimodules._check_catalog
+    monkeypatch.setattr(bimodules, "_check_catalog",
+                        lambda *args: calls.append(args) or real(*args))
+    mult = junction_mult(path, 1, xgen(1, 1))   # ring 2 at rank 3
+    assert len(calls) == 1
+    for vec in basis(path):
+        mult.apply_vec(vec)
+    assert len(calls) == 1
 
 
 def _crossing_duality_left_maps(N, k):
