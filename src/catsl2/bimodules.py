@@ -41,6 +41,10 @@ A normal form is stored as one packed polynomial (``BimElement``): the
 exponent of xi_i sits in the field of ``xi_sym(i)``, the right-ring
 monomial in its own fields, and a sum of elements is one
 ``exactpoly._add_products`` per part into one dict (``_sum_terms``).
+Either rewriting order clears factors 1..m-1 on terms with rational
+coefficients; only ``_settle``, the last step of both, pushes the last
+factor (its stored pushes are packed dicts), so right-ring coefficients
+appear there alone.
 
 Input is checked once, where it enters, against the catalog of the ring
 it lives in: ``RawTensor`` each factor, ``inject_at_junction`` a junction
@@ -384,8 +388,9 @@ class _Factor:
     record (``None`` after the last factor): ``lifts`` (the image pieces
     and the g_t in the next factor's ring), ``cores`` (core -> buckets in
     that ring, seeded with core 0; the core of xi^e is its reduced
-    xi-power) and ``pushes`` (monomial -> buckets); and ``embedded``
-    (left-end-ring polynomial -> content).
+    xi-power) and ``pushes`` (monomial -> buckets, or after the last
+    factor one packed dict); and ``embedded`` (left-end-ring polynomial ->
+    content).
     """
 
     __slots__ = ("bound", "shift", "strip", "signed", "images", "embed",
@@ -534,39 +539,41 @@ def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
     return _embedded(_factor(path, i), ring_poly)
 
 
-def _store_push(f: _Factor, nxt, table: dict, mono) -> tuple:
+def _store_push(f: _Factor, nxt, table: dict, mono):
     """Compute and store the entry of ``mono`` in ``table``, ``f.pushes[nxt]``:
-    ``(e, terms)`` pairs as in ``f.cores[nxt]``, with ``mono = sum xi^e * terms``.
+    ``(e, terms)`` pairs as in ``f.cores[nxt]``, with ``mono = sum xi^e * terms``;
+    after the last factor (``nxt`` is ``None``) that sum as one packed dict.
 
     Transport rewrites only the left-junction generators and the reduction
     multiplies only by xi and the g_t, so the right-junction generators of
     a monomial (the y's of an up-step, the x's of a down-step, the fields
     of ``f.rest``) pass through: the entry is the core's entry (every other
-    field) times that rest, and with no rest it is the core's entry itself.
-    After the last factor the product is a key addition, which cannot carry
-    (a bucket holds only the g_t); for a next factor the rest is embedded
-    through ``nxt.embedded`` and multiplied."""
+    field) times that rest.  After the last factor each bucket is
+    multiplied by xi^e times the rest (no carry: a bucket holds only the
+    g_t); for a next factor the rest is embedded through ``nxt.embedded``
+    and multiplied, and with no rest the entry is the core's entry itself."""
     rest = mono & f.rest
     buckets = _core_buckets(f, nxt, mono - rest)
+    if nxt is None:
+        packed: dict = {}
+        for e, content in buckets:
+            _add_products(packed, {(e << f.shift) + rest: 1}, content)
+        return table.setdefault(mono, packed)
     if not rest:
         return table.setdefault(mono, buckets)
-    tail = _embedded(nxt, _make({rest: 1})).terms if nxt is not None else None
+    tail = _embedded(nxt, _make({rest: 1})).terms
     out = []
     for e, content in buckets:
-        if tail is None:
-            content = {m + rest: c for m, c in content.items()}
-        else:
-            acc: dict = {}
-            _add_products(acc, tail, content)
-            content = _collect(acc).terms
-        out.append((e, content))
+        acc: dict = {}
+        _add_products(acc, tail, content)
+        out.append((e, _collect(acc).terms))
     return table.setdefault(mono, tuple(out))
 
 
-def _push_content(f: _Factor, nxt, terms):
+def _push_content(f: _Factor, nxt: _Factor, terms):
     """The pushes of the monomials of ``terms`` across the right junction
-    of factor ``f`` into ``nxt``, weighted by their coefficients, as
-    ``(e, dict)`` pairs; buckets that cancel are dropped.
+    of factor ``f`` into the next factor ``nxt``, weighted by their
+    coefficients, as ``(e, dict)`` pairs; buckets that cancel are dropped.
 
     Transport, reduction and embedding are linear, so a content polynomial
     costs only the monomials not pushed before.  A single monomial with
@@ -622,85 +629,57 @@ def _xi_entries(path: FlagPath, vec) -> tuple:
                  for i, e in enumerate(vec, start=1))
 
 
-def _clear_factor(path: FlagPath, terms, i: int, merge: bool):
-    """Push the content of factor i across its right junction in every term.
-
-    Returns the new terms (if ``merge``, a dict of summed coefficients
-    without zeros) and whether any term had content in factor i.
-    """
+def _clear_factor(path: FlagPath, terms, i: int):
+    """Push the content of factor i (i < m) across its right junction into
+    factor i+1, in every term; yields the new terms."""
     f = _factor(path, i)
-    nxt = _factor(path, i + 1) if i < path.num_factors else None
-    one = Polynomial.one()
-    if merge:
-        out: dict = {}
-
-        def emit(term):
-            key, c = term
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    else:
-        out = []
-        emit = out.append
-    changed = False
+    nxt = _factor(path, i + 1)
     for factors, coeff in terms:
         entry = factors[i - 1]
         if type(entry) is int:
-            emit((factors, coeff))
+            yield factors, coeff
             continue
-        changed = True
-        head, tail = factors[:i - 1], factors[i:]
+        head, g, tail = factors[:i - 1], factors[i], factors[i + 1:]
         for e, content in _push_content(f, nxt, entry._terms):
-            if nxt is None:
-                if coeff is one:
-                    emit((head + (e,), _make(content)))
-                else:
-                    acc: dict = {}
-                    _add_products(acc, coeff._terms, content)
-                    emit((head + (e,), _collect(acc)))
-                continue
-            g = tail[0]
             if type(g) is not int:
-                acc = {}
+                acc: dict = {}
                 _add_products(acc, g._terms, content)
-                g = _collect(acc)
+                new = _collect(acc)
             elif g:
                 acc = {}
                 _add_products(acc, {g << nxt.shift: 1}, content)
-                g = _make(acc)
+                new = _make(acc)
             else:
-                g = _make(content)
-            emit((head + (e, _entry(g, nxt)) + tail[1:], coeff))
-    if merge and not all(out.values()):
-        out = {key: c for key, c in out.items() if c}
-    return out, changed
+                new = _make(content)
+            yield head + (e, _entry(new, nxt)) + tail, coeff
+
+
+def _has_content(terms, i: int) -> bool:
+    """True if factor i holds content in some in-flight term."""
+    return any(type(factors[i - 1]) is not int for factors, _ in terms)
 
 
 def _settle(path: FlagPath, terms) -> dict:
-    """The packed terms of in-flight terms settled before the last factor,
-    each ``coeff * xi^vec`` over its last factor's pushes.
-
-    A term whose last factor holds content has coefficient 1.  The terms
-    have distinct xi-parts (left to right, each step splits a term into
-    distinct xi-powers; right to left, they are merged), and a bucket's
-    monomials sit in other fields, so no two keys collide and nothing is
-    added up."""
+    """The packed terms of in-flight terms settled before the last factor:
+    ``coeff * xi^heads`` times the stored push of each monomial of the last
+    entry, one ``_add_products`` each (an int entry e is the monomial
+    xi^e).  Right to left, terms may share heads, so keys are added up."""
     m = path.num_factors
     f = _factor(path, m)
     heads = _xi_fields(m)[0][:-1]
+    table = f.pushes.get(None)
+    if table is None:
+        table = f.pushes.setdefault(None, {})
     out: dict = {}
     for factors, coeff in terms:
         xi = 0
         for e, shift in zip(factors, heads):
             xi += e << shift
         entry = factors[-1]
-        if type(entry) is int:
-            pieces = ((entry, coeff._terms),)
-        else:
-            pieces = _push_content(f, None, entry._terms)
-        for e, content in pieces:
-            key = xi + (e << f.shift)
-            for mono, c in content.items():
-                out[key + mono] = c
+        last = {entry << f.shift: 1} if type(entry) is int else entry._terms
+        for mono, c in last.items():
+            _add_products(out, {xi: coeff * c},
+                          table.get(mono) or _store_push(f, None, table, mono))
     return out
 
 
@@ -711,38 +690,37 @@ def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
     m = path.num_factors
     if all(type(f) is int for f in factors):
         return _wrap(path, {_xi_key(path, factors): 1})
-    terms = [(factors, Polynomial.one())]
     if order == "ltr":
-        # one initial term yields distinct heads; the factors before its
-        # first content stay settled, and the last step writes the packed
-        # terms
-        first = next(i for i, f in enumerate(factors, start=1) if type(f) is not int)
-        for i in range(first, m):
-            terms, changed = _clear_factor(path, terms, i, False)
-            if changed and on_step is not None:
-                on_step(terms)
-        element = _wrap(path, _settle(path, terms))
-        if on_step is not None and any(type(t[0][-1]) is not int for t in terms):
-            on_step(_vector_terms(element))
-        return element
-    # sweep right to left repeatedly; a cleared factor only re-dirties
-    # when its left neighbour pushes new content into it.  Re-clearing a
-    # factor maps terms that differ only there onto one xi-power, so every
-    # step merges like terms; a final pass packs the settled terms.
-    terms = {factors: Polynomial.one()}
-    dirty = set(range(1, m + 1))
-    while dirty:
-        for i in range(m, 0, -1):
-            if i not in dirty:
-                continue
-            dirty.discard(i)
-            terms, changed = _clear_factor(path, terms.items(), i, True)
-            if changed:
-                if i < m:
-                    dirty.add(i + 1)
+        # one initial term yields distinct heads, and no like terms
+        terms = [(factors, 1)]
+        for i in range(1, m):
+            if _has_content(terms, i):
+                terms = list(_clear_factor(path, terms, i))
                 if on_step is not None:
-                    on_step(list(terms.items()))
-    return _wrap(path, _settle(path, terms.items()))
+                    on_step(terms)
+    else:
+        # sweep factors m-1 .. 1 until a sweep changes nothing; a cleared
+        # factor only gets content again from its left neighbour.
+        # Re-clearing a factor maps terms that differ only there onto one
+        # xi-power, so every step merges like terms.
+        merged = {factors: 1}
+        changed = True
+        while changed:
+            changed = False
+            for i in range(m - 1, 0, -1):
+                if _has_content(merged.items(), i):
+                    changed = True
+                    new: dict = {}
+                    for key, c in _clear_factor(path, merged.items(), i):
+                        new[key] = new.get(key, 0) + c
+                    merged = new
+                    if on_step is not None:
+                        on_step(list(merged.items()))
+        terms = merged.items()
+    element = _wrap(path, _settle(path, terms))
+    if on_step is not None and _has_content(terms, m):
+        on_step(_vector_terms(element))
+    return element
 
 
 def normalize(raw: RawTensor, order: str = "ltr",
@@ -753,19 +731,20 @@ def normalize(raw: RawTensor, order: str = "ltr",
     (user input is validated there, once).  Here each factor becomes an
     in-flight entry: the ``int`` exponent of a monic bounded xi-power, or
     the content polynomial otherwise.  An in-flight term is a tuple of
-    such entries with a right-ring coefficient; rewriting pushes content
-    rightward until every entry is an int, and the tuple is then the basis
-    vector, packed with its coefficient into the element's keys.
-    ``normalize_xi_vector`` and ``inject_into_factor`` enter the same
-    rewriting without a ``RawTensor``.
+    such entries with a rational coefficient; rewriting pushes content
+    rightward until every entry before the last is an int, and the last
+    step (``_settle``) pushes the last entry into the right end ring and
+    packs each term's basis vectors and right-ring coefficients into the
+    element's keys.  ``normalize_xi_vector`` and ``inject_into_factor``
+    enter the same rewriting without a ``RawTensor``.
 
-    ``order`` picks the junction-processing strategy: "ltr" clears factors
-    left to right (one pass suffices), "rtl" sweeps right to left until a
-    fixpoint, merging like terms after every step that changed the terms;
-    both reach the same normal form.  ``on_step`` is called with the list
-    of in-flight terms after every factor-clearing step that changed it
-    (after the last step left to right, with the settled ``(vec,
-    coefficient)`` pairs).
+    ``order`` picks the junction-processing strategy for factors 1..m-1:
+    "ltr" clears them left to right (one pass suffices), "rtl" sweeps right
+    to left until a fixpoint, merging like terms after every step that
+    changed the terms; both reach the same normal form.  In both orders
+    ``on_step`` is called with the list of in-flight terms after every
+    factor-clearing step that changed it, and, if the last factor held
+    content, with the settled ``(vec, coefficient)`` pairs.
     """
     if order not in ("ltr", "rtl"):
         raise ValueError("unknown rewriting order %r" % order)

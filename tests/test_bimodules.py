@@ -756,8 +756,28 @@ def _wrapped(pushed):
     return [(e, _make(terms)) for e, terms in pushed]
 
 
+def _pushed(path, i, f, nxt, terms):
+    """The push of the ``{mono: coeff}`` content ``terms`` of factor i:
+    its wrapped buckets into a next factor (``_push_content``), or after
+    the last factor the polynomial of ``_settle`` on one term with every
+    other factor at xi^0 and coefficient 1 (terms that cancel dropped)."""
+    from catsl2.bimodules import _push_content, _settle
+    from catsl2.exactpoly import _collect
+    if nxt is not None:
+        return _wrapped(_push_content(f, nxt, terms))
+    return _collect(_settle(path, [((0,) * (i - 1) + (Polynomial(terms),), 1)]))
+
+
+def _push_reference(path, i, nxt, content):
+    """What ``_pushed`` must equal: ``_reference_push``, packed after the
+    last factor (each ``(e, poly)`` bucket becomes xi_i^e * poly)."""
+    buckets = _reference_push(path, i, content)
+    if nxt is not None:
+        return buckets
+    return sum((xigen(i, e) * poly for e, poly in buckets), Polynomial.zero())
+
+
 def test_push_matches_whole_content_reference():
-    from catsl2.bimodules import _push_content
     from helpers import random_factor_poly
     records = _factor_records()
     assert len(records) > 30
@@ -771,9 +791,8 @@ def test_push_matches_whole_content_reference():
                 content = content - content       # cancels to zero
             elif case == 1:
                 content = content * content       # more monomials
-            pushed = _push_content(f, nxt, content.terms)
-            assert _wrapped(pushed) == _reference_push(path, i, content), \
-                (path.render(), i, content.render())
+            assert _pushed(path, i, f, nxt, content.terms) == \
+                _push_reference(path, i, nxt, content), (path.render(), i, content.render())
 
 
 def _multiset_decreases(before, after):
@@ -814,7 +833,7 @@ def test_push_memo_is_keyed_per_monomial():
     # Every context pushes all subset sums of a pool of four monomials: 15
     # distinct contents per context, but only four distinct monomials.  A
     # memo keyed on whole contents would hold at least the 15.
-    from catsl2.bimodules import _FACTORS, _push_content
+    from catsl2.bimodules import _FACTORS
     from helpers import random_factor_poly
     rng = random.Random("memo-size")
     _FACTORS.clear()
@@ -829,7 +848,7 @@ def test_push_memo_is_keyed_per_monomial():
                      if mask >> k & 1}
             contents.add((f, nxt, frozenset(terms)))
             inputs.update((f, nxt, mono) for mono in terms)
-            _push_content(f, nxt, terms)
+            _pushed(path, i, f, nxt, terms)
     assert len(contents) == 15 * len(inputs) // 4
     assert 0 < sum(len(table) for f in _FACTORS.values()
                    for table in f.pushes.values()) <= len(inputs)
@@ -866,8 +885,10 @@ def test_pushes_share_one_core_entry_per_core():
     # entry of the core table of their record and next record: it holds
     # every distinct core pushed, and besides them only the prefixes they
     # were built from (each divides a pushed core).  Every push and every
-    # core entry equals the whole-content reference, and the push of a
-    # monomial with no rest holds the very dicts of its stored core entry.
+    # core entry equals the whole-content reference.  The push of a
+    # monomial with no rest holds the very dicts of its stored core entry;
+    # after the last factor its stored packed push is that entry with
+    # xi^e in each bucket's keys.
     from catsl2.bimodules import _FACTORS, _push_content
     rng = random.Random("core-table")
     _FACTORS.clear()
@@ -880,14 +901,20 @@ def test_pushes_share_one_core_entry_per_core():
                        for _ in range(3)}
         for core in cores:
             for rest in rests:
-                pushed = _push_content(f, nxt, {core + rest: 1})
-                assert _wrapped(pushed) == _reference_push(
-                    path, i, Polynomial({core + rest: 1})), (path.render(), i)
-                if not rest:
-                    stored = f.cores[nxt][core]
-                    assert len(pushed) == len(stored)
-                    assert all(terms is bucket for (_, terms), (_, bucket)
-                               in zip(pushed, stored))
+                assert _pushed(path, i, f, nxt, {core + rest: 1}) == _push_reference(
+                    path, i, nxt, Polynomial({core + rest: 1})), (path.render(), i)
+                if rest:
+                    continue
+                stored = f.cores[nxt][core]
+                if nxt is None:
+                    assert f.pushes[None][core] == {
+                        (e << f.shift) + m: c for e, bucket in stored
+                        for m, c in bucket.items()}
+                    continue
+                pushed = _push_content(f, nxt, {core: 1})
+                assert len(pushed) == len(stored)
+                assert all(terms is bucket for (_, terms), (_, bucket)
+                           in zip(pushed, stored))
         expected.setdefault((f, nxt), (path, i, set()))[2].update(cores)
     assert len(expected) > 60
     assert set(_FACTORS.values()) == {f for f, _ in expected}
@@ -1037,7 +1064,7 @@ def test_kernel_memos_are_filled_only_by_setdefault():
     # memo of a cold record and of its next record swapped for one whose
     # item assignment raises, pushes with and without a rest, after the
     # last factor and into a next one, fill them and equal the reference.
-    from catsl2.bimodules import _core_table, _factor, _push_content
+    from catsl2.bimodules import _core_table, _factor
     from helpers import SetdefaultOnly
 
     nu = 2 * 2 - 4                                # factor 9: down-step (3, 2)
@@ -1054,8 +1081,8 @@ def test_kernel_memos_are_filled_only_by_setdefault():
         dict.__setitem__(f.cores, nxt, SetdefaultOnly(f.cores[nxt]))
         f.pushes.setdefault(nxt, SetdefaultOnly())
         for mono in monos:
-            assert _wrapped(_push_content(f, nxt, {mono: 1})) == _reference_push(
-                path, 9, Polynomial({mono: 1})), (path.render(), mono)
+            assert _pushed(path, 9, f, nxt, {mono: 1}) == _push_reference(
+                path, 9, nxt, Polynomial({mono: 1})), (path.render(), mono)
         assert len(f.pushes[nxt]) == len(monos) and len(f.cores[nxt]) > len(monos) // 6
 
 
@@ -1095,10 +1122,23 @@ def test_stored_pushes_are_never_mutated():
     work()
     stored = [(key, copy.deepcopy(value)) for key, value in memos()]
     assert sum(key[1] == "pushes" for key, _ in stored) > 1000
+    assert sum(key[1] == "pushes" and key[2] is None for key, _ in stored) > 100
     work()
     now = dict(memos())
     for key, value in stored:
         assert now[key] == value, key
+
+    # One monomial with coefficient 1 on a 1-factor path: ``_settle``'s one
+    # ``_add_products`` copies the stored packed push into an empty dict.
+    from catsl2.bimodules import _factor
+    path = FlagPath(2, (0, 1))                    # bound 0: xi^2 is content
+    element = normalize(RawTensor(path, (xigen(1, 2),)))
+    pushed = _factor(path, 1).pushes[None][_packed([(xi_sym(1), 2)])]
+    before = copy.deepcopy(pushed)
+    assert element.terms is not pushed and element.terms == pushed
+    element.scale(3)
+    element.scale(xgen(1, 0))
+    assert pushed == before
 
 
 def test_sums_hold_no_zero_coefficients():
@@ -1443,12 +1483,14 @@ def test_cup_images_match_the_public_normalize():
 
 
 def test_in_bound_vectors_are_normalized_without_a_push(monkeypatch):
+    # ``_push_content`` pushes factors 1..m-1 and ``_settle`` the last one
     import catsl2.bimodules as bimodules
 
     def no_push(*args):
         raise AssertionError("an in-bound vector was pushed")
 
     monkeypatch.setattr(bimodules, "_push_content", no_push)
+    monkeypatch.setattr(bimodules, "_settle", no_push)
     for N in (1, 2, 3):
         for path in all_paths(N, 4):
             for vec in basis(path):
@@ -1510,6 +1552,40 @@ def test_in_flight_entries_are_ints_exactly_when_settled():
                         if order == "rtl":
                             tuples = [factors for factors, _ in terms]
                             assert len(set(tuples)) == len(tuples)
+
+
+def test_in_flight_coefficients_are_rational_and_both_orders_end_in_the_result():
+    # The right-ring coefficient appears only when the last factor is
+    # settled: every in-flight state passed to ``on_step`` has int or
+    # Fraction coefficients (1 left to right), and when the last factor
+    # held content the final state of both orders is the settled
+    # ``(vec, coefficient)`` pairs of the result.
+    from catsl2.bimodules import _entry, _factor
+    rng = random.Random("rational-in-flight")
+    settled = 0
+    for N in (1, 2, 3):
+        for path in all_paths(N, 4):
+            m = path.num_factors
+            for _ in range(3):
+                raw = random_raw_tensor(path, rng)
+                entries = tuple(_entry(poly, _factor(path, i))
+                                for i, poly in enumerate(raw.factors, start=1))
+                for order in ("ltr", "rtl"):
+                    states = [[(entries, 1)]]
+                    result = normalize(raw, order=order, on_step=states.append)
+                    if all(type(f) is int for f in entries):
+                        continue              # no step: a basis vector
+                    # the state before the last one is in flight
+                    held = any(type(factors[-1]) is not int for factors, _ in states[-2])
+                    if held:
+                        settled += 1
+                        assert states[-1] == sorted(by_vector(result).items())
+                    for state in states[:-1] if held else states:
+                        for factors, coeff in state:
+                            assert len(factors) == m
+                            assert type(coeff) in (int, Fraction)
+                            assert order == "rtl" or coeff == 1
+    assert settled > 100
 
 
 def test_rewrite_measure_matches_the_decoding_reference():
