@@ -43,7 +43,7 @@ monomial in its own fields, and a sum of elements is one
 ``exactpoly._add_products`` per part into one dict (``_sum_terms``).
 Either rewriting order clears factors 1..m-1 on terms with rational
 coefficients; only ``_settle``, the last step of both, pushes the last
-factor (its stored pushes are packed dicts), so right-ring coefficients
+factor (from one packed entry per core), so right-ring coefficients
 appear there alone.
 
 Input is checked once, where it enters, against the catalog of the ring
@@ -386,11 +386,10 @@ class _Factor:
     and the mask ``rest`` of the right-junction fields.  Memoized, each
     entry added with ``setdefault`` and never mutated, per next factor's
     record (``None`` after the last factor): ``lifts`` (the image pieces
-    and the g_t in the next factor's ring), ``cores`` (core -> buckets in
-    that ring, seeded with core 0; the core of xi^e is its reduced
-    xi-power) and ``pushes`` (monomial -> buckets, or after the last
-    factor one packed dict); and ``embedded`` (left-end-ring polynomial ->
-    content).
+    and the g_t in the next factor's ring) and ``cores`` (core -> its push,
+    seeded with core 0; the core of xi^e is its reduced xi-power); for a
+    next factor only, ``pushes`` (monomial -> buckets); and ``embedded``
+    (left-end-ring polynomial -> content).
     """
 
     __slots__ = ("bound", "shift", "strip", "signed", "images", "embed",
@@ -437,9 +436,9 @@ def _factor(path: FlagPath, i: int) -> _Factor:
 
 
 def _core_table(f: _Factor, nxt) -> dict:
-    """``f.cores[nxt]``, made on first use with ``f.lifts[nxt]``: the image
-    pieces and the g_t, their non-xi parts embedded through ``nxt.embedded``
-    (kept as they are if ``nxt`` is ``None``, and so are scalars)."""
+    """``f.cores[nxt]``, seeded with core 0, made on first use with
+    ``f.lifts[nxt]``: the image pieces and the g_t, their non-xi parts
+    embedded through ``nxt.embedded`` (kept if ``nxt`` is ``None``)."""
     table = f.cores.get(nxt)
     if table is None:
         def lift(terms):
@@ -450,7 +449,7 @@ def _core_table(f: _Factor, nxt) -> dict:
             {low: tuple((a, lift(piece)) for a, piece in pieces)
              for low, pieces in f.images.items()},
             [lift(g.terms) for g in f.signed]))
-        table = f.cores.setdefault(nxt, {0: ((0, {0: 1}),)})
+        table = f.cores.setdefault(nxt, {0: {0: 1} if nxt is None else ((0, {0: 1}),)})
     return table
 
 
@@ -490,22 +489,22 @@ def _kept(acc: dict) -> tuple:
     return tuple(out)
 
 
-def _core_buckets(f: _Factor, nxt, core) -> tuple:
-    """The entry of ``core`` in ``f.cores[nxt]``: ``(e, terms)`` pairs,
-    ``e`` ascending and within the bound, with ``core = sum xi^e * terms``
-    after transport and reduction, and ``terms`` a packed monomial dict in
-    the g_t, embedded in the next factor's step ring unless ``nxt`` is
-    ``None``.
+def _core_buckets(f: _Factor, nxt, core):
+    """The entry of ``core`` in ``f.cores[nxt]``, ``core = sum xi^e * terms``
+    after transport and reduction, ``e`` within the bound and ``terms`` a
+    packed monomial dict in the g_t: for a next factor ``(e, terms)``
+    pairs, ``e`` ascending, embedded in its step ring; after the last
+    factor (``nxt`` is ``None``) that sum as one packed dict.
 
     A core is its prefix (one unit of its lowest field fewer) times that
-    field's image: each of the prefix's buckets times each image piece,
-    at the sum of their xi-degrees, then reduced.  The prefix is within
-    the bound and the image within it or 1 (xi itself), so the product has
-    xi-degree at most twice the bound, or 1.  The embedding is a ring
-    homomorphism and transport and reduction are linear, so it is all done
-    in the next factor's ring, with the embedded images and g_t.  The core
-    of xi^e is the reduced power xi^e.  The prefix chain down to a stored
-    core is walked in a loop, and each core on it is stored.
+    field's image: each bucket of the prefix (a packed entry split by the
+    xi field) times each image piece, at the sum of their xi-degrees, then
+    reduced.  Prefix and image are within the bound, or the image is xi,
+    so the product has xi-degree at most twice the bound, or 1.  Embedding
+    is a ring homomorphism and transport and reduction are linear, so all
+    is done in the next factor's ring.  The core of xi^e is the reduced
+    xi^e.  The prefix chain down to a stored core is walked in a loop, and
+    each core on it is stored.
     """
     table = _core_table(f, nxt)
     out = table.get(core)
@@ -518,11 +517,22 @@ def _core_buckets(f: _Factor, nxt, core) -> tuple:
             out = table.get(core)
         images, signed = f.lifts[nxt]
         for core, low in reversed(chain):
+            if nxt is None:
+                split: dict = {}
+                for key, c in out.items():
+                    split.setdefault(key >> f.shift & FIELD_MASK, {})[key & f.strip] = c
+                out = split.items()
             acc: dict = {}    # xi-degree -> {packed monomial: rational}
             for a, piece in images[low]:
                 for e, bucket in out:
                     _add_products(acc.setdefault(e + a, {}), piece, bucket)
-            out = table.setdefault(core, _reduce_buckets(acc, f.bound, signed))
+            out = _reduce_buckets(acc, f.bound, signed)
+            if nxt is None:
+                packed: dict = {}
+                for e, bucket in out:
+                    _add_products(packed, {e << f.shift: 1}, bucket)
+                out = packed
+            out = table.setdefault(core, out)
     return out
 
 
@@ -534,31 +544,18 @@ def _embedded(f: _Factor, ring_poly: Polynomial) -> Polynomial:
     return out
 
 
-def _into_factor(path: FlagPath, i: int, ring_poly: Polynomial) -> Polynomial:
-    """Embed a polynomial in the left-junction ring of factor i as content."""
-    return _embedded(_factor(path, i), ring_poly)
-
-
-def _store_push(f: _Factor, nxt, table: dict, mono):
+def _store_push(f: _Factor, nxt: _Factor, table: dict, mono):
     """Compute and store the entry of ``mono`` in ``table``, ``f.pushes[nxt]``:
-    ``(e, terms)`` pairs as in ``f.cores[nxt]``, with ``mono = sum xi^e * terms``;
-    after the last factor (``nxt`` is ``None``) that sum as one packed dict.
+    ``(e, terms)`` pairs as in ``f.cores[nxt]``, with ``mono = sum xi^e * terms``.
 
     Transport rewrites only the left-junction generators and the reduction
     multiplies only by xi and the g_t, so the right-junction generators of
     a monomial (the y's of an up-step, the x's of a down-step, the fields
     of ``f.rest``) pass through: the entry is the core's entry (every other
-    field) times that rest.  After the last factor each bucket is
-    multiplied by xi^e times the rest (no carry: a bucket holds only the
-    g_t); for a next factor the rest is embedded through ``nxt.embedded``
-    and multiplied, and with no rest the entry is the core's entry itself."""
+    field) times that rest as embedded through ``nxt.embedded``.  With no
+    rest the entry is the core's entry itself."""
     rest = mono & f.rest
     buckets = _core_buckets(f, nxt, mono - rest)
-    if nxt is None:
-        packed: dict = {}
-        for e, content in buckets:
-            _add_products(packed, {(e << f.shift) + rest: 1}, content)
-        return table.setdefault(mono, packed)
     if not rest:
         return table.setdefault(mono, buckets)
     tail = _embedded(nxt, _make({rest: 1})).terms
@@ -661,15 +658,15 @@ def _has_content(terms, i: int) -> bool:
 
 def _settle(path: FlagPath, terms) -> dict:
     """The packed terms of in-flight terms settled before the last factor:
-    ``coeff * xi^heads`` times the stored push of each monomial of the last
-    entry, one ``_add_products`` each (an int entry e is the monomial
-    xi^e).  Right to left, terms may share heads, so keys are added up."""
+    for each monomial ``c * core * rest`` of the last entry (an int entry e
+    is xi^e), ``coeff * c * xi^heads * rest`` times the core's packed entry
+    in ``f.cores[None]``, one ``_add_products`` each; an entry holds only
+    xi and the g_t, so the rest cannot carry.  Right to left, terms may
+    share heads, so keys are added up."""
     m = path.num_factors
     f = _factor(path, m)
     heads = _xi_fields(m)[0][:-1]
-    table = f.pushes.get(None)
-    if table is None:
-        table = f.pushes.setdefault(None, {})
+    table = _core_table(f, None)
     out: dict = {}
     for factors, coeff in terms:
         xi = 0
@@ -678,8 +675,9 @@ def _settle(path: FlagPath, terms) -> dict:
         entry = factors[-1]
         last = {entry << f.shift: 1} if type(entry) is int else entry._terms
         for mono, c in last.items():
-            _add_products(out, {xi: coeff * c},
-                          table.get(mono) or _store_push(f, None, table, mono))
+            rest = mono & f.rest
+            _add_products(out, {xi + rest: coeff * c},
+                          table.get(mono - rest) or _core_buckets(f, None, mono - rest))
     return out
 
 
@@ -813,7 +811,8 @@ def _inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
         return _wrap(path, ring_poly.terms)
     if g == m:
         return normalize_xi_vector(path, vec).right_mul(ring_poly)
-    return inject_into_factor(path, g + 1, _into_factor(path, g + 1, ring_poly), vec)
+    return inject_into_factor(path, g + 1, _embedded(_factor(path, g + 1), ring_poly),
+                              vec)
 
 
 def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:

@@ -211,10 +211,10 @@ def test_junction_transport_well_defined():
 
 
 def _place_at_factor(path, g, ring_poly, side):
-    from catsl2.bimodules import _into_factor
+    from catsl2.bimodules import _embedded, _factor
     factors = [Polynomial.one()] * path.num_factors
     if side == "right":
-        factors[g] = _into_factor(path, g + 1, ring_poly)
+        factors[g] = _embedded(_factor(path, g + 1), ring_poly)
     else:
         # express through the left factor's right-end embedding
         ring = path.step_ring(g)
@@ -520,10 +520,9 @@ def test_factor_record_built_by_four_threads():
 
 def _reduced_power(f, e):
     """xi^e of factor record ``f`` rewritten within its bound, read back
-    from the entry of its core in ``f.cores[None]``."""
+    from the packed entry of its core in ``f.cores[None]``."""
     from catsl2.bimodules import _core_buckets
-    return sum((Polynomial(b) * Polynomial({d << f.shift: 1})
-                for d, b in _core_buckets(f, None, e << f.shift)), Polynomial.zero())
+    return Polynomial(_core_buckets(f, None, e << f.shift))
 
 
 @pytest.mark.parametrize("N, j, up", [(2, 1, True), (3, 1, True), (3, 1, False),
@@ -561,7 +560,7 @@ def test_xi_power_from_a_cold_table():
 
     # on the up-step (0, 1) at rank 1 the bound is 0 and xi = x[1]@1
     f = _cold_factor(FlagPath(1, (1, 0) * 4 + (1,)), 8)
-    assert _core_buckets(f, None, 1201 << f.shift) == ((0, (xgen(1, 1) ** 1201).terms),)
+    assert _core_buckets(f, None, 1201 << f.shift) == (xgen(1, 1) ** 1201).terms
     assert sorted(f.cores[None]) == [e << f.shift for e in range(1202)]
 
 
@@ -579,7 +578,7 @@ def test_xi_power_table_filled_by_four_threads():
     got = call_in_threads(lambda e: _core_buckets(f, None, e << f.shift), range(0, 240, 3))
     table = f.cores[None]
     assert sorted(table) == [e << f.shift for e in range(len(table))] and len(table) >= 238
-    assert all(buckets is table[e << f.shift] for e, buckets in got)
+    assert all(entry is table[e << f.shift] for e, entry in got)
     # xi^(bound+1) from the monic relation y[1]xi - y[2] = xi^2 (y's at nu)
     assert _reduced_power(f, bound + 1) == sum(
         (ring.lower.y(t) * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
@@ -742,11 +741,20 @@ def _reference_push(path, i, content):
     return out
 
 
-def _reference_core(path, i, core):
-    """The expected entry of the packed ``core`` in factor i's core table
-    for the next factor of ``path`` (``None`` after the last): the
-    reference buckets, each embedded by substitution."""
-    return _reference_push(path, i, Polynomial({core: 1}))
+def _reference_core(path, i, nxt, core):
+    """What ``_core_read`` must give for the entry of the packed ``core``
+    in factor i's core table for the next factor of ``path`` (``None``
+    after the last): the reference buckets, each embedded by substitution,
+    packed after the last factor."""
+    return _push_reference(path, i, nxt, Polynomial({core: 1}))
+
+
+def _core_read(nxt, entry):
+    """A stored core entry as ``_push_reference`` gives it: its wrapped
+    buckets into a next factor, or after the last factor its packed dict
+    wrapped as it is (a zero coefficient would show in a comparison)."""
+    from catsl2.exactpoly import _make
+    return _make(entry) if nxt is None else _wrapped(entry)
 
 
 def _wrapped(pushed):
@@ -887,9 +895,9 @@ def test_pushes_share_one_core_entry_per_core():
     # were built from (each divides a pushed core).  Every push and every
     # core entry equals the whole-content reference.  The push of a
     # monomial with no rest holds the very dicts of its stored core entry;
-    # after the last factor its stored packed push is that entry with
-    # xi^e in each bucket's keys.
-    from catsl2.bimodules import _FACTORS, _push_content
+    # after the last factor no push is stored, and settling the monomial
+    # gives that packed entry.
+    from catsl2.bimodules import _FACTORS, _push_content, _settle
     rng = random.Random("core-table")
     _FACTORS.clear()
     expected = {}
@@ -907,9 +915,9 @@ def test_pushes_share_one_core_entry_per_core():
                     continue
                 stored = f.cores[nxt][core]
                 if nxt is None:
-                    assert f.pushes[None][core] == {
-                        (e << f.shift) + m: c for e, bucket in stored
-                        for m, c in bucket.items()}
+                    assert None not in f.pushes
+                    term = ((0,) * (i - 1) + (Polynomial({core: 1}),), 1)
+                    assert _settle(path, [term]) == stored
                     continue
                 pushed = _push_content(f, nxt, {core: 1})
                 assert len(pushed) == len(stored)
@@ -922,9 +930,10 @@ def test_pushes_share_one_core_entry_per_core():
         assert set(f.cores) == {n for g, n in expected if g is f}
         table = f.cores[nxt]
         assert pushed <= set(table)
-        for core, buckets in table.items():
+        for core, entry in table.items():
             assert any(_divides(core, top) for top in pushed), (path.render(), i)
-            assert _wrapped(buckets) == _reference_core(path, i, core), (path.render(), i)
+            assert _core_read(nxt, entry) == _reference_core(path, i, nxt, core), \
+                (path.render(), i)
 
 
 def test_core_buckets_match_the_transport_reference():
@@ -949,8 +958,9 @@ def test_core_buckets_match_the_transport_reference():
             _core_buckets(f, nxt, _packed(pairs))
     assert sum(len(f.cores[nxt]) for _, _, f, nxt in records) > 3 * len(records)
     for path, i, f, nxt in records:
-        for core, buckets in f.cores[nxt].items():
-            assert _wrapped(buckets) == _reference_core(path, i, core), (path.render(), i)
+        for core, entry in f.cores[nxt].items():
+            assert _core_read(nxt, entry) == _reference_core(path, i, nxt, core), \
+                (path.render(), i)
 
 
 def test_cores_far_past_the_recursion_limit():
@@ -976,16 +986,17 @@ def test_cores_far_past_the_recursion_limit():
                 core = _packed([(sym, top)])
                 got = _core_buckets(f, nxt, core)
                 assert len(f.cores[nxt]) == top + 1
-                assert _wrapped(got) == _reference_core(path, 3, core)
+                assert _core_read(nxt, got) == _reference_core(path, 3, nxt, core)
     finally:
         sys.setrecursionlimit(limit)
 
 
 def test_core_buckets_share_no_field_with_the_rest():
-    # The buckets of a core hold only the generators of the monic xi
-    # relation (x[t]@(nu+2) on an up-step, y[t]@nu on a down-step), and
-    # the rest mask is exactly the fields of the right-junction generators,
-    # so adding the rest to a bucket monomial cannot carry.
+    # The packed entry of a core after the last factor holds only xi, at
+    # most to the bound, and the generators of the monic xi relation
+    # (x[t]@(nu+2) on an up-step, y[t]@nu on a down-step), and the rest
+    # mask is exactly the fields of the right-junction generators, so
+    # adding the rest to an entry's key cannot carry.
     from catsl2.bimodules import _core_buckets
     for path, i, f, _ in _factor_records(4, 3, by_next=False):
         core_syms, rest_syms = _core_and_rest(path, i)
@@ -995,11 +1006,10 @@ def test_core_buckets_share_no_field_with_the_rest():
         for a in range(f.bound + 4):
             for left in [None] + core_syms[1:]:
                 pairs = [(xi_sym(i), a)] + ([(left, 2)] if left else [])
-                for e, bucket in _core_buckets(f, None, _packed(pairs)):
-                    assert e <= f.bound
-                    for mono in bucket:
-                        assert not mono & f.rest
-                        assert {sym for sym, _ in mono_pairs(mono)} <= allowed
+                for key in _core_buckets(f, None, _packed(pairs)):
+                    assert (key >> f.shift) & FIELD_MASK <= f.bound
+                    assert not key & f.rest
+                    assert {sym for sym, _ in mono_pairs(key)} <= allowed
 
 
 def test_core_table_filled_by_four_threads():
@@ -1017,7 +1027,7 @@ def test_core_table_filled_by_four_threads():
         nxt = _factor(path, 10) if path.num_factors > 9 else None
         got = call_in_threads(lambda k: _core_buckets(f, nxt, cores[k]), range(len(cores)))
         assert list(f.cores) == [nxt] and len(f.cores[nxt]) == len(cores)
-        assert all(buckets is f.cores[nxt][cores[k]] for k, buckets in got)
+        assert all(entry is f.cores[nxt][cores[k]] for k, entry in got)
 
 
 def test_push_table_filled_by_four_threads():
@@ -1063,7 +1073,8 @@ def test_kernel_memos_are_filled_only_by_setdefault():
     # by plain assignment, which a race shows only by chance.  With every
     # memo of a cold record and of its next record swapped for one whose
     # item assignment raises, pushes with and without a rest, after the
-    # last factor and into a next one, fill them and equal the reference.
+    # last factor (which fills only the core table) and into a next one,
+    # fill them and equal the reference.
     from catsl2.bimodules import _core_table, _factor
     from helpers import SetdefaultOnly
 
@@ -1079,11 +1090,16 @@ def test_kernel_memos_are_filled_only_by_setdefault():
         _core_table(f, nxt)
         # the per-next tables are made inside the kernel: swap them in place
         dict.__setitem__(f.cores, nxt, SetdefaultOnly(f.cores[nxt]))
-        f.pushes.setdefault(nxt, SetdefaultOnly())
+        if nxt is not None:
+            f.pushes.setdefault(nxt, SetdefaultOnly())
         for mono in monos:
             assert _pushed(path, 9, f, nxt, {mono: 1}) == _push_reference(
                 path, 9, nxt, Polynomial({mono: 1})), (path.render(), mono)
-        assert len(f.pushes[nxt]) == len(monos) and len(f.cores[nxt]) > len(monos) // 6
+        assert len(f.cores[nxt]) > len(monos) // 6
+        if nxt is None:
+            assert not f.pushes
+        else:
+            assert len(f.pushes[nxt]) == len(monos)
 
 
 def test_stored_pushes_are_never_mutated():
@@ -1091,7 +1107,9 @@ def test_stored_pushes_are_never_mutated():
     # stored push dicts (and the core and embedding polynomials inside
     # them) without copying.  Fill the records, take a deep copy of their
     # memos, run the same work again on the warm records (so every stored
-    # dict is shared), and no stored entry may have changed.
+    # dict is shared), and no stored entry may have changed.  The entries
+    # that hold pushes are those of ``f.pushes`` and, after the last
+    # factor, of ``f.cores[None]``.
     import copy
     from catsl2.bimodules import _FACTORS
     from catsl2.relationsuite import run_suite
@@ -1121,24 +1139,57 @@ def test_stored_pushes_are_never_mutated():
 
     work()
     stored = [(key, copy.deepcopy(value)) for key, value in memos()]
-    assert sum(key[1] == "pushes" for key, _ in stored) > 1000
-    assert sum(key[1] == "pushes" and key[2] is None for key, _ in stored) > 100
+    pushes = [key for key, _ in stored if key[1] == "pushes" or key[1:3] == ("cores", None)]
+    assert len(pushes) > 1000
+    assert sum(key[2] is None for key in pushes) > 100
     work()
     now = dict(memos())
     for key, value in stored:
         assert now[key] == value, key
 
     # One monomial with coefficient 1 on a 1-factor path: ``_settle``'s one
-    # ``_add_products`` copies the stored packed push into an empty dict.
+    # ``_add_products`` copies the stored packed core entry into an empty
+    # dict.
     from catsl2.bimodules import _factor
     path = FlagPath(2, (0, 1))                    # bound 0: xi^2 is content
     element = normalize(RawTensor(path, (xigen(1, 2),)))
-    pushed = _factor(path, 1).pushes[None][_packed([(xi_sym(1), 2)])]
+    pushed = _factor(path, 1).cores[None][_packed([(xi_sym(1), 2)])]
     before = copy.deepcopy(pushed)
     assert element.terms is not pushed and element.terms == pushed
     element.scale(3)
     element.scale(xgen(1, 0))
     assert pushed == before
+
+
+def test_the_last_factor_keeps_one_table():
+    # After the last factor a record keeps only its core table, one packed
+    # entry per core: after normalizing in both orders on every path with
+    # N <= 3 and at most three steps, and after run_suite(3), no record
+    # stores a push for no next factor, no core after the last factor has
+    # a rest field, and settling a sampled core times a rest monomial with
+    # coefficient 1 equals the whole-content reference.
+    from catsl2.bimodules import _FACTORS, _factor
+    from catsl2.relationsuite import run_suite
+    rng = random.Random("one-last-table")
+    _FACTORS.clear()
+    last = {}
+    for N in (1, 2, 3):
+        for path in all_paths(N, 3):
+            for order in ("ltr", "rtl"):
+                normalize(random_raw_tensor(path, rng), order=order)
+            m = path.num_factors
+            last.setdefault(_factor(path, m), (path, m))
+    assert run_suite(3).all_ok()
+    assert all(None not in f.pushes for f in _FACTORS.values())
+    tables = [f.cores[None] for f in _FACTORS.values() if None in f.cores]
+    assert len(tables) >= len(last) and sum(map(len, tables)) > 100
+    assert not any(core & f.rest for f in _FACTORS.values() for core in f.cores.get(None, ()))
+    for f, (path, i) in last.items():
+        _, rest_syms = _core_and_rest(path, i)
+        for core in rng.sample(sorted(f.cores[None]), min(6, len(f.cores[None]))):
+            rest = _packed((sym, rng.randrange(3)) for sym in rest_syms)
+            assert _pushed(path, i, f, None, {core + rest: 1}) == _push_reference(
+                path, i, None, Polynomial({core + rest: 1})), (path.render(), core, rest)
 
 
 def test_sums_hold_no_zero_coefficients():
@@ -1437,7 +1488,7 @@ def _junction_poly(path, g, rng):
 
 
 def test_internal_entries_match_the_public_normalize():
-    from catsl2.bimodules import _into_factor
+    from catsl2.bimodules import _embedded, _factor
     rng = random.Random("internal-entries")
     for N in (1, 2, 3):
         for path in all_paths(N, 4):
@@ -1452,7 +1503,7 @@ def test_internal_entries_match_the_public_normalize():
                     expected = normalize(raw).right_mul(poly)
                 else:
                     factors = _xi_powers(vec)
-                    factors[g] = factors[g] * _into_factor(path, g + 1, poly)
+                    factors[g] = factors[g] * _embedded(_factor(path, g + 1), poly)
                     expected = normalize(RawTensor(path, tuple(factors)))
                 assert inject_at_junction(path, g, poly, vec) == expected, \
                     (path.render(), g, vec, poly.render())
