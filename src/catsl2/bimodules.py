@@ -146,7 +146,10 @@ class FlagPath:
 
     def concat(self, other: "FlagPath") -> "FlagPath":
         if other.N != self.N or other.rings[0] != self.rings[-1]:
-            raise ValueError("paths do not share the junction ring")
+            raise ValueError("cannot concatenate: %s ends at ring %d of N=%d, %s "
+                             "starts at ring %d of N=%d"
+                             % (self.render(), self.rings[-1], self.N,
+                                other.render(), other.rings[0], other.N))
         return FlagPath(self.N, self.rings + other.rings[1:],
                         self.shift + other.shift)
 
@@ -833,12 +836,6 @@ def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:
 
 def tensor(a: BimElement, b: BimElement) -> BimElement:
     """Tensor product over the shared junction ring, renormalized."""
-    if a.path.N != b.path.N:
-        raise ValueError("elements have different ambient ranks")
-    if a.path.right_ring != b.path.left_ring:
-        raise ValueError("rightmost ring of the left element (%d) does not "
-                         "match leftmost ring of the right element (%d)"
-                         % (a.path.right_ring, b.path.left_ring))
     path = a.path.concat(b.path)
     if path.is_zero:
         return BimElement.zero(path)

@@ -137,20 +137,19 @@ def _typecheck(ast: DiagramAST):
         produced = []
         pos = 0
         for tok in layer:
+            where = tok.span and (tok.span.line, tok.span.col_start,
+                                  tok.span.col_end) or (None,)
+            if tok.kind not in TOKEN_SHAPES:
+                raise DiagramError("unknown token %s" % _echo(tok.kind), *where)
             consumed, out = TOKEN_SHAPES[tok.kind]
             take = word[pos:pos + len(consumed)]
             if len(take) < len(consumed):
-                raise DiagramError(
-                    "%s consumes %d strands, found %d"
-                    % (tok.kind, len(consumed), len(take)),
-                    *(tok.span and (tok.span.line, tok.span.col_start,
-                                    tok.span.col_end) or (None,)))
+                raise DiagramError("%s consumes %d strands, found %d"
+                                   % (tok.kind, len(consumed), len(take)), *where)
             if take != consumed:
-                raise DiagramError(
-                    "%s needs strands %s, found %s"
-                    % (tok.kind, " ".join(consumed), " ".join(take)),
-                    *(tok.span and (tok.span.line, tok.span.col_start,
-                                    tok.span.col_end) or (None,)))
+                raise DiagramError("%s needs strands %s, found %s"
+                                   % (tok.kind, " ".join(consumed), " ".join(take)),
+                                   *where)
             pos += len(consumed)
             produced.extend(out)
         if pos != len(word):
@@ -183,13 +182,10 @@ def parse_diagram(text: str) -> DiagramAST:
         if m:
             seen_layer = True
             toks = []
+            at = m.start(1)   # the tokens' columns count from the line's start
             for match in re.finditer(r"\S+", m.group(1)):
-                word = match.group(0)
-                span = SourceSpan(lineno, match.start() + 1, match.end())
-                if word not in TOKEN_SHAPES:
-                    raise DiagramError("unknown token %s" % _echo(word), lineno,
-                                       match.start() + 1, match.end())
-                toks.append(LayerToken(word, span))
+                toks.append(LayerToken(match.group(0), SourceSpan(
+                    lineno, at + match.start() + 1, at + match.end())))
             layers.append(tuple(toks))
             continue
         m = _HEADER_RE.match(line)
@@ -251,24 +247,16 @@ def _layer_map(path: FlagPath, layer) -> list:
     for tok in layer:
         cur = gens[-1].codomain if gens else path
         r = cur.num_factors - produced
-        kind = tok.kind
-        if kind in ("id_e", "id_f"):
-            produced += 1
-            continue
-        if kind in ("dot_e", "dot_f"):
-            gen = gen_dot(cur, r)
-            produced += 1
-        elif kind in ("cross_ee", "cross_ff"):
-            gen = gen_crossing(cur, r - 1, "up" if kind == "cross_ee" else "down")
-            produced += 2
-        elif kind in ("cup_fe", "cup_ef"):
-            gen = gen_cup(cur, r, kind[4:])
-            produced += 2
-        elif kind in ("cap_fe", "cap_ef"):
-            gen = gen_cap(cur, r - 1, kind[4:])
-        else:
-            raise DiagramError("unknown token %r" % kind)
-        gens.append(gen)
+        stem, _, letters = tok.kind.partition("_")
+        if stem == "dot":
+            gens.append(gen_dot(cur, r))
+        elif stem == "cross":
+            gens.append(gen_crossing(cur, r - 1))
+        elif stem == "cup":
+            gens.append(gen_cup(cur, r, letters))
+        elif stem == "cap":
+            gens.append(gen_cap(cur, r - 1))
+        produced += len(TOKEN_SHAPES[tok.kind][1])
     return gens
 
 

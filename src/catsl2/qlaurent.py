@@ -18,8 +18,8 @@ class Laurent:
         return Laurent()
 
     @staticmethod
-    def q_power(e: int, c: int = 1) -> "Laurent":
-        return Laurent({e: c})
+    def q_power(e: int) -> "Laurent":
+        return Laurent({e: 1})
 
     def __add__(self, other: "Laurent") -> "Laurent":
         coeffs = dict(self.coeffs)

@@ -12,10 +12,13 @@ Conventions.  Exponent positions, factor indices and junction indices all
 refer to the flag path read left to right, i.e. in the order the steps act
 starting from the domain weight.  In string-diagram displays (read bottom
 to top, right to left) that is the reverse of the strand display order;
-the diagram DSL performs that flip, this module never sees it.  For a
-crossing on factors (i, i+1) the divided-difference formula below uses the
-variable pair (xi_{i+1}, xi_i) in the upward case and (xi_i, xi_{i+1}) in
-the downward case.
+the diagram DSL performs that flip, this module never sees it.  An
+up-step is an E strand and a down-step an F strand, so the path alone
+fixes which crossing or cap acts on two factors: ``gen_crossing`` and
+``gen_cap`` take no orientation.  ``gen_cup`` takes its kind, which picks
+the excursion it inserts.  For a crossing on factors (i, i+1) the
+divided-difference formula below uses the variable pair (xi_{i+1}, xi_i)
+in the upward case and (xi_i, xi_{i+1}) in the downward case.
 """
 
 from __future__ import annotations
@@ -157,10 +160,11 @@ def gen_dot(path: FlagPath, position: int) -> BimMap:
     return BimMap(path, path, 2, fn, name="dot@%d" % position)
 
 
-def gen_crossing(path: FlagPath, position: int, kind: str) -> BimMap:
+def gen_crossing(path: FlagPath, position: int) -> BimMap:
     """Divided-difference crossing on factors (position, position+1); degree -2.
 
-    kind 'up' needs two adjacent up-steps, 'down' two adjacent down-steps.
+    The two factors must both be up-steps (E strands, an upward crossing)
+    or both down-steps (F strands, a downward one); the path fixes which.
     On xi-powers (a, b) in the two factors the upward image is the sum of
     xi^t (x) xi^(a+b-1-t) for t from a to b-1 (negated and reversed when
     a > b, zero when a = b); the downward image is its negative.
@@ -169,17 +173,11 @@ def gen_crossing(path: FlagPath, position: int, kind: str) -> BimMap:
     if not 1 <= i < path.num_factors:
         raise ValueError("crossing position %d outside 1..%d"
                          % (i, path.num_factors - 1))
-    if kind not in ("up", "down"):
-        raise ValueError("crossing kind must be 'up' or 'down'")
-    if not path.is_zero:
-        both_up = path.is_up(i) and path.is_up(i + 1)
-        both_down = (not path.is_up(i)) and (not path.is_up(i + 1))
-        if kind == "up" and not both_up:
-            raise ValueError("upward crossing needs two up-steps at position %d" % i)
-        if kind == "down" and not both_down:
-            raise ValueError("downward crossing needs two down-steps at position %d" % i)
-
-    sign = 1 if kind == "up" else -1
+    up = path.is_up(i)
+    if path.is_up(i + 1) != up:
+        raise ValueError("crossing needs two up-steps or two down-steps at position %d"
+                         % i)
+    sign = 1 if up else -1
 
     def fn(vec):
         a, b = vec[i - 1], vec[i]
@@ -187,7 +185,7 @@ def gen_crossing(path: FlagPath, position: int, kind: str) -> BimMap:
         outs = (vec[:i - 1] + (t, a + b - 1 - t) + vec[i + 1:] for t in range(lo, hi))
         return linear_sum(path, ((normalize_xi_vector(path, out), s) for out in outs))
 
-    return BimMap(path, path, -2, fn, name="cross_%s@%d" % (kind, i))
+    return BimMap(path, path, -2, fn, name="cross_%s@%d" % ("up" if up else "down", i))
 
 
 def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
@@ -225,38 +223,33 @@ def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
     return BimMap(path, codomain, degree, fn, name=name)
 
 
-def gen_cap(path: FlagPath, position: int, kind: str) -> BimMap:
+def gen_cap(path: FlagPath, position: int) -> BimMap:
     """Close two adjacent factors forming an excursion; shift drops by 1-N.
 
-    kind 'fe' closes an up-down excursion at ring j, sending xi-powers
-    (a, b) to (-1)^(a+b+j-N+1) X_{a+b+1+j-N}; kind 'ef' closes a down-up
-    excursion, giving (-1)^(a+b+1-j) Y_{a+b+1-j}.  The image only depends
-    on a+b, which is what makes the map well defined on the tensor product.
+    The path fixes the kind: an up-down excursion at ring j (the word F E)
+    is closed by the 'fe' cap, sending xi-powers (a, b) to
+    (-1)^(a+b+j-N+1) X_{a+b+1+j-N}; a down-up excursion by the 'ef' cap,
+    giving (-1)^(a+b+1-j) Y_{a+b+1-j}.  The image only depends on a+b,
+    which is what makes the map well defined on the tensor product.
     """
     i = position
     if not 1 <= i < path.num_factors:
         raise ValueError("cap position %d outside 1..%d" % (i, path.num_factors - 1))
-    if kind not in ("fe", "ef"):
-        raise ValueError("cap kind must be 'fe' or 'ef'")
     if path.rings[i - 1] != path.rings[i + 1]:
         raise ValueError("factors %d,%d do not close up" % (i, i + 1))
+    fe = path.is_up(i)
     j = path.rings[i - 1]
-    up_first = path.rings[i] == j + 1
-    if kind == "fe" and not up_first:
-        raise ValueError("fe cap needs the up-down excursion shape")
-    if kind == "ef" and up_first:
-        raise ValueError("ef cap needs the down-up excursion shape")
     nu = 2 * j - path.N
     codomain = path.remove_excursion(i, delta_shift=-(1 - path.N))
-    degree = nu + 1 if kind == "fe" else 1 - nu
-    ctx = GrassContext(path.N, j) if 0 <= j <= path.N else None
-    name = "cap_%s@%d" % (kind, i)
-    if path.is_zero or codomain.is_zero or ctx is None:
+    degree = nu + 1 if fe else 1 - nu
+    name = "cap_%s@%d" % ("fe" if fe else "ef", i)
+    if path.is_zero:   # the codomain's rings are some of the path's
         return zero_map(path, codomain, degree)
+    ctx = GrassContext(path.N, j)
 
     def fn(vec):
         a, b = vec[i - 1], vec[i]
-        if kind == "fe":
+        if fe:
             value = special_class(ctx, "X", a + b + 1 + j - path.N)
             flip = (a + b + j - path.N + 1) % 2
         else:
@@ -270,8 +263,7 @@ def gen_cap(path: FlagPath, position: int, kind: str) -> BimMap:
     return BimMap(path, codomain, degree, fn, name=name)
 
 
-def junction_mult(path: FlagPath, junction: int, poly: Polynomial,
-                  name: str | None = None) -> BimMap:
+def junction_mult(path: FlagPath, junction: int, poly: Polynomial) -> BimMap:
     """Multiplication by a junction-ring polynomial; degree = its degree."""
     deg = homogeneous_degree(poly)
     if not isinstance(deg, int):
@@ -283,19 +275,11 @@ def junction_mult(path: FlagPath, junction: int, poly: Polynomial,
     def fn(vec):
         return _inject_at_junction(path, junction, poly, vec)
 
-    return BimMap(path, path, deg, fn, name=name or "mult@%d" % junction)
+    return BimMap(path, path, deg, fn, name="mult@%d" % junction)
 
 
 def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
     """Horizontal composition with identity strands on both sides."""
-    if left.N != f.domain.N or right.N != f.domain.N:
-        raise ValueError("ambient rank mismatch")
-    if left.right_ring != f.domain.left_ring:
-        raise ValueError("left context ends at ring %d, map starts at %d"
-                         % (left.right_ring, f.domain.left_ring))
-    if f.domain.right_ring != right.left_ring:
-        raise ValueError("map ends at ring %d, right context starts at %d"
-                         % (f.domain.right_ring, right.left_ring))
     domain = left.concat(f.domain).concat(right)
     codomain = left.concat(f.codomain).concat(right)
     lm = left.num_factors

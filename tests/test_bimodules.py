@@ -1431,7 +1431,7 @@ def test_map_on_an_element_is_the_coefficient_weighted_sum_of_images():
     # bounds (1, 2), so every vector below is a basis vector; the right
     # end ring is ring 3 (weight 3)
     path = FlagPath(3, (1, 2, 3))
-    cross = gen_crossing(path, 1, "up")
+    cross = gen_crossing(path, 1)
     element = BimElement(path, {(0, 1): xgen(1, 3), (1, 0): Polynomial.const(-2),
                                 (1, 1): xgen(1, 3) + xgen(2, 3)})
     want = {}

@@ -22,6 +22,7 @@ from catsl2.diagramlang import (
     DiagramAST,
     DiagramError,
     LayerToken,
+    SourceSpan,
     ZeroDiagramWarning,
     compile_diagram,
     parse_diagram,
@@ -76,6 +77,15 @@ def test_unknown_token_error():
     with pytest.raises(DiagramError) as err:
         parse_diagram("N = 1\nweight = -1\ndomain = 1\nlayer: cupfe\n")
     assert "unknown token" in str(err.value)
+    assert (err.value.line, err.value.col_start, err.value.col_end) == (4, 8, 12)
+
+
+def test_unknown_token_in_a_diagram_built_in_code():
+    # the type check, not only the parser, names an unknown token with its span
+    token = LayerToken("bogus", SourceSpan(3, 8, 12))
+    with pytest.raises(DiagramError) as err:
+        DiagramAST(1, -1, SignedWord((), -1), [(token,)])
+    assert str(err.value) == "line 3, cols 8-12: unknown token 'bogus'"
 
 
 def test_header_errors():

@@ -1,5 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every top-level function and class is named somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every top-level function and class is named somewhere in the package, and
+every defaulted parameter is passed by some call in the package or its
+tests.
 
 Neither pyflakes nor ruff is assumed to be installed, so this parses each
 ``catsl2`` module with ``ast``.  A name counts as used if it occurs as a
@@ -7,7 +9,8 @@ Neither pyflakes nor ruff is assumed to be installed, so this parses each
 are the package's re-exports), and so is ``from __future__ import
 annotations``.  A top-level definition counts as named if another place in
 the package refers to it or ``catsl2.__all__`` exports it; the few kept
-without either are listed, each with its reason.
+without either are listed, each with its reason, and so are the defaulted
+parameters that no call passes.
 """
 
 import ast
@@ -99,3 +102,80 @@ def test_every_top_level_definition_is_named_somewhere():
     assert len(sources) >= 10
     unnamed = set(_unnamed_definitions(sources, set(catsl2.__all__)))
     assert unnamed == set(UNNAMED_BUT_KEPT), sorted(unnamed ^ set(UNNAMED_BUT_KEPT))
+
+
+#: Defaulted parameters that no call in the package or its tests passes,
+#: each kept for a reason.
+DEFAULTED_BUT_UNPASSED = {
+    "relationsuite.run_suite(progress)": "the live-progress hook, which ROADMAP "
+                                         "item 1 wires to `verify --progress`",
+}
+
+
+def _defaulted_parameters(tree):
+    """(label, callee name, position or None, parameter) for each defaulted
+    parameter of the top-level functions and the methods of the top-level
+    classes of ``tree``.  A class call passes its ``__init__``'s parameters,
+    and a method's positions leave out ``self`` (or ``cls``)."""
+    defs = [(node.name, node.name, node, False) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [("%s.%s" % (cls.name, node.name),
+                      cls.name if node.name == "__init__" else node.name, node,
+                      not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in node.decorator_list))
+                     for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for label, callee, node, bound in defs:
+        positional = (node.args.posonlyargs + node.args.args)[1 if bound else 0:]
+        first = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield label, callee, index, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield label, callee, None, arg.arg
+
+
+def _unpassed_defaults(defining: dict, calling) -> list:
+    """The defaulted parameters of the functions and methods of
+    ``defining`` (module name -> source), as ``module.function(parameter)``,
+    that no call in the ``calling`` sources passes, by position or by
+    keyword.  A call is matched to a definition by name alone."""
+    passed = {}   # callee name -> (positional count, keyword names)
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = float("inf") if starred else len(node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            passed.setdefault(name, []).append((count, keywords))
+    unpassed = []
+    for mod, source in defining.items():
+        for label, callee, index, param in _defaulted_parameters(ast.parse(source)):
+            if not any((index is not None and count > index)
+                       or param in keywords or None in keywords
+                       for count, keywords in passed.get(callee, ())):
+                unpassed.append("%s.%s(%s)" % (mod, label, param))
+    return unpassed
+
+
+def test_the_check_sees_an_unpassed_default():
+    defining = {"a": "def f(x, y=1, *, z=2):\n    pass\n\n"
+                     "class C:\n"
+                     "    def __init__(self, n=0):\n        pass\n\n"
+                     "    def m(self, k=1, j=2):\n        pass\n\n"
+                     "    @staticmethod\n"
+                     "    def s(p=1):\n        pass\n"}
+    calling = [defining["a"], "from a import C, f\nf(1, 2)\nC(5).m(j=3)\nC.s()\n"]
+    assert _unpassed_defaults(defining, calling) == ["a.f(z)", "a.C.m(k)", "a.C.s(p)"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    defining = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    tests = Path(__file__).resolve().parent
+    calling = list(defining.values()) + [p.read_text() for p in tests.glob("*.py")]
+    unpassed = set(_unpassed_defaults(defining, calling))
+    assert unpassed == set(DEFAULTED_BUT_UNPASSED), \
+        sorted(unpassed ^ set(DEFAULTED_BUT_UNPASSED))

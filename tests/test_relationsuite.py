@@ -156,6 +156,47 @@ def test_side_tables_wire_each_cup_kind_to_its_checks(monkeypatch, kind, failing
     assert {r.check for r in report.results if r.status == "fail"} == failing
 
 
+@pytest.mark.parametrize("kind, failing", [
+    ("fe", {"biadjointness_zigzag_e2", "biadjointness_zigzag_f1", "bubble_diagram_ccw",
+            "dot_cyclicity_e2", "dot_cyclicity_f1", "identity_decomposition_fe",
+            "reduction_to_bubbles_2"}),
+    ("ef", {"biadjointness_zigzag_e1", "biadjointness_zigzag_f2", "bubble_diagram_cw",
+            "dot_cyclicity_e1", "dot_cyclicity_f2", "identity_decomposition_ef",
+            "reduction_to_bubbles_1"}),
+])
+def test_side_tables_wire_each_cap_kind_to_its_checks(monkeypatch, kind, failing):
+    # caps take their kind from the path, so a wrong cap of one kind, picked
+    # by its derived name, must fail exactly the checks whose cups put that
+    # excursion where the cap closes it.  Crossing duality closes two caps of
+    # one kind, so their two signs cancel and it passes.
+    real_cap = relationsuite.gen_cap
+
+    def negated_cap(path, position):
+        cap = real_cap(path, position)
+        if not cap.name.startswith("cap_%s@" % kind):
+            return cap
+        return BimMap(cap.domain, cap.codomain, cap.degree,
+                      lambda vec: -cap.apply_vec(vec), name=cap.name)
+
+    monkeypatch.setattr(relationsuite, "gen_cap", negated_cap)
+    report = run_suite(3)
+    assert {r.check for r in report.results if r.status == "fail"} == failing
+
+
+def test_degree_audit_fails_on_a_name_missing_from_its_table(monkeypatch):
+    # generator names are derived from their paths, so a stem the audit's
+    # table does not know is a failure, not a skipped comparison
+    path = FlagPath(3, (1, 2))
+    twist = BimMap(path, path, 0, lambda vec: normalize_xi_vector(path, vec),
+                   name="twist@1")
+    real = relationsuite._context_generators
+    assert relationsuite._run_degree_audit(3, 1, random.Random(0)) is None
+    monkeypatch.setattr(relationsuite, "_context_generators",
+                        lambda N, k: real(N, k) + [twist])
+    assert relationsuite._run_degree_audit(3, 1, random.Random(0)) == \
+        "twist@1 has no entry in the degree table"
+
+
 def test_well_definedness_catches_a_map_that_is_not_left_linear(monkeypatch):
     # xi^a -> (a + 1) xi^a is right-linear (a BimMap extends over right-ring
     # coefficients) but does not commute with the left action of x[1]: the

@@ -88,7 +88,7 @@ def test_dot_non_nilpotent():
 
 def test_crossing_formula_small_cases():
     path = FlagPath(4, (1, 2, 3))
-    cross = gen_crossing(path, 1, "up")
+    cross = gen_crossing(path, 1)
     # one dot on the later-acting strand maps to the unit tensor
     assert by_vector(cross.apply_vec((0, 1))) == {(0, 0): Polynomial.one()}
     # one dot on the first-acting strand gives the negative
@@ -102,17 +102,18 @@ def test_crossing_formula_small_cases():
 
 
 def test_crossing_orientation_checks():
-    with pytest.raises(ValueError):
-        gen_crossing(FlagPath(2, (0, 1, 0)), 1, "up")
-    with pytest.raises(ValueError):
-        gen_crossing(FlagPath(3, (1, 2, 3)), 1, "down")
+    with pytest.raises(ValueError, match="two up-steps or two down-steps"):
+        gen_crossing(FlagPath(2, (0, 1, 0)), 1)
+    # the path fixes the orientation
+    assert gen_crossing(FlagPath(3, (1, 2, 3)), 1).name == "cross_up@1"
+    assert gen_crossing(FlagPath(3, (3, 2, 1)), 1).name == "cross_down@1"
 
 
 def test_crossing_squared_is_zero():
     for N in (2, 3):
         for k in range(0, N - 1):
             path = FlagPath(N, (k, k + 1, k + 2))
-            cross = gen_crossing(path, 1, "up")
+            cross = gen_crossing(path, 1)
             ok, report = map_equals(compose_chain(cross, cross),
                                     zero_map(path, path, -4))
             assert ok, report
@@ -163,29 +164,28 @@ def test_cap_values():
     N = 3
     # fe cap at the top ring: X_0 = 1 survives
     path = FlagPath(N, (N - 1, N, N - 1), shift=1 - N)
-    cap = gen_cap(path, 1, "fe")
+    cap = gen_cap(path, 1)
     assert by_vector(cap.apply_vec((0, 0))) == {(): Polynomial.one()}
     # two rings down the X-index is negative and the image is zero
     path = FlagPath(N, (0, 1, 0), shift=1 - N)
-    assert gen_cap(path, 1, "fe").apply_vec((0, 0)).is_zero()
+    assert gen_cap(path, 1).apply_vec((0, 0)).is_zero()
     # ef cap at k=1 sees Y_0 = 1
     path = FlagPath(N, (1, 0, 1), shift=1 - N)
-    assert by_vector(gen_cap(path, 1, "ef").apply_vec((0, 0))) == {(): Polynomial.one()}
+    assert by_vector(gen_cap(path, 1).apply_vec((0, 0))) == {(): Polynomial.one()}
 
 
 def test_cap_depends_only_on_dot_total():
     path = FlagPath(3, (1, 2, 1), shift=-2)
-    cap = gen_cap(path, 1, "fe")
+    cap = gen_cap(path, 1)
     assert cap.apply_vec((2, 1)) == cap.apply_vec((0, 3)) == cap.apply_vec((3, 0))
 
 
 def test_cap_shape_validation():
     with pytest.raises(ValueError):
-        gen_cap(FlagPath(3, (1, 2, 3)), 1, "fe")
-    with pytest.raises(ValueError):
-        gen_cap(FlagPath(3, (1, 0, 1)), 1, "fe")
-    with pytest.raises(ValueError):
-        gen_cap(FlagPath(3, (1, 2, 1)), 1, "ef")
+        gen_cap(FlagPath(3, (1, 2, 3)), 1)
+    # the path fixes the kind
+    assert gen_cap(FlagPath(3, (1, 2, 1)), 1).name == "cap_fe@1"
+    assert gen_cap(FlagPath(3, (1, 0, 1)), 1).name == "cap_ef@1"
 
 
 # -- composition, whiskering, equality ------------------------------------------------
@@ -221,7 +221,7 @@ def test_compose_with_identity():
 def test_zigzag_equals_identity():
     path = FlagPath(1, (0, 1))
     cup = gen_cup(path, 0, "fe")
-    zig = compose_chain(cup, gen_cap(cup.codomain, 2, "ef"))
+    zig = compose_chain(cup, gen_cap(cup.codomain, 2))
     ok, report = map_equals(zig, identity_map(path))
     assert ok, report
 
@@ -236,8 +236,8 @@ def test_whisker_identity_contexts():
 
 def test_whiskered_dots_commute():
     path = FlagPath(3, (1, 2, 3))
-    left = whisker(gen_dot(FlagPath(3, (1, 2)), 1), FlagPath(3, (1,))[:] if False
-                   else FlagPath(3, (1,)), FlagPath(3, (2, 3)))
+    left = whisker(gen_dot(FlagPath(3, (1, 2)), 1), FlagPath(3, (1,)),
+                   FlagPath(3, (2, 3)))
     right = whisker(gen_dot(FlagPath(3, (2, 3)), 1), FlagPath(3, (1, 2)),
                     FlagPath(3, (3,)))
     ok, report = map_equals(compose_chain(right, left),
@@ -245,10 +245,19 @@ def test_whiskered_dots_commute():
     assert ok, report
 
 
+def test_whisker_context_mismatch():
+    dot = gen_dot(FlagPath(3, (1, 2)), 1)
+    with pytest.raises(ValueError, match=r"\(2\) ends at ring 2 of N=3, \(1,2\) "
+                                         r"starts at ring 1 of N=3"):
+        whisker(dot, FlagPath(3, (2,)), FlagPath(3, (2,)))
+    with pytest.raises(ValueError, match="of N=3, .* of N=4"):
+        whisker(dot, FlagPath(3, (1,)), FlagPath(4, (2,)))
+
+
 def test_whiskered_cap_shrinks_path():
     ambient_left = FlagPath(2, (0, 1))
     inner = FlagPath(2, (1, 2, 1), shift=1 - 2)
-    cap = gen_cap(inner, 1, "fe")
+    cap = gen_cap(inner, 1)
     wide = whisker(cap, ambient_left, FlagPath(2, (1, 0)))
     assert wide.domain.num_factors == 4
     assert wide.codomain.num_factors == 2
@@ -291,9 +300,9 @@ def test_declared_degrees_match_table():
             assert gen_cup(FlagPath(N, (k,)), 0, "fe").degree == n + 1
             assert gen_cup(FlagPath(N, (k,)), 0, "ef").degree == 1 - n
             excursion = FlagPath(N, (k, k + 1, k), shift=1 - N)
-            assert gen_cap(excursion, 1, "fe").degree == n + 1
+            assert gen_cap(excursion, 1).degree == n + 1
         for k in range(0, N - 1):
-            assert gen_crossing(FlagPath(N, (k, k + 1, k + 2)), 1, "up").degree == -2
+            assert gen_crossing(FlagPath(N, (k, k + 1, k + 2)), 1).degree == -2
 
 
 def test_measured_degrees():
@@ -317,7 +326,7 @@ def test_generators_well_defined_on_raw_exponents():
     for N in (1, 2, 3):
         for k in range(0, N - 1):
             path = FlagPath(N, (k, k + 1, k + 2))
-            for gen in (gen_crossing(path, 1, "up"), gen_dot(path, 1)):
+            for gen in (gen_crossing(path, 1), gen_dot(path, 1)):
                 for vec in [(path.bound(1) + 1, 0), (path.bound(1) + 2, 1),
                             (0, path.bound(2) + 2)]:
                     direct = gen.apply_vec(vec)
@@ -325,7 +334,7 @@ def test_generators_well_defined_on_raw_exponents():
                     assert direct == via_normal, (N, k, gen.name, vec)
         for k in range(0, N):
             path = FlagPath(N, (k, k + 1, k), shift=1 - N)
-            cap = gen_cap(path, 1, "fe")
+            cap = gen_cap(path, 1)
             for vec in [(path.bound(1) + 1, 0), (0, path.bound(2) + 2)]:
                 assert cap.apply_vec(vec) == cap(normalize_xi_vector(path, vec))
 
@@ -341,7 +350,7 @@ def test_bubble_composites_match_closed_formula():
                 for dots in range(0, 2 * N + max(0, base) + 1):
                     cup = gen_cup(path, 0, kind)
                     maps = [cup] + [gen_dot(cup.codomain, 1)] * dots
-                    maps.append(gen_cap(cup.codomain, 1, kind))
+                    maps.append(gen_cap(cup.codomain, 1))
                     value = compose_chain(*maps).apply_vec(())
                     want = bubble_value(ctx, orientation, dots - base)
                     assert value == BimElement.from_ring_poly(path, want), \
@@ -424,10 +433,10 @@ def _crossing_duality_left_maps(N, k):
     path = FlagPath(N, (k + 2, k + 1, k))
     c1 = gen_cup(path, 0, "ef")
     c2 = gen_cup(c1.codomain, 1, "ef")
-    cross = gen_crossing(c2.codomain, 3, "up")
-    k1 = gen_cap(cross.codomain, 4, "fe")
-    return [c1, c2, cross, k1, gen_cap(k1.codomain, 3, "fe")], \
-        gen_crossing(path, 1, "down")
+    cross = gen_crossing(c2.codomain, 3)
+    k1 = gen_cap(cross.codomain, 4)
+    return [c1, c2, cross, k1, gen_cap(k1.codomain, 3)], \
+        gen_crossing(path, 1)
 
 
 def test_memoized_composite_matches_fresh_one():
