@@ -106,14 +106,16 @@ class DiagramAST:
     """A type-checked diagram: header data plus layers of tokens.
 
     Equality ignores source spans, so rendering and reparsing round-trips.
+    ``lines``, the source lines of the weight header and of each layer,
+    gives the span of a parity or layer arity error.
     """
 
-    def __init__(self, N: int, weight: int, domain: SignedWord, layers):
+    def __init__(self, N: int, weight: int, domain: SignedWord, layers, lines=None):
         self.N = N
         self.weight = weight
         self.domain = domain
         self.layers = tuple(tuple(tok) for tok in layers)
-        self.words = _typecheck(self)
+        self.words = _typecheck(self, lines or (None, (None,) * len(self.layers)))
 
     def __eq__(self, other):
         if not isinstance(other, DiagramAST):
@@ -126,14 +128,15 @@ class DiagramAST:
             self.N, self.weight, self.domain.render(), len(self.layers))
 
 
-def _typecheck(ast: DiagramAST):
+def _typecheck(ast: DiagramAST, lines):
     """Check arity and orientation of every layer; return the word list."""
+    weight_line, layer_lines = lines
     if (ast.weight + ast.N) % 2 != 0:
         raise DiagramError("weight %d and rank N=%d have different parity"
-                           % (ast.weight, ast.N))
+                           % (ast.weight, ast.N), weight_line)
     word = tuple(ast.domain.letters)
     words = [word]
-    for layer in ast.layers:
+    for layer, lineno in zip(ast.layers, layer_lines):
         produced = []
         pos = 0
         for tok in layer:
@@ -154,7 +157,7 @@ def _typecheck(ast: DiagramAST):
             produced.extend(out)
         if pos != len(word):
             raise DiagramError("layer consumes %d strands, word has %d"
-                               % (pos, len(word)))
+                               % (pos, len(word)), lineno)
         word = tuple(produced)
         words.append(word)
     return words
@@ -172,7 +175,8 @@ _WORD_TOKEN_RE = re.compile(r"^(?:[EF](?:\s+[EF])*|1)$")
 
 def parse_diagram(text: str) -> DiagramAST:
     header: dict = {}
-    layers = []
+    header_lines: dict = {}
+    layers, layer_lines = [], []
     seen_layer = False
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0]
@@ -187,6 +191,7 @@ def parse_diagram(text: str) -> DiagramAST:
                 toks.append(LayerToken(match.group(0), SourceSpan(
                     lineno, at + match.start() + 1, at + match.end())))
             layers.append(tuple(toks))
+            layer_lines.append(lineno)
             continue
         m = _HEADER_RE.match(line)
         if m:
@@ -195,6 +200,7 @@ def parse_diagram(text: str) -> DiagramAST:
                 raise DiagramError("header %r after the first layer" % key, lineno)
             if key in header:
                 raise DiagramError("duplicate header %r" % key, lineno)
+            header_lines[key] = lineno
             if key in ("N", "weight"):
                 digits = sum(ch.isdigit() for ch in value)
                 if digits > MAX_LITERAL_DIGITS:
@@ -217,7 +223,8 @@ def parse_diagram(text: str) -> DiagramAST:
         if key not in header:
             raise DiagramError("missing header %r" % key)
     domain = SignedWord.parse(header["domain"], header["weight"])
-    return DiagramAST(header["N"], header["weight"], domain, layers)
+    return DiagramAST(header["N"], header["weight"], domain, layers,
+                      (header_lines["weight"], layer_lines))
 
 
 def render_diagram(ast: DiagramAST) -> str:

@@ -37,13 +37,13 @@ def test_verify_rejects_bad_rank(capsys):
     assert code == 2
 
 
-def test_verify_default_rank_cap_is_six(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--N", "6", "--suites", "k0_shadow")
+def test_verify_default_rank_cap_is_seven(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--N", "7", "--suites", "k0_shadow")
     assert code == 0
     assert "0 fail" in out
-    code, out, err = run_cli(capsys, "verify", "--N", "7", "--suites", "k0_shadow")
+    code, out, err = run_cli(capsys, "verify", "--N", "8", "--suites", "k0_shadow")
     assert code == 2 and out == ""
-    assert "N=7 exceeds the configured maximum 6" in err
+    assert "N=8 exceeds the configured maximum 7" in err
 
 
 def test_verify_json_matches_schema(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from catsl2.exactpoly import Polynomial
 from catsl2.grassrings import GrassContext, bubble_value
 from catsl2.bimodules import BimElement, FlagPath
+from catsl2.cli import main
 from catsl2.twomorphisms import (
     SignedWord,
     audit_degree,
@@ -65,6 +66,24 @@ def test_arity_error_reports_span():
         parse_diagram("N = 1\nweight = -1\ndomain = E\nlayer: cap_fe\n")
     assert "cap_fe consumes 2 strands, found 1" in str(err.value)
     assert "line 4" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("N = 2\nweight = 0\ndomain = E F\nlayer: id_e\n", 4),
+    ("N = 2\nweight = 0\ndomain = E F\nlayer: id_e id_f\nlayer:\n", 5),
+    ("N = 2\n# rank two\nweight = 1\ndomain = E F\n", 3),
+], ids=["short_layer", "empty_layer", "parity"])
+def test_layer_and_parity_errors_carry_their_line(tmp_path, capsys, text, line):
+    # a layer that leaves strands unconsumed names its own line, a parity
+    # error the weight header's
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(text)
+    assert err.value.line == line <= len(text.splitlines())
+    assert str(err.value).startswith("line %d: " % line)
+    diagram = tmp_path / "bad.cat"
+    diagram.write_text(text)
+    assert main(["eval", "--diagram", str(diagram), "--element", "1"]) == 2
+    assert "line %d: " % line in capsys.readouterr().err
 
 
 def test_orientation_error():
