@@ -328,9 +328,14 @@ def _wrap(path: FlagPath, terms: dict) -> BimElement:
     return out
 
 
-def _by_xi(element: BimElement) -> dict:
-    """The terms of ``element`` by xi-part: xi-part -> coefficient terms."""
-    mask = _xi_fields(element.path.num_factors)[1]
+def _by_xi(element: BimElement, mask: int | None = None) -> dict:
+    """The terms of ``element`` by xi-part: xi-part -> coefficient terms.
+
+    ``mask`` picks the xi fields that split (default: every field of the
+    path); the fields it leaves out stay in the coefficient terms' keys.
+    """
+    if mask is None:
+        mask = _xi_fields(element.path.num_factors)[1]
     groups: dict = {}
     for key, c in element.terms.items():
         xi = key & mask

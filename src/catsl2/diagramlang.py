@@ -221,7 +221,8 @@ def parse_diagram(text: str) -> DiagramAST:
         raise DiagramError("cannot parse line %s" % _echo(line.strip()), lineno)
     for key in ("N", "weight", "domain"):
         if key not in header:
-            raise DiagramError("missing header %r" % key)
+            raise DiagramError("missing header %r" % key,
+                               len(text.splitlines()) or None)
     domain = SignedWord.parse(header["domain"], header["weight"])
     return DiagramAST(header["N"], header["weight"], domain, layers,
                       (header_lines["weight"], layer_lines))

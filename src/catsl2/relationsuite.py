@@ -246,13 +246,21 @@ def _bubble(N, k, orientation, dots):
 
 
 def _run_bubble_diagram(orientation, N, k):
+    """Each dot count's bubble against its formula.  One cup, dot and cap
+    serve every count: each extra dot is applied once to the dotted cup."""
     ctx = GrassContext(N, k)
     base = _BUBBLES[orientation][1] * ctx.n - 1
+    path = FlagPath(N, (k,))
+    cup = gen_cup(path, 0, _BUBBLES[orientation][0])
+    dot = gen_dot(cup.codomain, 1)
+    cap = gen_cap(cup.codomain, 1)
+    dotted = cup.apply_vec(())
     for dots in range(0, 2 * N + max(0, base) + 1):
-        alpha = dots - base
-        value = _bubble(N, k, orientation, dots).apply_vec(())
-        want = bubble_value(ctx, orientation, alpha)
-        if value != BimElement.from_ring_poly(FlagPath(N, (k,)), want):
+        if dots:
+            dotted = dot(dotted)
+        value = cap(dotted)
+        want = bubble_value(ctx, orientation, dots - base)
+        if value != BimElement.from_ring_poly(path, want):
             return ("%s bubble with %d dots: diagram %s, formula %s"
                     % (orientation, dots, value.render(), want.render()))
     return None

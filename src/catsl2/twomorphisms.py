@@ -1,10 +1,12 @@
 """Generator 2-morphisms as executable bimodule maps.
 
 A map is given by its domain and codomain flag paths (with shifts), a
-declared graded degree, and a procedure sending a xi-exponent vector to a
-normal-form element of the codomain; it extends to arbitrary elements by
-linearity over right-ring coefficients, so the right action is preserved
-by construction.  All generator formulas are stated on xi-power spanning
+declared graded degree, a procedure sending a xi-exponent vector to a
+normal-form element of the codomain, and its lead: the number of leading
+factors it passes through unchanged, so that it computes one image per
+right part.  It extends to arbitrary elements by linearity over
+right-ring coefficients, so the right action is preserved by
+construction.  All generator formulas are stated on xi-power spanning
 vectors.  The relation suite's ``well_definedness`` check decides that each
 generator preserves the left action on the basis (exactly) and agrees
 with its own formula on xi-excess vectors (up to ``MAX_EXCESS``); so every
@@ -37,6 +39,8 @@ from .bimodules import (
     _check_junction,
     _inject_at_junction,
     _sum_terms,
+    _wrap,
+    _xi_fields,
     _xi_key,
     _xi_vector,
     basis,
@@ -49,24 +53,36 @@ from .bimodules import (
 class BimMap:
     """A graded bimodule map between iterated flag bimodules.
 
-    ``fn`` sends a xi-exponent vector of the domain to its image.  Each
-    image is computed once and kept in a memo keyed by the vector's packed
-    xi-part: ``apply_vec`` packs a vector, and ``fn`` gets it decoded only
-    on a miss.  On an element (one packed polynomial) the map splits each
-    key with the domain's xi mask and adds each xi-part's image times its
-    coefficient terms, one product loop per xi-part.  A chain keeps one
+    ``fn`` sends a xi-exponent vector of the domain to its image.  ``lead``
+    counts the leading domain factors the map passes through unchanged
+    (declared by the constructors; 0 for a map built directly): it sends
+    xi^L (x) v to xi^L (x) f(v), and since a bounded xi^L is already in
+    normal form and rewriting only moves content rightwards, that image is
+    the image of xi^0 (x) v with L added to its keys.  So each image is
+    computed once per local part and kept in a memo keyed by the packed
+    xi-part with the lead fields cleared: ``apply_vec`` packs a vector and
+    adds its lead part to the stored image's keys, and ``fn`` gets a
+    vector decoded only on a miss.  A vector whose lead is past a bound
+    (an xi-excess vector) is computed whole and kept under its full key.
+    On an element (one packed polynomial) the map splits each key with the
+    domain's local xi mask, so the lead fields ride along in the
+    coefficient terms, and adds each local part's image times its
+    coefficient terms, one product loop per local part.  A chain keeps one
     memo and its maps keep theirs; its partial composites are never built.
     Stored images are shared, never mutated.
     """
 
     def __init__(self, domain: FlagPath, codomain: FlagPath, degree: int,
-                 fn: Callable, name: str = "map"):
+                 fn: Callable, name: str = "map", lead: int = 0):
         self.domain = domain
         self.codomain = codomain
         self.degree = degree
         self.name = name
+        self.lead = lead
         self._fn = fn
         self._images = {}
+        self._lead_mask = _xi_fields(lead)[1]
+        self._local_mask = _xi_fields(domain.num_factors)[1] - self._lead_mask
 
     def _image(self, xi: int) -> BimElement:
         """Image of the vector with packed xi-part ``xi``, memoized."""
@@ -79,7 +95,13 @@ class BimMap:
         """Image of the xi-power vector (bounded or not)."""
         if self.domain.is_zero or self.codomain.is_zero:
             return BimElement.zero(self.codomain)
-        return self._image(_xi_key(self.domain, vec))
+        key = _xi_key(self.domain, vec)
+        offset = key & self._lead_mask
+        if not offset or any(e > bound for e, (_, bound)
+                             in zip(vec[:self.lead], self.domain._steps)):
+            return self._image(key)
+        return _wrap(self.codomain, {k + offset: c
+                                     for k, c in self._image(key - offset).terms.items()})
 
     def __call__(self, element: BimElement) -> BimElement:
         if element.path is not self.domain and element.path != self.domain:
@@ -88,8 +110,9 @@ class BimMap:
         if self.codomain.is_zero:
             return BimElement.zero(self.codomain)
         image = self._image
-        return _sum_terms(self.codomain, ((coeff, image(xi))
-                                          for xi, coeff in _by_xi(element).items()))
+        return _sum_terms(self.codomain, (
+            (coeff, image(xi))
+            for xi, coeff in _by_xi(element, self._local_mask).items()))
 
     def __repr__(self):
         return "BimMap(%s: %s -> %s, deg %d)" % (
@@ -99,7 +122,7 @@ class BimMap:
 def identity_map(path: FlagPath) -> BimMap:
     return BimMap(path, path, 0,
                   lambda vec: normalize_xi_vector(path, vec),
-                  name="id")
+                  name="id", lead=path.num_factors)
 
 
 def zero_map(domain: FlagPath, codomain: FlagPath, degree: int = 0) -> BimMap:
@@ -119,7 +142,8 @@ def linear_combination(domain: FlagPath, codomain: FlagPath, degree: int,
     def fn(vec):
         return linear_sum(codomain, ((f.apply_vec(vec), sign) for sign, f in terms))
 
-    return BimMap(domain, codomain, degree, fn, name=name)
+    return BimMap(domain, codomain, degree, fn, name=name,
+                  lead=min((f.lead for _, f in terms), default=domain.num_factors))
 
 
 def compose_chain(*maps: BimMap) -> BimMap:
@@ -140,7 +164,8 @@ def compose_chain(*maps: BimMap) -> BimMap:
         return element
 
     return BimMap(maps[0].domain, maps[-1].codomain, sum(f.degree for f in maps),
-                  fn, name=".".join(f.name for f in reversed(maps)))
+                  fn, name=".".join(f.name for f in reversed(maps)),
+                  lead=min(f.lead for f in maps))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +183,7 @@ def gen_dot(path: FlagPath, position: int) -> BimMap:
         bumped = vec[:position - 1] + (vec[position - 1] + 1,) + vec[position:]
         return normalize_xi_vector(path, bumped)
 
-    return BimMap(path, path, 2, fn, name="dot@%d" % position)
+    return BimMap(path, path, 2, fn, name="dot@%d" % position, lead=position - 1)
 
 
 def gen_crossing(path: FlagPath, position: int) -> BimMap:
@@ -186,7 +211,8 @@ def gen_crossing(path: FlagPath, position: int) -> BimMap:
         outs = (vec[:i - 1] + (t, a + b - 1 - t) + vec[i + 1:] for t in range(lo, hi))
         return linear_sum(path, ((normalize_xi_vector(path, out), s) for out in outs))
 
-    return BimMap(path, path, -2, fn, name="cross_%s@%d" % ("up" if up else "down", i))
+    return BimMap(path, path, -2, fn, name="cross_%s@%d" % ("up" if up else "down", i),
+                  lead=i - 1)
 
 
 def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
@@ -221,7 +247,7 @@ def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
                                 vec[:g] + (xi_exp, 0) + vec[g:]), sign)
             for xi_exp, content, sign in pieces))
 
-    return BimMap(path, codomain, degree, fn, name=name)
+    return BimMap(path, codomain, degree, fn, name=name, lead=g)
 
 
 def gen_cap(path: FlagPath, position: int) -> BimMap:
@@ -231,7 +257,8 @@ def gen_cap(path: FlagPath, position: int) -> BimMap:
     is closed by the 'fe' cap, sending xi-powers (a, b) to
     (-1)^(a+b+j-N+1) X_{a+b+1+j-N}; a down-up excursion by the 'ef' cap,
     giving (-1)^(a+b+1-j) Y_{a+b+1-j}.  The image only depends on a+b,
-    which is what makes the map well defined on the tensor product.
+    which is what makes the map well defined on the tensor product; the
+    map computes it once per a+b and other exponents.
     """
     i = position
     if not 1 <= i < path.num_factors:
@@ -247,21 +274,26 @@ def gen_cap(path: FlagPath, position: int) -> BimMap:
     if path.is_zero:   # the codomain's rings are some of the path's
         return zero_map(path, codomain, degree)
     ctx = GrassContext(path.N, j)
+    images = {}     # (a + b, the other exponents) -> image
 
     def fn(vec):
-        a, b = vec[i - 1], vec[i]
-        if fe:
-            value = special_class(ctx, "X", a + b + 1 + j - path.N)
-            flip = (a + b + j - path.N + 1) % 2
-        else:
-            value = special_class(ctx, "Y", a + b + 1 - j)
-            flip = (a + b + 1 - j) % 2
-        if flip:
-            value = -value
+        total = vec[i - 1] + vec[i]
         reduced = vec[:i - 1] + vec[i + 1:]
-        return _inject_at_junction(codomain, i - 1, value, reduced)
+        image = images.get((total, reduced))
+        if image is None:
+            if fe:
+                value = special_class(ctx, "X", total + 1 + j - path.N)
+                flip = (total + j - path.N + 1) % 2
+            else:
+                value = special_class(ctx, "Y", total + 1 - j)
+                flip = (total + 1 - j) % 2
+            if flip:
+                value = -value
+            image = images[total, reduced] = _inject_at_junction(codomain, i - 1,
+                                                                 value, reduced)
+        return image
 
-    return BimMap(path, codomain, degree, fn, name=name)
+    return BimMap(path, codomain, degree, fn, name=name, lead=i - 1)
 
 
 def junction_mult(path: FlagPath, junction: int, poly: Polynomial) -> BimMap:
@@ -276,7 +308,7 @@ def junction_mult(path: FlagPath, junction: int, poly: Polynomial) -> BimMap:
     def fn(vec):
         return _inject_at_junction(path, junction, poly, vec)
 
-    return BimMap(path, path, deg, fn, name="mult@%d" % junction)
+    return BimMap(path, path, deg, fn, name="mult@%d" % junction, lead=junction)
 
 
 def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
@@ -294,7 +326,8 @@ def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
                                  pre + _xi_vector(f.codomain, xi) + post), 1)
             for xi, mcoeff in _by_xi(f.apply_vec(mid)).items()))
 
-    return BimMap(domain, codomain, f.degree, fn, name="whisk(%s)" % f.name)
+    return BimMap(domain, codomain, f.degree, fn, name="whisk(%s)" % f.name,
+                  lead=lm + f.lead)
 
 
 # ---------------------------------------------------------------------------

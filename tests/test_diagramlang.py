@@ -86,6 +86,29 @@ def test_layer_and_parity_errors_carry_their_line(tmp_path, capsys, text, line):
     assert "line %d: " % line in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("N = 1\nweight = -1\nlayer: cup_fe\n", 3),
+    ("N = 1\ndomain = 1\n\n# no weight\n", 4),
+    ("weight = 0\ndomain = 1\nlayer: cup_fe\nlayer: cap_fe", 4),
+], ids=["no_domain", "no_weight_trailing_comment", "no_N_no_newline"])
+def test_missing_header_names_the_last_line(tmp_path, capsys, text, line):
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(text)
+    assert err.value.line == line == len(text.splitlines())
+    assert str(err.value).startswith("line %d: missing header " % line)
+    diagram = tmp_path / "bad.cat"
+    diagram.write_text(text)
+    assert main(["eval", "--diagram", str(diagram), "--element", "1"]) == 2
+    assert "line %d: missing header " % line in capsys.readouterr().err
+
+
+def test_missing_header_in_an_empty_text_has_no_line():
+    with pytest.raises(DiagramError) as err:
+        parse_diagram("")
+    assert err.value.line is None
+    assert str(err.value) == "missing header 'N'"
+
+
 def test_orientation_error():
     with pytest.raises(DiagramError) as err:
         parse_diagram("N = 2\nweight = 0\ndomain = E F\nlayer: cross_ee\n")

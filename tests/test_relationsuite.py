@@ -68,6 +68,31 @@ def test_run_suite_selected_bubbles():
     assert {r.check for r in report.results} == set(MANIFEST["bubbles"])
 
 
+def test_bubble_diagrams_build_one_cup_per_context(monkeypatch):
+    # each (orientation, k) context builds one cup, dot and cap and applies
+    # the dot once more per extra dot: the cup's own procedure runs once
+    # (never, on the zero bimodule)
+    real_cup = relationsuite.gen_cup
+    runs = []
+
+    def counted_cup(path, junction, kind):
+        cup = real_cup(path, junction, kind)
+        inner, calls = cup._fn, []
+        cup._fn = lambda vec: calls.append(vec) or inner(vec)
+        runs.append((calls, [] if cup.codomain.is_zero else [()]))
+        return cup
+
+    monkeypatch.setattr(relationsuite, "gen_cup", counted_cup)
+    N = 4
+    report = run_suite(N, suites=["bubbles"])
+    assert report.all_ok()
+    contexts = [r for r in report.results if r.check.startswith("bubble_diagram_")]
+    assert len(contexts) == 2 * (N + 1)
+    assert len(runs) == len(contexts)
+    assert all(calls == once for calls, once in runs), runs
+    assert sum(once == [] for _, once in runs) == 2     # ef at k = 0, fe at k = N
+
+
 def test_run_suite_identity_decomposition_covers_all_weights():
     report = run_suite(3, suites=["identity_decomposition"])
     assert report.all_ok()

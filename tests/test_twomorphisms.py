@@ -13,7 +13,10 @@ from catsl2.bimodules import (
     normalize_xi_vector,
 )
 from catsl2.twomorphisms import (
+    MAX_EXCESS,
+    BimMap,
     SignedWord,
+    _excess_vectors,
     audit_degree,
     compile_word,
     compose_chain,
@@ -23,12 +26,13 @@ from catsl2.twomorphisms import (
     gen_dot,
     identity_map,
     junction_mult,
+    linear_combination,
     map_equals,
     measured_degree,
     whisker,
     zero_map,
 )
-from helpers import by_vector, map_matrix, record_new_maps, xgen, ygen
+from helpers import all_paths, by_vector, map_matrix, record_new_maps, xgen, ygen
 
 
 # -- words -------------------------------------------------------------------
@@ -423,6 +427,144 @@ def test_no_xi_exponent_carries_into_the_next_field():
     for vec in ((MAX_EXPONENT, 0, MAX_EXPONENT), (0, MAX_EXPONENT, 1), (1, 2, 3)):
         assert _xi_vector(path, _xi_key(path, vec)) == vec
     assert len({_xi_key(path, vec) for vec in basis(path)}) == len(basis(path))
+
+
+def _generators_on(path):
+    """Every generator kind at every position of ``path``."""
+    m = path.num_factors
+    maps = [identity_map(path)]
+    maps += [gen_dot(path, p) for p in range(1, m + 1)]
+    maps += [gen_crossing(path, i) for i in range(1, m)
+             if path.is_up(i) == path.is_up(i + 1)]
+    maps += [gen_cap(path, i) for i in range(1, m) if path.rings[i - 1] == path.rings[i + 1]]
+    maps += [gen_cup(path, g, kind) for g in range(m + 1) for kind in ("fe", "ef")]
+    for g in range(m + 1):
+        ring = path.junction(g)
+        maps.append(junction_mult(path, g, (ring.gens("x")[1:] + ring.gens("y")[1:])[0]))
+    return maps
+
+
+def _maps_with_leads(path):
+    """The generators on ``path``, chains and linear combinations of them,
+    and whiskers of the generators on its sub-paths of one or two factors
+    after the first."""
+    m = path.num_factors
+    maps = _generators_on(path)
+    maps += [compose_chain(f, gen_dot(f.codomain, f.codomain.num_factors))
+             for f in list(maps) if f.codomain.num_factors and not f.codomain.is_zero]
+    maps += [compose_chain(cup, gen_cap(cup.codomain, cup.lead + 1))
+             for cup in maps if cup.name.startswith("cup_") and not cup.codomain.is_zero]
+    maps += [linear_combination(path, path, 2, "sum",
+                                [(1, gen_dot(path, p)), (-1, gen_dot(path, m))])
+             for p in range(1, m)]
+    rings = path.rings
+    for a in range(1, m):
+        for b in range(a + 1, min(a + 2, m) + 1):
+            maps += [whisker(f, FlagPath(path.N, rings[:a + 1]), FlagPath(path.N, rings[b:]))
+                     for f in _generators_on(FlagPath(path.N, rings[a:b + 1]))]
+    return maps
+
+
+def _lead_mismatch(f):
+    """The first vector on which ``f``'s own procedure and its memo, which
+    passes the lead factors through, disagree: every basis vector, then
+    one xi-excess vector whose bump lies inside the lead; None if none."""
+    path = f.domain
+    inside = [vec for vec in _excess_vectors(path)
+              if any(vec[i] > path.bound(i + 1) for i in range(f.lead))]
+    for vec in basis(path) + inside[:1]:
+        if f._fn(vec) != f.apply_vec(vec):
+            return vec
+    return None
+
+
+#: Every path of 2-4 factors up to N = 2, of 2-3 factors at N = 3 and of 2
+#: factors at N = 4, then a few longer ones at N = 3 and 4.
+LEAD_PATHS = [path for N in range(1, 5) for path in all_paths(N, 4)
+              if path.num_factors >= 2 and path.num_factors <= {1: 4, 2: 4, 3: 3, 4: 2}[N]] + [
+    FlagPath(N, rings) for N, rings in (
+        (3, (0, 1, 2, 3, 2)), (3, (1, 2, 1, 2, 1)), (3, (3, 2, 1, 2, 3)),
+        (4, (1, 2, 3, 2)), (4, (3, 2, 1, 0)), (4, (2, 3, 4, 3)),
+        (4, (2, 3, 2, 1, 2)), (4, (0, 1, 2, 3, 4)), (4, (4, 3, 4, 3, 2)))]
+
+
+@pytest.mark.parametrize("path", LEAD_PATHS, ids=lambda path: "N%d%s" % (path.N, path.render()))
+def test_each_declared_lead_is_exact(path):
+    # a map with lead p sends xi^L (x) v to xi^L (x) f(v): its memo keeps
+    # one image per local part and adds the lead to its keys, which must
+    # equal what the map's own procedure computes on the whole vector
+    for f in _maps_with_leads(path):
+        assert 0 <= f.lead <= path.num_factors
+        assert _lead_mismatch(f) is None, (f.name, f.lead, _lead_mismatch(f))
+
+
+def test_a_wrong_lead_fails_the_exactness_check():
+    # a crossing at i changes factor i: a copy that declares lead i shifts
+    # the image of xi^0 (x) xi^0 where the crossing really acts
+    path = FlagPath(3, (1, 2, 3))
+    cross = gen_crossing(path, 1)
+    assert cross.lead == 0 and _lead_mismatch(cross) is None
+    wrong = BimMap(path, path, cross.degree, cross._fn, name=cross.name, lead=1)
+    assert _lead_mismatch(wrong) == (1, 0)
+
+
+def test_leads_declared_by_the_constructors():
+    path = FlagPath(4, (1, 2, 3, 2, 1))
+    assert [gen_dot(path, p).lead for p in (1, 2, 3, 4)] == [0, 1, 2, 3]
+    assert [gen_crossing(path, i).lead for i in (1, 3)] == [0, 2]
+    assert gen_cap(path, 2).lead == 1
+    assert [gen_cup(path, g, "ef").lead for g in range(5)] == [0, 1, 2, 3, 4]
+    assert junction_mult(path, 2, xgen(1, 2)).lead == 2
+    assert identity_map(path).lead == 4
+    assert zero_map(path, path).lead == 0
+    chain = compose_chain(gen_dot(path, 3), gen_crossing(path, 3), gen_dot(path, 4))
+    assert chain.lead == 2
+    combo = linear_combination(path, path, 2, "sum",
+                               [(1, gen_dot(path, 2)), (-1, gen_dot(path, 4))])
+    assert combo.lead == 1
+    wide = whisker(gen_dot(FlagPath(4, (2, 3, 2)), 2), FlagPath(4, (1, 2)),
+                   FlagPath(4, (2, 1)))
+    assert wide.lead == 2
+    assert BimMap(path, path, 0, lambda vec: None).lead == 0
+
+
+def test_a_lead_keeps_one_image_per_local_part():
+    # the memo of a dot at the last factor of a 3-factor path holds one entry
+    # per exponent of that factor, however many lead vectors reach it
+    path = FlagPath(3, (1, 2, 1, 2))
+    dot = gen_dot(path, 3)
+    for vec in basis(path):
+        dot.apply_vec(vec)
+    assert len(basis(path)) == 8
+    assert len(dot._images) == 2
+    element = sum((BimElement.basis_vector(path, vec, i + 1)
+                   for i, vec in enumerate(basis(path))), BimElement.zero(path))
+    assert dot(element) == sum((dot.apply_vec(vec).scale(i + 1)
+                                for i, vec in enumerate(basis(path))), BimElement.zero(path))
+    assert len(dot._images) == 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_cap_images_depend_only_on_the_sum(N):
+    # for every cap and every (a, b) up to its bounds plus MAX_EXCESS, fresh
+    # maps give one image per a + b (and the other exponents)
+    paths = [path for path in all_paths(N, 3)
+             if path.num_factors >= 2 and not path.is_zero]
+    caps = 0
+    for path in paths:
+        for i in range(1, path.num_factors):
+            if path.rings[i - 1] != path.rings[i + 1]:
+                continue
+            caps += 1
+            for pre in basis(FlagPath(N, path.rings[:i])):
+                for post in basis(FlagPath(N, path.rings[i + 1:])):
+                    seen = {}
+                    for a in range(path.bound(i) + MAX_EXCESS + 1):
+                        for b in range(path.bound(i + 1) + MAX_EXCESS + 1):
+                            image = gen_cap(path, i).apply_vec(pre + (a, b) + post)
+                            assert seen.setdefault(a + b, image) == image, \
+                                (path.render(), i, pre, a, b, post)
+    assert caps
 
 
 def test_junction_mult_checks_its_polynomial_once_when_built(monkeypatch):
