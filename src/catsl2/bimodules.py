@@ -665,17 +665,19 @@ def _has_content(terms, i: int) -> bool:
 
 
 def _settle(path: FlagPath, terms) -> dict:
-    """The packed terms of in-flight terms settled before the last factor:
-    for each monomial ``c * core * rest`` of the last entry (an int entry e
-    is xi^e), ``coeff * c * xi^heads * rest`` times the core's packed entry
-    in ``f.cores[None]``, one ``_add_products`` each; an entry holds only
-    xi and the g_t, so the rest cannot carry.  Right to left, terms may
-    share heads, so keys are added up."""
+    """The packed terms of in-flight terms settled before the last factor.
+
+    Each monomial ``c * core * rest`` of a term's last entry (an int entry
+    e is xi^e) adds ``coeff * c`` at ``xi^heads * rest`` to the multiplier
+    of its core; then each core's multiplier times its packed entry in
+    ``f.cores[None]`` is one ``_add_products``.  An entry holds only xi and
+    the g_t, so the rest cannot carry, and terms that share heads add up.
+    """
     m = path.num_factors
     f = _factor(path, m)
     heads = _xi_fields(m)[0][:-1]
     table = _core_table(f, None)
-    out: dict = {}
+    scales: dict = {}     # core -> {packed xi^heads * rest: rational}
     for factors, coeff in terms:
         xi = 0
         for e, shift in zip(factors, heads):
@@ -684,21 +686,33 @@ def _settle(path: FlagPath, terms) -> dict:
         last = {entry << f.shift: 1} if type(entry) is int else entry._terms
         for mono, c in last.items():
             rest = mono & f.rest
-            _add_products(out, {xi + rest: coeff * c},
-                          table.get(mono - rest) or _core_buckets(f, None, mono - rest))
+            key = xi + rest
+            scale = scales.get(mono - rest)
+            if scale is None:
+                scales[mono - rest] = {key: coeff * c}
+            else:
+                prev = scale.get(key)
+                scale[key] = coeff * c if prev is None else prev + coeff * c
+    out: dict = {}
+    for core, scale in scales.items():
+        _add_products(out, scale, table.get(core) or _core_buckets(f, None, core))
     return out
 
 
-def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
+def _normal_form(path: FlagPath, terms: list, order: str = "ltr",
                  on_step: Callable | None = None) -> BimElement:
-    """Normal form of the in-flight entries ``factors`` on a nonzero path
-    (``normalize`` checks ``order``)."""
+    """Normal form of the sum of weighted in-flight terms ``(entries,
+    coeff)`` on a nonzero path (``normalize`` checks ``order``)."""
     m = path.num_factors
-    if all(type(f) is int for f in factors):
-        return _wrap(path, {_xi_key(path, factors): 1})
+    if all(type(e) is int for factors, _ in terms for e in factors):
+        acc: dict = {}
+        for factors, coeff in terms:
+            key = _xi_key(path, factors)
+            acc[key] = acc.get(key, 0) + coeff
+        return _wrap(path, acc)
     if order == "ltr":
-        # one initial term yields distinct heads, and no like terms
-        terms = [(factors, 1)]
+        # clearing factor i rewrites only factors i and i+1; terms that
+        # become alike are added up when they settle
         for i in range(1, m):
             if _has_content(terms, i):
                 terms = list(_clear_factor(path, terms, i))
@@ -709,7 +723,9 @@ def _normal_form(path: FlagPath, factors: tuple, order: str = "ltr",
         # factor only gets content again from its left neighbour.
         # Re-clearing a factor maps terms that differ only there onto one
         # xi-power, so every step merges like terms.
-        merged = {factors: 1}
+        merged: dict = {}
+        for factors, coeff in terms:
+            merged[factors] = merged.get(factors, 0) + coeff
         changed = True
         while changed:
             changed = False
@@ -742,7 +758,8 @@ def normalize(raw: RawTensor, order: str = "ltr",
     step (``_settle``) pushes the last entry into the right end ring and
     packs each term's basis vectors and right-ring coefficients into the
     element's keys.  ``normalize_xi_vector`` and ``inject_into_factor``
-    enter the same rewriting without a ``RawTensor``.
+    enter the same rewriting without a ``RawTensor``, and
+    ``normalize_sum`` with one weighted term per raw tensor of a sum.
 
     ``order`` picks the junction-processing strategy for factors 1..m-1:
     "ltr" clears them left to right (one pass suffices), "rtl" sweeps right
@@ -757,9 +774,29 @@ def normalize(raw: RawTensor, order: str = "ltr",
     path = raw.path
     if path.is_zero:
         return BimElement.zero(path)
-    factors = tuple(_entry(poly, _factor(path, i))
-                    for i, poly in enumerate(raw.factors, start=1))
-    return _normal_form(path, factors, order, on_step)
+    return _normal_form(path, [(_entries(raw), 1)], order, on_step)
+
+
+def _entries(raw: RawTensor) -> tuple:
+    """The in-flight entries of the factors of a raw tensor."""
+    path = raw.path
+    return tuple(_entry(poly, _factor(path, i))
+                 for i, poly in enumerate(raw.factors, start=1))
+
+
+def normalize_sum(path: FlagPath, parts) -> BimElement:
+    """Normal form of the sum of ``c * raw`` over the ``(raw, c)`` parts,
+    raw tensors on ``path`` and rational ``c``: the parts' in-flight terms
+    are rewritten as one list and settled once."""
+    if path.is_zero:
+        return BimElement.zero(path)
+    terms = []
+    for raw, c in parts:
+        if raw.path != path:
+            raise ValueError("raw tensors live in different bimodules: %s vs %s"
+                             % (path.render(), raw.path.render()))
+        terms.append((_entries(raw), c))
+    return _normal_form(path, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +808,7 @@ def normalize_xi_vector(path: FlagPath, vec) -> BimElement:
     """Normal form of a (possibly out-of-bound) xi-exponent vector."""
     if path.is_zero:
         return BimElement.zero(path)
-    return _normal_form(path, _xi_entries(path, vec))
+    return _normal_form(path, [(_xi_entries(path, vec), 1)])
 
 
 def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
@@ -787,7 +824,7 @@ def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
     if vec[i - 1]:
         content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
     entries[i - 1] = _entry(content, _factor(path, i))
-    return _normal_form(path, tuple(entries))
+    return _normal_form(path, [(tuple(entries), 1)])
 
 
 def _check_junction(path: FlagPath, g: int, ring_poly: Polynomial):

@@ -137,7 +137,8 @@ def _fail(message: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = args.suites.split(",") if args.suites else None
+    # an empty --suites names the suite '', which resolve_suites refuses
+    suites = None if args.suites is None else args.suites.split(",")
     try:
         report = run_suite(args.N, suites=suites, max_rank=args.max_N)
     except ValueError as exc:

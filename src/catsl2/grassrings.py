@@ -235,17 +235,20 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
 
 
 def embedded_special_classes(ring: StepRing, family: str, end: str,
-                             classes) -> list[Polynomial]:
+                             classes, embedded_gens=None) -> list[Polynomial]:
     """``[ring.embed_ring_poly(c, end) for c in classes]`` for the classes
     C_0, C_1, ... of ``family`` in the ``end`` ring, through the recursion
     emb(C_a) = emb(R_a) - sum_{t>=1} emb(g_t) * emb(C_{a-t}) + delta(a, 0),
     with generators g_t (y[t] for X, x[t] for Y, g_0 = 1) and the residual
     R_a = sum_t g_t * C_{a-t} - delta(a, 0).  emb is a ring homomorphism, so
     this holds for any table; only the g_t and a nonzero R_a (0 for a
-    correct table) are substituted.
+    correct table) are substituted.  ``embedded_gens``, if given, is the
+    list of the emb(g_t), t >= 1, embedded before.
     """
     gens = getattr(ring, end).gens(_FAMILY_LETTER[family])
-    negated = [-ring.embed_ring_poly(g, end) for g in gens[1:]]
+    if embedded_gens is None:
+        embedded_gens = [ring.embed_ring_poly(g, end) for g in gens[1:]]
+    negated = [-g for g in embedded_gens]
     out = []
     for a in range(len(classes)):
         residual = sum_of_products(zip(gens, reversed(classes[:a + 1])))

@@ -2,8 +2,8 @@
 
 Every relation of the graphical calculus, realized as an identity of
 bimodule maps or of normal-form elements, becomes a named check, and
-``run_suite`` executes the whole inventory for one rank N across every
-admissible ring index k.  Equality is always syntactic equality of normal
+``run_suite`` executes the whole inventory for one rank N, one admissible
+ring index k at a time.  Equality is always syntactic equality of normal
 forms; there are no numeric tolerances anywhere.  Failures never raise:
 they are reported with a rendered counterexample.
 
@@ -36,8 +36,7 @@ from .bimodules import (
     RawTensor,
     basis,
     graded_rank,
-    linear_sum,
-    normalize,
+    normalize_sum,
     normalize_xi_vector,
 )
 from .qlaurent import Laurent
@@ -144,17 +143,66 @@ class CheckSpec:
     The check runs at every ring index k from ``lo`` to ``N + hi``, where
     ``span = (lo, hi)``, as ``run(N, k)``, which returns None on
     success or a counterexample string.  With no such k it is skipped.
+    A runner that ``shares`` reads pieces of the ``_Context`` of k.
     """
 
-    def __init__(self, name, suite, span, run):
+    def __init__(self, name, suite, span, runner, shares=False):
         self.name = name
         self.suite = suite
         self.span = span
-        self.run = run
+        self.runner = runner
+        self.shares = shares
 
     def contexts(self, N):
         lo, hi = self.span
-        return list(range(lo, N + hi + 1))
+        return range(lo, N + hi + 1)
+
+    def run(self, N, k, context=None):
+        """The check at k, sharing ``context`` (a fresh one if None)."""
+        if not self.shares:
+            return self.runner(N, k)
+        return self.runner(N, k, context or _Context(N, k))
+
+
+class _Context:
+    """What the checks at one ring index k share, each piece built on first
+    use and dropped with the context: the generator maps of
+    ``_context_generators`` with their image memos, and per (one-step
+    ring, family, end) the embedded special classes, per (ring, letter,
+    end) the embedded generators.  ``run_suite`` makes one per k."""
+
+    def __init__(self, N, k):
+        self.N, self.k = N, k
+        self._generators = None
+        self._gens, self._classes = {}, {}
+
+    def generators(self) -> list:
+        if self._generators is None:
+            self._generators = _context_generators(self.N, self.k)
+        return self._generators
+
+    def embedded_gens(self, ring: StepRing, letter: str, end: str) -> list:
+        """The generators g_1, g_2, ... of ``letter`` in the ``end`` ring,
+        embedded in ``ring``."""
+        key = (ring, letter, end)
+        out = self._gens.get(key)
+        if out is None:
+            out = self._gens[key] = [ring.embed_ring_poly(g, end)
+                                     for g in getattr(ring, end).gens(letter)[1:]]
+        return out
+
+    def classes(self, ring: StepRing, family: str, end: str) -> list:
+        """The classes of index 0 .. 2N+2 of an end ring, in one-step form."""
+        key = (ring, family, end)
+        out = self._classes.get(key)
+        if out is None:
+            letter = _RING_SIDES[family.lower()][2]
+            out = self._classes[key] = embedded_special_classes(
+                ring, family, end,
+                [special_class(getattr(ring, end), family, alpha)
+                 for alpha in range(0, 2 * self.N + 3)],
+                self.embedded_gens(ring, letter, end))
+        return out
 
 
 def _compare(label, lhs, rhs):
@@ -391,37 +439,32 @@ def _run_series(which, N, k):
 _RING_SIDES = {"x": ("lower", "upper", "y"), "y": ("upper", "lower", "x")}
 
 
-def _embedded_classes(ring: StepRing, family: str, end: str, N: int) -> list:
-    """The classes of index 0 .. 2N+2 of an end ring, in one-step form."""
-    return embedded_special_classes(ring, family, end, [
-        special_class(getattr(ring, end), family, alpha)
-        for alpha in range(0, 2 * N + 3)])
+def _slide_sums(other, xi):
+    """sum_{l <= a} other[a - l] * (-xi)^l for a = 0, 1, ..., by Horner's
+    rule: the sum at a is other[a] - xi times the sum at a - 1."""
+    rhs, minus_xi = Polynomial.zero(), -xi
+    for c in other:
+        rhs = sum_of_products(((c, 1), (minus_xi, rhs)))
+        yield rhs
 
 
-def _run_class_slide(side, N, k):
+def _run_class_slide(side, N, k, context):
     family, ring = side.upper(), StepRing(N, k)
-    # one list of embedded classes per end, kept for this context only: the
-    # two ends are embedded independently
-    slid, other = (_embedded_classes(ring, family, end, N)
-                   for end in _RING_SIDES[side][:2])
-    signed_xi = []
-    for alpha in range(0, 2 * N + 3):
-        signed_xi.append(-ring.xi(alpha) if alpha % 2 else ring.xi(alpha))
-        rhs = sum_of_products((other[alpha - ell], signed_xi[ell])
-                              for ell in range(0, alpha + 1))
+    # the two ends are embedded independently
+    slid, other = (context.classes(ring, family, end) for end in _RING_SIDES[side][:2])
+    for alpha, rhs in enumerate(_slide_sums(other, ring.xi())):
         if slid[alpha] != rhs:
             return ("slide of %s_%d: %s vs %s"
                     % (family, alpha, slid[alpha].render(), rhs.render()))
     return None
 
 
-def _run_xi_expansion(side, N, k):
+def _run_xi_expansion(side, N, k, context):
     class_end, gen_end, letter = _RING_SIDES[side]
     ring = StepRing(N, k)
-    classes = _embedded_classes(ring, side.upper(), class_end, N)
+    classes = context.classes(ring, side.upper(), class_end)
     # 1 and the other end's generators, each embedded on its own
-    gens = [Polynomial.one()] + [ring.embed_ring_poly(g, gen_end)
-                                 for g in getattr(ring, gen_end).gens(letter)[1:]]
+    gens = [Polynomial.one()] + context.embedded_gens(ring, letter, gen_end)
     for alpha in range(0, 2 * N + 3):
         acc = sum_of_products(zip(reversed(classes[:alpha + 1]), gens))
         if alpha % 2:
@@ -446,10 +489,10 @@ def _excursion(N, k, letter):
 
 
 def _alternating_sums(path, pairs):
-    """Over the t-th pair of factor tuples (left, right), the sums of
-    (-1)^t times the normal forms of the lefts and of the rights."""
-    return tuple(linear_sum(path, ((normalize(RawTensor(path, pair[side])), (-1) ** t)
-                                   for t, pair in enumerate(pairs)))
+    """Over the t-th pair of factor tuples (left, right), the normal forms
+    of the sums of (-1)^t times the lefts and of the rights."""
+    return tuple(normalize_sum(path, [(RawTensor(path, pair[side]), (-1) ** t)
+                                      for t, pair in enumerate(pairs)])
                  for side in (0, 1))
 
 
@@ -496,12 +539,12 @@ def _context_generators(N, k):
     return gens
 
 
-def _run_degree_audit(N, k):
+def _run_degree_audit(N, k, context=None):
     n = 2 * k - N
     expected = {"dot": 2, "cross_up": -2, "cross_down": -2,
                 "cup_fe": n + 1, "cap_fe": n + 1,
                 "cup_ef": 1 - n, "cap_ef": 1 - n}
-    for gen in _context_generators(N, k):
+    for gen in (context or _Context(N, k)).generators():
         if gen.domain.is_zero or gen.codomain.is_zero:
             continue   # nothing to audit; a zero cup is named "zero"
         stem = gen.name.split("@")[0]
@@ -532,7 +575,7 @@ def _run_degree_audit(N, k):
 # --- (j) well-definedness (bimodule law) --------------------------------------------
 
 
-def _run_well_definedness(N, k):
+def _run_well_definedness(N, k, context=None):
     """Every generator is a bimodule map, decided on the basis.
 
     A map extends right-linearly from its basis images, so the right law
@@ -558,7 +601,7 @@ def _run_well_definedness(N, k):
             f = left_maps[path, g] = junction_mult(path, 0, g)
         return f(element)
 
-    for gen in _context_generators(N, k):
+    for gen in (context or _Context(N, k)).generators():
         if gen.domain.is_zero or gen.codomain.is_zero:
             continue
         catalog = [Polynomial.gen(sym) for sym in sorted(gen.domain.junction(0).catalog())]
@@ -616,10 +659,11 @@ def _run_k0_shadow(N, k):
 # ---------------------------------------------------------------------------
 
 
-def _pair(stem, suite, sides, run, span):
+def _pair(stem, suite, sides, run, span, shares=False):
     """The checks of one mirrored relation: one per side, named stem + side,
     running run(side, N, k)."""
-    return [CheckSpec(stem + side, suite, span, partial(run, side)) for side in sides]
+    return [CheckSpec(stem + side, suite, span, partial(run, side), shares)
+            for side in sides]
 
 
 _CHECKS = [
@@ -643,15 +687,18 @@ _CHECKS = [
     *_pair("series_delta_", "ring_identities", ("xY", "Xy"), _run_series, (0, 0)),
     CheckSpec("bubble_series_product", "ring_identities", (0, 0),
               partial(_run_series, "bubble_product")),
-    *_pair("class_slide_", "ring_identities", _RING_SIDES, _run_class_slide, (0, -1)),
-    *_pair("xi_expansion_", "ring_identities", _RING_SIDES, _run_xi_expansion, (0, -1)),
+    *_pair("class_slide_", "ring_identities", _RING_SIDES, _run_class_slide, (0, -1),
+           shares=True),
+    *_pair("xi_expansion_", "ring_identities", _RING_SIDES, _run_xi_expansion, (0, -1),
+           shares=True),
     *(CheckSpec(stem + letter, "ring_identities", _EXCURSIONS[letter][1],
                 partial(run, letter))
       for stem, run in (("two_sided_sum_", _run_two_sided_sum),
                         ("dot_slide_", _run_dot_slide))
       for letter in _EXCURSIONS),
-    CheckSpec("degree_audit", "degree_audit", (0, 0), _run_degree_audit),
-    CheckSpec("well_definedness", "well_definedness", (0, 0), _run_well_definedness),
+    CheckSpec("degree_audit", "degree_audit", (0, 0), _run_degree_audit, shares=True),
+    CheckSpec("well_definedness", "well_definedness", (0, 0), _run_well_definedness,
+              shares=True),
     CheckSpec("non_nilpotency", "non_nilpotency", (0, 0), _run_non_nilpotency),
     CheckSpec("k0_shadow", "k0_shadow", (0, 0), _run_k0_shadow),
 ]
@@ -721,9 +768,13 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
               progress=None) -> VerifyReport:
     """Run the selected suites at rank N over every admissible ring index.
 
-    Failures become report entries; nothing raises for a false relation.
-    Results are ordered by check name and context so that reports are
-    byte-stable up to the timing fields.
+    The loop is k-major: for k = 0 .. N it runs each selected check that
+    admits k, in ``_CHECKS`` order, and ``progress`` (if given) sees each
+    result in that order.  The checks at k share one ``_Context``, made
+    for k and dropped after the last check at k that reads it, so no
+    more than one k's shared maps and class tables is held.  Failures become report entries; nothing
+    raises for a false relation.  Results are ordered by check name and
+    context so that reports are byte-stable up to the timing fields.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError("N must be a positive integer")
@@ -731,22 +782,30 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
         raise ValueError("N=%d exceeds the configured maximum %d" % (N, max_rank))
     chosen = resolve_suites(suites)
     report = VerifyReport(N=N, suites=chosen)
+    specs = []
     for spec in _CHECKS:
         if spec.suite not in chosen:
             continue
-        ks = spec.contexts(N)
-        if not ks:
-            lo, hi = spec.span
-            report.results.append(CheckResult(
-                spec.name, N, None, "skipped", reason="requires N >= %d" % (lo - hi)))
+        if spec.contexts(N):
+            specs.append(spec)
             continue
-        for k in ks:
+        lo, hi = spec.span
+        report.results.append(CheckResult(
+            spec.name, N, None, "skipped", reason="requires N >= %d" % (lo - hi)))
+    for k in range(0, N + 1):
+        at_k = [spec for spec in specs if k in spec.contexts(N)]
+        readers = sum(spec.shares for spec in at_k)
+        context = _Context(N, k)
+        for spec in at_k:
             started = time.perf_counter()
             try:
-                counterexample = spec.run(N, k)
+                counterexample = spec.run(N, k, context)
             except Exception as exc:   # a crash is a failed check, not a crash
                 counterexample = "internal error: %r" % exc
             millis = round((time.perf_counter() - started) * 1000.0, 3)
+            readers -= spec.shares
+            if not readers:
+                context = None      # no later check at k reads it
             if counterexample is None:
                 report.results.append(CheckResult(spec.name, N, k, "pass",
                                                   millis=millis))

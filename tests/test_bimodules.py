@@ -36,6 +36,7 @@ from catsl2.bimodules import (
     inject_at_junction,
     linear_sum,
     normalize,
+    normalize_sum,
     normalize_xi_vector,
     tensor,
 )
@@ -1232,6 +1233,27 @@ def test_linear_sum_keeps_no_zero_coefficient():
             partial = linear_sum(path, [(e, c), (e.scale(2), -c), (e, 1)])
             assert all(partial.terms.values())
             assert partial == e - e.scale(c)
+
+
+def test_normalize_sum_equals_the_sum_of_normal_forms():
+    # the parts' in-flight terms rewritten as one list and settled once
+    # give the linear_sum of the parts' normal forms, on every path of at
+    # most three steps for N <= 3: repeated, cancelling and in-bound parts
+    rng = random.Random("normalize-sum")
+    for N in (1, 2, 3):
+        for path in all_paths(N, 3):
+            raws = [random_raw_tensor(path, rng) for _ in range(3)]
+            unit = RawTensor(path, (Polynomial.one(),) * path.num_factors)
+            for parts in ([(raws[0], 1), (raws[1], -2), (raws[0], Fraction(1, 2)),
+                           (raws[2], 3), (unit, 1), (raws[2], -3)],
+                          [(raws[1], 1), (raws[1], -1)],
+                          [(unit, 2), (unit, -1)],
+                          []):
+                want = linear_sum(path, [(normalize(raw), c) for raw, c in parts])
+                assert normalize_sum(path, parts) == want, (path.render(), parts)
+    with pytest.raises(ValueError, match="different bimodules"):
+        normalize_sum(FlagPath(2, (0, 1)), [(RawTensor(FlagPath(2, (1, 2)),
+                                                       (Polynomial.one(),)), 1)])
 
 
 def test_linear_sum_rejects_parts_on_other_paths():

@@ -62,6 +62,14 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("value", ["", ","])
+def test_verify_refuses_an_empty_suite_name(capsys, value):
+    # an empty value names no suite: it is refused, not read as "every suite"
+    code, out, err = run_cli(capsys, "verify", "--N", "2", "--suites", value)
+    assert code == 2 and out == ""
+    assert "unknown suite ''" in err
+
+
 def test_eval_dot(capsys, tmp_path):
     diagram = tmp_path / "dot.cat"
     diagram.write_text("N = 2\nweight = 0\ndomain = E\nlayer: dot_e\n")

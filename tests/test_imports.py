@@ -106,10 +106,7 @@ def test_every_top_level_definition_is_named_somewhere():
 
 #: Defaulted parameters that no call in the package or its tests passes,
 #: each kept for a reason.
-DEFAULTED_BUT_UNPASSED = {
-    "relationsuite.run_suite(progress)": "the live-progress hook, which ROADMAP "
-                                         "item 1 wires to `verify --progress`",
-}
+DEFAULTED_BUT_UNPASSED: dict = {}
 
 
 def _defaulted_parameters(tree):

@@ -1,13 +1,16 @@
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from catsl2 import bimodules, grassrings, relationsuite, twomorphisms
 from catsl2.bimodules import BimElement, FlagPath, basis, normalize_xi_vector
 from catsl2.cli import main
-from catsl2.exactpoly import Polynomial
+from catsl2.exactpoly import Polynomial, sum_of_products
 from catsl2.grassrings import StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.twomorphisms import BimMap
@@ -412,3 +415,155 @@ def test_ring_identity_checks_catch_one_wrong_special_class(monkeypatch, family,
     failed = [r for r in report.results if r.status == "fail"]
     assert {r.check for r in failed} == failing
     assert not any(r.counterexample.startswith("internal error") for r in failed)
+
+
+def test_class_slide_sums_by_horner_equal_the_double_sum():
+    # rhs_a = other[a] - xi * rhs_(a-1) is the double sum over (a, l) of
+    # other[a - l] * (-xi)^l, for every k and both sides at N <= 4
+    for N in range(1, 5):
+        for k in range(0, N):
+            ring = StepRing(N, k)
+            context = relationsuite._Context(N, k)
+            for side, (_, end, _) in relationsuite._RING_SIDES.items():
+                other = context.classes(ring, side.upper(), end)
+                horner = list(relationsuite._slide_sums(other, ring.xi()))
+                assert len(horner) == len(other) == 2 * N + 3
+                for alpha, got in enumerate(horner):
+                    want = sum_of_products((other[alpha - ell], (-ring.xi()) ** ell)
+                                           for ell in range(0, alpha + 1))
+                    assert got == want, (N, k, side, alpha)
+
+
+def _per_k(counted, progress_runs):
+    """A ``run_suite`` progress hook that moves what ``counted`` holds into
+    ``progress_runs[k]`` after each check at k."""
+    def progress(result):
+        progress_runs.setdefault(result.k, Counter()).update(counted)
+        counted.clear()
+    return progress
+
+
+def test_degree_audit_and_well_definedness_share_their_generators(monkeypatch):
+    # within one k the two checks read one list of generator maps, so no
+    # generator computes an image twice: each procedure run, keyed by
+    # (map name, domain, vector), happens once per k across both checks,
+    # in run_suite as with one explicit context
+    real = relationsuite._context_generators
+    runs = Counter()
+
+    def counting(N, k):
+        gens = real(N, k)
+        for gen in gens:
+            def fn(vec, fn=gen._fn, key=(gen.name, gen.domain)):
+                runs[key + (tuple(vec),)] += 1
+                return fn(vec)
+            gen._fn = fn
+        return gens
+
+    monkeypatch.setattr(relationsuite, "_context_generators", counting)
+    suite_runs = {}
+    report = run_suite(4, suites=["degree_audit", "well_definedness"],
+                       progress=_per_k(runs, suite_runs))
+    assert report.all_ok()
+    assert sorted(suite_runs) == [0, 1, 2, 3, 4]
+    for k, counted in suite_runs.items():
+        assert counted and max(counted.values()) == 1, (k, counted.most_common(1))
+        context = relationsuite._Context(4, k)
+        assert relationsuite._run_degree_audit(4, k, context) is None
+        assert relationsuite._run_well_definedness(4, k, context) is None
+        assert runs == counted, k
+        runs.clear()
+
+
+def test_ring_identity_checks_embed_each_class_once_per_ring_index(monkeypatch):
+    # the four class_slide_* and xi_expansion_* checks at one k read one
+    # embedded class list per (ring, family, end) and one embedded
+    # generator list per (ring, letter, end): across them, each
+    # (ring, poly, end) goes through embed_ring_poly at most once
+    real = StepRing.embed_ring_poly
+    calls = Counter()
+
+    def counting(ring, poly, end):
+        calls[ring, poly, end] += 1
+        return real(ring, poly, end)
+
+    monkeypatch.setattr(StepRing, "embed_ring_poly", counting)
+    per_k = {}
+    assert run_suite(4, suites=["ring_identities"],
+                     progress=_per_k(calls, per_k)).all_ok()
+    specs = [spec for spec in relationsuite._CHECKS
+             if spec.name.startswith(("class_slide_", "xi_expansion_"))]
+    for k in range(0, 4):
+        assert per_k[k] and max(per_k[k].values()) == 1, (k, per_k[k].most_common(1))
+        context = relationsuite._Context(4, k)
+        for spec in specs:
+            assert spec.run(4, k, context) is None
+        assert calls == per_k[k], k
+        calls.clear()
+
+
+def _check_major_report(N):
+    """The report of ``run_suite(N)`` built check by check, each check at
+    each k run on its own with a fresh context, timings left at 0."""
+    report = relationsuite.VerifyReport(N=N, suites=SUITE_ORDER)
+    for spec in relationsuite._CHECKS:
+        ks = spec.contexts(N)
+        if not ks:
+            lo, hi = spec.span
+            report.results.append(relationsuite.CheckResult(
+                spec.name, N, None, "skipped", reason="requires N >= %d" % (lo - hi)))
+        for k in ks:
+            counterexample = spec.run(N, k)
+            report.results.append(relationsuite.CheckResult(
+                spec.name, N, k, "pass" if counterexample is None else "fail",
+                counterexample=counterexample))
+    report.results.sort(key=lambda r: (r.check, r.k if r.k is not None else -1))
+    return report.to_json()
+
+
+def test_the_k_major_loop_reports_as_each_check_on_its_own():
+    for N in range(1, 5):
+        report = run_suite(N)
+        for r in report.results:
+            r.millis = 0.0
+        assert report.to_json() == _check_major_report(N), N
+
+
+def test_run_suite_reports_progress_k_major():
+    seen = []
+    report = run_suite(3, progress=seen.append)
+    assert [r.k for r in seen] == sorted(r.k for r in seen)
+    order = [spec.name for spec in relationsuite._CHECKS]
+    for k in range(0, 4):
+        names = [r.check for r in seen if r.k == k]
+        assert names == sorted(names, key=order.index), k
+    assert len(seen) == sum(r.status != "skipped" for r in report.results)
+
+
+# Prints the term products that ``exactpoly._add_products`` forms during
+# ``run_suite(4, suites=["ring_identities"])`` in a fresh interpreter,
+# where every memo table starts empty.
+_WORK_SCRIPT = """
+from catsl2 import bimodules, exactpoly, relationsuite
+products = [0]
+real = exactpoly._add_products
+def counting(acc, ta, tb):
+    products[0] += len(ta) * len(tb)
+    return real(acc, ta, tb)
+exactpoly._add_products = bimodules._add_products = counting
+assert relationsuite.run_suite(4, suites=["ring_identities"]).all_ok()
+print(products[0])
+"""
+
+
+def test_ring_identities_work_count_does_not_grow():
+    # the count is deterministic, so more work shows as a larger number;
+    # 30,633 term products before the checks at one k shared their class
+    # tables and an alternating sum was normalized in one pass
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _WORK_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 20_815, done.stdout
