@@ -167,19 +167,27 @@ class CheckSpec:
 class _Context:
     """What the checks at one ring index k share, each piece built on first
     use and dropped with the context: the generator maps of
-    ``_context_generators`` with their image memos, and per (one-step
-    ring, family, end) the embedded special classes, per (ring, letter,
-    end) the embedded generators.  ``run_suite`` makes one per k."""
+    ``_context_generators`` with their image memos (``shared`` hands them
+    to the composites a check builds), and per (one-step ring, family,
+    end) the embedded special classes, per (ring, letter, end) the embedded
+    generators.  ``run_suite`` makes one per k."""
 
     def __init__(self, N, k):
         self.N, self.k = N, k
-        self._generators = None
+        self._generators = self._by_key = None
         self._gens, self._classes = {}, {}
 
     def generators(self) -> list:
         if self._generators is None:
             self._generators = _context_generators(self.N, self.k)
         return self._generators
+
+    def shared(self, f):
+        """The map of ``generators()`` equal to the generator map ``f`` (the
+        same generator between the same paths), else ``f`` itself."""
+        if self._by_key is None:
+            self._by_key = {(g.name, g.domain, g.codomain): g for g in self.generators()}
+        return self._by_key.get((f.name, f.domain, f.codomain), f)
 
     def embedded_gens(self, ring: StepRing, letter: str, end: str) -> list:
         """The generators g_1, g_2, ... of ``letter`` in the ``end`` ring,
@@ -228,13 +236,14 @@ def _strands(N, k, letter, count):
     return FlagPath(N, rings if letter == "e" else rings[::-1])
 
 
-def _cup_cap(path, cup_at, cup_kind, cap_at, *middle):
+def _cup_cap(path, cup_at, cup_kind, cap_at, *middle, pick=lambda f: f):
     """A cup, the ``middle`` steps (generator, *arguments) on its codomain
-    from bottom to top, then a cap.  Equal steps share one map and its memo."""
-    cup = gen_cup(path, cup_at, cup_kind)
-    maps = {step: step[0](cup.codomain, *step[1:]) for step in set(middle)}
+    from bottom to top, then a cap.  Equal steps share one map and its memo,
+    and ``pick`` may swap each map for an equal one it already holds."""
+    cup = pick(gen_cup(path, cup_at, cup_kind))
+    maps = {step: pick(step[0](cup.codomain, *step[1:])) for step in set(middle)}
     return compose_chain(cup, *(maps[step] for step in middle),
-                         gen_cap(cup.codomain, cap_at))
+                         pick(gen_cap(cup.codomain, cap_at)))
 
 
 # --- (a) biadjointness zigzags and (b) dot cyclicity ----------------------------
@@ -245,9 +254,9 @@ _ZIGZAGS = {"e1": (0, "fe", 2), "e2": (1, "ef", 1),
             "f1": (0, "ef", 2), "f2": (1, "fe", 1)}
 
 
-def _zigzag(N, k, which, dots=0):
+def _zigzag(N, k, which, dots=0, pick=lambda f: f):
     return _cup_cap(_strands(N, k, which[0], 1), *_ZIGZAGS[which],
-                    *[(gen_dot, 2)] * dots)
+                    *[(gen_dot, 2)] * dots, pick=pick)
 
 
 def _run_zigzag(dots, which, N, k):
@@ -287,10 +296,10 @@ def _run_duality(side, N, k):
 _BUBBLES = {"cw": ("ef", 1), "ccw": ("fe", -1)}
 
 
-def _bubble(N, k, orientation, dots):
+def _bubble(N, k, orientation, dots, pick):
     """Closed cup-dots-cap composite on the identity bimodule at ring k."""
     kind = _BUBBLES[orientation][0]
-    return _cup_cap(FlagPath(N, (k,)), 0, kind, 1, *[(gen_dot, 1)] * dots)
+    return _cup_cap(FlagPath(N, (k,)), 0, kind, 1, *[(gen_dot, 1)] * dots, pick=pick)
 
 
 def _run_bubble_diagram(orientation, N, k):
@@ -496,11 +505,33 @@ def _alternating_sums(path, pairs):
                  for side in (0, 1))
 
 
+def _two_sided_sums(path, gens, count):
+    """The two sides of sum_j (-1)^j c_j (x) xi^(alpha-j) and
+    sum_j (-1)^j xi^(alpha-j) (x) c_j over the generators c_j of ``gens``,
+    for alpha = 0 .. count - 1, by Horner's rule: the left side at alpha is
+    the dot on factor 2 applied to the left side at alpha - 1, plus
+    (-1)^alpha c_alpha (x) 1; the right side likewise with the dot on factor
+    1 and 1 (x) c_alpha.  Each side stays in normal form, and the two dots'
+    image memos serve every alpha, so each alpha normalizes only its one new
+    tensor per side."""
+    one = Polynomial.one()
+    dot1, dot2 = gen_dot(path, 1), gen_dot(path, 2)
+    lhs = rhs = BimElement.zero(path)
+    for alpha in range(0, count):
+        lhs, rhs = dot2(lhs), dot1(rhs)
+        if alpha < len(gens):
+            sign, c = (-1) ** alpha, gens[alpha]
+            lhs = lhs + normalize_sum(path, [(RawTensor(path, (c, one)), sign)])
+            rhs = rhs + normalize_sum(path, [(RawTensor(path, (one, c)), sign)])
+        yield lhs, rhs
+
+
 def _run_two_sided_sum(letter, N, k):
-    path, gens, xi1, xi2 = _excursion(N, k, letter)
-    for alpha in range(0, 2 * N + 1):
-        lhs, rhs = _alternating_sums(path, [((c, xi2(alpha - j)), (xi1(alpha - j), c))
-                                            for j, c in enumerate(gens[:alpha + 1])])
+    """The two-sided sums of ring k's generators of ``letter`` agree for
+    every alpha <= 2N; ``_two_sided_sums`` steps both sides from one alpha
+    to the next."""
+    path, gens, _, _ = _excursion(N, k, letter)
+    for alpha, (lhs, rhs) in enumerate(_two_sided_sums(path, gens, 2 * N + 1)):
         if lhs != rhs:
             return ("two-sided %s sum at alpha=%d: %s vs %s"
                     % (letter, alpha, lhs.render(), rhs.render()))
@@ -544,7 +575,8 @@ def _run_degree_audit(N, k, context=None):
     expected = {"dot": 2, "cross_up": -2, "cross_down": -2,
                 "cup_fe": n + 1, "cap_fe": n + 1,
                 "cup_ef": 1 - n, "cap_ef": 1 - n}
-    for gen in (context or _Context(N, k)).generators():
+    context = context or _Context(N, k)
+    for gen in context.generators():
         if gen.domain.is_zero or gen.codomain.is_zero:
             continue   # nothing to audit; a zero cup is named "zero"
         stem = gen.name.split("@")[0]
@@ -556,15 +588,16 @@ def _run_degree_audit(N, k, context=None):
         ok, report = audit_degree(gen)
         if not ok:
             return report
-    # composite suite diagrams must also measure at their declared degree
+    # composite suite diagrams must also measure at their declared degree;
+    # they are built from the context's generator maps where those serve
+    pick = context.shared
     composites = []
     if k < N:
-        composites.extend(_zigzag(N, k, which) for which in _ZIGZAGS)
-        composites.append(_bubble(N, k, "cw", max(0, n - 1) + 1))
+        composites.extend(_zigzag(N, k, which, pick=pick) for which in _ZIGZAGS)
+        composites.append(_bubble(N, k, "cw", max(0, n - 1) + 1, pick))
     if k < N - 1:
         path = FlagPath(N, (k, k + 1, k + 2))
-        cross = gen_crossing(path, 1)
-        composites.append(compose_chain(gen_dot(path, 1), cross))
+        composites.append(compose_chain(gen_dot(path, 1), pick(gen_crossing(path, 1))))
     for comp in composites:
         ok, report = audit_degree(comp)
         if not ok:

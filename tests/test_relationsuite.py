@@ -434,6 +434,49 @@ def test_class_slide_sums_by_horner_equal_the_double_sum():
                     assert got == want, (N, k, side, alpha)
 
 
+def test_two_sided_sums_by_horner_equal_the_direct_sums():
+    # the sides stepped by one dot and one new tensor per alpha are the
+    # normal forms of the whole alternating sums, each normalized from its
+    # raw tensors, for every admissible k, both letters and every alpha <= 2N
+    # at N <= 4
+    for N in range(1, 5):
+        for letter, (_, span) in relationsuite._EXCURSIONS.items():
+            for k in range(span[0], N + span[1] + 1):
+                path, gens, xi1, xi2 = relationsuite._excursion(N, k, letter)
+                horner = list(relationsuite._two_sided_sums(path, gens, 2 * N + 1))
+                assert len(horner) == 2 * N + 1
+                for alpha, got in enumerate(horner):
+                    want = relationsuite._alternating_sums(
+                        path, [((c, xi2(alpha - j)), (xi1(alpha - j), c))
+                               for j, c in enumerate(gens[:alpha + 1])])
+                    assert got == want, (N, letter, k, alpha)
+
+
+def test_two_sided_sums_catch_a_wrong_dot(monkeypatch):
+    # a dot that doubles its image on the vectors of total exponent 1 keeps
+    # the one-generator sums of k = 0 (x) and k = N (y) equal on both
+    # sides, and every other check of the suite builds no dot: the
+    # two-sided sums must fail at the other k, and nothing else
+    real = relationsuite.gen_dot
+
+    def doubling(path, position):
+        dot = real(path, position)
+
+        def fn(vec):
+            image = dot.apply_vec(vec)
+            return image + image if sum(vec) == 1 else image
+
+        return BimMap(dot.domain, dot.codomain, dot.degree, fn, name=dot.name)
+
+    monkeypatch.setattr(relationsuite, "gen_dot", doubling)
+    report = run_suite(3, suites=["ring_identities"])
+    failed = [r for r in report.results if r.status == "fail"]
+    assert sorted((r.check, r.k) for r in failed) == [
+        ("two_sided_sum_x", 1), ("two_sided_sum_x", 2),
+        ("two_sided_sum_y", 1), ("two_sided_sum_y", 2)]
+    assert all(r.counterexample.startswith("two-sided ") for r in failed)
+
+
 def _per_k(counted, progress_runs):
     """A ``run_suite`` progress hook that moves what ``counted`` holds into
     ``progress_runs[k]`` after each check at k."""
@@ -444,23 +487,26 @@ def _per_k(counted, progress_runs):
 
 
 def test_degree_audit_and_well_definedness_share_their_generators(monkeypatch):
-    # within one k the two checks read one list of generator maps, so no
-    # generator computes an image twice: each procedure run, keyed by
-    # (map name, domain, vector), happens once per k across both checks,
-    # in run_suite as with one explicit context
-    real = relationsuite._context_generators
+    # within one k the two checks read one list of generator maps, and the
+    # degree audit builds its composites from those maps where they serve,
+    # so no generator computes an image twice: each procedure run of every
+    # generator map the suite builds, keyed by (map name, domain, vector),
+    # happens once per k across both checks, in run_suite as with one
+    # explicit context
     runs = Counter()
 
-    def counting(N, k):
-        gens = real(N, k)
-        for gen in gens:
+    def counting(real):
+        def make(*args):
+            gen = real(*args)
             def fn(vec, fn=gen._fn, key=(gen.name, gen.domain)):
                 runs[key + (tuple(vec),)] += 1
                 return fn(vec)
             gen._fn = fn
-        return gens
+            return gen
+        return make
 
-    monkeypatch.setattr(relationsuite, "_context_generators", counting)
+    for name in ("gen_dot", "gen_cup", "gen_cap", "gen_crossing"):
+        monkeypatch.setattr(relationsuite, name, counting(getattr(relationsuite, name)))
     suite_runs = {}
     report = run_suite(4, suites=["degree_audit", "well_definedness"],
                        progress=_per_k(runs, suite_runs))
@@ -559,11 +605,12 @@ print(products[0])
 def test_ring_identities_work_count_does_not_grow():
     # the count is deterministic, so more work shows as a larger number;
     # 30,633 term products before the checks at one k shared their class
-    # tables and an alternating sum was normalized in one pass
+    # tables and an alternating sum was normalized in one pass, and 20,815
+    # before the two-sided sums were stepped by Horner's rule
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", _WORK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) <= 20_815, done.stdout
+    assert int(done.stdout) <= 17_175, done.stdout
