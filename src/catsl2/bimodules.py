@@ -50,7 +50,8 @@ Input is checked once, where it enters, against the catalog of the ring
 it lives in: ``RawTensor`` each factor, ``inject_at_junction`` a junction
 polynomial, ``act`` an action polynomial and the ``BimElement``
 constructor its vectors and coefficients.  What the engine builds itself
-goes through ``_inject_at_junction`` and ``_wrap`` unchecked.
+goes through ``_inject_at_junction``, ``_xi_entries`` and ``_wrap``
+unchecked.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ class FlagPath:
                            any(r < 0 or r > self.N for r in self.rings))
         object.__setattr__(self, "_steps", tuple(steps))
         object.__setattr__(self, "num_factors", len(steps))
-
-    @property
-    def left_ring(self) -> int:
-        return self.rings[0]
 
     @property
     def right_ring(self) -> int:
@@ -626,12 +623,22 @@ def _entry(poly: Polynomial, f: _Factor):
     return poly
 
 
-def _xi_entries(path: FlagPath, vec) -> tuple:
-    """The entries of the tensor xi_1^{v_1} x ... x xi_m^{v_m}."""
+def _xi_entries(path: FlagPath, vec, i: int = 0,
+                content: Polynomial | None = None) -> tuple:
+    """The entries of the tensor xi_1^{v_1} x ... x xi_m^{v_m}, with
+    ``content`` multiplied into factor i if given.  ``content`` must be in
+    the generators of factor i's step ring; it is not checked, as both
+    callers, ``_inject_at_junction`` (a junction polynomial, embedded) and
+    the cup generator, pass canonical content."""
     if len(vec) != path.num_factors:
         raise ValueError("need one exponent per path step")
-    return tuple(e if 0 <= e <= path.bound(i) else Polynomial.gen(xi_sym(i), e)
-                 for i, e in enumerate(vec, start=1))
+    entries = tuple(e if 0 <= e <= path.bound(n) else Polynomial.gen(xi_sym(n), e)
+                    for n, e in enumerate(vec, start=1))
+    if content is None:
+        return entries
+    if vec[i - 1]:
+        content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
+    return entries[:i - 1] + (_entry(content, _factor(path, i)),) + entries[i:]
 
 
 def _clear_factor(path: FlagPath, terms, i: int):
@@ -757,9 +764,11 @@ def normalize(raw: RawTensor, order: str = "ltr",
     rightward until every entry before the last is an int, and the last
     step (``_settle``) pushes the last entry into the right end ring and
     packs each term's basis vectors and right-ring coefficients into the
-    element's keys.  ``normalize_xi_vector`` and ``inject_into_factor``
-    enter the same rewriting without a ``RawTensor``, and
-    ``normalize_sum`` with one weighted term per raw tensor of a sum.
+    element's keys.  ``normalize_xi_vector`` and ``_inject_at_junction``
+    enter the same rewriting without a ``RawTensor``, with the one term
+    that ``_xi_entries`` builds; ``normalize_sum``, ``gen_crossing`` and
+    ``gen_cup`` hand it one list with a weighted term per raw tensor of a
+    sum or per term of the generator's image.
 
     ``order`` picks the junction-processing strategy for factors 1..m-1:
     "ltr" clears them left to right (one pass suffices), "rtl" sweeps right
@@ -811,22 +820,6 @@ def normalize_xi_vector(path: FlagPath, vec) -> BimElement:
     return _normal_form(path, [(_xi_entries(path, vec), 1)])
 
 
-def inject_into_factor(path: FlagPath, i: int, content: Polynomial,
-                       vec) -> BimElement:
-    """Normal form of xi^vec with ``content`` multiplied into factor i.
-
-    ``content`` must be in the generators of factor i's step ring.  It is
-    not checked: both callers, ``_inject_at_junction`` (a junction
-    polynomial, embedded) and the cup generator, pass canonical content on
-    a nonzero path.
-    """
-    entries = list(_xi_entries(path, vec))
-    if vec[i - 1]:
-        content = content * Polynomial.gen(xi_sym(i), vec[i - 1])
-    entries[i - 1] = _entry(content, _factor(path, i))
-    return _normal_form(path, [(tuple(entries), 1)])
-
-
 def _check_junction(path: FlagPath, g: int, ring_poly: Polynomial):
     """Raise unless ``ring_poly`` is in the ring at junction g of ``path``."""
     if not path.is_zero:
@@ -856,8 +849,8 @@ def _inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
         return _wrap(path, ring_poly.terms)
     if g == m:
         return normalize_xi_vector(path, vec).right_mul(ring_poly)
-    return inject_into_factor(path, g + 1, _embedded(_factor(path, g + 1), ring_poly),
-                              vec)
+    content = _embedded(_factor(path, g + 1), ring_poly)
+    return _normal_form(path, [(_xi_entries(path, vec, g + 1, content), 1)])
 
 
 def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:

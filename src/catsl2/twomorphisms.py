@@ -38,13 +38,14 @@ from .bimodules import (
     _by_xi,
     _check_junction,
     _inject_at_junction,
+    _normal_form,
     _sum_terms,
     _wrap,
+    _xi_entries,
     _xi_fields,
     _xi_key,
     _xi_vector,
     basis,
-    inject_into_factor,
     linear_sum,
     normalize_xi_vector,
 )
@@ -209,7 +210,7 @@ def gen_crossing(path: FlagPath, position: int) -> BimMap:
         a, b = vec[i - 1], vec[i]
         lo, hi, s = (a, b, sign) if a < b else (b, a, -sign)
         outs = (vec[:i - 1] + (t, a + b - 1 - t) + vec[i + 1:] for t in range(lo, hi))
-        return linear_sum(path, ((normalize_xi_vector(path, out), s) for out in outs))
+        return _normal_form(path, [(_xi_entries(path, out), s) for out in outs])
 
     return BimMap(path, path, -2, fn, name="cross_%s@%d" % ("up" if up else "down", i),
                   lead=i - 1)
@@ -242,10 +243,9 @@ def gen_cup(path: FlagPath, junction: int, kind: str) -> BimMap:
     pieces = [(len(gens) - 1 - t, content, (-1) ** t) for t, content in enumerate(gens)]
 
     def fn(vec):
-        return linear_sum(codomain, (
-            (inject_into_factor(codomain, g + 2, content,
-                                vec[:g] + (xi_exp, 0) + vec[g:]), sign)
-            for xi_exp, content, sign in pieces))
+        return _normal_form(codomain, [
+            (_xi_entries(codomain, vec[:g] + (xi_exp, 0) + vec[g:], g + 2, content), sign)
+            for xi_exp, content, sign in pieces])
 
     return BimMap(path, codomain, degree, fn, name=name, lead=g)
 
@@ -345,7 +345,9 @@ class SignedWord:
     def __post_init__(self):
         for ch in self.letters:
             if ch not in ("E", "F"):
-                raise ValueError("letters must be 'E' or 'F'")
+                token = str(ch)
+                raise ValueError("letters must be 'E' or 'F', separated by blanks; got %r"
+                                 % (token if len(token) <= 40 else token[:40] + "..."))
 
     @staticmethod
     def parse(text: str, weight: int) -> "SignedWord":

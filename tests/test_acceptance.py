@@ -128,8 +128,9 @@ def test_criterion_07_rewriting_termination_and_confluence():
 def test_criterion_08_bimodule_law():
     for N in RANKS:
         _suite_green(N, ["well_definedness"])
-    _report(8, "all generator maps satisfy the bimodule law on 50 random "
-               "decorated elements per generator per context, exactly")
+    _report(8, "all generator maps satisfy the bimodule law on every basis "
+               "vector with every left catalog generator, and agree with their "
+               "formula on the xi-excess vectors up to MAX_EXCESS, exactly")
 
 
 def test_criterion_09_dsl():

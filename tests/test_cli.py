@@ -187,6 +187,18 @@ def test_rank_of_long_word_is_exact(capsys):
     assert len(counts) == 191
 
 
+def test_rank_names_a_token_that_is_not_one_letter(capsys):
+    # letters are separated by blanks, so "EF" is one token, not two letters
+    code, out, err = run_cli(capsys, "rank", "--N", "3", "--word", "EF",
+                             "--weight", "1")
+    assert code == 2 and out == ""
+    assert "separated by blanks" in err and "'EF'" in err
+    code, _, err = run_cli(capsys, "rank", "--N", "3", "--word", "E " + "F" * 60,
+                           "--weight", "1")
+    assert code == 2
+    assert "'%s...'" % ("F" * 40) in err and "F" * 41 not in err
+
+
 def test_rank_parity_error(capsys):
     code, _, err = run_cli(capsys, "rank", "--N", "2", "--word", "E",
                            "--weight", "1")

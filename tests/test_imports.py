@@ -1,16 +1,17 @@
 """Every name a module of the package imports is used in that module,
-every top-level function and class is named somewhere in the package, and
-every defaulted parameter is passed by some call in the package or its
-tests.
+every top-level function and class and every method of a top-level class
+is named somewhere in the package, and every defaulted parameter is
+passed by some call in the package or its tests.
 
 Neither pyflakes nor ruff is assumed to be installed, so this parses each
 ``catsl2`` module with ``ast``.  A name counts as used if it occurs as a
 ``Name`` node anywhere in the module.  ``__init__`` is exempt (its imports
 are the package's re-exports), and so is ``from __future__ import
 annotations``.  A top-level definition counts as named if another place in
-the package refers to it or ``catsl2.__all__`` exports it; the few kept
-without either are listed, each with its reason, and so are the defaulted
-parameters that no call passes.
+the package refers to it or ``catsl2.__all__`` exports it, and a method
+(other than a ``__dunder__`` one) if another place refers to it; the few
+kept without that are listed, each with its reason, and so are the
+defaulted parameters that no call passes.
 """
 
 import ast
@@ -48,12 +49,16 @@ def test_no_module_imports_an_unused_name():
 
 
 #: Top-level definitions that nothing in the package names and that are not
-#: exported, each kept for a reason.
+#: exported, and methods of top-level classes that nothing in the package
+#: names, each kept for a reason.
 UNNAMED_BUT_KEPT = {
     "relationsuite.inventory": "the live side of the MANIFEST lock, which "
                                "the tests compare against the committed list",
     "diagramlang.render_diagram": "the printer of the diagram DSL, the "
                                   "inverse of parse_diagram",
+    "cli._CliParser.error": "argparse calls it on a usage error",
+    "bimodules.BimElement.basis_vector": "a public constructor, which the "
+                                         "tests and bench/selftest.py use",
 }
 
 
@@ -71,30 +76,47 @@ def _names(tree) -> list:
     return out
 
 
+def _definitions(tree):
+    """``(label, node, exportable)`` for the top-level functions and
+    classes of ``tree`` and the methods of its top-level classes; the
+    language calls the ``__dunder__`` methods, so they are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, True
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield "%s.%s" % (node.name, sub.name), sub, False
+
+
 def _unnamed_definitions(sources: dict, exported) -> list:
     """The top-level functions and classes of ``sources`` (module name ->
-    source) that are not in ``exported`` and that nothing names outside
-    their own definition, in any module of ``sources``.  The definitions
-    of ``__init__`` and ``__main__`` are not checked, only read."""
+    source) that are not in ``exported``, and the methods of its top-level
+    classes, that nothing names outside their own definition, in any
+    module of ``sources``.  The definitions of ``__init__`` and
+    ``__main__`` are not checked, only read."""
     trees = {mod: ast.parse(source) for mod, source in sources.items()}
     named = Counter(name for tree in trees.values() for name in _names(tree))
     unnamed = []
     for mod, tree in trees.items():
         if mod in ("__init__", "__main__"):
             continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                inside = _names(node).count(node.name)
-                if named[node.name] == inside and node.name not in exported:
-                    unnamed.append("%s.%s" % (mod, node.name))
+        for label, node, exportable in _definitions(tree):
+            inside = _names(node).count(node.name)
+            if named[node.name] == inside and not (exportable and node.name in exported):
+                unnamed.append("%s.%s" % (mod, label))
     return unnamed
 
 
 def test_the_check_sees_an_unnamed_definition():
     sources = {"a": "def used():\n    pass\n\ndef spare(n):\n    return spare(n - 1)\n\n"
-                    "class Kept:\n    pass\n",
+                    "class Kept:\n"
+                    "    def __init__(self):\n        self.called()\n\n"
+                    "    def called(self):\n        pass\n\n"
+                    "    def idle(self, n):\n        return self.idle(n - 1)\n",
                "b": "from a import used\nused()\n"}
-    assert _unnamed_definitions(sources, {"Kept"}) == ["a.spare"]
+    assert _unnamed_definitions(sources, {"Kept", "idle"}) == ["a.spare", "a.Kept.idle"]
 
 
 def test_every_top_level_definition_is_named_somewhere():

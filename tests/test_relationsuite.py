@@ -587,8 +587,8 @@ def test_run_suite_reports_progress_k_major():
 
 
 # Prints the term products that ``exactpoly._add_products`` forms during
-# ``run_suite(4, suites=["ring_identities"])`` in a fresh interpreter,
-# where every memo table starts empty.
+# ``run_suite(4, suites=SUITES)`` in a fresh interpreter, where every memo
+# table starts empty (``SUITES`` is None for the whole suite).
 _WORK_SCRIPT = """
 from catsl2 import bimodules, exactpoly, relationsuite
 products = [0]
@@ -597,9 +597,20 @@ def counting(acc, ta, tb):
     products[0] += len(ta) * len(tb)
     return real(acc, ta, tb)
 exactpoly._add_products = bimodules._add_products = counting
-assert relationsuite.run_suite(4, suites=["ring_identities"]).all_ok()
+assert relationsuite.run_suite(4, suites=SUITES).all_ok()
 print(products[0])
 """
+
+
+def _work_count(suites) -> int:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = "SUITES = %r\n%s" % (suites, _WORK_SCRIPT)
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
 
 
 def test_ring_identities_work_count_does_not_grow():
@@ -607,10 +618,14 @@ def test_ring_identities_work_count_does_not_grow():
     # 30,633 term products before the checks at one k shared their class
     # tables and an alternating sum was normalized in one pass, and 20,815
     # before the two-sided sums were stepped by Horner's rule
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", _WORK_SCRIPT],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert int(done.stdout) <= 17_175, done.stdout
+    count = _work_count(["ring_identities"])
+    assert count <= 17_175, count
+
+
+def test_whole_suite_work_count_does_not_grow():
+    # 58,539 term products (3,023 ``_normal_form`` calls) before each
+    # crossing and cup image was normalized as one list of in-flight
+    # terms, 56,091 (2,585 calls) since; a return to one normal form per
+    # output term and a ``linear_sum`` of them shows as a larger number
+    count = _work_count(None)
+    assert count <= 56_091, count
