@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactpoly import Polynomial, xi_sym
-from .bimodules import BimElement, FlagPath, RawTensor, linear_sum, normalize
+from .bimodules import BimElement, FlagPath, RawTensor, linear_sum, normalize_sum
 from .twomorphisms import (
     BimMap,
     SignedWord,
@@ -170,7 +170,6 @@ def _typecheck(ast: DiagramAST, lines):
 
 _HEADER_RE = re.compile(r"^\s*(N|weight|domain)\s*=\s*(.+?)\s*$")
 _LAYER_RE = re.compile(r"^\s*layer\s*:\s*(.*?)\s*$")
-_WORD_TOKEN_RE = re.compile(r"^(?:[EF](?:\s+[EF])*|1)$")
 
 
 def parse_diagram(text: str) -> DiagramAST:
@@ -213,17 +212,17 @@ def parse_diagram(text: str) -> DiagramAST:
                     raise DiagramError("%s must be an integer, got %s"
                                        % (key, _echo(value)), lineno) from None
             else:
-                if not _WORD_TOKEN_RE.match(value):
-                    raise DiagramError("domain must be E/F letters or 1, got %s"
-                                       % _echo(value), lineno)
-                header["domain"] = value
+                try:
+                    header["domain"] = SignedWord.parse(value, 0).letters
+                except ValueError as exc:
+                    raise DiagramError(str(exc), lineno) from None
             continue
         raise DiagramError("cannot parse line %s" % _echo(line.strip()), lineno)
     for key in ("N", "weight", "domain"):
         if key not in header:
             raise DiagramError("missing header %r" % key,
                                len(text.splitlines()) or None)
-    domain = SignedWord.parse(header["domain"], header["weight"])
+    domain = SignedWord(header["domain"], header["weight"])
     return DiagramAST(header["N"], header["weight"], domain, layers,
                       (header_lines["weight"], layer_lines))
 
@@ -447,6 +446,7 @@ def parse_element(text: str, path: FlagPath) -> BimElement:
         if m == 0:
             value = BimElement.from_ring_poly(path, polys[0])
         else:
-            value = normalize(RawTensor(path, tuple(polys)))
+            value = RawTensor(path, tuple(polys))
         parts.append((value, 1 if sign == "+" else -1))
-    return linear_sum(path, parts)
+    # every tensor term is rewritten in one list
+    return linear_sum(path, parts) if m == 0 else normalize_sum(path, parts)

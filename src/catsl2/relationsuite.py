@@ -141,53 +141,44 @@ class CheckSpec:
     """A named relation check: admissible contexts plus a runner.
 
     The check runs at every ring index k from ``lo`` to ``N + hi``, where
-    ``span = (lo, hi)``, as ``run(N, k)``, which returns None on
-    success or a counterexample string.  With no such k it is skipped.
-    A runner that ``shares`` reads pieces of the ``_Context`` of k.
+    ``span = (lo, hi)``, as ``run(N, k, context)`` with the ``_Context`` of
+    k, which returns None on success or a counterexample string.  With no
+    such k it is skipped.
     """
 
-    def __init__(self, name, suite, span, runner, shares=False):
+    def __init__(self, name, suite, span, runner):
         self.name = name
         self.suite = suite
         self.span = span
         self.runner = runner
-        self.shares = shares
 
     def contexts(self, N):
         lo, hi = self.span
         return range(lo, N + hi + 1)
 
-    def run(self, N, k, context=None):
-        """The check at k, sharing ``context`` (a fresh one if None)."""
-        if not self.shares:
-            return self.runner(N, k)
-        return self.runner(N, k, context or _Context(N, k))
+    def run(self, N, k, context):
+        return self.runner(N, k, context)
 
 
 class _Context:
     """What the checks at one ring index k share, each piece built on first
-    use and dropped with the context: the generator maps of
-    ``_context_generators`` with their image memos (``shared`` hands them
-    to the composites a check builds), and per (one-step ring, family,
-    end) the embedded special classes, per (ring, letter, end) the embedded
+    use and kept until k ends: per constructor and arguments the generator
+    map of ``gen`` with its image memo, per (one-step ring, family, end)
+    the embedded special classes, and per (ring, letter, end) the embedded
     generators.  ``run_suite`` makes one per k."""
 
     def __init__(self, N, k):
         self.N, self.k = N, k
-        self._generators = self._by_key = None
-        self._gens, self._classes = {}, {}
+        self._maps, self._gens, self._classes = {}, {}, {}
 
-    def generators(self) -> list:
-        if self._generators is None:
-            self._generators = _context_generators(self.N, self.k)
-        return self._generators
-
-    def shared(self, f):
-        """The map of ``generators()`` equal to the generator map ``f`` (the
-        same generator between the same paths), else ``f`` itself."""
-        if self._by_key is None:
-            self._by_key = {(g.name, g.domain, g.codomain): g for g in self.generators()}
-        return self._by_key.get((f.name, f.domain, f.codomain), f)
+    def gen(self, constructor, *args):
+        """The map ``constructor(*args)``, built on first use: every check
+        at k that asks for it gets this one map and its image memo."""
+        key = (constructor, *args)
+        f = self._maps.get(key)
+        if f is None:
+            f = self._maps[key] = constructor(*args)
+        return f
 
     def embedded_gens(self, ring: StepRing, letter: str, end: str) -> list:
         """The generators g_1, g_2, ... of ``letter`` in the ``end`` ring,
@@ -236,14 +227,13 @@ def _strands(N, k, letter, count):
     return FlagPath(N, rings if letter == "e" else rings[::-1])
 
 
-def _cup_cap(path, cup_at, cup_kind, cap_at, *middle, pick=lambda f: f):
+def _cup_cap(context, path, cup_at, cup_kind, cap_at, *middle):
     """A cup, the ``middle`` steps (generator, *arguments) on its codomain
-    from bottom to top, then a cap.  Equal steps share one map and its memo,
-    and ``pick`` may swap each map for an equal one it already holds."""
-    cup = pick(gen_cup(path, cup_at, cup_kind))
-    maps = {step: pick(step[0](cup.codomain, *step[1:])) for step in set(middle)}
-    return compose_chain(cup, *(maps[step] for step in middle),
-                         pick(gen_cap(cup.codomain, cap_at)))
+    from bottom to top, then a cap, each map the context's."""
+    cup = context.gen(gen_cup, path, cup_at, cup_kind)
+    return compose_chain(cup, *(context.gen(step[0], cup.codomain, *step[1:])
+                                for step in middle),
+                         context.gen(gen_cap, cup.codomain, cap_at))
 
 
 # --- (a) biadjointness zigzags and (b) dot cyclicity ----------------------------
@@ -254,15 +244,16 @@ _ZIGZAGS = {"e1": (0, "fe", 2), "e2": (1, "ef", 1),
             "f1": (0, "ef", 2), "f2": (1, "fe", 1)}
 
 
-def _zigzag(N, k, which, dots=0, pick=lambda f: f):
-    return _cup_cap(_strands(N, k, which[0], 1), *_ZIGZAGS[which],
-                    *[(gen_dot, 2)] * dots, pick=pick)
+def _zigzag(context, which, dots):
+    return _cup_cap(context, _strands(context.N, context.k, which[0], 1),
+                    *_ZIGZAGS[which], *[(gen_dot, 2)] * dots)
 
 
-def _run_zigzag(dots, which, N, k):
+def _run_zigzag(dots, which, N, k, context):
     """The zigzag is the identity; with a dot on it, the dot on the strand."""
-    zig = _zigzag(N, k, which, dots)
-    straight = gen_dot(zig.domain, 1) if dots else identity_map(zig.domain)
+    zig = _zigzag(context, which, dots)
+    straight = (context.gen(gen_dot, zig.domain, 1) if dots
+                else context.gen(identity_map, zig.domain))
     label = ("dot_cyclicity_" if dots else "zigzag_") + which
     return _compare(label, zig, straight)
 
@@ -276,15 +267,16 @@ _DUALITIES = {"left": ((0, 1), "ef", (4, 3)),
               "right": ((2, 3), "fe", (2, 1))}
 
 
-def _run_duality(side, N, k):
+def _run_duality(side, N, k, context):
     (cup1, cup2), cup_kind, (cap1, cap2) = _DUALITIES[side]
+    gen = context.gen
     path = FlagPath(N, (k + 2, k + 1, k))
-    target = gen_crossing(path, 1)
-    c1 = gen_cup(path, cup1, cup_kind)
-    c2 = gen_cup(c1.codomain, cup2, cup_kind)
-    cross = gen_crossing(c2.codomain, 3)
-    k1 = gen_cap(cross.codomain, cap1)
-    rot = compose_chain(c1, c2, cross, k1, gen_cap(k1.codomain, cap2))
+    target = gen(gen_crossing, path, 1)
+    c1 = gen(gen_cup, path, cup1, cup_kind)
+    c2 = gen(gen_cup, c1.codomain, cup2, cup_kind)
+    cross = gen(gen_crossing, c2.codomain, 3)
+    k1 = gen(gen_cap, cross.codomain, cap1)
+    rot = compose_chain(c1, c2, cross, k1, gen(gen_cap, k1.codomain, cap2))
     return _compare("crossing_duality_" + side, rot, target)
 
 
@@ -296,21 +288,21 @@ def _run_duality(side, N, k):
 _BUBBLES = {"cw": ("ef", 1), "ccw": ("fe", -1)}
 
 
-def _bubble(N, k, orientation, dots, pick):
+def _bubble(context, orientation, dots):
     """Closed cup-dots-cap composite on the identity bimodule at ring k."""
-    kind = _BUBBLES[orientation][0]
-    return _cup_cap(FlagPath(N, (k,)), 0, kind, 1, *[(gen_dot, 1)] * dots, pick=pick)
+    return _cup_cap(context, FlagPath(context.N, (context.k,)), 0,
+                    _BUBBLES[orientation][0], 1, *[(gen_dot, 1)] * dots)
 
 
-def _run_bubble_diagram(orientation, N, k):
+def _run_bubble_diagram(orientation, N, k, context):
     """Each dot count's bubble against its formula.  One cup, dot and cap
     serve every count: each extra dot is applied once to the dotted cup."""
     ctx = GrassContext(N, k)
     base = _BUBBLES[orientation][1] * ctx.n - 1
     path = FlagPath(N, (k,))
-    cup = gen_cup(path, 0, _BUBBLES[orientation][0])
-    dot = gen_dot(cup.codomain, 1)
-    cap = gen_cap(cup.codomain, 1)
+    cup = context.gen(gen_cup, path, 0, _BUBBLES[orientation][0])
+    dot = context.gen(gen_dot, cup.codomain, 1)
+    cap = context.gen(gen_cap, cup.codomain, 1)
     dotted = cup.apply_vec(())
     for dots in range(0, 2 * N + max(0, base) + 1):
         if dots:
@@ -323,7 +315,7 @@ def _run_bubble_diagram(orientation, N, k):
     return None
 
 
-def _run_bubble_vanishing(N, k):
+def _run_bubble_vanishing(N, k, context):
     ctx = GrassContext(N, k)
     for orientation in _BUBBLES:
         for alpha in (-1, -2, -3):
@@ -334,7 +326,7 @@ def _run_bubble_vanishing(N, k):
     return None
 
 
-def _run_bubble_unit(N, k):
+def _run_bubble_unit(N, k, context):
     ctx = GrassContext(N, k)
     for orientation in _BUBBLES:
         if bubble_value(ctx, orientation, 0) != Polynomial.one():
@@ -350,19 +342,20 @@ def _run_bubble_unit(N, k):
 _NILHECKE = {"e": (2, 1), "f": (1, 2)}
 
 
-def _run_crossing_squared(side, N, k):
+def _run_crossing_squared(side, N, k, context):
     path = _strands(N, k, side[0], 2)
-    cross = gen_crossing(path, 1)
+    cross = context.gen(gen_crossing, path, 1)
     return _compare("crossing_squared_" + side, compose_chain(cross, cross),
                     zero_map(path, path, -4))
 
 
-def _run_exchange(side, N, k):
+def _run_exchange(side, N, k, context):
     first_at, second_at = _NILHECKE[side[0]]
+    gen = context.gen
     path = _strands(N, k, side[0], 2)
-    cross = gen_crossing(path, 1)
-    first, second = gen_dot(path, first_at), gen_dot(path, second_at)
-    ident = identity_map(path)
+    cross = gen(gen_crossing, path, 1)
+    first, second = gen(gen_dot, path, first_at), gen(gen_dot, path, second_at)
+    ident = gen(identity_map, path)
     one = linear_combination(path, path, 0, "exchange_a",
                              [(1, compose_chain(first, cross)),
                               (-1, compose_chain(cross, second))])
@@ -373,9 +366,9 @@ def _run_exchange(side, N, k):
             or _compare("exchange_%s_b" % side, two, ident))
 
 
-def _run_braid(side, N, k):
+def _run_braid(side, N, k, context):
     path = _strands(N, k, side[0], 3)
-    u1, u2 = gen_crossing(path, 1), gen_crossing(path, 2)
+    u1, u2 = context.gen(gen_crossing, path, 1), context.gen(gen_crossing, path, 2)
     return _compare("braid_" + side, compose_chain(u1, u2, u1),
                     compose_chain(u2, u1, u2))
 
@@ -389,16 +382,16 @@ _REDUCTIONS = {"1": (0, "ef", 2, 1, 0, "cw", -1),
                "2": (1, "fe", 1, 2, 1, "ccw", 1)}
 
 
-def _run_reduction(which, N, k):
+def _run_reduction(which, N, k, context):
     cup_at, kind, cross_at, cap_at, g, orientation, sign = _REDUCTIONS[which]
     path = FlagPath(N, (k, k + 1))
-    curl = _cup_cap(path, cup_at, kind, cap_at, (gen_crossing, cross_at))
+    curl = _cup_cap(context, path, cup_at, kind, cap_at, (gen_crossing, cross_at))
     ctx = path.junction(g)
     bound = -_BUBBLES[orientation][1] * ctx.n
-    dot = gen_dot(path, 1)
+    dot = context.gen(gen_dot, path, 1)
     terms = []
     for j in range(0, bound + 1):
-        bubble = junction_mult(path, g, bubble_value(ctx, orientation, j))
+        bubble = context.gen(junction_mult, path, g, bubble_value(ctx, orientation, j))
         dots = [dot] * (bound - j)
         # as displayed: the left bubble above the dots, the right one below
         chain = (*dots, bubble) if g == 0 else (bubble, *dots)
@@ -415,17 +408,18 @@ _DECOMPOSITIONS = {"fe": (-1, "ccw", (1, 0)),
                    "ef": (1, "cw", (0, -1))}
 
 
-def _run_identity_decomposition(kind, N, k):
+def _run_identity_decomposition(kind, N, k, context):
     offset, orientation, _ = _DECOMPOSITIONS[kind]
+    gen = context.gen
     ctx = GrassContext(N, k)
     path = FlagPath(N, (k + offset, k, k + offset))
-    cap = gen_cap(path, 1)
-    lhs = compose_chain(cap, gen_cup(cap.codomain, 0, kind))
-    mid = _cup_cap(path, 1, kind, 2, (gen_crossing, 1), (gen_crossing, 3))
+    cap = gen(gen_cap, path, 1)
+    lhs = compose_chain(cap, gen(gen_cup, cap.codomain, 0, kind))
+    mid = _cup_cap(context, path, 1, kind, 2, (gen_crossing, 1), (gen_crossing, 3))
     bound = -_BUBBLES[orientation][1] * ctx.n
-    dot1, dot2 = gen_dot(path, 1), gen_dot(path, 2)
+    dot1, dot2 = gen(gen_dot, path, 1), gen(gen_dot, path, 2)
     terms = [(1, compose_chain(*[dot1] * (ell - j), *[dot2] * (bound - 1 - ell),
-                               junction_mult(path, 1, bubble_value(
+                               gen(junction_mult, path, 1, bubble_value(
                                    ctx, orientation, j))))
              for ell in range(0, bound) for j in range(0, ell + 1)]
     rhs = linear_combination(path, path, 0, "decomposition_sum",
@@ -436,7 +430,7 @@ def _run_identity_decomposition(kind, N, k):
 # --- (h) ring identity batteries ----------------------------------------------------
 
 
-def _run_series(which, N, k):
+def _run_series(which, N, k, context):
     ok, report = check_series_identity(GrassContext(N, k), which, 2 * N)
     return None if ok else report
 
@@ -505,17 +499,17 @@ def _alternating_sums(path, pairs):
                  for side in (0, 1))
 
 
-def _two_sided_sums(path, gens, count):
+def _two_sided_sums(context, path, gens, count):
     """The two sides of sum_j (-1)^j c_j (x) xi^(alpha-j) and
     sum_j (-1)^j xi^(alpha-j) (x) c_j over the generators c_j of ``gens``,
     for alpha = 0 .. count - 1, by Horner's rule: the left side at alpha is
     the dot on factor 2 applied to the left side at alpha - 1, plus
     (-1)^alpha c_alpha (x) 1; the right side likewise with the dot on factor
-    1 and 1 (x) c_alpha.  Each side stays in normal form, and the two dots'
-    image memos serve every alpha, so each alpha normalizes only its one new
-    tensor per side."""
+    1 and 1 (x) c_alpha.  Each side stays in normal form, and the context's
+    two dots' image memos serve every alpha, so each alpha normalizes only
+    its one new tensor per side."""
     one = Polynomial.one()
-    dot1, dot2 = gen_dot(path, 1), gen_dot(path, 2)
+    dot1, dot2 = context.gen(gen_dot, path, 1), context.gen(gen_dot, path, 2)
     lhs = rhs = BimElement.zero(path)
     for alpha in range(0, count):
         lhs, rhs = dot2(lhs), dot1(rhs)
@@ -526,19 +520,19 @@ def _two_sided_sums(path, gens, count):
         yield lhs, rhs
 
 
-def _run_two_sided_sum(letter, N, k):
+def _run_two_sided_sum(letter, N, k, context):
     """The two-sided sums of ring k's generators of ``letter`` agree for
     every alpha <= 2N; ``_two_sided_sums`` steps both sides from one alpha
     to the next."""
     path, gens, _, _ = _excursion(N, k, letter)
-    for alpha, (lhs, rhs) in enumerate(_two_sided_sums(path, gens, 2 * N + 1)):
+    for alpha, (lhs, rhs) in enumerate(_two_sided_sums(context, path, gens, 2 * N + 1)):
         if lhs != rhs:
             return ("two-sided %s sum at alpha=%d: %s vs %s"
                     % (letter, alpha, lhs.render(), rhs.render()))
     return None
 
 
-def _run_dot_slide(letter, N, k):
+def _run_dot_slide(letter, N, k, context):
     path, gens, xi1, xi2 = _excursion(N, k, letter)
     top = len(gens) - 1
     lhs, rhs = _alternating_sums(path, [((xi1(top - ell + 1), g),
@@ -553,30 +547,30 @@ def _run_dot_slide(letter, N, k):
 # --- (i) degree audit -----------------------------------------------------------------
 
 
-def _context_generators(N, k):
-    """Every generator map constructible at ring index k."""
+def _context_generators(context):
+    """Every generator map constructible at the context's ring index k."""
+    N, k, gen = context.N, context.k, context.gen
     gens = []
     if k < N:
         up, down = _strands(N, k, "e", 1), _strands(N, k, "f", 1)
-        gens += [gen_dot(up, 1), gen_cup(up, 0, "fe"),
-                 gen_dot(down, 1), gen_cup(down, 1, "ef")]
+        gens += [gen(gen_dot, up, 1), gen(gen_cup, up, 0, "fe"),
+                 gen(gen_dot, down, 1), gen(gen_cup, down, 1, "ef")]
     # the cap closing each excursion: up-down (fe), down-up (ef)
     for step, (lo, hi) in _EXCURSIONS.values():
         if lo <= k <= N + hi:
-            gens.append(gen_cap(FlagPath(N, (k, k + step, k), shift=1 - N), 1))
-    gens += [gen_cup(FlagPath(N, (k,)), 0, kind) for kind in ("fe", "ef")]
+            gens.append(gen(gen_cap, FlagPath(N, (k, k + step, k), shift=1 - N), 1))
+    gens += [gen(gen_cup, FlagPath(N, (k,)), 0, kind) for kind in ("fe", "ef")]
     if k + 2 <= N:
-        gens += [gen_crossing(_strands(N, k, letter, 2), 1) for letter in "ef"]
+        gens += [gen(gen_crossing, _strands(N, k, letter, 2), 1) for letter in "ef"]
     return gens
 
 
-def _run_degree_audit(N, k, context=None):
+def _run_degree_audit(N, k, context):
     n = 2 * k - N
     expected = {"dot": 2, "cross_up": -2, "cross_down": -2,
                 "cup_fe": n + 1, "cap_fe": n + 1,
                 "cup_ef": 1 - n, "cap_ef": 1 - n}
-    context = context or _Context(N, k)
-    for gen in context.generators():
+    for gen in _context_generators(context):
         if gen.domain.is_zero or gen.codomain.is_zero:
             continue   # nothing to audit; a zero cup is named "zero"
         stem = gen.name.split("@")[0]
@@ -588,16 +582,15 @@ def _run_degree_audit(N, k, context=None):
         ok, report = audit_degree(gen)
         if not ok:
             return report
-    # composite suite diagrams must also measure at their declared degree;
-    # they are built from the context's generator maps where those serve
-    pick = context.shared
+    # composite suite diagrams must also measure at their declared degree
     composites = []
     if k < N:
-        composites.extend(_zigzag(N, k, which, pick=pick) for which in _ZIGZAGS)
-        composites.append(_bubble(N, k, "cw", max(0, n - 1) + 1, pick))
+        composites.extend(_zigzag(context, which, 0) for which in _ZIGZAGS)
+        composites.append(_bubble(context, "cw", max(0, n - 1) + 1))
     if k < N - 1:
         path = FlagPath(N, (k, k + 1, k + 2))
-        composites.append(compose_chain(gen_dot(path, 1), pick(gen_crossing(path, 1))))
+        composites.append(compose_chain(context.gen(gen_dot, path, 1),
+                                        context.gen(gen_crossing, path, 1)))
     for comp in composites:
         ok, report = audit_degree(comp)
         if not ok:
@@ -608,7 +601,7 @@ def _run_degree_audit(N, k, context=None):
 # --- (j) well-definedness (bimodule law) --------------------------------------------
 
 
-def _run_well_definedness(N, k, context=None):
+def _run_well_definedness(N, k, context):
     """Every generator is a bimodule map, decided on the basis.
 
     A map extends right-linearly from its basis images, so the right law
@@ -619,22 +612,16 @@ def _run_well_definedness(N, k, context=None):
     MAX_EXCESS past each bound.
     """
     # g comes from the end ring's own catalog, so the actions need none of
-    # act's validation.  Left multiplication by g on a path is one map per
-    # (path, g), kept for this context only: its image memo serves every
-    # basis vector and generator here, and it is freed when the check
-    # returns.  The arithmetic is act's, in the same order.
-    left_maps = {}
-
+    # act's validation.  Left multiplication by g on a path is the context's
+    # map for (path, g): its image memo serves every basis vector and
+    # generator at k.  The arithmetic is act's, in the same order.
     def left(g, element):
         path = element.path
         if path.num_factors == 0:
             return element.right_mul(g)
-        f = left_maps.get((path, g))
-        if f is None:
-            f = left_maps[path, g] = junction_mult(path, 0, g)
-        return f(element)
+        return context.gen(junction_mult, path, 0, g)(element)
 
-    for gen in (context or _Context(N, k)).generators():
+    for gen in _context_generators(context):
         if gen.domain.is_zero or gen.codomain.is_zero:
             continue
         catalog = [Polynomial.gen(sym) for sym in sorted(gen.domain.junction(0).catalog())]
@@ -654,19 +641,24 @@ def _run_well_definedness(N, k, context=None):
 # --- (k) non-nilpotency ----------------------------------------------------------------
 
 
-def _run_non_nilpotency(N, k):
+def _run_non_nilpotency(N, k, context):
+    """No power dot^p, p <= 4N, of the dot kills the unit of a one-step
+    path.  The powers are stepped from the unit by the context's dot, so
+    only xi^(bound+1) is normalized from scratch."""
     for path in [FlagPath(N, (k, k + step)) for step in (1, -1) if 0 <= k + step <= N]:
-        for power in range(1, 4 * N + 1):
-            if normalize_xi_vector(path, (power,)).is_zero():
-                return ("dot^%d vanishes on the unit of %s"
-                        % (power, path.render()))
+        dot = context.gen(gen_dot, path, 1)
+        power = normalize_xi_vector(path, (0,))
+        for p in range(1, 4 * N + 1):
+            power = dot(power)
+            if power.is_zero():
+                return "dot^%d vanishes on the unit of %s" % (p, path.render())
     return None
 
 
 # --- (l) K0 shadow -----------------------------------------------------------------------
 
 
-def _run_k0_shadow(N, k):
+def _run_k0_shadow(N, k, context):
     n = 2 * k - N
     ef = compile_word(SignedWord(("E", "F"), n), N)
     fe = compile_word(SignedWord(("F", "E"), n), N)
@@ -692,11 +684,10 @@ def _run_k0_shadow(N, k):
 # ---------------------------------------------------------------------------
 
 
-def _pair(stem, suite, sides, run, span, shares=False):
+def _pair(stem, suite, sides, run, span):
     """The checks of one mirrored relation: one per side, named stem + side,
-    running run(side, N, k)."""
-    return [CheckSpec(stem + side, suite, span, partial(run, side), shares)
-            for side in sides]
+    running run(side, N, k, context)."""
+    return [CheckSpec(stem + side, suite, span, partial(run, side)) for side in sides]
 
 
 _CHECKS = [
@@ -720,18 +711,15 @@ _CHECKS = [
     *_pair("series_delta_", "ring_identities", ("xY", "Xy"), _run_series, (0, 0)),
     CheckSpec("bubble_series_product", "ring_identities", (0, 0),
               partial(_run_series, "bubble_product")),
-    *_pair("class_slide_", "ring_identities", _RING_SIDES, _run_class_slide, (0, -1),
-           shares=True),
-    *_pair("xi_expansion_", "ring_identities", _RING_SIDES, _run_xi_expansion, (0, -1),
-           shares=True),
+    *_pair("class_slide_", "ring_identities", _RING_SIDES, _run_class_slide, (0, -1)),
+    *_pair("xi_expansion_", "ring_identities", _RING_SIDES, _run_xi_expansion, (0, -1)),
     *(CheckSpec(stem + letter, "ring_identities", _EXCURSIONS[letter][1],
                 partial(run, letter))
       for stem, run in (("two_sided_sum_", _run_two_sided_sum),
                         ("dot_slide_", _run_dot_slide))
       for letter in _EXCURSIONS),
-    CheckSpec("degree_audit", "degree_audit", (0, 0), _run_degree_audit, shares=True),
-    CheckSpec("well_definedness", "well_definedness", (0, 0), _run_well_definedness,
-              shares=True),
+    CheckSpec("degree_audit", "degree_audit", (0, 0), _run_degree_audit),
+    CheckSpec("well_definedness", "well_definedness", (0, 0), _run_well_definedness),
     CheckSpec("non_nilpotency", "non_nilpotency", (0, 0), _run_non_nilpotency),
     CheckSpec("k0_shadow", "k0_shadow", (0, 0), _run_k0_shadow),
 ]
@@ -804,8 +792,8 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
     The loop is k-major: for k = 0 .. N it runs each selected check that
     admits k, in ``_CHECKS`` order, and ``progress`` (if given) sees each
     result in that order.  The checks at k share one ``_Context``, made
-    for k and dropped after the last check at k that reads it, so no
-    more than one k's shared maps and class tables is held.  Failures become report entries; nothing
+    for k and dropped when k ends, so no more than one k's generator maps
+    and class tables is held.  Failures become report entries; nothing
     raises for a false relation.  Results are ordered by check name and
     context so that reports are byte-stable up to the timing fields.
     """
@@ -826,19 +814,14 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
         report.results.append(CheckResult(
             spec.name, N, None, "skipped", reason="requires N >= %d" % (lo - hi)))
     for k in range(0, N + 1):
-        at_k = [spec for spec in specs if k in spec.contexts(N)]
-        readers = sum(spec.shares for spec in at_k)
         context = _Context(N, k)
-        for spec in at_k:
+        for spec in [spec for spec in specs if k in spec.contexts(N)]:
             started = time.perf_counter()
             try:
                 counterexample = spec.run(N, k, context)
             except Exception as exc:   # a crash is a failed check, not a crash
                 counterexample = "internal error: %r" % exc
             millis = round((time.perf_counter() - started) * 1000.0, 3)
-            readers -= spec.shares
-            if not readers:
-                context = None      # no later check at k reads it
             if counterexample is None:
                 report.results.append(CheckResult(spec.name, N, k, "pass",
                                                   millis=millis))

@@ -27,6 +27,7 @@ in the upward case and (xi_i, xi_{i+1}) in the downward case.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -342,19 +343,18 @@ class SignedWord:
     letters: tuple
     weight: int
 
-    def __post_init__(self):
-        for ch in self.letters:
-            if ch not in ("E", "F"):
-                token = str(ch)
-                raise ValueError("letters must be 'E' or 'F', separated by blanks; got %r"
-                                 % (token if len(token) <= 40 else token[:40] + "..."))
-
     @staticmethod
     def parse(text: str, weight: int) -> "SignedWord":
-        toks = text.split()
-        if toks == ["1"] or not toks:
+        """The word of ``text`` by the ``word`` rule of docs/grammars.md:
+        ``1``, or letters E and F separated by blanks (spaces and tabs)."""
+        if text == "1":
             return SignedWord((), weight)
-        return SignedWord(tuple(toks), weight)
+        letters = tuple(re.split(r"[ \t]+", text))
+        for token in letters:
+            if token not in ("E", "F"):
+                raise ValueError("letters must be 'E' or 'F', separated by blanks; got %r"
+                                 % (token if len(token) <= 40 else token[:40] + "..."))
+        return SignedWord(letters, weight)
 
     def render(self) -> str:
         return " ".join(self.letters) if self.letters else "1"

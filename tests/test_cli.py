@@ -199,6 +199,26 @@ def test_rank_names_a_token_that_is_not_one_letter(capsys):
     assert "'%s...'" % ("F" * 40) in err and "F" * 41 not in err
 
 
+def test_a_word_is_read_by_one_rule_with_one_message(capsys, tmp_path):
+    # the domain header and rank --word read a word by the one grammar
+    # rule, so they reject "EF" with the same text (the diagram adds its
+    # line); the grammar has no empty word (the identity word is 1)
+    code, _, rank_err = run_cli(capsys, "rank", "--N", "3", "--word", "EF",
+                                "--weight", "1")
+    diagram = tmp_path / "ef.cat"
+    diagram.write_text("N = 3\nweight = 1\ndomain = EF\n")
+    eval_code, _, eval_err = run_cli(capsys, "eval", "--diagram", str(diagram),
+                                     "--element", "1")
+    assert code == eval_code == 2
+    assert eval_err == rank_err.replace("error: ", "error: line 3: ")
+    for word in ("", " ", "\t", " E", "E "):
+        code, out, err = run_cli(capsys, "rank", "--N", "3", "--word", word,
+                                 "--weight", "1")
+        assert code == 2 and out == "" and "separated by blanks" in err, repr(word)
+    code, out, _ = run_cli(capsys, "rank", "--N", "3", "--word", "1", "--weight", "1")
+    assert code == 0 and out == "1\n"
+
+
 def test_rank_parity_error(capsys):
     code, _, err = run_cli(capsys, "rank", "--N", "2", "--word", "E",
                            "--weight", "1")

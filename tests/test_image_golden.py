@@ -1,7 +1,7 @@
 """Pinned digests of generator images: kernel changes must not move them.
 
 For every rank N <= 4 and ring index k, every generator map of
-``relationsuite._context_generators(N, k)`` (dots, cups, caps and
+``relationsuite._context_generators`` at (N, k) (dots, cups, caps and
 crossings) is applied to each vector of ``twomorphisms._decorated_vectors``
 of its domain: the basis and its xi-excess bumps, the vectors that
 ``map_equals`` compares on.  Each image is rendered, and the sha256 of the
@@ -14,7 +14,7 @@ purpose (or the render format) must say so and update the digests; print
 
 import hashlib
 
-from catsl2.relationsuite import _context_generators
+from catsl2.relationsuite import _Context, _context_generators
 from catsl2.twomorphisms import _decorated_vectors
 
 DIGESTS = {
@@ -37,7 +37,7 @@ DIGESTS = {
 
 def _rendered(N, k):
     lines = []
-    for gen in _context_generators(N, k):
+    for gen in _context_generators(_Context(N, k)):
         for vec in _decorated_vectors(gen.domain):
             lines.append("%s %s -> %s %s = %s" % (
                 gen.name, gen.domain.render(), gen.codomain.render(), vec,

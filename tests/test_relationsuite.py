@@ -150,7 +150,7 @@ def test_audits_insert_each_cup_kind_beside_a_strand():
     for N in range(1, 6):
         for k in range(1, N):
             kinds = {gen.name.split("@")[0]
-                     for gen in relationsuite._context_generators(N, k)
+                     for gen in relationsuite._context_generators(relationsuite._Context(N, k))
                      if gen.name.startswith("cup_") and gen.domain.num_factors >= 1
                      and not gen.codomain.is_zero}
             assert kinds == {"cup_fe", "cup_ef"}, (N, k)
@@ -219,10 +219,10 @@ def test_degree_audit_fails_on_a_name_missing_from_its_table(monkeypatch):
     twist = BimMap(path, path, 0, lambda vec: normalize_xi_vector(path, vec),
                    name="twist@1")
     real = relationsuite._context_generators
-    assert relationsuite._run_degree_audit(3, 1) is None
+    assert relationsuite._run_degree_audit(3, 1, relationsuite._Context(3, 1)) is None
     monkeypatch.setattr(relationsuite, "_context_generators",
-                        lambda N, k: real(N, k) + [twist])
-    assert relationsuite._run_degree_audit(3, 1) == \
+                        lambda context: real(context) + [twist])
+    assert relationsuite._run_degree_audit(3, 1, relationsuite._Context(3, 1)) == \
         "twist@1 has no entry in the degree table"
 
 
@@ -235,10 +235,10 @@ def test_well_definedness_catches_a_map_that_is_not_left_linear(monkeypatch):
                  lambda vec: normalize_xi_vector(path, vec).scale(sum(vec) + 1),
                  name="euler")
     real = relationsuite._context_generators
-    assert relationsuite._run_well_definedness(3, 1) is None
+    assert relationsuite._run_well_definedness(3, 1, relationsuite._Context(3, 1)) is None
     monkeypatch.setattr(relationsuite, "_context_generators",
-                        lambda N, k: real(N, k) + [bad])
-    report = relationsuite._run_well_definedness(3, 1)
+                        lambda context: real(context) + [bad])
+    report = relationsuite._run_well_definedness(3, 1, relationsuite._Context(3, 1))
     assert report.startswith("euler violates the bimodule law on ")
 
 
@@ -258,7 +258,7 @@ def test_well_definedness_inserts_each_left_action_once(monkeypatch):
 
         for module in (bimodules, twomorphisms):
             monkeypatch.setattr(module, "_inject_at_junction", counting)
-        assert relationsuite._run_well_definedness(3, k) is None
+        assert relationsuite._run_well_definedness(3, k, relationsuite._Context(3, k)) is None
         assert calls and max(calls.values()) == 1, (k, calls.most_common(1))
 
 
@@ -276,13 +276,13 @@ def test_well_definedness_compares_each_basis_vector_with_each_left_generator(mo
     monkeypatch.setattr(BimElement, "__eq__", counting)
     laws = 0
     for k in range(0, 5):
-        gens = [gen for gen in relationsuite._context_generators(4, k)
+        gens = [gen for gen in relationsuite._context_generators(relationsuite._Context(4, k))
                 if not (gen.domain.is_zero or gen.codomain.is_zero)]
         law = sum(len(basis(gen.domain)) * len(gen.domain.junction(0).catalog())
                   for gen in gens)
         excess = sum(len(twomorphisms._excess_vectors(gen.domain)) for gen in gens)
         compared.clear()
-        assert relationsuite._run_well_definedness(4, k) is None
+        assert relationsuite._run_well_definedness(4, k, relationsuite._Context(4, k)) is None
         assert len(compared) == law + excess, (k, len(compared), law, excess)
         laws += law
     assert laws == 496
@@ -383,7 +383,7 @@ def test_ring_identity_checks_embed_each_class_once(monkeypatch):
     for spec in specs:
         for k in spec.contexts(N):
             calls.clear()
-            assert spec.run(N, k) is None
+            assert spec.run(N, k, relationsuite._Context(N, k)) is None
             assert calls, (spec.name, k)
             for (_, poly, end), n in calls.items():
                 syms = poly.symbols()
@@ -443,7 +443,8 @@ def test_two_sided_sums_by_horner_equal_the_direct_sums():
         for letter, (_, span) in relationsuite._EXCURSIONS.items():
             for k in range(span[0], N + span[1] + 1):
                 path, gens, xi1, xi2 = relationsuite._excursion(N, k, letter)
-                horner = list(relationsuite._two_sided_sums(path, gens, 2 * N + 1))
+                horner = list(relationsuite._two_sided_sums(
+                    relationsuite._Context(N, k), path, gens, 2 * N + 1))
                 assert len(horner) == 2 * N + 1
                 for alpha, got in enumerate(horner):
                     want = relationsuite._alternating_sums(
@@ -477,6 +478,33 @@ def test_two_sided_sums_catch_a_wrong_dot(monkeypatch):
     assert all(r.counterexample.startswith("two-sided ") for r in failed)
 
 
+def test_non_nilpotency_catches_a_dot_that_kills_the_top_power(monkeypatch):
+    # the powers of the dot are stepped from the unit by the context's dot
+    # map, so a dot that sends xi^bound to 0 (and is right elsewhere) kills
+    # xi^(bound+1) on the unit: the check must fail at that power, on the
+    # first one-step path of every k
+    real = relationsuite.gen_dot
+
+    def killing(path, position):
+        dot = real(path, position)
+
+        def fn(vec):
+            if vec[position - 1] == path.bound(position):
+                return BimElement.zero(path)
+            return dot.apply_vec(vec)
+
+        return BimMap(path, path, dot.degree, fn, name=dot.name)
+
+    monkeypatch.setattr(relationsuite, "gen_dot", killing)
+    report = run_suite(3, suites=["non_nilpotency"])
+    failed = {r.k: r.counterexample for r in report.results if r.status == "fail"}
+    assert sorted(failed) == [0, 1, 2, 3]
+    for k, counterexample in failed.items():
+        path = FlagPath(3, (k, k + 1) if k < 3 else (k, k - 1))
+        assert counterexample == ("dot^%d vanishes on the unit of %s"
+                                  % (path.bound(1) + 1, path.render())), k
+
+
 def _per_k(counted, progress_runs):
     """A ``run_suite`` progress hook that moves what ``counted`` holds into
     ``progress_runs[k]`` after each check at k."""
@@ -486,39 +514,33 @@ def _per_k(counted, progress_runs):
     return progress
 
 
-def test_degree_audit_and_well_definedness_share_their_generators(monkeypatch):
-    # within one k the two checks read one list of generator maps, and the
-    # degree audit builds its composites from those maps where they serve,
-    # so no generator computes an image twice: each procedure run of every
-    # generator map the suite builds, keyed by (map name, domain, vector),
-    # happens once per k across both checks, in run_suite as with one
-    # explicit context
+def test_no_generator_computes_an_image_twice_at_one_ring_index(monkeypatch):
+    # every check at k takes its generator maps from the context of k, so
+    # across the whole suite each procedure run of a generator map, keyed
+    # by (map name, domain, codomain, vector), happens once per k.  The
+    # maps of junction_mult share one name, so their key adds the
+    # polynomial.  Building maps per check ran 423 repeats at N = 4
     runs = Counter()
 
     def counting(real):
         def make(*args):
             gen = real(*args)
-            def fn(vec, fn=gen._fn, key=(gen.name, gen.domain)):
+            key = (gen.name, gen.domain, gen.codomain, args[1:])
+            def fn(vec, fn=gen._fn):
                 runs[key + (tuple(vec),)] += 1
                 return fn(vec)
             gen._fn = fn
             return gen
         return make
 
-    for name in ("gen_dot", "gen_cup", "gen_cap", "gen_crossing"):
+    for name in ("gen_dot", "gen_cup", "gen_cap", "gen_crossing", "identity_map",
+                 "junction_mult"):
         monkeypatch.setattr(relationsuite, name, counting(getattr(relationsuite, name)))
-    suite_runs = {}
-    report = run_suite(4, suites=["degree_audit", "well_definedness"],
-                       progress=_per_k(runs, suite_runs))
-    assert report.all_ok()
-    assert sorted(suite_runs) == [0, 1, 2, 3, 4]
-    for k, counted in suite_runs.items():
+    per_k = {}
+    assert run_suite(4, progress=_per_k(runs, per_k)).all_ok()
+    assert sorted(per_k) == [0, 1, 2, 3, 4]
+    for k, counted in per_k.items():
         assert counted and max(counted.values()) == 1, (k, counted.most_common(1))
-        context = relationsuite._Context(4, k)
-        assert relationsuite._run_degree_audit(4, k, context) is None
-        assert relationsuite._run_well_definedness(4, k, context) is None
-        assert runs == counted, k
-        runs.clear()
 
 
 def test_ring_identity_checks_embed_each_class_once_per_ring_index(monkeypatch):
@@ -559,7 +581,7 @@ def _check_major_report(N):
             report.results.append(relationsuite.CheckResult(
                 spec.name, N, None, "skipped", reason="requires N >= %d" % (lo - hi)))
         for k in ks:
-            counterexample = spec.run(N, k)
+            counterexample = spec.run(N, k, relationsuite._Context(N, k))
             report.results.append(relationsuite.CheckResult(
                 spec.name, N, k, "pass" if counterexample is None else "fail",
                 counterexample=counterexample))
@@ -625,7 +647,10 @@ def test_ring_identities_work_count_does_not_grow():
 def test_whole_suite_work_count_does_not_grow():
     # 58,539 term products (3,023 ``_normal_form`` calls) before each
     # crossing and cup image was normalized as one list of in-flight
-    # terms, 56,091 (2,585 calls) since; a return to one normal form per
-    # output term and a ``linear_sum`` of them shows as a larger number
+    # terms, 56,091 (2,585 calls) before every check at k took its
+    # generator maps from the context of k and non_nilpotency stepped the
+    # dot's powers from the unit, 49,673 (2,094 calls) since; a return to
+    # one normal form per output term and a ``linear_sum`` of them, or to
+    # maps built per check, shows as a larger number
     count = _work_count(None)
-    assert count <= 56_091, count
+    assert count <= 49_673, count
