@@ -854,19 +854,17 @@ def _inject_at_junction(path: FlagPath, g: int, ring_poly: Polynomial,
 
 
 def act(side: str, poly: Polynomial, element: BimElement) -> BimElement:
-    """Left or right action of an end ring on a normal-form element."""
+    """Left or right action of an end ring on a normal-form element: the
+    tensor product with ``poly`` as an element of that ring's identity path."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     path = element.path
     if path.is_zero:
         return element
-    _check_catalog(poly, ring_catalog(path.N, path.rings[0 if side == "left" else -1]),
-                   "%s action polynomial" % side)
-    if side == "right" or path.num_factors == 0:
-        return element.right_mul(poly)
-    return _sum_terms(path, ((coeff, _inject_at_junction(path, 0, poly,
-                                                         _xi_vector(path, xi)))
-                             for xi, coeff in _by_xi(element).items()))
+    k = path.rings[0 if side == "left" else -1]
+    _check_catalog(poly, ring_catalog(path.N, k), "%s action polynomial" % side)
+    ring = _wrap(FlagPath(path.N, (k,)), poly.terms)
+    return tensor(ring, element) if side == "left" else tensor(element, ring)
 
 
 def tensor(a: BimElement, b: BimElement) -> BimElement:

@@ -5,6 +5,8 @@ compiled diagram to an element expression, ``bubble`` / ``special`` query
 closed polynomial values, and ``rank`` computes graded ranks of word
 images.  Exit codes: 0 success, 1 verification failure, 2 bad input,
 141 the reader closed the output pipe early (a shell's code for SIGPIPE).
+Bad input raises ``ValueError`` from whichever layer reads it, and
+``main`` alone turns it into the one-line message and exit 2.
 The environment variable ``CATSL2_N`` supplies a default rank for
 commands that take ``--N``; explicit flags always win.
 """
@@ -23,13 +25,8 @@ from .grassrings import (GrassContext, bubble_value, special_class,
                          special_class_terms)
 from .bimodules import graded_rank
 from .twomorphisms import SignedWord, compile_word
-from .diagramlang import (
-    DiagramError,
-    ZeroDiagramWarning,
-    compile_diagram,
-    parse_diagram,
-    parse_element,
-)
+from .diagramlang import (ZeroDiagramWarning, compile_diagram, parse_diagram,
+                          parse_element)
 from .relationsuite import DEFAULT_MAX_RANK, run_suite
 
 USAGE_ERROR = 2
@@ -139,10 +136,7 @@ def _fail(message: str) -> int:
 def _cmd_verify(args) -> int:
     # an empty --suites names the suite '', which resolve_suites refuses
     suites = None if args.suites is None else args.suites.split(",")
-    try:
-        report = run_suite(args.N, suites=suites, max_rank=args.max_N)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = run_suite(args.N, suites=suites, max_rank=args.max_N)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -154,18 +148,13 @@ def _cmd_eval(args) -> int:
     try:
         with open(args.diagram, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        return _fail("cannot read diagram: %s" % exc)
-    try:
-        ast = parse_diagram(text)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ZeroDiagramWarning)
-            diagram = compile_diagram(ast)
-        element = parse_element(args.element, diagram.domain)
-    except DiagramError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
-        return _fail(str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError("cannot read diagram: %s" % exc) from None
+    ast = parse_diagram(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ZeroDiagramWarning)
+        diagram = compile_diagram(ast)
+    element = parse_element(args.element, diagram.domain)
     for warning in caught:
         print("warning: %s" % warning.message, file=sys.stderr)
     image = diagram(element)
@@ -219,34 +208,24 @@ def _print_poly(args, label: str, poly: Polynomial) -> int:
 
 
 def _cmd_bubble(args) -> int:
-    try:
-        # the cw bubble expands the Y classes, the ccw bubble the X classes
-        ctx = _context(args, "Y" if args.orient == "cw" else "X")
-    except ValueError as exc:
-        return _fail(str(exc))
+    # the cw bubble expands the Y classes, the ccw bubble the X classes
+    ctx = _context(args, "Y" if args.orient == "cw" else "X")
     return _print_poly(args, "bubble", bubble_value(ctx, args.orient, args.alpha))
 
 
 def _cmd_special(args) -> int:
-    try:
-        ctx = _context(args, args.family)
-    except ValueError as exc:
-        return _fail(str(exc))
+    ctx = _context(args, args.family)
     return _print_poly(args, "special",
                        special_class(ctx, args.family, args.alpha))
 
 
 def _cmd_rank(args) -> int:
-    try:
-        word = SignedWord.parse(args.word, args.weight)
-        path = compile_word(word, args.N)
-    except ValueError as exc:
-        return _fail(str(exc))
+    path = compile_word(SignedWord.parse(args.word, args.weight), args.N)
     if not path.is_zero:
         terms = sum(path.bound(i) for i in range(1, path.num_factors + 1)) + 1
         if terms > MAX_RANK_TERMS:
-            return _fail("the graded rank has %d terms, above the limit %d"
-                         % (terms, MAX_RANK_TERMS))
+            raise ValueError("the graded rank has %d terms, above the limit %d"
+                             % (terms, MAX_RANK_TERMS))
     rank = graded_rank(path)
     if args.format == "json":
         print(json.dumps({"path": path.render(), "zero": path.is_zero,
@@ -282,6 +261,8 @@ def main(argv=None) -> int:
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()      # a closed pipe shows here, not at exit
         return code
+    except ValueError as exc:   # bad input, from any command and any layer
+        return _fail(str(exc))
     except OverflowError as exc:
         return _fail("result too large for exact arithmetic: %s" % exc)
     except BrokenPipeError:     # the flush at exit goes to the null device

@@ -20,6 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from .exactpoly import Polynomial, sum_of_products
 from .grassrings import (
@@ -137,6 +138,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
 class CheckSpec:
     """A named relation check: admissible contexts plus a runner.
 
@@ -146,18 +148,14 @@ class CheckSpec:
     such k it is skipped.
     """
 
-    def __init__(self, name, suite, span, runner):
-        self.name = name
-        self.suite = suite
-        self.span = span
-        self.runner = runner
+    name: str
+    suite: str
+    span: tuple
+    run: Callable
 
     def contexts(self, N):
         lo, hi = self.span
         return range(lo, N + hi + 1)
-
-    def run(self, N, k, context):
-        return self.runner(N, k, context)
 
 
 class _Context:
@@ -611,15 +609,11 @@ def _run_well_definedness(N, k, context):
     quotient: gen(v) = gen(nf(v)) on the xi-excess vectors, up to
     MAX_EXCESS past each bound.
     """
-    # g comes from the end ring's own catalog, so the actions need none of
-    # act's validation.  Left multiplication by g on a path is the context's
-    # map for (path, g): its image memo serves every basis vector and
-    # generator at k.  The arithmetic is act's, in the same order.
+    # left multiplication by g on a path is the context's junction_mult map
+    # at junction 0 (on an identity path, the right action): its image memo
+    # serves every basis vector and generator at k
     def left(g, element):
-        path = element.path
-        if path.num_factors == 0:
-            return element.right_mul(g)
-        return context.gen(junction_mult, path, 0, g)(element)
+        return context.gen(junction_mult, element.path, 0, g)(element)
 
     for gen in _context_generators(context):
         if gen.domain.is_zero or gen.codomain.is_zero:
@@ -724,15 +718,6 @@ _CHECKS = [
     CheckSpec("k0_shadow", "k0_shadow", (0, 0), _run_k0_shadow),
 ]
 
-SUITE_ORDER = (
-    "biadjointness", "dot_cyclicity", "crossing_duality", "bubbles",
-    "nilhecke", "reduction_to_bubbles", "identity_decomposition",
-    "ring_identities", "degree_audit", "well_definedness",
-    "non_nilpotency", "k0_shadow",
-)
-
-SUITE_LETTERS = dict(zip("abcdefghijkl", SUITE_ORDER))
-
 #: Locked inventory: every relation display maps to exactly one check name.
 MANIFEST = {
     "biadjointness": ("biadjointness_zigzag_e1", "biadjointness_zigzag_e2",
@@ -758,6 +743,10 @@ MANIFEST = {
     "non_nilpotency": ("non_nilpotency",),
     "k0_shadow": ("k0_shadow",),
 }
+
+SUITE_ORDER = tuple(MANIFEST)
+
+SUITE_LETTERS = dict(zip("abcdefghijkl", SUITE_ORDER))
 
 
 def inventory():

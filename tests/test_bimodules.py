@@ -286,6 +286,25 @@ def test_left_action_is_a_ring_action():
                     act("left", r, act("left", s, e))
 
 
+def test_identity_path_actions_multiply_in_the_ring():
+    # on the identity path (k) the left action, the right action and the
+    # multiplication at junction 0 are each multiplication in ring k
+    from catsl2.twomorphisms import junction_mult
+    for N in (1, 2, 3):
+        for k in range(N + 1):
+            path = FlagPath(N, (k,))
+            gens = [Polynomial.gen(sym) for sym in sorted(path.junction(0).catalog())]
+            monomials = [Polynomial.one()] + gens + [a * b for a in gens for b in gens]
+            for r in monomials:
+                mult = junction_mult(path, 0, r)
+                for s in monomials:
+                    e = BimElement.from_ring_poly(path, s)
+                    want = BimElement.from_ring_poly(path, r * s)
+                    assert act("left", r, e) == want, (N, k, r, s)
+                    assert act("right", r, e) == want, (N, k, r, s)
+                    assert mult(e) == want, (N, k, r, s)
+
+
 def test_tensor_concatenates():
     a = normalize(RawTensor(FlagPath(1, (0, 1)), (xigen(1),)))
     b = normalize_xi_vector(FlagPath(1, (1, 0)), (0,))

@@ -1,17 +1,22 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catsl2 import cli
-from catsl2.cli import main
+from catsl2.cli import MAX_ALPHA, MAX_RANK_TERMS, main
 from catsl2.qlaurent import Laurent
+from catsl2.relationsuite import DEFAULT_MAX_RANK
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SRC = DOCS.parent / "src"
@@ -120,6 +125,15 @@ def test_eval_missing_file(capsys):
     code, _, err = run_cli(capsys, "eval", "--diagram", "/nonexistent.cat",
                            "--element", "1")
     assert code == 2
+
+
+def test_eval_file_not_utf8_exits_2(capsys, tmp_path):
+    diagram = tmp_path / "latin1.cat"
+    diagram.write_bytes(b"N = 2\nweight = 0\ndomain = E\nlayer: dot_\xe9\n")
+    code, out, err = run_cli(capsys, "eval", "--diagram", str(diagram),
+                             "--element", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("catsl2: error: cannot read diagram: 'utf-8' codec")
 
 
 def test_special_query(capsys):
@@ -491,3 +505,82 @@ def test_a_closed_output_pipe_exits_quietly(argv):
         os.close(write)
     assert (done.returncode, done.stderr) == (cli.PIPE_CLOSED, "")
     assert cli.PIPE_CLOSED not in (0, 1, cli.USAGE_ERROR)
+
+
+def test_bad_input_from_any_layer_exits_2_in_main(capsys, monkeypatch):
+    # a ValueError from below a command handler becomes the exit-2
+    # message in main, with nothing on stdout
+    def boom(path):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "graded_rank", boom)
+    code, out, err = run_cli(capsys, "rank", "--N", "2", "--word", "E F",
+                             "--weight", "2")
+    assert (code, out, err) == (2, "", "catsl2: error: boom\n")
+
+
+# -- argv fuzz: every drawn command line exits 0 or 2 (1 only from verify),
+# -- with no traceback.  Numbers sit at and just past each cap.
+
+HUGE = "99999999999999999999"
+_RANKS = ["-1", "0", "1", "2", "3", str(DEFAULT_MAX_RANK), str(DEFAULT_MAX_RANK + 1), HUGE]
+_FORMATS = st.sampled_from(["text", "json"])
+
+
+def _options(command, *pairs):
+    """argv of ``command`` from ``(flag, strategy)`` pairs; about one draw in
+    four leaves one flag out."""
+    flags = [flag for flag, _ in pairs]
+    return st.tuples(st.tuples(*(values for _, values in pairs)),
+                     st.integers(0, 4 * len(pairs) - 1)).map(
+        lambda drawn: [command] + [item for i, pair in enumerate(zip(flags, drawn[0]))
+                                   if i != drawn[1] for item in pair])
+
+
+def _class_query(command, flag, values):
+    # 108 is past MAX_CLASS_TERMS for both families at N = 8, k = 4
+    alphas = ["-1", "0", "2", "108", str(MAX_ALPHA), str(MAX_ALPHA + 1), HUGE]
+    return _options(command, ("--N", st.sampled_from(_RANKS)),
+                    ("--k", st.sampled_from(["-1", "0", "1", "4", "8", HUGE])),
+                    (flag, st.sampled_from(values)),
+                    ("--alpha", st.sampled_from(alphas)),
+                    ("--format", _FORMATS))
+
+
+_ARGV = st.sampled_from([
+    # --max-N stops at DEFAULT_MAX_RANK + 1: past it a huge --N is admitted
+    # and run_suite walks every k up to it
+    _options("verify", ("--N", st.sampled_from(_RANKS)),
+             ("--max-N", st.integers(-1, DEFAULT_MAX_RANK + 1).map(str)),
+             ("--suites", st.sampled_from(["k0_shadow", "l", "l,k0_shadow", "",
+                                           ",", "frobenius", "m"])),
+             ("--format", _FORMATS)),
+    _options("eval", ("--diagram", st.sampled_from(
+                 [str(DOCS / "diagrams" / name) for name in ("dot.cat", "zigzag.cat")]
+                 + [str(DOCS / "diagrams"), str(DOCS / "report-schema.json"),
+                    "/nonexistent.cat"])),
+             ("--element", st.sampled_from(["1", "xi", "-xi", "xi^1000", "xi^1001",
+                                            "", "x[", "1/0", "xi | xi"])),
+             ("--format", _FORMATS)),
+    _class_query("bubble", "--orient", ["cw", "ccw", "up"]),
+    _class_query("special", "--family", ["X", "Y", "Z"]),
+    # a one-letter word at N = 2 * MAX_RANK_TERMS has one term past the cap
+    _options("rank", ("--N", st.sampled_from(
+                 _RANKS + [str(2 * MAX_RANK_TERMS - 2), str(2 * MAX_RANK_TERMS)])),
+             ("--word", st.sampled_from(["E", "F", "1", "E F", "F E E", "EF", "E X", ""])),
+             ("--weight", st.sampled_from(["-2", "-1", "0", "1", "2", HUGE, "-" + HUGE])),
+             ("--format", _FORMATS)),
+]).flatmap(lambda command: command)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("CATSL2_N", None)
+        code = main(argv)
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every top-level function and class and every method of a top-level class
-is named somewhere in the package, and every defaulted parameter is
-passed by some call in the package or its tests.
+is named somewhere in the package, every defaulted parameter is
+passed by some call in the package or its tests, and no CLI command
+handler catches the bad-input errors that ``cli.main`` maps to exit 2.
 
 Neither pyflakes nor ruff is assumed to be installed, so this parses each
 ``catsl2`` module with ``ast``.  A name counts as used if it occurs as a
@@ -198,3 +199,36 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     unpassed = set(_unpassed_defaults(defining, calling))
     assert unpassed == set(DEFAULTED_BUT_UNPASSED), \
         sorted(unpassed ^ set(DEFAULTED_BUT_UNPASSED))
+
+
+def _handlers_catching(source: str, names) -> list:
+    """``(function, exception)`` for each top-level ``_cmd_*`` function of
+    ``source`` with an ``except`` clause that names one of ``names``."""
+    out = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                out += [(fn.name, t.id) for t in types
+                        if isinstance(t, ast.Name) and t.id in names]
+    return out
+
+
+def test_the_check_sees_a_command_that_catches_bad_input():
+    source = ("def _cmd_a(args):\n    try:\n        pass\n"
+              "    except (OSError, ValueError):\n        pass\n\n"
+              "def _cmd_b(args):\n    try:\n        pass\n"
+              "    except OSError:\n        pass\n\n"
+              "def main():\n    try:\n        pass\n"
+              "    except ValueError:\n        pass\n")
+    assert _handlers_catching(source, {"ValueError"}) == [("_cmd_a", "ValueError")]
+
+
+def test_no_command_catches_bad_input():
+    # cli.main alone turns a ValueError (a DiagramError is one) into the
+    # exit-2 message, so no command handler states that rule again
+    source = (PACKAGE / "cli.py").read_text()
+    assert source.count("\ndef _cmd_") == 5
+    assert _handlers_catching(source, {"ValueError", "DiagramError"}) == []

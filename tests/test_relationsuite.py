@@ -17,6 +17,7 @@ from catsl2.twomorphisms import BimMap
 from catsl2.relationsuite import (
     DEFAULT_MAX_RANK,
     MANIFEST,
+    SUITE_LETTERS,
     SUITE_ORDER,
     inventory,
     quantum_integer,
@@ -39,7 +40,12 @@ def test_quantum_integer_values():
 def test_coverage_lock():
     # every relation display has exactly one check, locked by the manifest
     assert inventory() == MANIFEST
-    assert set(MANIFEST) == set(SUITE_ORDER)
+    # --suites takes these letters, and its help text says "letters a..l"
+    assert SUITE_LETTERS == {
+        "a": "biadjointness", "b": "dot_cyclicity", "c": "crossing_duality",
+        "d": "bubbles", "e": "nilhecke", "f": "reduction_to_bubbles",
+        "g": "identity_decomposition", "h": "ring_identities", "i": "degree_audit",
+        "j": "well_definedness", "k": "non_nilpotency", "l": "k0_shadow"}
 
 
 def test_resolve_suites():
@@ -608,23 +614,41 @@ def test_run_suite_reports_progress_k_major():
     assert len(seen) == sum(r.status != "skipped" for r in report.results)
 
 
-# Prints the term products that ``exactpoly._add_products`` forms during
-# ``run_suite(4, suites=SUITES)`` in a fresh interpreter, where every memo
-# table starts empty (``SUITES`` is None for the whole suite).
+# Prints, as JSON by suite, the term products that
+# ``exactpoly._add_products`` forms and the ``bimodules._normal_form`` calls
+# made during ``run_suite(4, suites=SUITES)`` in a fresh interpreter, where
+# every memo table starts empty (``SUITES`` is None for the whole suite).
+# The progress hook charges the work done since the last result to the
+# suite of the check that just ran.
 _WORK_SCRIPT = """
-from catsl2 import bimodules, exactpoly, relationsuite
-products = [0]
-real = exactpoly._add_products
-def counting(acc, ta, tb):
-    products[0] += len(ta) * len(tb)
-    return real(acc, ta, tb)
-exactpoly._add_products = bimodules._add_products = counting
-assert relationsuite.run_suite(4, suites=SUITES).all_ok()
-print(products[0])
+import json
+from catsl2 import bimodules, exactpoly, relationsuite, twomorphisms
+work = [0, 0]
+add_products, normal_form = exactpoly._add_products, bimodules._normal_form
+def counting_products(acc, ta, tb):
+    work[0] += len(ta) * len(tb)
+    return add_products(acc, ta, tb)
+def counting_calls(*args):
+    work[1] += 1
+    return normal_form(*args)
+exactpoly._add_products = bimodules._add_products = counting_products
+bimodules._normal_form = twomorphisms._normal_form = counting_calls
+suite_of = {spec.name: spec.suite for spec in relationsuite._CHECKS}
+by_suite, charged = {}, [0, 0]
+def progress(result):
+    counts = by_suite.setdefault(suite_of[result.check], [0, 0])
+    for i in (0, 1):
+        counts[i] += work[i] - charged[i]
+    charged[:] = work
+assert relationsuite.run_suite(4, suites=SUITES, progress=progress).all_ok()
+print(json.dumps({suite: {"term_products": products, "normal_form_calls": calls}
+                  for suite, (products, calls) in by_suite.items()}))
 """
 
+WORK_BUDGETS = Path(__file__).resolve().parent / "work_budgets.json"
 
-def _work_count(suites) -> int:
+
+def _work_counts(suites) -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -632,7 +656,11 @@ def _work_count(suites) -> int:
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    return int(done.stdout)
+    return json.loads(done.stdout)
+
+
+def _total(counts, field) -> int:
+    return sum(c[field] for c in counts.values())
 
 
 def test_ring_identities_work_count_does_not_grow():
@@ -640,7 +668,7 @@ def test_ring_identities_work_count_does_not_grow():
     # 30,633 term products before the checks at one k shared their class
     # tables and an alternating sum was normalized in one pass, and 20,815
     # before the two-sided sums were stepped by Horner's rule
-    count = _work_count(["ring_identities"])
+    count = _total(_work_counts(["ring_identities"]), "term_products")
     assert count <= 17_175, count
 
 
@@ -652,5 +680,14 @@ def test_whole_suite_work_count_does_not_grow():
     # dot's powers from the unit, 49,673 (2,094 calls) since; a return to
     # one normal form per output term and a ``linear_sum`` of them, or to
     # maps built per check, shows as a larger number
-    count = _work_count(None)
+    counts = _work_counts(None)
+    count = _total(counts, "term_products")
     assert count <= 49_673, count
+    # and no suite's share grows: each suite's term products and
+    # ``_normal_form`` calls within the same run, against the committed
+    # budgets
+    budgets = json.loads(WORK_BUDGETS.read_text())["suites"]
+    assert set(counts) == set(budgets) == set(SUITE_ORDER)
+    grown = {suite: (budgets[suite], c) for suite, c in counts.items()
+             if any(c[field] > budgets[suite][field] for field in c)}
+    assert not grown, grown
