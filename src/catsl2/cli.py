@@ -55,76 +55,51 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-_RANKED_COMMANDS = ("verify", "bubble", "special", "rank")
-
-
-def _env_rank():
-    """(rank, error) from $CATSL2_N: (None, None) if unset, and an error
-    message naming the variable if it is not a positive integer."""
-    value = os.environ.get("CATSL2_N")
-    if value is None:
-        return None, None
-    try:
-        rank = int(value)
-    except ValueError:
-        rank = 0
-    if rank < 1:
-        return None, "CATSL2_N must be a positive integer, got %r" % value
-    return rank, None
-
-
-@functools.lru_cache
-def _build_parser(default_n=None, rank_required=True) -> argparse.ArgumentParser:
-    """The argument parser, built once per ``(default_n, rank_required)``.
-
-    Parsing leaves no state on the parser (each call fills a fresh
-    namespace), so ``main`` reuses it; ``$CATSL2_N`` is read on every
-    call and selects the parser through the key.
-    """
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state on it (each
+    call fills a fresh namespace), so ``main`` reuses it."""
     parser = _CliParser(prog="catsl2",
                         description="Categorified sl(2) bimodule engine "
                                     "and relation verifier.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that several commands share: the rank names the ranked
+    # commands, and every command takes --format
+    ranked = argparse.ArgumentParser(add_help=False)
+    ranked.add_argument("--N", type=int, help="ambient rank (default: $CATSL2_N)")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("text", "json"), default="text")
 
-    def add_rank(p):
-        p.add_argument("--N", type=int, default=default_n,
-                       required=rank_required,
-                       help="ambient rank (default: $CATSL2_N)")
-
-    p = sub.add_parser("verify", help="run the relation suite")
-    add_rank(p)
+    p = sub.add_parser("verify", help="run the relation suite",
+                       parents=[ranked, formatted])
     p.add_argument("--suites", default=None,
                    help="comma-separated suite names or letters a..l")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-N", type=int, default=DEFAULT_MAX_RANK,
                    help="configured maximum rank (default %d)" % DEFAULT_MAX_RANK)
 
-    p = sub.add_parser("eval", help="apply a diagram to an element")
+    p = sub.add_parser("eval", help="apply a diagram to an element",
+                       parents=[formatted])
     p.add_argument("--diagram", required=True, help="path to a .cat file")
     p.add_argument("--element", required=True,
                    help="element expression; one with a leading sign is "
                         "written --element=-xi")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("bubble", help="closed dotted-bubble value")
-    add_rank(p)
+    p = sub.add_parser("bubble", help="closed dotted-bubble value",
+                       parents=[ranked, formatted])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--orient", choices=("cw", "ccw"), required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("special", help="special class X_alpha or Y_alpha")
-    add_rank(p)
+    p = sub.add_parser("special", help="special class X_alpha or Y_alpha",
+                       parents=[ranked, formatted])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--family", choices=("X", "Y"), required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("rank", help="graded rank of a word image")
-    add_rank(p)
+    p = sub.add_parser("rank", help="graded rank of a word image",
+                       parents=[ranked, formatted])
     p.add_argument("--word", required=True, help="E/F letters or 1")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -189,10 +164,7 @@ def _context(args, family: str):
     known to be within ``MAX_ALPHA`` and ``MAX_CLASS_TERMS``."""
     if args.alpha > MAX_ALPHA:
         raise ValueError("alpha must be at most %d, got %d" % (MAX_ALPHA, args.alpha))
-    try:
-        ctx = GrassContext(args.N, args.k)
-    except (ValueError, TypeError) as exc:
-        raise ValueError("bad context: %s" % exc) from None
+    ctx = GrassContext(args.N, args.k)
     if special_class_terms(ctx, family, args.alpha, MAX_CLASS_TERMS) > MAX_CLASS_TERMS:
         raise ValueError("%s_%d at N=%d, k=%d has more than %d terms"
                          % (family, args.alpha, args.N, args.k, MAX_CLASS_TERMS))
@@ -245,19 +217,23 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    default_n, env_error = _env_rank()
-    parser = _build_parser(default_n, rank_required=default_n is None
-                           and env_error is None)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.command in _RANKED_COMMANDS:
-        if args.N is None and env_error:
-            return _fail(env_error)
-        if args.N is None or args.N < 1:
-            return _fail("N must be a positive integer")
     try:
+        if "N" in args:         # a ranked command: --N, else $CATSL2_N
+            name, value = "N", args.N
+            if value is None:
+                name, value = "CATSL2_N", os.environ.get("CATSL2_N")
+                if value is None:
+                    raise ValueError("--N is required (or set CATSL2_N)")
+            try:
+                args.N = int(value)
+            except ValueError:
+                args.N = 0
+            if args.N < 1:
+                raise ValueError("%s must be a positive integer, got %r" % (name, value))
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()      # a closed pipe shows here, not at exit
         return code

@@ -234,21 +234,26 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     return table[alpha]
 
 
+def embedded_gens(ring: StepRing, letter: str, end: str) -> tuple:
+    """The generators g_1, g_2, ... of ``letter`` in the ``end`` ring,
+    each embedded in ``ring``."""
+    return tuple(ring.embed_ring_poly(g, end)
+                 for g in getattr(ring, end).gens(letter)[1:])
+
+
 def embedded_special_classes(ring: StepRing, family: str, end: str,
-                             classes, embedded_gens=None) -> list[Polynomial]:
+                             classes, embedded) -> list[Polynomial]:
     """``[ring.embed_ring_poly(c, end) for c in classes]`` for the classes
     C_0, C_1, ... of ``family`` in the ``end`` ring, through the recursion
     emb(C_a) = emb(R_a) - sum_{t>=1} emb(g_t) * emb(C_{a-t}) + delta(a, 0),
     with generators g_t (y[t] for X, x[t] for Y, g_0 = 1) and the residual
     R_a = sum_t g_t * C_{a-t} - delta(a, 0).  emb is a ring homomorphism, so
     this holds for any table; only the g_t and a nonzero R_a (0 for a
-    correct table) are substituted.  ``embedded_gens``, if given, is the
-    list of the emb(g_t), t >= 1, embedded before.
+    correct table) are substituted.  ``embedded`` is the emb(g_t), t >= 1,
+    of ``embedded_gens``.
     """
     gens = getattr(ring, end).gens(_FAMILY_LETTER[family])
-    if embedded_gens is None:
-        embedded_gens = [ring.embed_ring_poly(g, end) for g in gens[1:]]
-    negated = [-g for g in embedded_gens]
+    negated = [-g for g in embedded]
     out = []
     for a in range(len(classes)):
         residual = sum_of_products(zip(gens, reversed(classes[:a + 1])))

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .exactpoly import Polynomial, sum_of_products
+from .exactpoly import MAX_EXPONENT, Polynomial, sum_of_products
 from .grassrings import (
     GrassContext,
     StepRing,
     bubble_value,
     check_series_identity,
+    embedded_gens,
     embedded_special_classes,
     special_class,
 )
@@ -159,47 +160,25 @@ class CheckSpec:
 
 
 class _Context:
-    """What the checks at one ring index k share, each piece built on first
-    use and kept until k ends: per constructor and arguments the generator
-    map of ``gen`` with its image memo, per (one-step ring, family, end)
-    the embedded special classes, and per (ring, letter, end) the embedded
-    generators.  ``run_suite`` makes one per k."""
+    """What the checks at one ring index k share: per function and
+    arguments the value of ``gen``, built on first use and kept until k
+    ends.  ``run_suite`` makes one per k.  No key holds the context
+    itself, so a context is freed when k ends, without the cycle
+    collector."""
 
     def __init__(self, N, k):
         self.N, self.k = N, k
-        self._maps, self._gens, self._classes = {}, {}, {}
+        self._values = {}
 
-    def gen(self, constructor, *args):
-        """The map ``constructor(*args)``, built on first use: every check
-        at k that asks for it gets this one map and its image memo."""
-        key = (constructor, *args)
-        f = self._maps.get(key)
-        if f is None:
-            f = self._maps[key] = constructor(*args)
-        return f
-
-    def embedded_gens(self, ring: StepRing, letter: str, end: str) -> list:
-        """The generators g_1, g_2, ... of ``letter`` in the ``end`` ring,
-        embedded in ``ring``."""
-        key = (ring, letter, end)
-        out = self._gens.get(key)
-        if out is None:
-            out = self._gens[key] = [ring.embed_ring_poly(g, end)
-                                     for g in getattr(ring, end).gens(letter)[1:]]
-        return out
-
-    def classes(self, ring: StepRing, family: str, end: str) -> list:
-        """The classes of index 0 .. 2N+2 of an end ring, in one-step form."""
-        key = (ring, family, end)
-        out = self._classes.get(key)
-        if out is None:
-            letter = _RING_SIDES[family.lower()][2]
-            out = self._classes[key] = embedded_special_classes(
-                ring, family, end,
-                [special_class(getattr(ring, end), family, alpha)
-                 for alpha in range(0, 2 * self.N + 3)],
-                self.embedded_gens(ring, letter, end))
-        return out
+    def gen(self, f, *args):
+        """``f(*args)``, built on first use: every check at k that asks
+        for it gets this one value (a generator map with its image memo,
+        or a table of embedded classes)."""
+        key = (f, *args)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = f(*args)
+        return value
 
 
 def _compare(label, lhs, rhs):
@@ -449,10 +428,25 @@ def _slide_sums(other, xi):
         yield rhs
 
 
+def _embedded_classes(ring, family, end, embedded):
+    """The classes of index 0 .. 2N+2 of an end ring, in one-step form;
+    ``embedded`` is that end's ``embedded_gens`` of the family's letter."""
+    return embedded_special_classes(
+        ring, family, end, [special_class(getattr(ring, end), family, alpha)
+                            for alpha in range(0, 2 * ring.N + 3)], embedded)
+
+
+def _classes(context, ring, family, end):
+    """The ``_embedded_classes`` of an end ring, built once per k."""
+    letter = _RING_SIDES[family.lower()][2]
+    return context.gen(_embedded_classes, ring, family, end,
+                       context.gen(embedded_gens, ring, letter, end))
+
+
 def _run_class_slide(side, N, k, context):
     family, ring = side.upper(), StepRing(N, k)
     # the two ends are embedded independently
-    slid, other = (context.classes(ring, family, end) for end in _RING_SIDES[side][:2])
+    slid, other = (_classes(context, ring, family, end) for end in _RING_SIDES[side][:2])
     for alpha, rhs in enumerate(_slide_sums(other, ring.xi())):
         if slid[alpha] != rhs:
             return ("slide of %s_%d: %s vs %s"
@@ -463,9 +457,9 @@ def _run_class_slide(side, N, k, context):
 def _run_xi_expansion(side, N, k, context):
     class_end, gen_end, letter = _RING_SIDES[side]
     ring = StepRing(N, k)
-    classes = context.classes(ring, side.upper(), class_end)
+    classes = _classes(context, ring, side.upper(), class_end)
     # 1 and the other end's generators, each embedded on its own
-    gens = [Polynomial.one()] + context.embedded_gens(ring, letter, gen_end)
+    gens = (Polynomial.one(), *context.gen(embedded_gens, ring, letter, gen_end))
     for alpha in range(0, 2 * N + 3):
         acc = sum_of_products(zip(reversed(classes[:alpha + 1]), gens))
         if alpha % 2:
@@ -790,6 +784,9 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
         raise ValueError("N must be a positive integer")
     if N > max_rank:
         raise ValueError("N=%d exceeds the configured maximum %d" % (N, max_rank))
+    if N - 1 > MAX_EXPONENT:   # a basis vector's xi exponent reaches N - 1
+        raise ValueError("N=%d cannot be verified: basis exponents reach N - 1, "
+                         "past the limit %d" % (N, MAX_EXPONENT))
     chosen = resolve_suites(suites)
     report = VerifyReport(N=N, suites=chosen)
     specs = []

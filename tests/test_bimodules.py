@@ -1503,6 +1503,22 @@ def test_omega_commutes_with_normalize_and_keeps_graded_rank():
                 assert got == want, (path.render(), raw.factors)
 
 
+def test_omega_mirrors_the_size_of_every_xi_power():
+    # xi^p on the up-step (k, k+1) and on its omega mirror, the down-step
+    # (N-k, N-k-1), rewrite by independently written formulas; their
+    # normal forms have the same degree, term count and coefficients
+    pairs = 0
+    for N in range(1, 7):
+        for k in range(N):
+            up, down = FlagPath(N, (k, k + 1)), FlagPath(N, (N - k, N - k - 1))
+            for p in range(4 * N + 1):
+                a, b = normalize_xi_vector(up, (p,)), normalize_xi_vector(down, (p,))
+                assert (a.degree(), len(a.terms), sorted(a.terms.values())) == \
+                    (b.degree(), len(b.terms), sorted(b.terms.values())), (N, k, p)
+                pairs += 1
+    assert pairs == 385
+
+
 # -- in-flight entries: settled factors as ints ------------------------------
 
 

@@ -51,6 +51,18 @@ def test_verify_default_rank_cap_is_seven(capsys):
     assert "N=8 exceeds the configured maximum 7" in err
 
 
+def test_verify_past_the_exponent_limit_exits_2_at_once(capsys):
+    # basis exponents reach N - 1, so no --max-N admits a rank past the
+    # exponent limit: refused before any k is visited
+    huge = "99999999999999999999"
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--N", huge, "--max-N", huge,
+                             "--suites", "k0_shadow")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "N=%s cannot be verified" % huge in err and "past the limit 32767" in err
+
+
 def test_verify_json_matches_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--N", "2", "--suites", "bubbles",
                            "--format", "json")
@@ -548,10 +560,11 @@ def _class_query(command, flag, values):
 
 
 _ARGV = st.sampled_from([
-    # --max-N stops at DEFAULT_MAX_RANK + 1: past it a huge --N is admitted
-    # and run_suite walks every k up to it
+    # --max-N is at most DEFAULT_MAX_RANK + 1 or huge; the ranks between
+    # DEFAULT_MAX_RANK + 2 and the exponent limit are real, long runs
     _options("verify", ("--N", st.sampled_from(_RANKS)),
-             ("--max-N", st.integers(-1, DEFAULT_MAX_RANK + 1).map(str)),
+             ("--max-N", st.one_of(st.integers(-1, DEFAULT_MAX_RANK + 1).map(str),
+                                   st.just(HUGE))),
              ("--suites", st.sampled_from(["k0_shadow", "l", "l,k0_shadow", "",
                                            ",", "frobenius", "m"])),
              ("--format", _FORMATS)),

@@ -20,6 +20,7 @@ from catsl2.twomorphisms import (
     zero_map,
 )
 from catsl2.diagramlang import (
+    TOKEN_SHAPES,
     DiagramAST,
     DiagramError,
     LayerToken,
@@ -578,3 +579,85 @@ def test_parse_element_fuzz_parses_or_points_inside_the_text(text):
             assert err.line == 1
             assert 1 <= err.col_start <= err.col_end <= max(len(text), 1), \
                 (text, path.render(), str(err))
+
+
+# -- fuzzing the diagram grammar ---------------------------------------------------
+
+#: Diagrams the grammar derives and the type check accepts, at N <= 3.
+CAT_SEEDS = [
+    "N = 1\nweight = -1\ndomain = 1\nlayer: cup_fe\nlayer: cap_fe\n",
+    "N = 2\nweight = -2\ndomain = E E\nlayer: cross_ee\nlayer: cross_ee\n",
+    "N = 2\nweight = 0\ndomain = E\nlayer: dot_e\n",
+    "N = 1\nweight = -1\ndomain = E\nlayer: id_e cup_fe\nlayer: cap_ef id_e\n",
+    "N = 3\nweight = 1\ndomain = F E\nlayer: dot_f id_e\nlayer: cap_fe\nlayer: cup_ef\n",
+    "N = 2\nweight = 2\ndomain = F F\nlayer: cross_ff\nlayer: dot_f dot_f\n",
+    "# a comment\nweight = 0   # trailing\n\nN = 2\ndomain = 1\n"
+    "layer: cup_ef\nlayer:  dot_e\tdot_f \nlayer: cap_ef\n",
+    "N = 3\nweight = -3\ndomain = 1\n",
+]
+#: Stray lines and pieces: the grammar's tokens (docs/grammars.md) alone,
+#: in the wrong place or misspelt, headers with bad values, blanks and
+#: unknown words.
+CAT_STRAY = (["", " ", "\t", "# note", "layer:", "layer", ":", "=", "N", "weight",
+              "domain", "N = 2", "N = 0", "N = -1", "weight = 1", "weight = x",
+              "N = 1.5", "N =", "N = " + "9" * 1001, "domain = E F", "domain = EF",
+              "domain = 1 E", "domain =", "domain = X", "E", "F", "1", "-", "foo",
+              "layer: bogus", "layer: cupfe", "layer:: id_e", "layer: " + "k" * 60]
+             + ["layer: " + token for token in TOKEN_SHAPES] + list(TOKEN_SHAPES))
+
+
+def _edit(text, edits, newline):
+    """``text`` with each ``(kind, at, piece)`` of ``edits`` applied to its
+    lines (insert a piece as a line, repeat a line elsewhere, drop a line,
+    append a piece to a line, or cut the text at a character), ending in
+    a newline or not."""
+    lines = text.splitlines()
+    for kind, at, piece in edits:
+        i = at % (len(lines) + 1)
+        if kind == "insert":
+            lines.insert(i, piece)
+        elif kind == "repeat" and lines:
+            lines.insert(i, lines[(at * 7) % len(lines)])
+        elif kind == "drop" and lines:
+            del lines[i % len(lines)]
+        elif kind == "append" and lines:
+            lines[i % len(lines)] += piece
+        elif kind == "cut":
+            lines = "\n".join(lines)[:at].splitlines()
+    return "\n".join(lines) + ("\n" if newline else "")
+
+
+_CAT_EDITS = st.lists(st.tuples(
+    st.sampled_from(["insert", "repeat", "drop", "append", "cut"]),
+    st.integers(0, 120),
+    st.sampled_from(CAT_STRAY + [" ", "  ", "\t", " # c", " E", " id_e", " 2"])),
+    max_size=4)
+CAT_TEXTS = st.one_of(
+    st.sampled_from(CAT_SEEDS),
+    st.tuples(st.sampled_from(CAT_SEEDS), _CAT_EDITS, st.booleans()).map(
+        lambda t: _edit(*t)),
+    st.lists(st.sampled_from(CAT_STRAY), max_size=8).map("\n".join),      # noise
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(CAT_TEXTS)
+def test_diagram_fuzz_compiles_or_points_inside_the_text(text):
+    # every text compiles or raises DiagramError, never another exception;
+    # the error names a line of the text (an empty text has none) and
+    # columns inside that line, and its message is bounded
+    lines = text.splitlines()
+    try:
+        ast = parse_diagram(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroDiagramWarning)
+            compile_diagram(ast)
+    except DiagramError as err:
+        assert len(str(err)) < 200, (text, str(err))
+        if err.line is None:
+            assert text == "", str(err)
+            return
+        assert 1 <= err.line <= len(lines), (text, str(err))
+        if err.col_start is not None:
+            assert 1 <= err.col_start <= err.col_end <= len(lines[err.line - 1]), \
+                (text, str(err))

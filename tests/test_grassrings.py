@@ -7,6 +7,7 @@ from catsl2.grassrings import (
     StepRing,
     bubble_value,
     check_series_identity,
+    embedded_gens,
     embedded_special_classes,
     special_class,
     special_class_terms,
@@ -249,7 +250,8 @@ def _embedded_both_ways(monkeypatch, max_n=5):
                                for a in range(0, 2 * N + 3)]
                     want = [real(ring, c, end) for c in classes]
                     sent.clear()
-                    got = embedded_special_classes(ring, family, end, classes)
+                    got = embedded_special_classes(ring, family, end, classes, embedded_gens(
+                        ring, {"X": "y", "Y": "x"}[family], end))
                     yield (N, j, end, family), want, got, list(sent)
 
 

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module,
 every top-level function and class and every method of a top-level class
 is named somewhere in the package, every defaulted parameter is
-passed by some call in the package or its tests, and no CLI command
-handler catches the bad-input errors that ``cli.main`` maps to exit 2.
+passed by some call in the package or its tests, no CLI command
+handler catches the bad-input errors that ``cli.main`` maps to exit 2,
+and no ``lru_cache`` is capped.
 
 Neither pyflakes nor ruff is assumed to be installed, so this parses each
 ``catsl2`` module with ``ast``.  A name counts as used if it occurs as a
@@ -232,3 +233,39 @@ def test_no_command_catches_bad_input():
     source = (PACKAGE / "cli.py").read_text()
     assert source.count("\ndef _cmd_") == 5
     assert _handlers_catching(source, {"ValueError", "DiagramError"}) == []
+
+
+def _capped_caches(source: str) -> list:
+    """The lines of ``source`` that use ``lru_cache`` other than as
+    ``lru_cache(maxsize=None)`` or ``lru_cache(None)``: a bare or
+    ``maxsize``-given cache drops entries past its cap (128 by default)."""
+    tree = ast.parse(source)
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    uncapped = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and (any(kw.arg == "maxsize" and is_none(kw.value) for kw in node.keywords)
+                     or node.args and is_none(node.args[0]))}
+    return [node.lineno for node in ast.walk(tree)
+            if (getattr(node, "id", None) == "lru_cache"
+                or getattr(node, "attr", None) == "lru_cache")
+            and id(node) not in uncapped]
+
+
+def test_the_check_sees_a_capped_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n\n"
+              "@functools.lru_cache\ndef a():\n    pass\n\n"
+              "@lru_cache(maxsize=None)\ndef b():\n    pass\n\n"
+              "@lru_cache(maxsize=256)\ndef c():\n    pass\n\n"
+              "@functools.lru_cache(None)\ndef d():\n    pass\n\n"
+              "@cache\ndef e():\n    pass\n\n"
+              "f = lru_cache()(len)\n")
+    assert _capped_caches(source) == [4, 12, 24]
+
+
+def test_no_cache_is_capped():
+    # a memo that quietly stops caching at a hard-coded cap hides its misses;
+    # every lru_cache in the package passes maxsize=None (or is functools.cache)
+    capped = {p.name: _capped_caches(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert not any(capped.values()), {k: v for k, v in capped.items() if v}

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import time
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +12,7 @@ import pytest
 from catsl2 import bimodules, grassrings, relationsuite, twomorphisms
 from catsl2.bimodules import BimElement, FlagPath, basis, normalize_xi_vector
 from catsl2.cli import main
-from catsl2.exactpoly import Polynomial, sum_of_products
+from catsl2.exactpoly import MAX_EXPONENT, Polynomial, sum_of_products
 from catsl2.grassrings import StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.twomorphisms import BimMap
@@ -117,6 +119,32 @@ def test_run_suite_input_validation():
     with pytest.raises(ValueError):
         run_suite(DEFAULT_MAX_RANK + 1)
     assert run_suite(5, suites=["k0_shadow"], max_rank=5).all_ok()
+
+
+@pytest.mark.parametrize("N, suite", [(MAX_EXPONENT + 2, "k0_shadow"),
+                                      (40000, "biadjointness"),
+                                      (10 ** 20, "k0_shadow")])
+def test_run_suite_refuses_a_rank_past_the_exponent_limit(N, suite):
+    # a basis vector's xi exponent reaches N - 1, which the packed format
+    # cannot hold past MAX_EXPONENT: refused up front, whatever max_rank is
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="past the limit %d" % MAX_EXPONENT):
+        run_suite(N, suites=[suite], max_rank=N)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_no_context_outlives_its_ring_index():
+    # no key of a context's table holds the context, so reference counting
+    # alone frees it when k ends: with the cycle collector off, a whole
+    # run leaves no _Context behind
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(3)
+        left = sum(isinstance(obj, relationsuite._Context) for obj in gc.get_objects())
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_reports_deterministic():
@@ -431,7 +459,7 @@ def test_class_slide_sums_by_horner_equal_the_double_sum():
             ring = StepRing(N, k)
             context = relationsuite._Context(N, k)
             for side, (_, end, _) in relationsuite._RING_SIDES.items():
-                other = context.classes(ring, side.upper(), end)
+                other = relationsuite._classes(context, ring, side.upper(), end)
                 horner = list(relationsuite._slide_sums(other, ring.xi()))
                 assert len(horner) == len(other) == 2 * N + 3
                 for alpha, got in enumerate(horner):
