@@ -603,8 +603,8 @@ def _push_content(f: _Factor, nxt: _Factor, terms):
 
 
 # In-flight entries (see ``normalize``) are made only by ``_entry`` and
-# ``_xi_entries``, so a polynomial entry is never a monic bounded xi-power
-# and equal terms have equal tuples, which merging like terms relies on.
+# ``_xi_entries``, so a polynomial entry is never a monic bounded xi-power:
+# a factor is settled exactly when its entry is an int.
 
 
 def _entry(poly: Polynomial, f: _Factor):
@@ -717,35 +717,20 @@ def _normal_form(path: FlagPath, terms: list, order: str = "ltr",
             key = _xi_key(path, factors)
             acc[key] = acc.get(key, 0) + coeff
         return _wrap(path, acc)
-    if order == "ltr":
-        # clearing factor i rewrites only factors i and i+1; terms that
-        # become alike are added up when they settle
-        for i in range(1, m):
+    # clearing factor i rewrites only factors i and i+1, and a cleared
+    # factor only gets content again from its left neighbour: one sweep
+    # left to right clears all, and right to left sweeps repeat until one
+    # clears nothing.  Terms that become alike are added up when they settle.
+    sweep = range(1, m) if order == "ltr" else range(m - 1, 0, -1)
+    cleared = True
+    while cleared:
+        cleared = False
+        for i in sweep:
             if _has_content(terms, i):
+                cleared = True
                 terms = list(_clear_factor(path, terms, i))
                 if on_step is not None:
                     on_step(terms)
-    else:
-        # sweep factors m-1 .. 1 until a sweep changes nothing; a cleared
-        # factor only gets content again from its left neighbour.
-        # Re-clearing a factor maps terms that differ only there onto one
-        # xi-power, so every step merges like terms.
-        merged: dict = {}
-        for factors, coeff in terms:
-            merged[factors] = merged.get(factors, 0) + coeff
-        changed = True
-        while changed:
-            changed = False
-            for i in range(m - 1, 0, -1):
-                if _has_content(merged.items(), i):
-                    changed = True
-                    new: dict = {}
-                    for key, c in _clear_factor(path, merged.items(), i):
-                        new[key] = new.get(key, 0) + c
-                    merged = new
-                    if on_step is not None:
-                        on_step(list(merged.items()))
-        terms = merged.items()
     element = _wrap(path, _settle(path, terms))
     if on_step is not None and _has_content(terms, m):
         on_step(_vector_terms(element))
@@ -772,8 +757,7 @@ def normalize(raw: RawTensor, order: str = "ltr",
 
     ``order`` picks the junction-processing strategy for factors 1..m-1:
     "ltr" clears them left to right (one pass suffices), "rtl" sweeps right
-    to left until a fixpoint, merging like terms after every step that
-    changed the terms; both reach the same normal form.  In both orders
+    to left until a fixpoint; both reach the same normal form.  In both orders
     ``on_step`` is called with the list of in-flight terms after every
     factor-clearing step that changed it, and, if the last factor held
     content, with the settled ``(vec, coefficient)`` pairs.

@@ -129,11 +129,13 @@ class DiagramAST:
 
 
 def _typecheck(ast: DiagramAST, lines):
-    """Check arity and orientation of every layer; return the word list."""
+    """Check the weight's parity and the arity and orientation of every
+    layer; return the word list."""
     weight_line, layer_lines = lines
-    if (ast.weight + ast.N) % 2 != 0:
-        raise DiagramError("weight %d and rank N=%d have different parity"
-                           % (ast.weight, ast.N), weight_line)
+    try:
+        compile_word(ast.domain, ast.N)     # the parity rule of ``rank``
+    except ValueError as exc:
+        raise DiagramError(str(exc), weight_line) from None
     word = tuple(ast.domain.letters)
     words = [word]
     for layer, lineno in zip(ast.layers, layer_lines):
@@ -211,6 +213,9 @@ def parse_diagram(text: str) -> DiagramAST:
                 except ValueError:
                     raise DiagramError("%s must be an integer, got %s"
                                        % (key, _echo(value)), lineno) from None
+                if key == "N" and not 1 <= header["N"] <= MAX_DIAGRAM_RANK:
+                    raise DiagramError("rank N must lie in 1..%d, got %s"
+                                       % (MAX_DIAGRAM_RANK, _echo(value)), lineno)
             else:
                 try:
                     header["domain"] = SignedWord.parse(value, 0).letters
@@ -306,6 +311,11 @@ MAX_ELEMENT_DEGREE = 1000
 #: before anything is converted, and coefficients stay far below CPython's
 #: limit of 4300 digits for converting an integer to or from text.
 MAX_LITERAL_DIGITS = 1000
+
+#: Largest ``N`` header of a diagram file.  Compiling a diagram builds the
+#: generators of its rings, whose time and memory grow with N squared (a
+#: bubble at N = 800 needs over 600 MB), so a larger N is refused first.
+MAX_DIAGRAM_RANK = 200
 
 
 def _parse_factor(expr: str, offset: int, text_len: int, symbol_of, degree: int,

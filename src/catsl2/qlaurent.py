@@ -33,14 +33,6 @@ class Laurent:
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        coeffs: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return Laurent(coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = Laurent({0: other})

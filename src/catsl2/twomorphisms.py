@@ -275,6 +275,7 @@ def gen_cap(path: FlagPath, position: int) -> BimMap:
     if path.is_zero:   # the codomain's rings are some of the path's
         return zero_map(path, codomain, degree)
     ctx = GrassContext(path.N, j)
+    family = "X" if fe else "Y"
     images = {}     # (a + b, the other exponents) -> image
 
     def fn(vec):
@@ -282,13 +283,9 @@ def gen_cap(path: FlagPath, position: int) -> BimMap:
         reduced = vec[:i - 1] + vec[i + 1:]
         image = images.get((total, reduced))
         if image is None:
-            if fe:
-                value = special_class(ctx, "X", total + 1 + j - path.N)
-                flip = (total + j - path.N + 1) % 2
-            else:
-                value = special_class(ctx, "Y", total + 1 - j)
-                flip = (total + 1 - j) % 2
-            if flip:
+            index = total + 1 + j - path.N if fe else total + 1 - j
+            value = special_class(ctx, family, index)
+            if index % 2:
                 value = -value
             image = images[total, reduced] = _inject_at_junction(codomain, i - 1,
                                                                  value, reduced)

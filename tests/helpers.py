@@ -146,7 +146,7 @@ def rewrite_measure(path: FlagPath, terms) -> tuple:
     step copies the unsettled factors left of i into every new term, and
     the decreasing quantity is the multiset of per-term measures
     ``rewrite_measure(path, [term])``: each step replaces a term by terms
-    of smaller measure, and merging like terms removes some.
+    of smaller measure.
     """
     m = path.num_factors
     records = [_factor(path, i) for i in range(1, m + 1)]

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 import warnings
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from catsl2.twomorphisms import (
     zero_map,
 )
 from catsl2.diagramlang import (
+    MAX_DIAGRAM_RANK,
     TOKEN_SHAPES,
     DiagramAST,
     DiagramError,
@@ -415,9 +418,51 @@ def test_header_digit_limit():
         with pytest.raises(DiagramError) as err:
             parse_diagram(text)
         assert str(err.value).endswith("has 1001 digits, above the limit 1000")
-    # 1000 digits parse; parity then decides
-    ast = parse_diagram("N = %s\nweight = 1\ndomain = 1\n" % ("9" * 1000))
-    assert ast.N == int("9" * 1000)
+    # 1000 digits convert; the rank limit then decides
+    with pytest.raises(DiagramError) as err:
+        parse_diagram("N = %s\nweight = 1\ndomain = 1\n" % ("9" * 1000))
+    assert str(err.value).startswith("line 1: rank N must lie in 1..%d, got '999"
+                                     % MAX_DIAGRAM_RANK)
+
+
+#: The bubble diagram, a cup, a dot on each strand and a cap, at rank %s.
+BUBBLE = ("N = %s\nweight = 0\ndomain = 1\n"
+          "layer: cup_fe\nlayer: dot_f dot_e\nlayer: cap_fe\n")
+
+
+@pytest.mark.parametrize("text", [
+    "N = -1\nweight = -1\ndomain = E\nlayer: dot_e\n",
+    "N = 0\nweight = 0\ndomain = 1\n",
+    BUBBLE % (MAX_DIAGRAM_RANK + 1),
+    BUBBLE % "99999999999999999999",
+], ids=["negative", "zero", "past-the-limit", "huge"])
+def test_rank_header_out_of_range_exits_2_at_its_line(tmp_path, capsys, text):
+    # refused at the N line, before any ring or generator is built
+    diagram = tmp_path / "bad.cat"
+    diagram.write_text(text)
+    start = time.perf_counter()
+    assert main(["eval", "--diagram", str(diagram), "--element", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(
+        "catsl2: error: line 1: rank N must lie in 1..%d, got " % MAX_DIAGRAM_RANK)
+
+
+def test_bubble_at_the_rank_limit_evaluates(tmp_path, capsys):
+    diagram = tmp_path / "bubble.cat"
+    diagram.write_text(BUBBLE % MAX_DIAGRAM_RANK)
+    assert main(["eval", "--diagram", str(diagram), "--element", "1"]) == 0
+    assert "image:    -x[1]@0*y[1]@0^2 + " in capsys.readouterr().out
+
+
+def test_diagram_and_rank_report_parity_with_the_same_text(tmp_path, capsys):
+    # one parity rule, ``compile_word``'s; the diagram adds the weight line
+    assert main(["rank", "--N", "2", "--word", "E", "--weight", "1"]) == 2
+    rank_err = capsys.readouterr().err
+    diagram = tmp_path / "parity.cat"
+    diagram.write_text("N = 2\nweight = 1\ndomain = E\n")
+    assert main(["eval", "--diagram", str(diagram), "--element", "1"]) == 2
+    eval_err = capsys.readouterr().err
+    assert eval_err == rank_err.replace("error: ", "error: line 2: ", 1)
 
 
 NINES = "9" * 5000
@@ -599,7 +644,8 @@ CAT_SEEDS = [
 #: in the wrong place or misspelt, headers with bad values, blanks and
 #: unknown words.
 CAT_STRAY = (["", " ", "\t", "# note", "layer:", "layer", ":", "=", "N", "weight",
-              "domain", "N = 2", "N = 0", "N = -1", "weight = 1", "weight = x",
+              "domain", "N = 2", "N = 0", "N = -1", "N = %d" % (MAX_DIAGRAM_RANK + 1),
+              "N = %d" % 10 ** 20, "weight = 1", "weight = x",
               "N = 1.5", "N =", "N = " + "9" * 1001, "domain = E F", "domain = EF",
               "domain = 1 E", "domain =", "domain = X", "E", "F", "1", "-", "foo",
               "layer: bogus", "layer: cupfe", "layer:: id_e", "layer: " + "k" * 60]
@@ -632,10 +678,14 @@ _CAT_EDITS = st.lists(st.tuples(
     st.integers(0, 120),
     st.sampled_from(CAT_STRAY + [" ", "  ", "\t", " # c", " E", " id_e", " 2"])),
     max_size=4)
+#: Ranks out of range: each replaces a seed's N.
+BAD_RANKS = ["0", "-1", str(MAX_DIAGRAM_RANK + 1), str(10 ** 20)]
 CAT_TEXTS = st.one_of(
     st.sampled_from(CAT_SEEDS),
     st.tuples(st.sampled_from(CAT_SEEDS), _CAT_EDITS, st.booleans()).map(
         lambda t: _edit(*t)),
+    st.tuples(st.sampled_from(CAT_SEEDS), st.sampled_from(BAD_RANKS)).map(
+        lambda t: re.sub(r"N = \d+", "N = " + t[1], t[0])),
     st.lists(st.sampled_from(CAT_STRAY), max_size=8).map("\n".join),      # noise
 )
 
@@ -645,10 +695,12 @@ CAT_TEXTS = st.one_of(
 def test_diagram_fuzz_compiles_or_points_inside_the_text(text):
     # every text compiles or raises DiagramError, never another exception;
     # the error names a line of the text (an empty text has none) and
-    # columns inside that line, and its message is bounded
+    # columns inside that line, and its message is bounded.  Only a rank
+    # in 1..MAX_DIAGRAM_RANK compiles.
     lines = text.splitlines()
     try:
         ast = parse_diagram(text)
+        assert 1 <= ast.N <= MAX_DIAGRAM_RANK, text
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZeroDiagramWarning)
             compile_diagram(ast)
