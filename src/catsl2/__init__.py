@@ -8,7 +8,7 @@ relation suite that machine-checks every defining identity of the
 calculus at a chosen rank N.
 """
 
-from .exactpoly import Polynomial, Rational, VarSymbol, homogeneous_degree, series_invert
+from .exactpoly import Polynomial, Rational, VarSymbol, homogeneous_degree
 from .grassrings import GrassContext, StepRing, bubble_value, special_class
 from .bimodules import (
     BimElement,
@@ -32,7 +32,6 @@ from .twomorphisms import (
     gen_dot,
     identity_map,
     map_equals,
-    whisker,
 )
 from .diagramlang import DiagramAST, compile_diagram, parse_diagram, parse_element
 from .relationsuite import quantum_integer, run_suite
@@ -40,13 +39,13 @@ from .relationsuite import quantum_integer, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Polynomial", "Rational", "VarSymbol", "homogeneous_degree", "series_invert",
+    "Polynomial", "Rational", "VarSymbol", "homogeneous_degree",
     "GrassContext", "StepRing", "bubble_value", "special_class",
     "BimElement", "FlagPath", "RawTensor", "act", "basis", "graded_rank",
     "inject_at_junction", "normalize", "tensor",
     "BimMap", "SignedWord", "compile_word", "compose_chain",
     "gen_cap", "gen_crossing", "gen_cup", "gen_dot", "identity_map",
-    "map_equals", "whisker",
+    "map_equals",
     "DiagramAST", "compile_diagram", "parse_diagram", "parse_element",
     "quantum_integer", "run_suite",
 ]

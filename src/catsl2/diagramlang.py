@@ -106,8 +106,8 @@ class DiagramAST:
     """A type-checked diagram: header data plus layers of tokens.
 
     Equality ignores source spans, so rendering and reparsing round-trips.
-    ``lines``, the source lines of the weight header and of each layer,
-    gives the span of a parity or layer arity error.
+    ``lines``, the source lines of the N header, of the weight header and
+    of each layer, gives the span of a rank, parity or layer arity error.
     """
 
     def __init__(self, N: int, weight: int, domain: SignedWord, layers, lines=None):
@@ -115,7 +115,7 @@ class DiagramAST:
         self.weight = weight
         self.domain = domain
         self.layers = tuple(tuple(tok) for tok in layers)
-        self.words = _typecheck(self, lines or (None, (None,) * len(self.layers)))
+        self.words = _typecheck(self, lines or (None, None, (None,) * len(self.layers)))
 
     def __eq__(self, other):
         if not isinstance(other, DiagramAST):
@@ -129,9 +129,12 @@ class DiagramAST:
 
 
 def _typecheck(ast: DiagramAST, lines):
-    """Check the weight's parity and the arity and orientation of every
-    layer; return the word list."""
-    weight_line, layer_lines = lines
+    """Check the rank's range, the weight's parity and the arity and
+    orientation of every layer; return the word list."""
+    rank_line, weight_line, layer_lines = lines
+    if not 1 <= ast.N <= MAX_DIAGRAM_RANK:     # before any ring is built
+        raise DiagramError("rank N must lie in 1..%d, got %s"
+                           % (MAX_DIAGRAM_RANK, _echo(str(ast.N))), rank_line)
     try:
         compile_word(ast.domain, ast.N)     # the parity rule of ``rank``
     except ValueError as exc:
@@ -213,9 +216,6 @@ def parse_diagram(text: str) -> DiagramAST:
                 except ValueError:
                     raise DiagramError("%s must be an integer, got %s"
                                        % (key, _echo(value)), lineno) from None
-                if key == "N" and not 1 <= header["N"] <= MAX_DIAGRAM_RANK:
-                    raise DiagramError("rank N must lie in 1..%d, got %s"
-                                       % (MAX_DIAGRAM_RANK, _echo(value)), lineno)
             else:
                 try:
                     header["domain"] = SignedWord.parse(value, 0).letters
@@ -229,7 +229,7 @@ def parse_diagram(text: str) -> DiagramAST:
                                len(text.splitlines()) or None)
     domain = SignedWord(header["domain"], header["weight"])
     return DiagramAST(header["N"], header["weight"], domain, layers,
-                      (header_lines["weight"], layer_lines))
+                      (header_lines["N"], header_lines["weight"], layer_lines))
 
 
 def render_diagram(ast: DiagramAST) -> str:
@@ -312,9 +312,10 @@ MAX_ELEMENT_DEGREE = 1000
 #: limit of 4300 digits for converting an integer to or from text.
 MAX_LITERAL_DIGITS = 1000
 
-#: Largest ``N`` header of a diagram file.  Compiling a diagram builds the
-#: generators of its rings, whose time and memory grow with N squared (a
-#: bubble at N = 800 needs over 600 MB), so a larger N is refused first.
+#: Largest rank ``N`` of a diagram, parsed or built as a ``DiagramAST``.
+#: Compiling a diagram builds the generators of its rings, whose time and
+#: memory grow with N squared (a bubble at N = 800 needs over 600 MB), so
+#: the type check refuses a larger N first.
 MAX_DIAGRAM_RANK = 200
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 Rational = Fraction
 
@@ -443,24 +443,3 @@ def homogeneous_degree(p: Polynomial):
     if len(degs) == 1:
         return degs.pop()
     return INHOMOGENEOUS
-
-
-def series_invert(components: Iterable[Polynomial], bound: int) -> list[Polynomial]:
-    """Invert a graded power series given by homogeneous components.
-
-    ``components[d]`` is the degree-2d piece of a series with constant term
-    1; the result lists the components ``b[0..bound]`` of the inverse, so
-    that sum(components[i] * b[d-i] for i) vanishes for 0 < d <= bound.
-    """
-    comps = list(components)
-    if not comps or comps[0] != Polynomial.one():
-        raise ValueError("series inversion needs constant term 1")
-
-    def comp(i: int) -> Polynomial:
-        return comps[i] if i < len(comps) else Polynomial.zero()
-
-    inverse = [Polynomial.one()]
-    for d in range(1, bound + 1):
-        inverse.append(-sum_of_products((comp(i), inverse[d - i])
-                                        for i in range(1, d + 1)))
-    return inverse

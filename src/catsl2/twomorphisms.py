@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import Polynomial, _make, homogeneous_degree
+from .exactpoly import Polynomial, homogeneous_degree
 from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
@@ -307,25 +307,6 @@ def junction_mult(path: FlagPath, junction: int, poly: Polynomial) -> BimMap:
         return _inject_at_junction(path, junction, poly, vec)
 
     return BimMap(path, path, deg, fn, name="mult@%d" % junction, lead=junction)
-
-
-def whisker(f: BimMap, left: FlagPath, right: FlagPath) -> BimMap:
-    """Horizontal composition with identity strands on both sides."""
-    domain = left.concat(f.domain).concat(right)
-    codomain = left.concat(f.codomain).concat(right)
-    lm = left.num_factors
-    dm = f.domain.num_factors
-    g = lm + f.codomain.num_factors
-
-    def fn(vec):
-        pre, mid, post = vec[:lm], vec[lm:lm + dm], vec[lm + dm:]
-        return linear_sum(codomain, (
-            (_inject_at_junction(codomain, g, _make(mcoeff),
-                                 pre + _xi_vector(f.codomain, xi) + post), 1)
-            for xi, mcoeff in _by_xi(f.apply_vec(mid)).items()))
-
-    return BimMap(domain, codomain, f.degree, fn, name="whisk(%s)" % f.name,
-                  lead=lm + f.lead)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,30 @@ def linear_sum_reference(path, parts):
     return BimElement(path, acc)
 
 
+def series_invert(components, bound):
+    """Invert a graded power series given by homogeneous components.
+
+    ``components[d]`` is the degree-2d piece of a series with constant term
+    1; the result lists the components ``b[0..bound]`` of the inverse, so
+    that sum(components[i] * b[d-i] for i) vanishes for 0 < d <= bound.
+    A reference for the special classes, which are the inverses of the
+    generating series of the x's and y's; ``test_series_invert_matches_sympy``
+    checks it against sympy.
+    """
+    comps = list(components)
+    if not comps or comps[0] != Polynomial.one():
+        raise ValueError("series inversion needs constant term 1")
+
+    def comp(i):
+        return comps[i] if i < len(comps) else Polynomial.zero()
+
+    inverse = [Polynomial.one()]
+    for d in range(1, bound + 1):
+        inverse.append(-sum_of_products((comp(i), inverse[d - i])
+                                        for i in range(1, d + 1)))
+    return inverse
+
+
 def sum_of_products_reference(pairs):
     """``sum_of_products`` as the loop it replaced: one ``Polynomial``
     product and one ``+`` per pair."""

@@ -81,7 +81,7 @@ def test_criterion_04_fake_bubble_consistency():
                                                "bubble_product", 2 * N)
             assert ok, "N=%d k=%d: %s" % (N, k, reason)
     _report(4, "cw and ccw bubble series multiply to 1 through degree 2N in "
-               "all contexts, closed formula vs series inversion, exact")
+               "all contexts, exact")
 
 
 def test_criterion_05_non_nilpotency():

@@ -447,6 +447,26 @@ def test_rank_header_out_of_range_exits_2_at_its_line(tmp_path, capsys, text):
         "catsl2: error: line 1: rank N must lie in 1..%d, got " % MAX_DIAGRAM_RANK)
 
 
+@pytest.mark.parametrize("N, weight, letters, layers", [
+    (-1, -1, ("E",), [(LayerToken("dot_e"),)]),
+    (MAX_DIAGRAM_RANK + 1, 1, (), []),
+    (10 ** 20, 0, ("F", "E"), [(LayerToken("cap_fe"),)]),
+], ids=["negative", "past-the-limit", "huge"])
+def test_rank_of_an_ast_built_in_code_is_checked(N, weight, letters, layers, monkeypatch):
+    # the type check, which the parser and a DiagramAST built in code both
+    # run, refuses the rank before compile_word builds any ring
+    from catsl2 import diagramlang
+
+    def no_ring(*args):
+        raise AssertionError("compile_word ran before the rank check")
+
+    monkeypatch.setattr(diagramlang, "compile_word", no_ring)
+    with pytest.raises(DiagramError) as err:
+        DiagramAST(N, weight, SignedWord(letters, weight), layers)
+    assert str(err.value) == "rank N must lie in 1..%d, got '%d'" % (MAX_DIAGRAM_RANK, N)
+    assert err.value.line is None
+
+
 def test_bubble_at_the_rank_limit_evaluates(tmp_path, capsys):
     diagram = tmp_path / "bubble.cat"
     diagram.write_text(BUBBLE % MAX_DIAGRAM_RANK)

@@ -16,13 +16,12 @@ from catsl2.exactpoly import (
     homogeneous_degree,
     mono_degree,
     mono_pairs,
-    series_invert,
     sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
 )
-from helpers import sum_of_products_reference, xgen, xigen, ygen
+from helpers import series_invert, sum_of_products_reference, xgen, xigen, ygen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,6 +80,10 @@ def test_render():
     assert p.render() == "x[1]@0^2 - x[2]@0"
     assert (Polynomial.const(Fraction(1, 2)) * xigen(2)).render() == "1/2*xi{2}"
     assert Polynomial.zero().render() == "0"
+
+
+# ``series_invert`` is the reference inversion of ``helpers``, which the
+# special-class tests compare against
 
 
 def test_series_invert_geometric():

@@ -1,7 +1,7 @@
 import pytest
 
 from catsl2 import grassrings
-from catsl2.exactpoly import Polynomial, homogeneous_degree, x_sym, y_sym
+from catsl2.exactpoly import Polynomial, homogeneous_degree, sum_of_products, x_sym, y_sym
 from catsl2.grassrings import (
     GrassContext,
     StepRing,
@@ -47,7 +47,7 @@ def test_special_class_table_grows_across_calls(monkeypatch):
     # One context's table, extended to alpha 2 and then to 5, equals a
     # fresh table built to 5 and the inverse series of the generators; it
     # holds only the generators of index at most 5 (and at most the last).
-    from catsl2.exactpoly import series_invert
+    from helpers import series_invert
     for N, k in [(3, 1), (6, 2), (6, 4), (9, 8)]:
         ctx = GrassContext(N, k)
         for family, letter, last in (("X", ctx.y, N - k), ("Y", ctx.x, k)):
@@ -138,6 +138,33 @@ def test_series_identities():
             ok, report = check_series_identity(GrassContext(N, k),
                                                "bubble_product", 2 * N)
             assert ok, report
+
+
+def _broken_bubble_value(defect):
+    """A copy of ``bubble_value`` with one defect from alpha = 1 on: its
+    sign flipped at alpha = 1, its ``ell = alpha`` term dropped, or its
+    class index off by one.  The value at alpha = 0 stays 1."""
+    def broken(ctx, orientation, alpha):
+        if alpha < 0:
+            return Polynomial.zero()
+        letter, family = grassrings._BUBBLE_SERIES[orientation]
+        hit = alpha >= 1
+        ells = range(alpha if defect == "dropped_term" and hit else alpha + 1)
+        off = 1 if defect == "index_off_by_one" and hit else 0
+        acc = sum_of_products((ctx.gen(letter, ell), special_class(ctx, family, alpha - ell + off))
+                              for ell in ells)
+        flip = alpha % 2 != (defect == "sign_at_1" and alpha == 1)
+        return -acc if flip else acc
+    return broken
+
+
+@pytest.mark.parametrize("defect", ["sign_at_1", "dropped_term", "index_off_by_one"])
+def test_a_broken_bubble_value_fails_the_bubble_product(defect, monkeypatch):
+    # the convolution cw * ccw == 1 alone decides the relation: each broken
+    # copy of the closed formula fails it in some context of rank at most 4
+    monkeypatch.setattr(grassrings, "bubble_value", _broken_bubble_value(defect))
+    assert not all(check_series_identity(GrassContext(N, k), "bubble_product", 2 * N)[0]
+                   for N in (2, 3, 4) for k in range(N + 1))
 
 
 def test_step_ring_embeddings():

@@ -17,12 +17,12 @@ from sympy.polys.rings import ring
 from catsl2.exactpoly import (
     Polynomial,
     mono_pairs,
-    series_invert,
     sum_of_products,
     x_sym,
     xi_sym,
     y_sym,
 )
+from helpers import series_invert
 
 SYMS = [x_sym(1, 0), x_sym(2, 0), y_sym(1, 2), xi_sym(1)]
 GENS = sympy.symbols("x1 x2 y1 xi")

@@ -29,7 +29,6 @@ from catsl2.twomorphisms import (
     linear_combination,
     map_equals,
     measured_degree,
-    whisker,
     zero_map,
 )
 from helpers import all_paths, by_vector, map_matrix, record_new_maps, xgen, ygen
@@ -190,7 +189,7 @@ def test_cap_shape_validation():
     assert gen_cap(FlagPath(3, (1, 0, 1)), 1).name == "cap_ef@1"
 
 
-# -- composition, whiskering, equality ------------------------------------------------
+# -- composition, equality ------------------------------------------------
 
 
 def test_compose_requires_matching_paths():
@@ -228,43 +227,14 @@ def test_zigzag_equals_identity():
     assert ok, report
 
 
-def test_whisker_identity_contexts():
-    path = FlagPath(3, (1, 2))
-    dot = gen_dot(path, 1)
-    trivially = whisker(dot, FlagPath(3, (1,)), FlagPath(3, (2,)))
-    ok, report = map_equals(trivially, dot)
-    assert ok, report
-
-
-def test_whiskered_dots_commute():
-    path = FlagPath(3, (1, 2, 3))
-    left = whisker(gen_dot(FlagPath(3, (1, 2)), 1), FlagPath(3, (1,)),
-                   FlagPath(3, (2, 3)))
-    right = whisker(gen_dot(FlagPath(3, (2, 3)), 1), FlagPath(3, (1, 2)),
-                    FlagPath(3, (3,)))
-    ok, report = map_equals(compose_chain(right, left),
-                            compose_chain(left, right))
-    assert ok, report
-
-
 def test_whisker_context_mismatch():
-    dot = gen_dot(FlagPath(3, (1, 2)), 1)
+    # a path placed beside another must start where it ends, at the same N
+    path = FlagPath(3, (1, 2))
     with pytest.raises(ValueError, match=r"\(2\) ends at ring 2 of N=3, \(1,2\) "
                                          r"starts at ring 1 of N=3"):
-        whisker(dot, FlagPath(3, (2,)), FlagPath(3, (2,)))
+        FlagPath(3, (2,)).concat(path)
     with pytest.raises(ValueError, match="of N=3, .* of N=4"):
-        whisker(dot, FlagPath(3, (1,)), FlagPath(4, (2,)))
-
-
-def test_whiskered_cap_shrinks_path():
-    ambient_left = FlagPath(2, (0, 1))
-    inner = FlagPath(2, (1, 2, 1), shift=1 - 2)
-    cap = gen_cap(inner, 1)
-    wide = whisker(cap, ambient_left, FlagPath(2, (1, 0)))
-    assert wide.domain.num_factors == 4
-    assert wide.codomain.num_factors == 2
-    assert wide.domain.rings == (0, 1, 2, 1, 0)
-    assert wide.codomain.rings == (0, 1, 0)
+        path.concat(FlagPath(4, (2,)))
 
 
 def test_map_equals_distinguishes():
@@ -445,9 +415,8 @@ def _generators_on(path):
 
 
 def _maps_with_leads(path):
-    """The generators on ``path``, chains and linear combinations of them,
-    and whiskers of the generators on its sub-paths of one or two factors
-    after the first."""
+    """The generators on ``path`` and chains and linear combinations of
+    them."""
     m = path.num_factors
     maps = _generators_on(path)
     maps += [compose_chain(f, gen_dot(f.codomain, f.codomain.num_factors))
@@ -457,11 +426,6 @@ def _maps_with_leads(path):
     maps += [linear_combination(path, path, 2, "sum",
                                 [(1, gen_dot(path, p)), (-1, gen_dot(path, m))])
              for p in range(1, m)]
-    rings = path.rings
-    for a in range(1, m):
-        for b in range(a + 1, min(a + 2, m) + 1):
-            maps += [whisker(f, FlagPath(path.N, rings[:a + 1]), FlagPath(path.N, rings[b:]))
-                     for f in _generators_on(FlagPath(path.N, rings[a:b + 1]))]
     return maps
 
 
@@ -522,9 +486,6 @@ def test_leads_declared_by_the_constructors():
     combo = linear_combination(path, path, 2, "sum",
                                [(1, gen_dot(path, 2)), (-1, gen_dot(path, 4))])
     assert combo.lead == 1
-    wide = whisker(gen_dot(FlagPath(4, (2, 3, 2)), 2), FlagPath(4, (1, 2)),
-                   FlagPath(4, (2, 1)))
-    assert wide.lead == 2
     assert BimMap(path, path, 0, lambda vec: None).lead == 0
 
 
