@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import Polynomial, xi_sym
+from .exactpoly import Polynomial, render_int, xi_sym
 from .bimodules import BimElement, FlagPath, RawTensor, linear_sum, normalize_sum
 from .twomorphisms import (
     BimMap,
@@ -134,7 +134,7 @@ def _typecheck(ast: DiagramAST, lines):
     rank_line, weight_line, layer_lines = lines
     if not 1 <= ast.N <= MAX_DIAGRAM_RANK:     # before any ring is built
         raise DiagramError("rank N must lie in 1..%d, got %s"
-                           % (MAX_DIAGRAM_RANK, _echo(str(ast.N))), rank_line)
+                           % (MAX_DIAGRAM_RANK, _echo(render_int(ast.N))), rank_line)
     try:
         compile_word(ast.domain, ast.N)     # the parity rule of ``rank``
     except ValueError as exc:

@@ -61,6 +61,16 @@ class VarSymbol(NamedTuple):
         return "%s[%d]@%d" % (_KIND_NAMES[self.kind], self.index, self.weight)
 
 
+def render_int(n: int) -> str:
+    """``"%d" % n`` for a message, or, for an integer too long for CPython to
+    convert to decimal (past 4300 digits by default), its sign and bit
+    length, as in ``<16610-bit integer>``."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return "%s<%d-bit integer>" % ("-" if n < 0 else "", n.bit_length())
+
+
 def x_sym(index: int, weight: int) -> VarSymbol:
     return VarSymbol(KIND_X, weight, index)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .exactpoly import (
     Polynomial,
@@ -324,6 +325,19 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
     constant term 1 has exactly one inverse, so this convolution alone
     decides the relation.
 
+    The convolution of two dense series is never formed.  With the unit
+    series a = x(-t) and b = y(-t), each with constant term 1, the check
+    forms P = cw * a and Q = ccw * b and compares P * Q with u = a * b
+    degree by degree.  With E = cw * ccw - 1, P * Q - u = E * u, and u has
+    constant term 1, so multiplying by u is injective mod t^(bound+1):
+    E * u vanishes through degree ``bound`` exactly when E does.  Below
+    the lowest degree d where E is nonzero, E * u vanishes too, and at d
+    its component is E_d * u_0 = E_d.  So the failing degree is the same,
+    and (P * Q - u)_d + delta(d, 0) is the convolution sum_i cw[i] *
+    ccw[d-i] that the report renders, for any bubble values.  With
+    correct values P = y(-t) and Q = x(-t), so each product has a
+    single-term or a sparse factor.
+
     Returns (ok, report); report describes the first failure, else None.
     """
     if which in _DELTA_SERIES:
@@ -338,10 +352,23 @@ def check_series_identity(ctx: GrassContext, which: str, bound: int):
     if which == "bubble_product":
         cw = [bubble_value(ctx, "cw", a) for a in range(0, bound + 1)]
         ccw = [bubble_value(ctx, "ccw", a) for a in range(0, bound + 1)]
+        # a = x(-t) and b = y(-t) up to degree bound, constant term 1
+        a, b = ([Polynomial.one()]
+                + [-g if j % 2 else g
+                   for j, g in enumerate(ctx.gens(letter)[1:bound + 1], start=1)]
+                for letter in "xy")
+        minus_b = [-g for g in b]
+        P, Q = [], []
         for d in range(0, bound + 1):
-            acc = sum_of_products((cw[i], ccw[d - i]) for i in range(0, d + 1))
-            want = Polynomial.one() if d == 0 else Polynomial.zero()
-            if acc != want:
+            P.append(sum_of_products((a[j], cw[d - j]) for j in range(min(d + 1, len(a)))))
+            Q.append(sum_of_products((b[j], ccw[d - j]) for j in range(min(d + 1, len(b)))))
+            # (P * Q - a * b)_d; a and b end at their last generator
+            excess = sum_of_products(chain(
+                ((P[i], Q[d - i]) for i in range(0, d + 1)),
+                ((a[i], minus_b[d - i])
+                 for i in range(max(0, d + 1 - len(b)), min(d + 1, len(a))))))
+            if excess:
+                acc = excess + 1 if d == 0 else excess
                 return False, ("bubble product failed at degree %d: %s"
                                % (d, acc.render()))
         return True, None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .exactpoly import MAX_EXPONENT, Polynomial, sum_of_products
+from .exactpoly import MAX_EXPONENT, Polynomial, render_int, sum_of_products
 from .grassrings import (
     GrassContext,
     StepRing,
@@ -783,10 +783,11 @@ def run_suite(N: int, suites=None, max_rank: int = DEFAULT_MAX_RANK,
     if not isinstance(N, int) or N < 1:
         raise ValueError("N must be a positive integer")
     if N > max_rank:
-        raise ValueError("N=%d exceeds the configured maximum %d" % (N, max_rank))
+        raise ValueError("N=%s exceeds the configured maximum %s"
+                         % (render_int(N), render_int(max_rank)))
     if N - 1 > MAX_EXPONENT:   # a basis vector's xi exponent reaches N - 1
-        raise ValueError("N=%d cannot be verified: basis exponents reach N - 1, "
-                         "past the limit %d" % (N, MAX_EXPONENT))
+        raise ValueError("N=%s cannot be verified: basis exponents reach N - 1, "
+                         "past the limit %d" % (render_int(N), MAX_EXPONENT))
     chosen = resolve_suites(suites)
     report = VerifyReport(N=N, suites=chosen)
     specs = []

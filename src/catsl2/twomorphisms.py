@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import Polynomial, homogeneous_degree
+from .exactpoly import Polynomial, homogeneous_degree, render_int
 from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
@@ -346,8 +346,8 @@ def compile_word(word: SignedWord, N: int) -> FlagPath:
     [0, N] are returned as zero-marked paths.
     """
     if (word.weight + N) % 2 != 0:
-        raise ValueError("weight %d is incompatible with rank %d (parity)"
-                         % (word.weight, N))
+        raise ValueError("weight %s is incompatible with rank %s (parity)"
+                         % (render_int(word.weight), render_int(N)))
     k = (word.weight + N) // 2
     rings = [k]
     shift = 0

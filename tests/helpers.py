@@ -4,9 +4,10 @@ import random
 import sys
 import threading
 import types
+from fractions import Fraction
 from functools import lru_cache
 
-from catsl2 import bimodules, exactpoly, twomorphisms
+from catsl2 import bimodules, exactpoly, grassrings, twomorphisms
 
 from catsl2.exactpoly import (
     FIELD_BITS,
@@ -269,6 +270,65 @@ def series_invert(components, bound):
         inverse.append(-sum_of_products((comp(i), inverse[d - i])
                                         for i in range(1, d + 1)))
     return inverse
+
+
+def bubble_product_reference(ctx, bound):
+    """``check_series_identity(ctx, "bubble_product", bound)`` as the direct
+    convolution: sum_i cw[i] * ccw[d-i] == delta(d, 0) degree by degree,
+    the two dense bubble series multiplied out.  It reads the values
+    through ``grassrings.bubble_value``, so a patched copy reaches it."""
+    cw = [grassrings.bubble_value(ctx, "cw", a) for a in range(bound + 1)]
+    ccw = [grassrings.bubble_value(ctx, "ccw", a) for a in range(bound + 1)]
+    for d in range(bound + 1):
+        acc = sum_of_products((cw[i], ccw[d - i]) for i in range(d + 1))
+        if acc != (Polynomial.one() if d == 0 else Polynomial.zero()):
+            return False, "bubble product failed at degree %d: %s" % (d, acc.render())
+    return True, None
+
+
+def broken_bubble_value(defect):
+    """A copy of ``bubble_value`` with one defect from alpha = 1 on: its
+    sign flipped at alpha = 1, its ``ell = alpha`` term dropped, or its
+    class index off by one.  The value at alpha = 0 stays 1."""
+    def broken(ctx, orientation, alpha):
+        if alpha < 0:
+            return Polynomial.zero()
+        letter, family = grassrings._BUBBLE_SERIES[orientation]
+        hit = alpha >= 1
+        ells = range(alpha if defect == "dropped_term" and hit else alpha + 1)
+        off = 1 if defect == "index_off_by_one" and hit else 0
+        acc = sum_of_products((ctx.gen(letter, ell),
+                               grassrings.special_class(ctx, family, alpha - ell + off))
+                              for ell in ells)
+        flip = alpha % 2 != (defect == "sign_at_1" and alpha == 1)
+        return -acc if flip else acc
+    return broken
+
+
+def perturbed_bubble_value(seed, at_zero):
+    """A copy of ``bubble_value`` that adds a seeded term c * m to one to
+    three values per context: c a nonzero rational, m a product of up to
+    three of the context's generators (or 1).  The choice depends only on
+    ``seed``, N and k; with ``at_zero`` the first perturbed value is one
+    of degree 0."""
+    value = grassrings.bubble_value
+
+    def hits(ctx):
+        rng = random.Random("bubble/%d/%d/%d" % (seed, ctx.N, ctx.k))
+        gens = ctx.gens("x")[1:] + ctx.gens("y")[1:]
+        out = {}
+        for i in range(rng.randint(1, 3)):
+            alpha = 0 if at_zero and i == 0 else rng.randint(0, 2 * ctx.N)
+            term = Polynomial.one() * rng.choice((-2, -1, Fraction(1, 2), 1, 3))
+            for _ in range(rng.randint(0, 3) if gens else 0):
+                term = term * rng.choice(gens)
+            key = (rng.choice(("cw", "ccw")), alpha)
+            out[key] = out.get(key, Polynomial.zero()) + term
+        return out
+
+    def perturbed(ctx, orientation, alpha):
+        return value(ctx, orientation, alpha) + hits(ctx).get((orientation, alpha), 0)
+    return perturbed
 
 
 def sum_of_products_reference(pairs):

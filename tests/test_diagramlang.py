@@ -467,6 +467,22 @@ def test_rank_of_an_ast_built_in_code_is_checked(N, weight, letters, layers, mon
     assert err.value.line is None
 
 
+@pytest.mark.parametrize("N, weight, message", [
+    (10 ** 5000, 0, "rank N must lie in 1..%d, got '<16610-bit integer>'" % MAX_DIAGRAM_RANK),
+    (-10 ** 4299, 0, "rank N must lie in 1..%d, got '-1%s...'" % (MAX_DIAGRAM_RANK, "0" * 38)),
+    (2, -10 ** 4300 - 1, "weight -<14285-bit integer> is incompatible with rank 2 (parity)"),
+    (2, 10 ** 4300 - 1, "weight %s is incompatible with rank 2 (parity)" % ("9" * 4300)),
+], ids=["huge-rank", "4300-digit-rank", "4301-digit-weight", "4300-digit-weight"])
+def test_rank_and_parity_messages_bound_a_huge_integer(N, weight, message):
+    # an AST built in code can carry integers of more than 4300 digits,
+    # which CPython will not convert to decimal: the type check and
+    # compile_word echo them by sign and bit length, and shorter ones as
+    # before
+    with pytest.raises(DiagramError) as err:
+        DiagramAST(N, weight, SignedWord(("E",) if weight % 2 else (), weight), [])
+    assert str(err.value) == message
+
+
 def test_bubble_at_the_rank_limit_evaluates(tmp_path, capsys):
     diagram = tmp_path / "bubble.cat"
     diagram.write_text(BUBBLE % MAX_DIAGRAM_RANK)

@@ -1,7 +1,9 @@
+from functools import partial
+
 import pytest
 
-from catsl2 import grassrings
-from catsl2.exactpoly import Polynomial, homogeneous_degree, sum_of_products, x_sym, y_sym
+from catsl2 import exactpoly, grassrings
+from catsl2.exactpoly import Polynomial, homogeneous_degree, x_sym, y_sym
 from catsl2.grassrings import (
     GrassContext,
     StepRing,
@@ -12,6 +14,8 @@ from catsl2.grassrings import (
     special_class,
     special_class_terms,
 )
+
+from helpers import broken_bubble_value, bubble_product_reference, perturbed_bubble_value
 
 
 def test_context_basics():
@@ -140,31 +144,60 @@ def test_series_identities():
             assert ok, report
 
 
-def _broken_bubble_value(defect):
-    """A copy of ``bubble_value`` with one defect from alpha = 1 on: its
-    sign flipped at alpha = 1, its ``ell = alpha`` term dropped, or its
-    class index off by one.  The value at alpha = 0 stays 1."""
-    def broken(ctx, orientation, alpha):
-        if alpha < 0:
-            return Polynomial.zero()
-        letter, family = grassrings._BUBBLE_SERIES[orientation]
-        hit = alpha >= 1
-        ells = range(alpha if defect == "dropped_term" and hit else alpha + 1)
-        off = 1 if defect == "index_off_by_one" and hit else 0
-        acc = sum_of_products((ctx.gen(letter, ell), special_class(ctx, family, alpha - ell + off))
-                              for ell in ells)
-        flip = alpha % 2 != (defect == "sign_at_1" and alpha == 1)
-        return -acc if flip else acc
-    return broken
+_DEFECTS = ["sign_at_1", "dropped_term", "index_off_by_one"]
 
 
-@pytest.mark.parametrize("defect", ["sign_at_1", "dropped_term", "index_off_by_one"])
+@pytest.mark.parametrize("defect", _DEFECTS)
 def test_a_broken_bubble_value_fails_the_bubble_product(defect, monkeypatch):
     # the convolution cw * ccw == 1 alone decides the relation: each broken
     # copy of the closed formula fails it in some context of rank at most 4
-    monkeypatch.setattr(grassrings, "bubble_value", _broken_bubble_value(defect))
+    monkeypatch.setattr(grassrings, "bubble_value", broken_bubble_value(defect))
     assert not all(check_series_identity(GrassContext(N, k), "bubble_product", 2 * N)[0]
                    for N in (2, 3, 4) for k in range(N + 1))
+
+
+@pytest.mark.parametrize("values", [
+    None,
+    *(partial(broken_bubble_value, defect) for defect in _DEFECTS),
+    *(partial(perturbed_bubble_value, seed, seed % 2 == 1) for seed in range(6)),
+], ids=["correct", *_DEFECTS, *("perturbed_%d%s" % (seed, "_at_0" * (seed % 2))
+                                for seed in range(6))])
+def test_bubble_product_decides_as_the_direct_convolution(values, monkeypatch):
+    # the check through the unit multipliers x(-t) and y(-t) gives the
+    # verdict, failing degree and report of the convolution cw * ccw == 1,
+    # for correct, broken and perturbed bubble values (degree 0 included)
+    if values is not None:
+        monkeypatch.setattr(grassrings, "bubble_value", values())
+    verdicts = []
+    for N in range(1, 6):
+        for k in range(N + 1):
+            ctx = GrassContext(N, k)
+            want = bubble_product_reference(ctx, 2 * N)
+            assert check_series_identity(ctx, "bubble_product", 2 * N) == want, (N, k)
+            verdicts.append(want[0])
+    assert all(verdicts) == (values is None), verdicts
+
+
+def test_bubble_product_work_count_does_not_grow(monkeypatch):
+    # term products of the check over k = 0..6 at N = 6, the bubble values
+    # computed first (so the special classes are warm): 34,737 while the
+    # two dense bubble series were multiplied, 12,176 through the unit
+    # multipliers; a return to the dense convolution shows here
+    contexts = [GrassContext(6, k) for k in range(7)]
+    for ctx in contexts:
+        for alpha in range(13):
+            bubble_value(ctx, "cw", alpha)
+            bubble_value(ctx, "ccw", alpha)
+    work = [0]
+    add_products = exactpoly._add_products
+
+    def counting_products(acc, ta, tb):
+        work[0] += len(ta) * len(tb)
+        return add_products(acc, ta, tb)
+
+    monkeypatch.setattr(exactpoly, "_add_products", counting_products)
+    assert all(check_series_identity(ctx, "bubble_product", 12)[0] for ctx in contexts)
+    assert work[0] <= 12_176, work[0]
 
 
 def test_step_ring_embeddings():
