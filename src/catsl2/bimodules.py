@@ -72,6 +72,7 @@ from .exactpoly import (
     _overflow,
     field_shift,
     mono_degree,
+    render_int,
     x_sym,
     xi_sym,
     y_sym,
@@ -151,9 +152,10 @@ class FlagPath:
                         self.shift + other.shift)
 
     def render(self) -> str:
-        body = ",".join(str(r) for r in self.rings)
+        body = ",".join(render_int(r) for r in self.rings)
         if self.shift:
-            return "(%s){%+d}" % (body, self.shift)
+            sign = "+" if self.shift > 0 else ""
+            return "(%s){%s%s}" % (body, sign, render_int(self.shift))
         return "(%s)" % body
 
 

@@ -124,8 +124,9 @@ class DiagramAST:
                (other.N, other.weight, other.domain, other.layers)
 
     def __repr__(self):
-        return "DiagramAST(N=%d, weight=%d, domain=%s, %d layers)" % (
-            self.N, self.weight, self.domain.render(), len(self.layers))
+        return "DiagramAST(N=%s, weight=%s, domain=%s, %d layers)" % (
+            render_int(self.N), render_int(self.weight), self.domain.render(),
+            len(self.layers))
 
 
 def _typecheck(ast: DiagramAST, lines):

@@ -430,17 +430,23 @@ def _slide_sums(other, xi):
 
 def _embedded_classes(ring, family, end, embedded):
     """The classes of index 0 .. 2N+2 of an end ring, in one-step form;
-    ``embedded`` is that end's ``embedded_gens`` of the family's letter."""
-    return embedded_special_classes(
-        ring, family, end, [special_class(getattr(ring, end), family, alpha)
-                            for alpha in range(0, 2 * ring.N + 3)], embedded)
+    ``embedded`` is that end's ``embedded_gens`` of the family's letter, or
+    None where those are the step ring's own, which embed as themselves."""
+    classes = [special_class(getattr(ring, end), family, alpha)
+               for alpha in range(0, 2 * ring.N + 3)]
+    if embedded is None:
+        return classes
+    return embedded_special_classes(ring, family, end, classes, embedded)
 
 
 def _classes(context, ring, family, end):
-    """The ``_embedded_classes`` of an end ring, built once per k."""
+    """The ``_embedded_classes`` of an end ring, built once per k; the
+    generators of the end's own letter (``StepRing.end_of``) are not
+    embedded."""
     letter = _RING_SIDES[family.lower()][2]
+    own = ring.end_of(letter) == getattr(ring, end)
     return context.gen(_embedded_classes, ring, family, end,
-                       context.gen(embedded_gens, ring, letter, end))
+                       None if own else context.gen(embedded_gens, ring, letter, end))
 
 
 def _run_class_slide(side, N, k, context):
@@ -458,8 +464,8 @@ def _run_xi_expansion(side, N, k, context):
     class_end, gen_end, letter = _RING_SIDES[side]
     ring = StepRing(N, k)
     classes = _classes(context, ring, side.upper(), class_end)
-    # 1 and the other end's generators, each embedded on its own
-    gens = (Polynomial.one(), *context.gen(embedded_gens, ring, letter, gen_end))
+    # 1 and the other end's generators, the step ring's own for that end
+    gens = getattr(ring, gen_end).gens(letter)
     for alpha in range(0, 2 * N + 3):
         acc = sum_of_products(zip(reversed(classes[:alpha + 1]), gens))
         if alpha % 2:
@@ -605,21 +611,22 @@ def _run_well_definedness(N, k, context):
     """
     # left multiplication by g on a path is the context's junction_mult map
     # at junction 0 (on an identity path, the right action): its image memo
-    # serves every basis vector and generator at k
-    def left(g, element):
-        return context.gen(junction_mult, element.path, 0, g)(element)
+    # serves every basis vector and generator at k; it takes a basis vector
+    # as it is, so no element is built for the vector
+    def left(g, path):
+        return context.gen(junction_mult, path, 0, g)
 
     for gen in _context_generators(context):
         if gen.domain.is_zero or gen.codomain.is_zero:
             continue
         catalog = [Polynomial.gen(sym) for sym in sorted(gen.domain.junction(0).catalog())]
         for vec in basis(gen.domain):
-            e = normalize_xi_vector(gen.domain, vec)
             image = gen.apply_vec(vec)
             for g in catalog:
-                if gen(left(g, e)) != left(g, image):
+                if gen(left(g, gen.domain).apply_vec(vec)) != left(g, gen.codomain)(image):
                     return ("%s violates the bimodule law on %s with g=%s"
-                            % (gen.name, e.render(), g.render()))
+                            % (gen.name, normalize_xi_vector(gen.domain, vec).render(),
+                               g.render()))
         for vec in _excess_vectors(gen.domain):
             if gen.apply_vec(vec) != gen(normalize_xi_vector(gen.domain, vec)):
                 return "%s is not well defined on xi^%s" % (gen.name, list(vec))

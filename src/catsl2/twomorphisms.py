@@ -70,8 +70,9 @@ class BimMap:
     domain's local xi mask, so the lead fields ride along in the
     coefficient terms, and adds each local part's image times its
     coefficient terms, one product loop per local part.  A chain keeps one
-    memo and its maps keep theirs; its partial composites are never built.
-    Stored images are shared, never mutated.
+    memo and its maps keep theirs; its prefix composites are never built,
+    and its tail is one map only when every later lead exceeds the head's
+    (see ``compose_chain``).  Stored images are shared, never mutated.
     """
 
     def __init__(self, domain: FlagPath, codomain: FlagPath, degree: int,
@@ -117,8 +118,9 @@ class BimMap:
             for xi, coeff in _by_xi(element, self._local_mask).items()))
 
     def __repr__(self):
-        return "BimMap(%s: %s -> %s, deg %d)" % (
-            self.name, self.domain.render(), self.codomain.render(), self.degree)
+        return "BimMap(%s: %s -> %s, deg %s)" % (
+            self.name, self.domain.render(), self.codomain.render(),
+            render_int(self.degree))
 
 
 def identity_map(path: FlagPath) -> BimMap:
@@ -149,7 +151,16 @@ def linear_combination(domain: FlagPath, codomain: FlagPath, degree: int,
 
 
 def compose_chain(*maps: BimMap) -> BimMap:
-    """compose_chain(g1, g2, g3) = g3 . g2 . g1: one map that applies g1 first."""
+    """compose_chain(g1, g2, g3) = g3 . g2 . g1: one map that applies g1 first.
+
+    When every later lead exceeds g1's, the tail g3 . g2 is one memoized
+    chain, keyed with more lead fields cleared than g1 passes through: the
+    right-ring coefficients of g1's image multiply its few images once, not
+    at each later map.  The rule is strict: a tail whose lead is below
+    g1's keys its memo on fields that would ride along and forms more
+    products than it saves, and one whose lead equals g1's forms more in
+    the degree audit, so no check's count grows.
+    """
     if not maps:
         raise ValueError("empty composite")
     for g, f in zip(maps, maps[1:]):
@@ -158,10 +169,13 @@ def compose_chain(*maps: BimMap) -> BimMap:
                              % (g.codomain.render(), f.domain.render()))
     if len(maps) == 1:
         return maps[0]
+    later = maps[1:]
+    if min(f.lead for f in later) > maps[0].lead:
+        later = (compose_chain(*later),)
 
     def fn(vec):
         element = maps[0].apply_vec(vec)
-        for f in maps[1:]:
+        for f in later:
             element = f(element)
         return element
 

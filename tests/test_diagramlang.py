@@ -483,6 +483,32 @@ def test_rank_and_parity_messages_bound_a_huge_integer(N, weight, message):
     assert str(err.value) == message
 
 
+@pytest.mark.filterwarnings("ignore::catsl2.diagramlang.ZeroDiagramWarning")
+def test_path_map_and_ast_texts_bound_a_huge_integer():
+    # an AST built in code at a weight of more than 4300 digits compiles
+    # to a map on huge rings: the AST's repr, the map's repr and the
+    # path's render echo such integers by sign and bit length, and
+    # ordinary integers byte for byte as before
+    huge = 10 ** 5000
+    ast = DiagramAST(2, huge, SignedWord(("E",), huge), [])
+    assert repr(ast) == "DiagramAST(N=2, weight=<16610-bit integer>, domain=E, 0 layers)"
+    ring = "<16609-bit integer>"
+    path = "(%s,%s){+%s}" % (ring, ring, ring)
+    assert repr(compile_diagram(ast)) == "BimMap(id: %s -> %s, deg 0)" % (path, path)
+    cup = compile_diagram(DiagramAST(2, huge, SignedWord((), huge), [(LayerToken("cup_fe"),)]))
+    assert repr(cup).endswith("{-1}, deg <16610-bit integer>)")
+    assert FlagPath(2, (huge, huge + 1)).render() == \
+        "(<16610-bit integer>,<16610-bit integer>)"
+    assert FlagPath(2, (0, 1), shift=-huge).render() == "(0,1){-<16610-bit integer>}"
+    assert repr(DiagramAST(3, -1, SignedWord(("E",), -1), [])) == \
+        "DiagramAST(N=3, weight=-1, domain=E, 0 layers)"
+    assert repr(compile_diagram(DiagramAST(3, -1, SignedWord(("E",), -1),
+                                           [(LayerToken("cup_fe"), LayerToken("id_e"))]))) == \
+        "BimMap(cup_fe@1: (1,2){-1} -> (1,2,3,2){-3}, deg 2)"
+    assert [FlagPath(3, (2, 1), shift=s).render() for s in (-2, 0, 2)] == \
+        ["(2,1){-2}", "(2,1)", "(2,1){+2}"]
+
+
 def test_bubble_at_the_rank_limit_evaluates(tmp_path, capsys):
     diagram = tmp_path / "bubble.cat"
     diagram.write_text(BUBBLE % MAX_DIAGRAM_RANK)

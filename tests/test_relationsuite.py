@@ -661,12 +661,12 @@ def test_run_suite_reports_progress_k_major():
     assert len(seen) == sum(r.status != "skipped" for r in report.results)
 
 
-# Prints, as JSON by suite, the term products that
+# Prints, as JSON by check, the term products that
 # ``exactpoly._add_products`` forms and the ``bimodules._normal_form`` calls
-# made during ``run_suite(4, suites=SUITES)`` in a fresh interpreter, where
+# made during ``run_suite(N, suites=SUITES)`` in a fresh interpreter, where
 # every memo table starts empty (``SUITES`` is None for the whole suite).
 # The progress hook charges the work done since the last result to the
-# suite of the check that just ran.
+# check that just ran, summed over its ring indices.
 _WORK_SCRIPT = """
 import json
 from catsl2 import bimodules, exactpoly, relationsuite, twomorphisms
@@ -680,30 +680,41 @@ def counting_calls(*args):
     return normal_form(*args)
 exactpoly._add_products = bimodules._add_products = counting_products
 bimodules._normal_form = twomorphisms._normal_form = counting_calls
-suite_of = {spec.name: spec.suite for spec in relationsuite._CHECKS}
-by_suite, charged = {}, [0, 0]
+by_check, charged = {}, [0, 0]
 def progress(result):
-    counts = by_suite.setdefault(suite_of[result.check], [0, 0])
+    counts = by_check.setdefault(result.check, [0, 0])
     for i in (0, 1):
         counts[i] += work[i] - charged[i]
     charged[:] = work
-assert relationsuite.run_suite(4, suites=SUITES, progress=progress).all_ok()
-print(json.dumps({suite: {"term_products": products, "normal_form_calls": calls}
-                  for suite, (products, calls) in by_suite.items()}))
+assert relationsuite.run_suite(N, suites=SUITES, progress=progress).all_ok()
+print(json.dumps({check: {"term_products": products, "normal_form_calls": calls}
+                  for check, (products, calls) in by_check.items()}))
 """
 
 WORK_BUDGETS = Path(__file__).resolve().parent / "work_budgets.json"
 
 
-def _work_counts(suites) -> dict:
+def _work_counts(suites, N=4) -> dict:
+    """The ``_WORK_SCRIPT`` counts of ``run_suite(N, suites=suites)``, by check."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = "SUITES = %r\n%s" % (suites, _WORK_SCRIPT)
+    script = "N, SUITES = %r, %r\n%s" % (N, suites, _WORK_SCRIPT)
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def _by_suite(counts) -> dict:
+    """Per-check counts summed per suite."""
+    suite_of = {spec.name: spec.suite for spec in relationsuite._CHECKS}
+    out = {}
+    for check, c in counts.items():
+        acc = out.setdefault(suite_of[check], dict.fromkeys(c, 0))
+        for field in c:
+            acc[field] += c[field]
+    return out
 
 
 def _total(counts, field) -> int:
@@ -718,10 +729,11 @@ def test_ring_identities_work_count_does_not_grow():
     # before the bubble product dropped its second route, a series
     # inversion compared with the other family, and 15,193 before it was
     # decided through the unit multipliers x(-t) and y(-t) instead of the
-    # convolution of the two dense bubble series; a return of either shows
-    # here
+    # convolution of the two dense bubble series, and 14,154 before the
+    # classes and generators of the step ring's own end were read as they
+    # are instead of embedded; a return of any shows here
     count = _total(_work_counts(["ring_identities"]), "term_products")
-    assert count <= 14_154, count
+    assert count <= 13_124, count
 
 
 def test_whole_suite_work_count_does_not_grow():
@@ -731,13 +743,16 @@ def test_whole_suite_work_count_does_not_grow():
     # generator maps from the context of k and non_nilpotency stepped the
     # dot's powers from the unit, 49,673 (2,094 calls) before the bubble
     # product dropped its series inversion, 47,691 before it was decided
-    # through unit multipliers, 46,652 since; a return to one normal form
-    # per output term and a ``linear_sum`` of them, to maps built per
-    # check, to a second route for the bubble product or to its dense
-    # convolution shows as a larger number
-    counts = _work_counts(None)
+    # through unit multipliers, 46,652 (2,094 calls) before a chain kept its
+    # tail as one memoized map, the law check applied its left maps to
+    # basis vectors and the own-end classes were read unembedded, 41,978
+    # (1,970 calls) since; a return to one normal form per output term and
+    # a ``linear_sum`` of them, to maps built per check, to a second route
+    # for the bubble product, to its dense convolution or to chains
+    # evaluated map by map shows as a larger number
+    counts = _by_suite(_work_counts(None))
     count = _total(counts, "term_products")
-    assert count <= 46_652, count
+    assert count <= 41_978, count
     # and no suite's share grows: each suite's term products and
     # ``_normal_form`` calls within the same run, against the committed
     # budgets
@@ -746,3 +761,20 @@ def test_whole_suite_work_count_does_not_grow():
     grown = {suite: (budgets[suite], c) for suite, c in counts.items()
              if any(c[field] > budgets[suite][field] for field in c)}
     assert not grown, grown
+
+
+def test_crossing_duality_work_counts_do_not_grow():
+    # both sides of the duality pair at N = 6, in a fresh interpreter.  The
+    # left rotation (cup leads 0 and 1) formed 63,610 term products while
+    # its chain multiplied right-ring coefficients through each later map;
+    # with its tail kept as one memoized map, 7,822.  The right rotation
+    # (leads 2, 3, 2, 1, 0) declines to nest: nesting its tail as well
+    # forms 13,231 products and 496 normal forms
+    counts = _work_counts(["crossing_duality"], 6)
+    budgets = {"crossing_duality_left": (7_822, 440),
+               "crossing_duality_right": (12_945, 406)}
+    assert set(counts) == set(budgets)
+    for check, (products, calls) in budgets.items():
+        c = counts[check]
+        assert c["term_products"] <= products and c["normal_form_calls"] <= calls, \
+            (check, c)

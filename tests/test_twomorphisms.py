@@ -31,6 +31,7 @@ from catsl2.twomorphisms import (
     measured_degree,
     zero_map,
 )
+from catsl2.relationsuite import _DUALITIES
 from helpers import all_paths, by_vector, map_matrix, record_new_maps, xgen, ygen
 
 
@@ -543,26 +544,28 @@ def test_junction_mult_checks_its_polynomial_once_when_built(monkeypatch):
     assert len(calls) == 1
 
 
-def _crossing_duality_left_maps(N, k):
-    """Generators of the crossing-duality rotation, bottom to top, and its target."""
+def _crossing_duality_maps(N, k, side="left"):
+    """Generators of one side's crossing-duality rotation, bottom to top,
+    and its target."""
+    (cup1, cup2), kind, (cap1, cap2) = _DUALITIES[side]
     path = FlagPath(N, (k + 2, k + 1, k))
-    c1 = gen_cup(path, 0, "ef")
-    c2 = gen_cup(c1.codomain, 1, "ef")
+    c1 = gen_cup(path, cup1, kind)
+    c2 = gen_cup(c1.codomain, cup2, kind)
     cross = gen_crossing(c2.codomain, 3)
-    k1 = gen_cap(cross.codomain, 4)
-    return [c1, c2, cross, k1, gen_cap(k1.codomain, 3)], \
+    k1 = gen_cap(cross.codomain, cap1)
+    return [c1, c2, cross, k1, gen_cap(k1.codomain, cap2)], \
         gen_crossing(path, 1)
 
 
 def test_memoized_composite_matches_fresh_one():
-    maps, target = _crossing_duality_left_maps(3, 0)
+    maps, target = _crossing_duality_maps(3, 0)
     memoized = compose_chain(*maps)
     vecs = basis(memoized.domain)
     assert vecs
     for vec in vecs:
         memoized.apply_vec(vec)
     for vec in vecs:
-        fresh = compose_chain(*_crossing_duality_left_maps(3, 0)[0])
+        fresh = compose_chain(*_crossing_duality_maps(3, 0)[0])
         assert memoized.apply_vec(vec) == fresh.apply_vec(vec), vec
         assert memoized.apply_vec(vec) == target.apply_vec(vec), vec
 
@@ -594,7 +597,7 @@ def _flat_chain(inputs, maps):
 
 @pytest.mark.parametrize("build", [_nested_chain, _flat_chain], ids=["nested", "flat"])
 def test_composite_evaluates_each_inner_map_once_per_vector(build):
-    maps, target = _crossing_duality_left_maps(3, 0)
+    maps, target = _crossing_duality_maps(3, 0)
     inputs = []
     composite = build(inputs, maps)
     ok, report = map_equals(composite, target)
@@ -605,7 +608,20 @@ def test_composite_evaluates_each_inner_map_once_per_vector(build):
 
 
 def test_compose_chain_builds_one_map(monkeypatch):
-    maps, _ = _crossing_duality_left_maps(3, 0)
+    # a chain is one map, and so is its tail when the tail's least lead
+    # exceeds the head's: the left rotation (leads 0, 1, 2, 3, 2) builds
+    # its two tails, inner first, then itself, and never a prefix; the
+    # tail (2, 3, 2) and the right rotation (leads 2, 3, 2, 1, 0) do not
+    # nest, so the right one builds itself alone
+    maps, _ = _crossing_duality_maps(3, 0, "left")
+    assert [f.lead for f in maps] == [0, 1, 2, 3, 2]
     built = record_new_maps(monkeypatch)
     chain = compose_chain(*maps)
-    assert built == [chain]
+    assert built[-1] is chain
+    assert [(f.domain, f.codomain, f.name) for f in built] == \
+        [(maps[i].domain, chain.codomain, ".".join(f.name for f in reversed(maps[i:])))
+         for i in (2, 1, 0)]
+    maps, _ = _crossing_duality_maps(3, 0, "right")
+    assert [f.lead for f in maps] == [2, 3, 2, 1, 0]
+    del built[:]
+    assert built == [compose_chain(*maps)]
