@@ -15,8 +15,9 @@ out (``cup_fe``, ``cross_ee``, ``dot_f``, ...).  A layer's tokens are read
 left to right across the displayed strands of the current word; caps
 consume two adjacent strands, cups consume none and insert two.  Displayed
 strand order is the reverse of tensor-factor order (diagrams are read
-right to left, tensor factors act from the domain outward), and the
-compiler performs that flip when it addresses factors of the flag path.
+right to left, tensor factors act from the domain outward); the type check
+performs that flip once, placing every token, and the compiler reads the
+places.
 
 Element expressions are sums of tensor terms ``f1 | f2 | ... | fm``, one
 factor expression per path factor in factor order.  A factor expression
@@ -103,35 +104,40 @@ class LayerToken:
 
 
 class DiagramAST:
-    """A type-checked diagram: header data plus layers of tokens.
+    """A type-checked diagram: the rank, the domain word and layers of tokens.
 
-    Equality ignores source spans, so rendering and reparsing round-trips.
-    ``lines``, the source lines of the N header, of the weight header and
-    of each layer, gives the span of a rank, parity or layer arity error.
+    The weight is the domain word's, ``domain.weight``.  Equality ignores
+    source spans, so rendering and reparsing round-trips.  ``lines``, the
+    source lines of the N header, of the weight header and of each layer,
+    gives the span of a rank, parity or layer arity error.  ``places``
+    holds each layer's token places, as the type check found them.
     """
 
-    def __init__(self, N: int, weight: int, domain: SignedWord, layers, lines=None):
+    def __init__(self, N: int, domain: SignedWord, layers, lines=None):
         self.N = N
-        self.weight = weight
         self.domain = domain
         self.layers = tuple(tuple(tok) for tok in layers)
-        self.words = _typecheck(self, lines or (None, None, (None,) * len(self.layers)))
+        self.places = _typecheck(self, lines or (None, None, (None,) * len(self.layers)))
 
     def __eq__(self, other):
         if not isinstance(other, DiagramAST):
             return NotImplemented
-        return (self.N, self.weight, self.domain, self.layers) == \
-               (other.N, other.weight, other.domain, other.layers)
+        return (self.N, self.domain, self.layers) == (other.N, other.domain, other.layers)
 
     def __repr__(self):
         return "DiagramAST(N=%s, weight=%s, domain=%s, %d layers)" % (
-            render_int(self.N), render_int(self.weight), self.domain.render(),
+            render_int(self.N), render_int(self.domain.weight), self.domain.render(),
             len(self.layers))
 
 
 def _typecheck(ast: DiagramAST, lines):
     """Check the rank's range, the weight's parity and the arity and
-    orientation of every layer; return the word list."""
+    orientation of every layer; return each layer's token places.
+
+    Display order is the reverse of factor order: a token after ``pos`` of
+    a word's ``w`` strands has place ``w - pos``, a dot's factor and a
+    cup's junction; a crossing or a cap acts at ``w - pos - 1``.
+    """
     rank_line, weight_line, layer_lines = lines
     if not 1 <= ast.N <= MAX_DIAGRAM_RANK:     # before any ring is built
         raise DiagramError("rank N must lie in 1..%d, got %s"
@@ -141,10 +147,9 @@ def _typecheck(ast: DiagramAST, lines):
     except ValueError as exc:
         raise DiagramError(str(exc), weight_line) from None
     word = tuple(ast.domain.letters)
-    words = [word]
+    places = []
     for layer, lineno in zip(ast.layers, layer_lines):
-        produced = []
-        pos = 0
+        produced, here, pos = [], [], 0
         for tok in layer:
             where = tok.span and (tok.span.line, tok.span.col_start,
                                   tok.span.col_end) or (None,)
@@ -159,14 +164,15 @@ def _typecheck(ast: DiagramAST, lines):
                 raise DiagramError("%s needs strands %s, found %s"
                                    % (tok.kind, " ".join(consumed), " ".join(take)),
                                    *where)
+            here.append(len(word) - pos)
             pos += len(consumed)
             produced.extend(out)
         if pos != len(word):
             raise DiagramError("layer consumes %d strands, word has %d"
                                % (pos, len(word)), lineno)
         word = tuple(produced)
-        words.append(word)
-    return words
+        places.append(tuple(here))
+    return tuple(places)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +234,13 @@ def parse_diagram(text: str) -> DiagramAST:
         if key not in header:
             raise DiagramError("missing header %r" % key,
                                len(text.splitlines()) or None)
-    domain = SignedWord(header["domain"], header["weight"])
-    return DiagramAST(header["N"], header["weight"], domain, layers,
-                      (header_lines["N"], header_lines["weight"], layer_lines))
+    return DiagramAST(header["N"], SignedWord(header["domain"], header["weight"]),
+                      layers, (header_lines["N"], header_lines["weight"], layer_lines))
 
 
 def render_diagram(ast: DiagramAST) -> str:
     lines = ["N = %d" % ast.N,
-             "weight = %d" % ast.weight,
+             "weight = %d" % ast.domain.weight,
              "domain = %s" % ast.domain.render()]
     for layer in ast.layers:
         lines.append("layer: %s" % " ".join(tok.kind for tok in layer))
@@ -247,41 +252,26 @@ def render_diagram(ast: DiagramAST) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _layer_map(path: FlagPath, layer) -> list:
-    """Compile one layer on the current path to its generators, bottom to top.
-
-    Tokens address displayed strands left to right; with m factors on the
-    current path, the strand after ``produced`` fixed output strands is
-    factor ``m - produced`` and the insertion gap there is junction
-    ``m - produced``.
-    """
-    gens = []
-    produced = 0
-    for tok in layer:
-        cur = gens[-1].codomain if gens else path
-        r = cur.num_factors - produced
-        stem, _, letters = tok.kind.partition("_")
-        if stem == "dot":
-            gens.append(gen_dot(cur, r))
-        elif stem == "cross":
-            gens.append(gen_crossing(cur, r - 1))
-        elif stem == "cup":
-            gens.append(gen_cup(cur, r, letters))
-        elif stem == "cap":
-            gens.append(gen_cap(cur, r - 1))
-        produced += len(TOKEN_SHAPES[tok.kind][1])
-    return gens
-
-
 def compile_diagram(ast: DiagramAST) -> BimMap:
-    """Compile to a bimodule map: one chain of every layer's generators."""
+    """Compile to a bimodule map: one chain of every token's generator,
+    built at the token's place on the path the tokens before it leave."""
     path = compile_word(ast.domain, ast.N)
     if path.is_zero:
         warnings.warn("diagram domain is the zero bimodule; the compiled "
                       "map is zero", ZeroDiagramWarning, stacklevel=2)
     gens = []
-    for layer in ast.layers:
-        gens += _layer_map(gens[-1].codomain if gens else path, layer)
+    for layer, places in zip(ast.layers, ast.places):
+        for tok, r in zip(layer, places):
+            cur = gens[-1].codomain if gens else path
+            stem, _, letters = tok.kind.partition("_")
+            if stem == "dot":
+                gens.append(gen_dot(cur, r))
+            elif stem == "cross":
+                gens.append(gen_crossing(cur, r - 1))
+            elif stem == "cup":
+                gens.append(gen_cup(cur, r, letters))
+            elif stem == "cap":
+                gens.append(gen_cap(cur, r - 1))
     return compose_chain(*gens) if gens else identity_map(path)
 
 

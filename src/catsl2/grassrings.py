@@ -122,17 +122,6 @@ class StepRing:
         own: the lower ring for x, the upper ring for y."""
         return self.lower if letter == "x" else self.upper
 
-    def x(self, index: int) -> Polynomial:
-        """Canonical generator x[index]@nu (0 <= index <= j)."""
-        return self.lower.x(index)
-
-    def y(self, index: int) -> Polynomial:
-        """Canonical generator y[index]@(nu+2) (0 <= index <= N-j-1)."""
-        return self.upper.y(index)
-
-    def catalog(self) -> frozenset[VarSymbol]:
-        return step_catalog(self.N, self.j, self.xi_pos)
-
     # -- embeddings of the end rings -------------------------------------
 
     def embed_end(self, sym: VarSymbol, end: str) -> Polynomial:

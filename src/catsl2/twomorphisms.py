@@ -278,11 +278,10 @@ def gen_cap(path: FlagPath, position: int) -> BimMap:
     i = position
     if not 1 <= i < path.num_factors:
         raise ValueError("cap position %d outside 1..%d" % (i, path.num_factors - 1))
-    if path.rings[i - 1] != path.rings[i + 1]:
-        raise ValueError("factors %d,%d do not close up" % (i, i + 1))
     fe = path.is_up(i)
     j = path.rings[i - 1]
     nu = 2 * j - path.N
+    # the path refuses factors i, i+1 that do not form an excursion
     codomain = path.remove_excursion(i, delta_shift=-(1 - path.N))
     degree = nu + 1 if fe else 1 - nu
     name = "cap_%s@%d" % ("fe" if fe else "ef", i)

@@ -32,7 +32,18 @@ from catsl2.bimodules import (
     basis,
     normalize,
 )
-from catsl2.twomorphisms import BimMap
+from catsl2.diagramlang import TOKEN_SHAPES
+from catsl2.grassrings import step_catalog
+from catsl2.twomorphisms import (
+    BimMap,
+    compile_word,
+    compose_chain,
+    gen_cap,
+    gen_crossing,
+    gen_cup,
+    gen_dot,
+    identity_map,
+)
 
 
 def record_new_maps(monkeypatch):
@@ -422,9 +433,74 @@ def all_paths(N, max_steps):
     return [FlagPath(N, rings) for rings in found]
 
 
+# Two walks of a diagram's layers that count the strands each token
+# produces to find its factor, independent of the places the type check
+# gives ``compile_diagram``.
+
+
+def compile_by_layer_walk(ast):
+    """``compile_diagram`` by counting produced strands: one chain of every
+    layer's generators, bottom to top.
+
+    Tokens address displayed strands left to right; with m factors on the
+    current path, the strand after ``produced`` fixed output strands of its
+    layer is factor ``m - produced`` and the insertion gap there is
+    junction ``m - produced``.
+    """
+    path = compile_word(ast.domain, ast.N)
+    gens = []
+    for layer in ast.layers:
+        produced = 0
+        for tok in layer:
+            cur = gens[-1].codomain if gens else path
+            r = cur.num_factors - produced
+            stem, _, letters = tok.kind.partition("_")
+            if stem == "dot":
+                gens.append(gen_dot(cur, r))
+            elif stem == "cross":
+                gens.append(gen_crossing(cur, r - 1))
+            elif stem == "cup":
+                gens.append(gen_cup(cur, r, letters))
+            elif stem == "cap":
+                gens.append(gen_cap(cur, r - 1))
+            produced += len(TOKEN_SHAPES[tok.kind][1])
+    return compose_chain(*gens) if gens else identity_map(path)
+
+
+def table_degree_sum(ast):
+    """Independent degree bookkeeping from the generator table."""
+    current = compile_word(ast.domain, ast.N)
+    total = 0
+    for layer in ast.layers:
+        produced = 0
+        for token in layer:
+            m = current.num_factors
+            r = m - produced
+            kind = token.kind
+            if kind.startswith("id"):
+                produced += 1
+            elif kind.startswith("dot"):
+                total += 2
+                produced += 1
+            elif kind.startswith("cross"):
+                total -= 2
+                produced += 2
+            elif kind.startswith("cup"):
+                n = 2 * current.rings[r] - ast.N
+                total += n + 1 if kind == "cup_fe" else 1 - n
+                mid = current.rings[r] + (1 if kind == "cup_fe" else -1)
+                current = current.insert_excursion(r, mid, 1 - ast.N)
+                produced += 2
+            else:
+                n = 2 * current.rings[r - 2] - ast.N
+                total += n + 1 if kind == "cap_fe" else 1 - n
+                current = current.remove_excursion(r - 1, -(1 - ast.N))
+    return total
+
+
 def random_factor_poly(path, i, rng):
     """A small random canonical-content polynomial for factor i."""
-    syms = sorted(path.step_ring(i).catalog())
+    syms = sorted(step_catalog(path.N, path.step_ring(i).j, i))
     poly = Polynomial.zero()
     for _ in range(rng.randrange(1, 3)):
         term = Polynomial.const(rng.choice((1, 1, 2, -1)))
@@ -449,7 +525,8 @@ def random_high_factor_poly(path, i, rng):
     xi-degrees up to bound + 6, each times a coefficient and 0-2
     non-xi generators, so the xi reduction meets several high degrees."""
     bound = path.bound(i)
-    gens = sorted(s for s in path.step_ring(i).catalog() if s.kind != KIND_XI)
+    gens = sorted(s for s in step_catalog(path.N, path.step_ring(i).j, i)
+                  if s.kind != KIND_XI)
     poly = Polynomial.zero()
     for e in rng.sample(range(bound + 7), rng.randrange(2, 5)):
         term = Polynomial.const(rng.choice((1, 1, 2, -1, -3))) * xigen(i, e)

@@ -203,15 +203,16 @@ def test_bubble_product_work_count_does_not_grow(monkeypatch):
 def test_step_ring_embeddings():
     ring = StepRing(3, 1)          # pair {1, 2}, nu = -1
     # exchange relations for the two end rings
-    assert ring.embed_end(x_sym(1, 1), "upper") == ring.x(1) + ring.xi()
-    assert ring.embed_end(x_sym(2, 1), "upper") == ring.x(1) * ring.xi()   # x[2]@-1 vanishes
-    assert ring.embed_end(y_sym(1, -1), "lower") == ring.y(1) + ring.xi()
-    assert ring.embed_end(y_sym(2, -1), "lower") == ring.y(1) * ring.xi()  # top y of the lower ring
+    x, y = ring.lower.x, ring.upper.y     # the step ring's own generators
+    assert ring.embed_end(x_sym(1, 1), "upper") == x(1) + ring.xi()
+    assert ring.embed_end(x_sym(2, 1), "upper") == x(1) * ring.xi()   # x[2]@-1 vanishes
+    assert ring.embed_end(y_sym(1, -1), "lower") == y(1) + ring.xi()
+    assert ring.embed_end(y_sym(2, -1), "lower") == y(1) * ring.xi()  # top y of the lower ring
     # the step ring's own generators: the lower x's and the upper y's
-    assert ring.embed_end(x_sym(1, -1), "lower") == ring.x(1)
-    assert ring.embed_end(y_sym(1, 1), "upper") == ring.y(1)
+    assert ring.embed_end(x_sym(1, -1), "lower") == x(1)
+    assert ring.embed_end(y_sym(1, 1), "upper") == y(1)
     with pytest.raises(ValueError):
-        ring.embed_end(ring.x(1).symbols().pop(), "upper")
+        ring.embed_end(x(1).symbols().pop(), "upper")
     # the right weight but outside the end ring's catalog, so neither may
     # embed as 0: x[5]@0 is no generator of ring 2 at rank 4, y[3]@-1 none
     # of ring 1 at rank 3, and y[2]@2 none of ring 3 at rank 4
@@ -232,7 +233,7 @@ def test_step_ring_expansions_invert_embeddings():
                 expansion = ring.lower_x_expansion(t)
                 table = {s: ring.embed_end(s, "upper")
                          for s in expansion.symbols() if s.kind == 0}
-                assert expansion.substitute(table) == ring.x(t)
+                assert expansion.substitute(table) == ring.lower.x(t)
 
 
 def test_special_class_large_alpha_from_a_cold_memo():
@@ -284,8 +285,8 @@ def test_embed_end_of_canonical_generators():
     ring = StepRing(4, 2)
     lower_x = ring.lower.x(2).symbols().pop()
     upper_y = ring.upper.y(1).symbols().pop()
-    assert ring.embed_end(lower_x, "lower") == ring.x(2)
-    assert ring.embed_end(upper_y, "upper") == ring.y(1)
+    assert ring.embed_end(lower_x, "lower") == ring.lower.x(2)
+    assert ring.embed_end(upper_y, "upper") == ring.upper.y(1)
 
 
 def _embedded_both_ways(monkeypatch, max_n=5):

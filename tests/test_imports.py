@@ -62,8 +62,8 @@ UNNAMED_BUT_KEPT = {
     "cli._CliParser.error": "argparse calls it on a usage error",
     "bimodules.BimElement.basis_vector": "a public constructor, which the "
                                          "tests and bench/selftest.py use",
-    "bimodules.act": "the checked public entry of the left action; the "
-                     "engine calls its unchecked twin _act",
+    "bimodules.act": "the checked public entry of the end rings' actions: "
+                     "it checks its polynomial and calls tensor",
     "bimodules.inject_at_junction": "the checked public entry of junction "
                                     "insertion; the engine calls its "
                                     "unchecked twin _inject_at_junction",

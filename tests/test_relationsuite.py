@@ -5,6 +5,7 @@ import time
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -556,6 +557,78 @@ def test_non_nilpotency_catches_a_dot_that_kills_the_top_power(monkeypatch):
         path = FlagPath(3, (k, k + 1) if k < 3 else (k, k - 1))
         assert counterexample == ("dot^%d vanishes on the unit of %s"
                                   % (path.bound(1) + 1, path.render())), k
+
+
+def _redeclared(f, extra, fn=None):
+    """f, or ``fn`` under f's name, declaring ``extra`` more than f's degree."""
+    return BimMap(f.domain, f.codomain, f.degree + extra, fn or f.apply_vec, name=f.name)
+
+
+def _doubled_second_xi(real, *args):
+    """``_excursion`` with the second factor's xi powers doubled."""
+    path, gens, xi1, xi2 = real(*args)
+    return path, gens, xi1, lambda e: xi2(e) * 2
+
+
+def _broken(real, *args):
+    raise RuntimeError("broken")
+
+
+#: Per failure branch that no other test reaches: the suite to run, the
+#: ``relationsuite`` name to replace, its broken copy (given the real one
+#: first) and the start of the counterexample of each check that fails.
+BROKEN_COPIES = {
+    "bubble_vanishing": (
+        "bubbles", "bubble_value",
+        lambda real, ctx, o, alpha: real(ctx, o, alpha) + (1 if alpha < 0 else 0),
+        {"bubble_vanishing": "cw bubble at degree -2 is 1, expected 0",
+         "bubble_diagram_cw": "cw bubble with ", "bubble_diagram_ccw": "ccw bubble with "}),
+    "bubble_unit": (
+        "bubbles", "bubble_value",
+        lambda real, ctx, o, alpha: real(ctx, o, alpha) * (2 if alpha == 0 else 1),
+        {"bubble_unit": "cw degree-zero bubble is not 1",
+         "bubble_diagram_cw": "cw bubble with ", "bubble_diagram_ccw": "ccw bubble with "}),
+    "dot_slide": (
+        "ring_identities", "_excursion", _doubled_second_xi,
+        {"dot_slide_x": "dot slide (x): ", "dot_slide_y": "dot slide (y): "}),
+    "degree_table": (
+        "degree_audit", "gen_dot", lambda real, path, i: _redeclared(real(path, i), 2),
+        {"degree_audit": "dot@1 declares degree 4, table says 2"}),
+    "generator_audit": (
+        "degree_audit", "gen_dot",
+        lambda real, path, i: _redeclared(real(path, i), 0,
+                                          lambda vec: normalize_xi_vector(path, vec)),
+        {"degree_audit": "degree of dot@1 on xi^[0] measured 0, declared 2"}),
+    "composite_audit": (
+        "degree_audit", "compose_chain",
+        lambda real, *maps: _redeclared(real(*maps), 2),
+        {"degree_audit": "degree of cap_ef@2.cup_fe@0 on xi^[0] measured 0, declared 2"}),
+    "k0_enumeration": (
+        "k0_shadow", "graded_rank", lambda real, path: real(path) + Laurent.q_power(0),
+        {"k0_shadow": "graded rank disagrees with the basis enumeration on "}),
+    "k0_quantum_integer": (
+        "k0_shadow", "quantum_integer", lambda real, n: real(n) + Laurent.q_power(0),
+        {"k0_shadow": "EF minus FE has graded rank "}),
+    "internal_error": (
+        "ring_identities", "_excursion", _broken,
+        {name: "internal error: RuntimeError('broken')"
+         for name in ("dot_slide_x", "dot_slide_y", "two_sided_sum_x", "two_sided_sum_y")}),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_COPIES)
+def test_each_failure_branch_reports_and_the_other_checks_still_run(monkeypatch, case):
+    # a broken copy drives one failure return (or a crash) of a check: its
+    # results fail with that branch's text, and every other check of the
+    # suite still reports, and passes
+    suite, name, broken, failing = BROKEN_COPIES[case]
+    monkeypatch.setattr(relationsuite, name, partial(broken, getattr(relationsuite, name)))
+    report = run_suite(3, suites=[suite])
+    assert {r.check for r in report.results} == set(MANIFEST[suite])
+    assert {r.check for r in report.results if r.status != "pass"} == set(failing)
+    for r in report.results:
+        if r.status == "fail":
+            assert r.counterexample.startswith(failing[r.check]), (r.check, r.counterexample)
 
 
 def _per_k(counted, progress_runs):

@@ -183,7 +183,8 @@ def test_cap_depends_only_on_dot_total():
 
 
 def test_cap_shape_validation():
-    with pytest.raises(ValueError):
+    # the path's one excursion check refuses a cap that does not close up
+    with pytest.raises(ValueError, match="factors 1,2 do not form an excursion"):
         gen_cap(FlagPath(3, (1, 2, 3)), 1)
     # the path fixes the kind
     assert gen_cap(FlagPath(3, (1, 2, 1)), 1).name == "cap_fe@1"
