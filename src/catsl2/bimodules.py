@@ -71,7 +71,7 @@ from .exactpoly import (
     _make,
     _overflow,
     field_shift,
-    mono_degree,
+    homogeneous_degree,
     render_int,
     x_sym,
     xi_sym,
@@ -293,9 +293,8 @@ class BimElement:
         return BimElement, (self.path, dict(_vector_terms(self)))
 
     def degree(self):
-        """Graded degree (without the path shift); None if inhomogeneous."""
-        degs = {mono_degree(key) for key in self.terms}
-        return degs.pop() if len(degs) == 1 else None
+        """Graded degree (without the path shift); None if 0 or inhomogeneous."""
+        return homogeneous_degree(_make(self.terms))
 
     def render(self) -> str:
         if not self.terms:

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import Polynomial, render_int, xi_sym
+from .exactpoly import Polynomial, render_excerpt, render_int, xi_sym
 from .bimodules import BimElement, FlagPath, RawTensor, linear_sum, normalize_sum
 from .twomorphisms import (
     BimMap,
@@ -65,20 +64,8 @@ class DiagramError(ValueError):
         super().__init__(message)
 
 
-def _echo(text: str) -> str:
-    """Quote input text for an error message, cut to its first 40 characters."""
-    return repr(text if len(text) <= 40 else text[:40] + "...")
-
-
 class ZeroDiagramWarning(UserWarning):
     pass
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    col_start: int
-    col_end: int
 
 
 # token -> (consumed strand orientations, produced strand orientations),
@@ -97,27 +84,23 @@ TOKEN_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class LayerToken:
-    kind: str
-    span: SourceSpan | None = field(default=None, compare=False)
-
-
 class DiagramAST:
-    """A type-checked diagram: the rank, the domain word and layers of tokens.
+    """A type-checked diagram: the rank, the domain word and layers of
+    token names.
 
-    The weight is the domain word's, ``domain.weight``.  Equality ignores
-    source spans, so rendering and reparsing round-trips.  ``lines``, the
-    source lines of the N header, of the weight header and of each layer,
-    gives the span of a rank, parity or layer arity error.  ``places``
-    holds each layer's token places, as the type check found them.
+    The weight is the domain word's, ``domain.weight``.  ``lines`` gives
+    the span of a rank, parity, layer or token error: the line of the N
+    header, of the weight header, and each layer's line with its tokens'
+    ``(col_start, col_end)``.  It is not part of the AST, so rendering and
+    reparsing round-trips.  ``places`` holds each layer's token places, as
+    the type check found them.
     """
 
     def __init__(self, N: int, domain: SignedWord, layers, lines=None):
         self.N = N
         self.domain = domain
-        self.layers = tuple(tuple(tok) for tok in layers)
-        self.places = _typecheck(self, lines or (None, None, (None,) * len(self.layers)))
+        self.layers = tuple(tuple(layer) for layer in layers)
+        self.places = _typecheck(self, lines or (None, None, ()))
 
     def __eq__(self, other):
         if not isinstance(other, DiagramAST):
@@ -141,29 +124,32 @@ def _typecheck(ast: DiagramAST, lines):
     rank_line, weight_line, layer_lines = lines
     if not 1 <= ast.N <= MAX_DIAGRAM_RANK:     # before any ring is built
         raise DiagramError("rank N must lie in 1..%d, got %s"
-                           % (MAX_DIAGRAM_RANK, _echo(render_int(ast.N))), rank_line)
+                           % (MAX_DIAGRAM_RANK, render_excerpt(render_int(ast.N))),
+                           rank_line)
     try:
         compile_word(ast.domain, ast.N)     # the parity rule of ``rank``
     except ValueError as exc:
         raise DiagramError(str(exc), weight_line) from None
     word = tuple(ast.domain.letters)
     places = []
-    for layer, lineno in zip(ast.layers, layer_lines):
+    for at, layer in enumerate(ast.layers):
+        lineno, cols = layer_lines[at] if at < len(layer_lines) else (None, ())
         produced, here, pos = [], [], 0
-        for tok in layer:
-            where = tok.span and (tok.span.line, tok.span.col_start,
-                                  tok.span.col_end) or (None,)
-            if tok.kind not in TOKEN_SHAPES:
-                raise DiagramError("unknown token %s" % _echo(tok.kind), *where)
-            consumed, out = TOKEN_SHAPES[tok.kind]
+        for i, tok in enumerate(layer):
+            where = (lineno, *cols[i]) if i < len(cols) else (lineno,)
+            if not isinstance(tok, str):
+                raise DiagramError("unknown token of type %s" % type(tok).__name__,
+                                   *where)
+            if tok not in TOKEN_SHAPES:
+                raise DiagramError("unknown token %s" % render_excerpt(tok), *where)
+            consumed, out = TOKEN_SHAPES[tok]
             take = word[pos:pos + len(consumed)]
             if len(take) < len(consumed):
                 raise DiagramError("%s consumes %d strands, found %d"
-                                   % (tok.kind, len(consumed), len(take)), *where)
+                                   % (tok, len(consumed), len(take)), *where)
             if take != consumed:
                 raise DiagramError("%s needs strands %s, found %s"
-                                   % (tok.kind, " ".join(consumed), " ".join(take)),
-                                   *where)
+                                   % (tok, " ".join(consumed), " ".join(take)), *where)
             here.append(len(word) - pos)
             pos += len(consumed)
             produced.extend(out)
@@ -196,13 +182,11 @@ def parse_diagram(text: str) -> DiagramAST:
         m = _LAYER_RE.match(line)
         if m:
             seen_layer = True
-            toks = []
             at = m.start(1)   # the tokens' columns count from the line's start
-            for match in re.finditer(r"\S+", m.group(1)):
-                toks.append(LayerToken(match.group(0), SourceSpan(
-                    lineno, at + match.start() + 1, at + match.end())))
-            layers.append(tuple(toks))
-            layer_lines.append(lineno)
+            toks = list(re.finditer(r"\S+", m.group(1)))
+            layers.append([tok.group(0) for tok in toks])
+            layer_lines.append((lineno, [(at + tok.start() + 1, at + tok.end())
+                                         for tok in toks]))
             continue
         m = _HEADER_RE.match(line)
         if m:
@@ -222,14 +206,14 @@ def parse_diagram(text: str) -> DiagramAST:
                     header[key] = int(value)
                 except ValueError:
                     raise DiagramError("%s must be an integer, got %s"
-                                       % (key, _echo(value)), lineno) from None
+                                       % (key, render_excerpt(value)), lineno) from None
             else:
                 try:
                     header["domain"] = SignedWord.parse(value, 0).letters
                 except ValueError as exc:
                     raise DiagramError(str(exc), lineno) from None
             continue
-        raise DiagramError("cannot parse line %s" % _echo(line.strip()), lineno)
+        raise DiagramError("cannot parse line %s" % render_excerpt(line.strip()), lineno)
     for key in ("N", "weight", "domain"):
         if key not in header:
             raise DiagramError("missing header %r" % key,
@@ -243,7 +227,7 @@ def render_diagram(ast: DiagramAST) -> str:
              "weight = %d" % ast.domain.weight,
              "domain = %s" % ast.domain.render()]
     for layer in ast.layers:
-        lines.append("layer: %s" % " ".join(tok.kind for tok in layer))
+        lines.append("layer: %s" % " ".join(layer))
     return "\n".join(lines) + "\n"
 
 
@@ -263,7 +247,7 @@ def compile_diagram(ast: DiagramAST) -> BimMap:
     for layer, places in zip(ast.layers, ast.places):
         for tok, r in zip(layer, places):
             cur = gens[-1].codomain if gens else path
-            stem, _, letters = tok.kind.partition("_")
+            stem, _, letters = tok.partition("_")
             if stem == "dot":
                 gens.append(gen_dot(cur, r))
             elif stem == "cross":
@@ -336,7 +320,7 @@ def _parse_factor(expr: str, offset: int, text_len: int, symbol_of, degree: int,
                 start + len(piece.rstrip()))
         m = _ELEMENT_TOKEN_RE.match(piece)
         if not m:
-            raise DiagramError("cannot parse token %s" % _echo(stripped), *span)
+            raise DiagramError("cannot parse token %s" % render_excerpt(stripped), *span)
         for run in re.findall(r"\d+", piece):
             if len(run) > MAX_LITERAL_DIGITS:
                 raise DiagramError("integer literal of %d digits exceeds the "
@@ -349,7 +333,7 @@ def _parse_factor(expr: str, offset: int, text_len: int, symbol_of, degree: int,
         if m.group("rat"):
             num, _, den = m.group("rat").partition("/")
             if den and int(den) == 0:
-                raise DiagramError("zero denominator in %s" % _echo(stripped), *span)
+                raise DiagramError("zero denominator in %s" % render_excerpt(stripped), *span)
             digits += exp * (len(num.strip()) + len(den.strip()))
             if digits > MAX_LITERAL_DIGITS:
                 raise DiagramError("rationals of the tensor term have %d digits, "

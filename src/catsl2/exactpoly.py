@@ -71,6 +71,11 @@ def render_int(n: int) -> str:
         return "%s<%d-bit integer>" % ("-" if n < 0 else "", n.bit_length())
 
 
+def render_excerpt(text: str) -> str:
+    """Quote input text for a message, cut to its first 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 def x_sym(index: int, weight: int) -> VarSymbol:
     return VarSymbol(KIND_X, weight, index)
 
@@ -155,20 +160,6 @@ def _pack(pairs) -> Mono:
 
 def mono_degree(m: Mono) -> int:
     return sum(sym.degree * exp for sym, exp in _fields(m))
-
-
-class _Sentinel:
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-#: Degree report for the zero polynomial, which is homogeneous of any degree.
-ANY_DEGREE = _Sentinel("any-degree")
-#: Degree report for a polynomial with terms in several degrees.
-INHOMOGENEOUS = _Sentinel("inhomogeneous")
 
 
 def _make(terms: dict) -> "Polynomial":
@@ -446,10 +437,7 @@ def sum_of_products(pairs) -> Polynomial:
 
 
 def homogeneous_degree(p: Polynomial):
-    """Graded degree of p if homogeneous, ANY_DEGREE for 0, else INHOMOGENEOUS."""
-    if not p.terms:
-        return ANY_DEGREE
+    """The graded degree shared by every term of p; None if p is 0 or has
+    terms in several degrees."""
     degs = {mono_degree(m) for m in p.terms}
-    if len(degs) == 1:
-        return degs.pop()
-    return INHOMOGENEOUS
+    return degs.pop() if len(degs) == 1 else None

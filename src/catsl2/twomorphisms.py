@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import Polynomial, homogeneous_degree, render_int
+from .exactpoly import Polynomial, homogeneous_degree, render_excerpt, render_int
 from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
@@ -309,9 +309,7 @@ def gen_cap(path: FlagPath, position: int) -> BimMap:
 
 def junction_mult(path: FlagPath, junction: int, poly: Polynomial) -> BimMap:
     """Multiplication by a junction-ring polynomial; degree = its degree."""
-    deg = homogeneous_degree(poly)
-    if not isinstance(deg, int):
-        deg = 0 if poly.is_zero() else None
+    deg = 0 if poly.is_zero() else homogeneous_degree(poly)
     if deg is None:
         raise ValueError("junction multiplication needs a homogeneous polynomial")
     _check_junction(path, junction, poly)
@@ -334,18 +332,20 @@ class SignedWord:
     letters: tuple
     weight: int
 
+    def __post_init__(self):
+        for token in self.letters:
+            if token not in ("E", "F"):
+                raise ValueError("letters must be 'E' or 'F', separated by blanks; got %s"
+                                 % render_excerpt(token))
+
     @staticmethod
     def parse(text: str, weight: int) -> "SignedWord":
         """The word of ``text`` by the ``word`` rule of docs/grammars.md:
-        ``1``, or letters E and F separated by blanks (spaces and tabs)."""
+        ``1``, or letters separated by blanks (spaces and tabs), which the
+        constructor checks are E and F."""
         if text == "1":
             return SignedWord((), weight)
-        letters = tuple(re.split(r"[ \t]+", text))
-        for token in letters:
-            if token not in ("E", "F"):
-                raise ValueError("letters must be 'E' or 'F', separated by blanks; got %r"
-                                 % (token if len(token) <= 40 else token[:40] + "..."))
-        return SignedWord(letters, weight)
+        return SignedWord(tuple(re.split(r"[ \t]+", text)), weight)
 
     def render(self) -> str:
         return " ".join(self.letters) if self.letters else "1"

@@ -7,7 +7,7 @@ import types
 from fractions import Fraction
 from functools import lru_cache
 
-from catsl2 import bimodules, exactpoly, grassrings, twomorphisms
+from catsl2 import exactpoly, grassrings
 
 from catsl2.exactpoly import (
     FIELD_BITS,
@@ -59,11 +59,23 @@ def record_new_maps(monkeypatch):
     return built
 
 
+def rebind(function, replacement, set_attr=setattr):
+    """Bind ``replacement`` to every attribute of every loaded ``catsl2``
+    module that is ``function``, so a module that imports it by name is
+    counted too.  Pass ``monkeypatch.setattr`` as ``set_attr`` to have the
+    bindings undone after the test."""
+    for name, module in list(sys.modules.items()):
+        if name == "catsl2" or name.startswith("catsl2."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    set_attr(module, attr, replacement)
+
+
 def record_polynomials_built(monkeypatch, functions):
     """The lists every ``Polynomial`` built from here on is noted in.
 
     A polynomial is built by ``Polynomial(...)`` or by ``exactpoly._make``
-    (both are wrapped, ``_make`` in every module that imports it).  Its
+    (both are wrapped, ``_make`` wherever a module binds it).  Its
     builder is the nearest frame outside ``exactpoly``.  Returns
     ``(every, inside)``: the code names of the builders of every
     polynomial, and of those whose builder is one of ``functions`` or code
@@ -95,9 +107,7 @@ def record_polynomials_built(monkeypatch, functions):
         return make(terms)
 
     monkeypatch.setattr(Polynomial, "__init__", noting_init)
-    for module in (exactpoly, bimodules, twomorphisms):
-        if getattr(module, "_make", None) is make:
-            monkeypatch.setattr(module, "_make", noting_make)
+    rebind(make, noting_make, monkeypatch.setattr)
     return every, inside
 
 
@@ -454,7 +464,7 @@ def compile_by_layer_walk(ast):
         for tok in layer:
             cur = gens[-1].codomain if gens else path
             r = cur.num_factors - produced
-            stem, _, letters = tok.kind.partition("_")
+            stem, _, letters = tok.partition("_")
             if stem == "dot":
                 gens.append(gen_dot(cur, r))
             elif stem == "cross":
@@ -463,7 +473,7 @@ def compile_by_layer_walk(ast):
                 gens.append(gen_cup(cur, r, letters))
             elif stem == "cap":
                 gens.append(gen_cap(cur, r - 1))
-            produced += len(TOKEN_SHAPES[tok.kind][1])
+            produced += len(TOKEN_SHAPES[tok][1])
     return compose_chain(*gens) if gens else identity_map(path)
 
 
@@ -473,10 +483,9 @@ def table_degree_sum(ast):
     total = 0
     for layer in ast.layers:
         produced = 0
-        for token in layer:
+        for kind in layer:
             m = current.num_factors
             r = m - produced
-            kind = token.kind
             if kind.startswith("id"):
                 produced += 1
             elif kind.startswith("dot"):

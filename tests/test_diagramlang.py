@@ -25,8 +25,6 @@ from catsl2.diagramlang import (
     TOKEN_SHAPES,
     DiagramAST,
     DiagramError,
-    LayerToken,
-    SourceSpan,
     ZeroDiagramWarning,
     compile_diagram,
     parse_diagram,
@@ -53,8 +51,7 @@ def test_parse_bubble_diagram():
                         "layer: cup_fe\nlayer: cap_fe\n")
     assert ast.N == 1 and ast.domain.weight == -1
     assert ast.domain == SignedWord((), -1)
-    assert [[t.kind for t in layer] for layer in ast.layers] == \
-        [["cup_fe"], ["cap_fe"]]
+    assert ast.layers == (("cup_fe",), ("cap_fe",))
 
 
 def test_parse_single_crossing():
@@ -131,12 +128,26 @@ def test_unknown_token_error():
     assert (err.value.line, err.value.col_start, err.value.col_end) == (4, 8, 12)
 
 
-def test_unknown_token_in_a_diagram_built_in_code():
-    # the type check, not only the parser, names an unknown token with its span
-    token = LayerToken("bogus", SourceSpan(3, 8, 12))
+def test_unknown_token_in_a_diagram_built_in_code(capsys):
+    # the type check, not only the parser, names an unknown token, with the
+    # span that the AST's lines give it
+    lines = (1, 2, [(3, [(8, 12)])])
     with pytest.raises(DiagramError) as err:
-        DiagramAST(1, SignedWord((), -1), [(token,)])
+        DiagramAST(1, SignedWord((), -1), [("bogus",)], lines)
     assert str(err.value) == "line 3, cols 8-12: unknown token 'bogus'"
+    # a token that is not a name is refused there too, not by a traceback
+    for token, kind in [(5, "int"), (["x"], "list")]:
+        with pytest.raises(DiagramError) as err:
+            DiagramAST(1, SignedWord((), -1), [(token,)])
+        assert str(err.value) == "unknown token of type %s" % kind
+    # a domain letter other than E and F is refused by the word itself,
+    # with the text of ``rank --word``, so compile_word never reads it as F
+    assert main(["rank", "--N", "3", "--word", "X", "--weight", "1"]) == 2
+    rank_err = capsys.readouterr().err
+    with pytest.raises(ValueError) as err:
+        DiagramAST(3, SignedWord(("X",), 1), [])
+    assert rank_err == "catsl2: error: %s\n" % err.value
+    assert str(err.value) == "letters must be 'E' or 'F', separated by blanks; got 'X'"
 
 
 def test_header_errors():
@@ -167,7 +178,7 @@ def _random_ast(rng):
         while True:
             if len(word) + 2 <= 6 and rng.random() < 0.15:
                 kind = rng.choice(("cup_fe", "cup_ef"))
-                layer.append(LayerToken(kind))
+                layer.append(kind)
                 produced.extend(("F", "E") if kind == "cup_fe" else ("E", "F"))
                 continue
             if pos >= len(word):
@@ -182,20 +193,19 @@ def _random_ast(rng):
                     options.append("cap")
             pick = rng.choice(options)
             if pick == "id":
-                layer.append(LayerToken("id_" + here.lower()))
+                layer.append("id_" + here.lower())
                 produced.append(here)
                 pos += 1
             elif pick == "dot":
-                layer.append(LayerToken("dot_" + here.lower()))
+                layer.append("dot_" + here.lower())
                 produced.append(here)
                 pos += 1
             elif pick == "cross":
-                layer.append(LayerToken("cross_" + (here * 2).lower()))
+                layer.append("cross_" + (here * 2).lower())
                 produced.extend(word[pos:pos + 2])
                 pos += 2
             else:
-                layer.append(LayerToken("cap_" + word[pos].lower()
-                                        + word[pos + 1].lower()))
+                layer.append("cap_" + word[pos].lower() + word[pos + 1].lower())
                 pos += 2
         layers.append(tuple(layer))
         word = produced
@@ -212,11 +222,18 @@ def test_parse_render_round_trip():
 def test_an_ast_states_its_weight_once():
     # the weight is the domain word's: an AST built in code renders it, and
     # its rendering reparses to an equal AST that compiles on the same path
-    ast = DiagramAST(2, SignedWord((), 0), [(LayerToken("cup_fe"),)])
+    ast = DiagramAST(2, SignedWord((), 0), [("cup_fe",)])
     assert render_diagram(ast) == "N = 2\nweight = 0\ndomain = 1\nlayer: cup_fe\n"
     again = parse_diagram(render_diagram(ast))
     assert again == ast and repr(again) == repr(ast)
     assert compile_diagram(again).domain == compile_diagram(ast).domain == FlagPath(2, (1,))
+    # a layer holds token names: the one-layer cup built in code compiles
+    # to the map of the parsed one
+    built = compile_diagram(DiagramAST(1, SignedWord((), -1), [("cup_fe",)]))
+    parsed = compile_diagram(parse_diagram("N = 1\nweight = -1\ndomain = 1\nlayer: cup_fe\n"))
+    assert repr(built) == repr(parsed) == "BimMap(cup_fe@0: (0) -> (0,1,0), deg 0)"
+    ok, report = map_equals(built, parsed)
+    assert ok, report
 
 
 # -- compilation ------------------------------------------------------------------------
@@ -454,9 +471,9 @@ def test_rank_header_out_of_range_exits_2_at_its_line(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("N, weight, letters, layers", [
-    (-1, -1, ("E",), [(LayerToken("dot_e"),)]),
+    (-1, -1, ("E",), [("dot_e",)]),
     (MAX_DIAGRAM_RANK + 1, 1, (), []),
-    (10 ** 20, 0, ("F", "E"), [(LayerToken("cap_fe"),)]),
+    (10 ** 20, 0, ("F", "E"), [("cap_fe",)]),
 ], ids=["negative", "past-the-limit", "huge"])
 def test_rank_of_an_ast_built_in_code_is_checked(N, weight, letters, layers, monkeypatch):
     # the type check, which the parser and a DiagramAST built in code both
@@ -501,7 +518,7 @@ def test_path_map_and_ast_texts_bound_a_huge_integer():
     ring = "<16609-bit integer>"
     path = "(%s,%s){+%s}" % (ring, ring, ring)
     assert repr(compile_diagram(ast)) == "BimMap(id: %s -> %s, deg 0)" % (path, path)
-    cup = compile_diagram(DiagramAST(2, SignedWord((), huge), [(LayerToken("cup_fe"),)]))
+    cup = compile_diagram(DiagramAST(2, SignedWord((), huge), [("cup_fe",)]))
     assert repr(cup).endswith("{-1}, deg <16610-bit integer>)")
     assert FlagPath(2, (huge, huge + 1)).render() == \
         "(<16610-bit integer>,<16610-bit integer>)"
@@ -509,7 +526,7 @@ def test_path_map_and_ast_texts_bound_a_huge_integer():
     assert repr(DiagramAST(3, SignedWord(("E",), -1), [])) == \
         "DiagramAST(N=3, weight=-1, domain=E, 0 layers)"
     assert repr(compile_diagram(DiagramAST(3, SignedWord(("E",), -1),
-                                           [(LayerToken("cup_fe"), LayerToken("id_e"))]))) == \
+                                           [("cup_fe", "id_e")]))) == \
         "BimMap(cup_fe@1: (1,2){-1} -> (1,2,3,2){-3}, deg 2)"
     assert [FlagPath(3, (2, 1), shift=s).render() for s in (-2, 0, 2)] == \
         ["(2,1){-2}", "(2,1)", "(2,1){+2}"]

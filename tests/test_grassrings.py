@@ -15,7 +15,12 @@ from catsl2.grassrings import (
     special_class_terms,
 )
 
-from helpers import broken_bubble_value, bubble_product_reference, perturbed_bubble_value
+from helpers import (
+    broken_bubble_value,
+    bubble_product_reference,
+    perturbed_bubble_value,
+    rebind,
+)
 
 
 def test_context_basics():
@@ -195,7 +200,7 @@ def test_bubble_product_work_count_does_not_grow(monkeypatch):
         work[0] += len(ta) * len(tb)
         return add_products(acc, ta, tb)
 
-    monkeypatch.setattr(exactpoly, "_add_products", counting_products)
+    rebind(add_products, counting_products, monkeypatch.setattr)
     assert all(check_series_identity(ctx, "bubble_product", 12)[0] for ctx in contexts)
     assert work[0] <= 12_176, work[0]
 

@@ -737,12 +737,14 @@ def test_run_suite_reports_progress_k_major():
 # Prints, as JSON by check, the term products that
 # ``exactpoly._add_products`` forms and the ``bimodules._normal_form`` calls
 # made during ``run_suite(N, suites=SUITES)`` in a fresh interpreter, where
-# every memo table starts empty (``SUITES`` is None for the whole suite).
+# every memo table starts empty (``SUITES`` is None for the whole suite);
+# ``helpers.rebind`` wraps every module's binding of each function.
 # The progress hook charges the work done since the last result to the
 # check that just ran, summed over its ring indices.
 _WORK_SCRIPT = """
 import json
-from catsl2 import bimodules, exactpoly, relationsuite, twomorphisms
+from catsl2 import bimodules, exactpoly, relationsuite
+from helpers import rebind
 work = [0, 0]
 add_products, normal_form = exactpoly._add_products, bimodules._normal_form
 def counting_products(acc, ta, tb):
@@ -751,8 +753,8 @@ def counting_products(acc, ta, tb):
 def counting_calls(*args):
     work[1] += 1
     return normal_form(*args)
-exactpoly._add_products = bimodules._add_products = counting_products
-bimodules._normal_form = twomorphisms._normal_form = counting_calls
+rebind(add_products, counting_products)
+rebind(normal_form, counting_calls)
 by_check, charged = {}, [0, 0]
 def progress(result):
     counts = by_check.setdefault(result.check, [0, 0])
@@ -770,8 +772,9 @@ WORK_BUDGETS = Path(__file__).resolve().parent / "work_budgets.json"
 def _work_counts(suites, N=4) -> dict:
     """The ``_WORK_SCRIPT`` counts of ``run_suite(N, suites=suites)``, by check."""
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    here = Path(__file__).resolve().parent        # the tests, for helpers
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)]
+                                        + [p for p in [env.get("PYTHONPATH")] if p])
     script = "N, SUITES = %r, %r\n%s" % (N, suites, _WORK_SCRIPT)
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
