@@ -73,9 +73,7 @@ from .exactpoly import (
     field_shift,
     homogeneous_degree,
     render_int,
-    x_sym,
     xi_sym,
-    y_sym,
 )
 from .grassrings import GrassContext, StepRing, ring_catalog, step_catalog
 from .qlaurent import Laurent
@@ -403,28 +401,25 @@ class _Factor:
 
     def __init__(self, N: int, j: int, up: bool, pos: int):
         ring = StepRing(N, j, xi_pos=pos)
-        self.bound = j if up else N - j - 1
+        # an up-step transports the x's, a down-step the y's: the left end
+        # owns them, and the g_t of the xi relation are the right end's
+        letter = "x" if up else "y"
+        left, right = ring.ends(letter)
+        step = step_catalog(N, j, pos)
+        self.bound = left.top(letter)
         self.shift = field_shift(xi_sym(pos))
         self.strip = ~(FIELD_MASK << self.shift)
-        gen = ring.upper.x if up else ring.lower.y
-        self.signed = [gen(t) if t % 2 else -gen(t) for t in range(1, self.bound + 2)]
-        if up:
-            left = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
-                    for t in range(1, j + 1)}
-            rest = [y_sym(t, ring.nu + 2) for t in range(1, N - j)]
-        else:
-            left = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
-                    for t in range(1, N - j)}
-            rest = [x_sym(t, ring.nu) for t in range(1, j + 1)]
-        left[xi_sym(pos)] = ring.xi()
+        self.signed = [g if t % 2 else -g
+                       for t, g in enumerate(right.gens(letter)[1:], start=1)]
+        images = {sym: ring.transport(sym) for sym in sorted(left.catalog() & step)}
+        images[xi_sym(pos)] = ring.xi()
         self.images = {field_shift(sym): tuple(((m >> self.shift) & FIELD_MASK,
                                                 {m & self.strip: c})
                                                for m, c in image.terms.items())
-                       for sym, image in left.items()}
-        end = "lower" if up else "upper"
-        self.embed = {sym: ring.embed_end(sym, end)
-                      for sym in (ring.lower if up else ring.upper).catalog()}
-        self.rest = sum(FIELD_MASK << field_shift(sym) for sym in rest)
+                       for sym, image in images.items()}
+        self.embed = {sym: ring.embed_end(sym) for sym in left.catalog()}
+        self.rest = sum(FIELD_MASK << field_shift(sym)
+                        for sym in sorted(right.catalog() & step))
         self.lifts, self.cores, self.pushes, self.embedded = {}, {}, {}, {}
 
 

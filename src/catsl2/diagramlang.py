@@ -368,7 +368,7 @@ def _symbol_resolver(path: FlagPath, position: int):
                 return xi_sym(position)
             raise DiagramError("xi is not a generator of the identity bimodule",
                                line, col_start, col_end)
-        ring = path.step_ring(position).end_of(kind) if m else path.junction(0)
+        ring = path.step_ring(position).ends(kind)[0] if m else path.junction(0)
         if 1 <= index <= ring.top(kind):
             return ring.gen(kind, index).symbols().pop()
         raise DiagramError("unknown generator %s[%d] for %s (%s-range 1..%d)"

@@ -5,12 +5,15 @@ For a fixed rank ``N`` and ``0 <= k <= N`` (weight ``n = 2k - N``) the ring
 (these ranges are stated once, by ``GrassContext.top`` and ``.gen``).  The
 one-step ring for the pair ``{j, j+1}`` is free on its lower ring's
 ``x[1..j]@nu``, ``xi`` and its upper ring's ``y[1..N-j-1]@(nu+2)`` with
-``nu = 2j - N``, and its two end rings embed via the exchange relations
+``nu = 2j - N``: the lower ring owns the x's and the upper ring the y's,
+which ``StepRing.ends`` alone states.  The other end's generators embed
+via the exchange relations
 
     x[a]@(nu+2) = x[a]@nu + x[a-1]@nu * xi
     y[a]@nu     = y[a]@(nu+2) + y[a-1]@(nu+2) * xi
 
-and the inverse expansions obtained by alternating xi-power sums.  Indices
+(``StepRing.embed_end``, which reads a symbol's end ring from its weight),
+and ``StepRing.transport`` inverts them by alternating xi-power sums.  Indices
 outside a ring's catalog denote 0, and index 0 denotes 1; every helper here
 applies that convention.
 
@@ -106,61 +109,45 @@ class StepRing:
     def nu(self) -> int:
         return 2 * self.j - self.N
 
-    @property
-    def lower(self) -> GrassContext:
-        return GrassContext(self.N, self.j)
-
-    @property
-    def upper(self) -> GrassContext:
-        return GrassContext(self.N, self.j + 1)
-
     def xi(self, exp: int = 1) -> Polynomial:
         return Polynomial.gen(xi_sym(self.xi_pos), exp)
 
-    def end_of(self, letter: str) -> GrassContext:
-        """The end ring whose generators of ``letter`` are the step ring's
-        own: the lower ring for x, the upper ring for y."""
-        return self.lower if letter == "x" else self.upper
+    def ends(self, letter: str) -> tuple[GrassContext, GrassContext]:
+        """The end ring that owns the generators of ``letter``, which are
+        the step ring's own (the lower ring j for x, the upper ring j + 1
+        for y), then the other end."""
+        lower, upper = GrassContext(self.N, self.j), GrassContext(self.N, self.j + 1)
+        return (lower, upper) if letter == "x" else (upper, lower)
 
     # -- embeddings of the end rings -------------------------------------
 
-    def embed_end(self, sym: VarSymbol, end: str) -> Polynomial:
-        """Image of an end-ring generator symbol; end is 'lower' or 'upper'.
+    def embed_end(self, sym: VarSymbol) -> Polynomial:
+        """Image of an end-ring generator symbol, whose weight names its end.
 
-        A generator of the step ring's own letter for that end (the lower
-        x's, the upper y's) is itself; one of the other letter, g[a], is
-        g[a] + g[a-1] * xi in the step ring's generators g of that letter.
+        A generator the step ring owns (a lower x, an upper y) is itself;
+        one of the other end, g[a], is g[a] + g[a-1] * xi in the step
+        ring's generators g of that letter.
         """
-        ctx = self.lower if end == "lower" else self.upper
-        if sym not in ctx.catalog():
-            raise ValueError("symbol %s does not belong to the %s end ring"
-                             % (sym.render(), end))
         letter = "x" if sym.kind == KIND_X else "y"
-        own = self.end_of(letter)
-        image = own.gen(letter, sym.index)
-        if own != ctx:
-            image = image + own.gen(letter, sym.index - 1) * self.xi()
-        return image
+        own, other = self.ends(letter)
+        if sym in own.catalog():
+            return Polynomial.gen(sym)
+        if sym not in other.catalog():
+            raise ValueError("symbol %s is no generator of either end ring" % sym.render())
+        return own.gen(letter, sym.index) + own.gen(letter, sym.index - 1) * self.xi()
 
-    def embed_ring_poly(self, p: Polynomial, end: str) -> Polynomial:
+    def embed_ring_poly(self, p: Polynomial) -> Polynomial:
         """Image of a polynomial in end-ring generators."""
-        return p.substitute({s: self.embed_end(s, end) for s in p.symbols()})
+        return p.substitute({s: self.embed_end(s) for s in p.symbols()})
 
-    # -- inverse expansions (end-ring generator via the other end) -------
-
-    def lower_x_expansion(self, index: int) -> Polynomial:
-        """x[index]@nu as an alternating xi-sum of upper-ring x's."""
-        return self._alternating_xi_sum(self.upper.x, index)
-
-    def upper_y_expansion(self, index: int) -> Polynomial:
-        """y[index]@(nu+2) as an alternating xi-sum of lower-ring y's."""
-        return self._alternating_xi_sum(self.lower.y, index)
-
-    def _alternating_xi_sum(self, gen, index: int) -> Polynomial:
-        """sum_{ell=0..index} (-1)^ell * gen(index - ell) * xi^ell."""
+    def transport(self, sym: VarSymbol) -> Polynomial:
+        """A generator the step ring owns, g[a], through the other end's
+        generators g of its letter: sum_{l=0..a} (-1)^l * g[a-l] * xi^l."""
+        letter = "x" if sym.kind == KIND_X else "y"
+        other = self.ends(letter)[1]
         return sum_of_products(
-            (gen(index - ell), -self.xi(ell) if ell % 2 else self.xi(ell))
-            for ell in range(0, index + 1))
+            (other.gen(letter, sym.index - ell), -self.xi(ell) if ell % 2 else self.xi(ell))
+            for ell in range(0, sym.index + 1))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +168,7 @@ def step_catalog(N: int, j: int, xi_pos: int) -> frozenset[VarSymbol]:
 
 
 #: The letter whose generating series each family inverts: X the y's, Y the x's.
-_FAMILY_LETTER = {"X": "y", "Y": "x"}
+FAMILY_LETTER = {"X": "y", "Y": "x"}
 
 # Per (N, k, family): the negated generators of the defining recursion by
 # index, and the classes of index 0, 1, ... found so far, which
@@ -200,11 +187,11 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     Results are memoized per (N, k, family, alpha).  Only the generators
     of index at most alpha are built, so the work does not grow with N.
     """
-    if family not in _FAMILY_LETTER:
+    if family not in FAMILY_LETTER:
         raise ValueError("family must be 'X' or 'Y'")
     if alpha < 0:
         return Polynomial.zero()
-    letter = _FAMILY_LETTER[family]
+    letter = FAMILY_LETTER[family]
     last = ctx.top(letter)
     key = (ctx.N, ctx.k, family)
     entry = _SPECIAL_CLASSES.get(key)
@@ -223,17 +210,16 @@ def special_class(ctx: GrassContext, family: str, alpha: int) -> Polynomial:
     return table[alpha]
 
 
-def embedded_gens(ring: StepRing, letter: str, end: str) -> tuple:
-    """The generators g_1, g_2, ... of ``letter`` in the ``end`` ring,
+def embedded_gens(ring: StepRing, end: GrassContext, letter: str) -> tuple:
+    """The generators g_1, g_2, ... of ``letter`` in the end ring ``end``,
     each embedded in ``ring``."""
-    return tuple(ring.embed_ring_poly(g, end)
-                 for g in getattr(ring, end).gens(letter)[1:])
+    return tuple(ring.embed_ring_poly(g) for g in end.gens(letter)[1:])
 
 
-def embedded_special_classes(ring: StepRing, family: str, end: str,
+def embedded_special_classes(ring: StepRing, family: str, end: GrassContext,
                              classes, embedded) -> list[Polynomial]:
-    """``[ring.embed_ring_poly(c, end) for c in classes]`` for the classes
-    C_0, C_1, ... of ``family`` in the ``end`` ring, through the recursion
+    """``[ring.embed_ring_poly(c) for c in classes]`` for the classes
+    C_0, C_1, ... of ``family`` in the end ring ``end``, through the recursion
     emb(C_a) = emb(R_a) - sum_{t>=1} emb(g_t) * emb(C_{a-t}) + delta(a, 0),
     with generators g_t (y[t] for X, x[t] for Y, g_0 = 1) and the residual
     R_a = sum_t g_t * C_{a-t} - delta(a, 0).  emb is a ring homomorphism, so
@@ -241,7 +227,7 @@ def embedded_special_classes(ring: StepRing, family: str, end: str,
     correct table) are substituted.  ``embedded`` is the emb(g_t), t >= 1,
     of ``embedded_gens``.
     """
-    gens = getattr(ring, end).gens(_FAMILY_LETTER[family])
+    gens = end.gens(FAMILY_LETTER[family])
     negated = [-g for g in embedded]
     out = []
     for a in range(len(classes)):
@@ -249,7 +235,7 @@ def embedded_special_classes(ring: StepRing, family: str, end: str,
         value = sum_of_products(zip(negated, reversed(out)))
         if a == 0:
             residual, value = residual - 1, value + 1
-        out.append(value + ring.embed_ring_poly(residual, end) if residual else value)
+        out.append(value + ring.embed_ring_poly(residual) if residual else value)
     return out
 
 
@@ -266,7 +252,7 @@ def special_class_terms(ctx: GrassContext, family: str, alpha: int,
     """
     if alpha < 0:
         return 0
-    parts = ctx.top(_FAMILY_LETTER[family])
+    parts = ctx.top(FAMILY_LETTER[family])
     counts = [1] + [0] * alpha
     for part in range(1, min(parts, alpha) + 1):
         for total in range(part, alpha + 1):

@@ -24,6 +24,7 @@ from typing import Callable
 
 from .exactpoly import MAX_EXPONENT, Polynomial, render_int, sum_of_products
 from .grassrings import (
+    FAMILY_LETTER,
     GrassContext,
     StepRing,
     bubble_value,
@@ -412,13 +413,6 @@ def _run_series(which, N, k, context):
     return None if ok else report
 
 
-#: Per special-class family (check suffix x: X, from the y's; y: Y, from
-#: the x's): the end ring of the slid class and of the classes it slides
-#: to, and the letter of the generators of that other end which the xi
-#: expansion pairs with the slid end's classes.
-_RING_SIDES = {"x": ("lower", "upper", "y"), "y": ("upper", "lower", "x")}
-
-
 def _slide_sums(other, xi):
     """sum_{l <= a} other[a - l] * (-xi)^l for a = 0, 1, ..., by Horner's
     rule: the sum at a is other[a] - xi times the sum at a - 1."""
@@ -429,30 +423,30 @@ def _slide_sums(other, xi):
 
 
 def _embedded_classes(ring, family, end, embedded):
-    """The classes of index 0 .. 2N+2 of an end ring, in one-step form;
+    """The classes of index 0 .. 2N+2 of ``end``, in one-step form;
     ``embedded`` is that end's ``embedded_gens`` of the family's letter, or
     None where those are the step ring's own, which embed as themselves."""
-    classes = [special_class(getattr(ring, end), family, alpha)
+    classes = [special_class(end, family, alpha)
                for alpha in range(0, 2 * ring.N + 3)]
     if embedded is None:
         return classes
     return embedded_special_classes(ring, family, end, classes, embedded)
 
 
-def _classes(context, ring, family, end):
-    """The ``_embedded_classes`` of an end ring, built once per k; the
-    generators of the end's own letter (``StepRing.end_of``) are not
-    embedded."""
-    letter = _RING_SIDES[family.lower()][2]
-    own = ring.end_of(letter) == getattr(ring, end)
+def _classes(context, ring, family, other):
+    """The ``_embedded_classes`` of the end that owns the family's letter
+    (``StepRing.ends``), or of the other end if ``other``, built once per k;
+    only the other end's are embedded."""
+    letter = FAMILY_LETTER[family]
+    end = ring.ends(letter)[other]
     return context.gen(_embedded_classes, ring, family, end,
-                       None if own else context.gen(embedded_gens, ring, letter, end))
+                       context.gen(embedded_gens, ring, end, letter) if other else None)
 
 
 def _run_class_slide(side, N, k, context):
     family, ring = side.upper(), StepRing(N, k)
-    # the two ends are embedded independently
-    slid, other = (_classes(context, ring, family, end) for end in _RING_SIDES[side][:2])
+    # the other end's classes slide to the owning end's
+    slid, other = (_classes(context, ring, family, of_other) for of_other in (True, False))
     for alpha, rhs in enumerate(_slide_sums(other, ring.xi())):
         if slid[alpha] != rhs:
             return ("slide of %s_%d: %s vs %s"
@@ -461,18 +455,18 @@ def _run_class_slide(side, N, k, context):
 
 
 def _run_xi_expansion(side, N, k, context):
-    class_end, gen_end, letter = _RING_SIDES[side]
-    ring = StepRing(N, k)
-    classes = _classes(context, ring, side.upper(), class_end)
-    # 1 and the other end's generators, the step ring's own for that end
-    gens = getattr(ring, gen_end).gens(letter)
+    family, ring = side.upper(), StepRing(N, k)
+    classes = _classes(context, ring, family, True)
+    # 1 and the step ring's own generators of the family's letter
+    letter = FAMILY_LETTER[family]
+    gens = ring.ends(letter)[0].gens(letter)
     for alpha in range(0, 2 * N + 3):
         acc = sum_of_products(zip(reversed(classes[:alpha + 1]), gens))
         if alpha % 2:
             acc = -acc
         if acc != ring.xi(alpha):
             return ("xi^%d expansion via %s: got %s"
-                    % (alpha, side.upper(), acc.render()))
+                    % (alpha, family, acc.render()))
     return None
 
 
@@ -706,8 +700,8 @@ _CHECKS = [
     *_pair("series_delta_", "ring_identities", ("xY", "Xy"), _run_series, (0, 0)),
     CheckSpec("bubble_series_product", "ring_identities", (0, 0),
               partial(_run_series, "bubble_product")),
-    *_pair("class_slide_", "ring_identities", _RING_SIDES, _run_class_slide, (0, -1)),
-    *_pair("xi_expansion_", "ring_identities", _RING_SIDES, _run_xi_expansion, (0, -1)),
+    *_pair("class_slide_", "ring_identities", ("x", "y"), _run_class_slide, (0, -1)),
+    *_pair("xi_expansion_", "ring_identities", ("x", "y"), _run_xi_expansion, (0, -1)),
     *(CheckSpec(stem + letter, "ring_identities", _EXCURSIONS[letter][1],
                 partial(run, letter))
       for stem, run in (("two_sided_sum_", _run_two_sided_sum),

@@ -333,6 +333,9 @@ class SignedWord:
     weight: int
 
     def __post_init__(self):
+        if not isinstance(self.letters, tuple) or not all(
+                isinstance(token, str) for token in self.letters):
+            raise ValueError("letters must be a tuple of str")
         for token in self.letters:
             if token not in ("E", "F"):
                 raise ValueError("letters must be 'E' or 'F', separated by blanks; got %s"

@@ -33,7 +33,7 @@ from catsl2.bimodules import (
     normalize,
 )
 from catsl2.diagramlang import TOKEN_SHAPES
-from catsl2.grassrings import step_catalog
+from catsl2.grassrings import GrassContext, step_catalog
 from catsl2.twomorphisms import (
     BimMap,
     compile_word,
@@ -221,8 +221,8 @@ def rewrite_measure_reference(path, terms):
 def relation_gens(ring, up):
     """The generators g_1, g_2, ... of a factor's monic xi relation."""
     if up:
-        return [ring.upper.x(t) for t in range(1, ring.j + 2)]
-    return [ring.lower.y(t) for t in range(1, ring.N - ring.j + 1)]
+        return [GrassContext(ring.N, ring.j + 1).gen("x", t) for t in range(1, ring.j + 2)]
+    return [GrassContext(ring.N, ring.j).gen("y", t) for t in range(1, ring.N - ring.j + 1)]
 
 
 # (N, j, up, i) -> [xi^0, xi^1, ...] reduced, as ``reduce_xi_reference``

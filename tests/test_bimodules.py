@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,24 @@ def test_cached_step_data_matches_rings():
                 j = min(path.rings[i - 1], path.rings[i])
                 assert path.step_ring(i) == StepRing(N, j, xi_pos=i)
                 assert path.bound(i) == (j if path.is_up(i) else N - j - 1)
+    # each factor record against the generator ranges written out: an
+    # up-step moves x[1..j]@nu and keeps y[1..N-j-1]@(nu+2), a down-step
+    # the other way round, and the left end is ring j resp. j + 1
+    from catsl2.bimodules import _Factor
+    for N in range(1, 6):
+        for j in range(0, N):
+            nu, ring = 2 * j - N, StepRing(N, j, xi_pos=2)
+            xs = [x_sym(t, nu) for t in range(1, j + 1)]
+            ys = [y_sym(t, nu + 2) for t in range(1, N - j)]
+            for up, moved, kept, left in ((True, xs, ys, j), (False, ys, xs, j + 1)):
+                f, n = _Factor(N, j, up, 2), 2 * left - N
+                assert f.bound == (j if up else N - j - 1)
+                assert f.signed == [g if t % 2 else -g
+                                    for t, g in enumerate(relation_gens(ring, up), start=1)]
+                assert set(f.images) == {field_shift(sym) for sym in moved + [xi_sym(2)]}
+                assert f.rest == sum(FIELD_MASK << field_shift(sym) for sym in kept)
+                assert set(f.embed) == ({x_sym(t, n) for t in range(1, left + 1)}
+                                        | {y_sym(t, n) for t in range(1, N - left + 1)})
 
 
 def test_cached_attributes_leave_path_identity_alone():
@@ -217,12 +236,7 @@ def _place_at_factor(path, g, ring_poly, side):
         factors[g] = _embedded(_factor(path, g + 1), ring_poly)
     else:
         # express through the left factor's right-end embedding
-        ring = path.step_ring(g)
-        table = {}
-        for sym in ring_poly.symbols():
-            end = "upper" if path.is_up(g) else "lower"
-            table[sym] = ring.embed_end(sym, end)
-        factors[g - 1] = ring_poly.substitute(table)
+        factors[g - 1] = path.step_ring(g).embed_ring_poly(ring_poly)
     return normalize(RawTensor(path, tuple(factors)))
 
 
@@ -388,17 +402,17 @@ def test_two_sided_sums():
     # y-family version holds on the downward excursion
     for N in (1, 2, 3, 4):
         for k in range(0, N):
-            _check_two_sided(FlagPath(N, (k, k + 1, k)), GrassContext(N, k).x, 2 * N)
+            _check_two_sided(FlagPath(N, (k, k + 1, k)), GrassContext(N, k), "x", 2 * N)
         for k in range(1, N + 1):
-            _check_two_sided(FlagPath(N, (k, k - 1, k)), GrassContext(N, k).y, 2 * N)
+            _check_two_sided(FlagPath(N, (k, k - 1, k)), GrassContext(N, k), "y", 2 * N)
 
 
-def _check_two_sided(path, gen, alpha_max):
+def _check_two_sided(path, ctx, letter, alpha_max):
     for alpha in range(0, alpha_max + 1):
         lhs = BimElement.zero(path)
         rhs = BimElement.zero(path)
         for j in range(0, alpha + 1):
-            coeff = gen(j)
+            coeff = ctx.gen(letter, j)
             if coeff.is_zero():
                 continue
             sign = 1 if j % 2 == 0 else -1
@@ -413,25 +427,22 @@ def test_dot_slide_on_coherence_sums():
     # multiplying the alternating sums by xi on either factor agrees
     for N in (1, 2, 3, 4):
         for k in range(0, N):
-            path = FlagPath(N, (k, k + 1, k))
-            gen, top = GrassContext(N, k).x, k
-            _check_dot_slide(path, gen, top)
+            _check_dot_slide(FlagPath(N, (k, k + 1, k)), GrassContext(N, k), "x")
         for k in range(1, N + 1):
-            path = FlagPath(N, (k, k - 1, k))
-            gen, top = GrassContext(N, k).y, N - k
-            _check_dot_slide(path, gen, top)
+            _check_dot_slide(FlagPath(N, (k, k - 1, k)), GrassContext(N, k), "y")
 
 
-def _check_dot_slide(path, gen, top):
+def _check_dot_slide(path, ctx, letter):
+    top = ctx.top(letter)
     lhs = BimElement.zero(path)
     rhs = BimElement.zero(path)
     for ell in range(0, top + 1):
         sign = 1 if ell % 2 == 0 else -1
         lhs = lhs + normalize(RawTensor(
-            path, (path.step_ring(1).xi(top - ell + 1), gen(ell)))).scale(sign)
+            path, (path.step_ring(1).xi(top - ell + 1), ctx.gen(letter, ell)))).scale(sign)
         rhs = rhs + normalize(RawTensor(
             path, (path.step_ring(1).xi(top - ell),
-                   gen(ell) * path.step_ring(2).xi()))).scale(sign)
+                   ctx.gen(letter, ell) * path.step_ring(2).xi()))).scale(sign)
     assert lhs == rhs, path.render()
 
 
@@ -599,8 +610,9 @@ def test_xi_power_table_filled_by_four_threads():
     assert sorted(table) == [e << f.shift for e in range(len(table))] and len(table) >= 238
     assert all(entry is table[e << f.shift] for e, entry in got)
     # xi^(bound+1) from the monic relation y[1]xi - y[2] = xi^2 (y's at nu)
+    y = partial(GrassContext(ring.N, ring.j).gen, "y")
     assert _reduced_power(f, bound + 1) == sum(
-        (ring.lower.y(t) * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
+        (y(t) * ring.xi(bound + 1 - t) * (-1) ** (t + 1)
          for t in range(1, bound + 2)), Polynomial.zero())
     step = Polynomial.one()
     for e in range(len(table)):
@@ -725,11 +737,10 @@ def _reference_buckets(path, i, content):
     from catsl2.bimodules import _factor
     ring, up = path.step_ring(i), path.is_up(i)
     if up:
-        transport = {x_sym(t, ring.nu): ring.lower_x_expansion(t)
-                     for t in range(1, ring.j + 1)}
+        own = [x_sym(t, ring.nu) for t in range(1, ring.j + 1)]
     else:
-        transport = {y_sym(t, ring.nu + 2): ring.upper_y_expansion(t)
-                     for t in range(1, ring.N - ring.j)}
+        own = [y_sym(t, ring.nu + 2) for t in range(1, ring.N - ring.j)]
+    transport = {sym: ring.transport(sym) for sym in own}
     poly = reduce_xi_reference(content.substitute(transport), path, i)
     buckets = {}
     for mono, coeff in poly.terms.items():
@@ -754,8 +765,7 @@ def _reference_push(path, i, content):
         if buckets[e]:
             part = buckets[e]
             if i < path.num_factors:
-                end = "lower" if path.is_up(i + 1) else "upper"
-                part = path.step_ring(i + 1).embed_ring_poly(part, end)
+                part = path.step_ring(i + 1).embed_ring_poly(part)
             out.append((e, part))
     return out
 

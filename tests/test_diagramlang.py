@@ -148,6 +148,12 @@ def test_unknown_token_in_a_diagram_built_in_code(capsys):
         DiagramAST(3, SignedWord(("X",), 1), [])
     assert rank_err == "catsl2: error: %s\n" % err.value
     assert str(err.value) == "letters must be 'E' or 'F', separated by blanks; got 'X'"
+    # letters that are not a tuple of str are refused with a message of their
+    # own, so a string "EF" never renders as the domain E F
+    for letters, weight in [((5,), 1), ("EF", 0), (["E"], 1)]:
+        with pytest.raises(ValueError) as err:
+            SignedWord(letters, weight)
+        assert str(err.value) == "letters must be a tuple of str"
 
 
 def test_header_errors():
@@ -380,7 +386,7 @@ def test_parse_element_sums_and_rationals():
     element = parse_element("1/2 * xi^2 - x[1] * xi", path)
     ring = path.step_ring(1)
     direct = normalize(RawTensor(path, (ring.xi(2) * Fraction(1, 2)
-                                        - ring.lower.x(1) * ring.xi(),)))
+                                        - GrassContext(3, 1).gen("x", 1) * ring.xi(),)))
     assert element == direct
 
 
@@ -389,7 +395,7 @@ def test_parse_element_identity_path():
     element = parse_element("x[1]^2 + 3 * y[2]", path)
     ctx = GrassContext(4, 2)
     assert element == BimElement.from_ring_poly(
-        path, ctx.x(1) ** 2 + 3 * ctx.y(2))
+        path, ctx.gen("x", 1) ** 2 + 3 * ctx.gen("y", 2))
 
 
 def test_parse_element_errors():

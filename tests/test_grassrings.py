@@ -3,7 +3,7 @@ from functools import partial
 import pytest
 
 from catsl2 import exactpoly, grassrings
-from catsl2.exactpoly import Polynomial, homogeneous_degree, x_sym, y_sym
+from catsl2.exactpoly import Polynomial, homogeneous_degree, x_sym, xi_sym, y_sym
 from catsl2.grassrings import (
     GrassContext,
     StepRing,
@@ -13,6 +13,7 @@ from catsl2.grassrings import (
     embedded_special_classes,
     special_class,
     special_class_terms,
+    step_catalog,
 )
 
 from helpers import (
@@ -26,10 +27,10 @@ from helpers import (
 def test_context_basics():
     ctx = GrassContext(4, 1)
     assert ctx.n == -2
-    assert ctx.x(0) == Polynomial.one()
-    assert ctx.x(2).is_zero()          # out of range for k=1
-    assert ctx.y(3).render() == "y[3]@-2"
-    assert ctx.y(4).is_zero()
+    assert ctx.gen("x", 0) == Polynomial.one()
+    assert ctx.gen("x", 2).is_zero()          # out of range for k=1
+    assert ctx.gen("y", 3).render() == "y[3]@-2"
+    assert ctx.gen("y", 4).is_zero()
     with pytest.raises(ValueError):
         GrassContext(3, 4)
     with pytest.raises(ValueError):
@@ -46,7 +47,7 @@ def test_special_class_base_cases():
 
 def test_special_class_small_values():
     ctx = GrassContext(4, 3)
-    x1, x2, x3 = ctx.x(1), ctx.x(2), ctx.x(3)
+    x1, x2, x3 = ctx.gen("x", 1), ctx.gen("x", 2), ctx.gen("x", 3)
     assert special_class(ctx, "Y", 1) == -x1
     assert special_class(ctx, "Y", 2) == x1 ** 2 - x2
     assert special_class(ctx, "Y", 3) == 2 * x1 * x2 - x1 ** 3 - x3
@@ -59,7 +60,7 @@ def test_special_class_table_grows_across_calls(monkeypatch):
     from helpers import series_invert
     for N, k in [(3, 1), (6, 2), (6, 4), (9, 8)]:
         ctx = GrassContext(N, k)
-        for family, letter, last in (("X", ctx.y, N - k), ("Y", ctx.x, k)):
+        for family, letter, last in (("X", "y", N - k), ("Y", "x", k)):
             monkeypatch.setattr(grassrings, "_SPECIAL_CLASSES", {})
             grown = [special_class(ctx, family, 2), special_class(ctx, family, 5)]
             negated, table = grassrings._SPECIAL_CLASSES[(N, k, family)]
@@ -68,7 +69,7 @@ def test_special_class_table_grows_across_calls(monkeypatch):
             fresh = [special_class(ctx, family, a) for a in range(6)]
             assert [table[a] for a in range(6)] == fresh
             assert grown == [fresh[2], fresh[5]]
-            assert fresh == series_invert([letter(j) for j in range(6)], 5)
+            assert fresh == series_invert([ctx.gen(letter, j) for j in range(6)], 5)
 
 
 def test_special_class_tables_are_filled_only_by_setdefault(monkeypatch):
@@ -112,17 +113,17 @@ def test_bubble_values():
     assert bubble_value(ctx, "cw", -1).is_zero()
     assert bubble_value(ctx, "ccw", -1).is_zero()
     # expand -(Y_1 + y_1 Y_0) by the recursion
-    assert bubble_value(ctx, "cw", 1) == ctx.x(1) - ctx.y(1)
-    assert bubble_value(ctx, "ccw", 1) == ctx.y(1) - ctx.x(1)
+    assert bubble_value(ctx, "cw", 1) == ctx.gen("x", 1) - ctx.gen("y", 1)
+    assert bubble_value(ctx, "ccw", 1) == ctx.gen("y", 1) - ctx.gen("x", 1)
 
 
 def test_bubble_degenerate_contexts():
     # k = N: no y generators, the clockwise degree-2 bubble is x_1
     top = GrassContext(3, 3)
-    assert bubble_value(top, "cw", 1) == top.x(1)
+    assert bubble_value(top, "cw", 1) == top.gen("x", 1)
     # k = 0: counterclockwise degree-2 bubble is y_1
     bottom = GrassContext(3, 0)
-    assert bubble_value(bottom, "ccw", 1) == bottom.y(1)
+    assert bubble_value(bottom, "ccw", 1) == bottom.gen("y", 1)
 
 
 def test_bubble_homogeneity():
@@ -207,38 +208,46 @@ def test_bubble_product_work_count_does_not_grow(monkeypatch):
 
 def test_step_ring_embeddings():
     ring = StepRing(3, 1)          # pair {1, 2}, nu = -1
-    # exchange relations for the two end rings
-    x, y = ring.lower.x, ring.upper.y     # the step ring's own generators
-    assert ring.embed_end(x_sym(1, 1), "upper") == x(1) + ring.xi()
-    assert ring.embed_end(x_sym(2, 1), "upper") == x(1) * ring.xi()   # x[2]@-1 vanishes
-    assert ring.embed_end(y_sym(1, -1), "lower") == y(1) + ring.xi()
-    assert ring.embed_end(y_sym(2, -1), "lower") == y(1) * ring.xi()  # top y of the lower ring
+    # exchange relations for the two end rings; a symbol's weight names its end
+    x, y = partial(GrassContext(3, 1).gen, "x"), partial(GrassContext(3, 2).gen, "y")
+    assert ring.embed_end(x_sym(1, 1)) == x(1) + ring.xi()
+    assert ring.embed_end(x_sym(2, 1)) == x(1) * ring.xi()   # x[2]@-1 vanishes
+    assert ring.embed_end(y_sym(1, -1)) == y(1) + ring.xi()
+    assert ring.embed_end(y_sym(2, -1)) == y(1) * ring.xi()  # top y of the lower ring
     # the step ring's own generators: the lower x's and the upper y's
-    assert ring.embed_end(x_sym(1, -1), "lower") == x(1)
-    assert ring.embed_end(y_sym(1, 1), "upper") == y(1)
-    with pytest.raises(ValueError):
-        ring.embed_end(x(1).symbols().pop(), "upper")
-    # the right weight but outside the end ring's catalog, so neither may
+    assert ring.embed_end(x_sym(1, -1)) == x(1)
+    assert ring.embed_end(y_sym(1, 1)) == y(1)
+    # the right weight but outside the end ring's catalog, so none may
     # embed as 0: x[5]@0 is no generator of ring 2 at rank 4, y[3]@-1 none
-    # of ring 1 at rank 3, and y[2]@2 none of ring 3 at rank 4
-    for ring, sym in ((StepRing(4, 2), x_sym(5, 0)), (StepRing(3, 1), y_sym(3, -1))):
-        with pytest.raises(ValueError, match="does not belong to the lower end ring"):
-            ring.embed_end(sym, "lower")
-    with pytest.raises(ValueError, match="does not belong to the upper end ring"):
-        StepRing(4, 2).embed_ring_poly(Polynomial.gen(y_sym(2, 2)) + 1, "upper")
+    # of ring 1 at rank 3, and y[2]@2 none of ring 3 at rank 4; nor is a
+    # weight of neither end, nor xi
+    for ring, sym in ((StepRing(4, 2), x_sym(5, 0)), (StepRing(3, 1), y_sym(3, -1)),
+                      (StepRing(3, 1), x_sym(1, 3)), (StepRing(3, 1), xi_sym(1))):
+        with pytest.raises(ValueError, match="is no generator of either end ring"):
+            ring.embed_end(sym)
+    with pytest.raises(ValueError, match="y\\[2\\]@2 is no generator of either end ring"):
+        StepRing(4, 2).embed_ring_poly(Polynomial.gen(y_sym(2, 2)) + 1)
+
+
+def test_step_ring_ends():
+    # the lower ring owns the x's and the upper ring the y's
+    ring = StepRing(4, 1)
+    assert ring.ends("x") == (GrassContext(4, 1), GrassContext(4, 2))
+    assert ring.ends("y") == (GrassContext(4, 2), GrassContext(4, 1))
 
 
 def test_step_ring_expansions_invert_embeddings():
-    # substituting the exchange relation into the alternating expansion
-    # recovers the generator
-    for N in (2, 3):
+    # substituting the exchange relations of the other end into the
+    # transport of an own generator (a lower x, an upper y) recovers it
+    for N in (1, 2, 3, 4):
         for j in range(0, N):
-            ring = StepRing(N, j)
-            for t in range(0, j + 1):
-                expansion = ring.lower_x_expansion(t)
-                table = {s: ring.embed_end(s, "upper")
-                         for s in expansion.symbols() if s.kind == 0}
-                assert expansion.substitute(table) == ring.lower.x(t)
+            ring = StepRing(N, j, xi_pos=2)
+            for sym in step_catalog(N, j, 2) - {xi_sym(2)}:
+                transported = ring.transport(sym)
+                others = transported.symbols() - {xi_sym(2)}
+                assert others and not others & step_catalog(N, j, 2), sym
+                table = {s: ring.embed_end(s) for s in others}
+                assert transported.substitute(table) == Polynomial.gen(sym), sym
 
 
 def test_special_class_large_alpha_from_a_cold_memo():
@@ -247,14 +256,14 @@ def test_special_class_large_alpha_from_a_cold_memo():
 
     grassrings._SPECIAL_CLASSES.clear()
     ctx = GrassContext(3, 1)
-    y1, y2 = ctx.y(1), ctx.y(2)
+    y1, y2 = ctx.gen("y", 1), ctx.gen("y", 2)
     big = [special_class(ctx, "X", a) for a in (1498, 1499, 1500)]
     assert big[2] + y1 * big[1] + y2 * big[0] == Polynomial.zero()
     assert homogeneous_degree(big[2]) == 3000
     # every class below alpha went into the same memo
     assert len(grassrings._SPECIAL_CLASSES[(3, 1, "X")][1]) >= 1501
     ctx = GrassContext(2, 1)
-    assert special_class(ctx, "Y", 3000) == ctx.x(1) ** 3000
+    assert special_class(ctx, "Y", 3000) == ctx.gen("x", 1) ** 3000
 
 
 def test_special_class_from_a_cold_table():
@@ -263,7 +272,7 @@ def test_special_class_from_a_cold_table():
 
     grassrings._SPECIAL_CLASSES.pop((2, 1, "X"), None)
     ctx = GrassContext(2, 1)
-    assert special_class(ctx, "X", 1501) == -ctx.y(1) ** 1501
+    assert special_class(ctx, "X", 1501) == -ctx.gen("y", 1) ** 1501
     assert list(grassrings._SPECIAL_CLASSES[(2, 1, "X")][1]) == list(range(1502))
 
 
@@ -282,16 +291,17 @@ def test_special_class_table_filled_by_four_threads():
     assert all(cls is table[a] for a, cls in got)
     assert table[0] == Polynomial.one()
     for a in range(1, len(table)):
-        assert table[a] == -sum((ctx.x(j) * table[a - j] for j in range(1, min(a, 2) + 1)),
+        assert table[a] == -sum((ctx.gen("x", j) * table[a - j]
+                                 for j in range(1, min(a, 2) + 1)),
                                 Polynomial.zero()), a
 
 
 def test_embed_end_of_canonical_generators():
     ring = StepRing(4, 2)
-    lower_x = ring.lower.x(2).symbols().pop()
-    upper_y = ring.upper.y(1).symbols().pop()
-    assert ring.embed_end(lower_x, "lower") == ring.lower.x(2)
-    assert ring.embed_end(upper_y, "upper") == ring.upper.y(1)
+    lower_x = GrassContext(4, 2).gen("x", 2)
+    upper_y = GrassContext(4, 3).gen("y", 1)
+    assert ring.embed_end(lower_x.symbols().pop()) == lower_x
+    assert ring.embed_end(upper_y.symbols().pop()) == upper_y
 
 
 def _embedded_both_ways(monkeypatch, max_n=5):
@@ -302,23 +312,23 @@ def _embedded_both_ways(monkeypatch, max_n=5):
     real = StepRing.embed_ring_poly
     sent = []
 
-    def recording(ring, poly, end):
+    def recording(ring, poly):
         sent.append(poly)
-        return real(ring, poly, end)
+        return real(ring, poly)
 
     monkeypatch.setattr(StepRing, "embed_ring_poly", recording)
     for N in range(1, max_n + 1):
         for j in range(0, N):
             ring = StepRing(N, j)
-            for end in ("lower", "upper"):
+            for end in (GrassContext(N, j), GrassContext(N, j + 1)):
                 for family in ("X", "Y"):
-                    classes = [grassrings.special_class(getattr(ring, end), family, a)
+                    classes = [grassrings.special_class(end, family, a)
                                for a in range(0, 2 * N + 3)]
-                    want = [real(ring, c, end) for c in classes]
+                    want = [real(ring, c) for c in classes]
                     sent.clear()
                     got = embedded_special_classes(ring, family, end, classes, embedded_gens(
-                        ring, {"X": "y", "Y": "x"}[family], end))
-                    yield (N, j, end, family), want, got, list(sent)
+                        ring, end, {"X": "y", "Y": "x"}[family]))
+                    yield (N, j, end.k, family), want, got, list(sent)
 
 
 def test_embedded_special_classes_match_their_substitution(monkeypatch):
@@ -339,7 +349,8 @@ def test_embedded_special_classes_of_a_wrong_table(monkeypatch):
     def junked(ctx, family, alpha):
         value = real(ctx, family, alpha)
         if alpha in (0, 2, 2 * ctx.N + 2):
-            value = value + ctx.x(1) * ctx.y(1) + ctx.x(1) ** 2 - ctx.y(1) + 2
+            x1, y1 = ctx.gen("x", 1), ctx.gen("y", 1)
+            value = value + x1 * y1 + x1 ** 2 - y1 + 2
         return value
 
     monkeypatch.setattr(grassrings, "special_class", junked)

@@ -3,7 +3,8 @@ every top-level function and class and every method of a top-level class
 is named somewhere in the package, every defaulted parameter is
 passed by some call in the package or its tests, no CLI command
 handler catches the bad-input errors that ``cli.main`` maps to exit 2,
-and no ``lru_cache`` is capped.
+no ``lru_cache`` is capped, and no ``getattr`` reads an attribute whose
+name is computed.
 
 Neither pyflakes nor ruff is assumed to be installed, so this parses each
 ``catsl2`` module with ``ast``.  A name counts as used if it occurs as a
@@ -278,3 +279,26 @@ def test_no_cache_is_capped():
     # every lru_cache in the package passes maxsize=None (or is functools.cache)
     capped = {p.name: _capped_caches(p.read_text()) for p in PACKAGE.glob("*.py")}
     assert not any(capped.values()), {k: v for k, v in capped.items() if v}
+
+
+def _computed_getattrs(source: str) -> list:
+    """The lines of ``source`` that call ``getattr`` with an attribute name
+    that is not a constant."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant))]
+
+
+def test_the_check_sees_a_computed_getattr():
+    source = ('end = "lower"\nring = getattr(step, end)\nk = getattr(step, "k", 0)\n'
+              'f = getattr(step, "x" + end)\ng = step.getattr(end)\n')
+    assert _computed_getattrs(source) == [2, 4]
+
+
+def test_no_module_reads_an_attribute_by_a_computed_name():
+    # a string that picks an attribute (an end ring by "lower" or "upper")
+    # hides from every name check which attributes are read; the code names
+    # them, as StepRing.ends names the end rings
+    found = {p.name: _computed_getattrs(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}

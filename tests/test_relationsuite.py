@@ -421,14 +421,14 @@ def test_ring_identity_checks_embed_each_class_once(monkeypatch):
     # within one class_slide_* or xi_expansion_* context, with correct
     # tables, the classes are embedded through their recursion: every
     # residual is 0, so only one-term generator polynomials go through
-    # embed_ring_poly, and each at most once per end
+    # embed_ring_poly, and each at most once (its weight names its end)
     N = 3
     real = StepRing.embed_ring_poly
     calls = Counter()
 
-    def counting(ring, poly, end):
-        calls[ring, poly, end] += 1
-        return real(ring, poly, end)
+    def counting(ring, poly):
+        calls[poly] += 1
+        return real(ring, poly)
 
     monkeypatch.setattr(StepRing, "embed_ring_poly", counting)
     specs = [spec for spec in relationsuite._CHECKS
@@ -439,11 +439,11 @@ def test_ring_identity_checks_embed_each_class_once(monkeypatch):
             calls.clear()
             assert spec.run(N, k, relationsuite._Context(N, k)) is None
             assert calls, (spec.name, k)
-            for (_, poly, end), n in calls.items():
+            for poly, n in calls.items():
                 syms = poly.symbols()
                 assert len(syms) == 1 and poly == Polynomial.gen(*syms), \
                     (spec.name, k, poly)
-                assert n == 1, (spec.name, k, poly, end, n)
+                assert n == 1, (spec.name, k, poly, n)
 
 
 @pytest.mark.parametrize("family, failing", [
@@ -460,7 +460,7 @@ def test_ring_identity_checks_catch_one_wrong_special_class(monkeypatch, family,
     def perturbed(ctx, name, alpha):
         value = real(ctx, name, alpha)
         if name == family and alpha == 2:
-            value = value + ctx.x(1) * ctx.y(1)
+            value = value + ctx.gen("x", 1) * ctx.gen("y", 1)
         return value
 
     for module in (grassrings, relationsuite):
@@ -478,8 +478,8 @@ def test_class_slide_sums_by_horner_equal_the_double_sum():
         for k in range(0, N):
             ring = StepRing(N, k)
             context = relationsuite._Context(N, k)
-            for side, (_, end, _) in relationsuite._RING_SIDES.items():
-                other = relationsuite._classes(context, ring, side.upper(), end)
+            for side in ("x", "y"):
+                other = relationsuite._classes(context, ring, side.upper(), False)
                 horner = list(relationsuite._slide_sums(other, ring.xi()))
                 assert len(horner) == len(other) == 2 * N + 3
                 for alpha, got in enumerate(horner):
@@ -672,14 +672,14 @@ def test_no_generator_computes_an_image_twice_at_one_ring_index(monkeypatch):
 def test_ring_identity_checks_embed_each_class_once_per_ring_index(monkeypatch):
     # the four class_slide_* and xi_expansion_* checks at one k read one
     # embedded class list per (ring, family, end) and one embedded
-    # generator list per (ring, letter, end): across them, each
-    # (ring, poly, end) goes through embed_ring_poly at most once
+    # generator list per (ring, end, letter): across them, each
+    # polynomial goes through embed_ring_poly at most once
     real = StepRing.embed_ring_poly
     calls = Counter()
 
-    def counting(ring, poly, end):
-        calls[ring, poly, end] += 1
-        return real(ring, poly, end)
+    def counting(ring, poly):
+        calls[poly] += 1
+        return real(ring, poly)
 
     monkeypatch.setattr(StepRing, "embed_ring_poly", counting)
     per_k = {}

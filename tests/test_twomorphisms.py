@@ -149,7 +149,7 @@ def test_cup_two_sided_forms_agree():
             for ell in range(0, k + 1):
                 sign = 1 if ell % 2 == 0 else -1
                 term = normalize(RawTensor(
-                    codomain, (codomain.step_ring(1).xi(k - ell), ring.x(ell))))
+                    codomain, (codomain.step_ring(1).xi(k - ell), ring.gen("x", ell))))
                 mirrored = mirrored + term.scale(sign)
             assert cup.apply_vec(()) == mirrored, (N, k)
 
