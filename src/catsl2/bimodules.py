@@ -73,6 +73,7 @@ from .exactpoly import (
     field_shift,
     homogeneous_degree,
     render_int,
+    require_int,
     xi_sym,
 )
 from .grassrings import GrassContext, StepRing, ring_catalog, step_catalog
@@ -97,6 +98,13 @@ class FlagPath:
     shift: int = 0
 
     def __post_init__(self):
+        require_int(self.N, "N")
+        require_int(self.shift, "shift")
+        if not isinstance(self.rings, tuple):
+            raise TypeError("rings must be a tuple of int, not %s"
+                            % type(self.rings).__name__)
+        for r in self.rings:
+            require_int(r, "a ring index")
         if len(self.rings) < 1:
             raise ValueError("a path needs at least one ring")
         steps = []

@@ -71,6 +71,15 @@ def render_int(n: int) -> str:
         return "%s<%d-bit integer>" % ("-" if n < 0 else "", n.bit_length())
 
 
+def require_int(value, field: str) -> None:
+    """Refuse a ``value`` of ``field`` that is not an int with a
+    ``TypeError`` naming the field.  A bool is refused too: ``True`` is an
+    int to Python, but as a rank, ring index, weight or shift it is a
+    mistake, never a 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an int, not %s" % (field, type(value).__name__))
+
+
 def render_excerpt(text: str) -> str:
     """Quote input text for a message, cut to its first 40 characters."""
     return repr(text if len(text) <= 40 else text[:40] + "...")
@@ -441,3 +450,30 @@ def homogeneous_degree(p: Polynomial):
     terms in several degrees."""
     degs = {mono_degree(m) for m in p.terms}
     return degs.pop() if len(degs) == 1 else None
+
+
+#: The prime 2^61 - 1 that ``residue`` reduces modulo.
+RESIDUE_PRIME = (1 << 61) - 1
+
+
+def residue(p: Polynomial) -> int | None:
+    """p mod ``RESIDUE_PRIME`` at the point where each symbol is its hash,
+    the hash of three ints, which no process salts (only str and bytes
+    hashes are); None if the prime divides a coefficient's denominator.
+
+    Evaluation mod a prime is a ring map on the polynomials whose
+    denominators the prime does not divide, so a nonzero residue proves
+    the polynomial nonzero.  A zero residue proves nothing.
+    """
+    total = 0
+    for mono, coeff in p._terms.items():
+        if type(coeff) is int:
+            value = coeff
+        elif coeff.denominator % RESIDUE_PRIME:
+            value = coeff.numerator * pow(coeff.denominator, -1, RESIDUE_PRIME)
+        else:
+            return None
+        for sym, exp in _fields(mono):
+            value = value * pow(hash(sym), exp, RESIDUE_PRIME) % RESIDUE_PRIME
+        total += value
+    return total % RESIDUE_PRIME

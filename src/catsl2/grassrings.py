@@ -34,6 +34,7 @@ from .exactpoly import (
     VarSymbol,
     KIND_X,
     KIND_Y,
+    require_int,
     sum_of_products,
     x_sym,
     xi_sym,
@@ -52,6 +53,8 @@ class GrassContext:
     k: int
 
     def __post_init__(self):
+        require_int(self.N, "N")
+        require_int(self.k, "k")
         if self.N < 1:
             raise ValueError("rank N must be a positive integer")
         if not 0 <= self.k <= self.N:
@@ -102,6 +105,9 @@ class StepRing:
     xi_pos: int = 1
 
     def __post_init__(self):
+        require_int(self.N, "N")
+        require_int(self.j, "j")
+        require_int(self.xi_pos, "xi_pos")
         if not 0 <= self.j < self.N:
             raise ValueError("step ring needs 0 <= j < N")
 

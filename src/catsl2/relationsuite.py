@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .exactpoly import MAX_EXPONENT, Polynomial, render_int, sum_of_products
+from .exactpoly import (
+    MAX_EXPONENT,
+    RESIDUE_PRIME,
+    Polynomial,
+    render_int,
+    residue,
+    sum_of_products,
+)
 from .grassrings import (
     FAMILY_LETTER,
     GrassContext,
@@ -37,6 +44,7 @@ from .bimodules import (
     BimElement,
     FlagPath,
     RawTensor,
+    _vector_terms,
     basis,
     graded_rank,
     normalize_sum,
@@ -443,7 +451,49 @@ def _classes(context, ring, family, other):
                        context.gen(embedded_gens, ring, end, letter) if other else None)
 
 
+#: The series identity of each family's classes with its letter's generators.
+_FAMILY_SERIES = {"X": "Xy", "Y": "xY"}
+
+
+def _slides(context, ring, family):
+    """The three facts of ``_run_class_slide`` for ``family`` on ``ring``."""
+    letter = FAMILY_LETTER[family]
+    own, other = ring.ends(letter)
+    gens, xi = own.gens(letter), ring.xi()
+    bound = 2 * ring.N + 2
+    return (list(context.gen(embedded_gens, ring, other, letter))
+            == [own.gen(letter, t) + gens[t - 1] * xi for t in range(1, len(gens) + 1)]
+            and all(context.gen(check_series_identity, end, _FAMILY_SERIES[family], bound)[0]
+                    for end in (own, other)))
+
+
 def _run_class_slide(side, N, k, context):
+    """The other end's classes C° of the family slide to the owning end's
+    classes C: emb(C°_a) = sum_l C_(a-l) * (-xi)^l for a <= 2N + 2.
+
+    Three facts at k decide this check and ``_run_xi_expansion``, with no
+    class embedded.  Write G for the owning end's generators of the
+    family's letter and g° for the other end's, as series in t:
+    1. the other end's embedded generators are G[t] + G[t-1] * xi for
+       t = 1 .. top + 1, with top the owning end's last index, and no
+       more: so emb(g°) = G * (1 + xi t);
+    2. ``check_series_identity`` holds at the owning end through degree
+       2N + 2: C * G = 1;
+    3. it holds at the other end: C° * g° = 1.
+    By 3 every residual of ``embedded_special_classes`` is 0, so the
+    embedded classes are the recursion's inverse of emb(g°) through degree
+    2N + 2; by 1 and 2 that is 1 / (G * (1 + xi t)) = C / (1 + xi t), the
+    slide.  Its product with G is 1 / (1 + xi t), whose coefficient at a
+    is (-xi)^a: the xi expansion.  When a fact fails, ``_class_slide_exact``
+    runs, and it alone writes the verdict and the text.
+    """
+    if _slides(context, StepRing(N, k), side.upper()):
+        return None
+    return _class_slide_exact(side, N, k, context)
+
+
+def _class_slide_exact(side, N, k, context):
+    """The class slide by embedding the other end's classes, a <= 2N + 2."""
     family, ring = side.upper(), StepRing(N, k)
     # the other end's classes slide to the owning end's
     slid, other = (_classes(context, ring, family, of_other) for of_other in (True, False))
@@ -455,6 +505,16 @@ def _run_class_slide(side, N, k, context):
 
 
 def _run_xi_expansion(side, N, k, context):
+    """xi^a = (-1)^a sum_j emb(C°_(a-j)) * G[j] for a <= 2N + 2, with the
+    other end's classes C° and the owning end's generators G: decided by
+    the facts of ``_run_class_slide``, else by ``_xi_expansion_exact``."""
+    if _slides(context, StepRing(N, k), side.upper()):
+        return None
+    return _xi_expansion_exact(side, N, k, context)
+
+
+def _xi_expansion_exact(side, N, k, context):
+    """The xi expansion by embedding the other end's classes."""
     family, ring = side.upper(), StepRing(N, k)
     classes = _classes(context, ring, family, True)
     # 1 and the step ring's own generators of the family's letter
@@ -630,11 +690,68 @@ def _run_well_definedness(N, k, context):
 # --- (k) non-nilpotency ----------------------------------------------------------------
 
 
+def _one_step_paths(N, k):
+    return [FlagPath(N, (k, k + step)) for step in (1, -1) if 0 <= k + step <= N]
+
+
+def _evaluated(element, size):
+    """The ``residue`` of each coefficient of a one-step element, by xi
+    exponent 0 .. size - 1; None if a residue is undefined or an exponent
+    is past that range."""
+    out = [0] * size
+    for (e,), coeff in _vector_terms(element):
+        value = residue(coeff)
+        if value is None or e >= size:
+            return None
+        out[e] = value
+    return out
+
+
+def _witnessed(dot, path, count):
+    """True if the residues of dot^p on the unit of ``path`` are nonzero
+    for p = 1 .. count (see ``_run_non_nilpotency``)."""
+    size = path.bound(1) + 1
+    columns = [_evaluated(dot.apply_vec((e,)), size) for e in range(size)]
+    power = _evaluated(normalize_xi_vector(path, (0,)), size)
+    if power is None or None in columns:
+        return False
+    for _ in range(count):
+        power = [sum(column[row] * c for column, c in zip(columns, power) if c)
+                 % RESIDUE_PRIME for row in range(size)]
+        if not any(power):
+            return False
+    return True
+
+
 def _run_non_nilpotency(N, k, context):
     """No power dot^p, p <= 4N, of the dot kills the unit of a one-step
-    path.  The powers are stepped from the unit by the context's dot, so
-    only xi^(bound+1) is normalized from scratch."""
-    for path in [FlagPath(N, (k, k + step)) for step in (1, -1) if 0 <= k + step <= N]:
+    path.
+
+    Decided first by an evaluation witness.  An element of the one-step
+    path is a sum of xi^e times right-ring coefficients, e = 0 .. b, and
+    a map applied to it sums each coefficient times the map's image of
+    xi^e (``BimMap.__call__``).  So the exact stepping computes dot^p on
+    the unit as M^p u, with M the (b + 1)^2 matrix of the coefficients
+    of the dot's basis images and u the unit's coefficients.
+    ``exactpoly.residue`` is a ring map from the polynomials (less the
+    denominators its prime divides) into the integers mod that prime, so
+    a nonzero residue of M^p u proves dot^p on the unit nonzero.  The
+    witness is only read that way: if a residue vector vanishes, or a
+    residue is undefined, ``_non_nilpotency_exact`` runs, and it alone
+    writes the verdict and the text.  (Reading a zero residue as zero
+    would be the probabilistic identity test of Schwartz, JACM 1980.)
+    """
+    for path in _one_step_paths(N, k):
+        if not _witnessed(context.gen(gen_dot, path, 1), path, 4 * N):
+            return _non_nilpotency_exact(N, k, context)
+    return None
+
+
+def _non_nilpotency_exact(N, k, context):
+    """Non-nilpotency by exact stepping: the powers are stepped from the
+    unit by the context's dot, so only xi^(bound+1) is normalized from
+    scratch."""
+    for path in _one_step_paths(N, k):
         dot = context.gen(gen_dot, path, 1)
         power = normalize_xi_vector(path, (0,))
         for p in range(1, 4 * N + 1):

@@ -31,7 +31,13 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import Polynomial, homogeneous_degree, render_excerpt, render_int
+from .exactpoly import (
+    Polynomial,
+    homogeneous_degree,
+    render_excerpt,
+    render_int,
+    require_int,
+)
 from .grassrings import GrassContext, special_class
 from .bimodules import (
     BimElement,
@@ -340,6 +346,7 @@ class SignedWord:
             if token not in ("E", "F"):
                 raise ValueError("letters must be 'E' or 'F', separated by blanks; got %s"
                                  % render_excerpt(token))
+        require_int(self.weight, "weight")
 
     @staticmethod
     def parse(text: str, weight: int) -> "SignedWord":

@@ -68,6 +68,20 @@ def test_path_validation():
     assert FlagPath(2, (1,), 3).shift == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (("2", (0, 1)), "N must be an int, not str"),
+    ((True, (0, 1)), "N must be an int, not bool"),
+    ((2, "01"), "rings must be a tuple of int, not str"),
+    ((2, [0, 1]), "rings must be a tuple of int, not list"),
+    ((2, (0, 1.0)), "a ring index must be an int, not float"),
+    ((2, (0, 1), 0.5), "shift must be an int, not float"),
+])
+def test_path_refuses_what_is_not_an_int(args, message):
+    with pytest.raises(TypeError) as err:
+        FlagPath(*args)
+    assert str(err.value) == message
+
+
 def test_factor_bounds():
     path = FlagPath(3, (1, 2, 1, 0))
     assert path.is_up(1) and not path.is_up(2) and not path.is_up(3)

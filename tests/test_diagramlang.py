@@ -154,6 +154,12 @@ def test_unknown_token_in_a_diagram_built_in_code(capsys):
         with pytest.raises(ValueError) as err:
             SignedWord(letters, weight)
         assert str(err.value) == "letters must be a tuple of str"
+    # a weight that is not an int is refused by the word, so compile_word
+    # never adds a str to an int or reads 1.5 as the weight 1
+    for weight in ("1", 1.5, None, True):
+        with pytest.raises(TypeError) as err:
+            SignedWord(("E",), weight)
+        assert str(err.value) == "weight must be an int, not %s" % type(weight).__name__
 
 
 def test_header_errors():

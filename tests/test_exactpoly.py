@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from catsl2.exactpoly import (
     MAX_EXPONENT,
+    RESIDUE_PRIME,
     Polynomial,
     homogeneous_degree,
     mono_degree,
     mono_pairs,
+    residue,
     sum_of_products,
     x_sym,
     xi_sym,
@@ -196,7 +198,7 @@ def test_polynomials_hashable_and_immutable():
 _ORDER_SCRIPT = """
 import pickle, sys
 from fractions import Fraction
-from catsl2.exactpoly import Polynomial, field_shift, x_sym, xi_sym, y_sym
+from catsl2.exactpoly import Polynomial, field_shift, residue, x_sym, xi_sym, y_sym
 syms = [x_sym(1, 0), x_sym(2, 0), y_sym(1, 2), xi_sym(1), xi_sym(2)]
 for i in sys.argv[1].split(","):
     field_shift(syms[int(i)])
@@ -211,6 +213,8 @@ print("offset", field_shift(syms[0]))
 if sys.argv[2] == "render":
     for p in polys:
         print(p.render())
+elif sys.argv[2] == "residue":
+    print([residue(p) for p in polys])
 elif sys.argv[2] == "dump":
     print(pickle.dumps(polys + [Polynomial.zero()]).hex())
     print(polys[0].render())
@@ -238,6 +242,13 @@ def test_pickle_crosses_interpreters_with_other_slot_order():
     assert dumped[0] != loaded[0]          # the slots really differ
     assert loaded[1] == "True True"
     assert loaded[2] == dumped[2]
+
+
+def test_residue_independent_of_symbol_order():
+    first = _fresh("0,1,2,3,4", "residue")
+    second = _fresh("4,3,2,1,0", "residue")
+    assert first[0] != second[0]           # the slots really differ
+    assert first[1] == second[1]
 
 
 def test_render_independent_of_symbol_order():
@@ -418,3 +429,26 @@ def test_sum_of_products_scaled_by_a_scalar_shares_the_keys():
     assert got == 2 * p - q * Fraction(1, 3)
     keys = _key_objects(p, q)
     assert all(m is keys[m] for m in got.terms)
+
+
+def test_residue_is_a_ring_map_into_the_integers_mod_its_prime():
+    # sums and products go to sums and products mod the prime, a rational
+    # to its numerator over its denominator, and a symbol to its hash
+    P = RESIDUE_PRIME
+    x, y, xi = xgen(1, 0), ygen(2, 3), xigen(2)
+    polys = [Polynomial.zero(), Polynomial.const(Fraction(-7, 3)), x, y ** 3 * xi,
+             Fraction(1, 2) * x ** 2 - 5 * y * xi + 4, (x + y + xi) ** 4 - x * y]
+    for p in polys:
+        for q in polys:
+            assert residue(p * q) == residue(p) * residue(q) % P
+            assert residue(p + q) == (residue(p) + residue(q)) % P
+    assert residue(Polynomial.const(Fraction(-7, 3))) == -7 * pow(3, -1, P) % P
+    assert residue(y ** 3) == pow(hash(y_sym(2, 3)), 3, P)
+    assert residue(xi) != residue(xigen(1))
+
+
+def test_residue_declines_a_denominator_its_prime_divides():
+    x = xgen(1, 0)
+    assert residue(Polynomial.const(Fraction(1, RESIDUE_PRIME))) is None
+    assert residue(x + Fraction(3, 2 * RESIDUE_PRIME) * x ** 2) is None
+    assert residue(Polynomial.const(RESIDUE_PRIME)) == 0

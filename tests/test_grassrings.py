@@ -37,6 +37,21 @@ def test_context_basics():
         GrassContext(0, 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: GrassContext(2, None), "k must be an int, not NoneType"),
+    (lambda: GrassContext(2.0, 1), "N must be an int, not float"),
+    (lambda: GrassContext(True, 1), "N must be an int, not bool"),
+    (lambda: StepRing(3, "1"), "j must be an int, not str"),
+    (lambda: StepRing(3.0, 1), "N must be an int, not float"),
+    (lambda: StepRing(3, 1, False), "xi_pos must be an int, not bool"),
+])
+def test_ring_constructors_refuse_what_is_not_an_int(build, message):
+    # one rule, exactpoly.require_int, names the field; a bool is no int
+    with pytest.raises(TypeError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_special_class_base_cases():
     ctx = GrassContext(3, 1)
     assert special_class(ctx, "X", 0) == Polynomial.one()

@@ -13,7 +13,7 @@ import pytest
 from catsl2 import bimodules, grassrings, relationsuite, twomorphisms
 from catsl2.bimodules import BimElement, FlagPath, basis, normalize_xi_vector
 from catsl2.cli import main
-from catsl2.exactpoly import MAX_EXPONENT, Polynomial, sum_of_products
+from catsl2.exactpoly import KIND_X, MAX_EXPONENT, Polynomial, sum_of_products
 from catsl2.grassrings import StepRing
 from catsl2.qlaurent import Laurent
 from catsl2.twomorphisms import BimMap
@@ -28,7 +28,7 @@ from catsl2.relationsuite import (
     run_suite,
 )
 
-from helpers import record_polynomials_built
+from helpers import by_vector, rebind, record_polynomials_built
 
 
 def test_quantum_integer_values():
@@ -559,6 +559,127 @@ def test_non_nilpotency_catches_a_dot_that_kills_the_top_power(monkeypatch):
                                   % (path.bound(1) + 1, path.render())), k
 
 
+def test_a_correct_engine_never_takes_the_exact_routes(monkeypatch):
+    # the class slides and xi expansions pass on their three facts and
+    # non_nilpotency on its evaluation witness, so across run_suite(N),
+    # N = 1..6, no class is embedded and no power of a dot is stepped
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    rebind(grassrings.embedded_special_classes,
+           counting("embedded_special_classes", grassrings.embedded_special_classes),
+           monkeypatch.setattr)
+    monkeypatch.setattr(relationsuite, "_non_nilpotency_exact",
+                        counting("exact stepping", relationsuite._non_nilpotency_exact))
+    for N in range(1, 7):
+        assert run_suite(N).all_ok(), N
+    assert not calls, calls
+
+
+def _flip_xi_sign_at_2(monkeypatch):
+    """``StepRing.embed_end`` with the xi term's sign flipped on the other
+    end's generators of index 2."""
+    real = StepRing.embed_end
+
+    def flipped(ring, sym):
+        letter = "x" if sym.kind == KIND_X else "y"
+        own = ring.ends(letter)[0]
+        if sym.index != 2 or sym in own.catalog():
+            return real(ring, sym)
+        return own.gen(letter, 2) - own.gen(letter, 1) * ring.xi()
+
+    monkeypatch.setattr(StepRing, "embed_end", flipped)
+
+
+def _perturb_classes_at_1(monkeypatch):
+    """``special_class`` with X_2 and Y_2 wrong in the ring k = 1 alone:
+    one end of the step rings j = 0 and j = 1 is wrong, the other right."""
+    real = grassrings.special_class
+
+    def perturbed(ctx, family, alpha):
+        value = real(ctx, family, alpha)
+        if ctx.k == 1 and alpha == 2:
+            value = value + ctx.gen("x", 1) * ctx.gen("y", 1)
+        return value
+
+    rebind(real, perturbed, monkeypatch.setattr)
+
+
+def _change_top_dot_image(change):
+    """A patch of ``gen_dot`` whose image of xi^bound on its factor is
+    ``change(path, image)``."""
+    def patch(monkeypatch):
+        real = relationsuite.gen_dot
+
+        def broken(path, position):
+            dot = real(path, position)
+
+            def fn(vec):
+                image = dot.apply_vec(vec)
+                if vec[position - 1] == path.bound(position):
+                    return change(path, image)
+                return image
+
+            return BimMap(path, path, dot.degree, fn, name=dot.name)
+
+        monkeypatch.setattr(relationsuite, "gen_dot", broken)
+    return patch
+
+
+def _lowest_coefficient_negated(path, image):
+    terms = by_vector(image)
+    low = min(terms)
+    terms[low] = -terms[low]
+    return BimElement(path, terms)
+
+
+#: Per engine: its patch, whether some exact route then fails, and the
+#: checks to compare with their exact routes.
+ENGINES = {
+    "correct": (None, False, ("class_slide", "xi_expansion", "non_nilpotency")),
+    "embed_end_xi_sign": (_flip_xi_sign_at_2, True, ("class_slide", "xi_expansion")),
+    "classes_wrong_at_1": (_perturb_classes_at_1, True, ("class_slide", "xi_expansion")),
+    "dot_top_image_zeroed": (
+        _change_top_dot_image(lambda path, image: BimElement.zero(path)), True,
+        ("non_nilpotency",)),
+    "dot_coefficient_sign": (
+        _change_top_dot_image(_lowest_coefficient_negated), False, ("non_nilpotency",)),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_the_checks_decide_as_their_exact_routes(monkeypatch, engine):
+    # each runner against its private exact route, the reference, each on
+    # a fresh context: same verdict and same text for every k, at
+    # N = 1..7 for the ring identities and N = 1..6 for non_nilpotency
+    patch, fails, checks = ENGINES[engine]
+    if patch is not None:
+        patch(monkeypatch)
+    pairs = {"class_slide": (relationsuite._run_class_slide,
+                             relationsuite._class_slide_exact, ("x", "y"), 7),
+             "xi_expansion": (relationsuite._run_xi_expansion,
+                              relationsuite._xi_expansion_exact, ("x", "y"), 7),
+             "non_nilpotency": (relationsuite._run_non_nilpotency,
+                                relationsuite._non_nilpotency_exact, (None,), 6)}
+    failed = []
+    for check in checks:
+        run, exact, sides, top = pairs[check]
+        for N in range(1, top + 1):
+            for k in range(0, N + (check == "non_nilpotency")):
+                for side in sides:
+                    args = (N, k) if side is None else (side, N, k)
+                    got = run(*args, relationsuite._Context(N, k))
+                    want = exact(*args, relationsuite._Context(N, k))
+                    assert got == want, (check, side, N, k)
+                    failed += [got] if got is not None else []
+    assert bool(failed) == fails, failed[:3]
+
+
 def _redeclared(f, extra, fn=None):
     """f, or ``fn`` under f's name, declaring ``extra`` more than f's degree."""
     return BimMap(f.domain, f.codomain, f.degree + extra, fn or f.apply_vec, name=f.name)
@@ -807,9 +928,11 @@ def test_ring_identities_work_count_does_not_grow():
     # decided through the unit multipliers x(-t) and y(-t) instead of the
     # convolution of the two dense bubble series, and 14,154 before the
     # classes and generators of the step ring's own end were read as they
-    # are instead of embedded; a return of any shows here
+    # are instead of embedded, and 13,124 before the class slides and xi
+    # expansions were decided by three facts at k instead of embedding the
+    # other end's classes; a return of any shows here
     count = _total(_work_counts(["ring_identities"]), "term_products")
-    assert count <= 13_124, count
+    assert count <= 7_274, count
 
 
 def test_whole_suite_work_count_does_not_grow():
@@ -822,13 +945,16 @@ def test_whole_suite_work_count_does_not_grow():
     # through unit multipliers, 46,652 (2,094 calls) before a chain kept its
     # tail as one memoized map, the law check applied its left maps to
     # basis vectors and the own-end classes were read unembedded, 41,978
+    # (1,970 calls) before the class slides, the xi expansions and
+    # non_nilpotency were decided by exact sufficient conditions, 32,314
     # (1,970 calls) since; a return to one normal form per output term and
     # a ``linear_sum`` of them, to maps built per check, to a second route
-    # for the bubble product, to its dense convolution or to chains
-    # evaluated map by map shows as a larger number
+    # for the bubble product, to its dense convolution, to chains
+    # evaluated map by map or to the exact routes of a correct engine
+    # shows as a larger number
     counts = _by_suite(_work_counts(None))
     count = _total(counts, "term_products")
-    assert count <= 41_978, count
+    assert count <= 32_314, count
     # and no suite's share grows: each suite's term products and
     # ``_normal_form`` calls within the same run, against the committed
     # budgets
